@@ -24,17 +24,6 @@ MINUTES_PER_DAY = 1440
 
 
 @dataclass
-class DatasetSpec:
-    """Where a dataset lives and how to slice it."""
-
-    graph_path: str
-    signal_paths: list[str]
-    interval_min: int
-    split_ratios: tuple[float, float, float] | None = (7.0, 1.0, 2.0)
-    split_days: tuple[int, int, int] | None = None
-
-
-@dataclass
 class TrafficSeries:
     """A aligned multi-channel sensor series with calendar features."""
 

@@ -13,14 +13,13 @@ so information can cross the primary boundaries on the next pass.
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ContractError, InputError
-from .stgraph import STCoord, SpatialGraph, UnifiedGraph
+from .stgraph import STCoord, UnifiedGraph, spatial_hops
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +120,9 @@ class BaseNodeSet:
     def coords(self) -> list[STCoord]:
         return [STCoord(node=i, time=t) for i, t in zip(self.node_ids, self.times)]
 
+    def flats(self, n_nodes: int) -> list[int]:
+        return [t * n_nodes + i for i, t in zip(self.node_ids, self.times)]
+
 
 def make_base_set(graph: UnifiedGraph, spe_coords: np.ndarray, n_subsets: int, seed: int) -> BaseNodeSet:
     nodes = select_base_nodes(spe_coords, n_subsets, seed)
@@ -134,29 +136,27 @@ def calibrate_tau(graph: UnifiedGraph, bases: BaseNodeSet) -> int:
     of its own time column. Raises when some element is unreachable from
     every base.
     """
-    floor = graph.t_steps // 2
-    best = _min_distances(graph, bases)
+    stack = graph.distance_rows(bases.flats(graph.n_nodes))
+    return max(_cover_radius(graph, stack, "", "base"), graph.t_steps // 2)
+
+
+def _min_distances(stack: np.ndarray) -> np.ndarray:
+    """Columnwise min of an (l, N * T) distance stack; -1 when no row reaches."""
+    best = np.where(stack < 0, np.iinfo(np.int64).max, stack).min(axis=0)
+    return np.where(best == np.iinfo(np.int64).max, -1, best)
+
+
+def _cover_radius(graph: UnifiedGraph, stack: np.ndarray, prefix: str, kind: str) -> int:
+    """Largest nearest-base distance; raises when some element has no base."""
+    best = _min_distances(stack)
     unreachable = np.flatnonzero(best < 0)
     if unreachable.size:
         coord = graph.flat_to_coord(int(unreachable[0]))
         raise ContractError(
-            f"element (node={coord.node}, time={coord.time}) is unreachable from every base"
+            f"{prefix}element (node={coord.node}, time={coord.time}) is unreachable "
+            f"from every {kind}"
         )
-    return max(int(best.max()), floor)
-
-
-def _min_distances(graph: UnifiedGraph, bases: BaseNodeSet) -> np.ndarray:
-    """Elementwise min hop count to the nearest base; -1 when none reaches."""
-    stack = _distance_matrix(graph, bases)
-    masked = np.where(stack < 0, np.iinfo(np.int64).max, stack)
-    best = masked.min(axis=0)
-    best[best == np.iinfo(np.int64).max] = -1
-    return best
-
-
-def _distance_matrix(graph: UnifiedGraph, bases: BaseNodeSet) -> np.ndarray:
-    rows = [graph.distances_from(c.flat(graph.n_nodes)) for c in bases.coords()]
-    return np.stack(rows, axis=0)
+    return int(best.max())
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +190,17 @@ class PartitionScheme:
         return int(self.assignment[flat])
 
 
-def _assign(graph: UnifiedGraph, bases: BaseNodeSet, tau: int, label: str) -> PartitionScheme:
-    dist = _distance_matrix(graph, bases)
-    dist = np.where(dist < 0, np.iinfo(np.int64).max, dist)
-    best = dist.min(axis=0)
+def _assign(
+    graph: UnifiedGraph, stack: np.ndarray, base_flats: list[int], tau: int, label: str
+) -> PartitionScheme:
+    """Nearest-base assignment over an (l, N * T) distance stack.
 
-    bad = np.flatnonzero(best > tau)
+    A distance tie goes to the subset with fewer elements assigned so far
+    in flat order, then to the lower base index. Untied elements take
+    their nearest base at once; only tied elements are visited in order.
+    """
+    best = _min_distances(stack)
+    bad = np.flatnonzero((best < 0) | (best > tau))
     if bad.size:
         coord = graph.flat_to_coord(int(bad[0]))
         raise ContractError(
@@ -203,24 +208,27 @@ def _assign(graph: UnifiedGraph, bases: BaseNodeSet, tau: int, label: str) -> Pa
             f"tau={tau} of any base"
         )
 
-    sizes = [0] * bases.n_subsets
-    assignment = np.empty(graph.n_elements, dtype=np.int64)
-    for e in range(graph.n_elements):
-        tied = np.flatnonzero(dist[:, e] == best[e])
-        if len(tied) == 1:
-            p = int(tied[0])
-        else:
-            # distance tie: favor the currently smaller subset, then the
-            # lower base index
-            p = min((int(q) for q in tied), key=lambda q: (sizes[q], q))
+    nearest = stack == best
+    assignment = nearest.argmax(axis=0)
+    tied = np.flatnonzero(nearest.sum(axis=0) > 1)
+    # untied_before[p, e]: untied elements before e assigned to subset p
+    untied_before = np.zeros(stack.shape, dtype=np.int64)
+    untied_before[assignment, np.arange(graph.n_elements)] = 1
+    untied_before[:, tied] = 0
+    np.cumsum(untied_before, axis=1, out=untied_before)
+    tied_before = np.zeros(len(base_flats), dtype=np.int64)
+    for e in tied:
+        candidates = np.flatnonzero(nearest[:, e])
+        sizes = untied_before[candidates, e] + tied_before[candidates]
+        p = candidates[np.argmin(sizes)]
         assignment[e] = p
-        sizes[p] += 1
+        tied_before[p] += 1
 
     scheme = PartitionScheme(
         label=label,
         n_elements=graph.n_elements,
         tau=tau,
-        base_flats=[c.flat(graph.n_nodes) for c in bases.coords()],
+        base_flats=base_flats,
         assignment=assignment,
     )
     for p, flat in enumerate(scheme.base_flats):
@@ -233,21 +241,8 @@ def build_p1(graph: UnifiedGraph, bases: BaseNodeSet) -> PartitionScheme:
     """Assign every element to its nearest base within radius tau."""
     if bases.tau is None:
         raise ContractError("bases need a calibrated tau before partitioning")
-    return _assign(graph, bases, bases.tau, "P1")
-
-
-def _spatial_distances(spatial: SpatialGraph, start: int) -> np.ndarray:
-    neighbor_lists = spatial.neighbor_lists()
-    dist = np.full(spatial.n_nodes, -1, dtype=np.int64)
-    dist[start] = 0
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in neighbor_lists[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(int(v))
-    return dist
+    flats = bases.flats(graph.n_nodes)
+    return _assign(graph, graph.distance_rows(flats), flats, bases.tau, "P1")
 
 
 def _two_colour(nearest_peer: list[int | None]) -> list[bool]:
@@ -278,10 +273,11 @@ def shift_bases(graph: UnifiedGraph, bases: BaseNodeSet) -> BaseNodeSet:
     """Displace each base in space toward its nearest peer and in time.
 
     Space: each base walks min(floor(tau / 2), floor(d / 2)) hops, where d
-    is the spatial distance to its nearest other base, along one spatial
-    shortest path toward that peer, choosing the lowest next node id when
-    several shortest paths exist. Stopping at the midpoint keeps two bases
-    that are each other's nearest peer from swapping places.
+    is the spatial hop count from the base to its nearest other base, along
+    one spatial shortest path toward that peer, choosing the lowest next
+    node id when several shortest paths exist. On a directed graph hops and
+    the walk follow edge direction. Stopping at the midpoint keeps two
+    bases that are each other's nearest peer from swapping places.
 
     Time: each shifted base moves half a window, to t_center - T // 2 or
     t_center + T // 2 clamped to [0, T - 1]. A base and its nearest peer
@@ -302,14 +298,15 @@ def shift_bases(graph: UnifiedGraph, bases: BaseNodeSet) -> BaseNodeSet:
 
     spatial = graph.spatial
     neighbor_lists = spatial.neighbor_lists()
-    dist_from_base = [_spatial_distances(spatial, b) for b in bases.node_ids]
+    # hops_to_base[q, v]: hops from node v to base q, so walks follow out-edges
+    hops_to_base = spatial_hops(spatial.adjacency.T, bases.node_ids)
     hops_budget = bases.tau // 2
 
     nearest: list[tuple[int, int] | None] = []
     for p, b in enumerate(bases.node_ids):
         peers = [
             (int(dist[b]), qi)
-            for qi, dist in enumerate(dist_from_base)
+            for qi, dist in enumerate(hops_to_base)
             if qi != p and dist[b] >= 0
         ]
         nearest.append(min(peers) if peers else None)
@@ -326,7 +323,7 @@ def shift_bases(graph: UnifiedGraph, bases: BaseNodeSet) -> BaseNodeSet:
             time = bases.times[p]
         else:
             d_near, qi = nearest[p]
-            toward = dist_from_base[qi]
+            toward = hops_to_base[qi]
             target_path = [b]
             cur = b
             for _ in range(min(hops_budget, d_near // 2)):
@@ -366,20 +363,14 @@ def build_p2(graph: UnifiedGraph, shifted: BaseNodeSet) -> PartitionScheme:
     """
     if shifted.tau is None:
         raise ContractError("shifted bases need the primary tau before partitioning")
-    best = _min_distances(graph, shifted)
-    unreachable = np.flatnonzero(best < 0)
-    if unreachable.size:
-        coord = graph.flat_to_coord(int(unreachable[0]))
-        raise ContractError(
-            f"P2: element (node={coord.node}, time={coord.time}) is unreachable "
-            "from every shifted base"
-        )
-    needed = int(best.max())
+    flats = shifted.flats(graph.n_nodes)
+    stack = graph.distance_rows(flats)
+    needed = _cover_radius(graph, stack, "P2: ", "shifted base")
     tau = shifted.tau
     if needed > tau:
         warnings.warn(f"shifted cover needs tau={needed}, recalibrated up from {tau}")
         tau = needed
-    return _assign(graph, replace(shifted, tau=tau), tau, "P2")
+    return _assign(graph, stack, flats, tau, "P2")
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,15 @@ The unified graph has one element per (node, time) pair across a window of
 T steps. Two elements are adjacent when they are the same node at
 consecutive steps, or neighbors in the spatial graph at the same step.
 Flat element ids are time major: flat = time * n_nodes + node.
+
+The unified graph is the Cartesian product of the spatial graph with a
+path of T steps, so the hop distance from (i, t) to (j, s) is the spatial
+hop count from i to j plus |t - s|; it is computed in that closed form.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -153,12 +156,28 @@ def load_spatial_graph(source, symmetrize: bool = True) -> SpatialGraph:
     return SpatialGraph(n_nodes=n, adjacency=adjacency, edges=edges, labels=labels)
 
 
+def spatial_hops(adjacency: np.ndarray, sources) -> np.ndarray:
+    """Hops along edges i -> j (entry [i, j] nonzero) from each source node.
+
+    Returns (len(sources), N) with -1 for unreachable. Each BFS level is
+    one frontier-by-support product, whose 0/1 sums are exact in float64.
+    """
+    support = (adjacency != 0.0).astype(np.float64)
+    dist = np.full((len(sources), len(support)), -1, dtype=np.int64)
+    dist[np.arange(len(sources)), sources] = 0
+    frontier, level = dist == 0, 0
+    while frontier.any():
+        level += 1
+        frontier = (frontier @ support > 0.0) & (dist < 0)
+        dist[frontier] = level
+    return dist
+
+
 class UnifiedGraph:
     """Unified space-time graph over n_nodes * T elements.
 
-    Adjacency is stored as sorted neighbor lists over the nonzero support;
-    spatial edge weights are kept on the SpatialGraph for consumers that
-    need them (Laplacian, exports). Distances only use the support.
+    Only the spatial graph and the window length are stored: adjacency
+    entries are generated on demand and distances come in closed form.
     """
 
     def __init__(self, spatial: SpatialGraph, t_steps: int):
@@ -169,23 +188,11 @@ class UnifiedGraph:
         self.n_nodes = spatial.n_nodes
         self.n_elements = spatial.n_nodes * t_steps
 
-        n, t_count = self.n_nodes, self.t_steps
-        spatial_neighbors = spatial.neighbor_lists()
-        self.neighbors: list[np.ndarray] = []
-        for t in range(t_count):
-            base = t * n
-            for i in range(n):
-                near = list(base + spatial_neighbors[i])
-                if t > 0:
-                    near.append((t - 1) * n + i)
-                if t < t_count - 1:
-                    near.append((t + 1) * n + i)
-                self.neighbors.append(np.array(sorted(near), dtype=np.int64))
-
     @property
     def edge_entry_count(self) -> int:
         """Number of nonzero directed entries in the unified adjacency."""
-        return sum(len(lst) for lst in self.neighbors)
+        nnz = int(np.count_nonzero(self.spatial.adjacency))
+        return self.t_steps * nnz + 2 * self.n_nodes * (self.t_steps - 1)
 
     def coord_to_flat(self, coord: STCoord) -> int:
         if not (0 <= coord.node < self.n_nodes and 0 <= coord.time < self.t_steps):
@@ -197,34 +204,34 @@ class UnifiedGraph:
             raise ContractError(f"flat id {flat} outside [0, {self.n_elements})")
         return coord_from_flat(flat, self.n_nodes)
 
-    def distances_from(self, start: int, cutoff: int | None = None) -> np.ndarray:
-        """BFS hop counts from a flat element id; -1 marks unreachable."""
-        dist = np.full(self.n_elements, -1, dtype=np.int64)
-        dist[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            d = dist[u]
-            if cutoff is not None and d >= cutoff:
-                continue
-            for v in self.neighbors[u]:
-                if dist[v] < 0:
-                    dist[v] = d + 1
-                    queue.append(v)
-        return dist
+    def distance_rows(self, starts) -> np.ndarray:
+        """Hop counts from each flat id, (len(starts), N * T); -1 marks unreachable."""
+        times, nodes = np.divmod(np.asarray(starts, dtype=np.int64), self.n_nodes)
+        hops = spatial_hops(self.spatial.adjacency, nodes)[:, None, :]
+        gap = np.abs(np.arange(self.t_steps) - times[:, None])[:, :, None]
+        return np.where(hops < 0, -1, hops + gap).reshape(len(nodes), self.n_elements)
+
+    def distances_from(self, start: int) -> np.ndarray:
+        """Hop counts from one flat element id; -1 marks unreachable."""
+        return self.distance_rows([start])[0]
 
     def iter_edges(self) -> Iterator[tuple[int, int, float]]:
-        """Directed nonzero entries of the unified adjacency with weights."""
+        """Directed nonzero entries with weights, row by row in flat order.
+
+        Within a row: previous step, spatial neighbors ascending, next step.
+        """
         n = self.n_nodes
         adjacency = self.spatial.adjacency
-        for u, near in enumerate(self.neighbors):
-            t_u, i_u = divmod(u, n)
-            for v in near:
-                t_v, i_v = divmod(int(v), n)
-                if i_u == i_v and abs(t_u - t_v) == 1:
-                    yield u, int(v), 1.0
-                else:
-                    yield u, int(v), float(adjacency[i_u, i_v])
+        neighbor_lists = self.spatial.neighbor_lists()
+        for t in range(self.t_steps):
+            for i in range(n):
+                u = t * n + i
+                if t > 0:
+                    yield u, u - n, 1.0
+                for j in neighbor_lists[i]:
+                    yield u, t * n + int(j), float(adjacency[i, j])
+                if t < self.t_steps - 1:
+                    yield u, u + n, 1.0
 
 
 def build_unified(spatial: SpatialGraph, t_steps: int) -> UnifiedGraph:
@@ -234,11 +241,8 @@ def build_unified(spatial: SpatialGraph, t_steps: int) -> UnifiedGraph:
 
 def st_distance(graph: UnifiedGraph, a: STCoord, b: STCoord) -> int | None:
     """Fewest hops between two elements, or None when disconnected."""
-    fa, fb = graph.coord_to_flat(a), graph.coord_to_flat(b)
-    if fa == fb:
-        return 0
-    dist = graph.distances_from(fa)
-    d = int(dist[fb])
+    dist = graph.distances_from(graph.coord_to_flat(a))
+    d = int(dist[graph.coord_to_flat(b)])
     return None if d < 0 else d
 
 
@@ -247,6 +251,6 @@ def ball(graph: UnifiedGraph, center: STCoord, radius: int) -> set[STCoord]:
     if radius < 0:
         raise ContractError(f"ball radius must be nonnegative, got {radius}")
     start = graph.coord_to_flat(center)
-    dist = graph.distances_from(start, cutoff=radius)
+    dist = graph.distances_from(start)
     hits = np.flatnonzero((dist >= 0) & (dist <= radius))
     return {graph.flat_to_coord(int(f)) for f in hits}

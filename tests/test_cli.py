@@ -317,3 +317,18 @@ def test_bad_split_flag(workspace, capsys):
     code = main(["train", "--config", str(config), "--split", "7:1"])
     assert code == 2
     assert "three fields" in capsys.readouterr().err
+
+
+def test_partition_on_directed_graph_is_contract_error(tmp_path, capsys):
+    # edges 0 -> 1 -> 2 -> 3 only: no shifted base can reach node 0, so P2
+    # has no cover; the build must stop with the documented exit code
+    graph = tmp_path / "edges.txt"
+    write_edge_list(["0 1", "1 2", "2 3"], graph)
+    with pytest.warns(UserWarning):
+        code = main([
+            "partition", "--graph", str(graph), "--symmetrize", "false",
+            "--t-in", "3", "--n-subsets", "2", "--spe-modes", "2",
+            "--out-dir", str(tmp_path / "out"),
+        ])
+    assert code == 3
+    assert "error[contract]" in capsys.readouterr().err

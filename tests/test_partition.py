@@ -366,6 +366,21 @@ def test_shift_unreachable_peer_stays_put():
     assert shifted.node_ids == [1, 5]
 
 
+def test_shift_on_directed_path_walks_along_out_edges():
+    # edges 0 -> 1 -> 2 -> 3 only. Base 0 reaches base 3 in 3 hops and
+    # walks min(3 // 2, 3 // 2) = 1 hop along out-edges to node 1, moving
+    # earlier (t_center 1 - 1 = 0). Base 3 reaches no other base and stays.
+    spatial = load_spatial_graph(path(4), symmetrize=False)
+    graph = build_unified(spatial, 3)
+    bases = BaseNodeSet([0, 3], t_center=1)
+    bases.tau = calibrate_tau(graph, bases)
+    assert bases.tau == 3  # node 2 at an end step: 2 spatial + 1 temporal
+    with pytest.warns(UserWarning, match="cannot reach"):
+        shifted = shift_bases(graph, bases)
+    assert shifted.node_ids == [1, 3]
+    assert shifted.times == [0, 1]
+
+
 def test_shift_prefers_lowest_next_node_id():
     # two shortest paths from 0 to 3: via 1 or via 2; both walks take 1,
     # so the second base collides and backs off to where it started

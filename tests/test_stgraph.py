@@ -142,15 +142,16 @@ def test_single_node_unified_is_a_chain():
     g = build_unified(load_spatial_graph(["nodes 1"]), 3)
     assert g.n_elements == 3
     assert g.edge_entry_count == 4  # 2 * 1 * (3 - 1)
-    assert list(g.neighbors[0]) == [1]
-    assert list(g.neighbors[1]) == [0, 2]
-    assert list(g.neighbors[2]) == [1]
+    assert [(u, v) for u, v, _ in g.iter_edges()] == [(0, 1), (1, 0), (1, 2), (2, 1)]
 
 
 def test_two_node_unified_by_hand():
     # elements: 0=(n0,t0) 1=(n1,t0) 2=(n0,t1) 3=(n1,t1)
     g = build_unified(load_spatial_graph(["0 1 1.0"]), 2)
-    assert [list(lst) for lst in g.neighbors] == [[1, 2], [0, 3], [0, 3], [1, 2]]
+    # per row: earlier step, spatial neighbors ascending, later step
+    assert [(u, v) for u, v, _ in g.iter_edges()] == [
+        (0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2)
+    ]
     assert g.edge_entry_count == 8
 
 
@@ -231,13 +232,32 @@ def test_distance_unreachable_is_none():
     assert st_distance(g, STCoord(node=2, time=0), STCoord(node=2, time=1)) == 1
 
 
+def _directed_from_matrix(adj: np.ndarray):
+    lines = [f"nodes {adj.shape[0]}"]
+    lines += [f"{i} {j} {float(adj[i, j])!r}" for i, j in zip(*np.nonzero(adj))]
+    return load_spatial_graph(lines, symmetrize=False)
+
+
 def test_distances_match_matrix_power_oracle():
     rng = np.random.default_rng(13)
+    inputs = []
     for _ in range(6):
         n = int(rng.integers(2, 6))
         t = int(rng.integers(1, 5))
         adj = random_connected_graph(rng, n)
-        g = build_unified(_graph_from_matrix(adj), t)
+        inputs.append((_graph_from_matrix(adj), adj, t))
+    # directed: keep the reverse of about half the edges, never the first,
+    # so some nodes reach others only one way and some not at all
+    for _ in range(6):
+        n = int(rng.integers(2, 7))
+        t = int(rng.integers(1, 5))
+        adj = np.triu(random_connected_graph(rng, n))
+        keep_reverse = rng.random(adj.shape) < 0.5
+        keep_reverse[np.nonzero(adj)[0][0], np.nonzero(adj)[1][0]] = False
+        adj = adj + np.where(keep_reverse, adj, 0.0).T
+        inputs.append((_directed_from_matrix(adj), adj, t))
+    for spatial, adj, t in inputs:
+        g = build_unified(spatial, t)
         expect = hop_distances(unified_dense(adj, t))
         for u in range(g.n_elements):
             got = g.distances_from(u)
