@@ -28,7 +28,6 @@ from .tensor import (
     relu,
     reshape,
     scale,
-    scatter_rows,
     softmax_rows,
     transpose,
 )
@@ -221,9 +220,11 @@ def apply_module(
 ) -> Tensor:
     """One attention module over a partition; shape (..., N, T, D) kept.
 
-    Per subset, elements are gathered in ascending flat order, attended,
-    and scattered back to their positions; the merged result then goes
-    through residual + norm, feed-forward, residual + norm.
+    Per subset, elements are gathered in ascending flat order and attended.
+    The subset outputs are concatenated in subset order and one gather by
+    the inverse permutation puts every row back at its element's flat
+    position. The merged result then goes through residual + norm,
+    feed-forward, residual + norm.
     """
     n, t = x.shape[-3], x.shape[-2]
     if n * t != scheme.n_elements:
@@ -232,14 +233,14 @@ def apply_module(
         )
     flat = _flatten_elements(x)
 
-    merged: Tensor | None = None
+    attended = []
     for subset_id, indices in enumerate(scheme.subsets):
         sink: list[np.ndarray] | None = [] if capture is not None else None
-        attended = subset_attention(gather_rows(flat, indices), params.attention, sink)
+        attended.append(subset_attention(gather_rows(flat, indices), params.attention, sink))
         if capture is not None:
             capture.record(subset_id, sink)
-        placed = scatter_rows(attended, indices, scheme.n_elements)
-        merged = placed if merged is None else add(merged, placed)
+    order = np.argsort(np.concatenate(scheme.subsets))
+    merged = gather_rows(concat(attended, axis=-2), order)
 
     y = layer_norm(add(merged, flat), params.norm1_gain, params.norm1_bias)
     hidden = relu(add(matmul(y, params.w_ffn1), params.b_ffn1))

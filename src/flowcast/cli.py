@@ -11,6 +11,7 @@ import argparse
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -118,17 +119,19 @@ def _parse_triple(raw: str, key: str, cast):
         raise InputError(f"{key} has non-numeric fields: {raw!r}")
 
 
+_SCALAR_PARSERS = {int: _parse_int, float: _parse_float, bool: _parse_bool}
+_FIELD_TYPES = get_type_hints(RunConfig)
+
+
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
+    scalar = _SCALAR_PARSERS.get(_FIELD_TYPES.get(key))
+    if scalar is not None:
+        return scalar(raw, key)
     if key == "graph":
         return raw
     if key == "signal":
         return tuple(p.strip() for p in raw.split(",") if p.strip())
-    if key in ("interval_min", "t_in", "t_out", "dim", "spe_modes", "n_blocks",
-               "n_heads", "n_subsets", "seed", "batch_size", "epochs"):
-        return _parse_int(raw, key)
-    if key in ("learning_rate", "clip_norm"):
-        return _parse_float(raw, key)
     if key == "split":
         return _parse_triple(raw, key, float)
     if key == "split_days":
@@ -142,8 +145,6 @@ def _parse_value(key: str, raw: str):
             return tuple(int(p) for p in raw.split(",") if p.strip())
         except ValueError:
             raise InputError(f"horizons must be comma-separated integers, got {raw!r}")
-    if key == "symmetrize":
-        return _parse_bool(raw, key)
     raise InputError(f"unknown config key {key!r}")
 
 

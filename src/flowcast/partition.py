@@ -276,8 +276,12 @@ def shift_bases(graph: UnifiedGraph, bases: BaseNodeSet) -> BaseNodeSet:
     is the spatial hop count from the base to its nearest other base, along
     one spatial shortest path toward that peer, choosing the lowest next
     node id when several shortest paths exist. On a directed graph hops and
-    the walk follow edge direction. Stopping at the midpoint keeps two
-    bases that are each other's nearest peer from swapping places.
+    the walk follow edge direction, and a step may only go to a node from
+    which the base's own node is still reachable; the walk stops where no
+    step qualifies. A shifted base thus stays in its base's strongly
+    connected component, so P2 reaches every element that P1 reaches.
+    Stopping at the midpoint keeps two bases that are each other's nearest
+    peer from swapping places.
 
     Time: each shifted base moves half a window, to t_center - T // 2 or
     t_center + T // 2 clamped to [0, T - 1]. A base and its nearest peer
@@ -323,13 +327,18 @@ def shift_bases(graph: UnifiedGraph, bases: BaseNodeSet) -> BaseNodeSet:
             time = bases.times[p]
         else:
             d_near, qi = nearest[p]
-            toward = hops_to_base[qi]
+            toward, home = hops_to_base[qi], hops_to_base[p]
             target_path = [b]
             cur = b
             for _ in range(min(hops_budget, d_near // 2)):
-                cur = min(
-                    int(v) for v in neighbor_lists[cur] if toward[v] == toward[cur] - 1
-                )
+                steps = [
+                    int(v)
+                    for v in neighbor_lists[cur]
+                    if toward[v] == toward[cur] - 1 and home[v] >= 0
+                ]
+                if not steps:
+                    break
+                cur = min(steps)
                 target_path.append(cur)
             offset = half if later[p] else -half
             time = min(max(bases.t_center + offset, 0), graph.t_steps - 1)

@@ -340,28 +340,6 @@ def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
     return out
 
 
-def scatter_rows(a: Tensor, indices: np.ndarray, size: int) -> Tensor:
-    """Place rows at given positions along the second-to-last axis of a
-    zero tensor with that axis expanded to `size`. Indices must be unique."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if a.ndim < 2:
-        raise ContractError(f"scatter_rows needs rank >= 2, got shape {a.shape}")
-    if a.data.shape[-2] != idx.shape[0]:
-        raise ContractError(
-            f"scatter_rows got {idx.shape[0]} indices for {a.data.shape[-2]} rows"
-        )
-    shape = a.data.shape[:-2] + (size,) + a.data.shape[-1:]
-    data = np.zeros(shape, dtype=np.float64)
-    data[..., idx, :] = a.data
-    out = Tensor(data, (a,))
-
-    def bwd(g: np.ndarray) -> None:
-        _accumulate(a, g[..., idx, :])
-
-    out.backward_fn = bwd
-    return out
-
-
 # ---------------------------------------------------------------------------
 # normalization ops
 # ---------------------------------------------------------------------------

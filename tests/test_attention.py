@@ -198,15 +198,20 @@ def _two_subset_scheme(n, t, left_nodes, label="p1"):
     )
 
 
+def _after_attention(att, flat, params):
+    # apply_module's residual + norm, feed-forward, residual + norm, in
+    # flat element order
+    y = layer_norm(add(att, flat), params.norm1_gain, params.norm1_bias)
+    hidden = relu(add(matmul(y, params.w_ffn1), params.b_ffn1))
+    ffn = add(matmul(hidden, params.w_ffn2), params.b_ffn2)
+    return layer_norm(add(ffn, y), params.norm2_gain, params.norm2_bias)
+
+
 def _straight_line_module(x, params):
     # same computation as apply_module with one all-covering subset
     n, t = x.shape[-3], x.shape[-2]
     flat = reshape(transpose(x, (1, 0, 2)), (n * t, x.shape[-1]))
-    att = subset_attention(flat, params.attention)
-    y = layer_norm(add(att, flat), params.norm1_gain, params.norm1_bias)
-    hidden = relu(add(matmul(y, params.w_ffn1), params.b_ffn1))
-    ffn = add(matmul(hidden, params.w_ffn2), params.b_ffn2)
-    z = layer_norm(add(ffn, y), params.norm2_gain, params.norm2_bias)
+    z = _after_attention(subset_attention(flat, params.attention), flat, params)
     return transpose(reshape(z, (t, n, x.shape[-1])), (1, 0, 2))
 
 
@@ -251,6 +256,59 @@ def test_module_records_alphas_per_subset():
         for alpha in cap.by_subset[subset_id]:
             assert alpha.shape == (len(indices), len(indices))
             np.testing.assert_allclose(alpha.sum(axis=-1), 1.0, atol=1e-9)
+
+
+def _interleaved_scheme():
+    # four subsets of sizes 6, 2, 4 and 3 over 5 nodes x 3 steps, their
+    # elements interleaved in flat order, and flat 0 outside subset 0
+    assignment = np.array([2, 0, 1, 3, 0, 2, 0, 3, 1, 2, 0, 3, 0, 2, 0])
+    return PartitionScheme(
+        label="p1",
+        n_elements=15,
+        tau=15,
+        base_flats=[1, 2, 0, 3],
+        assignment=assignment,
+    )
+
+
+def test_module_merges_interleaved_subsets_exactly():
+    # every element's attention output is subset_attention over its own
+    # subset, bit for bit: the module output equals the post-attention
+    # stack applied to those per-subset results placed at their elements
+    rng = np.random.default_rng(89)
+    params = init_module_params(rng, 8, 2, "m")
+    scheme = _interleaved_scheme()
+    assert [len(s) for s in scheme.subsets] == [6, 2, 4, 3]
+    n, t, batch = 5, 3, 2
+    x = rng.normal(size=(batch, n, t, 8))
+    got = apply_module(Tensor(x), scheme, params)
+
+    flat = x.transpose(0, 2, 1, 3).reshape(batch, t * n, 8)
+    att = np.full(flat.shape, np.nan)
+    for indices in scheme.subsets:
+        att[:, indices, :] = subset_attention(Tensor(flat[:, indices, :]), params.attention).data
+    want = _after_attention(Tensor(att), Tensor(flat), params)
+    assert np.array_equal(got.data.transpose(0, 2, 1, 3).reshape(batch, t * n, 8), want.data)
+
+
+def test_module_merge_gradients_match_finite_differences():
+    from flowcast.optim import finite_diff_check
+
+    rng = np.random.default_rng(90)
+    params = init_module_params(rng, 4, 2, "m")
+    x = Param(rng.normal(size=(2, 5, 3, 4)), "x")
+    probe = rng.normal(size=x.shape) * 0.01
+
+    def loss_fn():
+        out = apply_module(x, _interleaved_scheme(), params)
+        return tensor_sum(mul(out, Tensor(probe)))
+
+    # every coordinate of the input and the parameters, except the key
+    # biases: their true gradient is exactly zero (the softmax cancels a
+    # shift shared by a whole score row), so only float noise is left
+    checked = [x] + [p for p in params.params() if not p.name.endswith(".b_key")]
+    worst = finite_diff_check(loss_fn, checked, samples=10**6)
+    assert worst < 1e-5
 
 
 def _probe_loss(out, positions, n, seed):

@@ -319,9 +319,10 @@ def test_bad_split_flag(workspace, capsys):
     assert "three fields" in capsys.readouterr().err
 
 
-def test_partition_on_directed_graph_is_contract_error(tmp_path, capsys):
-    # edges 0 -> 1 -> 2 -> 3 only: no shifted base can reach node 0, so P2
-    # has no cover; the build must stop with the documented exit code
+def test_partition_on_directed_graph_writes_both_schemes(tmp_path, capsys):
+    # edges 0 -> 1 -> 2 -> 3 only: node 0 has no in-edges, so a shifted base
+    # must not walk off it, or no shifted base could reach node 0 and P2
+    # would have no cover
     graph = tmp_path / "edges.txt"
     write_edge_list(["0 1", "1 2", "2 3"], graph)
     with pytest.warns(UserWarning):
@@ -330,5 +331,11 @@ def test_partition_on_directed_graph_is_contract_error(tmp_path, capsys):
             "--t-in", "3", "--n-subsets", "2", "--spe-modes", "2",
             "--out-dir", str(tmp_path / "out"),
         ])
-    assert code == 3
-    assert "error[contract]" in capsys.readouterr().err
+    assert code == 0
+    assert "partitions written" in capsys.readouterr().out
+    for name in ("partition_p1.txt", "partition_p2.txt"):
+        rows = [
+            line for line in (tmp_path / "out" / name).read_text().splitlines()
+            if not line.startswith("#")
+        ]
+        assert len(rows) == 12  # every element of 4 nodes x 3 steps

@@ -367,9 +367,21 @@ def test_shift_unreachable_peer_stays_put():
 
 
 def test_shift_on_directed_path_walks_along_out_edges():
-    # edges 0 -> 1 -> 2 -> 3 only. Base 0 reaches base 3 in 3 hops and
-    # walks min(3 // 2, 3 // 2) = 1 hop along out-edges to node 1, moving
-    # earlier (t_center 1 - 1 = 0). Base 3 reaches no other base and stays.
+    # directed ring 0 -> 1 -> ... -> 5 -> 0: each base reaches the other in
+    # 3 hops and walks min(3 // 2, 3 // 2) = 1 hop along its out-edge; the
+    # linked pair moves to opposite ends of the window.
+    ring_graph = build_unified(load_spatial_graph(ring(6), symmetrize=False), 3)
+    bases = BaseNodeSet([0, 3], t_center=1)
+    bases.tau = calibrate_tau(ring_graph, bases)
+    assert bases.tau == 3  # node 2 at an end step: 2 spatial + 1 temporal
+    shifted = shift_bases(ring_graph, bases)
+    assert shifted.node_ids == [1, 4]
+    assert shifted.times == [0, 2]
+
+    # edges 0 -> 1 -> 2 -> 3 only. Base 0 reaches base 3 in 3 hops, but
+    # node 1 cannot reach node 0, so the walk stops before its first step;
+    # the base still moves earlier (t_center 1 - 1 = 0). Base 3 reaches no
+    # other base and stays.
     spatial = load_spatial_graph(path(4), symmetrize=False)
     graph = build_unified(spatial, 3)
     bases = BaseNodeSet([0, 3], t_center=1)
@@ -377,8 +389,9 @@ def test_shift_on_directed_path_walks_along_out_edges():
     assert bases.tau == 3  # node 2 at an end step: 2 spatial + 1 temporal
     with pytest.warns(UserWarning, match="cannot reach"):
         shifted = shift_bases(graph, bases)
-    assert shifted.node_ids == [1, 3]
+    assert shifted.node_ids == [0, 3]
     assert shifted.times == [0, 1]
+    build_p2(graph, shifted)  # covers every element P1 covers
 
 
 def test_shift_prefers_lowest_next_node_id():
