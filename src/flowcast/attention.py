@@ -36,31 +36,17 @@ FFN_EXPANSION = 4
 
 
 @dataclass
-class HeadParams:
-    """Per-head maps: value has no bias, query and key carry biases."""
+class AttentionParams:
+    """Maps stacked over heads: (H, D, d_h), query bias (H, 1, d_h)."""
 
     w_value: Param
     w_query: Param
     b_query: Param
     w_key: Param
-    b_key: Param
-
-
-@dataclass
-class AttentionParams:
-    heads: list[HeadParams]
     w_out: Param
 
-    @property
-    def head_dim(self) -> int:
-        return self.heads[0].w_value.shape[1]
-
     def params(self) -> list[Param]:
-        out: list[Param] = []
-        for h in self.heads:
-            out.extend([h.w_value, h.w_query, h.b_query, h.w_key, h.b_key])
-        out.append(self.w_out)
-        return out
+        return [self.w_value, self.w_query, self.b_query, self.w_key, self.w_out]
 
 
 @dataclass
@@ -103,20 +89,13 @@ def init_attention_params(
     if dim % n_heads != 0:
         raise ContractError(f"width {dim} is not divisible by {n_heads} heads")
     head_dim = dim // n_heads
-    heads = []
-    for h in range(n_heads):
-        tag = f"{prefix}.head{h}"
-        heads.append(
-            HeadParams(
-                w_value=glorot_uniform(rng, (dim, head_dim), f"{tag}.w_value"),
-                w_query=glorot_uniform(rng, (dim, head_dim), f"{tag}.w_query"),
-                b_query=zeros_param((head_dim,), f"{tag}.b_query"),
-                w_key=glorot_uniform(rng, (dim, head_dim), f"{tag}.w_key"),
-                b_key=zeros_param((head_dim,), f"{tag}.b_key"),
-            )
-        )
+    stacked = (n_heads, dim, head_dim)
     return AttentionParams(
-        heads=heads, w_out=glorot_uniform(rng, (dim, dim), f"{prefix}.w_out")
+        w_value=glorot_uniform(rng, stacked, f"{prefix}.w_value"),
+        w_query=glorot_uniform(rng, stacked, f"{prefix}.w_query"),
+        b_query=zeros_param((n_heads, 1, head_dim), f"{prefix}.b_query"),
+        w_key=glorot_uniform(rng, stacked, f"{prefix}.w_key"),
+        w_out=glorot_uniform(rng, (dim, dim), f"{prefix}.w_out"),
     )
 
 
@@ -173,29 +152,28 @@ def subset_attention(
 ) -> Tensor:
     """Dense multi-head attention over one subset; shape (..., m, D) kept.
 
-    Scores are scaled dot products of the query and key maps, softmaxed
-    per query row over the subset, and used to mix the value map. Head
-    outputs are concatenated and passed through the output matrix.
+    The heads are one tensor axis: the input is viewed as (..., 1, m, D),
+    so each stacked map gives (..., H, m, d_h). Scores are scaled dot
+    products of the query and key maps, softmaxed per query row over the
+    subset, and used to mix the value map. Head outputs are laid side by
+    side and passed through the output matrix. Keys carry no bias: the
+    softmax would cancel it.
     """
     if elements.ndim < 2:
         raise ContractError(f"subset needs shape (..., m, D), got {elements.shape}")
     if elements.shape[-2] < 1:
         raise ContractError("subset attention needs at least one element")
-    head_dim = params.head_dim
-    inv_scale = 1.0 / np.sqrt(float(head_dim))
-
-    head_outputs = []
-    for head in params.heads:
-        queries = add(matmul(elements, head.w_query), head.b_query)
-        keys = add(matmul(elements, head.w_key), head.b_key)
-        values = matmul(elements, head.w_value)
-        axes = tuple(range(queries.ndim - 2)) + (queries.ndim - 1, queries.ndim - 2)
-        scores = scale(matmul(queries, transpose(keys, axes)), inv_scale)
-        alphas = softmax_rows(scores)
-        if capture is not None:
-            capture.append(alphas.data.copy())
-        head_outputs.append(matmul(alphas, values))
-    return matmul(concat(head_outputs, axis=-1), params.w_out)
+    n_heads, _, head_dim = params.w_query.shape
+    k = elements.ndim - 2  # leading axes before (m, D)
+    x = reshape(elements, elements.shape[:k] + (1,) + elements.shape[k:])
+    queries = add(matmul(x, params.w_query), params.b_query)
+    keys = transpose(matmul(x, params.w_key), tuple(range(k + 1)) + (k + 2, k + 1))
+    alphas = softmax_rows(scale(matmul(queries, keys), 1.0 / np.sqrt(float(head_dim))))
+    if capture is not None:
+        capture.extend(alphas.data[..., h, :, :].copy() for h in range(n_heads))
+    mixed = matmul(alphas, matmul(x, params.w_value))
+    side_by_side = transpose(mixed, tuple(range(k)) + (k + 1, k, k + 2))
+    return matmul(reshape(side_by_side, elements.shape), params.w_out)
 
 
 def _flatten_elements(x: Tensor) -> Tensor:

@@ -9,16 +9,19 @@ Layout, all little-endian:
                   u32 tau, u32 base count, u64 base flats..., u32 element
                   count, u32 assignment ids...)
 
-The config block stores every ModelConfig field plus the completed epoch
-counter. The tensor block holds every learnable parameter and, when known,
-the normalization statistics under the reserved "norm_stats." prefix.
+The config block stores every ModelConfig field, the completed epoch
+counter and "graph_sha256", which a load checks against its graph. The
+tensor block holds every learnable parameter and, when known, the
+normalization statistics under the reserved "norm_stats." prefix.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -29,8 +32,10 @@ from .partition import PartitionScheme
 from .stgraph import SpatialGraph
 
 MAGIC = b"FCST"
-VERSION = 1
+VERSION = 2
 NORM_PREFIX = "norm_stats."
+GRAPH_KEY = "graph_sha256"
+_FIELD_TYPES = get_type_hints(ModelConfig)
 
 
 def _pack_str(text: str) -> bytes:
@@ -71,12 +76,22 @@ class _Reader:
         return np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
 
-def _config_items(config: ModelConfig, epochs_completed: int) -> list[tuple[str, str]]:
+def _graph_digest(spatial: SpatialGraph) -> str:
+    """SHA-256 over the node labels and the (symmetrized) adjacency."""
+    digest = hashlib.sha256(struct.pack("<I", spatial.n_nodes))
+    for label in spatial.labels:
+        digest.update(_pack_str(label))
+    digest.update(np.ascontiguousarray(spatial.adjacency, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+def _config_items(model: ForecastModel, epochs_completed: int) -> list[tuple[str, str]]:
     items = []
     for f in fields(ModelConfig):
-        value = getattr(config, f.name)
+        value = getattr(model.config, f.name)
         items.append((f.name, "" if value is None else repr(value)))
     items.append(("epochs_completed", repr(epochs_completed)))
+    items.append((GRAPH_KEY, _graph_digest(model.spatial)))
     return items
 
 
@@ -86,12 +101,8 @@ def _parse_config(pairs: dict[str, str]) -> tuple[ModelConfig, int]:
         if f.name not in pairs:
             raise InputError(f"checkpoint config is missing {f.name}")
         raw = pairs[f.name]
-        if raw == "":
-            kwargs[f.name] = None
-        elif f.name in ("learning_rate", "clip_norm"):
-            kwargs[f.name] = float(raw)
-        else:
-            kwargs[f.name] = int(raw)
+        kinds = get_args(_FIELD_TYPES[f.name]) or (_FIELD_TYPES[f.name],)
+        kwargs[f.name] = None if raw == "" and type(None) in kinds else kinds[0](raw)
     epochs_completed = int(pairs.get("epochs_completed", "0"))
     return ModelConfig(**kwargs), epochs_completed
 
@@ -129,7 +140,7 @@ def save_checkpoint(model: ForecastModel, path, epochs_completed: int = 0) -> No
     """Serialize config, parameters, norm stats, and both partitions."""
     out: list[bytes] = [MAGIC, struct.pack("<I", VERSION)]
 
-    items = _config_items(model.config, epochs_completed)
+    items = _config_items(model, epochs_completed)
     out.append(struct.pack("<I", len(items)))
     for key, value in items:
         out.append(_pack_str(key))
@@ -158,9 +169,10 @@ def save_checkpoint(model: ForecastModel, path, epochs_completed: int = 0) -> No
 def load_checkpoint(path, spatial: SpatialGraph) -> tuple[ForecastModel, int]:
     """Rebuild a model from a checkpoint and the spatial graph it used.
 
-    The stored partitions are reused as-is; spectral and calendar
-    encodings are recomputed deterministically from the graph and config.
-    Returns the model and the completed epoch counter.
+    A graph whose labels or adjacency differ from the saved one is
+    rejected with InputError. The stored partitions are reused as-is;
+    spectral and calendar encodings are recomputed deterministically from
+    the graph and config. Returns the model and the completed epoch counter.
     """
     path = Path(path)
     if not path.exists():
@@ -177,6 +189,11 @@ def load_checkpoint(path, spatial: SpatialGraph) -> tuple[ForecastModel, int]:
     for _ in range(n_kv):
         key = reader.string()
         pairs[key] = reader.string()
+    if pairs.get(GRAPH_KEY) != _graph_digest(spatial):
+        raise InputError(
+            f"{path}: checkpoint was saved for a different graph "
+            "(node labels, edges or --symmetrize differ)"
+        )
     config, epochs_completed = _parse_config(pairs)
 
     n_entries = reader.u32()

@@ -548,9 +548,9 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
 
     # A plain sum is degenerate here: normalized rows sum to a constant,
     # so probe through a fixed random linear functional instead. The small
-    # scale keeps the loss magnitude low enough that central differences
-    # resolve coordinates whose true gradient is exactly zero (the key
-    # bias shifts all scores in a row equally and the softmax cancels it).
+    # scale keeps the loss, and with it the float noise of a central
+    # difference, low enough that a coordinate whose true gradient is
+    # tiny does not fail on noise alone.
     probe = constant(rng.normal(size=(4, 4, 8)) * 1e-4)
 
     def embed_loss() -> Tensor:

@@ -77,9 +77,12 @@ def _read_signal_csv(path: Path) -> tuple[list[datetime], list[str], np.ndarray]
             except ValueError:
                 raise InputError(f"{path}:{line_no}: bad ISO-8601 timestamp {row[0]!r}")
             try:
-                rows.append([float(v) for v in row[1:]])
+                values = [float(v) for v in row[1:]]
             except ValueError:
                 raise InputError(f"{path}:{line_no}: non-numeric value in data row")
+            if not all(map(math.isfinite, values)):
+                raise InputError(f"{path}:{line_no}: non-finite value (nan or inf) in data row")
+            rows.append(values)
     if not rows:
         raise InputError(f"{path}: no data rows")
     return timestamps, labels, np.asarray(rows, dtype=np.float64)

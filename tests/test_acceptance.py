@@ -267,15 +267,21 @@ def test_criterion_04_subset_attention_matches_loop_oracle(capsys):
         dim = n_heads * head_dim
         m = int(rng.integers(1, 9))
         params = init_attention_params(rng, dim, n_heads, "att")
-        for head in params.heads:
-            head.b_query.data[:] = rng.normal(size=head_dim) * 0.5
-            head.b_key.data[:] = rng.normal(size=head_dim) * 0.5
+        params.b_query.data[:] = rng.normal(size=(n_heads, 1, head_dim)) * 0.5
         x = rng.normal(size=(m, dim))
         captured: list[np.ndarray] = []
         out = subset_attention(constant(x), params, capture=captured)
+        # the oracle gets each head's slices plus a random key bias that the
+        # model does not carry: the row softmax cancels it exactly
         heads = [
-            (h.w_query.data, h.b_query.data, h.w_key.data, h.b_key.data, h.w_value.data)
-            for h in params.heads
+            (
+                params.w_query.data[h],
+                params.b_query.data[h, 0],
+                params.w_key.data[h],
+                rng.normal(size=head_dim) * 0.5,
+                params.w_value.data[h],
+            )
+            for h in range(n_heads)
         ]
         expected, alphas = attention_oracle(x, heads, params.w_out.data)
         worst_out = max(worst_out, float(np.abs(out.data - expected).max()))

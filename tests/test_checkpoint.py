@@ -110,8 +110,32 @@ def test_unsupported_version(tmp_path):
     path = tmp_path / "model.bin"
     save_checkpoint(model, path)
     blob = bytearray(path.read_bytes())
-    blob[4] = 99
-    bad = tmp_path / "future.bin"
-    bad.write_bytes(bytes(blob))
-    with pytest.raises(InputError, match="version"):
-        load_checkpoint(bad, graph)
+    # 1 is the per-head layout with key biases; 99 is from the future
+    for version in (1, 99):
+        blob[4] = version
+        bad = tmp_path / f"v{version}.bin"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(InputError, match=f"unsupported checkpoint version {version}"):
+            load_checkpoint(bad, graph)
+
+
+def test_rewired_graph_of_same_size_is_rejected(tmp_path):
+    graph, model = _fixture()
+    path = tmp_path / "model.bin"
+    save_checkpoint(model, path)
+    # same 4 nodes, labels and edge count as the ring, different edges
+    rewired = load_spatial_graph(["nodes 4", "0 2 1.0", "2 1 1.0", "1 3 1.0", "3 0 1.0"])
+    assert rewired.labels == graph.labels
+    with pytest.raises(InputError, match="different graph"):
+        load_checkpoint(path, rewired)
+
+
+def test_graph_loaded_without_symmetrize_is_rejected(tmp_path):
+    graph, model = _fixture()
+    path = tmp_path / "model.bin"
+    save_checkpoint(model, path)
+    directed = load_spatial_graph(ring_edge_lines(4), symmetrize=False)
+    with pytest.raises(InputError, match="different graph"):
+        load_checkpoint(path, directed)
+    # the same graph, loaded again the same way, is accepted
+    load_checkpoint(path, load_spatial_graph(ring_edge_lines(4), symmetrize=True))

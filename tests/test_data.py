@@ -103,6 +103,11 @@ def test_malformed_rows(tmp_path):
     _write_csv(path, ["timestamp,0", "2024-01-01T00:00:00,abc"])
     with pytest.raises(InputError, match="non-numeric"):
         load_series([str(path)], 5)
+    for bad in ("nan", "inf", "-inf", "NaN", "-Infinity"):
+        rows = ["2024-01-01T00:00:00,1.0,2.0", f"2024-01-01T00:05:00,3.0,{bad}"]
+        _write_csv(path, ["timestamp,0,1"] + rows)
+        with pytest.raises(InputError, match=r"sig\.csv:3: non-finite"):
+            load_series([str(path)], 5)
     _write_csv(path, ["timestamp,0", "2024-01-01T00:00:00,1.0,2.0"])
     with pytest.raises(InputError, match="columns"):
         load_series([str(path)], 5)

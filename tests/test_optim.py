@@ -103,14 +103,16 @@ def test_zero_gradients():
 
 
 def test_glorot_bounds_and_determinism():
-    shape = (40, 60)
-    limit = np.sqrt(6.0 / 100.0)
-    p1 = glorot_uniform(np.random.default_rng(9), shape, "w")
-    p2 = glorot_uniform(np.random.default_rng(9), shape, "w")
-    assert np.array_equal(p1.data, p2.data)
-    assert p1.data.max() <= limit and p1.data.min() >= -limit
-    # With 2400 draws the occupied range should come close to the bounds.
-    assert p1.data.max() > 0.9 * limit and p1.data.min() < -0.9 * limit
+    # a stacked (H, fan_in, fan_out) shape, as the attention heads use,
+    # draws every slice with the fans of its last two axes
+    for shape in ((40, 60), (3, 40, 60)):
+        limit = np.sqrt(6.0 / 100.0)
+        p1 = glorot_uniform(np.random.default_rng(9), shape, "w")
+        p2 = glorot_uniform(np.random.default_rng(9), shape, "w")
+        assert np.array_equal(p1.data, p2.data)
+        assert p1.data.max() <= limit and p1.data.min() >= -limit
+        # With 2400 draws the occupied range should come close to the bounds.
+        assert p1.data.max() > 0.9 * limit and p1.data.min() < -0.9 * limit
 
 
 def test_glorot_rejects_vector_shape():
