@@ -21,14 +21,12 @@ from .tensor import (
     Param,
     Tensor,
     add,
-    concat,
     gather_rows,
     layer_norm,
     matmul,
+    ranged_attention,
     relu,
     reshape,
-    scale,
-    softmax_rows,
     transpose,
 )
 
@@ -149,29 +147,35 @@ def subset_attention(
     elements: Tensor,
     params: AttentionParams,
     capture: list[np.ndarray] | None = None,
+    sizes: list[int] | None = None,
 ) -> Tensor:
-    """Dense multi-head attention over one subset; shape (..., m, D) kept.
+    """Dense multi-head attention inside each subset; shape (..., M, D) kept.
 
-    The heads are one tensor axis: the input is viewed as (..., 1, m, D),
-    so each stacked map gives (..., H, m, d_h). Scores are scaled dot
-    products of the query and key maps, softmaxed per query row over the
-    subset, and used to mix the value map. Head outputs are laid side by
-    side and passed through the output matrix. Keys carry no bias: the
-    softmax would cancel it.
+    sizes splits the M rows into consecutive subsets, in order; by default
+    all rows form one subset. The heads are one tensor axis: the input is
+    viewed as (..., 1, M, D), so each stacked map gives (..., H, M, d_h)
+    for all rows at once. Inside each subset, scores are scaled dot
+    products of the query and key maps, softmaxed per query row, and used
+    to mix the value map; tensor.ranged_attention does this for every
+    subset as one tape node. Head outputs are laid side by side and passed
+    through the output matrix. Keys carry no bias: the softmax would cancel
+    it. capture, if given, receives H weight arrays (..., m, m) per subset,
+    in subset order.
     """
     if elements.ndim < 2:
         raise ContractError(f"subset needs shape (..., m, D), got {elements.shape}")
-    if elements.shape[-2] < 1:
-        raise ContractError("subset attention needs at least one element")
-    n_heads, _, head_dim = params.w_query.shape
-    k = elements.ndim - 2  # leading axes before (m, D)
+    n_rows = elements.shape[-2]
+    sizes = [n_rows] if sizes is None else list(sizes)
+    if min(sizes, default=0) < 1 or sum(sizes) != n_rows:
+        raise ContractError(f"subset sizes must be >= 1 and sum to {n_rows}, got {sizes}")
+    ends = np.cumsum(sizes).tolist()
+    bounds = list(zip([0] + ends[:-1], ends))
+    k = elements.ndim - 2  # leading axes before (M, D)
     x = reshape(elements, elements.shape[:k] + (1,) + elements.shape[k:])
     queries = add(matmul(x, params.w_query), params.b_query)
-    keys = transpose(matmul(x, params.w_key), tuple(range(k + 1)) + (k + 2, k + 1))
-    alphas = softmax_rows(scale(matmul(queries, keys), 1.0 / np.sqrt(float(head_dim))))
-    if capture is not None:
-        capture.extend(alphas.data[..., h, :, :].copy() for h in range(n_heads))
-    mixed = matmul(alphas, matmul(x, params.w_value))
+    mixed = ranged_attention(
+        queries, matmul(x, params.w_key), matmul(x, params.w_value), bounds, capture
+    )
     side_by_side = transpose(mixed, tuple(range(k)) + (k + 1, k, k + 2))
     return matmul(reshape(side_by_side, elements.shape), params.w_out)
 
@@ -198,11 +202,12 @@ def apply_module(
 ) -> Tensor:
     """One attention module over a partition; shape (..., N, T, D) kept.
 
-    Per subset, elements are gathered in ascending flat order and attended.
-    The subset outputs are concatenated in subset order and one gather by
-    the inverse permutation puts every row back at its element's flat
-    position. The merged result then goes through residual + norm,
-    feed-forward, residual + norm.
+    One gather by the permutation concatenate(subsets) makes every subset a
+    consecutive row range, in subset order, each subset's elements in
+    ascending flat order. One subset_attention call attends inside every
+    range, and one gather by the inverse permutation puts every row back at
+    its element's flat position. The merged result then goes through
+    residual + norm, feed-forward, residual + norm.
     """
     n, t = x.shape[-3], x.shape[-2]
     if n * t != scheme.n_elements:
@@ -211,14 +216,15 @@ def apply_module(
         )
     flat = _flatten_elements(x)
 
-    attended = []
-    for subset_id, indices in enumerate(scheme.subsets):
-        sink: list[np.ndarray] | None = [] if capture is not None else None
-        attended.append(subset_attention(gather_rows(flat, indices), params.attention, sink))
-        if capture is not None:
-            capture.record(subset_id, sink)
-    order = np.argsort(np.concatenate(scheme.subsets))
-    merged = gather_rows(concat(attended, axis=-2), order)
+    perm = np.concatenate(scheme.subsets)
+    sizes = [len(indices) for indices in scheme.subsets]
+    sink: list[np.ndarray] | None = [] if capture is not None else None
+    attended = subset_attention(gather_rows(flat, perm), params.attention, sink, sizes)
+    if capture is not None:
+        n_heads = params.attention.w_query.shape[0]
+        for subset_id in range(scheme.n_subsets):
+            capture.record(subset_id, sink[subset_id * n_heads : (subset_id + 1) * n_heads])
+    merged = gather_rows(attended, np.argsort(perm))
 
     y = layer_norm(add(merged, flat), params.norm1_gain, params.norm1_bias)
     hidden = relu(add(matmul(y, params.w_ffn1), params.b_ffn1))

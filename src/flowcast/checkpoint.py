@@ -102,9 +102,19 @@ def _parse_config(pairs: dict[str, str]) -> tuple[ModelConfig, int]:
             raise InputError(f"checkpoint config is missing {f.name}")
         raw = pairs[f.name]
         kinds = get_args(_FIELD_TYPES[f.name]) or (_FIELD_TYPES[f.name],)
-        kwargs[f.name] = None if raw == "" and type(None) in kinds else kinds[0](raw)
-    epochs_completed = int(pairs.get("epochs_completed", "0"))
+        if raw == "" and type(None) in kinds:
+            kwargs[f.name] = None
+        else:
+            kwargs[f.name] = _parse_field(f.name, kinds[0], raw)
+    epochs_completed = _parse_field("epochs_completed", int, pairs.get("epochs_completed", "0"))
     return ModelConfig(**kwargs), epochs_completed
+
+
+def _parse_field(name: str, kind: type, raw: str):
+    try:
+        return kind(raw)
+    except ValueError:
+        raise InputError(f"checkpoint config {name} must be {kind.__name__}, got {raw!r}") from None
 
 
 def _write_scheme(out: list[bytes], scheme: PartitionScheme) -> None:
@@ -216,5 +226,8 @@ def load_checkpoint(path, spatial: SpatialGraph) -> tuple[ForecastModel, int]:
     std = arrays.pop(NORM_PREFIX + "std", None)
     if mean is not None and std is not None:
         model.norm_stats = NormStats(mean=mean, std=std)
-    load_params(model, arrays)
+    try:
+        load_params(model, arrays)
+    except ContractError as exc:
+        raise InputError(f"{path}: tensor block does not match the model: {exc}") from None
     return model, epochs_completed

@@ -474,7 +474,11 @@ def train(
 
 
 def load_params(model: ForecastModel, table: dict[str, np.ndarray]) -> None:
-    """Copy arrays into the model's parameters by name."""
+    """Copy arrays into the model's parameters by name.
+
+    The table must name every parameter, each once with its shape; nothing
+    is copied unless it does.
+    """
     own = model.param_dict()
     for name, array in table.items():
         if name not in own:
@@ -483,4 +487,8 @@ def load_params(model: ForecastModel, table: dict[str, np.ndarray]) -> None:
             raise ContractError(
                 f"parameter {name} has shape {own[name].data.shape}, got {array.shape}"
             )
+    missing = [name for name in own if name not in table]
+    if missing:
+        raise ContractError("missing parameters: " + ", ".join(missing))
+    for name, array in table.items():
         own[name].data[...] = array

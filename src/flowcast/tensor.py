@@ -119,6 +119,8 @@ def constant(value) -> Tensor:
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back down to the parent's shape."""
+    if grad.shape == shape:
+        return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -133,8 +135,10 @@ def _accumulate(parent: Tensor, grad: np.ndarray) -> None:
         return
     grad = _unbroadcast(grad, parent.data.shape)
     if parent.grad is None:
-        parent.grad = np.zeros(parent.data.shape, dtype=np.float64)
-    parent.grad += grad
+        # a copy, never the array itself: add hands one g to both parents
+        parent.grad = np.array(grad, dtype=np.float64, order="C")
+    else:
+        parent.grad += grad
 
 
 def backward(loss: Tensor) -> None:
@@ -306,38 +310,96 @@ def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     return out
 
 
-def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
-    if not parts:
-        raise ContractError("concat needs at least one tensor")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis), tuple(parts))
-    sizes = [p.data.shape[axis] for p in parts]
-
-    def bwd(g: np.ndarray) -> None:
-        offsets = np.cumsum([0] + sizes)
-        for part, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(lo, hi)
-            _accumulate(part, g[tuple(index)])
-
-    out.backward_fn = bwd
-    return out
-
-
 def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
     """Select rows along the second-to-last axis: out[..., k, :] = a[..., idx[k], :]."""
     idx = np.asarray(indices, dtype=np.int64)
     if a.ndim < 2:
         raise ContractError(f"gather_rows needs rank >= 2, got shape {a.shape}")
     out = Tensor(np.take(a.data, idx, axis=-2), (a,))
+    if not out.requires_grad:
+        return out
+    n_rows = a.data.shape[-2]
+    inverse = np.argsort(idx)
+    if idx.shape == (n_rows,) and np.array_equal(idx[inverse], np.arange(n_rows)):
+        # a permutation: every row receives exactly one gradient row
 
-    def bwd(g: np.ndarray) -> None:
-        buf = np.zeros(a.data.shape, dtype=np.float64)
-        moved = np.moveaxis(buf, -2, 0)
-        np.add.at(moved, idx, np.moveaxis(g, -2, 0))
-        _accumulate(a, buf)
+        def bwd(g: np.ndarray) -> None:
+            _accumulate(a, np.take(g, inverse, axis=-2))
+
+    else:
+
+        def bwd(g: np.ndarray) -> None:
+            buf = np.zeros(a.data.shape, dtype=np.float64)
+            moved = np.moveaxis(buf, -2, 0)
+            np.add.at(moved, idx, np.moveaxis(g, -2, 0))
+            _accumulate(a, buf)
 
     out.backward_fn = bwd
     return out
+
+
+def _softmax_in_place(x: np.ndarray) -> np.ndarray:
+    """Overwrite x with its row softmax over the last axis, stabilized by max
+    subtraction; return each row's log normalizer, log(sum(exp(x)))."""
+    peak = x.max(axis=-1, keepdims=True)
+    x -= peak
+    np.exp(x, out=x)
+    total = x.sum(axis=-1, keepdims=True)
+    x /= total
+    return peak + np.log(total)
+
+
+def ranged_attention(
+    queries: Tensor,
+    keys: Tensor,
+    values: Tensor,
+    bounds: list[tuple[int, int]],
+    capture: list[np.ndarray] | None = None,
+) -> Tensor:
+    """Scaled softmax attention inside each row range [lo, hi); one tape node.
+
+    Inputs are (..., H, M, d_h) and the ranges must tile the M rows. A row
+    attends only to rows of its own range, so no value or gradient crosses
+    a range. As in FlashAttention, the forward keeps only each row's log
+    normalizer, and the backward recomputes a range's weights from it.
+    capture, if given, receives one (..., m, m) weight array per head per
+    range, in range order.
+    """
+    factor = 1.0 / np.sqrt(float(queries.shape[-1]))
+    q, k, v = queries.data * factor, keys.data, values.data
+    out = np.empty(q.shape)
+    log_norm = np.empty(q.shape[:-1] + (1,))
+    for lo, hi in bounds:
+        alphas = q[..., lo:hi, :] @ np.swapaxes(k[..., lo:hi, :], -1, -2)
+        log_norm[..., lo:hi, :] = _softmax_in_place(alphas)
+        out[..., lo:hi, :] = alphas @ v[..., lo:hi, :]
+        if capture is not None:
+            capture.extend(alphas[..., h, :, :].copy() for h in range(q.shape[-3]))
+    node = Tensor(out, (queries, keys, values))
+
+    def bwd(g: np.ndarray) -> None:
+        dq, dk, dv = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
+        # row softmax backward needs <dL/dalpha_i, alpha_i>, which equals
+        # <g_i, out_i> because out_i = sum_j alpha_ij v_j
+        inner = (g * out).sum(axis=-1, keepdims=True)
+        for lo, hi in bounds:
+            alphas = q[..., lo:hi, :] @ np.swapaxes(k[..., lo:hi, :], -1, -2)
+            alphas -= log_norm[..., lo:hi, :]
+            np.exp(alphas, out=alphas)
+            g_rows = g[..., lo:hi, :]
+            dv[..., lo:hi, :] = np.swapaxes(alphas, -1, -2) @ g_rows
+            d_scores = g_rows @ np.swapaxes(v[..., lo:hi, :], -1, -2)
+            d_scores -= inner[..., lo:hi, :]
+            d_scores *= alphas
+            dq[..., lo:hi, :] = d_scores @ k[..., lo:hi, :]
+            dk[..., lo:hi, :] = np.swapaxes(d_scores, -1, -2) @ q[..., lo:hi, :]
+        dq *= factor
+        _accumulate(queries, dq)
+        _accumulate(keys, dk)
+        _accumulate(values, dv)
+
+    node.backward_fn = bwd
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +409,8 @@ def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
 
 def softmax_rows(a: Tensor) -> Tensor:
     """Row softmax over the last axis, stabilized by max subtraction."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = a.data.copy()
+    _softmax_in_place(y)
     out = Tensor(y, (a,))
 
     def bwd(g: np.ndarray) -> None:

@@ -432,3 +432,100 @@ def test_module_gradients_match_finite_differences():
 
     worst = finite_diff_check(loss_fn, params.params(), samples=60, seed=5)
     assert worst < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the fused core: every subset of a module in one tape node
+# ---------------------------------------------------------------------------
+
+
+def _ragged_scheme():
+    # subsets of sizes 7, 1, 4 and 3 over 5 nodes x 3 steps, interleaved in
+    # flat order; subset 1 holds the single element 9
+    assignment = np.array([2, 0, 0, 3, 0, 2, 0, 3, 2, 1, 0, 3, 0, 2, 0])
+    return PartitionScheme(
+        label="p1",
+        n_elements=15,
+        tau=15,
+        base_flats=[1, 9, 0, 3],
+        assignment=assignment,
+    )
+
+
+def test_fused_module_gradients_match_finite_differences_on_ragged_subsets():
+    from flowcast.optim import finite_diff_check
+
+    rng = np.random.default_rng(93)
+    scheme = _ragged_scheme()
+    assert [len(s) for s in scheme.subsets] == [7, 1, 4, 3]
+    params = init_module_params(rng, 4, 2, "m")
+    params.attention.b_query.data[:] = rng.normal(scale=0.5, size=params.attention.b_query.shape)
+    x = Param(rng.normal(size=(3, 5, 3, 4)), "x")
+    probe = rng.normal(size=x.shape) * 0.01
+
+    def loss_fn():
+        out = apply_module(x, scheme, params)
+        return tensor_sum(mul(out, Tensor(probe)))
+
+    # every coordinate of the input and the parameters
+    worst = finite_diff_check(loss_fn, [x] + params.params(), samples=10**6)
+    assert worst < 1e-5
+
+
+def _striped_scheme(n, t, l):
+    # l subsets of whole nodes: node i belongs to subset i % l at every step
+    assignment = np.tile(np.arange(n) % l, t)
+    return PartitionScheme(
+        label="p1", n_elements=n * t, tau=n + t, base_flats=list(range(l)), assignment=assignment
+    )
+
+
+def test_module_tape_size_does_not_grow_with_subsets():
+    # the subsets share one gather, one attention core and one inverse
+    # gather, so a module records the same nodes for any subset count
+    rng = np.random.default_rng(94)
+    params = init_module_params(rng, 8, 2, "m")
+    x = Tensor(rng.normal(size=(2, 4, 3, 8)))
+    sizes = [_tape_size(apply_module(x, _striped_scheme(4, 3, l), params)) for l in (1, 2, 4)]
+    assert sizes[0] == sizes[1] == sizes[2], sizes
+
+
+def test_fused_capture_equals_per_subset_calls_bit_for_bit():
+    rng = np.random.default_rng(95)
+    params = init_module_params(rng, 8, 4, "m")
+    params.attention.b_query.data[:] = rng.normal(scale=0.5, size=params.attention.b_query.shape)
+    scheme = _ragged_scheme()
+    n, t, batch = 5, 3, 2
+    x = rng.normal(size=(batch, n, t, 8))
+    cap = AlphaCapture()
+    apply_module(Tensor(x), scheme, params, cap)
+
+    flat = x.transpose(0, 2, 1, 3).reshape(batch, t * n, 8)
+    assert sorted(cap.by_subset) == [0, 1, 2, 3]
+    for subset_id, indices in enumerate(scheme.subsets):
+        sink = []
+        subset_attention(Tensor(flat[:, indices, :]), params.attention, sink)
+        got = cap.by_subset[subset_id]
+        assert len(got) == len(sink) == 4
+        for fused, alone in zip(got, sink):
+            assert fused.shape == (batch, len(indices), len(indices))
+            assert np.array_equal(fused, alone)
+
+
+def test_subset_attention_sizes_split_rows_into_independent_ranges():
+    rng = np.random.default_rng(96)
+    params = _random_attention(rng, 8, 2)
+    x = rng.normal(size=(2, 9, 8))
+    sink = []
+    got = subset_attention(Tensor(x), params, sink, sizes=[4, 1, 4])
+    assert len(sink) == 3 * 2
+    for i, (lo, hi) in enumerate(((0, 4), (4, 5), (5, 9))):
+        part_sink = []
+        want = subset_attention(Tensor(x[:, lo:hi]), params, part_sink)
+        # a one-row product may take another BLAS path than a nine-row one
+        np.testing.assert_allclose(got.data[:, lo:hi], want.data, rtol=0, atol=1e-12)
+        for fused, alone in zip(sink[2 * i : 2 * i + 2], part_sink):
+            np.testing.assert_allclose(fused, alone, rtol=0, atol=1e-12)
+    for bad in ([4, 4], [4, 0, 5], [10]):
+        with pytest.raises(ContractError):
+            subset_attention(Tensor(x), params, sizes=bad)

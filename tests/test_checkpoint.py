@@ -139,3 +139,63 @@ def test_graph_loaded_without_symmetrize_is_rejected(tmp_path):
         load_checkpoint(path, directed)
     # the same graph, loaded again the same way, is accepted
     load_checkpoint(path, load_spatial_graph(ring_edge_lines(4), symmetrize=True))
+
+
+def _save_with_tensors(tmp_path, model, params):
+    # write the checkpoint as if the model had exactly these parameters
+    path = tmp_path / "edited.bin"
+    model.params = lambda: params
+    save_checkpoint(model, path)
+    return path
+
+
+def test_dropped_tensor_is_input_error(tmp_path):
+    graph, model = _fixture()
+    params = model.params()
+    path = _save_with_tensors(tmp_path, model, params[:3] + params[4:])
+    with pytest.raises(InputError, match=f"edited.bin.*missing parameters: {params[3].name}$"):
+        load_checkpoint(path, graph)
+
+
+def test_unknown_tensor_is_input_error(tmp_path):
+    graph, model = _fixture()
+    params = model.params()
+    params[0].name = "block9.bogus"
+    path = _save_with_tensors(tmp_path, model, params)
+    with pytest.raises(InputError, match="edited.bin.*unknown parameter block9.bogus"):
+        load_checkpoint(path, graph)
+
+
+def test_misshapen_tensor_is_input_error(tmp_path):
+    graph, model = _fixture()
+    params = model.params()
+    params[1].data = params[1].data[..., :1].copy()
+    path = _save_with_tensors(tmp_path, model, params)
+    with pytest.raises(InputError, match=f"edited.bin.*{params[1].name} has shape"):
+        load_checkpoint(path, graph)
+
+
+def test_malformed_config_value_is_input_error(tmp_path):
+    graph, model = _fixture()
+    path = tmp_path / "model.bin"
+    save_checkpoint(model, path)
+    blob = path.read_bytes()
+    cases = [
+        (b"\x03\x00dim\x01\x008", b"\x03\x00dim\x03\x008.0", "dim must be int, got '8.0'"),
+        (
+            b"\x10\x00epochs_completed\x01\x000",
+            b"\x10\x00epochs_completed\x03\x00one",
+            "epochs_completed must be int, got 'one'",
+        ),
+        (
+            b"\x0d\x00learning_rate\x04\x000.01",
+            b"\x0d\x00learning_rate\x04\x00fast",
+            "learning_rate must be float, got 'fast'",
+        ),
+    ]
+    for good, bad, message in cases:
+        assert blob.count(good) == 1
+        edited = tmp_path / "edited.bin"
+        edited.write_bytes(blob.replace(good, bad))
+        with pytest.raises(InputError, match=message):
+            load_checkpoint(edited, graph)

@@ -454,3 +454,19 @@ def test_load_params_errors():
         load_params(model, {"nope": np.zeros(3)})
     with pytest.raises(ContractError, match="shape"):
         load_params(model, {"adapter.b_out": np.zeros(5)})
+
+
+def test_load_params_names_every_missing_parameter():
+    model = _build()
+    before = {p.name: p.data.copy() for p in model.params()}
+    table = {p.name: np.zeros(p.shape) for p in model.params()}
+    dropped = [model.params()[0].name, model.params()[-1].name]
+    for name in dropped:
+        del table[name]
+    with pytest.raises(ContractError, match="missing parameters: " + ", ".join(dropped) + "$"):
+        load_params(model, table)
+    with pytest.raises(ContractError, match="missing parameters"):
+        load_params(model, {})
+    # a rejected table copies nothing
+    for p in model.params():
+        np.testing.assert_array_equal(p.data, before[p.name])

@@ -14,7 +14,6 @@ from flowcast.tensor import (
     absolute,
     add,
     backward,
-    concat,
     constant,
     gather_rows,
     layer_norm,
@@ -196,6 +195,16 @@ def test_grad_reused_node_accumulates():
     assert np.array_equal(x.grad, [2.0])
 
 
+def test_grad_shared_by_two_parents_is_not_aliased():
+    # add hands one gradient array to both parents; a later contribution
+    # to one parent must not leak into the other's gradient
+    x = Param(np.array([1.0, -2.0, 0.5]), "x")
+    a, b = scale(x, 2.0), scale(x, 3.0)
+    t = add(add(a, b), a)  # 7x
+    backward(tensor_sum(mul(t, constant(np.ones(3)))))
+    assert np.array_equal(x.grad, [7.0, 7.0, 7.0])
+
+
 def test_grad_broadcast_bias_sums_over_rows():
     x = constant(np.ones((5, 3)))
     b = Param(np.zeros(3), "b")
@@ -265,17 +274,18 @@ def _probe(shape, seed):
     return constant(np.random.default_rng(seed).normal(size=shape))
 
 
-def test_grad_gather_scatter_concat_pipeline():
+def test_grad_gather_scatter_pipeline():
     rng = np.random.default_rng(5)
     x = Param(rng.normal(size=(6, 3)), "x")
     idx = np.array([4, 0, 4, 2])
+    widen = constant(rng.normal(size=(3, 6)))
     probe = _probe((4, 6), 99)
     # gathering by the inverse permutation scatters row k to positions[k]
     positions = np.array([1, 3, 0, 2])
 
     def make_loss():
         g = gather_rows(x, idx)              # (4, 3) with a repeated row
-        h = concat([g, relu(g)], axis=-1)    # (4, 6)
+        h = relu(matmul(g, widen))           # (4, 6)
         s = gather_rows(h, np.argsort(positions))  # (4, 6)
         t = transpose(reshape(s, (4, 2, 3)), (1, 0, 2))
         flat = reshape(t, (4, 6))
@@ -283,6 +293,14 @@ def test_grad_gather_scatter_concat_pipeline():
 
     err = finite_diff_check(make_loss, [x], samples=18, seed=0)
     assert err < 1e-6
+
+
+def test_grad_gather_permutation_routes_each_row_back():
+    x = Param(np.zeros((2, 4, 2)), "x")
+    perm = np.array([2, 0, 3, 1])
+    probe = np.arange(16.0).reshape(2, 4, 2)
+    backward(tensor_sum(mul(gather_rows(x, perm), constant(probe))))
+    assert np.array_equal(x.grad[:, perm, :], probe)
 
 
 def test_grad_gather_repeated_rows_accumulate():
