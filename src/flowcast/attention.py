@@ -19,6 +19,7 @@ from .optim import glorot_uniform, ones_param, zeros_param
 from .partition import PartitionScheme
 from .tensor import (
     Param,
+    ParamGroup,
     Tensor,
     add,
     gather_rows,
@@ -34,7 +35,7 @@ FFN_EXPANSION = 4
 
 
 @dataclass
-class AttentionParams:
+class AttentionParams(ParamGroup):
     """Maps stacked over heads: (H, D, d_h), query bias (H, 1, d_h)."""
 
     w_value: Param
@@ -43,12 +44,9 @@ class AttentionParams:
     w_key: Param
     w_out: Param
 
-    def params(self) -> list[Param]:
-        return [self.w_value, self.w_query, self.b_query, self.w_key, self.w_out]
-
 
 @dataclass
-class ModuleParams:
+class ModuleParams(ParamGroup):
     attention: AttentionParams
     w_ffn1: Param
     b_ffn1: Param
@@ -59,26 +57,11 @@ class ModuleParams:
     norm2_gain: Param
     norm2_bias: Param
 
-    def params(self) -> list[Param]:
-        return self.attention.params() + [
-            self.w_ffn1,
-            self.b_ffn1,
-            self.w_ffn2,
-            self.b_ffn2,
-            self.norm1_gain,
-            self.norm1_bias,
-            self.norm2_gain,
-            self.norm2_bias,
-        ]
-
 
 @dataclass
-class BlockParams:
+class BlockParams(ParamGroup):
     module_one: ModuleParams
     module_two: ModuleParams
-
-    def params(self) -> list[Param]:
-        return self.module_one.params() + self.module_two.params()
 
 
 def init_attention_params(

@@ -26,7 +26,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .data import NormStats
-from .errors import ContractError, InputError
+from .errors import ContractError, InputError, require_file
 from .model import ForecastModel, ModelConfig, build_model, load_params
 from .partition import PartitionScheme
 from .stgraph import SpatialGraph
@@ -184,9 +184,7 @@ def load_checkpoint(path, spatial: SpatialGraph) -> tuple[ForecastModel, int]:
     spectral and calendar encodings are recomputed deterministically from
     the graph and config. Returns the model and the completed epoch counter.
     """
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"checkpoint not found: {path}")
+    path = require_file(path, "checkpoint")
     reader = _Reader(path.read_bytes(), str(path))
     if reader.take(4) != MAGIC:
         raise InputError(f"{path}: not a checkpoint (bad magic)")

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .data import (
     split_series,
 )
 from .embedding import compute_spe, embed
-from .errors import ContractError, FlowcastError, InputError, NumericError
+from .errors import ContractError, FlowcastError, InputError, NumericError, require_file
 from .model import (
     ModelConfig,
     TraceRow,
@@ -60,16 +60,24 @@ GRADCHECK_TOLERANCE = 1e-4
 # ---------------------------------------------------------------------------
 
 
+def _help(default, text: str):
+    return field(default=default, metadata={"help": text})
+
+
 @dataclass
 class RunConfig:
-    """Everything a pipeline command can be told from file or flags."""
+    """Everything a pipeline command can be told from file or flags.
 
-    graph: str | None = None
-    signal: tuple[str, ...] = ()
+    Each field is a config-file key and the flag --key-with-dashes; its
+    declared type decides how a raw value is parsed and written back.
+    """
+
+    graph: str | None = _help(None, "edge list path")
+    signal: tuple[str, ...] = _help((), "comma-separated signal CSVs, one per channel")
     interval_min: int = 5
-    t_in: int = 12
-    t_out: int = 12
-    dim: int = 16
+    t_in: int = _help(12, "input window length")
+    t_out: int = _help(12, "forecast horizon length")
+    dim: int = _help(16, "model width")
     spe_modes: int = 16
     n_blocks: int = 4
     n_heads: int = 4
@@ -78,12 +86,12 @@ class RunConfig:
     learning_rate: float = 0.001
     batch_size: int = 8
     epochs: int = 100
-    clip_norm: float = 5.0
-    split: tuple[float, float, float] = (7.0, 1.0, 2.0)
-    split_days: tuple[int, int, int] | None = None
+    clip_norm: float = _help(5.0, "global gradient norm cap; 0 disables clipping")
+    split: tuple[float, float, float] = _help((7.0, 1.0, 2.0), "train:val:test ratios, e.g. 7:1:2")
+    split_days: tuple[int, int, int] | None = _help(None, "day counts, e.g. 62:9:21")
     out_dir: str = "out"
-    horizons: tuple[int, ...] = (3, 6, 12)
-    symmetrize: bool = True
+    horizons: tuple[int, ...] = _help((3, 6, 12), "comma-separated forecast steps, e.g. 3,6,12")
+    symmetrize: bool = _help(True, "true/false, default true")
 
 
 def _parse_bool(raw: str, key: str) -> bool:
@@ -109,53 +117,56 @@ def _parse_float(raw: str, key: str) -> float:
         raise InputError(f"{key} must be a number, got {raw!r}")
 
 
-def _parse_triple(raw: str, key: str, cast):
+_SCALAR_PARSERS = {
+    int: _parse_int, float: _parse_float, bool: _parse_bool, str: lambda raw, key: raw
+}
+
+
+def _parse_as(kind, raw: str, key: str):
+    """Parse a stripped raw value by a RunConfig field's declared type."""
+    args = get_args(kind)
+    if type(None) in args:
+        return None if raw == "" else _parse_as(args[0], raw, key)
+    if get_origin(kind) is not tuple:
+        return _SCALAR_PARSERS[kind](raw, key)
+    if args[-1] is Ellipsis:
+        try:
+            return tuple(args[0](p.strip()) for p in raw.split(",") if p.strip())
+        except ValueError:
+            raise InputError(f"{key} must be comma-separated integers, got {raw!r}")
     parts = raw.replace(",", ":").split(":")
     if len(parts) != 3:
         raise InputError(f"{key} needs three fields like 7:1:2, got {raw!r}")
     try:
-        return tuple(cast(p) for p in parts)
+        return tuple(cast(p) for cast, p in zip(args, parts))
     except ValueError:
         raise InputError(f"{key} has non-numeric fields: {raw!r}")
 
 
-_SCALAR_PARSERS = {int: _parse_int, float: _parse_float, bool: _parse_bool}
+def _render_as(kind, value) -> str:
+    """The inverse of _parse_as: the text that parses back to value."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        sep = "," if get_args(kind)[-1] is Ellipsis else ":"
+        return sep.join(str(v) for v in value)
+    return str(value)
+
+
 _FIELD_TYPES = get_type_hints(RunConfig)
 
 
 def _parse_value(key: str, raw: str):
-    raw = raw.strip()
-    scalar = _SCALAR_PARSERS.get(_FIELD_TYPES.get(key))
-    if scalar is not None:
-        return scalar(raw, key)
-    if key == "graph":
-        return raw
-    if key == "signal":
-        return tuple(p.strip() for p in raw.split(",") if p.strip())
-    if key == "split":
-        return _parse_triple(raw, key, float)
-    if key == "split_days":
-        if raw == "":
-            return None
-        return _parse_triple(raw, key, int)
-    if key == "out_dir":
-        return raw
-    if key == "horizons":
-        try:
-            return tuple(int(p) for p in raw.split(",") if p.strip())
-        except ValueError:
-            raise InputError(f"horizons must be comma-separated integers, got {raw!r}")
-    raise InputError(f"unknown config key {key!r}")
-
-
-_KNOWN_KEYS = {f.name for f in fields(RunConfig)}
+    if key not in _FIELD_TYPES:
+        raise InputError(f"unknown config key {key!r}")
+    return _parse_as(_FIELD_TYPES[key], raw.strip(), key)
 
 
 def read_config_file(path) -> dict[str, object]:
     """Parse a flat key=value file; '#' starts a comment anywhere."""
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"config file not found: {path}")
+    path = require_file(path, "config file")
     out: dict[str, object] = {}
     for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -165,7 +176,7 @@ def read_config_file(path) -> dict[str, object]:
             raise InputError(f"{path}:{line_no}: expected key=value, got {raw!r}")
         key, value = line.split("=", 1)
         key = key.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _FIELD_TYPES:
             raise InputError(f"{path}:{line_no}: unknown config key {key!r}")
         out[key] = _parse_value(key, value)
     return out
@@ -173,65 +184,34 @@ def read_config_file(path) -> dict[str, object]:
 
 def write_effective_config(cfg: RunConfig, path) -> None:
     """Write the merged configuration so the run can be reproduced."""
-    lines = []
-    for f in fields(RunConfig):
-        value = getattr(cfg, f.name)
-        if f.name == "signal":
-            rendered = ",".join(value)
-        elif f.name == "split":
-            rendered = ":".join(repr(v) for v in value)
-        elif f.name == "split_days":
-            rendered = "" if value is None else ":".join(str(v) for v in value)
-        elif f.name == "horizons":
-            rendered = ",".join(str(v) for v in value)
-        elif f.name == "symmetrize":
-            rendered = "true" if value else "false"
-        elif value is None:
-            rendered = ""
-        else:
-            rendered = str(value)
-        lines.append(f"{f.name}={rendered}")
+    lines = [f"{key}={_render_as(kind, getattr(cfg, key))}" for key, kind in _FIELD_TYPES.items()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def merge_config(args: argparse.Namespace) -> RunConfig:
     """File values first, then any flag given on the command line."""
     cfg = RunConfig()
-    file_values: dict[str, object] = {}
     if getattr(args, "config", None):
-        file_values = read_config_file(args.config)
-    for key, value in file_values.items():
-        setattr(cfg, key, value)
-    for f in fields(RunConfig):
-        flag = getattr(args, f.name, None)
+        cfg = replace(cfg, **read_config_file(args.config))
+    for key in _FIELD_TYPES:
+        flag = getattr(args, key, None)
         if flag is not None:
-            setattr(cfg, f.name, _parse_value(f.name, flag) if isinstance(flag, str) else flag)
+            setattr(cfg, key, _parse_value(key, flag))
     return cfg
 
 
 def _add_shared_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("--graph", help="edge list path")
-    sub.add_argument("--signal", help="comma-separated signal CSVs, one per channel")
-    sub.add_argument("--interval-min", dest="interval_min", type=int)
-    sub.add_argument("--t-in", dest="t_in", type=int, help="input window length")
-    sub.add_argument("--t-out", dest="t_out", type=int, help="forecast horizon length")
-    sub.add_argument("--dim", type=int, help="model width")
-    sub.add_argument("--spe-modes", dest="spe_modes", type=int)
-    sub.add_argument("--n-blocks", dest="n_blocks", type=int)
-    sub.add_argument("--n-heads", dest="n_heads", type=int)
-    sub.add_argument("--n-subsets", dest="n_subsets", type=int)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--learning-rate", dest="learning_rate", type=float)
-    sub.add_argument("--batch-size", dest="batch_size", type=int)
-    sub.add_argument("--epochs", type=int)
-    sub.add_argument("--clip-norm", dest="clip_norm", type=float,
-                     help="global gradient norm cap; 0 disables clipping")
-    sub.add_argument("--split", help="train:val:test ratios, e.g. 7:1:2")
-    sub.add_argument("--split-days", dest="split_days", help="day counts, e.g. 62:9:21")
-    sub.add_argument("--out-dir", dest="out_dir")
-    sub.add_argument("--horizons", help="comma-separated forecast steps, e.g. 3,6,12")
-    sub.add_argument("--symmetrize", help="true/false, default true")
+    for f in fields(RunConfig):
+        sub.add_argument("--" + f.name.replace("_", "-"), dest=f.name, help=f.metadata.get("help"))
+
+
+# the fields RunConfig and ModelConfig share, copied either way between them
+_SHARED_KEYS = tuple(key for key in _FIELD_TYPES if key in get_type_hints(ModelConfig))
+
+
+def _shared(config) -> dict[str, object]:
+    return {key: getattr(config, key) for key in _SHARED_KEYS}
 
 
 def _require(cfg: RunConfig, *names: str) -> None:
@@ -256,23 +236,16 @@ def _load_dataset(cfg: RunConfig, spatial) -> Dataset:
 
 
 def _model_config(cfg: RunConfig, n_nodes: int, channels: int, gamma: int) -> ModelConfig:
-    return ModelConfig(
-        n_nodes=n_nodes,
-        t_in=cfg.t_in,
-        t_out=cfg.t_out,
-        channels=channels,
-        dim=cfg.dim,
-        spe_modes=cfg.spe_modes,
-        gamma=gamma,
-        n_blocks=cfg.n_blocks,
-        n_heads=cfg.n_heads,
-        n_subsets=cfg.n_subsets,
-        seed=cfg.seed,
-        learning_rate=cfg.learning_rate,
-        batch_size=cfg.batch_size,
-        epochs=cfg.epochs,
-        clip_norm=cfg.clip_norm,
-    )
+    return ModelConfig(n_nodes=n_nodes, channels=channels, gamma=gamma, **_shared(cfg))
+
+
+def _load_model(cfg: RunConfig, path, spatial):
+    """Load a checkpoint; its config replaces the shared RunConfig fields.
+
+    Returns the updated RunConfig, the model and the completed epochs.
+    """
+    model, epochs_completed = load_checkpoint(path, spatial)
+    return replace(cfg, **_shared(model.config)), model, epochs_completed
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -334,18 +307,20 @@ def _write_trace(path: Path, rows: list[TraceRow], append: bool) -> None:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
     spatial = _load_graph(cfg)
-    dataset = _load_dataset(cfg, spatial)
-    series = dataset.series
     out = _out_dir(cfg)
 
     start_epoch = 0
     if args.resume:
-        model, start_epoch = load_checkpoint(args.resume, spatial)
-        model.config.epochs = cfg.epochs
+        epochs = cfg.epochs  # the one model setting a resume may change
+        cfg, model, start_epoch = _load_model(cfg, args.resume, spatial)
+        cfg.epochs = model.config.epochs = epochs
         if start_epoch >= cfg.epochs:
             print(f"checkpoint already at epoch {start_epoch}; nothing to train")
             return 0
+        dataset = _load_dataset(cfg, spatial)
     else:
+        dataset = _load_dataset(cfg, spatial)
+        series = dataset.series
         config = _model_config(cfg, spatial.n_nodes, series.n_channels, series.gamma)
         model = build_model(config, spatial)
         write_partition(model.p1, out / "partition_p1.txt")
@@ -381,9 +356,7 @@ def _stats_for(model, dataset: Dataset):
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
     spatial = _load_graph(cfg)
-    model, _ = load_checkpoint(args.checkpoint, spatial)
-    cfg.t_in = model.config.t_in
-    cfg.t_out = model.config.t_out
+    cfg, model, _ = _load_model(cfg, args.checkpoint, spatial)
     dataset = _load_dataset(cfg, spatial)
     samples = dataset.splits.get(args.on, [])
     if not samples:
@@ -426,7 +399,7 @@ def _tail_window(series, stats, t_in: int, start: int | None) -> WindowSample:
 def cmd_predict(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
     spatial = _load_graph(cfg)
-    model, _ = load_checkpoint(args.checkpoint, spatial)
+    cfg, model, _ = _load_model(cfg, args.checkpoint, spatial)
     _require(cfg, "signal")
     series = load_series(list(cfg.signal), cfg.interval_min, spatial)
     if model.norm_stats is None:
@@ -451,7 +424,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_export_attention(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
     spatial = _load_graph(cfg)
-    model, _ = load_checkpoint(args.checkpoint, spatial)
+    cfg, model, _ = _load_model(cfg, args.checkpoint, spatial)
     if model.norm_stats is None:
         raise ContractError("checkpoint has no normalization statistics; train first")
     _require(cfg, "signal")

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, InputError
+from .errors import ContractError, InputError, require_file
 from .stgraph import SpatialGraph
 
 MINUTES_PER_DAY = 1440
@@ -52,9 +52,7 @@ class TrafficSeries:
 
 
 def _read_signal_csv(path: Path) -> tuple[list[datetime], list[str], np.ndarray]:
-    if not path.exists():
-        raise InputError(f"signal file not found: {path}")
-    with open(path, newline="") as fh:
+    with open(require_file(path, "signal file"), newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

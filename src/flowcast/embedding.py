@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ContractError
 from .optim import glorot_uniform, ones_param, zeros_param
 from .stgraph import SpatialGraph
-from .tensor import Param, Tensor, add, constant, layer_norm, matmul, reshape
+from .tensor import Param, ParamGroup, Tensor, add, constant, layer_norm, matmul, reshape
 
 DAYS_PER_WEEK = 7
 TRIVIAL_EIGENVALUE_CUTOFF = 1e-8
@@ -104,7 +104,7 @@ class TpePack:
 
 
 @dataclass
-class EmbeddingParams:
+class EmbeddingParams(ParamGroup):
     """Learnable pieces of the input embedding."""
 
     w_in: Param
@@ -117,20 +117,6 @@ class EmbeddingParams:
     b_mix: Param
     norm_gain: Param
     norm_bias: Param
-
-    def params(self) -> list[Param]:
-        return [
-            self.w_in,
-            self.b_in,
-            self.w_spe,
-            self.b_spe,
-            self.w_tpe,
-            self.b_tpe,
-            self.w_mix,
-            self.b_mix,
-            self.norm_gain,
-            self.norm_bias,
-        ]
 
 
 def init_embedding_params(

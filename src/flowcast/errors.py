@@ -4,6 +4,8 @@ Each class maps to a process exit code so scripted callers can branch on
 the failure kind without parsing messages.
 """
 
+from pathlib import Path
+
 
 class FlowcastError(Exception):
     """Base class for all errors raised by this package."""
@@ -27,3 +29,13 @@ class NumericError(FlowcastError):
     """A numerical failure: non-finite loss, domain error, divergence."""
 
     exit_code = 4
+
+
+def require_file(path, what: str) -> Path:
+    """Path to an existing regular file, or InputError naming what it is."""
+    path = Path(path)
+    if not path.exists():
+        raise InputError(f"{what} not found: {path}")
+    if not path.is_file():
+        raise InputError(f"{what} is not a regular file: {path}")
+    return path

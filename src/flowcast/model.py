@@ -48,7 +48,20 @@ from .partition import (
     shift_bases,
 )
 from .stgraph import SpatialGraph, UnifiedGraph, build_unified
-from .tensor import Param, Tensor, absolute, add, backward, constant, matmul, mul, scale, sub, tensor_sum
+from .tensor import (
+    Param,
+    ParamGroup,
+    Tensor,
+    absolute,
+    add,
+    backward,
+    constant,
+    matmul,
+    mul,
+    scale,
+    sub,
+    tensor_sum,
+)
 
 
 @dataclass
@@ -99,7 +112,7 @@ class ModelConfig:
 
 
 @dataclass
-class AdapterParams:
+class AdapterParams(ParamGroup):
     """Per-node temporal remap T -> T' and channel projection D -> C."""
 
     w_time: Param
@@ -107,12 +120,12 @@ class AdapterParams:
     w_out: Param
     b_out: Param
 
-    def params(self) -> list[Param]:
-        return [self.w_time, self.b_time, self.w_out, self.b_out]
-
 
 @dataclass
-class ForecastModel:
+class ForecastModel(ParamGroup):
+    """params() walks the fields: the embedding's, each block's, then the
+    adapter's parameters; the other fields hold none."""
+
     config: ModelConfig
     spatial: SpatialGraph
     unified: UnifiedGraph
@@ -124,13 +137,6 @@ class ForecastModel:
     p1: PartitionScheme
     p2: PartitionScheme
     norm_stats: NormStats | None = None
-
-    def params(self) -> list[Param]:
-        out = self.embedding.params()
-        for block in self.blocks:
-            out.extend(block.params())
-        out.extend(self.adapter.params())
-        return out
 
     def param_dict(self) -> dict[str, Param]:
         table: dict[str, Param] = {}

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, InputError
+from .errors import ContractError, InputError, require_file
 from .stgraph import STCoord, UnifiedGraph, spatial_hops
 
 
@@ -469,9 +469,7 @@ def write_partition(scheme: PartitionScheme, path) -> None:
 
 
 def read_partition(path) -> PartitionScheme:
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"partition file not found: {path}")
+    path = require_file(path, "partition file")
     header: dict[str, str] = {}
     rows: list[tuple[int, int]] = []
     with open(path) as fh:

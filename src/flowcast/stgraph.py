@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ContractError, InputError
+from .errors import ContractError, InputError, require_file
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,7 @@ class SpatialGraph:
 
 def _iter_lines(source) -> Iterator[str]:
     if isinstance(source, (str, Path)):
-        path = Path(source)
-        if not path.exists():
-            raise InputError(f"graph file not found: {path}")
-        with open(path) as fh:
+        with open(require_file(source, "graph file")) as fh:
             yield from fh
     else:
         yield from source

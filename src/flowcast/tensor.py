@@ -8,6 +8,7 @@ every computation is single threaded and deterministic.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -104,6 +105,26 @@ class Param(Tensor):
 
     def __repr__(self) -> str:
         return f"Param({self.name!r}, shape={self.shape})"
+
+
+class ParamGroup:
+    """Base for dataclasses of parameters: params() lists every Param in
+    field order, descending into nested groups and lists of them."""
+
+    def params(self) -> list[Param]:
+        return _params_in([getattr(self, f.name) for f in fields(self)])
+
+
+def _params_in(items: list) -> list[Param]:
+    out: list[Param] = []
+    for item in items:
+        if isinstance(item, Param):
+            out.append(item)
+        elif isinstance(item, ParamGroup):
+            out.extend(item.params())
+        elif isinstance(item, list):
+            out.extend(_params_in(item))
+    return out
 
 
 def _lift(value) -> Tensor:
@@ -405,21 +426,6 @@ def ranged_attention(
 # ---------------------------------------------------------------------------
 # normalization ops
 # ---------------------------------------------------------------------------
-
-
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row softmax over the last axis, stabilized by max subtraction."""
-    y = a.data.copy()
-    _softmax_in_place(y)
-    out = Tensor(y, (a,))
-
-    def bwd(g: np.ndarray) -> None:
-        # d softmax: y * (g - <g, y>) per row
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        _accumulate(a, y * (g - inner))
-
-    out.backward_fn = bwd
-    return out
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from flowcast.cli import main, read_config_file
+from flowcast.cli import RunConfig, build_parser, main, read_config_file, write_effective_config
 from flowcast.data import synthetic_series, write_edge_list, write_signal_csv, ring_edge_lines
 
 
@@ -339,3 +339,104 @@ def test_partition_on_directed_graph_writes_both_schemes(tmp_path, capsys):
             if not line.startswith("#")
         ]
         assert len(rows) == 12  # every element of 4 nodes x 3 steps
+
+
+SHARED_FLAGS = {
+    "-h", "--help", "--config", "--graph", "--signal", "--interval-min", "--t-in", "--t-out",
+    "--dim", "--spe-modes", "--n-blocks", "--n-heads", "--n-subsets", "--seed",
+    "--learning-rate", "--batch-size", "--epochs", "--clip-norm", "--split",
+    "--split-days", "--out-dir", "--horizons", "--symmetrize",
+}
+
+
+def test_each_command_has_one_flag_per_config_field():
+    own = {
+        "build-graph": {"--export-unified"},
+        "partition": set(),
+        "train": {"--resume"},
+        "evaluate": {"--checkpoint", "--on"},
+        "predict": {"--checkpoint", "--window-start"},
+        "export-attention": {
+            "--checkpoint", "--window-start", "--block", "--module", "--node", "--time"
+        },
+        "baseline-ha": {"--on"},
+        "gradcheck": set(),
+    }
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    assert set(commands) == set(own)
+    for name, sub in commands.items():
+        options = [o for action in sub._actions for o in action.option_strings]
+        assert len(options) == len(set(options))
+        assert set(options) == SHARED_FLAGS | own[name], name
+
+
+def _every_field_changed() -> RunConfig:
+    return RunConfig(
+        graph="g.txt", signal=("a.csv", "b.csv"), interval_min=15, t_in=6, t_out=3,
+        dim=12, spe_modes=5, n_blocks=2, n_heads=3, n_subsets=7, seed=9,
+        learning_rate=0.0025, batch_size=5, epochs=11, clip_norm=0.0,
+        split=(6.0, 2.5, 1.5), split_days=(62, 9, 21), out_dir="runs/x",
+        horizons=(1, 4), symmetrize=False,
+    )
+
+
+@pytest.mark.parametrize("cfg", [RunConfig(), _every_field_changed()], ids=["defaults", "changed"])
+def test_effective_config_reads_back_equal(tmp_path, cfg):
+    default = RunConfig()
+    if cfg != default:
+        assert all(getattr(cfg, key) != getattr(default, key) for key in vars(cfg))
+    path = tmp_path / "effective_config.txt"
+    write_effective_config(cfg, path)
+    assert RunConfig(**read_config_file(path)) == cfg
+
+
+def test_resume_records_the_checkpoint_config(workspace):
+    tmp, config, out = workspace
+    first = ["--dim", "4", "--learning-rate", "0.02", "--n-heads", "1", "--seed", "5"]
+    assert main(["train", "--config", str(config), *first]) == 0
+    code = main(
+        ["train", "--config", str(config), "--resume", str(out / "checkpoint.bin"),
+         "--epochs", "3"]
+    )
+    assert code == 0
+    merged = read_config_file(out / "effective_config.txt")
+    assert (merged["dim"], merged["learning_rate"], merged["n_heads"], merged["seed"]) == (
+        4, 0.02, 1, 5
+    )
+    assert merged["epochs"] == 3
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("build-graph", "--graph"),
+        ("baseline-ha", "--signal"),
+        ("build-graph", "--config"),
+        ("evaluate", "--checkpoint"),
+    ],
+)
+def test_directory_in_place_of_a_file_exits_2(workspace, capsys, command, flag):
+    tmp, config, out = workspace
+    argv = [command, flag, str(tmp)]
+    if flag == "--checkpoint":
+        argv += ["--config", str(config)]
+    assert main(argv) == 2
+    assert "is not a regular file" in capsys.readouterr().err
+
+
+def test_empty_graph_flag_means_unset(capsys):
+    assert main(["build-graph", "--graph", ""]) == 2
+    assert "error[input]: graph is required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--dim", "abc", "dim must be an integer"),
+        ("--learning-rate", "x", "learning_rate must be a number"),
+        ("--symmetrize", "maybe", "symmetrize must be true or false"),
+    ],
+)
+def test_bad_flag_value_is_an_input_error(capsys, flag, value, message):
+    assert main(["build-graph", flag, value]) == 2
+    assert capsys.readouterr().err.startswith(f"error[input]: {message}")

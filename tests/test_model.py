@@ -121,6 +121,22 @@ def test_param_dict_rejects_duplicates():
         model.param_dict()
 
 
+def test_params_walk_fields_in_declaration_order():
+    # this order fixes checkpoint layout, Adam slots and gradcheck sampling
+    module = [
+        "att.w_value", "att.w_query", "att.b_query", "att.w_key", "att.w_out",
+        "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2",
+        "norm1.gain", "norm1.bias", "norm2.gain", "norm2.bias",
+    ]
+    assert [p.name for p in _build().params()] == [
+        "embed.in.w", "embed.in.b", "embed.spe.w", "embed.spe.b", "embed.tpe.w",
+        "embed.tpe.b", "embed.mix.w", "embed.mix.b", "embed.norm.gain", "embed.norm.bias",
+        *(f"block0.mod1.{name}" for name in module),
+        *(f"block0.mod2.{name}" for name in module),
+        "adapter.w_time", "adapter.b_time", "adapter.w_out", "adapter.b_out",
+    ]
+
+
 def test_build_with_explicit_schemes_checks_size():
     model = _build()
     graph = load_spatial_graph(ring_edge_lines(4), symmetrize=True)

@@ -517,9 +517,11 @@ def test_partition_round_trip(tmp_path):
         assert [s.tolist() for s in back.subsets] == [s.tolist() for s in scheme.subsets]
 
 
-def test_read_partition_missing_file():
+def test_read_partition_missing_file(tmp_path):
     with pytest.raises(InputError):
         read_partition("/nonexistent/partition.txt")
+    with pytest.raises(InputError, match="not a regular file"):
+        read_partition(tmp_path)
 
 
 def test_read_partition_missing_header(tmp_path):
