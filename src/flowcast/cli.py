@@ -31,6 +31,7 @@ from .model import (
     ModelConfig,
     TraceRow,
     build_model,
+    build_partitions,
     evaluate,
     forward_arrays,
     ha_baseline,
@@ -40,15 +41,7 @@ from .model import (
     train,
 )
 from .optim import finite_diff_check
-from .partition import (
-    build_p1,
-    build_p2,
-    calibrate_tau,
-    make_base_set,
-    partition_report,
-    shift_bases,
-    write_partition,
-)
+from .partition import partition_report, write_partition
 from .stgraph import build_unified, load_spatial_graph
 from .tensor import Tensor, constant, mul, scale, tensor_sum
 
@@ -112,9 +105,12 @@ def _parse_int(raw: str, key: str) -> int:
 
 def _parse_float(raw: str, key: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise InputError(f"{key} must be a number, got {raw!r}")
+    if not np.isfinite(value):
+        raise InputError(f"{key} must be finite, got {raw!r}")
+    return value
 
 
 _SCALAR_PARSERS = {
@@ -130,17 +126,11 @@ def _parse_as(kind, raw: str, key: str):
     if get_origin(kind) is not tuple:
         return _SCALAR_PARSERS[kind](raw, key)
     if args[-1] is Ellipsis:
-        try:
-            return tuple(args[0](p.strip()) for p in raw.split(",") if p.strip())
-        except ValueError:
-            raise InputError(f"{key} must be comma-separated integers, got {raw!r}")
+        return tuple(_parse_as(args[0], p.strip(), key) for p in raw.split(",") if p.strip())
     parts = raw.replace(",", ":").split(":")
     if len(parts) != 3:
         raise InputError(f"{key} needs three fields like 7:1:2, got {raw!r}")
-    try:
-        return tuple(cast(p) for cast, p in zip(args, parts))
-    except ValueError:
-        raise InputError(f"{key} has non-numeric fields: {raw!r}")
+    return tuple(_parse_as(cast, p.strip(), key) for cast, p in zip(args, parts))
 
 
 def _render_as(kind, value) -> str:
@@ -183,8 +173,20 @@ def read_config_file(path) -> dict[str, object]:
 
 
 def write_effective_config(cfg: RunConfig, path) -> None:
-    """Write the merged configuration so the run can be reproduced."""
-    lines = [f"{key}={_render_as(kind, getattr(cfg, key))}" for key, kind in _FIELD_TYPES.items()]
+    """Write the merged configuration so the run can be reproduced.
+
+    Each line is read back by read_config_file's rules first; a value that
+    would read back as something else (a '#' in it, or a ',' in a signal
+    path) is an InputError.
+    """
+    lines = []
+    for key, kind in _FIELD_TYPES.items():
+        value = getattr(cfg, key)
+        line = f"{key}={_render_as(kind, value)}"
+        _, raw = line.splitlines()[0].split("#", 1)[0].split("=", 1)
+        if _parse_value(key, raw) != value:
+            raise InputError(f"{key} {value!r} would not read back from a config file")
+        lines.append(line)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -282,10 +284,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
     spatial = _load_graph(cfg)
     unified = build_unified(spatial, cfg.t_in)
     spe = compute_spe(spatial, cfg.spe_modes)
-    bases = make_base_set(unified, spe.selected, cfg.n_subsets, cfg.seed)
-    bases.tau = calibrate_tau(unified, bases)
-    p1 = build_p1(unified, bases)
-    p2 = build_p2(unified, shift_bases(unified, bases))
+    p1, p2 = build_partitions(unified, spe.selected, cfg.n_subsets, cfg.seed)
     out = _out_dir(cfg)
     write_partition(p1, out / "partition_p1.txt")
     write_partition(p2, out / "partition_p2.txt")
@@ -328,12 +327,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     write_effective_config(cfg, out / "effective_config.txt")
 
-    rows_out: list[TraceRow] = []
     trace_path = out / "trace.csv"
     append = args.resume is not None and trace_path.exists()
 
     def log(row: TraceRow) -> None:
-        rows_out.append(row)
         print(f"epoch {row.epoch}: train_loss {row.train_loss:.6f} val_mae {row.val_mae:.6f}")
 
     result = train(model, dataset, start_epoch=start_epoch, log=log)

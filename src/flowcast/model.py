@@ -34,12 +34,12 @@ from .optim import (
     AdamState,
     adam_step,
     clip_global_norm,
+    flatten_params,
     glorot_uniform,
     zero_gradients,
     zeros_param,
 )
 from .partition import (
-    BaseNodeSet,
     PartitionScheme,
     build_p1,
     build_p2,
@@ -147,6 +147,16 @@ class ForecastModel(ParamGroup):
         return table
 
 
+def build_partitions(
+    unified: UnifiedGraph, spe_coords: np.ndarray, n_subsets: int, seed: int
+) -> tuple[PartitionScheme, PartitionScheme]:
+    """P1 around base nodes chosen on the SPE coordinates, with tau
+    calibrated for them, and P2 around the same bases shifted."""
+    bases = make_base_set(unified, spe_coords, n_subsets, seed)
+    bases.tau = calibrate_tau(unified, bases)
+    return build_p1(unified, bases), build_p2(unified, shift_bases(unified, bases))
+
+
 def build_model(
     config: ModelConfig,
     spatial: SpatialGraph,
@@ -167,11 +177,7 @@ def build_model(
     tpe = TpePack(gamma=config.gamma)
 
     if schemes is None:
-        bases = make_base_set(unified, spe.selected, config.n_subsets, config.seed)
-        bases.tau = calibrate_tau(unified, bases)
-        p1 = build_p1(unified, bases)
-        shifted = shift_bases(unified, bases)
-        p2 = build_p2(unified, shifted)
+        p1, p2 = build_partitions(unified, spe.selected, config.n_subsets, config.seed)
     else:
         p1, p2 = schemes
         for scheme in (p1, p2):
@@ -422,6 +428,7 @@ def train(
     model.norm_stats = dataset.stats
 
     params = model.params()
+    data, grad = flatten_params(params)
     state = AdamState(learning_rate=config.learning_rate)
     trace: list[TraceRow] = []
     best_val = float("inf")
@@ -446,11 +453,11 @@ def train(
                     f"non-finite loss {loss_value} at epoch {epoch}, "
                     f"batch starting at {lo} (step {state.step_count + 1})"
                 )
-            zero_gradients(params)
+            zero_gradients(grad)
             backward(loss)
             if config.clip_norm > 0.0:
-                clip_global_norm(params, config.clip_norm)
-            adam_step(state, params)
+                clip_global_norm(grad, config.clip_norm)
+            adam_step(state, data, grad)
             total_loss += loss_value * len(batch)
 
         train_loss = total_loss / len(train_windows)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -11,64 +11,66 @@ from .errors import ContractError
 from .tensor import Param, Tensor, backward
 
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam accumulators keyed by parameter name."""
+    """Adam moments over one flat parameter buffer, allocated on first use."""
 
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
-    slots: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
-def zero_gradients(params: Sequence[Param]) -> None:
-    for p in params:
-        p.grad[...] = 0.0
+def flatten_params(params: Sequence[Param]) -> tuple[np.ndarray, np.ndarray]:
+    """Move the params into one contiguous (data, grad) buffer pair.
 
-
-def global_grad_norm(params: Sequence[Param]) -> float:
-    total = 0.0
-    for p in params:
-        total += float((p.grad * p.grad).sum())
-    return float(np.sqrt(total))
-
-
-def clip_global_norm(params: Sequence[Param], max_norm: float) -> float:
-    """Scale all gradients so their joint 2-norm is at most max_norm.
-
-    Returns the pre-clip norm.
+    Values are copied in list order and gradients start at zero; each
+    p.data and p.grad is rebound to a view of its slice, so whole-buffer
+    updates reach every Param.
     """
-    norm = global_grad_norm(params)
+    data = np.concatenate([p.data.reshape(-1) for p in params])
+    grad = np.zeros_like(data)
+    lo = 0
+    for p in params:
+        hi = lo + p.data.size
+        p.data, p.grad = data[lo:hi].reshape(p.data.shape), grad[lo:hi].reshape(p.data.shape)
+        lo = hi
+    return data, grad
+
+
+def zero_gradients(grad: np.ndarray) -> None:
+    grad.fill(0.0)
+
+
+def clip_global_norm(grad: np.ndarray, max_norm: float) -> float:
+    """Scale a flat gradient buffer in place so its 2-norm is at most
+    max_norm. Returns the pre-clip norm.
+    """
+    norm = float(np.sqrt(grad @ grad))
     if norm > max_norm and norm > 0.0:
-        factor = max_norm / norm
-        for p in params:
-            p.grad *= factor
+        grad *= max_norm / norm
     return norm
 
 
-def adam_step(state: AdamState, params: Sequence[Param]) -> None:
-    """One Adam update with bias correction; gradients are zeroed after use."""
+def adam_step(state: AdamState, data: np.ndarray, grad: np.ndarray) -> None:
+    """One Adam update with bias correction over a whole parameter buffer."""
+    if state.m is None:
+        state.m, state.v = np.zeros_like(data), np.zeros_like(data)
+    if state.m.shape != data.shape:
+        raise ContractError(f"adam moments of shape {state.m.shape} do not match buffer {data.shape}")
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
-    for p in params:
-        if p.name not in state.slots:
-            state.slots[p.name] = (
-                np.zeros_like(p.data),
-                np.zeros_like(p.data),
-            )
-        m, v = state.slots[p.name]
-        if m.shape != p.data.shape:
-            raise ContractError(f"adam slot shape {m.shape} does not match param {p.name}")
-        g = p.grad
-        m[...] = b1 * m + (1.0 - b1) * g
-        v[...] = b2 * v + (1.0 - b2) * (g * g)
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        p.data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
-        p.grad[...] = 0.0
+    m, v = state.m, state.v
+    m[...] = BETA1 * m + (1.0 - BETA1) * grad
+    v[...] = BETA2 * v + (1.0 - BETA2) * (grad * grad)
+    m_hat = m / (1.0 - BETA1**t)
+    v_hat = v / (1.0 - BETA2**t)
+    data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
 
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], name: str) -> Param:
@@ -101,30 +103,26 @@ def finite_diff_check(
     be deterministic. Returns the maximum relative error over the sampled
     coordinates: |analytic - central| / max(|analytic|, |central|, 1e-8).
     """
+    data, grad = flatten_params(params)
     loss = make_loss()
-    zero_gradients(params)
+    zero_gradients(grad)
     backward(loss)
-    analytic = [p.grad.copy() for p in params]
+    analytic = grad.copy()
 
-    coords: list[tuple[int, int]] = []
-    for pi, p in enumerate(params):
-        coords.extend((pi, k) for k in range(p.data.size))
-    if len(coords) > samples:
-        rng = np.random.default_rng(seed)
-        picks = rng.choice(len(coords), size=samples, replace=False)
-        coords = [coords[int(i)] for i in picks]
+    coords = np.arange(data.size)
+    if data.size > samples:
+        coords = np.random.default_rng(seed).choice(data.size, size=samples, replace=False)
 
     worst = 0.0
-    for pi, k in coords:
-        flat = params[pi].data.reshape(-1)
-        saved = flat[k]
-        flat[k] = saved + step
+    for k in coords:
+        saved = data[k]
+        data[k] = saved + step
         up = make_loss().item()
-        flat[k] = saved - step
+        data[k] = saved - step
         down = make_loss().item()
-        flat[k] = saved
+        data[k] = saved
         central = (up - down) / (2.0 * step)
-        a = float(analytic[pi].reshape(-1)[k])
+        a = float(analytic[k])
         err = abs(a - central) / max(abs(a), abs(central), 1e-8)
         worst = max(worst, err)
     return worst

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, NumericError
+from .errors import ContractError
 
 
 def _as_array(value) -> np.ndarray:
@@ -287,18 +287,6 @@ def absolute(a: Tensor) -> Tensor:
     return out
 
 
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
-        raise NumericError("log() requires strictly positive input")
-    out = Tensor(np.log(a.data), (a,))
-
-    def bwd(g: np.ndarray) -> None:
-        _accumulate(a, g / a.data)
-
-    out.backward_fn = bwd
-    return out
-
-
 def tensor_sum(a: Tensor) -> Tensor:
     """Sum of all elements, returned as a scalar tensor."""
     out = Tensor(a.data.sum(), (a,))
@@ -332,28 +320,21 @@ def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
 
 
 def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
-    """Select rows along the second-to-last axis: out[..., k, :] = a[..., idx[k], :]."""
+    """Permute rows along the second-to-last axis: out[..., k, :] = a[..., idx[k], :].
+
+    idx must be a permutation of the rows, so each row's gradient comes
+    back through the inverse permutation.
+    """
     idx = np.asarray(indices, dtype=np.int64)
     if a.ndim < 2:
         raise ContractError(f"gather_rows needs rank >= 2, got shape {a.shape}")
-    out = Tensor(np.take(a.data, idx, axis=-2), (a,))
-    if not out.requires_grad:
-        return out
-    n_rows = a.data.shape[-2]
     inverse = np.argsort(idx)
-    if idx.shape == (n_rows,) and np.array_equal(idx[inverse], np.arange(n_rows)):
-        # a permutation: every row receives exactly one gradient row
+    if idx.shape != (a.shape[-2],) or not np.array_equal(idx[inverse], np.arange(a.shape[-2])):
+        raise ContractError(f"gather_rows needs a permutation of {a.shape[-2]} rows")
+    out = Tensor(np.take(a.data, idx, axis=-2), (a,))
 
-        def bwd(g: np.ndarray) -> None:
-            _accumulate(a, np.take(g, inverse, axis=-2))
-
-    else:
-
-        def bwd(g: np.ndarray) -> None:
-            buf = np.zeros(a.data.shape, dtype=np.float64)
-            moved = np.moveaxis(buf, -2, 0)
-            np.add.at(moved, idx, np.moveaxis(g, -2, 0))
-            _accumulate(a, buf)
+    def bwd(g: np.ndarray) -> None:
+        _accumulate(a, np.take(g, inverse, axis=-2))
 
     out.backward_fn = bwd
     return out

@@ -5,6 +5,7 @@ import pytest
 
 from flowcast.cli import RunConfig, build_parser, main, read_config_file, write_effective_config
 from flowcast.data import synthetic_series, write_edge_list, write_signal_csv, ring_edge_lines
+from flowcast.errors import InputError
 
 
 @pytest.fixture
@@ -390,6 +391,20 @@ def test_effective_config_reads_back_equal(tmp_path, cfg):
     assert RunConfig(**read_config_file(path)) == cfg
 
 
+@pytest.mark.parametrize(
+    "change, key",
+    [({"out_dir": "runs/a#1"}, "out_dir"), ({"signal": ("x,1.csv",)}, "signal")],
+    ids=["hash-in-path", "comma-in-signal"],
+)
+def test_effective_config_refuses_a_value_that_reads_back_changed(tmp_path, change, key):
+    # '#' starts a comment and ',' separates signal paths, so neither value
+    # can be written as it is
+    path = tmp_path / "effective_config.txt"
+    with pytest.raises(InputError, match=key):
+        write_effective_config(RunConfig(**change), path)
+    assert not path.exists()
+
+
 def test_resume_records_the_checkpoint_config(workspace):
     tmp, config, out = workspace
     first = ["--dim", "4", "--learning-rate", "0.02", "--n-heads", "1", "--seed", "5"]
@@ -434,6 +449,8 @@ def test_empty_graph_flag_means_unset(capsys):
     [
         ("--dim", "abc", "dim must be an integer"),
         ("--learning-rate", "x", "learning_rate must be a number"),
+        ("--clip-norm", "nan", "clip_norm must be finite"),
+        ("--split", "7:inf:2", "split must be finite"),
         ("--symmetrize", "maybe", "symmetrize must be true or false"),
     ],
 )
