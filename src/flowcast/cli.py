@@ -43,7 +43,7 @@ from .model import (
 from .optim import finite_diff_check
 from .partition import partition_report, write_partition
 from .stgraph import build_unified, load_spatial_graph
-from .tensor import Tensor, constant, mul, scale, tensor_sum
+from .tensor import Tensor, constant, mul, no_grad, scale, tensor_sum
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -172,8 +172,8 @@ def read_config_file(path) -> dict[str, object]:
     return out
 
 
-def write_effective_config(cfg: RunConfig, path) -> None:
-    """Write the merged configuration so the run can be reproduced.
+def render_effective_config(cfg: RunConfig) -> str:
+    """The merged configuration as config-file text, to reproduce the run.
 
     Each line is read back by read_config_file's rules first; a value that
     would read back as something else (a '#' in it, or a ',' in a signal
@@ -187,7 +187,8 @@ def write_effective_config(cfg: RunConfig, path) -> None:
         if _parse_value(key, raw) != value:
             raise InputError(f"{key} {value!r} would not read back from a config file")
         lines.append(line)
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
 
 
 def merge_config(args: argparse.Namespace) -> RunConfig:
@@ -306,7 +307,6 @@ def _write_trace(path: Path, rows: list[TraceRow], append: bool) -> None:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
     spatial = _load_graph(cfg)
-    out = _out_dir(cfg)
 
     start_epoch = 0
     if args.resume:
@@ -316,16 +316,18 @@ def cmd_train(args: argparse.Namespace) -> int:
         if start_epoch >= cfg.epochs:
             print(f"checkpoint already at epoch {start_epoch}; nothing to train")
             return 0
-        dataset = _load_dataset(cfg, spatial)
-    else:
-        dataset = _load_dataset(cfg, spatial)
+    # checked before out_dir is created, so a refused run leaves nothing behind
+    effective_config = render_effective_config(cfg)
+    dataset = _load_dataset(cfg, spatial)
+    if not args.resume:
         series = dataset.series
         config = _model_config(cfg, spatial.n_nodes, series.n_channels, series.gamma)
         model = build_model(config, spatial)
+    out = _out_dir(cfg)
+    if not args.resume:
         write_partition(model.p1, out / "partition_p1.txt")
         write_partition(model.p2, out / "partition_p2.txt")
-
-    write_effective_config(cfg, out / "effective_config.txt")
+    (out / "effective_config.txt").write_text(effective_config)
 
     trace_path = out / "trace.csv"
     append = args.resume is not None and trace_path.exists()
@@ -404,7 +406,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     stats = model.norm_stats
     window = _tail_window(series, stats, model.config.t_in, args.window_start)
 
-    pred = forward_arrays(model, window.values_norm, window.day, window.step)
+    with no_grad():
+        pred = forward_arrays(model, window.values_norm, window.day, window.step)
     values = stats.invert(pred.data)  # (N, t_out, C)
     out = _out_dir(cfg)
     path = out / "predictions.csv"
@@ -439,7 +442,8 @@ def cmd_export_attention(args: argparse.Namespace) -> int:
 
     capture = AlphaCapture()
     captures = {(args.block, args.module - 1): capture}
-    forward_arrays(model, window.values_norm, window.day, window.step, captures)
+    with no_grad():
+        forward_arrays(model, window.values_norm, window.day, window.step, captures)
 
     scheme = model.p1 if args.module == 1 else model.p2
     flat = args.time * model.config.n_nodes + args.node

@@ -58,6 +58,7 @@ from .tensor import (
     constant,
     matmul,
     mul,
+    no_grad,
     scale,
     sub,
     tensor_sum,
@@ -311,13 +312,17 @@ def predict_windows(
     stats: NormStats,
     batch_size: int = 32,
 ) -> np.ndarray:
-    """De-normalized predictions for a window list; (W, N, t_out, C)."""
+    """De-normalized predictions for a window list; (W, N, t_out, C).
+
+    The forward runs under no_grad, so no graph is kept.
+    """
     if not samples:
         raise ContractError("cannot predict an empty window list")
     chunks = []
     for lo in range(0, len(samples), batch_size):
         values, day, step, _, _ = batch_arrays(samples[lo : lo + batch_size])
-        pred = forward_arrays(model, values, day, step)
+        with no_grad():
+            pred = forward_arrays(model, values, day, step)
         chunks.append(stats.invert(pred.data))
     return np.concatenate(chunks, axis=0)
 

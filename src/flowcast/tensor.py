@@ -1,15 +1,19 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every operation records its inputs and a backward closure on the output
-node, so calling backward() on a scalar loss replays the recorded graph
-in reverse topological order. All arrays are C-contiguous float64 and
-every computation is single threaded and deterministic.
+Every operation on an input that requires grad records its inputs and a
+backward closure on the output node, so calling backward() on a scalar
+loss replays the recorded graph in reverse topological order. Inside a
+no_grad() block nothing is recorded: each output is a plain constant, and
+each intermediate array is freed once the next operation has used it.
+All arrays are C-contiguous float64 and every computation is single
+threaded and deterministic.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import fields
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,8 +28,26 @@ def _as_array(value) -> np.ndarray:
     return arr
 
 
+_recording = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no graph inside the block: for forward-only inference."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 class Tensor:
-    """A float64 array plus the bookkeeping for reverse-mode gradients."""
+    """A float64 array plus the bookkeeping for reverse-mode gradients.
+
+    An op's output keeps its parents and backward_fn only while recording
+    is on and some parent requires grad; otherwise it is a constant.
+    """
 
     __slots__ = ("data", "parents", "backward_fn", "requires_grad", "grad")
 
@@ -37,11 +59,14 @@ class Tensor:
         requires_grad: bool = False,
     ):
         self.data = _as_array(data)
-        self.parents = tuple(parents)
-        self.backward_fn = backward_fn
-        self.requires_grad = bool(requires_grad) or any(
-            p.requires_grad for p in self.parents
-        )
+        if _recording and any(p.requires_grad for p in parents):
+            self.parents = tuple(parents)
+            self.backward_fn = backward_fn
+            self.requires_grad = True
+        else:
+            self.parents = ()
+            self.backward_fn = None
+            self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
 
     @property
@@ -201,47 +226,35 @@ def backward(loss: Tensor) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data + b.data, (a, b))
-
     def bwd(g: np.ndarray) -> None:
         _accumulate(a, g)
         _accumulate(b, g)
 
-    out.backward_fn = bwd
-    return out
+    return Tensor(a.data + b.data, (a, b), bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data - b.data, (a, b))
-
     def bwd(g: np.ndarray) -> None:
         _accumulate(a, g)
         _accumulate(b, -g)
 
-    out.backward_fn = bwd
-    return out
+    return Tensor(a.data - b.data, (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product with numpy broadcasting."""
-    out = Tensor(a.data * b.data, (a, b))
-
     def bwd(g: np.ndarray) -> None:
         _accumulate(a, g * b.data)
         _accumulate(b, g * a.data)
 
-    out.backward_fn = bwd
-    return out
+    return Tensor(a.data * b.data, (a, b), bwd)
 
 
 def scale(a: Tensor, factor: float) -> Tensor:
-    out = Tensor(a.data * factor, (a,))
-
     def bwd(g: np.ndarray) -> None:
         _accumulate(a, g * factor)
 
-    out.backward_fn = bwd
-    return out
+    return Tensor(a.data * factor, (a,), bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -256,67 +269,49 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         data = a.data @ b.data
     except ValueError as exc:
         raise ContractError(f"matmul shape mismatch: {a.shape} @ {b.shape}") from exc
-    out = Tensor(data, (a, b))
-
     def bwd(g: np.ndarray) -> None:
         _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
         _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
 
-    out.backward_fn = bwd
-    return out
+    return Tensor(data, (a, b), bwd)
 
 
 def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0.0), (a,))
-
     def bwd(g: np.ndarray) -> None:
         _accumulate(a, g * (a.data > 0.0))
 
-    out.backward_fn = bwd
-    return out
+    return Tensor(np.maximum(a.data, 0.0), (a,), bwd)
 
 
 def absolute(a: Tensor) -> Tensor:
     """|x| with the sign subgradient, zero exactly at x == 0."""
-    out = Tensor(np.abs(a.data), (a,))
-
     def bwd(g: np.ndarray) -> None:
         _accumulate(a, g * np.sign(a.data))
 
-    out.backward_fn = bwd
-    return out
+    return Tensor(np.abs(a.data), (a,), bwd)
 
 
 def tensor_sum(a: Tensor) -> Tensor:
     """Sum of all elements, returned as a scalar tensor."""
-    out = Tensor(a.data.sum(), (a,))
-
     def bwd(g: np.ndarray) -> None:
         _accumulate(a, np.broadcast_to(g, a.data.shape))
 
-    out.backward_fn = bwd
-    return out
+    return Tensor(a.data.sum(), (a,), bwd)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = Tensor(a.data.reshape(shape), (a,))
-
     def bwd(g: np.ndarray) -> None:
         _accumulate(a, g.reshape(a.data.shape))
 
-    out.backward_fn = bwd
-    return out
+    return Tensor(a.data.reshape(shape), (a,), bwd)
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     inverse = tuple(np.argsort(axes))
-    out = Tensor(np.ascontiguousarray(a.data.transpose(axes)), (a,))
-
     def bwd(g: np.ndarray) -> None:
         _accumulate(a, g.transpose(inverse))
 
-    out.backward_fn = bwd
-    return out
+    return Tensor(np.ascontiguousarray(a.data.transpose(axes)), (a,), bwd)
 
 
 def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
@@ -331,13 +326,10 @@ def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
     inverse = np.argsort(idx)
     if idx.shape != (a.shape[-2],) or not np.array_equal(idx[inverse], np.arange(a.shape[-2])):
         raise ContractError(f"gather_rows needs a permutation of {a.shape[-2]} rows")
-    out = Tensor(np.take(a.data, idx, axis=-2), (a,))
-
     def bwd(g: np.ndarray) -> None:
         _accumulate(a, np.take(g, inverse, axis=-2))
 
-    out.backward_fn = bwd
-    return out
+    return Tensor(np.take(a.data, idx, axis=-2), (a,), bwd)
 
 
 def _softmax_in_place(x: np.ndarray) -> np.ndarray:
@@ -377,7 +369,6 @@ def ranged_attention(
         out[..., lo:hi, :] = alphas @ v[..., lo:hi, :]
         if capture is not None:
             capture.extend(alphas[..., h, :, :].copy() for h in range(q.shape[-3]))
-    node = Tensor(out, (queries, keys, values))
 
     def bwd(g: np.ndarray) -> None:
         dq, dk, dv = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
@@ -400,8 +391,7 @@ def ranged_attention(
         _accumulate(keys, dk)
         _accumulate(values, dv)
 
-    node.backward_fn = bwd
-    return node
+    return Tensor(out, (queries, keys, values), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +412,6 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
-    out = Tensor(xhat * gain.data + bias.data, (a, gain, bias))
-
     def bwd(g: np.ndarray) -> None:
         _accumulate(bias, g)
         _accumulate(gain, g * xhat)
@@ -431,5 +419,4 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         term = gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
         _accumulate(a, term * inv)
 
-    out.backward_fn = bwd
-    return out
+    return Tensor(xhat * gain.data + bias.data, (a, gain, bias), bwd)

@@ -1,9 +1,12 @@
 """End-to-end tests of the command line pipeline."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
-from flowcast.cli import RunConfig, build_parser, main, read_config_file, write_effective_config
+from flowcast import cli
+from flowcast.cli import RunConfig, build_parser, main, read_config_file, render_effective_config
 from flowcast.data import synthetic_series, write_edge_list, write_signal_csv, ring_edge_lines
 from flowcast.errors import InputError
 
@@ -261,6 +264,40 @@ def test_export_attention_row_sums_to_one(workspace, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, written",
+    [
+        (["predict"], "predictions.csv"),
+        (["export-attention", "--node", "2", "--time", "1", "--block", "1"], "attention.csv"),
+    ],
+    ids=["predict", "export-attention"],
+)
+def test_inference_output_is_unchanged_by_no_grad(workspace, monkeypatch, argv, written):
+    tmp, config, out = workspace
+    assert main(["train", "--config", str(config), "--n-blocks", "2"]) == 0
+    argv = [*argv, "--config", str(config), "--checkpoint", str(out / "checkpoint.bin")]
+    assert main([*argv, "--out-dir", str(tmp / "bare")]) == 0
+    # the same command with every op recorded, as before no_grad existed
+    monkeypatch.setattr(cli, "no_grad", contextlib.nullcontext)
+    assert main([*argv, "--out-dir", str(tmp / "recorded")]) == 0
+    bare = (tmp / "bare" / written).read_text()
+    assert bare == (tmp / "recorded" / written).read_text()
+    assert len(bare.splitlines()) > 2
+
+
+@pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resume"])
+def test_refused_train_leaves_no_files(workspace, capsys, resume):
+    tmp, config, out = workspace
+    argv = ["train", "--config", str(config), "--out-dir", str(tmp / "runs" / "a#1")]
+    if resume:
+        assert main(["train", "--config", str(config)]) == 0
+        argv += ["--resume", str(out / "checkpoint.bin"), "--epochs", "3"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "error[input]: out_dir" in capsys.readouterr().err
+    assert not (tmp / "runs").exists()
+
+
 def test_baseline_ha_is_exact_on_periodic_signal(tmp_path, capsys):
     # the noise-free fixture repeats exactly every 7*gamma steps
     signal = tmp_path / "periodic.csv"
@@ -387,7 +424,7 @@ def test_effective_config_reads_back_equal(tmp_path, cfg):
     if cfg != default:
         assert all(getattr(cfg, key) != getattr(default, key) for key in vars(cfg))
     path = tmp_path / "effective_config.txt"
-    write_effective_config(cfg, path)
+    path.write_text(render_effective_config(cfg))
     assert RunConfig(**read_config_file(path)) == cfg
 
 
@@ -396,13 +433,11 @@ def test_effective_config_reads_back_equal(tmp_path, cfg):
     [({"out_dir": "runs/a#1"}, "out_dir"), ({"signal": ("x,1.csv",)}, "signal")],
     ids=["hash-in-path", "comma-in-signal"],
 )
-def test_effective_config_refuses_a_value_that_reads_back_changed(tmp_path, change, key):
+def test_effective_config_refuses_a_value_that_reads_back_changed(change, key):
     # '#' starts a comment and ',' separates signal paths, so neither value
     # can be written as it is
-    path = tmp_path / "effective_config.txt"
     with pytest.raises(InputError, match=key):
-        write_effective_config(RunConfig(**change), path)
-    assert not path.exists()
+        render_effective_config(RunConfig(**change))
 
 
 def test_resume_records_the_checkpoint_config(workspace):

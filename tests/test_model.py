@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from flowcast.attention import AlphaCapture
-from flowcast.data import prepare_dataset, ring_edge_lines, synthetic_series
+from flowcast.data import batch_arrays, prepare_dataset, ring_edge_lines, synthetic_series
 from flowcast.errors import ContractError, NumericError
 from flowcast.model import (
     ModelConfig,
@@ -284,6 +284,27 @@ def test_predict_windows_chunking_consistent():
     a = predict_windows(model, samples, ds.stats, batch_size=2)
     b = predict_windows(model, samples, ds.stats, batch_size=32)
     np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+@pytest.mark.parametrize("batch_size", [3, 5])
+def test_predict_windows_matches_a_recorded_forward_bit_for_bit(batch_size):
+    # predict_windows runs under no_grad; a forward that records its graph
+    # must give the same bits, also in the ragged last batch of 7 windows
+    model = _build(n_blocks=2)
+    ds = _dataset()
+    samples = ds.splits["train"][:7]
+    chunks = []
+    for lo in range(0, len(samples), batch_size):
+        values, day, step, _, _ = batch_arrays(samples[lo : lo + batch_size])
+        pred = forward_arrays(model, values, day, step)
+        assert pred.parents
+        chunks.append(ds.stats.invert(pred.data))
+    recorded = np.concatenate(chunks, axis=0)
+    assert np.array_equal(predict_windows(model, samples, ds.stats, batch_size), recorded)
+    truth = np.stack([s.target_raw for s in samples], axis=0)
+    assert evaluate(model, samples, ds.stats, batch_size=batch_size) == metrics_from_arrays(
+        recorded, truth
+    )
 
 
 def test_predict_windows_empty():

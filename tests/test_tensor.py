@@ -19,6 +19,8 @@ from flowcast.tensor import (
     layer_norm,
     matmul,
     mul,
+    no_grad,
+    ranged_attention,
     relu,
     reshape,
     _softmax_in_place,
@@ -253,6 +255,69 @@ def test_constant_gets_no_grad():
     x = Param(np.ones(3), "x")
     backward(tensor_sum(mul(c, x)))
     assert c.grad is None
+
+
+# ---------------------------------------------------------------------------
+# no_grad
+# ---------------------------------------------------------------------------
+
+
+def _every_op(x: Param, w: Param, g: Param) -> list:
+    """One output of each op on (4, 3) x, (3, 3) w and (3,) g."""
+    bounds = [(0, 1), (1, 4)]
+    return [
+        add(x, x), sub(x, x), mul(x, x), scale(x, 2.0), matmul(x, w), relu(x),
+        absolute(x), tensor_sum(x), reshape(x, (3, 4)), transpose(x, (1, 0)),
+        gather_rows(x, np.array([3, 1, 0, 2])), layer_norm(x, g, g),
+        ranged_attention(x, x, x, bounds),
+    ]
+
+
+def _leaves(seed: int) -> tuple[Param, Param]:
+    rng = np.random.default_rng(seed)
+    return Param(rng.normal(size=(4, 3)), "x"), Param(rng.normal(size=(3, 3)), "w")
+
+
+def test_no_grad_ops_record_nothing():
+    x, w = _leaves(0)
+    g = Param(np.array([0.5, 1.0, 2.0]), "g")
+    recorded = _every_op(x, w, g)
+    with no_grad():
+        bare = _every_op(x, w, g)
+    for kept, out in zip(recorded, bare):
+        assert kept.requires_grad and kept.parents and kept.backward_fn is not None
+        assert out.parents == () and out.backward_fn is None and not out.requires_grad
+        assert np.array_equal(out.data, kept.data)
+
+
+def test_no_grad_mode_returns_after_nesting_and_errors():
+    x = Param(np.ones(2), "x")
+    with no_grad():
+        with no_grad():
+            pass
+        assert not scale(x, 2.0).requires_grad
+    assert scale(x, 2.0).requires_grad
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            raise RuntimeError("inside the block")
+    assert scale(x, 2.0).parents == (x,)
+
+
+def test_param_stays_a_leaf_across_no_grad():
+    def loss(x, w):
+        return tensor_sum(mul(matmul(x, w), constant(np.arange(12.0).reshape(4, 3))))
+
+    want_x, want_w = _leaves(1)
+    backward(loss(want_x, want_w))
+
+    x, _ = _leaves(1)
+    with no_grad():
+        w = Param(_leaves(1)[1].data, "w")
+        loss(x, w)
+    assert x.requires_grad and w.requires_grad
+    backward(loss(x, w))
+    assert np.array_equal(x.grad, want_x.grad)
+    assert np.array_equal(w.grad, want_w.grad)
 
 
 # ---------------------------------------------------------------------------
