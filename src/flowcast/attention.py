@@ -163,57 +163,41 @@ def subset_attention(
     return matmul(reshape(side_by_side, elements.shape), params.w_out)
 
 
-def _flatten_elements(x: Tensor) -> Tensor:
-    """(…, N, T, D) to (…, N*T, D) in time-major element order."""
-    n, t, d = x.shape[-3], x.shape[-2], x.shape[-1]
-    axes = tuple(range(x.ndim - 3)) + (x.ndim - 2, x.ndim - 3, x.ndim - 1)
-    return reshape(transpose(x, axes), x.shape[:-3] + (t * n, d))
-
-
-def _unflatten_elements(x: Tensor, n: int, t: int) -> Tensor:
-    d = x.shape[-1]
-    y = reshape(x, x.shape[:-2] + (t, n, d))
-    axes = tuple(range(y.ndim - 3)) + (y.ndim - 2, y.ndim - 3, y.ndim - 1)
-    return transpose(y, axes)
-
-
 def apply_module(
     x: Tensor,
     scheme: PartitionScheme,
     params: ModuleParams,
     capture: AlphaCapture | None = None,
 ) -> Tensor:
-    """One attention module over a partition; shape (..., N, T, D) kept.
+    """One attention module over a partition; shape (..., n_elements, D) kept.
 
-    One gather by the permutation concatenate(subsets) makes every subset a
-    consecutive row range, in subset order, each subset's elements in
-    ascending flat order. One subset_attention call attends inside every
-    range, and one gather by the inverse permutation puts every row back at
-    its element's flat position. The merged result then goes through
-    residual + norm, feed-forward, residual + norm.
+    Row k of x is the unified graph's element with flat id k, the order
+    the scheme's subsets index. One gather by the permutation
+    concatenate(subsets) makes every subset a consecutive row range, in
+    subset order, each subset's elements in ascending flat order. One
+    subset_attention call attends inside every range, and one gather by the
+    inverse permutation puts every row back at its flat id. The merged
+    result then goes through residual + norm, feed-forward, residual + norm.
     """
-    n, t = x.shape[-3], x.shape[-2]
-    if n * t != scheme.n_elements:
+    if x.ndim < 2 or x.shape[-2] != scheme.n_elements:
         raise ContractError(
-            f"partition covers {scheme.n_elements} elements but input has {n * t}"
+            f"partition covers {scheme.n_elements} elements but input has shape {x.shape}"
         )
-    flat = _flatten_elements(x)
 
     perm = np.concatenate(scheme.subsets)
     sizes = [len(indices) for indices in scheme.subsets]
     sink: list[np.ndarray] | None = [] if capture is not None else None
-    attended = subset_attention(gather_rows(flat, perm), params.attention, sink, sizes)
+    attended = subset_attention(gather_rows(x, perm), params.attention, sink, sizes)
     if capture is not None:
         n_heads = params.attention.w_query.shape[0]
         for subset_id in range(scheme.n_subsets):
             capture.record(subset_id, sink[subset_id * n_heads : (subset_id + 1) * n_heads])
     merged = gather_rows(attended, np.argsort(perm))
 
-    y = layer_norm(add(merged, flat), params.norm1_gain, params.norm1_bias)
+    y = layer_norm(add(merged, x), params.norm1_gain, params.norm1_bias)
     hidden = relu(add(matmul(y, params.w_ffn1), params.b_ffn1))
     ffn = add(matmul(hidden, params.w_ffn2), params.b_ffn2)
-    z = layer_norm(add(ffn, y), params.norm2_gain, params.norm2_bias)
-    return _unflatten_elements(z, n, t)
+    return layer_norm(add(ffn, y), params.norm2_gain, params.norm2_bias)
 
 
 def apply_block(
@@ -224,6 +208,9 @@ def apply_block(
     capture_one: AlphaCapture | None = None,
     capture_two: AlphaCapture | None = None,
 ) -> Tensor:
-    """Primary-partition module followed by the shifted-partition module."""
+    """Primary-partition module followed by the shifted-partition module.
+
+    Rows in and out are flat element ids, (..., n_elements, D).
+    """
     x = apply_module(x, p1, params.module_one, capture_one)
     return apply_module(x, p2, params.module_two, capture_two)

@@ -32,17 +32,17 @@ from .model import (
     TraceRow,
     build_model,
     build_partitions,
-    evaluate,
     forward_arrays,
     ha_baseline,
     load_params,
     masked_mae_loss,
     metrics_from_arrays,
+    predict_windows,
     train,
 )
 from .optim import finite_diff_check
 from .partition import partition_report, write_partition
-from .stgraph import build_unified, load_spatial_graph
+from .stgraph import STCoord, build_unified, load_spatial_graph
 from .tensor import Tensor, constant, mul, no_grad, scale, tensor_sum
 
 GRADCHECK_TOLERANCE = 1e-4
@@ -360,18 +360,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     samples = dataset.splits.get(args.on, [])
     if not samples:
         raise ContractError(f"{args.on} split has no windows")
-    stats = _stats_for(model, dataset)
-
+    t_out = model.config.t_out
     for horizon in cfg.horizons:
-        if horizon > model.config.t_out:
-            raise InputError(
-                f"horizon {horizon} exceeds the model's forecast length {model.config.t_out}"
-            )
+        if not 1 <= horizon <= t_out:
+            raise InputError(f"horizon {horizon} outside the model's forecast steps [1, {t_out}]")
+
+    preds = predict_windows(model, samples, _stats_for(model, dataset))
+    truth = np.stack([s.target_raw for s in samples], axis=0)
+    for horizon in cfg.horizons:
         minutes = horizon * cfg.interval_min
-        report = evaluate(model, samples, stats, horizon=horizon)
+        report = metrics_from_arrays(preds[:, :, horizon - 1], truth[:, :, horizon - 1])
         print(f"horizon {horizon} ({minutes} min): {report.to_text()}")
-    report = evaluate(model, samples, stats)
-    print(f"all steps: {report.to_text()}")
+    print(f"all steps: {metrics_from_arrays(preds, truth).to_text()}")
     return 0
 
 
@@ -446,7 +446,7 @@ def cmd_export_attention(args: argparse.Namespace) -> int:
         forward_arrays(model, window.values_norm, window.day, window.step, captures)
 
     scheme = model.p1 if args.module == 1 else model.p2
-    flat = args.time * model.config.n_nodes + args.node
+    flat = model.unified.coord_to_flat(STCoord(node=args.node, time=args.time))
     subset_id = scheme.subset_of(flat)
     members = scheme.subsets[subset_id]
     position = int(np.flatnonzero(members == flat)[0])
@@ -457,8 +457,8 @@ def cmd_export_attention(args: argparse.Namespace) -> int:
     with open(path, "w") as fh:
         fh.write("node,time,alpha\n")
         for member, alpha in zip(members, row):
-            t, n = divmod(int(member), model.config.n_nodes)
-            fh.write(f"{n},{t},{float(alpha)!r}\n")
+            coord = model.unified.flat_to_coord(int(member))
+            fh.write(f"{coord.node},{coord.time},{float(alpha)!r}\n")
     print(
         f"attention row for element (node {args.node}, time {args.time}) in "
         f"subset {subset_id}: {len(members)} weights, sum {row.sum():.9f}"
@@ -525,7 +525,7 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
     # scale keeps the loss, and with it the float noise of a central
     # difference, low enough that a coordinate whose true gradient is
     # tiny does not fail on noise alone.
-    probe = constant(rng.normal(size=(4, 4, 8)) * 1e-4)
+    probe = constant(rng.normal(size=(16, 8)) * 1e-4)
 
     def embed_loss() -> Tensor:
         out = embed(values, day, step, model.spe, model.tpe, model.embedding)
@@ -535,7 +535,7 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
         embed_loss, model.embedding.params(), samples=200, seed=seed
     )
 
-    x0 = rng.normal(size=(4, 4, 8))
+    x0 = rng.normal(size=(16, 8))  # rows in flat element order
     block = model.blocks[0]
 
     def block_loss() -> Tensor:

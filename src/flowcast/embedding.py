@@ -154,8 +154,10 @@ def embed(
 ) -> Tensor:
     """Embed a signal window (N, T, C) or a batch of them (B, N, T, C).
 
-    Output shape matches the input with C replaced by the model width.
-    The spatial encoding broadcasts over time, the temporal one over nodes.
+    Returns the model's rows, (T·N, D) or (B, T·N, D): row time · N + node
+    holds that element, the unified graph's flat id. The input is viewed as
+    (..., T, N, C) once, as a constant, so the spatial rows (N, D) broadcast
+    over time and the calendar rows (..., T, 1, D) over nodes.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim not in (3, 4):
@@ -169,23 +171,17 @@ def embed(
     day = np.asarray(day, dtype=np.int64)
     if day.shape[-1] != t_steps:
         raise ContractError(f"calendar length {day.shape[-1]} != window length {t_steps}")
-
-    x = add(matmul(constant(values), params.w_in), params.b_in)
-
-    spe_rows = add(matmul(constant(spe.selected), params.w_spe), params.b_spe)
-    dim = spe_rows.shape[-1]
-    x = add(x, reshape(spe_rows, (n_nodes, 1, dim)))
-
-    tpe_rows = compute_tpe(day, step, tpe, params)
-    if day.ndim == 1:
-        pass  # (T, D) broadcasts over nodes and any batch axis
-    elif day.ndim == 2 and values.ndim == 4 and day.shape[0] == values.shape[0]:
-        tpe_rows = reshape(tpe_rows, (values.shape[0], 1, t_steps, dim))
-    else:
+    if not (day.ndim == 1 or (day.ndim == 2 and values.ndim == 4 and day.shape[0] == values.shape[0])):
         raise ContractError(
             f"calendar shape {day.shape} does not fit window shape {values.shape}"
         )
-    x = add(x, tpe_rows)
+
+    x = add(matmul(constant(np.swapaxes(values, -3, -2)), params.w_in), params.b_in)
+    x = add(x, add(matmul(constant(spe.selected), params.w_spe), params.b_spe))
+    tpe_rows = compute_tpe(day, step, tpe, params)
+    dim = tpe_rows.shape[-1]
+    x = add(x, reshape(tpe_rows, day.shape + (1, dim)))
 
     x = add(matmul(x, params.w_mix), params.b_mix)
-    return layer_norm(x, params.norm_gain, params.norm_bias)
+    x = layer_norm(x, params.norm_gain, params.norm_bias)
+    return reshape(x, x.shape[:-3] + (t_steps * n_nodes, dim))

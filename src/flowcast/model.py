@@ -59,9 +59,11 @@ from .tensor import (
     matmul,
     mul,
     no_grad,
+    reshape,
     scale,
     sub,
     tensor_sum,
+    transpose,
 )
 
 
@@ -226,6 +228,11 @@ def forward_arrays(
 ) -> Tensor:
     """Forward over (N, T, C) or batched (B, N, T, C) arrays.
 
+    Between the embedding and the adapter the activations are rows
+    (..., T·N, D) in flat element order, time · N + node. The adapter views
+    them as (..., T, N·D), remaps T to t_out for every node in one product,
+    projects D to C, and returns (..., N, t_out, C).
+
     captures, when given, maps (block_index, module_index) to an
     AlphaCapture that receives the attention weights of that module.
     """
@@ -234,8 +241,12 @@ def forward_arrays(
         cap1 = captures.get((b, 0)) if captures else None
         cap2 = captures.get((b, 1)) if captures else None
         x = apply_block(x, model.p1, model.p2, block, cap1, cap2)
-    x = add(matmul(model.adapter.w_time, x), model.adapter.b_time)
-    return add(matmul(x, model.adapter.w_out), model.adapter.b_out)
+    adapter, n, dim = model.adapter, model.config.n_nodes, x.shape[-1]
+    lead, k = x.shape[:-2], x.ndim - 2
+    x = matmul(adapter.w_time, reshape(x, lead + (-1, n * dim)))
+    x = add(reshape(x, lead + (-1, n, dim)), adapter.b_time)
+    x = add(matmul(x, adapter.w_out), adapter.b_out)
+    return transpose(x, tuple(range(k)) + (k + 1, k, k + 2))
 
 
 def forward(model: ForecastModel, window: WindowSample) -> Tensor:

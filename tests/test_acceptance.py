@@ -359,20 +359,20 @@ def test_criterion_06_gradients_respect_subset_routing(capsys):
         if len(set(p1.assignment)) < 2:
             raise AssertionError(f"{kind}: fixture must have at least 2 subsets")
         block = init_block_params(rng, dim, 2, "b")
-        x0 = rng.normal(size=(n, t, dim))
+        x0 = rng.normal(size=(n * t, dim))  # rows in flat element order
         probes = rng.normal(size=(n * t, dim))
 
         for scheme, params in ((p1, block.module_one), (p2, block.module_two)):
             for e in range(n * t):
-                weights = np.zeros((n, t, dim))
-                weights[e % n, e // n] = probes[e]
+                weights = np.zeros((n * t, dim))
+                weights[e] = probes[e]
                 x = Param(x0.copy(), "x")
                 out = apply_module(x, scheme, params)
                 backward(tensor_sum(mul(out, constant(weights))))
                 for s in range(n * t):
                     if scheme.subset_of(s) == scheme.subset_of(e):
                         continue
-                    grad = x.grad[s % n, s // n]
+                    grad = x.grad[s]
                     assert np.all(grad == 0.0), (
                         f"{kind}/{scheme.label}: grad leaked {e} <- {s}"
                     )
@@ -380,13 +380,13 @@ def test_criterion_06_gradients_respect_subset_routing(capsys):
 
         found_cross = False
         for e in range(n * t):
-            weights = np.zeros((n, t, dim))
-            weights[e % n, e // n] = probes[e]
+            weights = np.zeros((n * t, dim))
+            weights[e] = probes[e]
             x = Param(x0.copy(), "x")
             out = apply_block(x, p1, p2, block)
             backward(tensor_sum(mul(out, constant(weights))))
             for s in range(n * t):
-                if p1.subset_of(s) != p1.subset_of(e) and np.any(x.grad[s % n, s // n] != 0.0):
+                if p1.subset_of(s) != p1.subset_of(e) and np.any(x.grad[s] != 0.0):
                     found_cross = True
         bridged.append(found_cross)
 

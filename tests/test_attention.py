@@ -23,9 +23,7 @@ from flowcast.tensor import (
     matmul,
     mul,
     relu,
-    reshape,
     tensor_sum,
-    transpose,
 )
 
 from oracles import attention_oracle
@@ -216,19 +214,16 @@ def _after_attention(att, flat, params):
 
 def _straight_line_module(x, params):
     # same computation as apply_module with one all-covering subset
-    n, t = x.shape[-3], x.shape[-2]
-    flat = reshape(transpose(x, (1, 0, 2)), (n * t, x.shape[-1]))
-    z = _after_attention(subset_attention(flat, params.attention), flat, params)
-    return transpose(reshape(z, (t, n, x.shape[-1])), (1, 0, 2))
+    return _after_attention(subset_attention(x, params.attention), x, params)
 
 
 def test_module_single_subset_equals_straight_line():
     rng = np.random.default_rng(80)
     params = init_module_params(rng, 8, 2, "m")
-    x = rng.normal(size=(3, 4, 8))
+    x = rng.normal(size=(12, 8))
     got = apply_module(Tensor(x), _single_subset_scheme(12), params)
     want = _straight_line_module(Tensor(x), params)
-    assert got.shape == (3, 4, 8)
+    assert got.shape == (12, 8)
     assert np.max(np.abs(got.data - want.data)) < 1e-12
 
 
@@ -236,9 +231,9 @@ def test_module_keeps_batch_shape():
     rng = np.random.default_rng(81)
     params = init_module_params(rng, 8, 2, "m")
     scheme = _two_subset_scheme(4, 3, {0, 1})
-    x = rng.normal(size=(2, 4, 3, 8))
+    x = rng.normal(size=(2, 12, 8))
     out = apply_module(Tensor(x), scheme, params)
-    assert out.shape == (2, 4, 3, 8)
+    assert out.shape == (2, 12, 8)
     for b in range(2):
         single = apply_module(Tensor(x[b]), scheme, params)
         assert np.max(np.abs(out.data[b] - single.data)) < 1e-12
@@ -249,7 +244,7 @@ def test_module_rejects_element_count_mismatch():
     params = init_module_params(rng, 8, 2, "m")
     scheme = _single_subset_scheme(12)
     with pytest.raises(ContractError, match="12"):
-        apply_module(Tensor(rng.normal(size=(3, 3, 8))), scheme, params)
+        apply_module(Tensor(rng.normal(size=(9, 8))), scheme, params)
 
 
 def test_module_records_alphas_per_subset():
@@ -257,7 +252,7 @@ def test_module_records_alphas_per_subset():
     params = init_module_params(rng, 8, 2, "m")
     scheme = _two_subset_scheme(4, 3, {0, 2})
     cap = AlphaCapture()
-    apply_module(Tensor(rng.normal(size=(4, 3, 8))), scheme, params, cap)
+    apply_module(Tensor(rng.normal(size=(12, 8))), scheme, params, cap)
     assert set(cap.by_subset) == {0, 1}
     for subset_id, indices in enumerate(scheme.subsets):
         for alpha in cap.by_subset[subset_id]:
@@ -286,16 +281,15 @@ def test_module_merges_interleaved_subsets_exactly():
     params = init_module_params(rng, 8, 2, "m")
     scheme = _interleaved_scheme()
     assert [len(s) for s in scheme.subsets] == [6, 2, 4, 3]
-    n, t, batch = 5, 3, 2
-    x = rng.normal(size=(batch, n, t, 8))
+    batch = 2
+    x = rng.normal(size=(batch, 15, 8))
     got = apply_module(Tensor(x), scheme, params)
 
-    flat = x.transpose(0, 2, 1, 3).reshape(batch, t * n, 8)
-    att = np.full(flat.shape, np.nan)
+    att = np.full(x.shape, np.nan)
     for indices in scheme.subsets:
-        att[:, indices, :] = subset_attention(Tensor(flat[:, indices, :]), params.attention).data
-    want = _after_attention(Tensor(att), Tensor(flat), params)
-    assert np.array_equal(got.data.transpose(0, 2, 1, 3).reshape(batch, t * n, 8), want.data)
+        att[:, indices, :] = subset_attention(Tensor(x[:, indices, :]), params.attention).data
+    want = _after_attention(Tensor(att), Tensor(x), params)
+    assert np.array_equal(got.data, want.data)
 
 
 def test_module_merge_gradients_match_finite_differences():
@@ -303,7 +297,7 @@ def test_module_merge_gradients_match_finite_differences():
 
     rng = np.random.default_rng(90)
     params = init_module_params(rng, 4, 2, "m")
-    x = Param(rng.normal(size=(2, 5, 3, 4)), "x")
+    x = Param(rng.normal(size=(2, 15, 4)), "x")
     probe = rng.normal(size=x.shape) * 0.01
 
     def loss_fn():
@@ -315,22 +309,39 @@ def test_module_merge_gradients_match_finite_differences():
     assert worst < 1e-5
 
 
-def _tape_size(out):
-    seen = {id(out)}
+def _tape_nodes(out):
+    seen = {id(out): out}
     stack = [out]
     while stack:
         for parent in stack.pop().parents:
             if id(parent) not in seen:
-                seen.add(id(parent))
+                seen[id(parent)] = parent
                 stack.append(parent)
-    return len(seen)
+    return list(seen.values())
+
+
+def _tape_size(out):
+    return len(_tape_nodes(out))
+
+
+def test_module_records_no_layout_ops():
+    # rows arrive in flat element order, the order the subsets index, so a
+    # module records two gathers, nine attention ops and nine for residual,
+    # norm and feed-forward: 20 op nodes. Converting to and from an
+    # (N, T, D) grid costs a transpose and a reshape on each side.
+    rng = np.random.default_rng(97)
+    params = init_module_params(rng, 8, 2, "m")
+    x = Param(rng.normal(size=(2, 15, 8)), "x")
+    nodes = _tape_nodes(apply_module(x, _interleaved_scheme(), params))
+    assert sum(node.backward_fn is not None for node in nodes) == 20
+    assert sum(isinstance(node, Param) for node in nodes) == 1 + len(params.params())
 
 
 def test_module_tape_size_does_not_grow_with_heads():
     # heads are one tensor axis, so a module records the same nodes for
     # any head count at equal width
     rng = np.random.default_rng(92)
-    x = Tensor(rng.normal(size=(2, 5, 3, 8)))
+    x = Tensor(rng.normal(size=(2, 15, 8)))
     sizes = [
         _tape_size(apply_module(x, _interleaved_scheme(), init_module_params(rng, 8, h, "m")))
         for h in (1, 2, 4)
@@ -338,13 +349,13 @@ def test_module_tape_size_does_not_grow_with_heads():
     assert sizes[0] == sizes[1] == sizes[2], sizes
 
 
-def _probe_loss(out, positions, n, seed):
+def _probe_loss(out, positions, seed):
     # weight the chosen elements with a fixed random functional so the
     # gradient probe does not vanish under layer norm
     rng = np.random.default_rng(seed)
     weights = np.zeros(out.shape)
     for flat in positions:
-        weights[flat % n, flat // n, :] = rng.normal(size=out.shape[-1])
+        weights[flat, :] = rng.normal(size=out.shape[-1])
     return tensor_sum(mul(out, Tensor(weights)))
 
 
@@ -355,15 +366,14 @@ def test_module_keeps_subsets_isolated():
     params = init_module_params(rng, 8, 2, "m")
     n, t = 5, 3
     scheme = _two_subset_scheme(n, t, {0, 1, 4})
-    x = Param(rng.normal(size=(n, t, 8)), "x")
+    x = Param(rng.normal(size=(n * t, 8)), "x")
     out = apply_module(x, scheme, params)
-    loss = _probe_loss(out, scheme.subsets[0].tolist(), n, seed=1)
+    loss = _probe_loss(out, scheme.subsets[0].tolist(), seed=1)
     backward(loss)
 
     for flat in scheme.subsets[1]:
-        node, step = flat % n, flat // n
-        assert np.all(x.grad[node, step, :] == 0.0)
-    touched = x.grad[[f % n for f in scheme.subsets[0]], [f // n for f in scheme.subsets[0]], :]
+        assert np.all(x.grad[flat, :] == 0.0)
+    touched = x.grad[scheme.subsets[0], :]
     assert np.any(touched != 0.0)
 
 
@@ -376,11 +386,11 @@ def test_block_bridges_primary_subsets():
     p1 = _two_subset_scheme(n, t, {0, 1, 2, 3}, label="p1")
     p2 = _two_subset_scheme(n, t, {2, 3, 4, 5}, label="p2")
     params = init_block_params(rng, 8, 2, "b")
-    x = Param(rng.normal(size=(n, t, 8)), "x")
+    x = Param(rng.normal(size=(n * t, 8)), "x")
     out = apply_block(x, p1, p2, params)
-    loss = _probe_loss(out, [0], n, seed=2)
+    loss = _probe_loss(out, [0], seed=2)
     backward(loss)
-    assert np.any(x.grad[4, :, :] != 0.0)
+    assert np.any(x.grad[4::n, :] != 0.0)  # node 4 at every step
 
 
 def test_block_shape_and_captures():
@@ -390,8 +400,8 @@ def test_block_shape_and_captures():
     p2 = _two_subset_scheme(n, t, {1, 2, 3}, label="p2")
     params = init_block_params(rng, 8, 2, "b")
     cap1, cap2 = AlphaCapture(), AlphaCapture()
-    out = apply_block(Tensor(rng.normal(size=(n, t, 8))), p1, p2, params, cap1, cap2)
-    assert out.shape == (n, t, 8)
+    out = apply_block(Tensor(rng.normal(size=(n * t, 8))), p1, p2, params, cap1, cap2)
+    assert out.shape == (n * t, 8)
     assert set(cap1.by_subset) == {0, 1}
     assert set(cap2.by_subset) == {0, 1}
 
@@ -407,7 +417,7 @@ def test_block_modules_have_independent_params():
     n, t = 4, 2
     p1 = _two_subset_scheme(n, t, {0, 1}, label="p1")
     p2 = _two_subset_scheme(n, t, {1, 2}, label="p2")
-    x = Tensor(rng.normal(size=(n, t, 8)))
+    x = Tensor(rng.normal(size=(n * t, 8)))
     base = apply_block(x, p1, p2, params).data.copy()
     # single-entry bump: a uniform shift would be erased by the final norm
     params.module_two.w_ffn2.data[0, 0] += 0.5
@@ -421,10 +431,10 @@ def test_module_gradients_match_finite_differences():
     params = init_module_params(rng, 4, 2, "m")
     n, t = 3, 2
     scheme = _two_subset_scheme(n, t, {0, 2})
-    x = rng.normal(size=(n, t, 4))
+    x = rng.normal(size=(n * t, 4))
     # small probe keeps the loss magnitude low so the float noise of the
     # central differences stays small at coordinates with tiny gradients
-    probe = rng.normal(size=(n, t, 4)) * 0.01
+    probe = rng.normal(size=(n * t, 4)) * 0.01
 
     def loss_fn():
         out = apply_module(Tensor(x), scheme, params)
@@ -460,7 +470,7 @@ def test_fused_module_gradients_match_finite_differences_on_ragged_subsets():
     assert [len(s) for s in scheme.subsets] == [7, 1, 4, 3]
     params = init_module_params(rng, 4, 2, "m")
     params.attention.b_query.data[:] = rng.normal(scale=0.5, size=params.attention.b_query.shape)
-    x = Param(rng.normal(size=(3, 5, 3, 4)), "x")
+    x = Param(rng.normal(size=(3, 15, 4)), "x")
     probe = rng.normal(size=x.shape) * 0.01
 
     def loss_fn():
@@ -485,7 +495,7 @@ def test_module_tape_size_does_not_grow_with_subsets():
     # gather, so a module records the same nodes for any subset count
     rng = np.random.default_rng(94)
     params = init_module_params(rng, 8, 2, "m")
-    x = Tensor(rng.normal(size=(2, 4, 3, 8)))
+    x = Tensor(rng.normal(size=(2, 12, 8)))
     sizes = [_tape_size(apply_module(x, _striped_scheme(4, 3, l), params)) for l in (1, 2, 4)]
     assert sizes[0] == sizes[1] == sizes[2], sizes
 
@@ -495,16 +505,15 @@ def test_fused_capture_equals_per_subset_calls_bit_for_bit():
     params = init_module_params(rng, 8, 4, "m")
     params.attention.b_query.data[:] = rng.normal(scale=0.5, size=params.attention.b_query.shape)
     scheme = _ragged_scheme()
-    n, t, batch = 5, 3, 2
-    x = rng.normal(size=(batch, n, t, 8))
+    batch = 2
+    x = rng.normal(size=(batch, 15, 8))
     cap = AlphaCapture()
     apply_module(Tensor(x), scheme, params, cap)
 
-    flat = x.transpose(0, 2, 1, 3).reshape(batch, t * n, 8)
     assert sorted(cap.by_subset) == [0, 1, 2, 3]
     for subset_id, indices in enumerate(scheme.subsets):
         sink = []
-        subset_attention(Tensor(flat[:, indices, :]), params.attention, sink)
+        subset_attention(Tensor(x[:, indices, :]), params.attention, sink)
         got = cap.by_subset[subset_id]
         assert len(got) == len(sink) == 4
         for fused, alone in zip(got, sink):

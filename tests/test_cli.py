@@ -9,6 +9,7 @@ from flowcast import cli
 from flowcast.cli import RunConfig, build_parser, main, read_config_file, render_effective_config
 from flowcast.data import synthetic_series, write_edge_list, write_signal_csv, ring_edge_lines
 from flowcast.errors import InputError
+from flowcast.model import evaluate, predict_windows
 
 
 @pytest.fixture
@@ -172,6 +173,41 @@ def test_evaluate_horizon_out_of_range(workspace, capsys):
     )
     assert code == 2
     assert "error[input]:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("horizon", ["0", "-1"])
+def test_evaluate_nonpositive_horizon_is_input_error(workspace, capsys, horizon):
+    tmp, config, out = workspace
+    assert main(["train", "--config", str(config)]) == 0
+    capsys.readouterr()
+    argv = ["evaluate", "--config", str(config), "--checkpoint", str(out / "best.bin")]
+    code = main([*argv, f"--horizons={horizon}"])
+    assert code == 2
+    assert "error[input]:" in capsys.readouterr().err
+
+
+def test_evaluate_predicts_once_and_matches_model_evaluate(workspace, capsys, monkeypatch):
+    tmp, config, out = workspace
+    assert main(["train", "--config", str(config)]) == 0
+    capsys.readouterr()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return predict_windows(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "predict_windows", counted)
+    argv = ["evaluate", "--config", str(config), "--checkpoint", str(out / "best.bin")]
+    assert main([*argv, "--horizons", "1,2"]) == 0
+    assert len(calls) == 1
+
+    # every printed report equals the library's evaluate() on the same split
+    model, samples, stats = calls[0][:3]
+    want = [
+        f"horizon {h} ({60 * h} min): {evaluate(model, samples, stats, horizon=h).to_text()}"
+        for h in (1, 2)
+    ] + [f"all steps: {evaluate(model, samples, stats).to_text()}"]
+    assert capsys.readouterr().out.splitlines() == want
 
 
 def test_evaluate_empty_split_is_contract_error(workspace, capsys):

@@ -197,10 +197,11 @@ def test_embed_shapes_single_and_batch():
     rng = np.random.default_rng(35)
     day = np.array([0, 0, 1])
     step = np.array([22, 23, 0])
+    # one row per element, in flat order time * N + node
     single = embed(rng.normal(size=(4, 3, 2)), day, step, spe, tpe, params)
-    assert single.shape == (4, 3, 8)
+    assert single.shape == (3 * 4, 8)
     batch = embed(rng.normal(size=(5, 4, 3, 2)), day, step, spe, tpe, params)
-    assert batch.shape == (5, 4, 3, 8)
+    assert batch.shape == (5, 3 * 4, 8)
 
 
 def test_embed_batch_matches_per_window_calls():
@@ -235,7 +236,7 @@ def test_embed_zero_collapse():
     params.w_mix.data[...] = np.eye(8)
     values = np.zeros((4, 3, 2))
     out = embed(values, np.zeros(3, np.int64), np.arange(3), spe, tpe, params)
-    assert np.array_equal(out.data, np.zeros((4, 3, 8)))
+    assert np.array_equal(out.data, np.zeros((3 * 4, 8)))
 
 
 def test_embed_spe_broadcasts_over_time():
@@ -248,7 +249,7 @@ def test_embed_spe_broadcasts_over_time():
     out = embed(rng.normal(size=(4, 3, 2)), np.zeros(3, np.int64), np.arange(3), spe, tpe, params)
     for node in range(4):
         for t in (1, 2):
-            assert np.allclose(out.data[node, t], out.data[node, 0], atol=1e-12)
+            assert np.allclose(out.data[t * 4 + node], out.data[node], atol=1e-12)
 
 
 def test_embed_tpe_broadcasts_over_nodes():
@@ -258,7 +259,7 @@ def test_embed_tpe_broadcasts_over_nodes():
     rng = np.random.default_rng(39)
     out = embed(rng.normal(size=(4, 3, 2)), np.array([0, 1, 2]), np.array([3, 4, 5]), spe, tpe, params)
     for node in (1, 2, 3):
-        assert np.allclose(out.data[node], out.data[0], atol=1e-12)
+        assert np.allclose(out.data[node::4], out.data[0::4], atol=1e-12)
 
 
 def test_embed_node_permutation_equivariance():
@@ -274,7 +275,8 @@ def test_embed_node_permutation_equivariance():
         eigvals=spe.eigvals, eigvecs=spe.eigvecs, selected=spe.selected[perm]
     )
     out_perm = embed(values[perm], day, step, spe_perm, tpe, params)
-    assert np.allclose(out_perm.data, out.data[perm], atol=1e-12)
+    rows = (4 * np.arange(3)[:, None] + perm).ravel()  # node perm[i] at every step
+    assert np.allclose(out_perm.data, out.data[rows], atol=1e-12)
 
 
 def test_embed_rejects_wrong_node_count():
