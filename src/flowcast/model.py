@@ -154,10 +154,12 @@ def build_partitions(
     unified: UnifiedGraph, spe_coords: np.ndarray, n_subsets: int, seed: int
 ) -> tuple[PartitionScheme, PartitionScheme]:
     """P1 around base nodes chosen on the SPE coordinates, with tau
-    calibrated for them, and P2 around the same bases shifted."""
+    calibrated for them, and P2 around the same bases shifted. The bases'
+    distance stack is built once for both calibration and P1."""
     bases = make_base_set(unified, spe_coords, n_subsets, seed)
-    bases.tau = calibrate_tau(unified, bases)
-    return build_p1(unified, bases), build_p2(unified, shift_bases(unified, bases))
+    stack = unified.distance_rows(bases.flats(unified.n_nodes))
+    bases.tau = calibrate_tau(unified, bases, stack)
+    return build_p1(unified, bases, stack), build_p2(unified, shift_bases(unified, bases))
 
 
 def build_model(
@@ -433,12 +435,15 @@ def train(
     seeded by (seed, e), so the window order never depends on where a
     run started. Resuming rebuilds optimizer moments from zero, since
     checkpoints carry parameters only. The best validation MAE snapshot
-    is retained; with an empty validation split the final parameters are
-    the snapshot and validation columns record NaN.
+    is retained; with an empty validation split, or one whose truth is all
+    zero (nothing to score), the final parameters are the snapshot and
+    validation columns record NaN.
     """
     config = model.config
     train_windows = dataset.splits["train"]
     val_windows = dataset.splits.get("val", [])
+    if not any(np.any(s.target_raw != 0.0) for s in val_windows):
+        val_windows = []
     if not train_windows:
         raise ContractError("train split has no windows")
     model.norm_stats = dataset.stats

@@ -100,8 +100,10 @@ def finite_diff_check(
     """Compare analytic gradients against central differences.
 
     make_loss must rebuild the scalar loss from scratch on every call and
-    be deterministic. Returns the maximum relative error over the sampled
-    coordinates: |analytic - central| / max(|analytic|, |central|, 1e-8).
+    be deterministic: backward() consumes the graph it runs over, and each
+    perturbed coordinate needs a forward on the current parameter values.
+    Returns the maximum relative error over the sampled coordinates:
+    |analytic - central| / max(|analytic|, |central|, 1e-8).
     """
     data, grad = flatten_params(params)
     loss = make_loss()

@@ -129,14 +129,16 @@ def make_base_set(graph: UnifiedGraph, spe_coords: np.ndarray, n_subsets: int, s
     return BaseNodeSet(node_ids=nodes, t_center=graph.t_steps // 2)
 
 
-def calibrate_tau(graph: UnifiedGraph, bases: BaseNodeSet) -> int:
+def calibrate_tau(graph: UnifiedGraph, bases: BaseNodeSet, stack: np.ndarray | None = None) -> int:
     """Smallest radius covering every element from some base.
 
     The radius is never below floor(T / 2) so a base can reach both ends
     of its own time column. Raises when some element is unreachable from
-    every base.
+    every base. stack, if given, is the bases' distance_rows, which
+    build_p1 can then reuse.
     """
-    stack = graph.distance_rows(bases.flats(graph.n_nodes))
+    if stack is None:
+        stack = graph.distance_rows(bases.flats(graph.n_nodes))
     return max(_cover_radius(graph, stack, "", "base"), graph.t_steps // 2)
 
 
@@ -237,12 +239,17 @@ def _assign(
     return scheme
 
 
-def build_p1(graph: UnifiedGraph, bases: BaseNodeSet) -> PartitionScheme:
-    """Assign every element to its nearest base within radius tau."""
+def build_p1(graph: UnifiedGraph, bases: BaseNodeSet, stack: np.ndarray | None = None) -> PartitionScheme:
+    """Assign every element to its nearest base within radius tau.
+
+    stack, if given, is the bases' distance_rows, as calibrate_tau took it.
+    """
     if bases.tau is None:
         raise ContractError("bases need a calibrated tau before partitioning")
     flats = bases.flats(graph.n_nodes)
-    return _assign(graph, graph.distance_rows(flats), flats, bases.tau, "P1")
+    if stack is None:
+        stack = graph.distance_rows(flats)
+    return _assign(graph, stack, flats, bases.tau, "P1")
 
 
 def _two_colour(nearest_peer: list[int | None]) -> list[bool]:

@@ -2,15 +2,24 @@
 
 Every operation on an input that requires grad records its inputs and a
 backward closure on the output node, so calling backward() on a scalar
-loss replays the recorded graph in reverse topological order. Inside a
+loss replays the recorded graph in reverse topological order. The replay
+consumes the graph: each interior node drops its gradient, its parents and
+its closure, with the forward arrays the closure saved, as soon as its
+backward has run, so a graph can be backpropagated once. Inside a
 no_grad() block nothing is recorded: each output is a plain constant, and
 each intermediate array is freed once the next operation has used it.
 All arrays are C-contiguous float64 and every computation is single
 threaded and deterministic.
+
+On import the process heap is told to keep freed memory (glibc's mallopt;
+a no-op where it is missing): every step's graph has the same shapes, so
+the next step reuses the pages of the last one instead of faulting fresh
+ones in from the kernel.
 """
 
 from __future__ import annotations
 
+import ctypes
 from contextlib import contextmanager
 from dataclasses import fields
 from typing import Callable, Iterator, Sequence
@@ -18,6 +27,29 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import ContractError
+
+# glibc mallopt parameters and the value fixed for both. A high mmap
+# threshold carves large arrays from the heap instead of mmapping each one
+# fresh; a high trim threshold keeps the freed top of the heap from going
+# back to the kernel. Fixing either one turns off glibc's sliding mmap
+# threshold and leaves the other at its 128 KiB default, so one alone
+# faults more pages than neither.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_HEAP_RETAIN_BYTES = 1 << 30
+
+
+def _retain_freed_pages() -> None:
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for option in (_M_MMAP_THRESHOLD, _M_TRIM_THRESHOLD):
+        mallopt(option, _HEAP_RETAIN_BYTES)
+
+
+_retain_freed_pages()
 
 
 def _as_array(value) -> np.ndarray:
@@ -187,11 +219,21 @@ def _accumulate(parent: Tensor, grad: np.ndarray) -> None:
         parent.grad += grad
 
 
+def _consumed(g: np.ndarray) -> None:
+    raise ContractError(
+        "this graph was already backpropagated; rebuild the loss before calling backward() again"
+    )
+
+
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into .grad over the recorded graph.
 
-    The loss must be a scalar. Gradients of Param leaves persist until
-    explicitly zeroed; intermediate gradients are discarded with the graph.
+    The loss must be a scalar. Gradients of leaves (Params and other
+    tensors with no backward closure) persist until explicitly zeroed. The
+    pass consumes the graph: once an interior node's backward has run, the
+    node keeps its data but drops its gradient, its parents and its
+    closure, so each array is freed as soon as nothing upstream needs it.
+    Backpropagating a consumed graph again raises ContractError.
     """
     if loss.data.ndim != 0:
         raise ContractError(f"backward() needs a scalar loss, got shape {loss.shape}")
@@ -215,9 +257,15 @@ def backward(loss: Tensor) -> None:
                 stack.append((parent, False))
 
     loss.grad = np.ones((), dtype=np.float64)
-    for node in reversed(order):
-        if node.backward_fn is not None and node.grad is not None:
+    while order:
+        # popping drops the list's reference, so a node whose children have
+        # all run is freed together with what its closure saved
+        node = order.pop()
+        if node.backward_fn is None:
+            continue
+        if node.grad is not None:
             node.backward_fn(node.grad)
+        node.grad, node.parents, node.backward_fn = None, (), _consumed
 
 
 # ---------------------------------------------------------------------------

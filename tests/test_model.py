@@ -1,10 +1,13 @@
 """Tests for model assembly, the forward map, loss, metrics, and training."""
 
+import dataclasses
+import platform
 import warnings
 
 import numpy as np
 import pytest
 
+from flowcast import partition, stgraph
 from flowcast.attention import AlphaCapture
 from flowcast.data import batch_arrays, prepare_dataset, ring_edge_lines, synthetic_series
 from flowcast.errors import ContractError, NumericError
@@ -109,6 +112,29 @@ def test_build_is_deterministic():
         for pa, po in zip(a.params(), other.params())
     )
     assert changed
+
+
+def test_build_runs_three_spatial_bfs_tables(monkeypatch):
+    # one table for the bases (shared by calibrate_tau and build_p1), one
+    # for shift_bases' walk back to each base, one for the shifted bases
+    calls = []
+    original = stgraph.spatial_hops
+
+    def counted(adjacency, sources):
+        calls.append(len(sources))
+        return original(adjacency, sources)
+
+    monkeypatch.setattr(stgraph, "spatial_hops", counted)
+    monkeypatch.setattr(partition, "spatial_hops", counted)
+    model = _build(n_subsets=3)
+    assert calls == [3, 3, 3]
+
+    # the shared table assigns exactly what the two-argument calls do
+    bases = partition.make_base_set(model.unified, model.spe.selected, 3, model.config.seed)
+    bases.tau = partition.calibrate_tau(model.unified, bases)
+    p1 = partition.build_p1(model.unified, bases)
+    assert (p1.tau, p1.base_flats) == (model.p1.tau, model.p1.base_flats)
+    np.testing.assert_array_equal(p1.assignment, model.p1.assignment)
 
 
 def test_param_dict_rejects_duplicates():
@@ -426,6 +452,57 @@ def test_train_empty_validation_split():
         assert np.isnan(row.val_mae) and np.isnan(row.val_mape) and np.isnan(row.val_rmse)
     for p in model.params():
         np.testing.assert_array_equal(result.best_params[p.name], p.data)
+
+
+def test_train_all_zero_validation_split_counts_as_empty():
+    # nothing to score: NaN validation columns and the last epoch's
+    # parameters, exactly as with no validation split at all
+    ds = _dataset()
+    ds.splits["val"] = [
+        dataclasses.replace(s, target_raw=np.zeros_like(s.target_raw)) for s in ds.splits["val"]
+    ]
+    assert ds.splits["val"]
+    model = _build(epochs=3)
+    result = train(model, ds)
+    assert [row.epoch for row in result.trace] == [1, 2, 3]
+    for row in result.trace:
+        assert np.isnan(row.val_mae) and np.isnan(row.val_mape) and np.isnan(row.val_rmse)
+    assert result.best_epoch == 3
+    for p in model.params():
+        np.testing.assert_array_equal(result.best_params[p.name], p.data)
+
+    ds.splits["val"] = []
+    reference = _build(epochs=3)
+    train(reference, ds)
+    for p, q in zip(model.params(), reference.params()):
+        np.testing.assert_array_equal(p.data, q.data)
+
+
+@pytest.mark.skipif(
+    platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
+    reason="the heap is kept through glibc's mallopt; elsewhere it is a no-op",
+)
+def test_warm_train_call_takes_no_page_faults():
+    # each step frees its graph during backward and the freed pages stay
+    # in the heap, so the next step's arrays reuse them
+    import resource
+
+    series = synthetic_series(8, 78, interval_min=60, seed=1, noise=1.0)
+    ds = prepare_dataset(series, t_in=12, t_out=3, ratios=(1.0, 0.0, 0.0))
+    config = ModelConfig(
+        n_nodes=8, t_in=12, t_out=3, channels=1, dim=16, spe_modes=4, gamma=24,
+        n_blocks=1, n_heads=2, n_subsets=2, seed=1, learning_rate=0.005,
+        batch_size=8, epochs=2,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = build_model(config, load_spatial_graph(ring_edge_lines(8)))
+    for _ in range(2):
+        train(model, ds)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train(model, ds)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 500
 
 
 def test_train_zero_epochs_keeps_initial_params():

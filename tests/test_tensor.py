@@ -321,6 +321,92 @@ def test_param_stays_a_leaf_across_no_grad():
 
 
 # ---------------------------------------------------------------------------
+# backward consumes the graph
+# ---------------------------------------------------------------------------
+
+
+def _every_op_loss(seed: int) -> tuple[Tensor, list[Tensor]]:
+    """A scalar loss over one output of each op, and its leaves."""
+    x, w = _leaves(seed)
+    g = Param(np.array([0.5, 1.0, 2.0]), "g")
+    free = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    rng = np.random.default_rng(seed + 1)
+    terms = [
+        tensor_sum(mul(out, constant(rng.normal(size=out.shape))))
+        for out in _every_op(x, w, mul(g, free))
+    ]
+    loss = terms[0]
+    for term in terms[1:]:
+        loss = add(loss, term)
+    return loss, [x, w, g, free]
+
+
+def _graph_nodes(root: Tensor) -> list[Tensor]:
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        for parent in stack.pop().parents:
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
+                stack.append(parent)
+    return list(seen.values())
+
+
+def _replay_keeping_graph(loss: Tensor) -> None:
+    """Reference replay: backward()'s node order, with nothing released."""
+    order, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node.parents:
+            if parent.requires_grad and id(parent) not in seen:
+                stack.append((parent, False))
+    loss.grad = np.ones((), dtype=np.float64)
+    for node in reversed(order):
+        if node.backward_fn is not None and node.grad is not None:
+            node.backward_fn(node.grad)
+
+
+def test_backward_releases_interior_nodes_and_keeps_leaf_grads():
+    want_loss, want_leaves = _every_op_loss(3)
+    _replay_keeping_graph(want_loss)
+
+    loss, leaves = _every_op_loss(3)
+    interior = [node for node in _graph_nodes(loss) if node.backward_fn is not None]
+    assert len(interior) > 20
+    backward(loss)
+    for node in interior:
+        assert node.parents == () and node.grad is None
+        assert node.backward_fn.__closure__ is None
+    for leaf, want in zip(leaves, want_leaves):
+        assert leaf.grad is not None and np.array_equal(leaf.grad, want.grad)
+    assert loss.data == want_loss.data
+
+
+def test_backward_twice_over_one_graph_raises():
+    loss, leaves = _every_op_loss(4)
+    backward(loss)
+    grads = [leaf.grad.copy() for leaf in leaves]
+    with pytest.raises(ContractError, match="already backpropagated"):
+        backward(loss)
+    for leaf, grad in zip(leaves, grads):
+        assert np.array_equal(leaf.grad, grad)
+
+
+def test_backward_through_a_consumed_node_raises():
+    x = Param(np.array([1.0, 2.0]), "x")
+    hidden = mul(x, x)
+    backward(tensor_sum(hidden))
+    with pytest.raises(ContractError, match="already backpropagated"):
+        backward(tensor_sum(scale(hidden, 2.0)))
+
+
+# ---------------------------------------------------------------------------
 # gradients: structural ops against central differences
 # ---------------------------------------------------------------------------
 
