@@ -369,10 +369,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     truth = np.stack([s.target_raw for s in samples], axis=0)
     for horizon in cfg.horizons:
         minutes = horizon * cfg.interval_min
-        report = metrics_from_arrays(preds[:, :, horizon - 1], truth[:, :, horizon - 1])
-        print(f"horizon {horizon} ({minutes} min): {report.to_text()}")
-    print(f"all steps: {metrics_from_arrays(preds, truth).to_text()}")
+        report = _metrics_text(preds[:, :, horizon - 1], truth[:, :, horizon - 1])
+        print(f"horizon {horizon} ({minutes} min): {report}")
+    print(f"all steps: {_metrics_text(preds, truth)}")
     return 0
+
+
+def _metrics_text(pred: np.ndarray, truth: np.ndarray) -> str:
+    """One report line; a slice whose truth is all zero (a sensor outage,
+    say) has nothing to score, which is not an error."""
+    if not truth.any():
+        return "no nonzero truth points"
+    return metrics_from_arrays(pred, truth).to_text()
 
 
 def _tail_window(series, stats, t_in: int, start: int | None) -> WindowSample:

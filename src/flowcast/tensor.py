@@ -380,15 +380,12 @@ def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
     return Tensor(np.take(a.data, idx, axis=-2), (a,), bwd)
 
 
-def _softmax_in_place(x: np.ndarray) -> np.ndarray:
-    """Overwrite x with its row softmax over the last axis, stabilized by max
-    subtraction; return each row's log normalizer, log(sum(exp(x)))."""
-    peak = x.max(axis=-1, keepdims=True)
-    x -= peak
-    np.exp(x, out=x)
-    total = x.sum(axis=-1, keepdims=True)
-    x /= total
-    return peak + np.log(total)
+def _with_column(a: np.ndarray, column: np.ndarray | float) -> np.ndarray:
+    """[a | column]: a with one more entry on the last axis."""
+    out = np.empty(a.shape[:-1] + (a.shape[-1] + 1,))
+    out[..., :-1] = a
+    out[..., -1:] = column
+    return out
 
 
 def ranged_attention(
@@ -402,38 +399,52 @@ def ranged_attention(
 
     Inputs are (..., H, M, d_h) and the ranges must tile the M rows. A row
     attends only to rows of its own range, so no value or gradient crosses
-    a range. As in FlashAttention, the forward keeps only each row's log
-    normalizer, and the backward recomputes a range's weights from it.
-    capture, if given, receives one (..., m, m) weight array per head per
-    range, in range order.
+    a range. Scores are held key-major, (..., keys, queries), so the
+    softmax max runs over axis -2. The exponentiated weights are never
+    normalized: one GEMM of their transpose with [v | 1] gives the output
+    rows and, in its last column, each row's total, and the (m, d_h)
+    output is divided by the total. As in FlashAttention, the forward
+    keeps only each row's log normalizer, peak + log(total); the backward
+    recomputes a range's weights as exp([k | 1] @ [q | -log_norm]^T), one
+    GEMM and one exp. capture, if given, receives one normalized
+    (..., m, m) weight array per head per range, query-major, in range
+    order.
     """
     factor = 1.0 / np.sqrt(float(queries.shape[-1]))
     q, k, v = queries.data * factor, keys.data, values.data
     out = np.empty(q.shape)
     log_norm = np.empty(q.shape[:-1] + (1,))
+    v_one = _with_column(v, 1.0)
     for lo, hi in bounds:
-        alphas = q[..., lo:hi, :] @ np.swapaxes(k[..., lo:hi, :], -1, -2)
-        log_norm[..., lo:hi, :] = _softmax_in_place(alphas)
-        out[..., lo:hi, :] = alphas @ v[..., lo:hi, :]
+        weights = k[..., lo:hi, :] @ np.swapaxes(q[..., lo:hi, :], -1, -2)
+        peak = weights.max(axis=-2, keepdims=True)
+        weights -= peak
+        np.exp(weights, out=weights)
+        mixed = np.swapaxes(weights, -1, -2) @ v_one[..., lo:hi, :]
+        total = mixed[..., -1:]
+        np.divide(mixed[..., :-1], total, out=out[..., lo:hi, :])
+        log_norm[..., lo:hi, :] = np.swapaxes(peak, -1, -2) + np.log(total)
         if capture is not None:
+            alphas = np.swapaxes(weights / np.swapaxes(total, -1, -2), -1, -2)
             capture.extend(alphas[..., h, :, :].copy() for h in range(q.shape[-3]))
 
     def bwd(g: np.ndarray) -> None:
         dq, dk, dv = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
         # row softmax backward needs <dL/dalpha_i, alpha_i>, which equals
-        # <g_i, out_i> because out_i = sum_j alpha_ij v_j
-        inner = (g * out).sum(axis=-1, keepdims=True)
+        # <g_i, out_i> because out_i = sum_j alpha_ij v_j; the augmented
+        # columns fold it and the log normalizer into the GEMMs
+        q_norm = _with_column(q, -log_norm)
+        k_one = _with_column(k, 1.0)
+        v_one = _with_column(v, 1.0)
+        g_inner = _with_column(g, -(g * out).sum(axis=-1, keepdims=True))
         for lo, hi in bounds:
-            alphas = q[..., lo:hi, :] @ np.swapaxes(k[..., lo:hi, :], -1, -2)
-            alphas -= log_norm[..., lo:hi, :]
-            np.exp(alphas, out=alphas)
-            g_rows = g[..., lo:hi, :]
-            dv[..., lo:hi, :] = np.swapaxes(alphas, -1, -2) @ g_rows
-            d_scores = g_rows @ np.swapaxes(v[..., lo:hi, :], -1, -2)
-            d_scores -= inner[..., lo:hi, :]
-            d_scores *= alphas
-            dq[..., lo:hi, :] = d_scores @ k[..., lo:hi, :]
-            dk[..., lo:hi, :] = np.swapaxes(d_scores, -1, -2) @ q[..., lo:hi, :]
+            weights = k_one[..., lo:hi, :] @ np.swapaxes(q_norm[..., lo:hi, :], -1, -2)
+            np.exp(weights, out=weights)
+            dv[..., lo:hi, :] = weights @ g[..., lo:hi, :]
+            d_scores = v_one[..., lo:hi, :] @ np.swapaxes(g_inner[..., lo:hi, :], -1, -2)
+            d_scores *= weights
+            dq[..., lo:hi, :] = np.swapaxes(d_scores, -1, -2) @ k[..., lo:hi, :]
+            dk[..., lo:hi, :] = d_scores @ q[..., lo:hi, :]
         dq *= factor
         _accumulate(queries, dq)
         _accumulate(keys, dk)
@@ -449,22 +460,25 @@ def ranged_attention(
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, then apply
-    the learnable elementwise affine. Variance is the population variance."""
+    the learnable elementwise affine. Variance is the population variance.
+
+    The four row means, the forward's mean and variance and the
+    backward's two, are GEMVs against a (width, 1) column of 1/width;
+    BLAS runs them faster than numpy reduces over the last axis."""
     width = a.data.shape[-1]
     if gain.data.shape != (width,) or bias.data.shape != (width,):
         raise ContractError(
             f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match width {width}"
         )
-    mu = a.data.mean(axis=-1, keepdims=True)
-    centered = a.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    row_mean = np.full((width, 1), 1.0 / width)
+    centered = a.data - a.data @ row_mean
+    inv = 1.0 / np.sqrt((centered * centered) @ row_mean + eps)
     xhat = centered * inv
     def bwd(g: np.ndarray) -> None:
         _accumulate(bias, g)
         _accumulate(gain, g * xhat)
         gx = g * gain.data
-        term = gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+        term = gx - gx @ row_mean - xhat * ((gx * xhat) @ row_mean)
         _accumulate(a, term * inv)
 
     return Tensor(xhat * gain.data + bias.data, (a, gain, bias), bwd)

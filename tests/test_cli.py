@@ -7,7 +7,13 @@ import pytest
 
 from flowcast import cli
 from flowcast.cli import RunConfig, build_parser, main, read_config_file, render_effective_config
-from flowcast.data import synthetic_series, write_edge_list, write_signal_csv, ring_edge_lines
+from flowcast.data import (
+    prepare_dataset,
+    ring_edge_lines,
+    synthetic_series,
+    write_edge_list,
+    write_signal_csv,
+)
 from flowcast.errors import InputError
 from flowcast.model import evaluate, predict_windows
 
@@ -228,6 +234,35 @@ def test_evaluate_empty_split_is_contract_error(workspace, capsys):
     )
     assert code == 3
     assert "error[contract]:" in capsys.readouterr().err
+
+
+def test_evaluate_reports_an_all_zero_horizon_and_goes_on(workspace, capsys):
+    tmp, config, out = workspace
+    assert main(["train", "--config", str(config)]) == 0
+    # the fixture's series; zero every step that is a horizon-2 target of a
+    # test window, so horizon 1 keeps one nonzero step and horizon 2 none
+    series = synthetic_series(4, 60, interval_min=60, seed=3, noise=1.0)
+    test_windows = prepare_dataset(series, 4, 2, ratios=(7.0, 1.0, 2.0)).splits["test"]
+    series.values[test_windows[0].start + 4 + 1 :] = 0.0
+    write_signal_csv(series, tmp / "signal.csv")
+    argv = ["evaluate", "--config", str(config), "--checkpoint", str(out / "best.bin")]
+    capsys.readouterr()
+    assert main([*argv, "--on", "test"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "horizon 1 (60 min)", "horizon 2 (120 min)", "all steps"
+    ]
+    assert "points 4 " in lines[0] and "points 4 " in lines[2]
+    assert lines[1] == "horizon 2 (120 min): no nonzero truth points"
+
+    series.values[test_windows[0].start :] = 0.0
+    write_signal_csv(series, tmp / "signal.csv")
+    assert main([*argv, "--on", "test"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "horizon 1 (60 min): no nonzero truth points",
+        "horizon 2 (120 min): no nonzero truth points",
+        "all steps: no nonzero truth points",
+    ]
 
 
 def test_predict_writes_rows(workspace, capsys):

@@ -23,7 +23,6 @@ from flowcast.tensor import (
     ranged_attention,
     relu,
     reshape,
-    _softmax_in_place,
     scale,
     sub,
     tensor_sum,
@@ -79,9 +78,18 @@ def test_matmul_shape_mismatch_raises():
 
 
 def _softmax(x) -> np.ndarray:
-    out = np.array(x, dtype=np.float64)
-    _softmax_in_place(out)
-    return out
+    """Row softmax of x (r, m), r <= m, read back from ranged_attention's
+    capture: one head, one square range with d_h = m, q = sqrt(m) I and
+    k = x^T, so the scaled scores q k^T / sqrt(m) are the rows of x,
+    padded with zero rows up to m."""
+    rows = np.array(x, dtype=np.float64)
+    r, m = rows.shape
+    keys = np.zeros((1, m, m))
+    keys[0, :, :r] = rows.T
+    q = constant(np.sqrt(m) * np.eye(m)[None])
+    captured: list[np.ndarray] = []
+    ranged_attention(q, constant(keys), constant(np.zeros((1, m, m))), [(0, m)], captured)
+    return captured[0][:r]
 
 
 def test_softmax_matches_naive_on_moderate_values():
@@ -474,6 +482,57 @@ def test_grad_batched_matmul_against_central_differences():
         return tensor_sum(mul(matmul(a, b), probe))
 
     assert finite_diff_check(make_loss, [a, b], samples=40, seed=3) < 1e-6
+
+
+def test_ranged_attention_closure_keeps_only_q_k_v_out_and_log_norm():
+    # the augmented [v | 1], [k | 1], [q | -log_norm] and [g | -inner]
+    # arrays are transients: the tape holds none of them between forward
+    # and backward
+    rng = np.random.default_rng(9)
+    q, k, v = (Param(rng.normal(size=(2, 3, 7, 4)), name) for name in "qkv")
+    node = ranged_attention(q, k, v, [(0, 3), (3, 4), (4, 7)])
+    kept = [
+        cell.cell_contents for cell in node.backward_fn.__closure__
+        if isinstance(cell.cell_contents, np.ndarray)
+    ]
+    assert all(arr.shape[-1] in (1, 4) for arr in kept)
+    log_norm_bytes = q.data.nbytes // 4
+    assert sum(arr.nbytes for arr in kept) == 4 * q.data.nbytes + log_norm_bytes
+
+
+def test_grad_ranged_attention_at_scores_near_500_with_a_one_row_range():
+    # column 0 of the queries is +-500 sqrt(d_h), alternating by row, and
+    # column 0 of the keys is 1, so every score is +-500 plus an O(1) term.
+    # Rows at +500 and at -500 share a range, so each query needs its own
+    # exact max, and the backward's exp([k | 1] @ [q | -log_norm]^T) must
+    # cancel the 500 inside one GEMM. Column 0 is held fixed: its gradient
+    # is a whole-row shift, zero, which central differences at this
+    # magnitude resolve only to about 1e-8.
+    rng = np.random.default_rng(12)
+    heads, rows, width = 2, 5, 3
+    sign = np.where(np.arange(rows) % 2 == 0, 1.0, -1.0)
+    fixed_q, fixed_k = np.zeros((heads, rows, width)), np.zeros((heads, rows, width))
+    fixed_q[..., 0] = 500.0 * np.sqrt(width) * sign
+    fixed_k[..., 0] = 1.0
+    free = constant(np.array([0.0, 1.0, 1.0]))
+    q = Param(rng.normal(scale=0.5, size=(heads, rows, width)), "q")
+    k = Param(rng.normal(scale=0.5, size=(heads, rows, width)), "k")
+    v = Param(rng.normal(size=(heads, rows, width)), "v")
+    probe = _probe((heads, rows, width), 41)
+    bounds = [(0, 4), (4, 5)]
+
+    def make_loss():
+        queries = add(constant(fixed_q), mul(q, free))
+        keys = add(constant(fixed_k), mul(k, free))
+        return tensor_sum(mul(ranged_attention(queries, keys, v, bounds), probe))
+
+    assert finite_diff_check(make_loss, [q, k, v], samples=10**6) < 1e-6
+    # finite_diff_check's max() skips a NaN error, so check finiteness here
+    assert np.isfinite(make_loss().data)
+    for param in (q, k, v):
+        assert np.all(np.isfinite(param.grad))
+    # the one-row range attends only to itself, with weight 1
+    np.testing.assert_allclose(v.grad[:, 4], probe.data[:, 4], rtol=1e-12, atol=0)
 
 
 def test_operator_sugar_matches_functions():
