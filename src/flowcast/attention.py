@@ -172,27 +172,25 @@ def apply_module(
     """One attention module over a partition; shape (..., n_elements, D) kept.
 
     Row k of x is the unified graph's element with flat id k, the order
-    the scheme's subsets index. One gather by the permutation
-    concatenate(subsets) makes every subset a consecutive row range, in
-    subset order, each subset's elements in ascending flat order. One
-    subset_attention call attends inside every range, and one gather by the
-    inverse permutation puts every row back at its flat id. The merged
-    result then goes through residual + norm, feed-forward, residual + norm.
+    the scheme's subsets index. One gather by the scheme's subset-major
+    order makes every subset a consecutive row range, in subset order, each
+    subset's elements in ascending flat order. One subset_attention call
+    attends inside every range, and one gather by the scheme's inverse
+    permutation puts every row back at its flat id. The merged result then
+    goes through residual + norm, feed-forward, residual + norm.
     """
     if x.ndim < 2 or x.shape[-2] != scheme.n_elements:
         raise ContractError(
             f"partition covers {scheme.n_elements} elements but input has shape {x.shape}"
         )
 
-    perm = np.concatenate(scheme.subsets)
-    sizes = [len(indices) for indices in scheme.subsets]
     sink: list[np.ndarray] | None = [] if capture is not None else None
-    attended = subset_attention(gather_rows(x, perm), params.attention, sink, sizes)
+    attended = subset_attention(gather_rows(x, scheme.order), params.attention, sink, scheme.sizes)
     if capture is not None:
         n_heads = params.attention.w_query.shape[0]
         for subset_id in range(scheme.n_subsets):
             capture.record(subset_id, sink[subset_id * n_heads : (subset_id + 1) * n_heads])
-    merged = gather_rows(attended, np.argsort(perm))
+    merged = gather_rows(attended, scheme.inverse)
 
     y = layer_norm(add(merged, x), params.norm1_gain, params.norm1_bias)
     hidden = relu(add(matmul(y, params.w_ffn1), params.b_ffn1))

@@ -168,21 +168,47 @@ def _cover_radius(graph: UnifiedGraph, stack: np.ndarray, prefix: str, kind: str
 
 @dataclass
 class PartitionScheme:
-    """A disjoint cover of all unified-graph elements by local subsets."""
+    """A disjoint cover of all unified-graph elements by local subsets.
+
+    Construction checks the cover: every element has a subset id in
+    [0, l), no subset is empty, and each subset holds its own base
+    element. It also lays the cover out subset-major once: order lists
+    the elements subset by subset, each subset in ascending flat order;
+    inverse is its inverse permutation; sizes counts each subset; and
+    subsets splits order into the l member lists.
+    """
 
     label: str
     n_elements: int
     tau: int
     base_flats: list[int]
     assignment: np.ndarray
-    subsets: list[np.ndarray] = field(default_factory=list)
+    order: np.ndarray = field(init=False, repr=False)
+    inverse: np.ndarray = field(init=False, repr=False)
+    sizes: list[int] = field(init=False)
+    subsets: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.subsets:
-            self.subsets = [
-                np.flatnonzero(self.assignment == p).astype(np.int64)
-                for p in range(len(self.base_flats))
-            ]
+        ids, l = self.assignment, len(self.base_flats)
+        if ids.shape != (self.n_elements,):
+            raise ContractError(
+                f"{self.label}: {ids.size} subset ids for {self.n_elements} elements"
+            )
+        bad = ids[(ids < 0) | (ids >= l)]
+        if bad.size:
+            raise ContractError(f"{self.label}: subset id {bad[0]} out of range for l={l}")
+        sizes = np.bincount(ids, minlength=l)
+        if not sizes.all():
+            raise ContractError(f"{self.label}: subset {int(np.argmin(sizes))} is empty")
+        for p, flat in enumerate(self.base_flats):
+            if not 0 <= flat < self.n_elements or ids[flat] != p:
+                raise ContractError(
+                    f"{self.label}: subset {p} does not contain its own base element"
+                )
+        self.order = np.argsort(ids, kind="stable")
+        self.inverse = np.argsort(self.order)
+        self.sizes = sizes.tolist()
+        self.subsets = np.split(self.order, np.cumsum(sizes)[:-1])
 
     @property
     def n_subsets(self) -> int:
@@ -226,17 +252,13 @@ def _assign(
         assignment[e] = p
         tied_before[p] += 1
 
-    scheme = PartitionScheme(
+    return PartitionScheme(
         label=label,
         n_elements=graph.n_elements,
         tau=tau,
         base_flats=base_flats,
         assignment=assignment,
     )
-    for p, flat in enumerate(scheme.base_flats):
-        if scheme.assignment[flat] != p:
-            raise ContractError(f"{label}: subset {p} does not contain its own base element")
-    return scheme
 
 
 def build_p1(graph: UnifiedGraph, bases: BaseNodeSet, stack: np.ndarray | None = None) -> PartitionScheme:
@@ -515,15 +537,16 @@ def read_partition(path) -> PartitionScheme:
     for flat, subset in rows:
         if not 0 <= flat < n_elements:
             raise InputError(f"{path}: flat index {flat} out of range for {n_elements} rows")
-        if not 0 <= subset < n_subsets:
-            raise InputError(f"{path}: subset id {subset} out of range for l={n_subsets}")
         if assignment[flat] != -1:
             raise InputError(f"{path}: duplicate row for flat index {flat}")
         assignment[flat] = subset
-    return PartitionScheme(
-        label=label,
-        n_elements=n_elements,
-        tau=tau,
-        base_flats=base_flats,
-        assignment=assignment,
-    )
+    try:
+        return PartitionScheme(
+            label=label,
+            n_elements=n_elements,
+            tau=tau,
+            base_flats=base_flats,
+            assignment=assignment,
+        )
+    except ContractError as exc:
+        raise InputError(f"{path}: {exc}") from None

@@ -410,6 +410,15 @@ def ranged_attention(
     (..., m, m) weight array per head per range, query-major, in range
     order.
     """
+    if min(queries.ndim, keys.ndim, values.ndim) < 3:
+        raise ContractError(
+            f"ranged_attention needs (..., H, M, d_h) inputs, got {queries.shape}, "
+            f"{keys.shape} and {values.shape}"
+        )
+    edges = [0] + [hi for _, hi in bounds]
+    tiled = [lo for lo, _ in bounds] == edges[:-1] and edges[-1] == queries.shape[-2]
+    if not tiled or any(lo >= hi for lo, hi in bounds):
+        raise ContractError(f"ranges {bounds} do not tile rows [0, {queries.shape[-2]}) in order")
     factor = 1.0 / np.sqrt(float(queries.shape[-1]))
     q, k, v = queries.data * factor, keys.data, values.data
     out = np.empty(q.shape)

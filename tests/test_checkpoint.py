@@ -1,10 +1,12 @@
 """Tests for binary checkpoint serialization."""
 
+import json
 import warnings
 
 import numpy as np
 import pytest
 
+from flowcast import checkpoint
 from flowcast.checkpoint import load_checkpoint, save_checkpoint
 from flowcast.data import prepare_dataset, ring_edge_lines, synthetic_series
 from flowcast.errors import InputError
@@ -12,7 +14,7 @@ from flowcast.model import ModelConfig, build_model, forward_arrays, train
 from flowcast.stgraph import load_spatial_graph
 
 
-def _fixture(epochs=1):
+def _fixture(epochs=1, learning_rate=0.01):
     graph = load_spatial_graph(ring_edge_lines(4), symmetrize=True)
     config = ModelConfig(
         n_nodes=4,
@@ -28,12 +30,20 @@ def _fixture(epochs=1):
         seed=5,
         epochs=epochs,
         batch_size=8,
-        learning_rate=0.01,
+        learning_rate=learning_rate,
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         model = build_model(config, graph)
     return graph, model
+
+
+def _header_end(blob):
+    return 12 + int.from_bytes(blob[8:12], "little")
+
+
+def _with_header(blob, raw):
+    return blob[:8] + len(raw).to_bytes(4, "little") + raw + blob[_header_end(blob) :]
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -93,10 +103,14 @@ def test_truncated_file(tmp_path):
     path = tmp_path / "model.bin"
     save_checkpoint(model, path)
     blob = path.read_bytes()
-    cut = tmp_path / "cut.bin"
-    cut.write_bytes(blob[: len(blob) // 2])
-    with pytest.raises(InputError, match="truncated"):
-        load_checkpoint(cut, graph)
+    # inside the prefix, inside the header, halfway, 5 bytes into the first
+    # tensor, and 3 bytes short of the last subset id
+    header_end = _header_end(blob)
+    for length in (10, header_end - 5, len(blob) // 2, header_end + 5, len(blob) - 3):
+        cut = tmp_path / "cut.bin"
+        cut.write_bytes(blob[:length])
+        with pytest.raises(InputError, match="truncated"):
+            load_checkpoint(cut, graph)
 
 
 def test_missing_file(tmp_path):
@@ -110,8 +124,9 @@ def test_unsupported_version(tmp_path):
     path = tmp_path / "model.bin"
     save_checkpoint(model, path)
     blob = bytearray(path.read_bytes())
-    # 1 is the per-head layout with key biases; 99 is from the future
-    for version in (1, 99):
+    # 1 is the per-head layout with key biases, 2 the per-field binary
+    # layout before the JSON header; 99 is from the future
+    for version in (1, 2, 99):
         blob[4] = version
         bad = tmp_path / f"v{version}.bin"
         bad.write_bytes(bytes(blob))
@@ -181,21 +196,87 @@ def test_malformed_config_value_is_input_error(tmp_path):
     save_checkpoint(model, path)
     blob = path.read_bytes()
     cases = [
-        (b"\x03\x00dim\x01\x008", b"\x03\x00dim\x03\x008.0", "dim must be int, got '8.0'"),
-        (
-            b"\x10\x00epochs_completed\x01\x000",
-            b"\x10\x00epochs_completed\x03\x00one",
-            "epochs_completed must be int, got 'one'",
-        ),
-        (
-            b"\x0d\x00learning_rate\x04\x000.01",
-            b"\x0d\x00learning_rate\x04\x00fast",
-            "learning_rate must be float, got 'fast'",
-        ),
+        (("config", "dim"), 8.0, "dim must be int, got 8.0"),
+        (("epochs_completed",), "one", "epochs_completed must be int, got 'one'"),
+        (("config", "learning_rate"), "fast", "learning_rate must be float, got 'fast'"),
     ]
-    for good, bad, message in cases:
-        assert blob.count(good) == 1
+    for keys, value, message in cases:
+        header = json.loads(blob[12 : _header_end(blob)])
+        target = header
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
         edited = tmp_path / "edited.bin"
-        edited.write_bytes(blob.replace(good, bad))
+        edited.write_bytes(_with_header(blob, json.dumps(header).encode()))
         with pytest.raises(InputError, match=message):
             load_checkpoint(edited, graph)
+
+
+def test_header_that_is_not_json_is_input_error(tmp_path):
+    graph, model = _fixture()
+    path = tmp_path / "model.bin"
+    save_checkpoint(model, path)
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(_with_header(path.read_bytes(), b'{"config": {'))
+    with pytest.raises(InputError, match="malformed checkpoint header"):
+        load_checkpoint(bad, graph)
+
+
+def test_subset_id_out_of_range_is_input_error(tmp_path):
+    graph, model = _fixture()
+    path = tmp_path / "model.bin"
+    save_checkpoint(model, path)
+    blob = path.read_bytes()
+    # the file ends with P2's subset ids; l = 2, so 7 names no subset
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(blob[:-4] + (7).to_bytes(4, "little"))
+    with pytest.raises(InputError, match="bad.bin: P2: subset id 7 out of range for l=2"):
+        load_checkpoint(bad, graph)
+
+
+def test_integer_learning_rate_round_trips(tmp_path):
+    graph, model = _fixture(learning_rate=1)
+    path = tmp_path / "model.bin"
+    save_checkpoint(model, path)
+    loaded, _ = load_checkpoint(path, graph)
+    assert loaded.config.learning_rate == 1.0
+    assert type(loaded.config.learning_rate) is float
+
+
+class _FailingFile:
+    """A binary file whose second write fails, as on a full disk."""
+
+    def __init__(self, path, mode):
+        self.fh = open(path, mode)
+        self.writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError("No space left on device")
+        return self.fh.write(data)
+
+
+def test_failed_write_leaves_previous_checkpoint_intact(tmp_path, monkeypatch):
+    graph, model = _fixture()
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(model, path, epochs_completed=1)
+    before = path.read_bytes()
+    saved = model.params()[0].data.copy()
+
+    model.params()[0].data += 1.0
+    monkeypatch.setattr(checkpoint, "open", _FailingFile, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(model, path, epochs_completed=2)
+    monkeypatch.undo()
+
+    assert path.read_bytes() == before
+    loaded, epochs_completed = load_checkpoint(path, graph)
+    assert epochs_completed == 1
+    np.testing.assert_array_equal(loaded.params()[0].data, saved)

@@ -18,6 +18,7 @@ from flowcast.embedding import compute_spe
 from flowcast.errors import ContractError, InputError
 from flowcast.partition import (
     BaseNodeSet,
+    PartitionScheme,
     build_p1,
     build_p2,
     calibrate_tau,
@@ -499,6 +500,36 @@ def test_partition_report_rejects_mismatched_pair():
         partition_report(p1, q1)
 
 
+@pytest.mark.parametrize(
+    "assignment, base_flats, message",
+    [
+        ([0, 1, 2, 1], [0, 1], "subset id 2 out of range for l=2"),
+        ([0, -1, 0, 1], [0, 3], "subset id -1 out of range for l=2"),
+        ([0, 1, 0], [0, 1], "3 subset ids for 4 elements"),
+        ([0, 0, 0, 0], [0, 1], "subset 1 is empty"),
+        ([1, 0, 0, 1], [0, 1], "subset 0 does not contain its own base"),
+        ([0, 1, 0, 1], [0, 9], "subset 1 does not contain its own base"),
+    ],
+)
+def test_scheme_rejects_a_malformed_cover(assignment, base_flats, message):
+    with pytest.raises(ContractError, match=message):
+        PartitionScheme(
+            label="P1", n_elements=4, tau=1, base_flats=base_flats,
+            assignment=np.array(assignment, dtype=np.int64),
+        )
+
+
+def test_scheme_lays_out_subsets_once_in_subset_major_order():
+    _, p1, p2 = _ring_pair()
+    for scheme in (p1, p2):
+        assert np.array_equal(scheme.order, np.concatenate(scheme.subsets))
+        assert np.array_equal(scheme.order[scheme.inverse], np.arange(scheme.n_elements))
+        assert scheme.sizes == [len(s) for s in scheme.subsets]
+        for p, members in enumerate(scheme.subsets):
+            assert members.dtype == np.int64
+            assert np.array_equal(members, np.flatnonzero(scheme.assignment == p))
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -549,6 +580,13 @@ def test_read_partition_base_count_mismatch(tmp_path):
     target = tmp_path / "bases.txt"
     target.write_text("# scheme P1\n# l 2\n# tau 1\n# bases 0\n0 0\n1 1\n")
     with pytest.raises(InputError, match="bases"):
+        read_partition(target)
+
+
+def test_read_partition_base_outside_its_subset(tmp_path):
+    target = tmp_path / "swapped.txt"
+    target.write_text("# scheme P1\n# l 2\n# tau 1\n# bases 0,1\n0 1\n1 0\n")
+    with pytest.raises(InputError, match="subset 0 does not contain its own base"):
         read_partition(target)
 
 

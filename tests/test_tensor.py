@@ -273,11 +273,12 @@ def test_constant_gets_no_grad():
 def _every_op(x: Param, w: Param, g: Param) -> list:
     """One output of each op on (4, 3) x, (3, 3) w and (3,) g."""
     bounds = [(0, 1), (1, 4)]
+    heads = reshape(x, (1, 4, 3))
     return [
         add(x, x), sub(x, x), mul(x, x), scale(x, 2.0), matmul(x, w), relu(x),
         absolute(x), tensor_sum(x), reshape(x, (3, 4)), transpose(x, (1, 0)),
         gather_rows(x, np.array([3, 1, 0, 2])), layer_norm(x, g, g),
-        ranged_attention(x, x, x, bounds),
+        ranged_attention(heads, heads, heads, bounds),
     ]
 
 
@@ -498,6 +499,22 @@ def test_ranged_attention_closure_keeps_only_q_k_v_out_and_log_norm():
     assert all(arr.shape[-1] in (1, 4) for arr in kept)
     log_norm_bytes = q.data.nbytes // 4
     assert sum(arr.nbytes for arr in kept) == 4 * q.data.nbytes + log_norm_bytes
+
+
+@pytest.mark.parametrize(
+    "bounds", [[(0, 2)], [(0, 2), (3, 4)], [(2, 4), (0, 2)], [(0, 2), (2, 2), (2, 4)], []]
+)
+def test_ranged_attention_rejects_ranges_that_do_not_tile_the_rows(bounds):
+    x = constant(np.ones((1, 4, 2)))
+    with pytest.raises(ContractError, match="tile"):
+        ranged_attention(x, x, x, bounds)
+
+
+@pytest.mark.parametrize("capture", [None, []])
+def test_ranged_attention_rejects_inputs_without_a_head_axis(capture):
+    x = constant(np.ones((4, 2)))
+    with pytest.raises(ContractError, match="H, M, d_h"):
+        ranged_attention(x, x, x, [(0, 4)], capture)
 
 
 def test_grad_ranged_attention_at_scores_near_500_with_a_one_row_range():
