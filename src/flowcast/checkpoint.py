@@ -13,7 +13,7 @@ The tensors are every learnable parameter and, when known, the
 normalization statistics under the reserved "norm_stats." prefix. A load
 checks "graph_sha256" against its graph. A save writes "<path>.partial"
 and renames it over the target, so an interrupted save leaves the
-previous checkpoint intact.
+previous checkpoint intact; a save that raises removes "<path>.partial".
 """
 
 from __future__ import annotations
@@ -63,6 +63,14 @@ def _typed(name: str, value, hint):
     return value
 
 
+def _json_scalar(value):
+    """json.dumps fallback: a numpy scalar, e.g. a seed of np.int64(5), as
+    its Python value."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def save_checkpoint(model: ForecastModel, path, epochs_completed: int = 0) -> None:
     """Serialize config, parameters, norm stats, and both partitions."""
     tensors = [(p.name, p.data) for p in model.params()]
@@ -79,16 +87,20 @@ def save_checkpoint(model: ForecastModel, path, epochs_completed: int = 0) -> No
             {"label": s.label, "tau": s.tau, "base_flats": s.base_flats, "n_elements": s.n_elements}
             for s in schemes
         ],
-    }).encode("utf-8")
+    }, default=_json_scalar).encode("utf-8")
 
     partial = Path(f"{path}.partial")
-    with open(partial, "wb") as fh:
-        fh.write(_PREFIX.pack(MAGIC, VERSION, len(header)) + header)
-        for _, array in tensors:
-            fh.write(np.ascontiguousarray(array, dtype="<f8"))
-        for scheme in schemes:
-            fh.write(scheme.assignment.astype("<u4"))
-    os.replace(partial, path)
+    try:
+        with open(partial, "wb") as fh:
+            fh.write(_PREFIX.pack(MAGIC, VERSION, len(header)) + header)
+            for _, array in tensors:
+                fh.write(np.ascontiguousarray(array, dtype="<f8"))
+            for scheme in schemes:
+                fh.write(scheme.assignment.astype("<u4"))
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path, spatial: SpatialGraph) -> tuple[ForecastModel, int]:

@@ -388,6 +388,39 @@ def _with_column(a: np.ndarray, column: np.ndarray | float) -> np.ndarray:
     return out
 
 
+def _feature_major(
+    a: np.ndarray, column: np.ndarray | float | None = None, factor: float = 1.0
+) -> np.ndarray:
+    """[a * factor | column]^T: (..., M, d) laid out C-contiguous as
+    (..., d, M), or (..., d + 1, M) with the column as the last row, so a
+    range of rows [lo, hi) is the column slice [..., lo:hi]."""
+    width = a.shape[-1]
+    out = np.empty(a.shape[:-2] + (width + (column is not None), a.shape[-2]))
+    np.multiply(np.swapaxes(a, -1, -2), factor, out=out[..., :width, :])
+    if column is not None:
+        out[..., width:, :] = column
+    return out
+
+
+# Scores of magnitude at most this are exponentiated without a shift: every
+# weight then lies in [e^-200, e^200], far from overflow and from subnormals,
+# and a row total of m such weights stays finite for any m below 10^200.
+_UNSHIFTED_SCORE_LIMIT = 200.0
+# Shifted exponents are floored here before np.exp. Below about -708 exp
+# returns subnormals, which cost some 40 times a normal exp; e^-700 stays a
+# normal number after division by a row total of up to e^8.
+_EXP_FLOOR = -700.0
+
+
+def _needs_shift(q: np.ndarray, k: np.ndarray, factor: float) -> bool:
+    """False when d_h * max|q * factor| * max|k|, a bound on every |score|,
+    is at most _UNSHIFTED_SCORE_LIMIT; a NaN bound, from a non-finite
+    input, fails the test too."""
+    q_peak, k_peak = (max(a.max(initial=0.0), -a.min(initial=0.0)) for a in (q, k))
+    bound = q.shape[-1] * factor * q_peak * k_peak
+    return not bound <= _UNSHIFTED_SCORE_LIMIT
+
+
 def ranged_attention(
     queries: Tensor,
     keys: Tensor,
@@ -399,16 +432,26 @@ def ranged_attention(
 
     Inputs are (..., H, M, d_h) and the ranges must tile the M rows. A row
     attends only to rows of its own range, so no value or gradient crosses
-    a range. Scores are held key-major, (..., keys, queries), so the
-    softmax max runs over axis -2. The exponentiated weights are never
-    normalized: one GEMM of their transpose with [v | 1] gives the output
-    rows and, in its last column, each row's total, and the (m, d_h)
-    output is divided by the total. As in FlashAttention, the forward
-    keeps only each row's log normalizer, peak + log(total); the backward
-    recomputes a range's weights as exp([k | 1] @ [q | -log_norm]^T), one
-    GEMM and one exp. capture, if given, receives one normalized
-    (..., m, m) weight array per head per range, query-major, in range
-    order.
+    a range.
+
+    Scores are held key-major, (..., keys, queries). Once per call, the
+    bound d_h * max|q / sqrt(d_h)| * max|k| caps every |score| at O(M d_h)
+    cost. When it is at most _UNSHIFTED_SCORE_LIMIT, each range's weights
+    are exp(scores) with no shift; otherwise, or when an input is not
+    finite, each query's scores are shifted by their exact max over axis
+    -2 and floored at _EXP_FLOOR first. The weights are never normalized:
+    one GEMM of [v | 1]^T with them gives the output rows and, in the last
+    row, each query's total. q^T and [v | 1]^T are laid out feature-major,
+    (..., d_h (+1), M), once per call, so each range reads column slices
+    and writes its (d_h + 1, m) block into one buffer; the division by
+    the totals and the log normalizers are one pass each after the loop.
+
+    As in FlashAttention, the forward keeps only each row's log
+    normalizer, shift + log(total); the backward recomputes a range's
+    weights as exp([k | 1] @ [q | -log_norm]^T), one GEMM and one exp, with
+    [q | -log_norm]^T and [g | -inner]^T laid out feature-major the same
+    way. capture, if given, receives one normalized (..., m, m)
+    weight array per head per range, query-major, in range order.
     """
     if min(queries.ndim, keys.ndim, values.ndim) < 3:
         raise ContractError(
@@ -419,41 +462,55 @@ def ranged_attention(
     tiled = [lo for lo, _ in bounds] == edges[:-1] and edges[-1] == queries.shape[-2]
     if not tiled or any(lo >= hi for lo, hi in bounds):
         raise ContractError(f"ranges {bounds} do not tile rows [0, {queries.shape[-2]}) in order")
-    factor = 1.0 / np.sqrt(float(queries.shape[-1]))
-    q, k, v = queries.data * factor, keys.data, values.data
-    out = np.empty(q.shape)
-    log_norm = np.empty(q.shape[:-1] + (1,))
-    v_one = _with_column(v, 1.0)
+    q, k, v = queries.data, keys.data, values.data
+    width = q.shape[-1]
+    factor = 1.0 / np.sqrt(float(width))
+    q_t = _feature_major(q, factor=factor)
+    v_one_t = _feature_major(v, 1.0)
+    mixed = np.empty(v_one_t.shape)
+    shifted = _needs_shift(q, k, factor)
+    if shifted:
+        peaks = np.empty(q.shape[:-2] + (1, q.shape[-2]))
     for lo, hi in bounds:
-        weights = k[..., lo:hi, :] @ np.swapaxes(q[..., lo:hi, :], -1, -2)
-        peak = weights.max(axis=-2, keepdims=True)
-        weights -= peak
+        weights = k[..., lo:hi, :] @ q_t[..., lo:hi]
+        if shifted:
+            peak = peaks[..., lo:hi]
+            np.max(weights, axis=-2, keepdims=True, out=peak)
+            weights -= peak
+            np.maximum(weights, _EXP_FLOOR, out=weights)
         np.exp(weights, out=weights)
-        mixed = np.swapaxes(weights, -1, -2) @ v_one[..., lo:hi, :]
-        total = mixed[..., -1:]
-        np.divide(mixed[..., :-1], total, out=out[..., lo:hi, :])
-        log_norm[..., lo:hi, :] = np.swapaxes(peak, -1, -2) + np.log(total)
+        np.matmul(v_one_t[..., lo:hi], weights, out=mixed[..., lo:hi])
         if capture is not None:
-            alphas = np.swapaxes(weights / np.swapaxes(total, -1, -2), -1, -2)
+            alphas = np.swapaxes(weights / mixed[..., width:, lo:hi], -1, -2)
             capture.extend(alphas[..., h, :, :].copy() for h in range(q.shape[-3]))
+    totals = mixed[..., width:, :]
+    out = np.empty(q.shape)
+    np.divide(mixed[..., :width, :], totals, out=np.swapaxes(out, -1, -2))
+    log_norm = np.log(totals)
+    if shifted:
+        log_norm += peaks
+    log_norm = log_norm.reshape(q.shape[:-1] + (1,))
 
     def bwd(g: np.ndarray) -> None:
         dq, dk, dv = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
         # row softmax backward needs <dL/dalpha_i, alpha_i>, which equals
         # <g_i, out_i> because out_i = sum_j alpha_ij v_j; the augmented
-        # columns fold it and the log normalizer into the GEMMs
-        q_norm = _with_column(q, -log_norm)
+        # rows and columns fold it and the log normalizer into the GEMMs
+        q_norm_t = _feature_major(q, -np.swapaxes(log_norm, -1, -2), factor)
+        g_inner_t = _feature_major(g, -np.swapaxes((g * out).sum(axis=-1, keepdims=True), -1, -2))
         k_one = _with_column(k, 1.0)
         v_one = _with_column(v, 1.0)
-        g_inner = _with_column(g, -(g * out).sum(axis=-1, keepdims=True))
         for lo, hi in bounds:
-            weights = k_one[..., lo:hi, :] @ np.swapaxes(q_norm[..., lo:hi, :], -1, -2)
+            weights = k_one[..., lo:hi, :] @ q_norm_t[..., lo:hi]
+            if shifted:
+                np.maximum(weights, _EXP_FLOOR, out=weights)
             np.exp(weights, out=weights)
-            dv[..., lo:hi, :] = weights @ g[..., lo:hi, :]
-            d_scores = v_one[..., lo:hi, :] @ np.swapaxes(g_inner[..., lo:hi, :], -1, -2)
+            np.matmul(weights, g[..., lo:hi, :], out=dv[..., lo:hi, :])
+            d_scores = v_one[..., lo:hi, :] @ g_inner_t[..., lo:hi]
             d_scores *= weights
-            dq[..., lo:hi, :] = np.swapaxes(d_scores, -1, -2) @ k[..., lo:hi, :]
-            dk[..., lo:hi, :] = d_scores @ q[..., lo:hi, :]
+            np.matmul(np.swapaxes(d_scores, -1, -2), k[..., lo:hi, :], out=dq[..., lo:hi, :])
+            q_rows = np.swapaxes(q_norm_t[..., :width, lo:hi], -1, -2)
+            np.matmul(d_scores, q_rows, out=dk[..., lo:hi, :])
         dq *= factor
         _accumulate(queries, dq)
         _accumulate(keys, dk)

@@ -14,7 +14,7 @@ from flowcast.model import ModelConfig, build_model, forward_arrays, train
 from flowcast.stgraph import load_spatial_graph
 
 
-def _fixture(epochs=1, learning_rate=0.01):
+def _fixture(epochs=1, learning_rate=0.01, seed=5):
     graph = load_spatial_graph(ring_edge_lines(4), symmetrize=True)
     config = ModelConfig(
         n_nodes=4,
@@ -27,7 +27,7 @@ def _fixture(epochs=1, learning_rate=0.01):
         n_blocks=1,
         n_heads=2,
         n_subsets=2,
-        seed=5,
+        seed=seed,
         epochs=epochs,
         batch_size=8,
         learning_rate=learning_rate,
@@ -243,6 +243,15 @@ def test_integer_learning_rate_round_trips(tmp_path):
     assert type(loaded.config.learning_rate) is float
 
 
+def test_numpy_scalar_config_value_round_trips(tmp_path):
+    graph, model = _fixture(seed=np.int64(5))
+    path = tmp_path / "model.bin"
+    save_checkpoint(model, path)
+    loaded, _ = load_checkpoint(path, graph)
+    assert loaded.config.seed == 5
+    assert type(loaded.config.seed) is int
+
+
 class _FailingFile:
     """A binary file whose second write fails, as on a full disk."""
 
@@ -277,6 +286,7 @@ def test_failed_write_leaves_previous_checkpoint_intact(tmp_path, monkeypatch):
     monkeypatch.undo()
 
     assert path.read_bytes() == before
+    assert not (tmp_path / "checkpoint.bin.partial").exists()
     loaded, epochs_completed = load_checkpoint(path, graph)
     assert epochs_completed == 1
     np.testing.assert_array_equal(loaded.params()[0].data, saved)

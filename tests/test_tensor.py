@@ -1,13 +1,19 @@
 """Autodiff core: forward values against naive oracles, gradients against
 closed forms and central differences."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from flowcast import tensor
+from flowcast.data import prepare_dataset, ring_edge_lines, synthetic_series
 from flowcast.errors import ContractError
+from flowcast.model import ModelConfig, build_model, train
 from flowcast.optim import finite_diff_check, zero_gradients
+from flowcast.stgraph import load_spatial_graph
 from flowcast.tensor import (
     Param,
     Tensor,
@@ -107,6 +113,18 @@ def test_softmax_stable_at_large_magnitudes():
     assert np.all(np.isfinite(out))
     assert np.allclose(out[0], [1.0, 0.0], atol=1e-300)
     assert np.allclose(out.sum(axis=-1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "rows", [[[1000.0, 0.0], [-1000.0, -999.0]], [[0.0, -720.0], [-720.0, 0.0]]]
+)
+def test_softmax_weights_are_never_subnormal(rows):
+    # exp(-720) is about 2e-313, a subnormal that np.exp is slow to return;
+    # the shifted branch floors its exponents so exp returns normal numbers
+    out = _softmax(rows)
+    assert not np.any((out != 0.0) & (np.abs(out) < np.finfo(np.float64).tiny))
+    shifted = np.array(rows) - np.max(rows, axis=-1, keepdims=True)
+    assert np.allclose(out, softmax_naive(shifted), rtol=0, atol=1e-300)
 
 
 @given(
@@ -550,6 +568,61 @@ def test_grad_ranged_attention_at_scores_near_500_with_a_one_row_range():
         assert np.all(np.isfinite(param.grad))
     # the one-row range attends only to itself, with weight 1
     np.testing.assert_allclose(v.grad[:, 4], probe.data[:, 4], rtol=1e-12, atol=0)
+
+
+def _closure(node: Tensor) -> dict:
+    """The backward closure's free variables, by name."""
+    fn = node.backward_fn
+    return dict(zip(fn.__code__.co_freevars, (cell.cell_contents for cell in fn.__closure__)))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_ranged_attention_shifted_and_unshifted_branches_agree(monkeypatch, seed):
+    # a limit of 0 forces the exact per-query max, one of infinity the
+    # unshifted exp; ragged ranges, one of them a single row
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(scale=2.0, size=(2, 3, 12, 4)) for _ in range(3)]
+    probe = _probe((2, 3, 12, 4), 43)
+    results = {}
+    for limit, shifted in ((0.0, True), (np.inf, False)):
+        monkeypatch.setattr(tensor, "_UNSHIFTED_SCORE_LIMIT", limit)
+        q, k, v = (Param(a, name) for a, name in zip(arrays, "qkv"))
+        node = ranged_attention(q, k, v, [(0, 5), (5, 6), (6, 12)])
+        state = _closure(node)
+        assert state["shifted"] is shifted
+        log_norm = state["log_norm"]
+        backward(tensor_sum(mul(node, probe)))
+        results[shifted] = (node.data, log_norm, q.grad, k.grad, v.grad)
+    for exact, unshifted in zip(results[True], results[False]):
+        scale = np.abs(exact).max()
+        np.testing.assert_allclose(unshifted, exact, rtol=0, atol=1e-14 * scale)
+
+
+def test_benchmark_model_scores_take_the_unshifted_branch(monkeypatch):
+    # the tiny-train benchmark model (8-node ring, dim 16, 2 heads, l = 2):
+    # every call of a 4-epoch run, from initialization on, proves its scores
+    # small enough for the unshifted exp
+    decisions = []
+    needs_shift = tensor._needs_shift
+
+    def spy(q, k, factor):
+        decisions.append(needs_shift(q, k, factor))
+        return decisions[-1]
+
+    monkeypatch.setattr(tensor, "_needs_shift", spy)
+    series = synthetic_series(8, 78, interval_min=60, seed=1, noise=1.0)
+    dataset = prepare_dataset(series, t_in=12, t_out=3, ratios=(1.0, 0.0, 0.0))
+    config = ModelConfig(
+        n_nodes=8, t_in=12, t_out=3, channels=1, dim=16, spe_modes=4, gamma=24,
+        n_blocks=1, n_heads=2, n_subsets=2, seed=1, learning_rate=0.005,
+        batch_size=8, epochs=4,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        model = build_model(config, load_spatial_graph(ring_edge_lines(8)))
+    train(model, dataset)
+    assert len(decisions) >= 2 * 32
+    assert not any(decisions)
 
 
 def test_operator_sugar_matches_functions():
