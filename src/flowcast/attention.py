@@ -22,11 +22,10 @@ from .tensor import (
     ParamGroup,
     Tensor,
     add,
+    add_norm_ffn,
     gather_rows,
-    layer_norm,
     matmul,
     ranged_attention,
-    relu,
     reshape,
     transpose,
 )
@@ -177,7 +176,8 @@ def apply_module(
     subset's elements in ascending flat order. One subset_attention call
     attends inside every range, and one gather by the scheme's inverse
     permutation puts every row back at its flat id. The merged result then
-    goes through residual + norm, feed-forward, residual + norm.
+    goes through residual + norm, feed-forward, residual + norm, as one
+    tensor.add_norm_ffn node over cache-sized row tiles.
     """
     if x.ndim < 2 or x.shape[-2] != scheme.n_elements:
         raise ContractError(
@@ -191,11 +191,10 @@ def apply_module(
         for subset_id in range(scheme.n_subsets):
             capture.record(subset_id, sink[subset_id * n_heads : (subset_id + 1) * n_heads])
     merged = gather_rows(attended, scheme.inverse)
-
-    y = layer_norm(add(merged, x), params.norm1_gain, params.norm1_bias)
-    hidden = relu(add(matmul(y, params.w_ffn1), params.b_ffn1))
-    ffn = add(matmul(hidden, params.w_ffn2), params.b_ffn2)
-    return layer_norm(add(ffn, y), params.norm2_gain, params.norm2_bias)
+    return add_norm_ffn(
+        merged, x, params.w_ffn1, params.b_ffn1, params.w_ffn2, params.b_ffn2,
+        params.norm1_gain, params.norm1_bias, params.norm2_gain, params.norm2_bias,
+    )
 
 
 def apply_block(

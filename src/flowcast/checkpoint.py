@@ -21,16 +21,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import struct
 from dataclasses import asdict
-from pathlib import Path
 from typing import get_args, get_type_hints
 
 import numpy as np
 
 from .data import NormStats
 from .errors import ContractError, InputError, require_file
+from .files import atomic_write
 from .model import ForecastModel, ModelConfig, build_model, load_params
 from .partition import PartitionScheme
 from .stgraph import SpatialGraph
@@ -89,18 +88,12 @@ def save_checkpoint(model: ForecastModel, path, epochs_completed: int = 0) -> No
         ],
     }, default=_json_scalar).encode("utf-8")
 
-    partial = Path(f"{path}.partial")
-    try:
-        with open(partial, "wb") as fh:
-            fh.write(_PREFIX.pack(MAGIC, VERSION, len(header)) + header)
-            for _, array in tensors:
-                fh.write(np.ascontiguousarray(array, dtype="<f8"))
-            for scheme in schemes:
-                fh.write(scheme.assignment.astype("<u4"))
-        os.replace(partial, path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
+    with atomic_write(path, "wb") as fh:
+        fh.write(_PREFIX.pack(MAGIC, VERSION, len(header)) + header)
+        for _, array in tensors:
+            fh.write(np.ascontiguousarray(array, dtype="<f8"))
+        for scheme in schemes:
+            fh.write(scheme.assignment.astype("<u4"))
 
 
 def load_checkpoint(path, spatial: SpatialGraph) -> tuple[ForecastModel, int]:

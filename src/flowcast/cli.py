@@ -27,6 +27,7 @@ from .data import (
 )
 from .embedding import compute_spe, embed
 from .errors import ContractError, FlowcastError, InputError, NumericError, require_file
+from .files import atomic_write
 from .model import (
     ModelConfig,
     TraceRow,
@@ -296,8 +297,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
 
 
 def _write_trace(path: Path, rows: list[TraceRow], append: bool) -> None:
-    mode = "a" if append else "w"
-    with open(path, mode) as fh:
+    with atomic_write(path, "a" if append else "w") as fh:
         if not append:
             fh.write(TraceRow.csv_header() + "\n")
         for row in rows:
@@ -327,7 +327,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     if not args.resume:
         write_partition(model.p1, out / "partition_p1.txt")
         write_partition(model.p2, out / "partition_p2.txt")
-    (out / "effective_config.txt").write_text(effective_config)
+    with atomic_write(out / "effective_config.txt") as fh:
+        fh.write(effective_config)
 
     trace_path = out / "trace.csv"
     append = args.resume is not None and trace_path.exists()

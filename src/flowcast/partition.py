@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ContractError, InputError, require_file
+from .files import atomic_write
 from .stgraph import STCoord, UnifiedGraph, spatial_hops
 
 
@@ -487,8 +487,7 @@ def partition_report(p1: PartitionScheme, p2: PartitionScheme) -> PartitionRepor
 
 def write_partition(scheme: PartitionScheme, path) -> None:
     """Write "flat_index subset_id" lines under the scheme header block."""
-    path = Path(path)
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"# scheme {scheme.label}\n")
         fh.write(f"# l {scheme.n_subsets}\n")
         fh.write(f"# tau {scheme.tau}\n")

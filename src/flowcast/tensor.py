@@ -524,27 +524,162 @@ def ranged_attention(
 # ---------------------------------------------------------------------------
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean and unit variance, then apply
-    the learnable elementwise affine. Variance is the population variance.
+# Added to each row's variance before its inverse square root.
+_NORM_EPS = 1e-5
 
-    The four row means, the forward's mean and variance and the
-    backward's two, are GEMVs against a (width, 1) column of 1/width;
-    BLAS runs them faster than numpy reduces over the last axis."""
+
+def _norm_rows(a: np.ndarray, row_mean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of a at zero mean and unit population variance, and each
+    row's inverse std, (..., 1). row_mean is a (width, 1) column of
+    1/width: BLAS runs the row means as GEMVs faster than numpy reduces
+    over the last axis."""
+    xhat = a - a @ row_mean
+    inv = 1.0 / np.sqrt((xhat * xhat) @ row_mean + _NORM_EPS)
+    xhat *= inv
+    return xhat, inv
+
+
+def _norm_rows_grad(
+    gx: np.ndarray,
+    xhat: np.ndarray,
+    inv: np.ndarray,
+    row_mean: np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """d(loss)/d(a) for (xhat, inv) = _norm_rows(a), given gx = d(loss)/d(xhat)."""
+    term = gx - gx @ row_mean - xhat * ((gx * xhat) @ row_mean)
+    return np.multiply(term, inv, out=out)
+
+
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean and unit variance, then apply
+    the learnable elementwise affine. Variance is the population variance."""
     width = a.data.shape[-1]
     if gain.data.shape != (width,) or bias.data.shape != (width,):
         raise ContractError(
             f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match width {width}"
         )
     row_mean = np.full((width, 1), 1.0 / width)
-    centered = a.data - a.data @ row_mean
-    inv = 1.0 / np.sqrt((centered * centered) @ row_mean + eps)
-    xhat = centered * inv
+    xhat, inv = _norm_rows(a.data, row_mean)
     def bwd(g: np.ndarray) -> None:
         _accumulate(bias, g)
         _accumulate(gain, g * xhat)
-        gx = g * gain.data
-        term = gx - gx @ row_mean - xhat * ((gx * xhat) @ row_mean)
-        _accumulate(a, term * inv)
+        _accumulate(a, _norm_rows_grad(g * gain.data, xhat, inv, row_mean))
 
     return Tensor(xhat * gain.data + bias.data, (a, gain, bias), bwd)
+
+
+# Rows per tile of add_norm_ffn. A 512-row tile's (512, 4D) hidden and its
+# (512, D) rows stay in a 2 MiB L2 at D = 16. At 20,160 rows and D = 16, on
+# one core of a 2-vCPU VM with one OpenBLAS thread, tiles of 128, 256, 512,
+# 1024 and 2048 rows ran the forward plus backward in 46.1, 34.2, 32.3, 37.1
+# and 38.5 ms, against 49.7 ms in one tile.
+_TILE_ROWS = 512
+
+
+def add_norm_ffn(
+    attended: Tensor,
+    x: Tensor,
+    w1: Tensor,
+    b1: Tensor,
+    w2: Tensor,
+    b2: Tensor,
+    g1: Tensor,
+    beta1: Tensor,
+    g2: Tensor,
+    beta2: Tensor,
+) -> Tensor:
+    """LN2(relu(y W1 + b1) W2 + b2 + y), where y = LN1(attended + x); one tape node.
+
+    attended and x are (..., D), w1 (D, H), w2 (H, D), b1 (H,), and b2 and
+    each layer norm's gain and bias (D,). The same ops taped one by one
+    would stream every (rows, D) and (rows, H) intermediate through
+    memory nine times; here the rows run in tiles of _TILE_ROWS, so each
+    tile's intermediates stay in cache from the residual to the output.
+
+    Only when the output records a graph does the forward keep, per tile,
+    both normalized rows, their inverse stds and the post-relu hidden;
+    under no_grad it keeps nothing. The backward walks the same tiles from
+    what was kept, recomputing only y from the first normalized rows. Each
+    weight gradient is one GEMM per tile and each bias or gain gradient a
+    ones-row GEMV per tile, summed over the tiles.
+    """
+    if attended.shape != x.shape or x.ndim < 1:
+        raise ContractError(f"add_norm_ffn needs equal input shapes, got {attended.shape} and {x.shape}")
+    width = x.shape[-1]
+    hidden = w1.shape[-1] if w1.ndim == 2 else -1
+    affine = (b2, g1, beta1, g2, beta2)
+    if (
+        w1.shape != (width, hidden)
+        or b1.shape != (hidden,)
+        or w2.shape != (hidden, width)
+        or any(p.shape != (width,) for p in affine)
+    ):
+        raise ContractError(
+            f"add_norm_ffn weights {w1.shape}/{b1.shape}/{w2.shape}/{b2.shape} and norm "
+            f"affines {'/'.join(str(p.shape) for p in affine[1:])} do not fit width {width}"
+        )
+    parents = (attended, x, w1, b1, w2, b2, g1, beta1, g2, beta2)
+    keep = _recording and any(p.requires_grad for p in parents)
+    a_rows = attended.data.reshape(-1, width)
+    x_rows = x.data.reshape(-1, width)
+    n_rows = x_rows.shape[0]
+    tiles = [(lo, min(lo + _TILE_ROWS, n_rows)) for lo in range(0, n_rows, _TILE_ROWS)]
+    row_mean = np.full((width, 1), 1.0 / width)
+    out = np.empty(x.data.shape)
+    out_rows = out.reshape(-1, width)
+    kept: list[tuple[np.ndarray, ...]] = []
+    for lo, hi in tiles:
+        norm1, inv1 = _norm_rows(a_rows[lo:hi] + x_rows[lo:hi], row_mean)
+        y = norm1 * g1.data
+        y += beta1.data
+        h = y @ w1.data
+        h += b1.data
+        np.maximum(h, 0.0, out=h)
+        f = h @ w2.data
+        f += b2.data
+        f += y
+        norm2, inv2 = _norm_rows(f, row_mean)
+        np.multiply(norm2, g2.data, out=out_rows[lo:hi])
+        out_rows[lo:hi] += beta2.data
+        if keep:
+            kept.append((norm1, inv1, h, norm2, inv2))
+
+    def bwd(g: np.ndarray) -> None:
+        g_rows = g.reshape(-1, width)
+        d_rows = np.empty((n_rows, width))
+        d_w1, d_w2 = np.zeros(w1.shape), np.zeros(w2.shape)
+        d_b1 = np.zeros((1, hidden))
+        d_b2, d_g1, d_beta1, d_g2, d_beta2 = (np.zeros((1, width)) for _ in range(5))
+        ones = np.ones((1, _TILE_ROWS))
+        # BLAS reads a contiguous transpose faster than a transposed view
+        w1_t, w2_t = np.ascontiguousarray(w1.data.T), np.ascontiguousarray(w2.data.T)
+        for (lo, hi), (norm1, inv1, h, norm2, inv2) in zip(tiles, kept):
+            g_tile = g_rows[lo:hi]
+            ones_tile = ones[:, : hi - lo]
+            d_beta2 += ones_tile @ g_tile
+            d_g2 += ones_tile @ (g_tile * norm2)
+            d_f = _norm_rows_grad(g_tile * g2.data, norm2, inv2, row_mean)
+            d_b2 += ones_tile @ d_f
+            d_w2 += h.T @ d_f
+            d_h = d_f @ w2_t
+            d_h *= h > 0.0
+            d_b1 += ones_tile @ d_h
+            y = norm1 * g1.data
+            y += beta1.data
+            d_w1 += y.T @ d_h
+            d_y = d_h @ w1_t
+            d_y += d_f
+            d_beta1 += ones_tile @ d_y
+            d_g1 += ones_tile @ (d_y * norm1)
+            _norm_rows_grad(d_y * g1.data, norm1, inv1, row_mean, out=d_rows[lo:hi])
+        d_in = d_rows.reshape(x.data.shape)
+        _accumulate(attended, d_in)
+        _accumulate(x, d_in)
+        for param, grad in zip(
+            (w1, b1, w2, b2, g1, beta1, g2, beta2),
+            (d_w1, d_b1, d_w2, d_b2, d_g1, d_beta1, d_g2, d_beta2),
+        ):
+            _accumulate(param, grad.reshape(param.data.shape))
+
+    return Tensor(out, parents, bwd)

@@ -18,6 +18,7 @@ from flowcast.tensor import (
     Param,
     Tensor,
     add,
+    add_norm_ffn,
     backward,
     layer_norm,
     matmul,
@@ -275,8 +276,9 @@ def _interleaved_scheme():
 
 def test_module_merges_interleaved_subsets_exactly():
     # every element's attention output is subset_attention over its own
-    # subset, bit for bit: the module output equals the post-attention
-    # stack applied to those per-subset results placed at their elements
+    # subset, bit for bit: the module output equals the module's own
+    # post-attention op applied to those per-subset results placed at
+    # their elements
     rng = np.random.default_rng(89)
     params = init_module_params(rng, 8, 2, "m")
     scheme = _interleaved_scheme()
@@ -288,7 +290,10 @@ def test_module_merges_interleaved_subsets_exactly():
     att = np.full(x.shape, np.nan)
     for indices in scheme.subsets:
         att[:, indices, :] = subset_attention(Tensor(x[:, indices, :]), params.attention).data
-    want = _after_attention(Tensor(att), Tensor(x), params)
+    want = add_norm_ffn(
+        Tensor(att), Tensor(x), params.w_ffn1, params.b_ffn1, params.w_ffn2, params.b_ffn2,
+        params.norm1_gain, params.norm1_bias, params.norm2_gain, params.norm2_bias,
+    )
     assert np.array_equal(got.data, want.data)
 
 
@@ -326,14 +331,14 @@ def _tape_size(out):
 
 def test_module_records_no_layout_ops():
     # rows arrive in flat element order, the order the subsets index, so a
-    # module records two gathers, nine attention ops and nine for residual,
-    # norm and feed-forward: 20 op nodes. Converting to and from an
-    # (N, T, D) grid costs a transpose and a reshape on each side.
+    # module records two gathers, nine attention ops and one add_norm_ffn
+    # for residual, norm and feed-forward: 12 op nodes. Converting to and
+    # from an (N, T, D) grid costs a transpose and a reshape on each side.
     rng = np.random.default_rng(97)
     params = init_module_params(rng, 8, 2, "m")
     x = Param(rng.normal(size=(2, 15, 8)), "x")
     nodes = _tape_nodes(apply_module(x, _interleaved_scheme(), params))
-    assert sum(node.backward_fn is not None for node in nodes) == 20
+    assert sum(node.backward_fn is not None for node in nodes) == 12
     assert sum(isinstance(node, Param) for node in nodes) == 1 + len(params.params())
 
 

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from flowcast import checkpoint
+from flowcast import files
 from flowcast.checkpoint import load_checkpoint, save_checkpoint
 from flowcast.data import prepare_dataset, ring_edge_lines, synthetic_series
 from flowcast.errors import InputError
@@ -280,7 +280,7 @@ def test_failed_write_leaves_previous_checkpoint_intact(tmp_path, monkeypatch):
     saved = model.params()[0].data.copy()
 
     model.params()[0].data += 1.0
-    monkeypatch.setattr(checkpoint, "open", _FailingFile, raising=False)
+    monkeypatch.setattr(files, "open", _FailingFile, raising=False)
     with pytest.raises(OSError, match="No space left"):
         save_checkpoint(model, path, epochs_completed=2)
     monkeypatch.undo()

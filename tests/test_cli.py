@@ -141,6 +141,26 @@ def test_train_resume_appends_trace(workspace, capsys):
     assert "nothing to train" in capsys.readouterr().out
 
 
+def test_failed_trace_append_leaves_the_previous_trace_intact(workspace, monkeypatch):
+    # the resumed run's second new row raises after its first was written
+    tmp, config, out = workspace
+    assert main(["train", "--config", str(config)]) == 0
+    before = (out / "trace.csv").read_text()
+    to_csv = cli.TraceRow.to_csv
+
+    def interrupted(row):
+        if row.epoch == 4:
+            raise RuntimeError("write interrupted")
+        return to_csv(row)
+
+    monkeypatch.setattr(cli.TraceRow, "to_csv", interrupted)
+    argv = ["train", "--config", str(config), "--resume", str(out / "checkpoint.bin")]
+    with pytest.raises(RuntimeError, match="write interrupted"):
+        main(argv + ["--epochs", "4"])
+    assert (out / "trace.csv").read_text() == before
+    assert not list(out.glob("*.partial"))
+
+
 def test_evaluate_prints_horizons(workspace, capsys):
     tmp, config, out = workspace
     assert main(["train", "--config", str(config)]) == 0

@@ -548,6 +548,30 @@ def test_partition_round_trip(tmp_path):
         assert [s.tolist() for s in back.subsets] == [s.tolist() for s in scheme.subsets]
 
 
+class _FailsAt:
+    """An assignment whose lookup raises at one element."""
+
+    def __init__(self, assignment, bad: int):
+        self.assignment, self.bad = assignment, bad
+
+    def __getitem__(self, flat):
+        if flat == self.bad:
+            raise RuntimeError("write interrupted")
+        return self.assignment[flat]
+
+
+def test_failed_partition_write_leaves_the_previous_file_intact(tmp_path):
+    _, p1, p2 = _ring_pair()
+    target = tmp_path / "partition_p1.txt"
+    write_partition(p1, target)
+    before = target.read_text()
+    p2.assignment = _FailsAt(p2.assignment, bad=p2.n_elements // 2)
+    with pytest.raises(RuntimeError, match="write interrupted"):
+        write_partition(p2, target)
+    assert target.read_text() == before
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["partition_p1.txt"]
+
+
 def test_read_partition_missing_file(tmp_path):
     with pytest.raises(InputError):
         read_partition("/nonexistent/partition.txt")

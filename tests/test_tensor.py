@@ -19,6 +19,7 @@ from flowcast.tensor import (
     Tensor,
     absolute,
     add,
+    add_norm_ffn,
     backward,
     constant,
     gather_rows,
@@ -297,6 +298,7 @@ def _every_op(x: Param, w: Param, g: Param) -> list:
         absolute(x), tensor_sum(x), reshape(x, (3, 4)), transpose(x, (1, 0)),
         gather_rows(x, np.array([3, 1, 0, 2])), layer_norm(x, g, g),
         ranged_attention(heads, heads, heads, bounds),
+        add_norm_ffn(x, x, w, g, w, g, g, g, g, g),
     ]
 
 
@@ -623,6 +625,78 @@ def test_benchmark_model_scores_take_the_unshifted_branch(monkeypatch):
     train(model, dataset)
     assert len(decisions) >= 2 * 32
     assert not any(decisions)
+
+
+# ---------------------------------------------------------------------------
+# add_norm_ffn: residual, layer norm, feed-forward, residual, layer norm
+# ---------------------------------------------------------------------------
+
+
+def _post_attention_leaves(shape, seed):
+    """attended, x and the eight weights of a (..., D) add_norm_ffn, hidden 4D."""
+    rng = np.random.default_rng(seed)
+    width, hidden = shape[-1], 4 * shape[-1]
+    arrays = [
+        rng.normal(size=shape), rng.normal(size=shape),
+        rng.normal(size=(width, hidden)) / np.sqrt(width), rng.normal(size=hidden) * 0.1,
+        rng.normal(size=(hidden, width)) / np.sqrt(hidden), rng.normal(size=width) * 0.1,
+        1.0 + rng.normal(size=width) * 0.1, rng.normal(size=width) * 0.1,
+        1.0 + rng.normal(size=width) * 0.1, rng.normal(size=width) * 0.1,
+    ]
+    names = ["attended", "x", "w1", "b1", "w2", "b2", "g1", "beta1", "g2", "beta2"]
+    return [Param(a, name) for a, name in zip(arrays, names)]
+
+
+def _taped_post_attention(attended, x, w1, b1, w2, b2, g1, beta1, g2, beta2):
+    y = layer_norm(add(attended, x), g1, beta1)
+    hidden = relu(add(matmul(y, w1), b1))
+    return layer_norm(add(add(matmul(hidden, w2), b2), y), g2, beta2)
+
+
+def _post_attention_run(op, shape, seed):
+    leaves = _post_attention_leaves(shape, seed)
+    out = op(*leaves)
+    backward(tensor_sum(mul(out, _probe(shape, seed + 1))))
+    return out.data, [leaf.grad for leaf in leaves]
+
+
+def test_add_norm_ffn_in_one_tile_is_the_taped_chain_bit_for_bit():
+    rows = tensor._TILE_ROWS - 12
+    got = add_norm_ffn(*_post_attention_leaves((rows, 8), 50))
+    want = _taped_post_attention(*_post_attention_leaves((rows, 8), 50))
+    assert np.array_equal(got.data, want.data)
+
+
+def test_add_norm_ffn_over_a_ragged_last_tile_matches_the_taped_chain():
+    shape = (2 * tensor._TILE_ROWS + 37, 8)
+    got_out, got_grads = _post_attention_run(add_norm_ffn, shape, 51)
+    want_out, want_grads = _post_attention_run(_taped_post_attention, shape, 51)
+    assert len(got_grads) == 10
+    for got, want in zip([got_out] + got_grads, [want_out] + want_grads):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+
+def test_grad_add_norm_ffn_over_tiles_against_central_differences(monkeypatch):
+    # four-row tiles split the 30 rows into eight tiles, the last of two
+    monkeypatch.setattr(tensor, "_TILE_ROWS", 4)
+    leaves = _post_attention_leaves((2, 15, 4), 52)
+    probe = _probe((2, 15, 4), 53)
+
+    def make_loss():
+        return tensor_sum(mul(add_norm_ffn(*leaves), probe))
+
+    assert finite_diff_check(make_loss, leaves, samples=10**6) < 1e-6
+
+
+@pytest.mark.parametrize("position, shape", [
+    (1, (5, 4)), (2, ()), (2, (4, 8)), (2, (3, 16)), (3, (15,)), (4, (16, 3)), (4, (8, 4)),
+    (5, (3,)), (6, (5,)), (7, (4, 1)), (8, (3,)), (9, (16,)),
+])
+def test_add_norm_ffn_rejects_mismatched_shapes(position, shape):
+    leaves = _post_attention_leaves((6, 4), 54)
+    leaves[position] = Param(np.zeros(shape), "bad")
+    with pytest.raises(ContractError):
+        add_norm_ffn(*leaves)
 
 
 def test_operator_sugar_matches_functions():
