@@ -10,7 +10,7 @@ module, with its own parameters, on the shifted partition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .tensor import (
     Tensor,
     add,
     add_norm_ffn,
+    constant,
     gather_rows,
     matmul,
     ranged_attention,
@@ -105,69 +106,59 @@ def init_block_params(
     )
 
 
-@dataclass
-class AlphaCapture:
-    """Collects attention weights per subset during one module application.
-
-    by_subset maps subset id to the list of per-head weight arrays, each
-    shaped (..., m, m) over the subset's m elements.
-    """
-
-    by_subset: dict[int, list[np.ndarray]] = field(default_factory=dict)
-
-    def record(self, subset_id: int, alphas: list[np.ndarray]) -> None:
-        self.by_subset[subset_id] = alphas
-
-    def mean_row(self, subset_id: int, position: int) -> np.ndarray:
-        """Head-averaged attention row for one query position."""
-        heads = self.by_subset[subset_id]
-        stacked = np.stack([a[..., position, :] for a in heads], axis=0)
-        return stacked.mean(axis=0)
+def _heads_view(elements: Tensor, params: AttentionParams) -> tuple[Tensor, Tensor, Tensor]:
+    """Rows (..., M, D) viewed as (..., 1, M, D), with their query and key
+    maps: each stacked map gives (..., H, M, d_h) for all rows at once.
+    Keys carry no bias: the softmax would cancel it."""
+    if elements.ndim < 2:
+        raise ContractError(f"subset needs shape (..., m, D), got {elements.shape}")
+    k = elements.ndim - 2  # leading axes before (M, D)
+    x = reshape(elements, elements.shape[:k] + (1,) + elements.shape[k:])
+    return x, add(matmul(x, params.w_query), params.b_query), matmul(x, params.w_key)
 
 
 def subset_attention(
     elements: Tensor,
     params: AttentionParams,
-    capture: list[np.ndarray] | None = None,
     sizes: list[int] | None = None,
 ) -> Tensor:
     """Dense multi-head attention inside each subset; shape (..., M, D) kept.
 
     sizes splits the M rows into consecutive subsets, in order; by default
-    all rows form one subset. The heads are one tensor axis: the input is
-    viewed as (..., 1, M, D), so each stacked map gives (..., H, M, d_h)
-    for all rows at once. Inside each subset, scores are scaled dot
-    products of the query and key maps, softmaxed per query row, and used
-    to mix the value map; tensor.ranged_attention does this for every
-    subset as one tape node. Head outputs are laid side by side and passed
-    through the output matrix. Keys carry no bias: the softmax would cancel
-    it. capture, if given, receives H weight arrays (..., m, m) per subset,
-    in subset order.
+    all rows form one subset. The heads are one tensor axis of the query,
+    key and value maps. Inside each subset, scores are scaled dot products
+    of the query and key maps, softmaxed per query row, and used to mix
+    the value map; tensor.ranged_attention does this for every subset as
+    one tape node, and keeps no weights. Head outputs are laid side by
+    side and passed through the output matrix.
     """
-    if elements.ndim < 2:
-        raise ContractError(f"subset needs shape (..., m, D), got {elements.shape}")
+    x, queries, keys = _heads_view(elements, params)
     n_rows = elements.shape[-2]
     sizes = [n_rows] if sizes is None else list(sizes)
     if min(sizes, default=0) < 1 or sum(sizes) != n_rows:
         raise ContractError(f"subset sizes must be >= 1 and sum to {n_rows}, got {sizes}")
     ends = np.cumsum(sizes).tolist()
     bounds = list(zip([0] + ends[:-1], ends))
-    k = elements.ndim - 2  # leading axes before (M, D)
-    x = reshape(elements, elements.shape[:k] + (1,) + elements.shape[k:])
-    queries = add(matmul(x, params.w_query), params.b_query)
-    mixed = ranged_attention(
-        queries, matmul(x, params.w_key), matmul(x, params.w_value), bounds, capture
-    )
+    mixed = ranged_attention(queries, keys, matmul(x, params.w_value), bounds)
+    k = elements.ndim - 2
     side_by_side = transpose(mixed, tuple(range(k)) + (k + 1, k, k + 2))
     return matmul(reshape(side_by_side, elements.shape), params.w_out)
 
 
-def apply_module(
-    x: Tensor,
-    scheme: PartitionScheme,
-    params: ModuleParams,
-    capture: AlphaCapture | None = None,
-) -> Tensor:
+def attention_weights(elements: Tensor, params: AttentionParams) -> Tensor:
+    """Softmax weights of one subset's m rows, (..., H, m, m), query-major.
+
+    The query and key maps are subset_attention's, and the core is the
+    same ranged_attention call over one range, with identity values: each
+    output row is then exactly one query's weights over the subset.
+    """
+    _, queries, keys = _heads_view(elements, params)
+    m = elements.shape[-2]
+    identity = constant(np.broadcast_to(np.eye(m), queries.shape[:-1] + (m,)))
+    return ranged_attention(queries, keys, identity, [(0, m)])
+
+
+def apply_module(x: Tensor, scheme: PartitionScheme, params: ModuleParams) -> Tensor:
     """One attention module over a partition; shape (..., n_elements, D) kept.
 
     Row k of x is the unified graph's element with flat id k, the order
@@ -183,13 +174,7 @@ def apply_module(
         raise ContractError(
             f"partition covers {scheme.n_elements} elements but input has shape {x.shape}"
         )
-
-    sink: list[np.ndarray] | None = [] if capture is not None else None
-    attended = subset_attention(gather_rows(x, scheme.order), params.attention, sink, scheme.sizes)
-    if capture is not None:
-        n_heads = params.attention.w_query.shape[0]
-        for subset_id in range(scheme.n_subsets):
-            capture.record(subset_id, sink[subset_id * n_heads : (subset_id + 1) * n_heads])
+    attended = subset_attention(gather_rows(x, scheme.order), params.attention, scheme.sizes)
     merged = gather_rows(attended, scheme.inverse)
     return add_norm_ffn(
         merged, x, params.w_ffn1, params.b_ffn1, params.w_ffn2, params.b_ffn2,
@@ -198,16 +183,11 @@ def apply_module(
 
 
 def apply_block(
-    x: Tensor,
-    p1: PartitionScheme,
-    p2: PartitionScheme,
-    params: BlockParams,
-    capture_one: AlphaCapture | None = None,
-    capture_two: AlphaCapture | None = None,
+    x: Tensor, p1: PartitionScheme, p2: PartitionScheme, params: BlockParams
 ) -> Tensor:
     """Primary-partition module followed by the shifted-partition module.
 
     Rows in and out are flat element ids, (..., n_elements, D).
     """
-    x = apply_module(x, p1, params.module_one, capture_one)
-    return apply_module(x, p2, params.module_two, capture_two)
+    x = apply_module(x, p1, params.module_one)
+    return apply_module(x, p2, params.module_two)

@@ -15,7 +15,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .attention import AlphaCapture, apply_block
+from .attention import apply_block
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
     Dataset,
@@ -39,6 +39,7 @@ from .model import (
     masked_mae_loss,
     metrics_from_arrays,
     predict_windows,
+    subset_weights,
     train,
 )
 from .optim import finite_diff_check
@@ -449,17 +450,16 @@ def cmd_export_attention(args: argparse.Namespace) -> int:
     if not 0 <= args.time < model.config.t_in:
         raise InputError(f"time must be in [0, {model.config.t_in})")
 
-    capture = AlphaCapture()
-    captures = {(args.block, args.module - 1): capture}
-    with no_grad():
-        forward_arrays(model, window.values_norm, window.day, window.step, captures)
-
     scheme = model.p1 if args.module == 1 else model.p2
     flat = model.unified.coord_to_flat(STCoord(node=args.node, time=args.time))
     subset_id = scheme.subset_of(flat)
     members = scheme.subsets[subset_id]
     position = int(np.flatnonzero(members == flat)[0])
-    row = capture.mean_row(subset_id, position)
+    with no_grad():
+        weights = subset_weights(
+            model, window.values_norm, window.day, window.step, args.block, args.module, subset_id
+        )
+    row = weights[:, position, :].mean(axis=0)
 
     out = _out_dir(cfg)
     path = out / "attention.csv"

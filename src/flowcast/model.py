@@ -15,9 +15,10 @@ from typing import Iterable
 import numpy as np
 
 from .attention import (
-    AlphaCapture,
     BlockParams,
     apply_block,
+    apply_module,
+    attention_weights,
     init_block_params,
 )
 from .data import Dataset, NormStats, WindowSample, batch_arrays
@@ -222,11 +223,7 @@ def build_model(
 
 
 def forward_arrays(
-    model: ForecastModel,
-    values: np.ndarray,
-    day: np.ndarray,
-    step: np.ndarray,
-    captures: dict[tuple[int, int], AlphaCapture] | None = None,
+    model: ForecastModel, values: np.ndarray, day: np.ndarray, step: np.ndarray
 ) -> Tensor:
     """Forward over (N, T, C) or batched (B, N, T, C) arrays.
 
@@ -234,21 +231,41 @@ def forward_arrays(
     (..., T·N, D) in flat element order, time · N + node. The adapter views
     them as (..., T, N·D), remaps T to t_out for every node in one product,
     projects D to C, and returns (..., N, t_out, C).
-
-    captures, when given, maps (block_index, module_index) to an
-    AlphaCapture that receives the attention weights of that module.
     """
     x = embed(values, day, step, model.spe, model.tpe, model.embedding)
-    for b, block in enumerate(model.blocks):
-        cap1 = captures.get((b, 0)) if captures else None
-        cap2 = captures.get((b, 1)) if captures else None
-        x = apply_block(x, model.p1, model.p2, block, cap1, cap2)
+    for block in model.blocks:
+        x = apply_block(x, model.p1, model.p2, block)
     adapter, n, dim = model.adapter, model.config.n_nodes, x.shape[-1]
     lead, k = x.shape[:-2], x.ndim - 2
     x = matmul(adapter.w_time, reshape(x, lead + (-1, n * dim)))
     x = add(reshape(x, lead + (-1, n, dim)), adapter.b_time)
     x = add(matmul(x, adapter.w_out), adapter.b_out)
     return transpose(x, tuple(range(k)) + (k + 1, k, k + 2))
+
+
+def subset_weights(
+    model: ForecastModel, values: np.ndarray, day: np.ndarray, step: np.ndarray,
+    block: int, module: int, subset_id: int,
+) -> np.ndarray:
+    """Attention weights of one subset in one module, (..., H, m, m).
+
+    module is 1 (primary partition) or 2 (shifted). The forward runs only
+    up to that module's input: the embedding, the blocks before block, and
+    the block's primary module when module is 2. The subset's rows, in
+    ascending flat order, then go through attention.attention_weights, so
+    row and column i stand for the subset's i-th element.
+    """
+    if not 0 <= block < len(model.blocks) or module not in (1, 2):
+        raise ContractError(f"no module {module} in block {block}")
+    x = embed(values, day, step, model.spe, model.tpe, model.embedding)
+    for params in model.blocks[:block]:
+        x = apply_block(x, model.p1, model.p2, params)
+    scheme, params = model.p1, model.blocks[block].module_one
+    if module == 2:
+        x = apply_module(x, scheme, params)
+        scheme, params = model.p2, model.blocks[block].module_two
+    rows = constant(x.data[..., scheme.subsets[subset_id], :])
+    return attention_weights(rows, params.attention).data
 
 
 def forward(model: ForecastModel, window: WindowSample) -> Tensor:

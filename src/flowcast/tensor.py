@@ -117,38 +117,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # Operator sugar. Scalars are lifted to constant tensors where needed.
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, other):
-        if not isinstance(other, (int, float)):
-            raise ContractError("tensor division is only supported by a python scalar")
-        return scale(self, 1.0 / float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, _lift(other))
-
 
 class Param(Tensor):
     """A named leaf tensor whose gradient persists between backward calls."""
@@ -182,12 +150,6 @@ def _params_in(items: list) -> list[Param]:
         elif isinstance(item, list):
             out.extend(_params_in(item))
     return out
-
-
-def _lift(value) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(value)
 
 
 def constant(value) -> Tensor:
@@ -422,17 +384,15 @@ def _needs_shift(q: np.ndarray, k: np.ndarray, factor: float) -> bool:
 
 
 def ranged_attention(
-    queries: Tensor,
-    keys: Tensor,
-    values: Tensor,
-    bounds: list[tuple[int, int]],
-    capture: list[np.ndarray] | None = None,
+    queries: Tensor, keys: Tensor, values: Tensor, bounds: list[tuple[int, int]]
 ) -> Tensor:
     """Scaled softmax attention inside each row range [lo, hi); one tape node.
 
-    Inputs are (..., H, M, d_h) and the ranges must tile the M rows. A row
+    Queries and keys are (..., H, M, d_h), values (..., H, M, d_v), and the
+    ranges must tile the M rows; the output is (..., H, M, d_v). A row
     attends only to rows of its own range, so no value or gradient crosses
-    a range.
+    a range. With identity values, d_v = M, each output row holds its
+    query's softmax weights over its range and zeros elsewhere.
 
     Scores are held key-major, (..., keys, queries). Once per call, the
     bound d_h * max|q / sqrt(d_h)| * max|k| caps every |score| at O(M d_h)
@@ -442,16 +402,16 @@ def ranged_attention(
     -2 and floored at _EXP_FLOOR first. The weights are never normalized:
     one GEMM of [v | 1]^T with them gives the output rows and, in the last
     row, each query's total. q^T and [v | 1]^T are laid out feature-major,
-    (..., d_h (+1), M), once per call, so each range reads column slices
-    and writes its (d_h + 1, m) block into one buffer; the division by
-    the totals and the log normalizers are one pass each after the loop.
+    (..., d_h, M) and (..., d_v + 1, M), once per call, so each range reads
+    column slices and writes its (d_v + 1, m) block into one buffer; the
+    division by the totals and the log normalizers are one pass each after
+    the loop.
 
     As in FlashAttention, the forward keeps only each row's log
     normalizer, shift + log(total); the backward recomputes a range's
     weights as exp([k | 1] @ [q | -log_norm]^T), one GEMM and one exp, with
     [q | -log_norm]^T and [g | -inner]^T laid out feature-major the same
-    way. capture, if given, receives one normalized (..., m, m)
-    weight array per head per range, query-major, in range order.
+    way.
     """
     if min(queries.ndim, keys.ndim, values.ndim) < 3:
         raise ContractError(
@@ -480,12 +440,10 @@ def ranged_attention(
             np.maximum(weights, _EXP_FLOOR, out=weights)
         np.exp(weights, out=weights)
         np.matmul(v_one_t[..., lo:hi], weights, out=mixed[..., lo:hi])
-        if capture is not None:
-            alphas = np.swapaxes(weights / mixed[..., width:, lo:hi], -1, -2)
-            capture.extend(alphas[..., h, :, :].copy() for h in range(q.shape[-3]))
-    totals = mixed[..., width:, :]
-    out = np.empty(q.shape)
-    np.divide(mixed[..., :width, :], totals, out=np.swapaxes(out, -1, -2))
+    v_width = v.shape[-1]
+    totals = mixed[..., v_width:, :]
+    out = np.empty(q.shape[:-1] + (v_width,))
+    np.divide(mixed[..., :v_width, :], totals, out=np.swapaxes(out, -1, -2))
     log_norm = np.log(totals)
     if shifted:
         log_norm += peaks

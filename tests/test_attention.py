@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from flowcast.attention import (
-    AlphaCapture,
     apply_block,
     apply_module,
+    attention_weights,
     init_attention_params,
     init_block_params,
     init_module_params,
@@ -20,9 +20,11 @@ from flowcast.tensor import (
     add,
     add_norm_ffn,
     backward,
+    gather_rows,
     layer_norm,
     matmul,
     mul,
+    ranged_attention,
     relu,
     tensor_sum,
 )
@@ -65,22 +67,20 @@ def test_attention_matches_loop_oracle():
         params = _random_attention(rng, dim, n_heads)
         x = rng.normal(size=(m, dim))
 
-        sink = []
-        got = subset_attention(Tensor(x), params, sink)
+        got = subset_attention(Tensor(x), params)
+        alphas = attention_weights(Tensor(x), params).data
         want, want_alphas = attention_oracle(x, _heads_as_arrays(params, rng), params.w_out.data)
 
         assert np.max(np.abs(got.data - want)) < 1e-10
-        assert len(sink) == n_heads
-        for a, b in zip(sink, want_alphas):
+        assert alphas.shape == (n_heads, m, m)
+        for a, b in zip(alphas, want_alphas):
             assert np.max(np.abs(a - b)) < 1e-10
 
 
 def test_attention_rows_are_stochastic():
     rng = np.random.default_rng(72)
     params = _random_attention(rng, 8, 2)
-    sink = []
-    subset_attention(Tensor(rng.normal(size=(6, 8))), params, sink)
-    for alpha in sink:
+    for alpha in attention_weights(Tensor(rng.normal(size=(6, 8))), params).data:
         assert np.all(alpha >= 0.0)
         np.testing.assert_allclose(alpha.sum(axis=-1), 1.0, atol=1e-9)
 
@@ -91,12 +91,11 @@ def test_single_element_subset_is_value_map():
     rng = np.random.default_rng(73)
     params = _random_attention(rng, 6, 2)
     x = rng.normal(size=(1, 6))
-    sink = []
-    got = subset_attention(Tensor(x), params, sink)
+    got = subset_attention(Tensor(x), params)
 
     values = np.concatenate([x @ w for w in params.w_value.data], axis=-1)
     np.testing.assert_allclose(got.data, values @ params.w_out.data, atol=1e-12)
-    for alpha in sink:
+    for alpha in attention_weights(Tensor(x), params).data:
         np.testing.assert_allclose(alpha, [[1.0]], atol=1e-15)
 
 
@@ -104,9 +103,7 @@ def test_identical_rows_attend_uniformly():
     rng = np.random.default_rng(74)
     params = _random_attention(rng, 8, 2)
     row = rng.normal(size=8)
-    sink = []
-    subset_attention(Tensor(np.tile(row, (4, 1))), params, sink)
-    for alpha in sink:
+    for alpha in attention_weights(Tensor(np.tile(row, (4, 1))), params).data:
         np.testing.assert_allclose(alpha, 0.25, atol=1e-12)
 
 
@@ -156,20 +153,6 @@ def test_init_names_and_shapes():
         "blk0.att.w_key": (2, 8, 4),
         "blk0.att.w_out": (8, 8),
     }
-
-
-# ---------------------------------------------------------------------------
-# AlphaCapture
-# ---------------------------------------------------------------------------
-
-
-def test_alpha_capture_mean_row():
-    cap = AlphaCapture()
-    a0 = np.array([[0.25, 0.75], [0.5, 0.5]])
-    a1 = np.array([[0.75, 0.25], [0.0, 1.0]])
-    cap.record(3, [a0, a1])
-    np.testing.assert_allclose(cap.mean_row(3, 0), [0.5, 0.5], atol=1e-15)
-    np.testing.assert_allclose(cap.mean_row(3, 1), [0.25, 0.75], atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +235,10 @@ def test_module_records_alphas_per_subset():
     rng = np.random.default_rng(83)
     params = init_module_params(rng, 8, 2, "m")
     scheme = _two_subset_scheme(4, 3, {0, 2})
-    cap = AlphaCapture()
-    apply_module(Tensor(rng.normal(size=(12, 8))), scheme, params, cap)
-    assert set(cap.by_subset) == {0, 1}
-    for subset_id, indices in enumerate(scheme.subsets):
-        for alpha in cap.by_subset[subset_id]:
+    x = rng.normal(size=(12, 8))
+    assert scheme.n_subsets == 2
+    for indices in scheme.subsets:
+        for alpha in attention_weights(Tensor(x[indices]), params.attention).data:
             assert alpha.shape == (len(indices), len(indices))
             np.testing.assert_allclose(alpha.sum(axis=-1), 1.0, atol=1e-9)
 
@@ -404,11 +386,16 @@ def test_block_shape_and_captures():
     p1 = _two_subset_scheme(n, t, {0, 1, 2}, label="p1")
     p2 = _two_subset_scheme(n, t, {1, 2, 3}, label="p2")
     params = init_block_params(rng, 8, 2, "b")
-    cap1, cap2 = AlphaCapture(), AlphaCapture()
-    out = apply_block(Tensor(rng.normal(size=(n * t, 8))), p1, p2, params, cap1, cap2)
+    x = Tensor(rng.normal(size=(n * t, 8)))
+    out = apply_block(x, p1, p2, params)
     assert out.shape == (n * t, 8)
-    assert set(cap1.by_subset) == {0, 1}
-    assert set(cap2.by_subset) == {0, 1}
+    # the shifted module's weights are read from the primary module's output
+    mid = apply_module(x, p1, params.module_one).data
+    for rows, scheme, module in ((x.data, p1, params.module_one), (mid, p2, params.module_two)):
+        assert scheme.n_subsets == 2
+        for indices in scheme.subsets:
+            alphas = attention_weights(Tensor(rows[indices]), module.attention).data
+            assert alphas.shape == (2, len(indices), len(indices))
 
 
 def test_block_modules_have_independent_params():
@@ -505,41 +492,48 @@ def test_module_tape_size_does_not_grow_with_subsets():
     assert sizes[0] == sizes[1] == sizes[2], sizes
 
 
-def test_fused_capture_equals_per_subset_calls_bit_for_bit():
+def test_weights_times_values_give_the_fused_module_attention():
+    # the weights read through the core with identity values, applied to
+    # each subset's own value rows, reproduce the module's fused attention
     rng = np.random.default_rng(95)
     params = init_module_params(rng, 8, 4, "m")
     params.attention.b_query.data[:] = rng.normal(scale=0.5, size=params.attention.b_query.shape)
+    att = params.attention
     scheme = _ragged_scheme()
     batch = 2
     x = rng.normal(size=(batch, 15, 8))
-    cap = AlphaCapture()
-    apply_module(Tensor(x), scheme, params, cap)
+    fused = subset_attention(gather_rows(Tensor(x), scheme.order), att, scheme.sizes).data
 
-    assert sorted(cap.by_subset) == [0, 1, 2, 3]
-    for subset_id, indices in enumerate(scheme.subsets):
-        sink = []
-        subset_attention(Tensor(x[:, indices, :]), params.attention, sink)
-        got = cap.by_subset[subset_id]
-        assert len(got) == len(sink) == 4
-        for fused, alone in zip(got, sink):
-            assert fused.shape == (batch, len(indices), len(indices))
-            assert np.array_equal(fused, alone)
+    ends = np.cumsum(scheme.sizes)
+    for indices, lo, hi in zip(scheme.subsets, ends - scheme.sizes, ends):
+        m = len(indices)
+        alphas = attention_weights(Tensor(x[:, indices, :]), att).data
+        assert alphas.shape == (batch, 4, m, m)
+        values = x[:, None, indices, :] @ att.w_value.data  # (batch, H, m, d_h)
+        heads = alphas @ values
+        side_by_side = np.swapaxes(heads, 1, 2).reshape(batch, m, 8)
+        np.testing.assert_allclose(
+            side_by_side @ att.w_out.data, fused[:, lo:hi], rtol=0, atol=1e-12
+        )
 
 
 def test_subset_attention_sizes_split_rows_into_independent_ranges():
     rng = np.random.default_rng(96)
     params = _random_attention(rng, 8, 2)
     x = rng.normal(size=(2, 9, 8))
-    sink = []
-    got = subset_attention(Tensor(x), params, sink, sizes=[4, 1, 4])
-    assert len(sink) == 3 * 2
-    for i, (lo, hi) in enumerate(((0, 4), (4, 5), (5, 9))):
-        part_sink = []
-        want = subset_attention(Tensor(x[:, lo:hi]), params, part_sink)
+    bounds = [(0, 4), (4, 5), (5, 9)]
+    got = subset_attention(Tensor(x), params, sizes=[4, 1, 4])
+    # identity values over all nine rows read every range's weights at once
+    queries = x[:, None] @ params.w_query.data + params.b_query.data
+    keys = x[:, None] @ params.w_key.data
+    identity = np.broadcast_to(np.eye(9), queries.shape[:-1] + (9,))
+    weights = ranged_attention(Tensor(queries), Tensor(keys), Tensor(identity), bounds).data
+    for lo, hi in bounds:
+        want = subset_attention(Tensor(x[:, lo:hi]), params)
         # a one-row product may take another BLAS path than a nine-row one
         np.testing.assert_allclose(got.data[:, lo:hi], want.data, rtol=0, atol=1e-12)
-        for fused, alone in zip(sink[2 * i : 2 * i + 2], part_sink):
-            np.testing.assert_allclose(fused, alone, rtol=0, atol=1e-12)
+        alone = attention_weights(Tensor(x[:, lo:hi]), params).data
+        np.testing.assert_allclose(weights[..., lo:hi, lo:hi], alone, rtol=0, atol=1e-12)
     for bad in ([4, 4], [4, 0, 5], [10]):
         with pytest.raises(ContractError):
             subset_attention(Tensor(x), params, sizes=bad)

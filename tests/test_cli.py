@@ -360,8 +360,12 @@ def test_export_attention_row_sums_to_one(workspace, capsys):
     [
         (["predict"], "predictions.csv"),
         (["export-attention", "--node", "2", "--time", "1", "--block", "1"], "attention.csv"),
+        (
+            ["export-attention", "--node", "2", "--time", "1", "--block", "1", "--module", "2"],
+            "attention.csv",
+        ),
     ],
-    ids=["predict", "export-attention"],
+    ids=["predict", "export-attention", "export-attention-module-2"],
 )
 def test_inference_output_is_unchanged_by_no_grad(workspace, monkeypatch, argv, written):
     tmp, config, out = workspace

@@ -7,8 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from flowcast import partition, stgraph
-from flowcast.attention import AlphaCapture
+from flowcast import attention, partition, stgraph
+from flowcast.attention import attention_weights
 from flowcast.data import batch_arrays, prepare_dataset, ring_edge_lines, synthetic_series
 from flowcast.errors import ContractError, NumericError
 from flowcast.model import (
@@ -22,10 +22,11 @@ from flowcast.model import (
     masked_mae_loss,
     metrics_from_arrays,
     predict_windows,
+    subset_weights,
     train,
 )
 from flowcast.stgraph import load_spatial_graph
-from flowcast.tensor import Param, backward, matmul
+from flowcast.tensor import Param, Tensor, backward, matmul
 
 from oracles import metrics_oracle
 
@@ -205,16 +206,44 @@ def test_forward_window_sample():
 def test_forward_captures_attention():
     model = _build()
     rng = np.random.default_rng(1)
-    captures = {(0, 0): AlphaCapture(), (0, 1): AlphaCapture()}
-    forward_arrays(
-        model, rng.normal(size=(4, 4, 1)), np.zeros(4, dtype=np.int64), np.arange(4), captures
-    )
-    for cap in captures.values():
-        assert set(cap.by_subset) == {0, 1}
-        for alphas in cap.by_subset.values():
-            assert len(alphas) == 2  # heads
+    window = (rng.normal(size=(4, 4, 1)), np.zeros(4, dtype=np.int64), np.arange(4))
+    for module, scheme in ((1, model.p1), (2, model.p2)):
+        assert scheme.n_subsets == 2
+        for subset_id, members in enumerate(scheme.subsets):
+            alphas = subset_weights(model, *window, 0, module, subset_id)
+            assert alphas.shape == (2, len(members), len(members))  # heads
             for alpha in alphas:
                 np.testing.assert_allclose(alpha.sum(axis=-1), 1.0, atol=1e-9)
+    with pytest.raises(ContractError):
+        subset_weights(model, *window, 1, 1, 0)
+
+
+def test_subset_weights_read_the_rows_the_forward_attends(monkeypatch):
+    # record what each module of a two-block forward feeds subset_attention,
+    # in call order: block 0 module 1, block 0 module 2, block 1 module 1, ...
+    model = _build(n_blocks=2)
+    rng = np.random.default_rng(2)
+    window = (rng.normal(size=(3, 4, 4, 1)), np.zeros(4, dtype=np.int64), np.arange(4))
+    fed = []
+    original = attention.subset_attention
+
+    def spy(elements, params, sizes=None):
+        fed.append(elements.data.copy())
+        return original(elements, params, sizes)
+
+    monkeypatch.setattr(attention, "subset_attention", spy)
+    forward_arrays(model, *window)
+    monkeypatch.undo()
+    assert len(fed) == 4
+    for b, block in enumerate(model.blocks):
+        modules = ((1, model.p1, block.module_one), (2, model.p2, block.module_two))
+        for module, scheme, params in modules:
+            rows = fed[2 * b + module - 1]
+            ends = np.cumsum(scheme.sizes)
+            for subset_id, (lo, hi) in enumerate(zip(ends - scheme.sizes, ends)):
+                want = attention_weights(Tensor(rows[:, lo:hi]), params.attention).data
+                got = subset_weights(model, *window, b, module, subset_id)
+                assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -85,18 +85,18 @@ def test_matmul_shape_mismatch_raises():
 
 
 def _softmax(x) -> np.ndarray:
-    """Row softmax of x (r, m), r <= m, read back from ranged_attention's
-    capture: one head, one square range with d_h = m, q = sqrt(m) I and
-    k = x^T, so the scaled scores q k^T / sqrt(m) are the rows of x,
-    padded with zero rows up to m."""
+    """Row softmax of x (r, m), r <= m, read back from ranged_attention
+    with identity values: one head, one square range with d_h = m,
+    q = sqrt(m) I and k = x^T, so the scaled scores q k^T / sqrt(m) are the
+    rows of x, padded with zero rows up to m, and each output row is its
+    query's weights."""
     rows = np.array(x, dtype=np.float64)
     r, m = rows.shape
     keys = np.zeros((1, m, m))
     keys[0, :, :r] = rows.T
     q = constant(np.sqrt(m) * np.eye(m)[None])
-    captured: list[np.ndarray] = []
-    ranged_attention(q, constant(keys), constant(np.zeros((1, m, m))), [(0, m)], captured)
-    return captured[0][:r]
+    out = ranged_attention(q, constant(keys), constant(np.eye(m)[None]), [(0, m)])
+    return out.data[0, :r]
 
 
 def test_softmax_matches_naive_on_moderate_values():
@@ -530,11 +530,42 @@ def test_ranged_attention_rejects_ranges_that_do_not_tile_the_rows(bounds):
         ranged_attention(x, x, x, bounds)
 
 
-@pytest.mark.parametrize("capture", [None, []])
-def test_ranged_attention_rejects_inputs_without_a_head_axis(capture):
+def test_ranged_attention_rejects_inputs_without_a_head_axis():
     x = constant(np.ones((4, 2)))
     with pytest.raises(ContractError, match="H, M, d_h"):
-        ranged_attention(x, x, x, [(0, 4)], capture)
+        ranged_attention(x, x, x, [(0, 4)])
+
+
+def test_ranged_attention_with_identity_values_returns_the_softmax_weights():
+    # ragged ranges over 3 heads x 2 batches: with identity values each
+    # range's output rows are its weights, query-major, and zero outside
+    rng = np.random.default_rng(13)
+    q, k = (rng.normal(scale=1.5, size=(2, 3, 9, 4)) for _ in range(2))
+    bounds = [(0, 4), (4, 5), (5, 9)]
+    identity = np.broadcast_to(np.eye(9), (2, 3, 9, 9))
+    out = ranged_attention(constant(q), constant(k), constant(identity), bounds).data
+    assert out.shape == (2, 3, 9, 9)
+    for lo, hi in bounds:
+        scores = q[..., lo:hi, :] @ np.swapaxes(k[..., lo:hi, :], -1, -2) / 2.0
+        np.testing.assert_allclose(out[..., lo:hi, lo:hi], softmax_naive(scores), rtol=0, atol=1e-12)
+        assert np.all(out[..., lo:hi, :lo] == 0.0) and np.all(out[..., lo:hi, hi:] == 0.0)
+
+
+def test_grad_ranged_attention_with_values_narrower_than_queries():
+    # d_v = 2 against d_h = 5: the output takes the values' width, and the
+    # backward routes every gradient through the same ranges
+    rng = np.random.default_rng(14)
+    q = Param(rng.normal(size=(2, 7, 5)), "q")
+    k = Param(rng.normal(size=(2, 7, 5)), "k")
+    v = Param(rng.normal(size=(2, 7, 2)), "v")
+    probe = _probe((2, 7, 2), 45)
+    bounds = [(0, 3), (3, 4), (4, 7)]
+
+    def make_loss():
+        return tensor_sum(mul(ranged_attention(q, k, v, bounds), probe))
+
+    assert ranged_attention(q, k, v, bounds).shape == (2, 7, 2)
+    assert finite_diff_check(make_loss, [q, k, v], samples=10**6) < 1e-6
 
 
 def test_grad_ranged_attention_at_scores_near_500_with_a_one_row_range():
@@ -697,15 +728,3 @@ def test_add_norm_ffn_rejects_mismatched_shapes(position, shape):
     leaves[position] = Param(np.zeros(shape), "bad")
     with pytest.raises(ContractError):
         add_norm_ffn(*leaves)
-
-
-def test_operator_sugar_matches_functions():
-    x = constant(np.array([1.0, -2.0]))
-    y = constant(np.array([3.0, 5.0]))
-    assert np.array_equal((x + y).data, add(x, y).data)
-    assert np.array_equal((x - y).data, sub(x, y).data)
-    assert np.array_equal((x * 2.0).data, scale(x, 2.0).data)
-    assert np.array_equal((x * y).data, mul(x, y).data)
-    assert np.array_equal((-x).data, [-1.0, 2.0])
-    assert np.array_equal((x / 2).data, [0.5, -1.0])
-    assert np.array_equal((1.0 + x).data, [2.0, -1.0])
