@@ -4,7 +4,6 @@ from .errors import ContractError, FlowcastError, InputError, NumericError
 from .tensor import Param, Tensor, backward
 from .stgraph import STCoord, SpatialGraph, UnifiedGraph, ball, build_unified, load_spatial_graph, st_distance
 from .partition import (
-    BaseNodeSet,
     PartitionScheme,
     build_p1,
     build_p2,

@@ -82,7 +82,6 @@ class ModelConfig:
     n_blocks: int = 4
     n_heads: int = 4
     n_subsets: int = 40
-    tau: int | None = None
     seed: int = 0
     learning_rate: float = 0.001
     batch_size: int = 8
@@ -157,10 +156,11 @@ def build_partitions(
     """P1 around base nodes chosen on the SPE coordinates, with tau
     calibrated for them, and P2 around the same bases shifted. The bases'
     distance stack is built once for both calibration and P1."""
-    bases = make_base_set(unified, spe_coords, n_subsets, seed)
-    stack = unified.distance_rows(bases.flats(unified.n_nodes))
-    bases.tau = calibrate_tau(unified, bases, stack)
-    return build_p1(unified, bases, stack), build_p2(unified, shift_bases(unified, bases))
+    flats = make_base_set(unified, spe_coords, n_subsets, seed)
+    stack = unified.distance_rows(flats)
+    tau = calibrate_tau(unified, stack)
+    p1 = build_p1(unified, flats, stack, tau)
+    return p1, build_p2(unified, shift_bases(unified, flats, tau), tau)
 
 
 def build_model(
@@ -192,7 +192,6 @@ def build_model(
                     f"{scheme.label} covers {scheme.n_elements} elements, expected "
                     f"{unified.n_elements}"
                 )
-    config.tau = p1.tau
 
     rng = np.random.default_rng(config.seed)
     embedding = init_embedding_params(

@@ -13,13 +13,13 @@ so information can cross the primary boundaries on the next pass.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, InputError, require_file
+from .errors import ContractError
 from .files import atomic_write
-from .stgraph import STCoord, UnifiedGraph, spatial_hops
+from .stgraph import UnifiedGraph, spatial_hops
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +86,7 @@ def select_base_nodes(spe_coords: np.ndarray, n_subsets: int, seed: int) -> list
     used: set[int] = set()
     for j in range(n_subsets):
         dist = np.linalg.norm(coords - centroids[j], axis=1)
-        for node in sorted(range(n), key=lambda i: (dist[i], i)):
+        for node in np.argsort(dist, kind="stable").tolist():
             if node not in used:
                 chosen.append(node)
                 used.add(node)
@@ -94,51 +94,20 @@ def select_base_nodes(spe_coords: np.ndarray, n_subsets: int, seed: int) -> list
     return chosen
 
 
-@dataclass
-class BaseNodeSet:
-    """Base elements: one spatial node and one time step per base.
-
-    Without explicit times every base sits at the central time step of
-    the window; shifted sets carry their own time per base.
-    """
-
-    node_ids: list[int]
-    t_center: int
-    tau: int | None = None
-    times: list[int] | None = None
-
-    def __post_init__(self):
-        if self.times is None:
-            self.times = [self.t_center] * len(self.node_ids)
-        if len(self.times) != len(self.node_ids):
-            raise ContractError(f"{len(self.times)} base times for {len(self.node_ids)} bases")
-
-    @property
-    def n_subsets(self) -> int:
-        return len(self.node_ids)
-
-    def coords(self) -> list[STCoord]:
-        return [STCoord(node=i, time=t) for i, t in zip(self.node_ids, self.times)]
-
-    def flats(self, n_nodes: int) -> list[int]:
-        return [t * n_nodes + i for i, t in zip(self.node_ids, self.times)]
+def make_base_set(graph: UnifiedGraph, spe_coords: np.ndarray, n_subsets: int, seed: int) -> list[int]:
+    """Flat ids of the base elements: select_base_nodes' nodes at the central step."""
+    offset = (graph.t_steps // 2) * graph.n_nodes
+    return [offset + node for node in select_base_nodes(spe_coords, n_subsets, seed)]
 
 
-def make_base_set(graph: UnifiedGraph, spe_coords: np.ndarray, n_subsets: int, seed: int) -> BaseNodeSet:
-    nodes = select_base_nodes(spe_coords, n_subsets, seed)
-    return BaseNodeSet(node_ids=nodes, t_center=graph.t_steps // 2)
-
-
-def calibrate_tau(graph: UnifiedGraph, bases: BaseNodeSet, stack: np.ndarray | None = None) -> int:
+def calibrate_tau(graph: UnifiedGraph, stack: np.ndarray) -> int:
     """Smallest radius covering every element from some base.
 
-    The radius is never below floor(T / 2) so a base can reach both ends
-    of its own time column. Raises when some element is unreachable from
-    every base. stack, if given, is the bases' distance_rows, which
-    build_p1 can then reuse.
+    stack is the bases' distance_rows, which build_p1 then reuses. The
+    radius is never below floor(T / 2) so a base can reach both ends of
+    its own time column. Raises when some element is unreachable from
+    every base.
     """
-    if stack is None:
-        stack = graph.distance_rows(bases.flats(graph.n_nodes))
     return max(_cover_radius(graph, stack, "", "base"), graph.t_steps // 2)
 
 
@@ -261,17 +230,13 @@ def _assign(
     )
 
 
-def build_p1(graph: UnifiedGraph, bases: BaseNodeSet, stack: np.ndarray | None = None) -> PartitionScheme:
+def build_p1(graph: UnifiedGraph, flats: list[int], stack: np.ndarray, tau: int) -> PartitionScheme:
     """Assign every element to its nearest base within radius tau.
 
-    stack, if given, is the bases' distance_rows, as calibrate_tau took it.
+    flats are the base elements and stack their distance_rows, as
+    calibrate_tau took it.
     """
-    if bases.tau is None:
-        raise ContractError("bases need a calibrated tau before partitioning")
-    flats = bases.flats(graph.n_nodes)
-    if stack is None:
-        stack = graph.distance_rows(flats)
-    return _assign(graph, stack, flats, bases.tau, "P1")
+    return _assign(graph, stack, flats, tau, "P1")
 
 
 def _two_colour(nearest_peer: list[int | None]) -> list[bool]:
@@ -298,8 +263,11 @@ def _two_colour(nearest_peer: list[int | None]) -> list[bool]:
     return flag
 
 
-def shift_bases(graph: UnifiedGraph, bases: BaseNodeSet) -> BaseNodeSet:
-    """Displace each base in space toward its nearest peer and in time.
+def shift_bases(graph: UnifiedGraph, flats: list[int], tau: int) -> list[int]:
+    """Displace each base element in space toward its nearest peer and in time.
+
+    Takes and returns flat ids, one per base, in base order; the input list
+    is left as it was.
 
     Space: each base walks min(floor(tau / 2), floor(d / 2)) hops, where d
     is the spatial hop count from the base to its nearest other base, along
@@ -312,10 +280,11 @@ def shift_bases(graph: UnifiedGraph, bases: BaseNodeSet) -> BaseNodeSet:
     Stopping at the midpoint keeps two bases that are each other's nearest
     peer from swapping places.
 
-    Time: each shifted base moves half a window, to t_center - T // 2 or
-    t_center + T // 2 clamped to [0, T - 1]. A base and its nearest peer
-    move in opposite directions: the nearest-peer links are 2-coloured,
-    the lowest-index base of each linked group moving earlier. Nearest
+    Time: each shifted base moves half a window from its own base's step
+    t, to t - T // 2 or t + T // 2 clamped to [0, T - 1]; for primary
+    bases t is the central step. A base and its nearest peer move in
+    opposite directions: the nearest-peer links are 2-coloured, the
+    lowest-index base of each linked group moving earlier. Nearest
     peers tie toward the lower base index, so on an undirected graph the
     links form a forest and the colouring is proper.
 
@@ -324,19 +293,19 @@ def shift_bases(graph: UnifiedGraph, bases: BaseNodeSet) -> BaseNodeSet:
     shifted base already took backs off along its walked path, so the
     shifted nodes stay distinct.
     """
-    if bases.tau is None:
-        raise ContractError("bases need a calibrated tau before shifting")
-    if bases.n_subsets == 1:
-        return replace(bases, node_ids=list(bases.node_ids), times=list(bases.times))
+    if len(flats) == 1:
+        return list(flats)
 
     spatial = graph.spatial
+    n = graph.n_nodes
+    nodes = [flat % n for flat in flats]
     neighbor_lists = spatial.neighbor_lists()
     # hops_to_base[q, v]: hops from node v to base q, so walks follow out-edges
-    hops_to_base = spatial_hops(spatial.adjacency.T, bases.node_ids)
-    hops_budget = bases.tau // 2
+    hops_to_base = spatial_hops(spatial.adjacency.T, nodes)
+    hops_budget = tau // 2
 
     nearest: list[tuple[int, int] | None] = []
-    for p, b in enumerate(bases.node_ids):
+    for p, b in enumerate(nodes):
         peers = [
             (int(dist[b]), qi)
             for qi, dist in enumerate(hops_to_base)
@@ -347,13 +316,12 @@ def shift_bases(graph: UnifiedGraph, bases: BaseNodeSet) -> BaseNodeSet:
     later = _two_colour([None if peer is None else peer[1] for peer in nearest])
     half = graph.t_steps // 2
     shifted: list[int] = []
-    shifted_times: list[int] = []
     used: set[int] = set()
-    for p, b in enumerate(bases.node_ids):
+    for p, b in enumerate(nodes):
+        time = flats[p] // n
         if nearest[p] is None:
             warnings.warn(f"base {b} cannot reach any other base; left unshifted")
             target_path = [b]
-            time = bases.times[p]
         else:
             d_near, qi = nearest[p]
             toward, home = hops_to_base[qi], hops_to_base[p]
@@ -370,7 +338,7 @@ def shift_bases(graph: UnifiedGraph, bases: BaseNodeSet) -> BaseNodeSet:
                 cur = min(steps)
                 target_path.append(cur)
             offset = half if later[p] else -half
-            time = min(max(bases.t_center + offset, 0), graph.t_steps - 1)
+            time = min(max(time + offset, 0), graph.t_steps - 1)
 
         landing = target_path[-1]
         if landing in used:
@@ -384,27 +352,19 @@ def shift_bases(graph: UnifiedGraph, bases: BaseNodeSet) -> BaseNodeSet:
                 f"shifted base for subset {p} collided; backed off to node {landing}"
             )
         used.add(landing)
-        shifted.append(landing)
-        shifted_times.append(time)
-
-    return BaseNodeSet(
-        node_ids=shifted, t_center=bases.t_center, tau=bases.tau, times=shifted_times
-    )
+        shifted.append(time * n + landing)
+    return shifted
 
 
-def build_p2(graph: UnifiedGraph, shifted: BaseNodeSet) -> PartitionScheme:
-    """Partition around the shifted bases.
+def build_p2(graph: UnifiedGraph, flats: list[int], tau: int) -> PartitionScheme:
+    """Partition around the shifted base elements flats.
 
-    The primary radius is kept as a floor; if the shifted bases fail to
-    cover every element at that radius, the radius is recalibrated upward
-    for this scheme only, with a warning.
+    The primary radius tau is kept as a floor; if the shifted bases fail
+    to cover every element at that radius, the radius is recalibrated
+    upward for this scheme only, with a warning.
     """
-    if shifted.tau is None:
-        raise ContractError("shifted bases need the primary tau before partitioning")
-    flats = shifted.flats(graph.n_nodes)
     stack = graph.distance_rows(flats)
     needed = _cover_radius(graph, stack, "P2: ", "shifted base")
-    tau = shifted.tau
     if needed > tau:
         warnings.warn(f"shifted cover needs tau={needed}, recalibrated up from {tau}")
         tau = needed
@@ -495,57 +455,3 @@ def write_partition(scheme: PartitionScheme, path) -> None:
         for flat in range(scheme.n_elements):
             fh.write(f"{flat} {int(scheme.assignment[flat])}\n")
 
-
-def read_partition(path) -> PartitionScheme:
-    path = require_file(path, "partition file")
-    header: dict[str, str] = {}
-    rows: list[tuple[int, int]] = []
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].strip().split(None, 1)
-                if len(parts) == 2:
-                    header[parts[0]] = parts[1]
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise InputError(f"{path}:{line_no}: expected 'flat_index subset_id'")
-            try:
-                rows.append((int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise InputError(f"{path}:{line_no}: ids must be integers")
-
-    for key in ("scheme", "l", "tau", "bases"):
-        if key not in header:
-            raise InputError(f"{path}: missing '# {key}' header")
-    label = header["scheme"]
-    try:
-        n_subsets = int(header["l"])
-        tau = int(header["tau"])
-        base_flats = [int(tok) for tok in header["bases"].split(",")]
-    except ValueError:
-        raise InputError(f"{path}: malformed header values")
-    if len(base_flats) != n_subsets:
-        raise InputError(f"{path}: {len(base_flats)} bases listed for l={n_subsets}")
-
-    n_elements = len(rows)
-    assignment = np.full(n_elements, -1, dtype=np.int64)
-    for flat, subset in rows:
-        if not 0 <= flat < n_elements:
-            raise InputError(f"{path}: flat index {flat} out of range for {n_elements} rows")
-        if assignment[flat] != -1:
-            raise InputError(f"{path}: duplicate row for flat index {flat}")
-        assignment[flat] = subset
-    try:
-        return PartitionScheme(
-            label=label,
-            n_elements=n_elements,
-            tau=tau,
-            base_flats=base_flats,
-            assignment=assignment,
-        )
-    except ContractError as exc:
-        raise InputError(f"{path}: {exc}") from None

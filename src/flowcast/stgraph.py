@@ -43,7 +43,6 @@ class SpatialGraph:
 
     n_nodes: int
     adjacency: np.ndarray
-    edges: list[tuple[int, int, float]]
     labels: list[str] = field(default_factory=list)
 
     def __post_init__(self):
@@ -139,18 +138,16 @@ def load_spatial_graph(source, symmetrize: bool = True) -> SpatialGraph:
         index = order
 
     adjacency = np.zeros((n, n), dtype=np.float64)
-    edges: list[tuple[int, int, float]] = []
     for src, dst, weight in raw_edges:
         i, j = index[src], index[dst]
         if i == j:
             warnings.warn(f"self loop on node {src} kept as given", stacklevel=2)
         adjacency[i, j] = weight
-        edges.append((i, j, weight))
 
     if symmetrize:
         adjacency = np.maximum(adjacency, adjacency.T)
 
-    return SpatialGraph(n_nodes=n, adjacency=adjacency, edges=edges, labels=labels)
+    return SpatialGraph(n_nodes=n, adjacency=adjacency, labels=labels)
 
 
 def spatial_hops(adjacency: np.ndarray, sources) -> np.ndarray:

@@ -29,19 +29,13 @@ from flowcast.embedding import compute_spe
 from flowcast.model import (
     ModelConfig,
     build_model,
+    build_partitions,
     evaluate,
     ha_baseline,
     metrics_from_arrays,
     train,
 )
-from flowcast.partition import (
-    build_p1,
-    build_p2,
-    calibrate_tau,
-    make_base_set,
-    partition_report,
-    shift_bases,
-)
+from flowcast.partition import partition_report
 from flowcast.stgraph import build_unified, load_spatial_graph, st_distance
 from flowcast.tensor import Param, backward, constant, mul, tensor_sum
 
@@ -209,10 +203,7 @@ def test_criterion_03_partition_cover_locality_and_overlap_band(capsys):
         spe = compute_spe(spatial, min(4, n - 1))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            bases = make_base_set(unified, spe.selected, l, seed=idx)
-            bases.tau = calibrate_tau(unified, bases)
-            p1 = build_p1(unified, bases)
-            p2 = build_p2(unified, shift_bases(unified, bases))
+            p1, p2 = build_partitions(unified, spe.selected, l, seed=idx)
             rep = partition_report(p1, p2)
 
         for scheme in (p1, p2):
@@ -327,10 +318,7 @@ def _routing_fixture(kind: str, n: int, t: int, l: int, seed: int):
     spe = compute_spe(spatial, min(4, n - 1))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        bases = make_base_set(unified, spe.selected, l, seed=seed)
-        bases.tau = calibrate_tau(unified, bases)
-        p1 = build_p1(unified, bases)
-        p2 = build_p2(unified, shift_bases(unified, bases))
+        p1, p2 = build_partitions(unified, spe.selected, l, seed=seed)
     return p1, p2
 
 

@@ -95,11 +95,21 @@ def test_build_rejects_node_count_mismatch():
 
 def test_build_sets_tau_and_partitions():
     model = _build()
-    assert model.config.tau == model.p1.tau
     assert model.p1.tau >= 4 // 2
     assert model.p2.tau >= model.p1.tau
     assert model.p1.n_elements == 16
     assert model.unified.n_elements == 16
+
+
+def test_build_leaves_its_config_as_given():
+    config = _config()
+    before = dataclasses.asdict(config)
+    graph = load_spatial_graph(ring_edge_lines(4), symmetrize=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = build_model(config, graph)
+    assert model.config is config
+    assert dataclasses.asdict(config) == before
 
 
 def test_build_is_deterministic():
@@ -130,10 +140,10 @@ def test_build_runs_three_spatial_bfs_tables(monkeypatch):
     model = _build(n_subsets=3)
     assert calls == [3, 3, 3]
 
-    # the shared table assigns exactly what the two-argument calls do
-    bases = partition.make_base_set(model.unified, model.spe.selected, 3, model.config.seed)
-    bases.tau = partition.calibrate_tau(model.unified, bases)
-    p1 = partition.build_p1(model.unified, bases)
+    # the shared table assigns exactly what a table per stage does
+    flats = partition.make_base_set(model.unified, model.spe.selected, 3, model.config.seed)
+    tau = partition.calibrate_tau(model.unified, model.unified.distance_rows(flats))
+    p1 = partition.build_p1(model.unified, flats, model.unified.distance_rows(flats), tau)
     assert (p1.tau, p1.base_flats) == (model.p1.tau, model.p1.base_flats)
     np.testing.assert_array_equal(p1.assignment, model.p1.assignment)
 
