@@ -6,6 +6,10 @@ inside a single module. A module is attention plus residual, layer norm,
 a position-wise feed-forward expansion, another residual, and a second
 layer norm. A block runs one module on the primary partition and a second
 module, with its own parameters, on the shifted partition.
+
+A module records two tape nodes: tensor.ranged_self_attention for its
+attention half, with the subset gathers, the projections and the range
+loop inside the op, and tensor.add_norm_ffn for the position-wise half.
 """
 
 from __future__ import annotations
@@ -21,14 +25,11 @@ from .tensor import (
     Param,
     ParamGroup,
     Tensor,
-    add,
     add_norm_ffn,
     constant,
-    gather_rows,
-    matmul,
+    qkv_projection,
     ranged_attention,
-    reshape,
-    transpose,
+    ranged_self_attention,
 )
 
 FFN_EXPANSION = 4
@@ -106,78 +107,74 @@ def init_block_params(
     )
 
 
-def _heads_view(elements: Tensor, params: AttentionParams) -> tuple[Tensor, Tensor, Tensor]:
-    """Rows (..., M, D) viewed as (..., 1, M, D), with their query and key
-    maps: each stacked map gives (..., H, M, d_h) for all rows at once.
-    Keys carry no bias: the softmax would cancel it."""
-    if elements.ndim < 2:
-        raise ContractError(f"subset needs shape (..., m, D), got {elements.shape}")
-    k = elements.ndim - 2  # leading axes before (M, D)
-    x = reshape(elements, elements.shape[:k] + (1,) + elements.shape[k:])
-    return x, add(matmul(x, params.w_query), params.b_query), matmul(x, params.w_key)
-
-
 def subset_attention(
-    elements: Tensor,
-    params: AttentionParams,
-    sizes: list[int] | None = None,
+    x: Tensor, params: AttentionParams, scheme: PartitionScheme | None = None
 ) -> Tensor:
-    """Dense multi-head attention inside each subset; shape (..., M, D) kept.
+    """Dense multi-head attention inside each subset; one tape node.
 
-    sizes splits the M rows into consecutive subsets, in order; by default
-    all rows form one subset. The heads are one tensor axis of the query,
-    key and value maps. Inside each subset, scores are scaled dot products
-    of the query and key maps, softmaxed per query row, and used to mix
-    the value map; tensor.ranged_attention does this for every subset as
-    one tape node, and keeps no weights. Head outputs are laid side by
-    side and passed through the output matrix.
+    Rows in and out are in flat element order, (..., n_elements, D): row k
+    is the unified graph's element with flat id k, the order the scheme's
+    subsets index. With no scheme, all rows form one subset. Inside each
+    subset, scores are scaled dot products of the query and key maps,
+    softmaxed per query row, and used to mix the value map; head outputs
+    are laid side by side and passed through the output matrix.
+
+    tensor.ranged_self_attention does all of it as one op: one gather by
+    the scheme's subset-major order makes every subset a consecutive row
+    range, one GEMM of the packed [W_q | W_k | W_v]^T gives the maps
+    feature-major, one range loop attends inside every subset, and the
+    output GEMM is followed by one gather by the inverse permutation.
     """
-    x, queries, keys = _heads_view(elements, params)
-    n_rows = elements.shape[-2]
-    sizes = [n_rows] if sizes is None else list(sizes)
-    if min(sizes, default=0) < 1 or sum(sizes) != n_rows:
-        raise ContractError(f"subset sizes must be >= 1 and sum to {n_rows}, got {sizes}")
-    ends = np.cumsum(sizes).tolist()
-    bounds = list(zip([0] + ends[:-1], ends))
-    mixed = ranged_attention(queries, keys, matmul(x, params.w_value), bounds)
-    k = elements.ndim - 2
-    side_by_side = transpose(mixed, tuple(range(k)) + (k + 1, k, k + 2))
-    return matmul(reshape(side_by_side, elements.shape), params.w_out)
+    if x.ndim < 2:
+        raise ContractError(f"subset needs shape (..., m, D), got {x.shape}")
+    if scheme is None:
+        bounds, order, inverse = [(0, x.shape[-2])], None, None
+    else:
+        if x.shape[-2] != scheme.n_elements:
+            raise ContractError(
+                f"partition covers {scheme.n_elements} elements but input has shape {x.shape}"
+            )
+        ends = np.cumsum(scheme.sizes).tolist()
+        bounds = list(zip([0] + ends[:-1], ends))
+        order, inverse = scheme.order, scheme.inverse
+    return ranged_self_attention(
+        x, params.w_query, params.b_query, params.w_key, params.w_value, params.w_out,
+        bounds, order, inverse,
+    )
 
 
 def attention_weights(elements: Tensor, params: AttentionParams) -> Tensor:
     """Softmax weights of one subset's m rows, (..., H, m, m), query-major.
 
-    The query and key maps are subset_attention's, and the core is the
-    same ranged_attention call over one range, with identity values: each
-    output row is then exactly one query's weights over the subset.
+    The query and key maps come from tensor.qkv_projection, the packed
+    GEMM subset_attention runs, with the same query bias, and the core is
+    ranged_attention over one range, which runs the same range loop as
+    subset_attention, with identity values: each output row is then
+    exactly one query's weights over the subset.
     """
-    _, queries, keys = _heads_view(elements, params)
-    m = elements.shape[-2]
-    identity = constant(np.broadcast_to(np.eye(m), queries.shape[:-1] + (m,)))
-    return ranged_attention(queries, keys, identity, [(0, m)])
+    rows = elements.data
+    if rows.ndim < 2:
+        raise ContractError(f"subset needs shape (..., m, D), got {rows.shape}")
+    maps = qkv_projection(rows, params.w_query.data, params.w_key.data, params.w_value.data)
+    queries = np.swapaxes(maps[..., 0, :, :, :], -1, -2) + params.b_query.data
+    keys = np.swapaxes(maps[..., 1, :, :, :], -1, -2)
+    m = rows.shape[-2]
+    identity = np.broadcast_to(np.eye(m), queries.shape[:-1] + (m,))
+    return ranged_attention(constant(queries), constant(keys), constant(identity), [(0, m)])
 
 
 def apply_module(x: Tensor, scheme: PartitionScheme, params: ModuleParams) -> Tensor:
     """One attention module over a partition; shape (..., n_elements, D) kept.
 
-    Row k of x is the unified graph's element with flat id k, the order
-    the scheme's subsets index. One gather by the scheme's subset-major
-    order makes every subset a consecutive row range, in subset order, each
-    subset's elements in ascending flat order. One subset_attention call
-    attends inside every range, and one gather by the scheme's inverse
-    permutation puts every row back at its flat id. The merged result then
-    goes through residual + norm, feed-forward, residual + norm, as one
-    tensor.add_norm_ffn node over cache-sized row tiles.
+    Rows are in flat element order. One subset_attention call attends
+    inside every subset of the scheme and returns the rows in flat order;
+    the result then goes through residual + norm, feed-forward, residual +
+    norm, as one tensor.add_norm_ffn node over cache-sized row tiles. A
+    module records these two tape nodes.
     """
-    if x.ndim < 2 or x.shape[-2] != scheme.n_elements:
-        raise ContractError(
-            f"partition covers {scheme.n_elements} elements but input has shape {x.shape}"
-        )
-    attended = subset_attention(gather_rows(x, scheme.order), params.attention, scheme.sizes)
-    merged = gather_rows(attended, scheme.inverse)
     return add_norm_ffn(
-        merged, x, params.w_ffn1, params.b_ffn1, params.w_ffn2, params.b_ffn2,
+        subset_attention(x, params.attention, scheme), x,
+        params.w_ffn1, params.b_ffn1, params.w_ffn2, params.b_ffn2,
         params.norm1_gain, params.norm1_bias, params.norm2_gain, params.norm2_bias,
     )
 

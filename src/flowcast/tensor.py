@@ -280,8 +280,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError as exc:
         raise ContractError(f"matmul shape mismatch: {a.shape} @ {b.shape}") from exc
     def bwd(g: np.ndarray) -> None:
-        _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
-        _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
+        # an operand that needs no grad gets no product
+        if a.requires_grad:
+            _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
+        if b.requires_grad:
+            _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
 
     return Tensor(data, (a, b), bwd)
 
@@ -324,22 +327,9 @@ def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     return Tensor(np.ascontiguousarray(a.data.transpose(axes)), (a,), bwd)
 
 
-def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
-    """Permute rows along the second-to-last axis: out[..., k, :] = a[..., idx[k], :].
-
-    idx must be a permutation of the rows, so each row's gradient comes
-    back through the inverse permutation.
-    """
-    idx = np.asarray(indices, dtype=np.int64)
-    if a.ndim < 2:
-        raise ContractError(f"gather_rows needs rank >= 2, got shape {a.shape}")
-    inverse = np.argsort(idx)
-    if idx.shape != (a.shape[-2],) or not np.array_equal(idx[inverse], np.arange(a.shape[-2])):
-        raise ContractError(f"gather_rows needs a permutation of {a.shape[-2]} rows")
-    def bwd(g: np.ndarray) -> None:
-        _accumulate(a, np.take(g, inverse, axis=-2))
-
-    return Tensor(np.take(a.data, idx, axis=-2), (a,), bwd)
+# ---------------------------------------------------------------------------
+# attention ops
+# ---------------------------------------------------------------------------
 
 
 def _with_column(a: np.ndarray, column: np.ndarray | float) -> np.ndarray:
@@ -350,17 +340,14 @@ def _with_column(a: np.ndarray, column: np.ndarray | float) -> np.ndarray:
     return out
 
 
-def _feature_major(
-    a: np.ndarray, column: np.ndarray | float | None = None, factor: float = 1.0
-) -> np.ndarray:
+def _feature_major(a: np.ndarray, column: np.ndarray | float, factor: float = 1.0) -> np.ndarray:
     """[a * factor | column]^T: (..., M, d) laid out C-contiguous as
-    (..., d, M), or (..., d + 1, M) with the column as the last row, so a
-    range of rows [lo, hi) is the column slice [..., lo:hi]."""
+    (..., d + 1, M), with the column as the last row, so a range of rows
+    [lo, hi) is the column slice [..., lo:hi]."""
     width = a.shape[-1]
-    out = np.empty(a.shape[:-2] + (width + (column is not None), a.shape[-2]))
+    out = np.empty(a.shape[:-2] + (width + 1, a.shape[-2]))
     np.multiply(np.swapaxes(a, -1, -2), factor, out=out[..., :width, :])
-    if column is not None:
-        out[..., width:, :] = column
+    out[..., width:, :] = column
     return out
 
 
@@ -377,10 +364,102 @@ _EXP_FLOOR = -700.0
 def _needs_shift(q: np.ndarray, k: np.ndarray, factor: float) -> bool:
     """False when d_h * max|q * factor| * max|k|, a bound on every |score|,
     is at most _UNSHIFTED_SCORE_LIMIT; a NaN bound, from a non-finite
-    input, fails the test too."""
+    input, fails the test too. k holds key rows, (..., M, d_h); q may be
+    laid out either way."""
     q_peak, k_peak = (max(a.max(initial=0.0), -a.min(initial=0.0)) for a in (q, k))
-    bound = q.shape[-1] * factor * q_peak * k_peak
+    bound = k.shape[-1] * factor * q_peak * k_peak
     return not bound <= _UNSHIFTED_SCORE_LIMIT
+
+
+def _check_ranges(bounds: list[tuple[int, int]], n_rows: int) -> None:
+    edges = [0] + [hi for _, hi in bounds]
+    tiled = [lo for lo, _ in bounds] == edges[:-1] and edges[-1] == n_rows
+    if not tiled or any(lo >= hi for lo, hi in bounds):
+        raise ContractError(f"ranges {bounds} do not tile rows [0, {n_rows}) in order")
+
+
+def _attend(
+    q_norm_t: np.ndarray,
+    k: np.ndarray,
+    v_one_t: np.ndarray,
+    bounds: list[tuple[int, int]],
+    shifted: bool,
+    out_t: np.ndarray,
+) -> None:
+    """The forward range loop over feature-major operands.
+
+    q_norm_t is (..., H, d_h + 1, M) with q / sqrt(d_h) in its first d_h
+    rows, k holds key rows (..., H, M, d_h), and v_one_t is [v | 1]^T,
+    (..., H, d_v + 1, M). Each range's scores are key-major, k @ q^T, and
+    its weights exp(scores), shifted by each query's max and floored at
+    _EXP_FLOOR first when shifted is set. The weights are never
+    normalized: one GEMM of [v | 1]^T with them gives the outputs and, in
+    the last row, each query's total. The outputs divided by the totals go
+    to out_t, (..., H, d_v, M), and each query's negated log normalizer,
+    -(shift + log(total)), to the last row of q_norm_t, which makes it the
+    [q | -log_norm]^T that _attend_grad reads.
+    """
+    d_v = v_one_t.shape[-2] - 1
+    q_t = q_norm_t[..., :-1, :]
+    mixed = np.empty(v_one_t.shape)
+    if shifted:
+        peaks = np.empty(q_norm_t.shape[:-2] + (1, q_norm_t.shape[-1]))
+    for lo, hi in bounds:
+        weights = k[..., lo:hi, :] @ q_t[..., lo:hi]
+        if shifted:
+            peak = peaks[..., lo:hi]
+            np.max(weights, axis=-2, keepdims=True, out=peak)
+            weights -= peak
+            np.maximum(weights, _EXP_FLOOR, out=weights)
+        np.exp(weights, out=weights)
+        np.matmul(v_one_t[..., lo:hi], weights, out=mixed[..., lo:hi])
+    totals = mixed[..., d_v:, :]
+    np.divide(mixed[..., :d_v, :], totals, out=out_t)
+    log_norm = q_norm_t[..., -1:, :]
+    np.log(totals, out=log_norm)
+    if shifted:
+        log_norm += peaks
+    np.negative(log_norm, out=log_norm)
+
+
+def _attend_grad(
+    q_norm_t: np.ndarray,
+    k_one: np.ndarray,
+    v_one_t: np.ndarray,
+    g_t: np.ndarray,
+    out_t: np.ndarray,
+    bounds: list[tuple[int, int]],
+    shifted: bool,
+    factor: float,
+    grads_t: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> None:
+    """The backward range loop: from _attend's [q | -log_norm]^T, [k | 1],
+    [v | 1]^T and out_t, and the output gradient g_t, (..., H, d_v, M),
+    writes the query, key and value gradients feature-major into grads_t,
+    (..., H, d, M) each. As in FlashAttention, each range's weights are
+    recomputed as exp([k | 1] @ [q | -log_norm]^T), one GEMM and one exp.
+    """
+    dq_t, dk_t, dv_t = grads_t
+    d_v = g_t.shape[-2]
+    # row softmax backward needs <dL/dalpha_i, alpha_i>, which equals
+    # <g_i, out_i> because out_i = sum_j alpha_ij v_j; the augmented
+    # rows and columns fold it and the log normalizer into the GEMMs
+    g_inner_t = np.empty(g_t.shape[:-2] + (d_v + 1, g_t.shape[-1]))
+    g_inner_t[..., :d_v, :] = g_t
+    np.negative((g_t * out_t).sum(axis=-2, keepdims=True), out=g_inner_t[..., d_v:, :])
+    k_t = np.swapaxes(k_one[..., :-1], -1, -2)
+    v_one = np.swapaxes(v_one_t, -1, -2)
+    for lo, hi in bounds:
+        weights = k_one[..., lo:hi, :] @ q_norm_t[..., lo:hi]
+        if shifted:
+            np.maximum(weights, _EXP_FLOOR, out=weights)
+        np.exp(weights, out=weights)
+        np.matmul(g_inner_t[..., :d_v, lo:hi], np.swapaxes(weights, -1, -2), out=dv_t[..., lo:hi])
+        d_scores = v_one[..., lo:hi, :] @ g_inner_t[..., lo:hi]
+        d_scores *= weights
+        np.matmul(k_t[..., lo:hi], d_scores, out=dq_t[..., lo:hi])
+        np.matmul(q_norm_t[..., :-1, lo:hi], np.swapaxes(d_scores, -1, -2), out=dk_t[..., lo:hi])
+    dq_t *= factor
 
 
 def ranged_attention(
@@ -394,87 +473,173 @@ def ranged_attention(
     a range. With identity values, d_v = M, each output row holds its
     query's softmax weights over its range and zeros elsewhere.
 
-    Scores are held key-major, (..., keys, queries). Once per call, the
-    bound d_h * max|q / sqrt(d_h)| * max|k| caps every |score| at O(M d_h)
-    cost. When it is at most _UNSHIFTED_SCORE_LIMIT, each range's weights
-    are exp(scores) with no shift; otherwise, or when an input is not
-    finite, each query's scores are shifted by their exact max over axis
-    -2 and floored at _EXP_FLOOR first. The weights are never normalized:
-    one GEMM of [v | 1]^T with them gives the output rows and, in the last
-    row, each query's total. q^T and [v | 1]^T are laid out feature-major,
-    (..., d_h, M) and (..., d_v + 1, M), once per call, so each range reads
-    column slices and writes its (d_v + 1, m) block into one buffer; the
-    division by the totals and the log normalizers are one pass each after
-    the loop.
-
-    As in FlashAttention, the forward keeps only each row's log
-    normalizer, shift + log(total); the backward recomputes a range's
-    weights as exp([k | 1] @ [q | -log_norm]^T), one GEMM and one exp, with
-    [q | -log_norm]^T and [g | -inner]^T laid out feature-major the same
-    way.
+    Once per call, the bound d_h * max|q / sqrt(d_h)| * max|k| caps every
+    |score| at O(M d_h) cost. When it is at most _UNSHIFTED_SCORE_LIMIT,
+    each range's weights are exp(scores) with no shift; otherwise, or when
+    an input is not finite, each query's scores are shifted by their exact
+    max and floored at _EXP_FLOOR first. q^T and [v | 1]^T are laid out
+    feature-major once per call and go through _attend, the range loop
+    that ranged_self_attention runs too. The forward keeps only each row's
+    log normalizer; the backward lays the operands out again and
+    recomputes the weights in _attend_grad.
     """
     if min(queries.ndim, keys.ndim, values.ndim) < 3:
         raise ContractError(
             f"ranged_attention needs (..., H, M, d_h) inputs, got {queries.shape}, "
             f"{keys.shape} and {values.shape}"
         )
-    edges = [0] + [hi for _, hi in bounds]
-    tiled = [lo for lo, _ in bounds] == edges[:-1] and edges[-1] == queries.shape[-2]
-    if not tiled or any(lo >= hi for lo, hi in bounds):
-        raise ContractError(f"ranges {bounds} do not tile rows [0, {queries.shape[-2]}) in order")
+    _check_ranges(bounds, queries.shape[-2])
     q, k, v = queries.data, keys.data, values.data
-    width = q.shape[-1]
-    factor = 1.0 / np.sqrt(float(width))
-    q_t = _feature_major(q, factor=factor)
-    v_one_t = _feature_major(v, 1.0)
-    mixed = np.empty(v_one_t.shape)
+    factor = 1.0 / np.sqrt(float(q.shape[-1]))
     shifted = _needs_shift(q, k, factor)
-    if shifted:
-        peaks = np.empty(q.shape[:-2] + (1, q.shape[-2]))
-    for lo, hi in bounds:
-        weights = k[..., lo:hi, :] @ q_t[..., lo:hi]
-        if shifted:
-            peak = peaks[..., lo:hi]
-            np.max(weights, axis=-2, keepdims=True, out=peak)
-            weights -= peak
-            np.maximum(weights, _EXP_FLOOR, out=weights)
-        np.exp(weights, out=weights)
-        np.matmul(v_one_t[..., lo:hi], weights, out=mixed[..., lo:hi])
-    v_width = v.shape[-1]
-    totals = mixed[..., v_width:, :]
-    out = np.empty(q.shape[:-1] + (v_width,))
-    np.divide(mixed[..., :v_width, :], totals, out=np.swapaxes(out, -1, -2))
-    log_norm = np.log(totals)
-    if shifted:
-        log_norm += peaks
-    log_norm = log_norm.reshape(q.shape[:-1] + (1,))
+    q_norm_t = _feature_major(q, 0.0, factor)
+    out = np.empty(q.shape[:-1] + (v.shape[-1],))
+    _attend(q_norm_t, k, _feature_major(v, 1.0), bounds, shifted, np.swapaxes(out, -1, -2))
+    log_norm = -np.swapaxes(q_norm_t[..., -1:, :], -1, -2)
 
     def bwd(g: np.ndarray) -> None:
-        dq, dk, dv = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
-        # row softmax backward needs <dL/dalpha_i, alpha_i>, which equals
-        # <g_i, out_i> because out_i = sum_j alpha_ij v_j; the augmented
-        # rows and columns fold it and the log normalizer into the GEMMs
-        q_norm_t = _feature_major(q, -np.swapaxes(log_norm, -1, -2), factor)
-        g_inner_t = _feature_major(g, -np.swapaxes((g * out).sum(axis=-1, keepdims=True), -1, -2))
-        k_one = _with_column(k, 1.0)
-        v_one = _with_column(v, 1.0)
-        for lo, hi in bounds:
-            weights = k_one[..., lo:hi, :] @ q_norm_t[..., lo:hi]
-            if shifted:
-                np.maximum(weights, _EXP_FLOOR, out=weights)
-            np.exp(weights, out=weights)
-            np.matmul(weights, g[..., lo:hi, :], out=dv[..., lo:hi, :])
-            d_scores = v_one[..., lo:hi, :] @ g_inner_t[..., lo:hi]
-            d_scores *= weights
-            np.matmul(np.swapaxes(d_scores, -1, -2), k[..., lo:hi, :], out=dq[..., lo:hi, :])
-            q_rows = np.swapaxes(q_norm_t[..., :width, lo:hi], -1, -2)
-            np.matmul(d_scores, q_rows, out=dk[..., lo:hi, :])
-        dq *= factor
-        _accumulate(queries, dq)
-        _accumulate(keys, dk)
-        _accumulate(values, dv)
+        grads_t = tuple(np.empty(a.shape[:-2] + a.shape[:-3:-1]) for a in (q, k, v))
+        _attend_grad(
+            _feature_major(q, -np.swapaxes(log_norm, -1, -2), factor), _with_column(k, 1.0),
+            _feature_major(v, 1.0), np.swapaxes(g, -1, -2), np.swapaxes(out, -1, -2),
+            bounds, shifted, factor, grads_t,
+        )
+        for parent, grad_t in zip((queries, keys, values), grads_t):
+            _accumulate(parent, np.swapaxes(grad_t, -1, -2))
 
     return Tensor(out, (queries, keys, values), bwd)
+
+
+def _packed_maps(w_query: np.ndarray, w_key: np.ndarray, w_value: np.ndarray) -> np.ndarray:
+    """[W_q | W_k | W_v]^T, (3D, D), from maps stacked over heads, (H, D, d_h)
+    each: row h * d_h + j of each block is head h's column j."""
+    return np.concatenate(
+        [np.swapaxes(w, -1, -2).reshape(-1, w.shape[-2]) for w in (w_query, w_key, w_value)]
+    )
+
+
+def qkv_projection(
+    rows: np.ndarray, w_query: np.ndarray, w_key: np.ndarray, w_value: np.ndarray
+) -> np.ndarray:
+    """The query, key and value maps of rows (..., M, D), feature-major:
+    (..., 3, H, d_h, M), from one GEMM of the packed [W_q | W_k | W_v]^T
+    with the rows transposed. No bias is added."""
+    heads, _, head_dim = w_query.shape
+    packed = _packed_maps(w_query, w_key, w_value) @ np.swapaxes(rows, -1, -2)
+    return packed.reshape(packed.shape[:-2] + (3, heads, head_dim, rows.shape[-2]))
+
+
+def ranged_self_attention(
+    x: Tensor,
+    w_query: Tensor,
+    b_query: Tensor,
+    w_key: Tensor,
+    w_value: Tensor,
+    w_out: Tensor,
+    bounds: list[tuple[int, int]],
+    order: np.ndarray | None = None,
+    inverse: np.ndarray | None = None,
+) -> Tensor:
+    """Multi-head self-attention inside row ranges, with its projections; one tape node.
+
+    x is (..., M, D). The rows x[..., order, :] are attended range by
+    range, as ranged_attention would, and the result goes back through the
+    inverse permutation, so the output is (..., M, D) in x's row order;
+    with no order, x's own rows are ranged. The query, key and value maps
+    are stacked over heads, (H, D, d_h), with a query bias (H, 1, d_h);
+    keys carry no bias, as the softmax would cancel it. Head outputs laid
+    side by side go through w_out, (D, D).
+
+    The forward is one np.take by order, one qkv_projection GEMM giving
+    (..., 3D, M), already feature-major, the range loop of _attend over
+    q^T / sqrt(d_h), the key rows and [v | 1]^T, which writes the head
+    outputs as (..., H, d_h, M) = (..., D, M), one output GEMM and one
+    np.take by inverse. Only when the output records a graph does the op
+    keep those three operands and the head outputs; the backward
+    recomputes the weights range by range, writes the query, key and value
+    gradients into one (..., 3D, M) buffer, and takes each packed weight
+    gradient and the input gradient as one GEMM each.
+    """
+    heads, dim, head_dim = w_query.shape if w_query.ndim == 3 else (0, 0, 0)
+    if (
+        x.ndim < 2
+        or x.shape[-1] != dim
+        or heads * head_dim != dim
+        or w_key.shape != w_query.shape
+        or w_value.shape != w_query.shape
+        or b_query.shape != (heads, 1, head_dim)
+        or w_out.shape != (dim, dim)
+    ):
+        raise ContractError(
+            f"ranged_self_attention maps {w_query.shape}/{w_key.shape}/{w_value.shape}, "
+            f"query bias {b_query.shape} and output {w_out.shape} do not fit rows {x.shape}"
+        )
+    n_rows = x.shape[-2]
+    _check_ranges(bounds, n_rows)
+    if order is not None or inverse is not None:
+        if not _inverse_permutations(order, inverse, n_rows):
+            raise ContractError(f"order and inverse are not inverse permutations of {n_rows} rows")
+    parents = (x, w_query, b_query, w_key, w_value, w_out)
+    rows = x.data if order is None else np.take(x.data, order, axis=-2)
+    qkv = qkv_projection(rows, w_query.data, w_key.data, w_value.data)
+    lead = qkv.shape[:-4]
+    q_norm_t = np.empty(lead + (heads, head_dim + 1, n_rows))
+    q_t = q_norm_t[..., :-1, :]
+    np.add(qkv[..., 0, :, :, :], np.swapaxes(b_query.data, -1, -2), out=q_t)
+    k = np.ascontiguousarray(np.swapaxes(qkv[..., 1, :, :, :], -1, -2))
+    v_one_t = np.empty(q_norm_t.shape)
+    v_one_t[..., :-1, :] = qkv[..., 2, :, :, :]
+    v_one_t[..., -1, :] = 1.0
+    del rows, qkv
+    factor = 1.0 / np.sqrt(float(head_dim))
+    shifted = _needs_shift(q_t, k, factor)
+    q_t *= factor
+    heads_t = np.empty(lead + (dim, n_rows))
+    _attend(q_norm_t, k, v_one_t, bounds, shifted, heads_t.reshape(q_t.shape))
+    attended = np.swapaxes(heads_t, -1, -2) @ w_out.data
+    out = attended if inverse is None else np.take(attended, inverse, axis=-2)
+    if not (_recording and any(p.requires_grad for p in parents)):
+        return Tensor(out)
+
+    def bwd(g: np.ndarray) -> None:
+        g_rows = g if order is None else np.take(g, order, axis=-2)
+        _accumulate(w_out, _lead_sum(heads_t @ g_rows))
+        g_t = w_out.data @ np.swapaxes(g_rows, -1, -2)
+        dqkv = np.empty(lead + (3, heads, head_dim, n_rows))
+        _attend_grad(
+            q_norm_t, _with_column(k, 1.0), v_one_t, g_t.reshape(q_t.shape),
+            heads_t.reshape(q_t.shape), bounds, shifted, factor,
+            (dqkv[..., 0, :, :, :], dqkv[..., 1, :, :, :], dqkv[..., 2, :, :, :]),
+        )
+        dqkv = dqkv.reshape(lead + (3 * dim, n_rows))
+        d_bias = dqkv[..., :dim, :].sum(axis=-1).reshape(-1, heads, 1, head_dim).sum(axis=0)
+        _accumulate(b_query, d_bias)
+        rows = x.data if order is None else np.take(x.data, order, axis=-2)
+        d_maps = _lead_sum(dqkv @ rows).reshape(3, heads, head_dim, dim)
+        for param, grad in zip((w_query, w_key, w_value), d_maps):
+            _accumulate(param, np.swapaxes(grad, -1, -2))
+        if x.requires_grad:
+            packed = _packed_maps(w_query.data, w_key.data, w_value.data)
+            d_rows = np.swapaxes(dqkv, -1, -2) @ packed
+            _accumulate(x, d_rows if inverse is None else np.take(d_rows, inverse, axis=-2))
+
+    return Tensor(out, parents, bwd)
+
+
+def _inverse_permutations(order, inverse, n_rows: int) -> bool:
+    """True when order and inverse are index arrays of n_rows entries with
+    inverse[order] = 0, 1, ..., n_rows - 1."""
+    if order is None or inverse is None or {np.shape(order), np.shape(inverse)} != {(n_rows,)}:
+        return False
+    try:
+        return np.array_equal(np.take(inverse, order), np.arange(n_rows))
+    except (IndexError, TypeError):
+        return False
+
+
+def _lead_sum(a: np.ndarray) -> np.ndarray:
+    """Sum of a (..., r, c) array over its leading axes: (r, c)."""
+    return a.reshape((-1,) + a.shape[-2:]).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -14,19 +14,23 @@ from flowcast.attention import (
 )
 from flowcast.errors import ContractError
 from flowcast.partition import PartitionScheme
+from flowcast import tensor
 from flowcast.tensor import (
     Param,
     Tensor,
     add,
     add_norm_ffn,
     backward,
-    gather_rows,
+    constant,
     layer_norm,
     matmul,
     mul,
     ranged_attention,
+    ranged_self_attention,
     relu,
+    reshape,
     tensor_sum,
+    transpose,
 )
 
 from oracles import attention_oracle
@@ -313,14 +317,15 @@ def _tape_size(out):
 
 def test_module_records_no_layout_ops():
     # rows arrive in flat element order, the order the subsets index, so a
-    # module records two gathers, nine attention ops and one add_norm_ffn
-    # for residual, norm and feed-forward: 12 op nodes. Converting to and
-    # from an (N, T, D) grid costs a transpose and a reshape on each side.
+    # module records one ranged_self_attention, which gathers, projects,
+    # attends and scatters inside the op, and one add_norm_ffn for
+    # residual, norm and feed-forward: 2 op nodes. Converting to and from
+    # an (N, T, D) grid would cost a transpose and a reshape on each side.
     rng = np.random.default_rng(97)
     params = init_module_params(rng, 8, 2, "m")
     x = Param(rng.normal(size=(2, 15, 8)), "x")
     nodes = _tape_nodes(apply_module(x, _interleaved_scheme(), params))
-    assert sum(node.backward_fn is not None for node in nodes) == 12
+    assert sum(node.backward_fn is not None for node in nodes) == 2
     assert sum(isinstance(node, Param) for node in nodes) == 1 + len(params.params())
 
 
@@ -502,10 +507,9 @@ def test_weights_times_values_give_the_fused_module_attention():
     scheme = _ragged_scheme()
     batch = 2
     x = rng.normal(size=(batch, 15, 8))
-    fused = subset_attention(gather_rows(Tensor(x), scheme.order), att, scheme.sizes).data
+    fused = subset_attention(Tensor(x), att, scheme).data
 
-    ends = np.cumsum(scheme.sizes)
-    for indices, lo, hi in zip(scheme.subsets, ends - scheme.sizes, ends):
+    for indices in scheme.subsets:
         m = len(indices)
         alphas = attention_weights(Tensor(x[:, indices, :]), att).data
         assert alphas.shape == (batch, 4, m, m)
@@ -513,8 +517,18 @@ def test_weights_times_values_give_the_fused_module_attention():
         heads = alphas @ values
         side_by_side = np.swapaxes(heads, 1, 2).reshape(batch, m, 8)
         np.testing.assert_allclose(
-            side_by_side @ att.w_out.data, fused[:, lo:hi], rtol=0, atol=1e-12
+            side_by_side @ att.w_out.data, fused[:, indices], rtol=0, atol=1e-12
         )
+
+
+def _consecutive_scheme(sizes):
+    # subsets of the given sizes over consecutive flat ids, in order
+    assignment = np.repeat(np.arange(len(sizes)), sizes)
+    starts = np.cumsum([0] + sizes[:-1]).tolist()
+    return PartitionScheme(
+        label="p1", n_elements=sum(sizes), tau=sum(sizes), base_flats=starts,
+        assignment=assignment,
+    )
 
 
 def test_subset_attention_sizes_split_rows_into_independent_ranges():
@@ -522,7 +536,7 @@ def test_subset_attention_sizes_split_rows_into_independent_ranges():
     params = _random_attention(rng, 8, 2)
     x = rng.normal(size=(2, 9, 8))
     bounds = [(0, 4), (4, 5), (5, 9)]
-    got = subset_attention(Tensor(x), params, sizes=[4, 1, 4])
+    got = subset_attention(Tensor(x), params, _consecutive_scheme([4, 1, 4]))
     # identity values over all nine rows read every range's weights at once
     queries = x[:, None] @ params.w_query.data + params.b_query.data
     keys = x[:, None] @ params.w_key.data
@@ -536,4 +550,125 @@ def test_subset_attention_sizes_split_rows_into_independent_ranges():
         np.testing.assert_allclose(weights[..., lo:hi, lo:hi], alone, rtol=0, atol=1e-12)
     for bad in ([4, 4], [4, 0, 5], [10]):
         with pytest.raises(ContractError):
-            subset_attention(Tensor(x), params, sizes=bad)
+            subset_attention(Tensor(x), params, _consecutive_scheme(bad))
+
+
+# ---------------------------------------------------------------------------
+# ranged_self_attention: a module's attention half as one tape node
+# ---------------------------------------------------------------------------
+
+
+def _attention_leaves(rng, batch, n_rows, dim, n_heads):
+    params = _random_attention(rng, dim, n_heads)
+    x = Param(rng.normal(size=(batch, n_rows, dim)), "x")
+    return x, params
+
+
+def _scheme_args(scheme):
+    ends = np.cumsum(scheme.sizes).tolist()
+    return list(zip([0] + ends[:-1], ends)), scheme.order, scheme.inverse
+
+
+def _op(x, params, bounds, order=None, inverse=None):
+    return ranged_self_attention(
+        x, params.w_query, params.b_query, params.w_key, params.w_value, params.w_out,
+        bounds, order, inverse,
+    )
+
+
+def _taped_chain(x, params, scheme):
+    # the attention half as separate tensor ops: gathers as exact products
+    # with permutation matrices, per-head broadcast maps, a bias add, the
+    # core, a transpose, a reshape and the output product
+    n = scheme.n_elements
+    gather = constant(np.eye(n)[scheme.order])
+    rows = matmul(gather, x)
+    lead = x.shape[:-2]
+    heads_in = reshape(rows, lead + (1,) + rows.shape[-2:])
+    queries = add(matmul(heads_in, params.w_query), params.b_query)
+    keys = matmul(heads_in, params.w_key)
+    values = matmul(heads_in, params.w_value)
+    bounds, _, _ = _scheme_args(scheme)
+    mixed = ranged_attention(queries, keys, values, bounds)
+    k = len(lead)
+    side_by_side = reshape(transpose(mixed, tuple(range(k)) + (k + 1, k, k + 2)), rows.shape)
+    return matmul(constant(np.eye(n)[scheme.inverse]), matmul(side_by_side, params.w_out))
+
+
+def _run(build, seed):
+    rng = np.random.default_rng(seed)
+    x, params = _attention_leaves(rng, 3, 15, 8, 2)
+    out = build(x, params)
+    backward(tensor_sum(mul(out, Tensor(rng.normal(size=out.shape)))))
+    return out.data, [x.grad] + [p.grad for p in params.params()]
+
+
+@pytest.mark.parametrize("limit", [0.0, np.inf])
+def test_ranged_self_attention_matches_the_taped_chain(monkeypatch, limit):
+    monkeypatch.setattr(tensor, "_UNSHIFTED_SCORE_LIMIT", limit)
+    scheme = _ragged_scheme()
+    got = _run(lambda x, params: _op(x, params, *_scheme_args(scheme)), 98)
+    want = _run(lambda x, params: _taped_chain(x, params, scheme), 98)
+    for a, b in zip([got[0]] + got[1], [want[0]] + want[1]):
+        assert a.shape == b.shape
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-14 * np.abs(b).max())
+
+
+@pytest.mark.parametrize("limit, shifted", [(0.0, True), (np.inf, False)])
+def test_ranged_self_attention_gradients_match_central_differences(monkeypatch, limit, shifted):
+    from flowcast.optim import finite_diff_check
+
+    monkeypatch.setattr(tensor, "_UNSHIFTED_SCORE_LIMIT", limit)
+    rng = np.random.default_rng(99)
+    scheme = _ragged_scheme()
+    assert min(scheme.sizes) == 1
+    x, params = _attention_leaves(rng, 3, 15, 4, 2)
+    assert np.all(params.b_query.data != 0.0)
+    probe = Tensor(rng.normal(size=x.shape))
+    node = _op(x, params, *_scheme_args(scheme))
+    fn = node.backward_fn
+    state = dict(zip(fn.__code__.co_freevars, (c.cell_contents for c in fn.__closure__)))
+    assert state["shifted"] is shifted
+
+    def loss_fn():
+        return tensor_sum(mul(_op(x, params, *_scheme_args(scheme)), probe))
+
+    # every coordinate of the input and the five attention parameters
+    worst = finite_diff_check(loss_fn, [x] + params.params(), samples=10**6)
+    assert worst < 1e-6
+
+
+def test_ranged_self_attention_routes_each_row_back_through_the_inverse():
+    # gathering by order inside the op is the same as handing it the
+    # gathered rows with no order, then putting each output row and each
+    # input gradient row back by the inverse
+    rng = np.random.default_rng(100)
+    scheme = _ragged_scheme()
+    bounds, order, inverse = _scheme_args(scheme)
+    x, params = _attention_leaves(rng, 2, 15, 8, 4)
+    probe = rng.normal(size=x.shape)
+    out = _op(x, params, bounds, order, inverse)
+    backward(tensor_sum(mul(out, Tensor(probe))))
+    grads = [p.grad.copy() for p in params.params()]
+    for p in params.params():
+        p.grad[:] = 0.0
+
+    gathered = Param(x.data[:, order], "gathered")
+    plain = _op(gathered, params, bounds)
+    backward(tensor_sum(mul(plain, Tensor(probe[:, order]))))
+    assert np.array_equal(out.data, plain.data[:, inverse])
+    assert np.array_equal(x.grad, gathered.grad[:, inverse])
+    for got, p in zip(grads, params.params()):
+        assert np.array_equal(got, p.grad)
+
+
+def test_ranged_self_attention_rejects_orders_that_are_not_inverse_permutations():
+    rng = np.random.default_rng(101)
+    x, params = _attention_leaves(rng, 1, 3, 4, 2)
+    for idx in ([1, 1, 1], [0, 1], [2, 0, 1, 0], [0, 1, 3], [-1, 0, 1]):
+        with pytest.raises(ContractError, match="inverse permutations"):
+            _op(x, params, [(0, 3)], np.array(idx), np.argsort(idx))
+    with pytest.raises(ContractError, match="inverse permutations"):
+        _op(x, params, [(0, 3)], np.array([2, 0, 1]), None)
+    with pytest.raises(ContractError, match="inverse permutations"):
+        _op(x, params, [(0, 3)], np.array([2, 0, 1]), np.array([2, 0, 1]))

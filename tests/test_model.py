@@ -237,9 +237,9 @@ def test_subset_weights_read_the_rows_the_forward_attends(monkeypatch):
     fed = []
     original = attention.subset_attention
 
-    def spy(elements, params, sizes=None):
-        fed.append(elements.data.copy())
-        return original(elements, params, sizes)
+    def spy(x, params, scheme=None):
+        fed.append(x.data.copy())
+        return original(x, params, scheme)
 
     monkeypatch.setattr(attention, "subset_attention", spy)
     forward_arrays(model, *window)
@@ -249,11 +249,31 @@ def test_subset_weights_read_the_rows_the_forward_attends(monkeypatch):
         modules = ((1, model.p1, block.module_one), (2, model.p2, block.module_two))
         for module, scheme, params in modules:
             rows = fed[2 * b + module - 1]
-            ends = np.cumsum(scheme.sizes)
-            for subset_id, (lo, hi) in enumerate(zip(ends - scheme.sizes, ends)):
-                want = attention_weights(Tensor(rows[:, lo:hi]), params.attention).data
+            for subset_id, members in enumerate(scheme.subsets):
+                want = attention_weights(Tensor(rows[:, members]), params.attention).data
                 got = subset_weights(model, *window, b, module, subset_id)
                 assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n_blocks", [1, 3])
+def test_forward_reaches_subset_attention_twice_per_block(monkeypatch, n_blocks):
+    # the benchmark counts attention.subset_calls_per_step, and its tracer
+    # times spans, by replacing the module attribute: every module's
+    # attention must go through it, with the module's own partition
+    model = _build(n_blocks=n_blocks)
+    rng = np.random.default_rng(3)
+    window = (rng.normal(size=(2, 4, 4, 1)), np.zeros(4, dtype=np.int64), np.arange(4))
+    schemes = []
+    original = attention.subset_attention
+
+    def counted(x, params, scheme=None):
+        schemes.append(scheme)
+        return original(x, params, scheme)
+
+    monkeypatch.setattr(attention, "subset_attention", counted)
+    forward_arrays(model, *window)
+    assert len(schemes) == 2 * n_blocks
+    assert all(got is want for got, want in zip(schemes, [model.p1, model.p2] * n_blocks))
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,12 @@ from flowcast.tensor import (
     add_norm_ffn,
     backward,
     constant,
-    gather_rows,
     layer_norm,
     matmul,
     mul,
     no_grad,
     ranged_attention,
+    ranged_self_attention,
     relu,
     reshape,
     scale,
@@ -293,11 +293,15 @@ def _every_op(x: Param, w: Param, g: Param) -> list:
     """One output of each op on (4, 3) x, (3, 3) w and (3,) g."""
     bounds = [(0, 1), (1, 4)]
     heads = reshape(x, (1, 4, 3))
+    maps = reshape(w, (1, 3, 3))
+    order = np.array([3, 1, 0, 2])
     return [
         add(x, x), sub(x, x), mul(x, x), scale(x, 2.0), matmul(x, w), relu(x),
         absolute(x), tensor_sum(x), reshape(x, (3, 4)), transpose(x, (1, 0)),
-        gather_rows(x, np.array([3, 1, 0, 2])), layer_norm(x, g, g),
-        ranged_attention(heads, heads, heads, bounds),
+        layer_norm(x, g, g), ranged_attention(heads, heads, heads, bounds),
+        ranged_self_attention(
+            x, maps, reshape(g, (1, 1, 3)), maps, maps, w, bounds, order, np.argsort(order)
+        ),
         add_norm_ffn(x, x, w, g, w, g, g, g, g, g),
     ]
 
@@ -444,40 +448,20 @@ def _probe(shape, seed):
     return constant(np.random.default_rng(seed).normal(size=shape))
 
 
-def test_grad_gather_scatter_pipeline():
+def test_grad_structural_pipeline_against_central_differences():
     rng = np.random.default_rng(5)
     x = Param(rng.normal(size=(6, 3)), "x")
-    idx = np.array([4, 0, 5, 2, 1, 3])
     widen = constant(rng.normal(size=(3, 6)))
     probe = _probe((6, 6), 99)
-    # gathering by the inverse permutation scatters row k to positions[k]
-    positions = np.array([1, 3, 0, 2, 5, 4])
 
     def make_loss():
-        g = gather_rows(x, idx)              # (6, 3), rows reordered
-        h = relu(matmul(g, widen))           # (6, 6)
-        s = gather_rows(h, np.argsort(positions))  # (6, 6)
-        t = transpose(reshape(s, (6, 2, 3)), (1, 0, 2))
+        h = relu(matmul(x, widen))           # (6, 6)
+        t = transpose(reshape(h, (6, 2, 3)), (1, 0, 2))
         flat = reshape(t, (6, 6))
         return tensor_sum(mul(flat, probe))
 
     err = finite_diff_check(make_loss, [x], samples=18, seed=0)
     assert err < 1e-6
-
-
-def test_grad_gather_permutation_routes_each_row_back():
-    x = Param(np.zeros((2, 4, 2)), "x")
-    perm = np.array([2, 0, 3, 1])
-    probe = np.arange(16.0).reshape(2, 4, 2)
-    backward(tensor_sum(mul(gather_rows(x, perm), constant(probe))))
-    assert np.array_equal(x.grad[:, perm, :], probe)
-
-
-def test_gather_rejects_non_permutation():
-    x = Param(np.zeros((3, 2)), "x")
-    for idx in ([1, 1, 1], [0, 1], [2, 0, 1, 0], [0, 1, 3], [-1, 0, 1]):
-        with pytest.raises(ContractError):
-            gather_rows(x, np.array(idx))
 
 
 def test_grad_layer_norm_against_central_differences():
