@@ -10,6 +10,9 @@ module, with its own parameters, on the shifted partition.
 A module records two tape nodes: tensor.ranged_self_attention for its
 attention half, with the subset gathers, the projections and the range
 loop inside the op, and tensor.add_norm_ffn for the position-wise half.
+The probe, attention_weights, reads one subset's weights through
+tensor.attention_weights, which builds the op's operands and runs its
+range loop.
 """
 
 from __future__ import annotations
@@ -21,16 +24,8 @@ import numpy as np
 from .errors import ContractError
 from .optim import glorot_uniform, ones_param, zeros_param
 from .partition import PartitionScheme
-from .tensor import (
-    Param,
-    ParamGroup,
-    Tensor,
-    add_norm_ffn,
-    constant,
-    qkv_projection,
-    ranged_attention,
-    ranged_self_attention,
-)
+from . import tensor
+from .tensor import Param, ParamGroup, Tensor, add_norm_ffn, constant, ranged_self_attention
 
 FFN_EXPANSION = 4
 
@@ -107,17 +102,15 @@ def init_block_params(
     )
 
 
-def subset_attention(
-    x: Tensor, params: AttentionParams, scheme: PartitionScheme | None = None
-) -> Tensor:
+def subset_attention(x: Tensor, params: AttentionParams, scheme: PartitionScheme) -> Tensor:
     """Dense multi-head attention inside each subset; one tape node.
 
     Rows in and out are in flat element order, (..., n_elements, D): row k
     is the unified graph's element with flat id k, the order the scheme's
-    subsets index. With no scheme, all rows form one subset. Inside each
-    subset, scores are scaled dot products of the query and key maps,
-    softmaxed per query row, and used to mix the value map; head outputs
-    are laid side by side and passed through the output matrix.
+    subsets index. Inside each subset, scores are scaled dot products of
+    the query and key maps, softmaxed per query row, and used to mix the
+    value map; head outputs are laid side by side and passed through the
+    output matrix.
 
     tensor.ranged_self_attention does all of it as one op: one gather by
     the scheme's subset-major order makes every subset a consecutive row
@@ -127,40 +120,28 @@ def subset_attention(
     """
     if x.ndim < 2:
         raise ContractError(f"subset needs shape (..., m, D), got {x.shape}")
-    if scheme is None:
-        bounds, order, inverse = [(0, x.shape[-2])], None, None
-    else:
-        if x.shape[-2] != scheme.n_elements:
-            raise ContractError(
-                f"partition covers {scheme.n_elements} elements but input has shape {x.shape}"
-            )
-        ends = np.cumsum(scheme.sizes).tolist()
-        bounds = list(zip([0] + ends[:-1], ends))
-        order, inverse = scheme.order, scheme.inverse
+    if x.shape[-2] != scheme.n_elements:
+        raise ContractError(
+            f"partition covers {scheme.n_elements} elements but input has shape {x.shape}"
+        )
+    ends = np.cumsum(scheme.sizes).tolist()
     return ranged_self_attention(
         x, params.w_query, params.b_query, params.w_key, params.w_value, params.w_out,
-        bounds, order, inverse,
+        list(zip([0] + ends[:-1], ends)), scheme.order, scheme.inverse,
     )
 
 
 def attention_weights(elements: Tensor, params: AttentionParams) -> Tensor:
     """Softmax weights of one subset's m rows, (..., H, m, m), query-major.
 
-    The query and key maps come from tensor.qkv_projection, the packed
-    GEMM subset_attention runs, with the same query bias, and the core is
-    ranged_attention over one range, which runs the same range loop as
-    subset_attention, with identity values: each output row is then
-    exactly one query's weights over the subset.
+    tensor.attention_weights computes them from the operands
+    subset_attention's op builds, the same packed GEMM and query bias, with
+    the same range loop, so they are the weights that op attends with.
     """
-    rows = elements.data
-    if rows.ndim < 2:
-        raise ContractError(f"subset needs shape (..., m, D), got {rows.shape}")
-    maps = qkv_projection(rows, params.w_query.data, params.w_key.data, params.w_value.data)
-    queries = np.swapaxes(maps[..., 0, :, :, :], -1, -2) + params.b_query.data
-    keys = np.swapaxes(maps[..., 1, :, :, :], -1, -2)
-    m = rows.shape[-2]
-    identity = np.broadcast_to(np.eye(m), queries.shape[:-1] + (m,))
-    return ranged_attention(constant(queries), constant(keys), constant(identity), [(0, m)])
+    return constant(tensor.attention_weights(
+        elements.data, params.w_query.data, params.b_query.data, params.w_key.data,
+        params.w_value.data,
+    ))
 
 
 def apply_module(x: Tensor, scheme: PartitionScheme, params: ModuleParams) -> Tensor:

@@ -203,11 +203,13 @@ def split_series(
 ) -> dict[str, range]:
     """Chronological train/val/test ranges over raw step indices.
 
-    Either proportional ratios or whole-day counts; day counts must fit
-    within the series.
+    Either proportional ratios or whole-day counts; day counts must be
+    non-negative and fit within the series.
     """
     total = series.n_steps
     if days is not None:
+        if min(days) < 0:
+            raise InputError(f"bad split days {days}: day counts must not be negative")
         per_day = series.gamma
         t, v, s = (d * per_day for d in days)
         if t + v + s > total:

@@ -251,18 +251,23 @@ def subset_weights(
     module is 1 (primary partition) or 2 (shifted). The forward runs only
     up to that module's input: the embedding, the blocks before block, and
     the block's primary module when module is 2. The subset's rows, in
-    ascending flat order, then go through attention.attention_weights, so
-    row and column i stand for the subset's i-th element.
+    ascending flat order, then go through attention.attention_weights,
+    which builds the Q and K maps as the module's ranged_self_attention
+    does, so row and column i stand for the subset's i-th element.
+    subset_id must lie in [0, l).
     """
     if not 0 <= block < len(model.blocks) or module not in (1, 2):
         raise ContractError(f"no module {module} in block {block}")
+    scheme = model.p1 if module == 1 else model.p2
+    if not 0 <= subset_id < scheme.n_subsets:
+        raise ContractError(f"no subset {subset_id} among the {scheme.n_subsets} of module {module}")
     x = embed(values, day, step, model.spe, model.tpe, model.embedding)
     for params in model.blocks[:block]:
         x = apply_block(x, model.p1, model.p2, params)
-    scheme, params = model.p1, model.blocks[block].module_one
+    params = model.blocks[block].module_one
     if module == 2:
-        x = apply_module(x, scheme, params)
-        scheme, params = model.p2, model.blocks[block].module_two
+        x = apply_module(x, model.p1, params)
+        params = model.blocks[block].module_two
     rows = constant(x.data[..., scheme.subsets[subset_id], :])
     return attention_weights(rows, params.attention).data
 

@@ -340,17 +340,6 @@ def _with_column(a: np.ndarray, column: np.ndarray | float) -> np.ndarray:
     return out
 
 
-def _feature_major(a: np.ndarray, column: np.ndarray | float, factor: float = 1.0) -> np.ndarray:
-    """[a * factor | column]^T: (..., M, d) laid out C-contiguous as
-    (..., d + 1, M), with the column as the last row, so a range of rows
-    [lo, hi) is the column slice [..., lo:hi]."""
-    width = a.shape[-1]
-    out = np.empty(a.shape[:-2] + (width + 1, a.shape[-2]))
-    np.multiply(np.swapaxes(a, -1, -2), factor, out=out[..., :width, :])
-    out[..., width:, :] = column
-    return out
-
-
 # Scores of magnitude at most this are exponentiated without a shift: every
 # weight then lies in [e^-200, e^200], far from overflow and from subnormals,
 # and a row total of m such weights stays finite for any m below 10^200.
@@ -364,8 +353,8 @@ _EXP_FLOOR = -700.0
 def _needs_shift(q: np.ndarray, k: np.ndarray, factor: float) -> bool:
     """False when d_h * max|q * factor| * max|k|, a bound on every |score|,
     is at most _UNSHIFTED_SCORE_LIMIT; a NaN bound, from a non-finite
-    input, fails the test too. k holds key rows, (..., M, d_h); q may be
-    laid out either way."""
+    input, fails the test too. k holds key rows, (..., M, d_h), and q the
+    feature-major queries, (..., d_h, M)."""
     q_peak, k_peak = (max(a.max(initial=0.0), -a.min(initial=0.0)) for a in (q, k))
     bound = k.shape[-1] * factor * q_peak * k_peak
     return not bound <= _UNSHIFTED_SCORE_LIMIT
@@ -462,54 +451,6 @@ def _attend_grad(
     dq_t *= factor
 
 
-def ranged_attention(
-    queries: Tensor, keys: Tensor, values: Tensor, bounds: list[tuple[int, int]]
-) -> Tensor:
-    """Scaled softmax attention inside each row range [lo, hi); one tape node.
-
-    Queries and keys are (..., H, M, d_h), values (..., H, M, d_v), and the
-    ranges must tile the M rows; the output is (..., H, M, d_v). A row
-    attends only to rows of its own range, so no value or gradient crosses
-    a range. With identity values, d_v = M, each output row holds its
-    query's softmax weights over its range and zeros elsewhere.
-
-    Once per call, the bound d_h * max|q / sqrt(d_h)| * max|k| caps every
-    |score| at O(M d_h) cost. When it is at most _UNSHIFTED_SCORE_LIMIT,
-    each range's weights are exp(scores) with no shift; otherwise, or when
-    an input is not finite, each query's scores are shifted by their exact
-    max and floored at _EXP_FLOOR first. q^T and [v | 1]^T are laid out
-    feature-major once per call and go through _attend, the range loop
-    that ranged_self_attention runs too. The forward keeps only each row's
-    log normalizer; the backward lays the operands out again and
-    recomputes the weights in _attend_grad.
-    """
-    if min(queries.ndim, keys.ndim, values.ndim) < 3:
-        raise ContractError(
-            f"ranged_attention needs (..., H, M, d_h) inputs, got {queries.shape}, "
-            f"{keys.shape} and {values.shape}"
-        )
-    _check_ranges(bounds, queries.shape[-2])
-    q, k, v = queries.data, keys.data, values.data
-    factor = 1.0 / np.sqrt(float(q.shape[-1]))
-    shifted = _needs_shift(q, k, factor)
-    q_norm_t = _feature_major(q, 0.0, factor)
-    out = np.empty(q.shape[:-1] + (v.shape[-1],))
-    _attend(q_norm_t, k, _feature_major(v, 1.0), bounds, shifted, np.swapaxes(out, -1, -2))
-    log_norm = -np.swapaxes(q_norm_t[..., -1:, :], -1, -2)
-
-    def bwd(g: np.ndarray) -> None:
-        grads_t = tuple(np.empty(a.shape[:-2] + a.shape[:-3:-1]) for a in (q, k, v))
-        _attend_grad(
-            _feature_major(q, -np.swapaxes(log_norm, -1, -2), factor), _with_column(k, 1.0),
-            _feature_major(v, 1.0), np.swapaxes(g, -1, -2), np.swapaxes(out, -1, -2),
-            bounds, shifted, factor, grads_t,
-        )
-        for parent, grad_t in zip((queries, keys, values), grads_t):
-            _accumulate(parent, np.swapaxes(grad_t, -1, -2))
-
-    return Tensor(out, (queries, keys, values), bwd)
-
-
 def _packed_maps(w_query: np.ndarray, w_key: np.ndarray, w_value: np.ndarray) -> np.ndarray:
     """[W_q | W_k | W_v]^T, (3D, D), from maps stacked over heads, (H, D, d_h)
     each: row h * d_h + j of each block is head h's column j."""
@@ -518,15 +459,51 @@ def _packed_maps(w_query: np.ndarray, w_key: np.ndarray, w_value: np.ndarray) ->
     )
 
 
-def qkv_projection(
-    rows: np.ndarray, w_query: np.ndarray, w_key: np.ndarray, w_value: np.ndarray
-) -> np.ndarray:
-    """The query, key and value maps of rows (..., M, D), feature-major:
-    (..., 3, H, d_h, M), from one GEMM of the packed [W_q | W_k | W_v]^T
-    with the rows transposed. No bias is added."""
+def _attention_operands(
+    rows: np.ndarray, w_query: np.ndarray, b_query: np.ndarray, w_key: np.ndarray, w_value: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, bool]:
+    """_attend's operands for rows (..., M, D), maps stacked over heads,
+    (H, D, d_h), and a query bias (H, 1, d_h), from one GEMM of the packed
+    [W_q | W_k | W_v]^T with the rows transposed: [q / sqrt(d_h) | .]^T,
+    (..., H, d_h + 1, M), its last row left to _attend; the key rows,
+    (..., H, M, d_h); [v | 1]^T; 1 / sqrt(d_h); and _needs_shift's answer.
+    """
     heads, _, head_dim = w_query.shape
+    n_rows = rows.shape[-2]
     packed = _packed_maps(w_query, w_key, w_value) @ np.swapaxes(rows, -1, -2)
-    return packed.reshape(packed.shape[:-2] + (3, heads, head_dim, rows.shape[-2]))
+    qkv = packed.reshape(packed.shape[:-2] + (3, heads, head_dim, n_rows))
+    q_norm_t = np.empty(packed.shape[:-2] + (heads, head_dim + 1, n_rows))
+    q_t = q_norm_t[..., :-1, :]
+    np.add(qkv[..., 0, :, :, :], np.swapaxes(b_query, -1, -2), out=q_t)
+    k = np.ascontiguousarray(np.swapaxes(qkv[..., 1, :, :, :], -1, -2))
+    v_one_t = np.empty(q_norm_t.shape)
+    v_one_t[..., :-1, :] = qkv[..., 2, :, :, :]
+    v_one_t[..., -1, :] = 1.0
+    factor = 1.0 / np.sqrt(float(head_dim))
+    shifted = _needs_shift(q_t, k, factor)
+    q_t *= factor
+    return q_norm_t, k, v_one_t, factor, shifted
+
+
+def attention_weights(
+    rows: np.ndarray, w_query: np.ndarray, b_query: np.ndarray, w_key: np.ndarray, w_value: np.ndarray
+) -> np.ndarray:
+    """Softmax weights of rows (..., m, D) attending to one another,
+    (..., H, m, m), query-major; forward only. The operands are
+    ranged_self_attention's, and _attend runs over the one range [0, m)
+    with [I | 1]^T as values, so each output row is one query's weights.
+    """
+    if rows.ndim < 2:
+        raise ContractError(f"attention_weights needs rows (..., m, D), got shape {rows.shape}")
+    m = rows.shape[-2]
+    _check_ranges([(0, m)], m)
+    q_norm_t, k, _, _, shifted = _attention_operands(rows, w_query, b_query, w_key, w_value)
+    identity_one_t = np.empty(q_norm_t.shape[:-2] + (m + 1, m))
+    identity_one_t[..., :m, :] = np.eye(m)
+    identity_one_t[..., m, :] = 1.0
+    weights = np.empty(k.shape[:-1] + (m,))
+    _attend(q_norm_t, k, identity_one_t, [(0, m)], shifted, np.swapaxes(weights, -1, -2))
+    return weights
 
 
 def ranged_self_attention(
@@ -537,28 +514,34 @@ def ranged_self_attention(
     w_value: Tensor,
     w_out: Tensor,
     bounds: list[tuple[int, int]],
-    order: np.ndarray | None = None,
-    inverse: np.ndarray | None = None,
+    order: np.ndarray,
+    inverse: np.ndarray,
 ) -> Tensor:
     """Multi-head self-attention inside row ranges, with its projections; one tape node.
 
     x is (..., M, D). The rows x[..., order, :] are attended range by
-    range, as ranged_attention would, and the result goes back through the
-    inverse permutation, so the output is (..., M, D) in x's row order;
-    with no order, x's own rows are ranged. The query, key and value maps
-    are stacked over heads, (H, D, d_h), with a query bias (H, 1, d_h);
-    keys carry no bias, as the softmax would cancel it. Head outputs laid
-    side by side go through w_out, (D, D).
+    range: a row attends only to rows of its own range, so no value or
+    gradient crosses a range. The result goes back through the inverse
+    permutation, so the output is (..., M, D) in x's row order. The query,
+    key and value maps are stacked over heads, (H, D, d_h), with a query
+    bias (H, 1, d_h); keys carry no bias, as the softmax would cancel it.
+    Head outputs laid side by side go through w_out, (D, D).
 
-    The forward is one np.take by order, one qkv_projection GEMM giving
-    (..., 3D, M), already feature-major, the range loop of _attend over
-    q^T / sqrt(d_h), the key rows and [v | 1]^T, which writes the head
-    outputs as (..., H, d_h, M) = (..., D, M), one output GEMM and one
-    np.take by inverse. Only when the output records a graph does the op
-    keep those three operands and the head outputs; the backward
-    recomputes the weights range by range, writes the query, key and value
-    gradients into one (..., 3D, M) buffer, and takes each packed weight
-    gradient and the input gradient as one GEMM each.
+    Once per call, the bound d_h * max|q / sqrt(d_h)| * max|k| caps every
+    |score| at O(M d_h) cost. When it is at most _UNSHIFTED_SCORE_LIMIT,
+    each range's weights are exp(scores) with no shift; otherwise, or when
+    an input is not finite, each query's scores are shifted by their exact
+    max and floored at _EXP_FLOOR first.
+
+    The forward is one np.take by order, _attention_operands' packed GEMM,
+    the range loop of _attend over q^T / sqrt(d_h), the key rows and
+    [v | 1]^T, which writes the head outputs as (..., H, d_h, M) =
+    (..., D, M), one output GEMM and one np.take by inverse. Only when the
+    output records a graph does the op keep those three operands and the
+    head outputs; the backward recomputes the weights range by range,
+    writes the query, key and value gradients into one (..., 3D, M) buffer,
+    and takes each packed weight gradient and the input gradient as one
+    GEMM each.
     """
     heads, dim, head_dim = w_query.shape if w_query.ndim == 3 else (0, 0, 0)
     if (
@@ -574,54 +557,40 @@ def ranged_self_attention(
             f"ranged_self_attention maps {w_query.shape}/{w_key.shape}/{w_value.shape}, "
             f"query bias {b_query.shape} and output {w_out.shape} do not fit rows {x.shape}"
         )
-    n_rows = x.shape[-2]
+    lead, n_rows = x.shape[:-2], x.shape[-2]
     _check_ranges(bounds, n_rows)
-    if order is not None or inverse is not None:
-        if not _inverse_permutations(order, inverse, n_rows):
-            raise ContractError(f"order and inverse are not inverse permutations of {n_rows} rows")
+    if not _inverse_permutations(order, inverse, n_rows):
+        raise ContractError(f"order and inverse are not inverse permutations of {n_rows} rows")
     parents = (x, w_query, b_query, w_key, w_value, w_out)
-    rows = x.data if order is None else np.take(x.data, order, axis=-2)
-    qkv = qkv_projection(rows, w_query.data, w_key.data, w_value.data)
-    lead = qkv.shape[:-4]
-    q_norm_t = np.empty(lead + (heads, head_dim + 1, n_rows))
-    q_t = q_norm_t[..., :-1, :]
-    np.add(qkv[..., 0, :, :, :], np.swapaxes(b_query.data, -1, -2), out=q_t)
-    k = np.ascontiguousarray(np.swapaxes(qkv[..., 1, :, :, :], -1, -2))
-    v_one_t = np.empty(q_norm_t.shape)
-    v_one_t[..., :-1, :] = qkv[..., 2, :, :, :]
-    v_one_t[..., -1, :] = 1.0
-    del rows, qkv
-    factor = 1.0 / np.sqrt(float(head_dim))
-    shifted = _needs_shift(q_t, k, factor)
-    q_t *= factor
+    q_norm_t, k, v_one_t, factor, shifted = _attention_operands(
+        np.take(x.data, order, axis=-2), w_query.data, b_query.data, w_key.data, w_value.data
+    )
+    per_head = lead + (heads, head_dim, n_rows)
     heads_t = np.empty(lead + (dim, n_rows))
-    _attend(q_norm_t, k, v_one_t, bounds, shifted, heads_t.reshape(q_t.shape))
-    attended = np.swapaxes(heads_t, -1, -2) @ w_out.data
-    out = attended if inverse is None else np.take(attended, inverse, axis=-2)
+    _attend(q_norm_t, k, v_one_t, bounds, shifted, heads_t.reshape(per_head))
+    out = np.take(np.swapaxes(heads_t, -1, -2) @ w_out.data, inverse, axis=-2)
     if not (_recording and any(p.requires_grad for p in parents)):
         return Tensor(out)
 
     def bwd(g: np.ndarray) -> None:
-        g_rows = g if order is None else np.take(g, order, axis=-2)
+        g_rows = np.take(g, order, axis=-2)
         _accumulate(w_out, _lead_sum(heads_t @ g_rows))
         g_t = w_out.data @ np.swapaxes(g_rows, -1, -2)
         dqkv = np.empty(lead + (3, heads, head_dim, n_rows))
         _attend_grad(
-            q_norm_t, _with_column(k, 1.0), v_one_t, g_t.reshape(q_t.shape),
-            heads_t.reshape(q_t.shape), bounds, shifted, factor,
+            q_norm_t, _with_column(k, 1.0), v_one_t, g_t.reshape(per_head),
+            heads_t.reshape(per_head), bounds, shifted, factor,
             (dqkv[..., 0, :, :, :], dqkv[..., 1, :, :, :], dqkv[..., 2, :, :, :]),
         )
         dqkv = dqkv.reshape(lead + (3 * dim, n_rows))
         d_bias = dqkv[..., :dim, :].sum(axis=-1).reshape(-1, heads, 1, head_dim).sum(axis=0)
         _accumulate(b_query, d_bias)
-        rows = x.data if order is None else np.take(x.data, order, axis=-2)
-        d_maps = _lead_sum(dqkv @ rows).reshape(3, heads, head_dim, dim)
+        d_maps = _lead_sum(dqkv @ np.take(x.data, order, axis=-2)).reshape(3, heads, head_dim, dim)
         for param, grad in zip((w_query, w_key, w_value), d_maps):
             _accumulate(param, np.swapaxes(grad, -1, -2))
         if x.requires_grad:
             packed = _packed_maps(w_query.data, w_key.data, w_value.data)
-            d_rows = np.swapaxes(dqkv, -1, -2) @ packed
-            _accumulate(x, d_rows if inverse is None else np.take(d_rows, inverse, axis=-2))
+            _accumulate(x, np.take(np.swapaxes(dqkv, -1, -2) @ packed, inverse, axis=-2))
 
     return Tensor(out, parents, bwd)
 
@@ -629,7 +598,7 @@ def ranged_self_attention(
 def _inverse_permutations(order, inverse, n_rows: int) -> bool:
     """True when order and inverse are index arrays of n_rows entries with
     inverse[order] = 0, 1, ..., n_rows - 1."""
-    if order is None or inverse is None or {np.shape(order), np.shape(inverse)} != {(n_rows,)}:
+    if {np.shape(order), np.shape(inverse)} != {(n_rows,)}:
         return False
     try:
         return np.array_equal(np.take(inverse, order), np.arange(n_rows))

@@ -194,3 +194,54 @@ def random_connected_graph(rng: np.random.Generator, n: int,
                 w = float(rng.uniform(0.2, 2.0))
                 adj[i, j] = adj[j, i] = w
     return adj
+
+
+def subset_attention_grad_oracle(x, w_q, b_q, w_k, w_v, w_out, subsets, g) -> tuple:
+    """Loop transcription of multi-head attention inside each subset, with
+    its backward.
+
+    x is (B, n, D) and g = d(loss)/d(output) has its shape; the maps are
+    stacked over heads, (H, D, d_h), b_q is (H, 1, d_h) and w_out (D, D);
+    subsets lists each subset's row indices. Every batch entry, subset and
+    head runs on its own, and each softmax row is differentiated through
+    its Jacobian diag(alpha) - alpha alpha^T. Returns the output and a dict
+    of the gradients of x and of each map, keyed by argument name.
+    """
+    batch, _, dim = x.shape
+    dh = w_q.shape[-1]
+    side_by_side = np.zeros(x.shape)
+    cache = []
+    for b in range(batch):
+        for idx in subsets:
+            rows = x[b, idx]
+            for h in range(w_q.shape[0]):
+                q = rows @ w_q[h] + b_q[h, 0]
+                k = rows @ w_k[h]
+                v = rows @ w_v[h]
+                alpha = np.zeros((len(idx), len(idx)))
+                for a in range(len(idx)):
+                    scores = np.array([q[a] @ k[c] for c in range(len(idx))]) / math.sqrt(dh)
+                    e = np.exp(scores - scores.max())
+                    alpha[a] = e / e.sum()
+                side_by_side[b, idx, h * dh:(h + 1) * dh] = alpha @ v
+                cache.append((b, idx, h, rows, q, k, v, alpha))
+    out = side_by_side @ w_out
+    grads = {name: np.zeros(a.shape) for name, a in
+             (("x", x), ("w_q", w_q), ("b_q", b_q), ("w_k", w_k), ("w_v", w_v), ("w_out", w_out))}
+    for b in range(batch):
+        grads["w_out"] += side_by_side[b].T @ g[b]
+    d_side = g @ w_out.T
+    for b, idx, h, rows, q, k, v, alpha in cache:
+        d_head = d_side[b, idx, h * dh:(h + 1) * dh]
+        d_alpha = d_head @ v.T
+        d_scores = np.zeros(alpha.shape)
+        for a in range(len(idx)):
+            jacobian = np.diag(alpha[a]) - np.outer(alpha[a], alpha[a])
+            d_scores[a] = jacobian @ d_alpha[a] / math.sqrt(dh)
+        d_q, d_k, d_v = d_scores @ k, d_scores.T @ q, alpha.T @ d_head
+        grads["w_q"][h] += rows.T @ d_q
+        grads["b_q"][h, 0] += d_q.sum(axis=0)
+        grads["w_k"][h] += rows.T @ d_k
+        grads["w_v"][h] += rows.T @ d_v
+        grads["x"][b, idx] += d_q @ w_q[h].T + d_k @ w_k[h].T + d_v @ w_v[h].T
+    return out, grads

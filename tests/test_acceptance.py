@@ -35,7 +35,7 @@ from flowcast.model import (
     metrics_from_arrays,
     train,
 )
-from flowcast.partition import partition_report
+from flowcast.partition import PartitionScheme, partition_report
 from flowcast.stgraph import build_unified, load_spatial_graph, st_distance
 from flowcast.tensor import Param, backward, constant, mul, tensor_sum
 
@@ -261,7 +261,10 @@ def test_criterion_04_subset_attention_matches_loop_oracle(capsys):
         params = init_attention_params(rng, dim, n_heads, "att")
         params.b_query.data[:] = rng.normal(size=(n_heads, 1, head_dim)) * 0.5
         x = rng.normal(size=(m, dim))
-        out = subset_attention(constant(x), params)
+        one_subset = PartitionScheme(
+            label="p1", n_elements=m, tau=m, base_flats=[0], assignment=np.zeros(m, dtype=np.int64)
+        )
+        out = subset_attention(constant(x), params, one_subset)
         weights = attention_weights(constant(x), params).data
         # the oracle gets each head's slices plus a random key bias that the
         # model does not carry: the row softmax cancels it exactly

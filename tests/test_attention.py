@@ -21,19 +21,15 @@ from flowcast.tensor import (
     add,
     add_norm_ffn,
     backward,
-    constant,
     layer_norm,
     matmul,
     mul,
-    ranged_attention,
     ranged_self_attention,
     relu,
-    reshape,
     tensor_sum,
-    transpose,
 )
 
-from oracles import attention_oracle
+from oracles import attention_oracle, subset_attention_grad_oracle
 
 
 def _heads_as_arrays(params, rng):
@@ -57,6 +53,16 @@ def _random_attention(rng, dim, n_heads, bias_scale=0.5):
     return params
 
 
+def _single_subset_scheme(n_elements):
+    return PartitionScheme(
+        label="p1",
+        n_elements=n_elements,
+        tau=n_elements,
+        base_flats=[0],
+        assignment=np.zeros(n_elements, dtype=np.int64),
+    )
+
+
 # ---------------------------------------------------------------------------
 # subset_attention against the loop oracle
 # ---------------------------------------------------------------------------
@@ -71,7 +77,7 @@ def test_attention_matches_loop_oracle():
         params = _random_attention(rng, dim, n_heads)
         x = rng.normal(size=(m, dim))
 
-        got = subset_attention(Tensor(x), params)
+        got = subset_attention(Tensor(x), params, _single_subset_scheme(m))
         alphas = attention_weights(Tensor(x), params).data
         want, want_alphas = attention_oracle(x, _heads_as_arrays(params, rng), params.w_out.data)
 
@@ -95,7 +101,7 @@ def test_single_element_subset_is_value_map():
     rng = np.random.default_rng(73)
     params = _random_attention(rng, 6, 2)
     x = rng.normal(size=(1, 6))
-    got = subset_attention(Tensor(x), params)
+    got = subset_attention(Tensor(x), params, _single_subset_scheme(1))
 
     values = np.concatenate([x @ w for w in params.w_value.data], axis=-1)
     np.testing.assert_allclose(got.data, values @ params.w_out.data, atol=1e-12)
@@ -115,9 +121,10 @@ def test_attention_batched_matches_per_sample():
     rng = np.random.default_rng(75)
     params = _random_attention(rng, 8, 4)
     x = rng.normal(size=(3, 5, 8))
-    batched = subset_attention(Tensor(x), params).data
+    scheme = _single_subset_scheme(5)
+    batched = subset_attention(Tensor(x), params, scheme).data
     for b in range(3):
-        single = subset_attention(Tensor(x[b]), params).data
+        single = subset_attention(Tensor(x[b]), params, scheme).data
         assert np.max(np.abs(batched[b] - single)) < 1e-12
 
 
@@ -126,18 +133,20 @@ def test_attention_is_permutation_equivariant():
     params = _random_attention(rng, 8, 2)
     x = rng.normal(size=(6, 8))
     perm = rng.permutation(6)
-    base = subset_attention(Tensor(x), params).data
-    shuffled = subset_attention(Tensor(x[perm]), params).data
+    scheme = _single_subset_scheme(6)
+    base = subset_attention(Tensor(x), params, scheme).data
+    shuffled = subset_attention(Tensor(x[perm]), params, scheme).data
     assert np.max(np.abs(shuffled - base[perm])) < 1e-12
 
 
 def test_attention_shape_errors():
     rng = np.random.default_rng(77)
     params = _random_attention(rng, 4, 1)
-    with pytest.raises(ContractError):
-        subset_attention(Tensor(np.zeros(4)), params)
-    with pytest.raises(ContractError):
-        subset_attention(Tensor(np.zeros((0, 4))), params)
+    for shape in ((4,), (0, 4)):
+        with pytest.raises(ContractError):
+            subset_attention(Tensor(np.zeros(shape)), params, _single_subset_scheme(4))
+        with pytest.raises(ContractError):
+            attention_weights(Tensor(np.zeros(shape)), params)
 
 
 def test_init_rejects_indivisible_width():
@@ -162,16 +171,6 @@ def test_init_names_and_shapes():
 # ---------------------------------------------------------------------------
 # apply_module
 # ---------------------------------------------------------------------------
-
-
-def _single_subset_scheme(n_elements):
-    return PartitionScheme(
-        label="p1",
-        n_elements=n_elements,
-        tau=n_elements,
-        base_flats=[0],
-        assignment=np.zeros(n_elements, dtype=np.int64),
-    )
 
 
 def _two_subset_scheme(n, t, left_nodes, label="p1"):
@@ -202,7 +201,8 @@ def _after_attention(att, flat, params):
 
 def _straight_line_module(x, params):
     # same computation as apply_module with one all-covering subset
-    return _after_attention(subset_attention(x, params.attention), x, params)
+    scheme = _single_subset_scheme(x.shape[-2])
+    return _after_attention(subset_attention(x, params.attention, scheme), x, params)
 
 
 def test_module_single_subset_equals_straight_line():
@@ -275,7 +275,8 @@ def test_module_merges_interleaved_subsets_exactly():
 
     att = np.full(x.shape, np.nan)
     for indices in scheme.subsets:
-        att[:, indices, :] = subset_attention(Tensor(x[:, indices, :]), params.attention).data
+        alone = _single_subset_scheme(len(indices))
+        att[:, indices, :] = subset_attention(Tensor(x[:, indices, :]), params.attention, alone).data
     want = add_norm_ffn(
         Tensor(att), Tensor(x), params.w_ffn1, params.b_ffn1, params.w_ffn2, params.b_ffn2,
         params.norm1_gain, params.norm1_bias, params.norm2_gain, params.norm2_bias,
@@ -537,17 +538,10 @@ def test_subset_attention_sizes_split_rows_into_independent_ranges():
     x = rng.normal(size=(2, 9, 8))
     bounds = [(0, 4), (4, 5), (5, 9)]
     got = subset_attention(Tensor(x), params, _consecutive_scheme([4, 1, 4]))
-    # identity values over all nine rows read every range's weights at once
-    queries = x[:, None] @ params.w_query.data + params.b_query.data
-    keys = x[:, None] @ params.w_key.data
-    identity = np.broadcast_to(np.eye(9), queries.shape[:-1] + (9,))
-    weights = ranged_attention(Tensor(queries), Tensor(keys), Tensor(identity), bounds).data
     for lo, hi in bounds:
-        want = subset_attention(Tensor(x[:, lo:hi]), params)
+        want = subset_attention(Tensor(x[:, lo:hi]), params, _single_subset_scheme(hi - lo))
         # a one-row product may take another BLAS path than a nine-row one
         np.testing.assert_allclose(got.data[:, lo:hi], want.data, rtol=0, atol=1e-12)
-        alone = attention_weights(Tensor(x[:, lo:hi]), params).data
-        np.testing.assert_allclose(weights[..., lo:hi, lo:hi], alone, rtol=0, atol=1e-12)
     for bad in ([4, 4], [4, 0, 5], [10]):
         with pytest.raises(ContractError):
             subset_attention(Tensor(x), params, _consecutive_scheme(bad))
@@ -569,47 +563,32 @@ def _scheme_args(scheme):
     return list(zip([0] + ends[:-1], ends)), scheme.order, scheme.inverse
 
 
-def _op(x, params, bounds, order=None, inverse=None):
+def _op(x, params, bounds, order, inverse):
     return ranged_self_attention(
         x, params.w_query, params.b_query, params.w_key, params.w_value, params.w_out,
         bounds, order, inverse,
     )
 
 
-def _taped_chain(x, params, scheme):
-    # the attention half as separate tensor ops: gathers as exact products
-    # with permutation matrices, per-head broadcast maps, a bias add, the
-    # core, a transpose, a reshape and the output product
-    n = scheme.n_elements
-    gather = constant(np.eye(n)[scheme.order])
-    rows = matmul(gather, x)
-    lead = x.shape[:-2]
-    heads_in = reshape(rows, lead + (1,) + rows.shape[-2:])
-    queries = add(matmul(heads_in, params.w_query), params.b_query)
-    keys = matmul(heads_in, params.w_key)
-    values = matmul(heads_in, params.w_value)
-    bounds, _, _ = _scheme_args(scheme)
-    mixed = ranged_attention(queries, keys, values, bounds)
-    k = len(lead)
-    side_by_side = reshape(transpose(mixed, tuple(range(k)) + (k + 1, k, k + 2)), rows.shape)
-    return matmul(constant(np.eye(n)[scheme.inverse]), matmul(side_by_side, params.w_out))
-
-
-def _run(build, seed):
-    rng = np.random.default_rng(seed)
-    x, params = _attention_leaves(rng, 3, 15, 8, 2)
-    out = build(x, params)
-    backward(tensor_sum(mul(out, Tensor(rng.normal(size=out.shape)))))
-    return out.data, [x.grad] + [p.grad for p in params.params()]
-
-
 @pytest.mark.parametrize("limit", [0.0, np.inf])
 def test_ranged_self_attention_matches_the_taped_chain(monkeypatch, limit):
+    # output and every gradient against the per-subset, per-head loop
+    # oracle, with the exact per-query max forced (limit 0) and ruled out
+    # (limit infinity)
     monkeypatch.setattr(tensor, "_UNSHIFTED_SCORE_LIMIT", limit)
     scheme = _ragged_scheme()
-    got = _run(lambda x, params: _op(x, params, *_scheme_args(scheme)), 98)
-    want = _run(lambda x, params: _taped_chain(x, params, scheme), 98)
-    for a, b in zip([got[0]] + got[1], [want[0]] + want[1]):
+    rng = np.random.default_rng(98)
+    x, params = _attention_leaves(rng, 3, 15, 8, 2)
+    out = _op(x, params, *_scheme_args(scheme))
+    probe = rng.normal(size=out.shape)
+    backward(tensor_sum(mul(out, Tensor(probe))))
+    want_out, want = subset_attention_grad_oracle(
+        x.data, params.w_query.data, params.b_query.data, params.w_key.data,
+        params.w_value.data, params.w_out.data, scheme.subsets, probe,
+    )
+    got = [out.data, x.grad, params.w_query.grad, params.b_query.grad, params.w_key.grad,
+           params.w_value.grad, params.w_out.grad]
+    for a, b in zip(got, [want_out] + [want[k] for k in ("x", "w_q", "b_q", "w_k", "w_v", "w_out")]):
         assert a.shape == b.shape
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-14 * np.abs(b).max())
 
@@ -640,8 +619,8 @@ def test_ranged_self_attention_gradients_match_central_differences(monkeypatch, 
 
 def test_ranged_self_attention_routes_each_row_back_through_the_inverse():
     # gathering by order inside the op is the same as handing it the
-    # gathered rows with no order, then putting each output row and each
-    # input gradient row back by the inverse
+    # gathered rows in their own order, then putting each output row and
+    # each input gradient row back by the inverse
     rng = np.random.default_rng(100)
     scheme = _ragged_scheme()
     bounds, order, inverse = _scheme_args(scheme)
@@ -654,7 +633,7 @@ def test_ranged_self_attention_routes_each_row_back_through_the_inverse():
         p.grad[:] = 0.0
 
     gathered = Param(x.data[:, order], "gathered")
-    plain = _op(gathered, params, bounds)
+    plain = _op(gathered, params, bounds, np.arange(15), np.arange(15))
     backward(tensor_sum(mul(plain, Tensor(probe[:, order]))))
     assert np.array_equal(out.data, plain.data[:, inverse])
     assert np.array_equal(x.grad, gathered.grad[:, inverse])

@@ -253,6 +253,15 @@ def test_split_day_overflow():
         split_series(series, days=(3, 1, 1))
 
 
+def test_split_rejects_negative_day_counts():
+    # (2, -1, 1) fits the 4-day series in total but would start the test
+    # range inside the training range
+    series = synthetic_series(2, 96, interval_min=60)
+    for days in ((2, -1, 1), (-1, 2, 1), (2, 1, -1)):
+        with pytest.raises(InputError, match="negative"):
+            split_series(series, days=days)
+
+
 def test_split_bad_ratios():
     series = synthetic_series(2, 10, interval_min=60)
     with pytest.raises(InputError):

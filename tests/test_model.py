@@ -228,6 +228,17 @@ def test_forward_captures_attention():
         subset_weights(model, *window, 1, 1, 0)
 
 
+def test_subset_weights_rejects_subset_ids_outside_the_scheme():
+    # -1 would read the last subset and l would index past the list
+    model = _build()
+    rng = np.random.default_rng(1)
+    window = (rng.normal(size=(4, 4, 1)), np.zeros(4, dtype=np.int64), np.arange(4))
+    for module, scheme in ((1, model.p1), (2, model.p2)):
+        for subset_id in (-1, scheme.n_subsets):
+            with pytest.raises(ContractError, match=f"no subset {subset_id}"):
+                subset_weights(model, *window, 0, module, subset_id)
+
+
 def test_subset_weights_read_the_rows_the_forward_attends(monkeypatch):
     # record what each module of a two-block forward feeds subset_attention,
     # in call order: block 0 module 1, block 0 module 2, block 1 module 1, ...
@@ -237,7 +248,7 @@ def test_subset_weights_read_the_rows_the_forward_attends(monkeypatch):
     fed = []
     original = attention.subset_attention
 
-    def spy(x, params, scheme=None):
+    def spy(x, params, scheme):
         fed.append(x.data.copy())
         return original(x, params, scheme)
 
@@ -266,7 +277,7 @@ def test_forward_reaches_subset_attention_twice_per_block(monkeypatch, n_blocks)
     schemes = []
     original = attention.subset_attention
 
-    def counted(x, params, scheme=None):
+    def counted(x, params, scheme):
         schemes.append(scheme)
         return original(x, params, scheme)
 

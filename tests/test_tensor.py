@@ -26,7 +26,6 @@ from flowcast.tensor import (
     matmul,
     mul,
     no_grad,
-    ranged_attention,
     ranged_self_attention,
     relu,
     reshape,
@@ -85,18 +84,18 @@ def test_matmul_shape_mismatch_raises():
 
 
 def _softmax(x) -> np.ndarray:
-    """Row softmax of x (r, m), r <= m, read back from ranged_attention
-    with identity values: one head, one square range with d_h = m,
-    q = sqrt(m) I and k = x^T, so the scaled scores q k^T / sqrt(m) are the
-    rows of x, padded with zero rows up to m, and each output row is its
-    query's weights."""
+    """Row softmax of x (r, m), r <= m, read back from
+    tensor.attention_weights: the rows are I_m, one head with d_h = m,
+    W_q = sqrt(m) I and W_k = x^T padded with zero columns, so the scaled
+    scores q k^T / sqrt(m) are the rows of x, padded with zero rows up to m,
+    and each output row is its query's weights."""
     rows = np.array(x, dtype=np.float64)
     r, m = rows.shape
     keys = np.zeros((1, m, m))
     keys[0, :, :r] = rows.T
-    q = constant(np.sqrt(m) * np.eye(m)[None])
-    out = ranged_attention(q, constant(keys), constant(np.eye(m)[None]), [(0, m)])
-    return out.data[0, :r]
+    zeros = np.zeros((1, m, m))
+    out = tensor.attention_weights(np.eye(m), np.sqrt(m) * np.eye(m)[None], zeros[:, :1], keys, zeros)
+    return out[0, :r]
 
 
 def test_softmax_matches_naive_on_moderate_values():
@@ -292,13 +291,12 @@ def test_constant_gets_no_grad():
 def _every_op(x: Param, w: Param, g: Param) -> list:
     """One output of each op on (4, 3) x, (3, 3) w and (3,) g."""
     bounds = [(0, 1), (1, 4)]
-    heads = reshape(x, (1, 4, 3))
     maps = reshape(w, (1, 3, 3))
     order = np.array([3, 1, 0, 2])
     return [
         add(x, x), sub(x, x), mul(x, x), scale(x, 2.0), matmul(x, w), relu(x),
         absolute(x), tensor_sum(x), reshape(x, (3, 4)), transpose(x, (1, 0)),
-        layer_norm(x, g, g), ranged_attention(heads, heads, heads, bounds),
+        layer_norm(x, g, g),
         ranged_self_attention(
             x, maps, reshape(g, (1, 1, 3)), maps, maps, w, bounds, order, np.argsort(order)
         ),
@@ -489,94 +487,126 @@ def test_grad_batched_matmul_against_central_differences():
     assert finite_diff_check(make_loss, [a, b], samples=40, seed=3) < 1e-6
 
 
-def test_ranged_attention_closure_keeps_only_q_k_v_out_and_log_norm():
-    # the augmented [v | 1], [k | 1], [q | -log_norm] and [g | -inner]
-    # arrays are transients: the tape holds none of them between forward
-    # and backward
+def _closure(node: Tensor) -> dict:
+    """The backward closure's free variables, by name."""
+    fn = node.backward_fn
+    return dict(zip(fn.__code__.co_freevars, (cell.cell_contents for cell in fn.__closure__)))
+
+
+def _self_attention(x, w_query, w_key, w_value, bounds, b_query=None, w_out=None):
+    """ranged_self_attention over x's rows in their own order; the query
+    bias defaults to zeros and the output map to the identity, which lays
+    the head outputs side by side."""
+    heads, dim, head_dim = w_query.shape
+    b_query = constant(np.zeros((heads, 1, head_dim))) if b_query is None else b_query
+    w_out = constant(np.eye(dim)) if w_out is None else w_out
+    order = np.arange(x.shape[-2])
+    return ranged_self_attention(x, w_query, b_query, w_key, w_value, w_out, bounds, order, order)
+
+
+def test_ranged_self_attention_closure_keeps_only_its_operands_and_head_outputs():
+    # [q | -log_norm]^T, the keys, [v | 1]^T and the head outputs, 4D + 2H
+    # floats per row and batch: the gathered rows, the packed QKV and the
+    # augmented [k | 1] and [g | -inner] arrays are transients the tape
+    # does not hold between forward and backward
     rng = np.random.default_rng(9)
-    q, k, v = (Param(rng.normal(size=(2, 3, 7, 4)), name) for name in "qkv")
-    node = ranged_attention(q, k, v, [(0, 3), (3, 4), (4, 7)])
-    kept = [
-        cell.cell_contents for cell in node.backward_fn.__closure__
-        if isinstance(cell.cell_contents, np.ndarray)
-    ]
-    assert all(arr.shape[-1] in (1, 4) for arr in kept)
-    log_norm_bytes = q.data.nbytes // 4
-    assert sum(arr.nbytes for arr in kept) == 4 * q.data.nbytes + log_norm_bytes
+    batch, n_rows, dim, heads = 2, 7, 4, 2
+    x = Param(rng.normal(size=(batch, n_rows, dim)), "x")
+    w_query, w_key, w_value = (Param(rng.normal(size=(heads, dim, 2)), n) for n in "qkv")
+    order = rng.permutation(n_rows)
+    node = ranged_self_attention(
+        x, w_query, Param(np.zeros((heads, 1, 2)), "b"), w_key, w_value,
+        Param(rng.normal(size=(dim, dim)), "o"), [(0, 3), (3, 4), (4, 7)], order, np.argsort(order),
+    )
+    kept = {}
+    for value in _closure(node).values():
+        if isinstance(value, np.ndarray) and value.dtype == np.float64:
+            owner = value if value.base is None else value.base
+            kept[id(owner)] = owner
+    assert sorted(a.shape for a in kept.values()) == sorted(
+        [(batch, heads, 3, n_rows), (batch, heads, 3, n_rows), (batch, heads, n_rows, 2),
+         (batch, dim, n_rows)]
+    )
+    assert sum(a.nbytes for a in kept.values()) == (4 * dim + 2 * heads) * batch * n_rows * 8
 
 
 @pytest.mark.parametrize(
     "bounds", [[(0, 2)], [(0, 2), (3, 4)], [(2, 4), (0, 2)], [(0, 2), (2, 2), (2, 4)], []]
 )
-def test_ranged_attention_rejects_ranges_that_do_not_tile_the_rows(bounds):
+def test_ranged_self_attention_rejects_ranges_that_do_not_tile_the_rows(bounds):
     x = constant(np.ones((1, 4, 2)))
+    maps = constant(np.ones((1, 2, 2)))
     with pytest.raises(ContractError, match="tile"):
-        ranged_attention(x, x, x, bounds)
+        _self_attention(x, maps, maps, maps, bounds)
 
 
-def test_ranged_attention_rejects_inputs_without_a_head_axis():
-    x = constant(np.ones((4, 2)))
-    with pytest.raises(ContractError, match="H, M, d_h"):
-        ranged_attention(x, x, x, [(0, 4)])
+@pytest.mark.parametrize("position, shape", [
+    (0, (5,)), (0, (2, 5, 6)), (1, (4, 2)), (1, (2, 4, 3)), (2, (2, 2)), (3, (2, 4, 1)),
+    (4, (1, 4, 2)), (5, (4, 2)),
+])
+def test_ranged_self_attention_rejects_maps_that_do_not_fit_the_rows(position, shape):
+    # x (2, 5, 4), maps (2, 4, 2), query bias (2, 1, 2) and output (4, 4),
+    # with one of them replaced; a map without its head axis is refused too
+    leaves = [constant(np.ones(s)) for s in ((2, 5, 4), (2, 4, 2), (2, 1, 2), (2, 4, 2), (2, 4, 2), (4, 4))]
+    leaves[position] = constant(np.ones(shape))
+    order = np.arange(5)
+    with pytest.raises(ContractError, match="do not fit"):
+        ranged_self_attention(*leaves, [(0, 5)], order, order)
 
 
-def test_ranged_attention_with_identity_values_returns_the_softmax_weights():
-    # ragged ranges over 3 heads x 2 batches: with identity values each
-    # range's output rows are its weights, query-major, and zero outside
+def test_ranged_self_attention_attends_inside_each_range_only():
+    # ragged ranges over 3 heads x 2 batches: each range's output rows are
+    # its softmax weights times its value rows, and no row outside the
+    # range changes them
     rng = np.random.default_rng(13)
-    q, k = (rng.normal(scale=1.5, size=(2, 3, 9, 4)) for _ in range(2))
+    x = rng.normal(size=(2, 9, 12))
+    w_query, w_key, w_value = (rng.normal(scale=1.5 / np.sqrt(12), size=(3, 12, 4)) for _ in "qkv")
     bounds = [(0, 4), (4, 5), (5, 9)]
-    identity = np.broadcast_to(np.eye(9), (2, 3, 9, 9))
-    out = ranged_attention(constant(q), constant(k), constant(identity), bounds).data
-    assert out.shape == (2, 3, 9, 9)
+    maps = [constant(w) for w in (w_query, w_key, w_value)]
+    out = _self_attention(constant(x), *maps, bounds).data
+    assert out.shape == (2, 9, 12)
+    q, k, v = (x[:, None] @ w for w in (w_query, w_key, w_value))
     for lo, hi in bounds:
         scores = q[..., lo:hi, :] @ np.swapaxes(k[..., lo:hi, :], -1, -2) / 2.0
-        np.testing.assert_allclose(out[..., lo:hi, lo:hi], softmax_naive(scores), rtol=0, atol=1e-12)
-        assert np.all(out[..., lo:hi, :lo] == 0.0) and np.all(out[..., lo:hi, hi:] == 0.0)
+        heads = softmax_naive(scores) @ v[..., lo:hi, :]
+        want = np.swapaxes(heads, 1, 2).reshape(2, hi - lo, 12)
+        np.testing.assert_allclose(out[:, lo:hi], want, rtol=0, atol=1e-12)
+        moved = x.copy()
+        moved[:, :lo], moved[:, hi:] = rng.normal(size=moved[:, :lo].shape), -x[:, hi:]
+        assert np.array_equal(_self_attention(constant(moved), *maps, bounds).data[:, lo:hi], out[:, lo:hi])
 
 
-def test_grad_ranged_attention_with_values_narrower_than_queries():
-    # d_v = 2 against d_h = 5: the output takes the values' width, and the
-    # backward routes every gradient through the same ranges
-    rng = np.random.default_rng(14)
-    q = Param(rng.normal(size=(2, 7, 5)), "q")
-    k = Param(rng.normal(size=(2, 7, 5)), "k")
-    v = Param(rng.normal(size=(2, 7, 2)), "v")
-    probe = _probe((2, 7, 2), 45)
-    bounds = [(0, 3), (3, 4), (4, 7)]
-
-    def make_loss():
-        return tensor_sum(mul(ranged_attention(q, k, v, bounds), probe))
-
-    assert ranged_attention(q, k, v, bounds).shape == (2, 7, 2)
-    assert finite_diff_check(make_loss, [q, k, v], samples=10**6) < 1e-6
-
-
-def test_grad_ranged_attention_at_scores_near_500_with_a_one_row_range():
-    # column 0 of the queries is +-500 sqrt(d_h), alternating by row, and
-    # column 0 of the keys is 1, so every score is +-500 plus an O(1) term.
-    # Rows at +500 and at -500 share a range, so each query needs its own
-    # exact max, and the backward's exp([k | 1] @ [q | -log_norm]^T) must
-    # cancel the 500 inside one GEMM. Column 0 is held fixed: its gradient
-    # is a whole-row shift, zero, which central differences at this
-    # magnitude resolve only to about 1e-8.
+def test_grad_ranged_self_attention_at_scores_near_500_with_a_one_row_range():
+    # the rows are the first 5 of I_6, so each head's query, key and value
+    # rows are rows of its maps. Column 0 of the queries is +-500 sqrt(d_h),
+    # alternating by row, and column 0 of the keys is 1, so every score is
+    # +-500 plus an O(1) term. Rows at +500 and at -500 share a range, so
+    # each query needs its own exact max, and the backward's
+    # exp([k | 1] @ [q | -log_norm]^T) must cancel the 500 inside one GEMM.
+    # Column 0 is held fixed: its gradient is a whole-row shift, zero, which
+    # central differences at this magnitude resolve only to about 1e-8.
+    # Map row 5 meets no input row, so its gradient is exactly zero.
     rng = np.random.default_rng(12)
     heads, rows, width = 2, 5, 3
     sign = np.where(np.arange(rows) % 2 == 0, 1.0, -1.0)
-    fixed_q, fixed_k = np.zeros((heads, rows, width)), np.zeros((heads, rows, width))
-    fixed_q[..., 0] = 500.0 * np.sqrt(width) * sign
-    fixed_k[..., 0] = 1.0
+    fixed_q, fixed_k = np.zeros((heads, rows + 1, width)), np.zeros((heads, rows + 1, width))
+    fixed_q[:, :rows, 0] = 500.0 * np.sqrt(width) * sign
+    fixed_k[:, :rows, 0] = 1.0
     free = constant(np.array([0.0, 1.0, 1.0]))
-    q = Param(rng.normal(scale=0.5, size=(heads, rows, width)), "q")
-    k = Param(rng.normal(scale=0.5, size=(heads, rows, width)), "k")
-    v = Param(rng.normal(size=(heads, rows, width)), "v")
+    q, k = (
+        Param(np.pad(rng.normal(scale=0.5, size=(heads, rows, width)), ((0, 0), (0, 1), (0, 0))), name)
+        for name in "qk"
+    )
+    v = Param(np.pad(rng.normal(size=(heads, rows, width)), ((0, 0), (0, 1), (0, 0))), "v")
     probe = _probe((heads, rows, width), 41)
+    probe_rows = constant(np.swapaxes(probe.data, 0, 1).reshape(rows, heads * width))
+    x = constant(np.eye(rows, heads * width))
     bounds = [(0, 4), (4, 5)]
 
     def make_loss():
-        queries = add(constant(fixed_q), mul(q, free))
-        keys = add(constant(fixed_k), mul(k, free))
-        return tensor_sum(mul(ranged_attention(queries, keys, v, bounds), probe))
+        w_query = add(constant(fixed_q), mul(q, free))
+        w_key = add(constant(fixed_k), mul(k, free))
+        return tensor_sum(mul(_self_attention(x, w_query, w_key, v, bounds), probe_rows))
 
     assert finite_diff_check(make_loss, [q, k, v], samples=10**6) < 1e-6
     # finite_diff_check's max() skips a NaN error, so check finiteness here
@@ -587,29 +617,29 @@ def test_grad_ranged_attention_at_scores_near_500_with_a_one_row_range():
     np.testing.assert_allclose(v.grad[:, 4], probe.data[:, 4], rtol=1e-12, atol=0)
 
 
-def _closure(node: Tensor) -> dict:
-    """The backward closure's free variables, by name."""
-    fn = node.backward_fn
-    return dict(zip(fn.__code__.co_freevars, (cell.cell_contents for cell in fn.__closure__)))
-
-
 @pytest.mark.parametrize("seed", [0, 1])
-def test_ranged_attention_shifted_and_unshifted_branches_agree(monkeypatch, seed):
+def test_ranged_self_attention_shifted_and_unshifted_branches_agree(monkeypatch, seed):
     # a limit of 0 forces the exact per-query max, one of infinity the
     # unshifted exp; ragged ranges, one of them a single row
     rng = np.random.default_rng(seed)
-    arrays = [rng.normal(scale=2.0, size=(2, 3, 12, 4)) for _ in range(3)]
-    probe = _probe((2, 3, 12, 4), 43)
+    arrays = [rng.normal(size=(2, 12, 12))] + [
+        rng.normal(scale=2.0 / np.sqrt(12), size=(3, 12, 4)) for _ in range(3)
+    ] + [rng.normal(scale=0.5, size=(3, 1, 4)), rng.normal(size=(12, 12)) / np.sqrt(12)]
+    probe = _probe((2, 12, 12), 43)
     results = {}
     for limit, shifted in ((0.0, True), (np.inf, False)):
         monkeypatch.setattr(tensor, "_UNSHIFTED_SCORE_LIMIT", limit)
-        q, k, v = (Param(a, name) for a, name in zip(arrays, "qkv"))
-        node = ranged_attention(q, k, v, [(0, 5), (5, 6), (6, 12)])
+        x, w_query, w_key, w_value, b_query, w_out = (
+            Param(a, name) for a, name in zip(arrays, ("x", "q", "k", "v", "b", "o"))
+        )
+        node = _self_attention(x, w_query, w_key, w_value, [(0, 5), (5, 6), (6, 12)], b_query, w_out)
         state = _closure(node)
         assert state["shifted"] is shifted
-        log_norm = state["log_norm"]
+        log_norm = -state["q_norm_t"][..., -1, :]
         backward(tensor_sum(mul(node, probe)))
-        results[shifted] = (node.data, log_norm, q.grad, k.grad, v.grad)
+        results[shifted] = [node.data, log_norm] + [
+            p.grad for p in (x, w_query, w_key, w_value, b_query, w_out)
+        ]
     for exact, unshifted in zip(results[True], results[False]):
         scale = np.abs(exact).max()
         np.testing.assert_allclose(unshifted, exact, rtol=0, atol=1e-14 * scale)
