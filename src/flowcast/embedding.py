@@ -1,10 +1,12 @@
 """Input embedding: signal projection plus spatial and temporal encodings.
 
 The spatial encoding comes from eigenvectors of the symmetric normalized
-graph Laplacian; the temporal encoding one-hot codes day of week and step
-within the day. Both are projected to the model width, broadcast over the
-axes they do not index, summed with the projected signal, mixed by a
-second linear layer, and layer normalized.
+graph Laplacian; the temporal encoding tags each step with one learned
+row for its day of week and one for its step within the day, the product
+of the calendar's one-hot code with a linear map. Both are projected to
+the model width, broadcast over the axes they do not index, summed with
+the projected signal, mixed by a second linear layer, and layer
+normalized, all in one tape node, tensor.embed_rows.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from .errors import ContractError
 from .optim import glorot_uniform, ones_param, zeros_param
 from .stgraph import SpatialGraph
-from .tensor import Param, ParamGroup, Tensor, add, constant, layer_norm, matmul, reshape
+from .tensor import Param, ParamGroup, Tensor, embed_rows
 
 DAYS_PER_WEEK = 7
 TRIVIAL_EIGENVALUE_CUTOFF = 1e-8
@@ -79,28 +81,15 @@ def compute_spe(spatial: SpatialGraph, n_modes: int) -> SpePack:
 
 @dataclass
 class TpePack:
-    """Sizes for the calendar one-hot code: 7 days and gamma steps per day."""
+    """Sizes for the calendar code: 7 days and gamma steps per day. Row
+    day of the calendar map w_tpe tags a day of week and row 7 + step a
+    step within the day."""
 
     gamma: int
 
     @property
     def width(self) -> int:
         return DAYS_PER_WEEK + self.gamma
-
-    def one_hot(self, day: np.ndarray, step: np.ndarray) -> np.ndarray:
-        """Concatenated day/step one-hot rows; shape (..., 7 + gamma)."""
-        day = np.asarray(day, dtype=np.int64)
-        step = np.asarray(step, dtype=np.int64)
-        if day.shape != step.shape:
-            raise ContractError(f"day shape {day.shape} != step shape {step.shape}")
-        if day.size and (day.min() < 0 or day.max() >= DAYS_PER_WEEK):
-            raise ContractError("day of week outside [0, 7)")
-        if step.size and (step.min() < 0 or step.max() >= self.gamma):
-            raise ContractError(f"step in day outside [0, {self.gamma})")
-        out = np.zeros(day.shape + (self.width,), dtype=np.float64)
-        np.put_along_axis(out, day[..., None], 1.0, axis=-1)
-        np.put_along_axis(out, DAYS_PER_WEEK + step[..., None], 1.0, axis=-1)
-        return out
 
 
 @dataclass
@@ -136,14 +125,6 @@ def init_embedding_params(
     )
 
 
-def compute_tpe(
-    day: np.ndarray, step: np.ndarray, pack: TpePack, params: EmbeddingParams
-) -> Tensor:
-    """Project the calendar one-hots to the model width; shape (..., T, D)."""
-    onehot = pack.one_hot(day, step)
-    return add(matmul(constant(onehot), params.w_tpe), params.b_tpe)
-
-
 def embed(
     values: np.ndarray,
     day: np.ndarray,
@@ -155,9 +136,11 @@ def embed(
     """Embed a signal window (N, T, C) or a batch of them (B, N, T, C).
 
     Returns the model's rows, (T·N, D) or (B, T·N, D): row time · N + node
-    holds that element, the unified graph's flat id. The input is viewed as
-    (..., T, N, C) once, as a constant, so the spatial rows (N, D) broadcast
-    over time and the calendar rows (..., T, 1, D) over nodes.
+    holds that element, the unified graph's flat id. day and step, (T,) or
+    (B, T), give each step's day of week and step within the day; the
+    calendar rows are w_tpe[day] + w_tpe[7 + step] + b_tpe, looked up
+    rather than multiplied out of one-hot codes. One tape node,
+    tensor.embed_rows, computes the whole embedding.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim not in (3, 4):
@@ -175,13 +158,18 @@ def embed(
         raise ContractError(
             f"calendar shape {day.shape} does not fit window shape {values.shape}"
         )
+    step = np.asarray(step, dtype=np.int64)
+    if day.shape != step.shape:
+        raise ContractError(f"day shape {day.shape} != step shape {step.shape}")
+    if day.size and (day.min() < 0 or day.max() >= DAYS_PER_WEEK):
+        raise ContractError("day of week outside [0, 7)")
+    if step.size and (step.min() < 0 or step.max() >= tpe.gamma):
+        raise ContractError(f"step in day outside [0, {tpe.gamma})")
+    if params.w_tpe.shape[0] != tpe.width:
+        raise ContractError(f"calendar map has {params.w_tpe.shape[0]} rows, expected {tpe.width}")
 
-    x = add(matmul(constant(np.swapaxes(values, -3, -2)), params.w_in), params.b_in)
-    x = add(x, add(matmul(constant(spe.selected), params.w_spe), params.b_spe))
-    tpe_rows = compute_tpe(day, step, tpe, params)
-    dim = tpe_rows.shape[-1]
-    x = add(x, reshape(tpe_rows, day.shape + (1, dim)))
-
-    x = add(matmul(x, params.w_mix), params.b_mix)
-    x = layer_norm(x, params.norm_gain, params.norm_bias)
-    return reshape(x, x.shape[:-3] + (t_steps * n_nodes, dim))
+    p = params
+    return embed_rows(
+        values, spe.selected, day, DAYS_PER_WEEK + step, p.w_in, p.b_in, p.w_spe, p.b_spe,
+        p.w_tpe, p.b_tpe, p.w_mix, p.b_mix, p.norm_gain, p.norm_bias,
+    )

@@ -53,18 +53,11 @@ from .tensor import (
     Param,
     ParamGroup,
     Tensor,
-    absolute,
-    add,
     backward,
     constant,
-    matmul,
-    mul,
+    masked_mae,
     no_grad,
-    reshape,
-    scale,
-    sub,
-    tensor_sum,
-    transpose,
+    output_adapter,
 )
 
 
@@ -227,19 +220,15 @@ def forward_arrays(
     """Forward over (N, T, C) or batched (B, N, T, C) arrays.
 
     Between the embedding and the adapter the activations are rows
-    (..., T·N, D) in flat element order, time · N + node. The adapter views
-    them as (..., T, N·D), remaps T to t_out for every node in one product,
-    projects D to C, and returns (..., N, t_out, C).
+    (..., T·N, D) in flat element order, time · N + node. The adapter, one
+    tape node, views them as (..., T, N·D), remaps T to t_out for every
+    node in one product, projects D to C, and returns (..., N, t_out, C).
     """
     x = embed(values, day, step, model.spe, model.tpe, model.embedding)
     for block in model.blocks:
         x = apply_block(x, model.p1, model.p2, block)
-    adapter, n, dim = model.adapter, model.config.n_nodes, x.shape[-1]
-    lead, k = x.shape[:-2], x.ndim - 2
-    x = matmul(adapter.w_time, reshape(x, lead + (-1, n * dim)))
-    x = add(reshape(x, lead + (-1, n, dim)), adapter.b_time)
-    x = add(matmul(x, adapter.w_out), adapter.b_out)
-    return transpose(x, tuple(range(k)) + (k + 1, k, k + 2))
+    adapter = model.adapter
+    return output_adapter(x, adapter.w_time, adapter.b_time, adapter.w_out, adapter.b_out)
 
 
 def subset_weights(
@@ -284,19 +273,12 @@ def masked_mae_loss(
 
     By default points where truth == 0 are masked out; an explicit mask
     (True = keep) overrides that, which lets callers train on normalized
-    targets while masking on raw zeros. All-masked input gives loss 0.
+    targets while masking on raw zeros. All-masked input gives loss 0. The
+    loss is one tape node, tensor.masked_mae.
     """
     truth = np.asarray(truth, dtype=np.float64)
-    if pred.shape != truth.shape:
-        raise ContractError(f"pred shape {pred.shape} != truth shape {truth.shape}")
-    if mask is None:
-        mask = truth != 0.0
-    mask = np.asarray(mask)
-    if mask.shape != truth.shape:
-        raise ContractError(f"mask shape {mask.shape} != truth shape {truth.shape}")
-    count = int(mask.sum())
-    masked = mul(absolute(sub(pred, constant(truth))), constant(mask.astype(np.float64)))
-    return scale(tensor_sum(masked), 1.0 / max(count, 1))
+    mask = truth != 0.0 if mask is None else np.asarray(mask)
+    return masked_mae(pred, truth, mask)
 
 
 @dataclass

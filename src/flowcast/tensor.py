@@ -202,6 +202,8 @@ def backward(loss: Tensor) -> None:
     if not loss.requires_grad:
         return
 
+    # only op nodes enter the walk: a leaf's gradient arrives through
+    # _accumulate, called by the closures of the ops that read it
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
@@ -215,7 +217,7 @@ def backward(loss: Tensor) -> None:
         seen.add(id(node))
         stack.append((node, True))
         for parent in node.parents:
-            if parent.requires_grad and id(parent) not in seen:
+            if parent.backward_fn is not None and id(parent) not in seen:
                 stack.append((parent, False))
 
     loss.grad = np.ones((), dtype=np.float64)
@@ -223,7 +225,7 @@ def backward(loss: Tensor) -> None:
         # popping drops the list's reference, so a node whose children have
         # all run is freed together with what its closure saved
         node = order.pop()
-        if node.backward_fn is None:
+        if node.backward_fn is None:  # a leaf loss
             continue
         if node.grad is not None:
             node.backward_fn(node.grad)
@@ -241,14 +243,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(b, g)
 
     return Tensor(a.data + b.data, (a, b), bwd)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    def bwd(g: np.ndarray) -> None:
-        _accumulate(a, g)
-        _accumulate(b, -g)
-
-    return Tensor(a.data - b.data, (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -296,14 +290,6 @@ def relu(a: Tensor) -> Tensor:
     return Tensor(np.maximum(a.data, 0.0), (a,), bwd)
 
 
-def absolute(a: Tensor) -> Tensor:
-    """|x| with the sign subgradient, zero exactly at x == 0."""
-    def bwd(g: np.ndarray) -> None:
-        _accumulate(a, g * np.sign(a.data))
-
-    return Tensor(np.abs(a.data), (a,), bwd)
-
-
 def tensor_sum(a: Tensor) -> Tensor:
     """Sum of all elements, returned as a scalar tensor."""
     def bwd(g: np.ndarray) -> None:
@@ -317,14 +303,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
         _accumulate(a, g.reshape(a.data.shape))
 
     return Tensor(a.data.reshape(shape), (a,), bwd)
-
-
-def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    inverse = tuple(np.argsort(axes))
-    def bwd(g: np.ndarray) -> None:
-        _accumulate(a, g.transpose(inverse))
-
-    return Tensor(np.ascontiguousarray(a.data.transpose(axes)), (a,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +343,28 @@ def _check_ranges(bounds: list[tuple[int, int]], n_rows: int) -> None:
     tiled = [lo for lo, _ in bounds] == edges[:-1] and edges[-1] == n_rows
     if not tiled or any(lo >= hi for lo, hi in bounds):
         raise ContractError(f"ranges {bounds} do not tile rows [0, {n_rows}) in order")
+
+
+def _check_maps(op: str, rows_shape: tuple[int, ...], w_query, b_query, w_key, w_value, w_out=None) -> None:
+    """Raise ContractError naming every map's shape unless the maps, stacked
+    over heads as (H, D, d_h) with H * d_h = D, a query bias (H, 1, d_h) and,
+    when given, an output map (D, D) fit rows (..., M, D)."""
+    heads, dim, head_dim = w_query.shape if len(w_query.shape) == 3 else (0, 0, 0)
+    if (
+        len(rows_shape) < 2
+        or rows_shape[-1] != dim
+        or heads * head_dim != dim
+        or w_key.shape != w_query.shape
+        or w_value.shape != w_query.shape
+        or b_query.shape != (heads, 1, head_dim)
+        or (w_out is not None and w_out.shape != (dim, dim))
+    ):
+        named = [f"maps {w_query.shape}/{w_key.shape}/{w_value.shape}", f"query bias {b_query.shape}"]
+        if w_out is not None:
+            named.append(f"output {w_out.shape}")
+        raise ContractError(
+            f"{op} {', '.join(named[:-1])} and {named[-1]} do not fit rows {tuple(rows_shape)}"
+        )
 
 
 def _attend(
@@ -493,8 +493,7 @@ def attention_weights(
     ranged_self_attention's, and _attend runs over the one range [0, m)
     with [I | 1]^T as values, so each output row is one query's weights.
     """
-    if rows.ndim < 2:
-        raise ContractError(f"attention_weights needs rows (..., m, D), got shape {rows.shape}")
+    _check_maps("attention_weights", rows.shape, w_query, b_query, w_key, w_value)
     m = rows.shape[-2]
     _check_ranges([(0, m)], m)
     q_norm_t, k, _, _, shifted = _attention_operands(rows, w_query, b_query, w_key, w_value)
@@ -543,20 +542,8 @@ def ranged_self_attention(
     and takes each packed weight gradient and the input gradient as one
     GEMM each.
     """
-    heads, dim, head_dim = w_query.shape if w_query.ndim == 3 else (0, 0, 0)
-    if (
-        x.ndim < 2
-        or x.shape[-1] != dim
-        or heads * head_dim != dim
-        or w_key.shape != w_query.shape
-        or w_value.shape != w_query.shape
-        or b_query.shape != (heads, 1, head_dim)
-        or w_out.shape != (dim, dim)
-    ):
-        raise ContractError(
-            f"ranged_self_attention maps {w_query.shape}/{w_key.shape}/{w_value.shape}, "
-            f"query bias {b_query.shape} and output {w_out.shape} do not fit rows {x.shape}"
-        )
+    _check_maps("ranged_self_attention", x.shape, w_query, b_query, w_key, w_value, w_out)
+    heads, dim, head_dim = w_query.shape
     lead, n_rows = x.shape[:-2], x.shape[-2]
     _check_ranges(bounds, n_rows)
     if not _inverse_permutations(order, inverse, n_rows):
@@ -620,15 +607,18 @@ def _lead_sum(a: np.ndarray) -> np.ndarray:
 _NORM_EPS = 1e-5
 
 
-def _norm_rows(a: np.ndarray, row_mean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row of a at zero mean and unit population variance, and each
-    row's inverse std, (..., 1). row_mean is a (width, 1) column of
-    1/width: BLAS runs the row means as GEMVs faster than numpy reduces
-    over the last axis."""
-    xhat = a - a @ row_mean
-    inv = 1.0 / np.sqrt((xhat * xhat) @ row_mean + _NORM_EPS)
-    xhat *= inv
-    return xhat, inv
+def _norm_rows(a: np.ndarray, row_mean: np.ndarray) -> np.ndarray:
+    """Bring each row of a to zero mean and unit population variance in
+    place, and return each row's inverse std, (..., 1). row_mean is a
+    (width, 1) column of 1/width: BLAS runs the row means as GEMVs faster
+    than numpy reduces over the last axis."""
+    a -= a @ row_mean
+    inv = (a * a) @ row_mean
+    inv += _NORM_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    a *= inv
+    return inv
 
 
 def _norm_rows_grad(
@@ -652,7 +642,8 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match width {width}"
         )
     row_mean = np.full((width, 1), 1.0 / width)
-    xhat, inv = _norm_rows(a.data, row_mean)
+    xhat = a.data.copy()
+    inv = _norm_rows(xhat, row_mean)
     def bwd(g: np.ndarray) -> None:
         _accumulate(bias, g)
         _accumulate(gain, g * xhat)
@@ -722,7 +713,8 @@ def add_norm_ffn(
     out_rows = out.reshape(-1, width)
     kept: list[tuple[np.ndarray, ...]] = []
     for lo, hi in tiles:
-        norm1, inv1 = _norm_rows(a_rows[lo:hi] + x_rows[lo:hi], row_mean)
+        norm1 = a_rows[lo:hi] + x_rows[lo:hi]
+        inv1 = _norm_rows(norm1, row_mean)
         y = norm1 * g1.data
         y += beta1.data
         h = y @ w1.data
@@ -731,11 +723,11 @@ def add_norm_ffn(
         f = h @ w2.data
         f += b2.data
         f += y
-        norm2, inv2 = _norm_rows(f, row_mean)
-        np.multiply(norm2, g2.data, out=out_rows[lo:hi])
+        inv2 = _norm_rows(f, row_mean)
+        np.multiply(f, g2.data, out=out_rows[lo:hi])
         out_rows[lo:hi] += beta2.data
         if keep:
-            kept.append((norm1, inv1, h, norm2, inv2))
+            kept.append((norm1, inv1, h, f, inv2))
 
     def bwd(g: np.ndarray) -> None:
         g_rows = g.reshape(-1, width)
@@ -775,3 +767,215 @@ def add_norm_ffn(
             _accumulate(param, grad.reshape(param.data.shape))
 
     return Tensor(out, parents, bwd)
+
+
+# ---------------------------------------------------------------------------
+# model boundary ops: the embedding, the output adapter and the loss
+# ---------------------------------------------------------------------------
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """a as rows over its last axis, (-1, width)."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def _calendar_rows(
+    w_tpe: np.ndarray, b_tpe: np.ndarray, day_rows: np.ndarray, step_rows: np.ndarray
+) -> np.ndarray:
+    """w_tpe[day_rows] + w_tpe[step_rows] + b_tpe: the product of the
+    calendar's two-hot rows with w_tpe, plus b_tpe, without the one-hot
+    GEMM, whose other terms are exact zeros."""
+    rows = w_tpe[day_rows]
+    rows += w_tpe[step_rows]
+    rows += b_tpe
+    return rows
+
+
+def embed_rows(
+    values: np.ndarray,
+    coords: np.ndarray,
+    day_rows: np.ndarray,
+    step_rows: np.ndarray,
+    w_in: Tensor,
+    b_in: Tensor,
+    w_spe: Tensor,
+    b_spe: Tensor,
+    w_tpe: Tensor,
+    b_tpe: Tensor,
+    w_mix: Tensor,
+    b_mix: Tensor,
+    gain: Tensor,
+    bias: Tensor,
+) -> Tensor:
+    """LN((v W_in + b_in + c W_spe + b_spe + t + b_tpe) W_mix + b_mix) as rows; one tape node.
+
+    values is a signal window (..., N, T, C), coords the nodes' spatial
+    coordinates (N, K), and day_rows and step_rows, (..., T), the rows of
+    w_tpe that tag each step; t = w_tpe[day_rows] + w_tpe[step_rows]. The
+    spatial terms broadcast over time and the calendar terms over nodes,
+    and LN is a layer norm with the affine gain and bias. The output is
+    (..., T·N, D): row time · N + node holds that element.
+
+    The sum before the mix is built in one buffer, the projections are one
+    GEMM each over (rows, width) views, and the norm runs in place on the
+    mix output. Only when the output records a graph does the op keep that
+    sum, the normalized rows and their inverse stds; under no_grad the sum
+    is freed before the norm. The backward runs on (rows, D) views: the
+    three biases b_in, b_spe and b_tpe share one gradient, a ones-row GEMV,
+    and the calendar rows' gradient goes into w_tpe's through one GEMM with
+    the transposed two-hot code.
+    """
+    params = (w_in, b_in, w_spe, b_spe, w_tpe, b_tpe, w_mix, b_mix, gain, bias)
+    dim = w_mix.shape[-1] if w_mix.ndim == 2 else -1
+    inputs_fit = (
+        values.ndim >= 3
+        and coords.ndim == 2
+        and w_tpe.ndim == 2
+        and coords.shape[0] == values.shape[-3]
+        and day_rows.shape == step_rows.shape
+        and day_rows.shape[-1:] == values.shape[-2:-1]
+    )
+    wanted = (
+        (values.shape[-1], dim), (dim,), (coords.shape[-1], dim), (dim,), (w_tpe.shape[0], dim),
+        (dim,), (dim, dim), (dim,), (dim,), (dim,),
+    ) if inputs_fit else ()
+    if not inputs_fit or any(p.shape != shape for p, shape in zip(params, wanted)):
+        raise ContractError(
+            f"embed_rows parameters {'/'.join(str(p.shape) for p in params)} do not fit "
+            f"values {values.shape}, coordinates {coords.shape} and calendar {day_rows.shape}"
+        )
+    keep = _recording and any(p.requires_grad for p in params)
+    signal = np.ascontiguousarray(np.swapaxes(values, -3, -2))  # (..., T, N, C)
+    grid = signal.shape[:-1] + (dim,)
+    x = (_rows(signal) @ w_in.data).reshape(grid)
+    x += b_in.data
+    spatial = coords @ w_spe.data
+    spatial += b_spe.data
+    x += spatial
+    x += _calendar_rows(w_tpe.data, b_tpe.data, day_rows, step_rows)[..., None, :]
+    norm = (_rows(x) @ w_mix.data).reshape(grid)
+    norm += b_mix.data
+    if not keep:
+        x = None
+    # on the (..., T, N, D) grid numpy runs the norm's row means as one
+    # GEMV per (N, D) slice, which rounds as layer_norm does on that grid;
+    # one GEMV over all rows would sum in another order
+    row_mean = np.full((dim, 1), 1.0 / dim)
+    inv = _norm_rows(norm, row_mean)
+    out = norm * gain.data if keep else np.multiply(norm, gain.data, out=norm)
+    out += bias.data
+    flat = out.reshape(grid[:-3] + (-1, dim))
+    if not keep:
+        return Tensor(flat)
+
+    def bwd(g: np.ndarray) -> None:
+        g_rows, norm_rows = _rows(g), _rows(norm)
+        ones = np.ones((1, g_rows.shape[0]))
+        _accumulate(bias, ones @ g_rows)
+        _accumulate(gain, ones @ (g_rows * norm_rows))
+        d_mix = _norm_rows_grad(g_rows * gain.data, norm_rows, _rows(inv), row_mean)
+        _accumulate(b_mix, ones @ d_mix)
+        _accumulate(w_mix, _rows(x).T @ d_mix)
+        d_x = d_mix @ w_mix.data.T
+        d_shared = ones @ d_x
+        for shared in (b_in, b_spe, b_tpe):
+            _accumulate(shared, d_shared)
+        _accumulate(w_in, _rows(signal).T @ d_x)
+        n_nodes = grid[-2]
+        per_step = d_x.reshape(-1, n_nodes * dim)  # (steps, N·D)
+        d_spatial = (ones[:, : per_step.shape[0]] @ per_step).reshape(n_nodes, dim)
+        _accumulate(w_spe, coords.T @ d_spatial)
+        if w_tpe.requires_grad:
+            # each step's gradient goes to its day row and its step row
+            d_calendar = np.einsum("snd->sd", per_step.reshape(-1, n_nodes, dim))
+            steps = np.arange(per_step.shape[0])
+            two_hot = np.zeros((w_tpe.shape[0], steps.size))
+            for index in (day_rows, step_rows):
+                two_hot[np.broadcast_to(index, grid[:-2]).ravel(), steps] += 1.0
+            _accumulate(w_tpe, two_hot @ d_calendar)
+
+    return Tensor(flat, params, bwd)
+
+
+def output_adapter(x: Tensor, w_time: Tensor, b_time: Tensor, w_out: Tensor, b_out: Tensor) -> Tensor:
+    """(w_time @ x viewed as (..., T, N·D) + b_time) @ w_out + b_out per node; one tape node.
+
+    x is rows (..., T·N, D) in flat element order, time · N + node; w_time
+    is (t_out, T), b_time (D,), w_out (D, C) and b_out (C,). The time map
+    remaps T to t_out for every node in one product and the channel map
+    projects D to C; the output is (..., N, t_out, C). Only when the output
+    records a graph does the op keep the time map's output, with b_time
+    added; the backward takes the channel map's gradients over (rows,
+    width) views.
+    """
+    t_out, t_in = w_time.shape if w_time.ndim == 2 else (0, 0)
+    dim = x.shape[-1] if x.ndim >= 2 else -1
+    channels = w_out.shape[-1] if w_out.ndim == 2 else -1
+    if (
+        x.ndim < 2
+        or t_in == 0
+        or x.shape[-2] % t_in
+        or b_time.shape != (dim,)
+        or w_out.shape != (dim, channels)
+        or b_out.shape != (channels,)
+    ):
+        raise ContractError(
+            f"output_adapter maps {w_time.shape}/{b_time.shape}/{w_out.shape}/{b_out.shape} "
+            f"do not fit rows {x.shape}"
+        )
+    parents = (x, w_time, b_time, w_out, b_out)
+    lead, n_nodes = x.shape[:-2], x.shape[-2] // t_in
+    x_time = x.data.reshape(lead + (t_in, n_nodes * dim))
+    hidden = (w_time.data @ x_time).reshape(lead + (t_out, n_nodes, dim))
+    hidden += b_time.data
+    y = hidden @ w_out.data
+    y += b_out.data
+    out = np.ascontiguousarray(np.swapaxes(y, -3, -2))
+    if not (_recording and any(p.requires_grad for p in parents)):
+        return Tensor(out)
+
+    def bwd(g: np.ndarray) -> None:
+        g_rows = _rows(np.ascontiguousarray(np.swapaxes(g, -3, -2)))
+        hidden_rows = _rows(hidden)
+        ones = np.ones((1, g_rows.shape[0]))
+        _accumulate(b_out, ones @ g_rows)
+        _accumulate(w_out, hidden_rows.T @ g_rows)
+        d_hidden = g_rows @ w_out.data.T
+        _accumulate(b_time, ones @ d_hidden)
+        d_time = d_hidden.reshape(lead + (t_out, n_nodes * dim))
+        _accumulate(w_time, d_time @ np.swapaxes(x_time, -1, -2))
+        if x.requires_grad:
+            _accumulate(x, (w_time.data.T @ d_time).reshape(x.data.shape))
+
+    return Tensor(out, parents, bwd)
+
+
+def masked_mae(pred: Tensor, truth: np.ndarray, mask: np.ndarray) -> Tensor:
+    """Σ |pred − truth| · mask / max(Σ mask, 1), a scalar; one tape node.
+
+    truth and mask have pred's shape. The gradient is
+    sign(pred − truth) · mask / max(Σ mask, 1), zero where pred equals
+    truth; only when the output records a graph does the op keep
+    sign(pred − truth) · mask for it.
+    """
+    if truth.shape != pred.shape or mask.shape != pred.shape:
+        raise ContractError(
+            f"masked_mae needs truth {truth.shape} and mask {mask.shape} shaped as pred {pred.shape}"
+        )
+    weights = mask.astype(np.float64)
+    factor = 1.0 / max(int(mask.sum()), 1)
+    error = pred.data - truth
+    keep = _recording and pred.requires_grad
+    if keep:
+        slope = np.sign(error)
+        slope *= weights
+    np.abs(error, out=error)
+    error *= weights
+    loss = error.sum() * factor
+    if not keep:
+        return Tensor(loss)
+
+    def bwd(g: np.ndarray) -> None:
+        _accumulate(pred, slope * (g * factor))
+
+    return Tensor(loss, (pred,), bwd)

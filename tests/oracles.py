@@ -245,3 +245,13 @@ def subset_attention_grad_oracle(x, w_q, b_q, w_k, w_v, w_out, subsets, g) -> tu
         grads["w_v"][h] += rows.T @ d_v
         grads["x"][b, idx] += d_q @ w_q[h].T + d_k @ w_k[h].T + d_v @ w_v[h].T
     return out, grads
+
+
+def calendar_one_hot(day: np.ndarray, step: np.ndarray, gamma: int) -> np.ndarray:
+    """The calendar code: per entry, a one at column day and one at column
+    7 + step of 7 + gamma columns; shape day.shape + (7 + gamma,)."""
+    out = np.zeros(np.shape(day) + (7 + gamma,))
+    for idx in np.ndindex(*np.shape(day)):
+        out[idx][day[idx]] = 1.0
+        out[idx][7 + step[idx]] = 1.0
+    return out

@@ -7,15 +7,11 @@ import pytest
 
 from flowcast import cli
 from flowcast.cli import RunConfig, build_parser, main, read_config_file, render_effective_config
-from flowcast.data import (
-    prepare_dataset,
-    ring_edge_lines,
-    synthetic_series,
-    write_edge_list,
-    write_signal_csv,
-)
+from flowcast.data import prepare_dataset, ring_edge_lines, synthetic_series
 from flowcast.errors import InputError
 from flowcast.model import evaluate, predict_windows
+
+from writers import write_edge_list, write_signal_csv
 
 
 @pytest.fixture

@@ -14,13 +14,13 @@ from flowcast.data import (
     ring_edge_lines,
     split_series,
     synthetic_series,
-    write_edge_list,
-    write_signal_csv,
     zscore_fit,
     zscore_fit_apply,
 )
 from flowcast.errors import ContractError, InputError
 from flowcast.stgraph import load_spatial_graph
+
+from writers import write_edge_list, write_signal_csv
 
 
 def _write_csv(path, lines):

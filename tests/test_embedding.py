@@ -6,14 +6,14 @@ import pytest
 from flowcast.embedding import (
     TpePack,
     compute_spe,
-    compute_tpe,
     embed,
     init_embedding_params,
 )
 from flowcast.errors import ContractError
 from flowcast.stgraph import load_spatial_graph
+from flowcast.tensor import _calendar_rows
 
-from oracles import random_connected_graph
+from oracles import calendar_one_hot, random_connected_graph
 
 
 def _graph_from_matrix(adj: np.ndarray):
@@ -128,53 +128,66 @@ def test_spe_deterministic():
 
 
 def test_tpe_one_hot_layout():
-    pack = TpePack(gamma=288)
-    row = pack.one_hot(np.array([0]), np.array([1]))[0]
-    assert row.shape == (295,)
+    # the one-hot oracle that the calendar rows are checked against: day d
+    # sets column d and step s column 7 + s
+    row = calendar_one_hot(np.array([0]), np.array([1]), 288)[0]
+    assert row.shape == (295,) == (TpePack(gamma=288).width,)
     assert row[0] == 1.0 and row[7 + 1] == 1.0
     assert row.sum() == 2.0
 
 
 def test_tpe_one_hot_batch_shape():
-    pack = TpePack(gamma=24)
     day = np.array([[0, 1], [6, 6]])
     step = np.array([[0, 23], [5, 5]])
-    out = pack.one_hot(day, step)
+    out = calendar_one_hot(day, step, 24)
     assert out.shape == (2, 2, 31)
     assert np.all(out.sum(axis=-1) == 2.0)
 
 
 def test_tpe_equal_slots_give_equal_rows():
-    pack = TpePack(gamma=12)
-    out = pack.one_hot(np.array([3, 3]), np.array([7, 7]))
-    assert np.array_equal(out[0], out[1])
+    rng = np.random.default_rng(32)
+    w_tpe, b_tpe = rng.normal(size=(7 + 12, 8)), rng.normal(size=8)
+    out = _calendar_rows(w_tpe, b_tpe, np.array([3, 3, 4]), 7 + np.array([7, 7, 7]))
+    assert np.array_equal(out[0], out[1]) and not np.array_equal(out[0], out[2])
 
 
 def test_tpe_range_validation():
-    pack = TpePack(gamma=24)
-    with pytest.raises(ContractError):
-        pack.one_hot(np.array([7]), np.array([0]))
-    with pytest.raises(ContractError):
-        pack.one_hot(np.array([0]), np.array([24]))
-    with pytest.raises(ContractError):
-        pack.one_hot(np.array([-1]), np.array([0]))
+    spatial, spe, tpe, params = _setup()
+    values = np.zeros((4, 3, 2))
+    for day, step, message in (
+        ([7, 0, 0], [0, 0, 0], r"day of week outside \[0, 7\)"),
+        ([0, 0, 0], [0, 24, 0], r"step in day outside \[0, 24\)"),
+        ([0, -1, 0], [0, 0, 0], r"day of week outside \[0, 7\)"),
+        ([0, 0, 0], [-1, 0, 0], r"step in day outside \[0, 24\)"),
+    ):
+        with pytest.raises(ContractError, match=message):
+            embed(values, np.array(day), np.array(step), spe, tpe, params)
 
 
 def test_tpe_shape_mismatch():
-    pack = TpePack(gamma=24)
-    with pytest.raises(ContractError):
-        pack.one_hot(np.array([0, 1]), np.array([0]))
+    spatial, spe, tpe, params = _setup()
+    with pytest.raises(ContractError, match="step shape"):
+        embed(np.zeros((4, 3, 2)), np.array([0, 1, 2]), np.array([0, 1]), spe, tpe, params)
 
 
 def test_compute_tpe_projects_to_width():
+    # the calendar rows, looked up, equal the one-hot code times w_tpe plus
+    # b_tpe bit for bit: the GEMM's other terms are exact zeros
     rng = np.random.default_rng(33)
     pack = TpePack(gamma=24)
     params = init_embedding_params(rng, channels=1, dim=8, n_modes=2, tpe_width=pack.width)
-    out = compute_tpe(np.array([0, 1, 2]), np.array([5, 6, 7]), pack, params)
-    assert out.shape == (3, 8)
-    # same calendar slot maps to the same row
-    again = compute_tpe(np.array([1]), np.array([6]), pack, params)
-    assert np.allclose(out.data[1], again.data[0], atol=1e-15)
+    w_tpe, b_tpe = params.w_tpe.data, params.b_tpe.data
+    day = rng.integers(0, 7, size=(4, 6))
+    step = rng.integers(0, 24, size=(4, 6))
+    out = _calendar_rows(w_tpe, b_tpe, day, 7 + step)
+    assert out.shape == (4, 6, 8)
+    assert np.array_equal(out, calendar_one_hot(day, step, 24) @ w_tpe + b_tpe)
+
+
+def test_embed_rejects_a_calendar_map_of_the_wrong_width():
+    spatial, spe, _, params = _setup(gamma=24)
+    with pytest.raises(ContractError, match="calendar map has 31 rows, expected 19"):
+        embed(np.zeros((4, 3, 2)), np.zeros(3, np.int64), np.arange(3), spe, TpePack(gamma=12), params)
 
 
 # ---------------------------------------------------------------------------

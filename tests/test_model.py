@@ -292,6 +292,22 @@ def test_forward_reaches_subset_attention_twice_per_block(monkeypatch, n_blocks)
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("n_blocks", [1, 2])
+def test_training_step_records_three_op_nodes_plus_four_per_block(n_blocks):
+    # the embedding, the adapter and the loss are one tape node each, and
+    # each block's two modules two each; leaves have no backward_fn
+    model = _build(n_blocks=n_blocks)
+    values, day, step, target_norm, target_raw = batch_arrays(_dataset().splits["train"][:4])
+    loss = masked_mae_loss(forward_arrays(model, values, day, step), target_norm, target_raw != 0.0)
+    seen, stack = {id(loss): loss}, [loss]
+    while stack:
+        for parent in stack.pop().parents:
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
+                stack.append(parent)
+    assert sum(node.backward_fn is not None for node in seen.values()) == 3 + 4 * n_blocks
+
+
 def test_masked_loss_hand_value():
     pred = Param(np.array([[1.0, 2.0], [3.0, 4.0]]), "pred")
     truth = np.array([[2.0, 0.0], [1.0, 4.0]])

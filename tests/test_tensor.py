@@ -17,25 +17,25 @@ from flowcast.stgraph import load_spatial_graph
 from flowcast.tensor import (
     Param,
     Tensor,
-    absolute,
     add,
     add_norm_ffn,
     backward,
     constant,
+    embed_rows,
     layer_norm,
+    masked_mae,
     matmul,
     mul,
     no_grad,
+    output_adapter,
     ranged_self_attention,
     relu,
     reshape,
     scale,
-    sub,
     tensor_sum,
-    transpose,
 )
 
-from oracles import layer_norm_naive, matmul_oracle, softmax_naive
+from oracles import calendar_one_hot, layer_norm_naive, matmul_oracle, softmax_naive
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +262,10 @@ def test_grad_relu_gates_negative_side():
 
 
 def test_grad_absolute_is_sign():
-    x = Param(np.array([-3.0, 2.0]), "x")
-    backward(tensor_sum(absolute(x)))
-    assert np.array_equal(x.grad, [-1.0, 1.0])
+    # masked_mae's |pred - truth| takes the sign subgradient, 0 at a tie
+    x = Param(np.array([-3.0, 2.0, 1.0, 5.0]), "x")
+    backward(masked_mae(x, np.array([0.0, 0.0, 1.0, 0.0]), np.array([True, True, True, False])))
+    assert np.array_equal(x.grad, np.array([-1.0, 1.0, 0.0, 0.0]) / 3.0)
 
 
 def test_param_grad_persists_and_accumulates():
@@ -293,14 +294,21 @@ def _every_op(x: Param, w: Param, g: Param) -> list:
     bounds = [(0, 1), (1, 4)]
     maps = reshape(w, (1, 3, 3))
     order = np.array([3, 1, 0, 2])
+    row = reshape(g, (1, 3))
+    calendar = np.array([0, 3])
     return [
-        add(x, x), sub(x, x), mul(x, x), scale(x, 2.0), matmul(x, w), relu(x),
-        absolute(x), tensor_sum(x), reshape(x, (3, 4)), transpose(x, (1, 0)),
-        layer_norm(x, g, g),
+        add(x, x), mul(x, x), scale(x, 2.0), matmul(x, w), relu(x),
+        tensor_sum(x), reshape(x, (3, 4)), layer_norm(x, g, g),
         ranged_self_attention(
             x, maps, reshape(g, (1, 1, 3)), maps, maps, w, bounds, order, np.argsort(order)
         ),
         add_norm_ffn(x, x, w, g, w, g, g, g, g, g),
+        embed_rows(
+            np.ones((2, 2, 1)), np.ones((2, 1)), calendar, calendar[::-1], row, g, row, g, x, g,
+            w, g, g, g,
+        ),
+        output_adapter(x, reshape(x, (6, 2)), g, w, g),
+        masked_mae(x, np.zeros((4, 3)), np.ones((4, 3), dtype=bool)),
     ]
 
 
@@ -450,15 +458,18 @@ def test_grad_structural_pipeline_against_central_differences():
     rng = np.random.default_rng(5)
     x = Param(rng.normal(size=(6, 3)), "x")
     widen = constant(rng.normal(size=(3, 6)))
-    probe = _probe((6, 6), 99)
+    time_map = Param(rng.normal(size=(3, 2)), "time_map")
+    channel_map = Param(rng.normal(size=(3, 3)), "channel_map")
+    bias = Param(rng.normal(size=3), "bias")
+    probe = _probe((6, 9), 99)
 
     def make_loss():
         h = relu(matmul(x, widen))           # (6, 6)
-        t = transpose(reshape(h, (6, 2, 3)), (1, 0, 2))
-        flat = reshape(t, (6, 6))
-        return tensor_sum(mul(flat, probe))
+        rows = reshape(h, (12, 3))           # 2 steps x 6 nodes
+        out = output_adapter(rows, time_map, bias, channel_map, bias)  # (6, 3, 3)
+        return tensor_sum(mul(reshape(out, (6, 9)), probe))
 
-    err = finite_diff_check(make_loss, [x], samples=18, seed=0)
+    err = finite_diff_check(make_loss, [x, time_map, channel_map, bias], samples=36, seed=0)
     assert err < 1e-6
 
 
@@ -742,3 +753,207 @@ def test_add_norm_ffn_rejects_mismatched_shapes(position, shape):
     leaves[position] = Param(np.zeros(shape), "bad")
     with pytest.raises(ContractError):
         add_norm_ffn(*leaves)
+
+
+def test_attention_weights_rejects_maps_that_do_not_fit_the_rows():
+    # maps for width 4 against rows of width 6 are refused before the
+    # packed GEMM, with every map's shape named
+    maps = np.ones((2, 4, 2))
+    with pytest.raises(ContractError, match=r"\(2, 4, 2\)/\(2, 4, 2\)/\(2, 4, 2\).*\(2, 1, 2\).*\(3, 6\)"):
+        tensor.attention_weights(np.ones((3, 6)), maps, np.zeros((2, 1, 2)), maps, maps)
+    with pytest.raises(ContractError, match=r"query bias \(1, 1, 2\) do not fit"):
+        tensor.attention_weights(np.ones((3, 4)), maps, np.zeros((1, 1, 2)), maps, maps)
+
+
+# ---------------------------------------------------------------------------
+# the embedding, adapter and loss ops against the taped chains they replace
+# ---------------------------------------------------------------------------
+
+
+_GAMMA = 5
+
+
+def _embedding_leaves(seed: int, batch: tuple[int, ...] = (3,)) -> tuple[tuple, list[Param]]:
+    """A (batch..., N=4, T=3, C=2) window, 2-column coordinates and a
+    calendar (batch..., T), and the ten embedding parameters at D = 6."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=batch + (4, 3, 2))
+    coords = rng.normal(size=(4, 2))
+    day = rng.integers(0, 7, size=batch + (3,))
+    step = rng.integers(0, _GAMMA, size=batch + (3,))
+    shapes = [(2, 6), (6,), (2, 6), (6,), (7 + _GAMMA, 6), (6,), (6, 6), (6,), (6,), (6,)]
+    names = ["w_in", "b_in", "w_spe", "b_spe", "w_tpe", "b_tpe", "w_mix", "b_mix", "gain", "bias"]
+    return (values, coords, day, step), [Param(rng.normal(size=s), n) for s, n in zip(shapes, names)]
+
+
+def _taped_embedding(values, coords, day, step, w_in, b_in, w_spe, b_spe, w_tpe, b_tpe,
+                     w_mix, b_mix, gain, bias):
+    """The embedding as generic ops, with the calendar as a one-hot GEMM."""
+    x = add(matmul(constant(np.swapaxes(values, -3, -2)), w_in), b_in)
+    x = add(x, add(matmul(constant(coords), w_spe), b_spe))
+    calendar = add(matmul(constant(calendar_one_hot(day, step, _GAMMA)), w_tpe), b_tpe)
+    x = add(x, reshape(calendar, day.shape + (1, calendar.shape[-1])))
+    x = layer_norm(add(matmul(x, w_mix), b_mix), gain, bias)
+    return reshape(x, x.shape[:-3] + (-1, x.shape[-1]))
+
+
+def _embedding_op(values, coords, day, step, *params):
+    return embed_rows(values, coords, day, 7 + step, *params)
+
+
+def _taped_adapter(x, w_time, b_time, w_out, b_out, n_nodes):
+    """The adapter as generic ops, before its final axis swap: (..., t_out, N, C)."""
+    lead, dim = x.shape[:-2], x.shape[-1]
+    y = matmul(w_time, reshape(x, lead + (w_time.shape[1], n_nodes * dim)))
+    y = add(reshape(y, lead + (w_time.shape[0], n_nodes, dim)), b_time)
+    return add(matmul(y, w_out), b_out)
+
+
+def _taped_masked_mae(pred, truth, mask):
+    """The loss as generic ops: |e| is e times the constant sign(e)."""
+    error = add(pred, constant(-truth))
+    absolute = mul(error, constant(np.sign(error.data)))
+    masked = mul(absolute, constant(mask.astype(np.float64)))
+    return scale(tensor_sum(masked), 1.0 / max(int(mask.sum()), 1))
+
+
+def _assert_grads_close(got: list[Param], want: list[Param]) -> None:
+    for a, b in zip(got, want):
+        np.testing.assert_allclose(a.grad, b.grad, rtol=0, atol=1e-14 * np.abs(b.grad).max())
+
+
+@pytest.mark.parametrize("batch", [(), (3,), (2, 2)])
+def test_embed_rows_is_the_taped_chain(batch):
+    inputs, got_params = _embedding_leaves(60, batch)
+    _, want_params = _embedding_leaves(60, batch)
+    got = _embedding_op(*inputs, *got_params)
+    want = _taped_embedding(*inputs, *want_params)
+    assert got.shape == batch + (12, 6)
+    assert np.array_equal(got.data, want.data)
+    probe = _probe(got.shape, 61)
+    backward(tensor_sum(mul(got, probe)))
+    backward(tensor_sum(mul(want, probe)))
+    _assert_grads_close(got_params, want_params)
+
+
+def test_embed_rows_with_one_calendar_for_a_batch_is_the_taped_chain():
+    # a (T,) calendar broadcasts over the batch, as embed allows
+    (values, coords, _, _), got_params = _embedding_leaves(62)
+    _, want_params = _embedding_leaves(62)
+    day, step = np.array([6, 0, 3]), np.array([0, 4, 4])
+    got = _embedding_op(values, coords, day, step, *got_params)
+    want = _taped_embedding(values, coords, day, step, *want_params)
+    assert np.array_equal(got.data, want.data)
+    probe = _probe(got.shape, 63)
+    backward(tensor_sum(mul(got, probe)))
+    backward(tensor_sum(mul(want, probe)))
+    _assert_grads_close(got_params, want_params)
+
+
+def test_grad_embed_rows_against_central_differences():
+    inputs, params = _embedding_leaves(64)
+    probe = _probe((3, 12, 6), 65)
+
+    def make_loss():
+        return tensor_sum(mul(_embedding_op(*inputs, *params), probe))
+
+    assert finite_diff_check(make_loss, params, samples=10**6) < 1e-6
+
+
+def test_embed_rows_keeps_only_what_its_backward_reads():
+    (values, coords, day, step), params = _embedding_leaves(66)
+    node = _embedding_op(values, coords, day, step, *params)
+    kept = {
+        name: value.shape for name, value in _closure(node).items()
+        if isinstance(value, np.ndarray) and value.dtype == np.float64
+    }
+    # the signal (..., T, N, C), the pre-mix sum and the normalized rows
+    # (..., T, N, D), each row's inverse std and the coordinates
+    assert kept == {
+        "signal": (3, 3, 4, 2), "x": (3, 3, 4, 6), "norm": (3, 3, 4, 6), "inv": (3, 3, 4, 1),
+        "coords": (4, 2), "row_mean": (6, 1),
+    }
+
+
+@pytest.mark.parametrize("position, shape", [
+    (0, (3, 6)), (1, (6, 1)), (2, (3, 6)), (3, (5,)), (4, (7 + _GAMMA, 5)), (4, (7 + _GAMMA, 6, 1)),
+    (5, (5,)), (6, (6, 5)), (6, ()), (7, (5,)), (8, (5,)), (9, (6, 2)),
+])
+def test_embed_rows_rejects_parameters_that_do_not_fit(position, shape):
+    inputs, params = _embedding_leaves(67)
+    params[position] = Param(np.zeros(shape), "bad")
+    with pytest.raises(ContractError, match="do not fit"):
+        _embedding_op(*inputs, *params)
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_output_adapter_is_the_taped_chain(lead):
+    n_nodes, t_in, dim = 5, 4, 6
+
+    def leaves():
+        rng = np.random.default_rng(70)
+        arrays = [rng.normal(size=lead + (t_in * n_nodes, dim)), rng.normal(size=(3, t_in)),
+                  rng.normal(size=dim), rng.normal(size=(dim, 2)), rng.normal(size=2)]
+        return [Param(a, name) for a, name in zip(arrays, ["x", "w_time", "b_time", "w_out", "b_out"])]
+
+    got_leaves, want_leaves = leaves(), leaves()
+    got = output_adapter(*got_leaves)
+    want = _taped_adapter(*want_leaves, n_nodes)
+    assert got.shape == lead + (n_nodes, 3, 2)
+    assert np.array_equal(got.data, np.swapaxes(want.data, -3, -2))
+    probe = np.random.default_rng(71).normal(size=got.shape)
+    backward(tensor_sum(mul(got, constant(probe))))
+    backward(tensor_sum(mul(want, constant(np.swapaxes(probe, -3, -2)))))
+    _assert_grads_close(got_leaves, want_leaves)
+
+
+@pytest.mark.parametrize("position, shape", [
+    (0, (7, 6)), (0, (20,)), (1, (3,)), (2, (5,)), (3, (5, 2)), (3, ()), (4, (3,)),
+])
+def test_output_adapter_rejects_maps_that_do_not_fit(position, shape):
+    leaves = [Param(np.zeros(s), "leaf") for s in ((20, 6), (3, 4), (6,), (6, 2), (2,))]
+    leaves[position] = Param(np.zeros(shape), "bad")
+    with pytest.raises(ContractError, match="do not fit"):
+        output_adapter(*leaves)
+
+
+def test_masked_mae_is_the_taped_chain():
+    rng = np.random.default_rng(72)
+    pred = rng.normal(size=(3, 5, 4, 1))
+    truth = rng.normal(size=pred.shape)
+    truth[0, 0] = pred[0, 0]  # ties take a zero subgradient
+    mask = rng.random(pred.shape) < 0.7
+    got_pred, want_pred = Param(pred, "pred"), Param(pred, "pred")
+    got = masked_mae(got_pred, truth, mask)
+    want = _taped_masked_mae(want_pred, truth, mask)
+    assert got.shape == () and np.array_equal(got.data, want.data)
+    backward(got)
+    backward(want)
+    assert np.array_equal(got_pred.grad, want_pred.grad)
+
+
+class _WatchedLeaf(Param):
+    """A Param that counts how often its parents are read."""
+
+    reads = 0
+
+    @property
+    def parents(self):
+        _WatchedLeaf.reads += 1
+        return ()
+
+    @parents.setter
+    def parents(self, value):
+        pass
+
+
+def test_backward_walks_only_op_nodes():
+    # a leaf's gradient arrives through _accumulate; the walk never
+    # expands a leaf, so it never reads a leaf's parents
+    x = _WatchedLeaf(np.ones((4, 3)), "x")
+    w = _WatchedLeaf(np.ones((3, 3)), "w")
+    loss = tensor_sum(mul(matmul(x, w), constant(np.ones((4, 3)))))
+    _WatchedLeaf.reads = 0
+    backward(loss)
+    assert _WatchedLeaf.reads == 0
+    assert np.array_equal(x.grad, np.full((4, 3), 3.0)) and np.array_equal(w.grad, np.full((3, 3), 4.0))
