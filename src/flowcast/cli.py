@@ -20,6 +20,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
     Dataset,
     WindowSample,
+    build_windows,
     load_series,
     prepare_dataset,
     ring_edge_lines,
@@ -30,6 +31,7 @@ from .errors import ContractError, FlowcastError, InputError, NumericError, requ
 from .files import atomic_write
 from .model import (
     ModelConfig,
+    ModelSettings,
     TraceRow,
     build_model,
     build_partitions,
@@ -60,8 +62,9 @@ def _help(default, text: str):
 
 
 @dataclass
-class RunConfig:
-    """Everything a pipeline command can be told from file or flags.
+class RunConfig(ModelSettings):
+    """Everything a pipeline command can be told from file or flags: the
+    model settings it inherits, then its own files and splits.
 
     Each field is a config-file key and the flag --key-with-dashes; its
     declared type decides how a raw value is parsed and written back.
@@ -70,18 +73,6 @@ class RunConfig:
     graph: str | None = _help(None, "edge list path")
     signal: tuple[str, ...] = _help((), "comma-separated signal CSVs, one per channel")
     interval_min: int = 5
-    t_in: int = _help(12, "input window length")
-    t_out: int = _help(12, "forecast horizon length")
-    dim: int = _help(16, "model width")
-    spe_modes: int = 16
-    n_blocks: int = 4
-    n_heads: int = 4
-    n_subsets: int = 40
-    seed: int = 0
-    learning_rate: float = 0.001
-    batch_size: int = 8
-    epochs: int = 100
-    clip_norm: float = _help(5.0, "global gradient norm cap; 0 disables clipping")
     split: tuple[float, float, float] = _help((7.0, 1.0, 2.0), "train:val:test ratios, e.g. 7:1:2")
     split_days: tuple[int, int, int] | None = _help(None, "day counts, e.g. 62:9:21")
     out_dir: str = "out"
@@ -202,6 +193,7 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             setattr(cfg, key, _parse_value(key, flag))
+    cfg.check(InputError)
     return cfg
 
 
@@ -211,12 +203,9 @@ def _add_shared_flags(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--" + f.name.replace("_", "-"), dest=f.name, help=f.metadata.get("help"))
 
 
-# the fields RunConfig and ModelConfig share, copied either way between them
-_SHARED_KEYS = tuple(key for key in _FIELD_TYPES if key in get_type_hints(ModelConfig))
-
-
 def _shared(config) -> dict[str, object]:
-    return {key: getattr(config, key) for key in _SHARED_KEYS}
+    """The model settings of a RunConfig or ModelConfig, to copy into the other."""
+    return {f.name: getattr(config, f.name) for f in fields(ModelSettings)}
 
 
 def _require(cfg: RunConfig, *names: str) -> None:
@@ -227,21 +216,29 @@ def _require(cfg: RunConfig, *names: str) -> None:
 
 
 def _load_graph(cfg: RunConfig):
+    """The sensor graph; model settings its node count rules out are refused."""
     _require(cfg, "graph")
-    return load_spatial_graph(cfg.graph, symmetrize=cfg.symmetrize)
+    spatial = load_spatial_graph(cfg.graph, symmetrize=cfg.symmetrize)
+    cfg.check_nodes(spatial.n_nodes, InputError)
+    return spatial
 
 
 def _load_dataset(cfg: RunConfig, spatial) -> Dataset:
+    """The split dataset; a split the data cannot fill is an InputError."""
     _require(cfg, "signal")
     series = load_series(list(cfg.signal), cfg.interval_min, spatial)
     ratios = None if cfg.split_days else cfg.split
-    return prepare_dataset(
-        series, cfg.t_in, cfg.t_out, ratios=ratios, days=cfg.split_days
-    )
+    try:
+        return prepare_dataset(series, cfg.t_in, cfg.t_out, ratios=ratios, days=cfg.split_days)
+    except ContractError as exc:
+        raise InputError(str(exc)) from None
 
 
-def _model_config(cfg: RunConfig, n_nodes: int, channels: int, gamma: int) -> ModelConfig:
-    return ModelConfig(n_nodes=n_nodes, channels=channels, gamma=gamma, **_shared(cfg))
+def _windows(dataset: Dataset, split: str) -> list[WindowSample]:
+    samples = dataset.splits[split]
+    if not samples:
+        raise InputError(f"{split} split has no windows")
+    return samples
 
 
 def _load_model(cfg: RunConfig, path, spatial):
@@ -266,7 +263,8 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 def cmd_build_graph(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
-    spatial = _load_graph(cfg)
+    _require(cfg, "graph")
+    spatial = load_spatial_graph(cfg.graph, symmetrize=cfg.symmetrize)
     unified = build_unified(spatial, cfg.t_in)
     nnz = int(np.count_nonzero(spatial.adjacency))
     print(f"nodes: {spatial.n_nodes}")
@@ -320,10 +318,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     # checked before out_dir is created, so a refused run leaves nothing behind
     effective_config = render_effective_config(cfg)
     dataset = _load_dataset(cfg, spatial)
+    _windows(dataset, "train")
     if not args.resume:
         series = dataset.series
-        config = _model_config(cfg, spatial.n_nodes, series.n_channels, series.gamma)
-        model = build_model(config, spatial)
+        geometry = dict(n_nodes=spatial.n_nodes, channels=series.n_channels, gamma=series.gamma)
+        model = build_model(ModelConfig(**geometry, **_shared(cfg)), spatial)
     out = _out_dir(cfg)
     if not args.resume:
         write_partition(model.p1, out / "partition_p1.txt")
@@ -359,9 +358,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     spatial = _load_graph(cfg)
     cfg, model, _ = _load_model(cfg, args.checkpoint, spatial)
     dataset = _load_dataset(cfg, spatial)
-    samples = dataset.splits.get(args.on, [])
-    if not samples:
-        raise ContractError(f"{args.on} split has no windows")
+    samples = _windows(dataset, args.on)
     t_out = model.config.t_out
     for horizon in cfg.horizons:
         if not 1 <= horizon <= t_out:
@@ -391,18 +388,7 @@ def _tail_window(series, stats, t_in: int, start: int | None) -> WindowSample:
         start = last_valid
     if not 0 <= start <= last_valid:
         raise InputError(f"window start {start} outside [0, {last_valid}]")
-    normalized = stats.apply(series.values)
-    zeros = np.zeros((series.n_nodes, 0, series.n_channels))
-    return WindowSample(
-        values_norm=np.ascontiguousarray(
-            normalized[start : start + t_in].transpose(1, 0, 2)
-        ),
-        day=series.day_of_week[start : start + t_in].copy(),
-        step=series.step_in_day[start : start + t_in].copy(),
-        target_norm=zeros,
-        target_raw=zeros,
-        start=start,
-    )
+    return build_windows(series, stats.apply(series.values), range(start, start + t_in), t_in, 0)[0]
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
@@ -484,7 +470,7 @@ def cmd_baseline_ha(args: argparse.Namespace) -> int:
     segments = split_series(series, ratios=ratios, days=cfg.split_days)
     segment = segments[args.on]
     if len(segment) == 0:
-        raise ContractError(f"{args.on} split has no steps")
+        raise InputError(f"{args.on} split has no steps")
     steps_per_week = 7 * series.gamma
     targets = list(segment)
     preds = ha_baseline(series.values, steps_per_week, targets)

@@ -9,7 +9,7 @@ value is stored as zero are treated as missing everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Iterable
 
 import numpy as np
@@ -30,7 +30,7 @@ from .embedding import (
     embed,
     init_embedding_params,
 )
-from .errors import ContractError, NumericError
+from .errors import ContractError, FlowcastError, NumericError
 from .optim import (
     AdamState,
     adam_step,
@@ -61,50 +61,63 @@ from .tensor import (
 )
 
 
-@dataclass
-class ModelConfig:
+def _setting(default, help: str, least, strict: bool = False):
+    """A setting's default, its help text and its least allowed value;
+    strict means the value must lie above it."""
+    return field(default=default, metadata={"help": help, "least": least, "strict": strict})
+
+
+@dataclass(kw_only=True)
+class ModelSettings:
+    """The model settings a run may choose, each declared once with its
+    default, help text and range. ModelConfig adds the dataset geometry;
+    the command line's RunConfig adds its files and splits."""
+
+    t_in: int = _setting(12, "input window length", 1)
+    t_out: int = _setting(12, "forecast horizon length", 1)
+    dim: int = _setting(16, "model width; a multiple of n_heads", 1)
+    spe_modes: int = _setting(16, "spectral position modes; fewer than the nodes", 1)
+    n_blocks: int = _setting(4, "attention blocks", 1)
+    n_heads: int = _setting(4, "attention heads", 1)
+    n_subsets: int = _setting(40, "subsets per partition; at most the nodes", 1)
+    seed: int = _setting(0, "seed of the bases, the initial weights and the shuffle", 0)
+    learning_rate: float = _setting(0.001, "Adam step size", 0.0, strict=True)
+    batch_size: int = _setting(8, "training windows per step", 1)
+    epochs: int = _setting(100, "epochs to train in all", 0)
+    clip_norm: float = _setting(5.0, "global gradient norm cap; 0 disables clipping", 0.0)
+
+    def check(self, error: type[FlowcastError] = ContractError) -> None:
+        """Raise error for a field outside its range, or for a width that
+        the heads do not divide."""
+        for f in fields(self):
+            if "least" not in f.metadata:
+                continue
+            value, least = getattr(self, f.name), f.metadata["least"]
+            if value < least or (f.metadata["strict"] and value == least):
+                bound = "above" if f.metadata["strict"] else "at least"
+                raise error(f"{f.name} must be {bound} {least}, got {value}")
+        if self.dim % self.n_heads != 0:
+            raise error(f"dim {self.dim} not divisible by {self.n_heads} heads")
+
+    def check_nodes(self, n_nodes: int, error: type[FlowcastError] = ContractError) -> None:
+        """Raise error for a setting that a graph of n_nodes rules out."""
+        if self.spe_modes >= n_nodes:
+            raise error(f"spe_modes must be below the {n_nodes} nodes, got {self.spe_modes}")
+        if self.n_subsets > n_nodes:
+            raise error(f"n_subsets {self.n_subsets} cannot exceed {n_nodes} nodes")
+
+
+@dataclass(kw_only=True)
+class ModelConfig(ModelSettings):
     """Hyperparameters and dataset geometry for one model."""
 
-    n_nodes: int
-    t_in: int = 12
-    t_out: int = 12
-    channels: int = 1
-    dim: int = 16
-    spe_modes: int = 16
-    gamma: int = 288
-    n_blocks: int = 4
-    n_heads: int = 4
-    n_subsets: int = 40
-    seed: int = 0
-    learning_rate: float = 0.001
-    batch_size: int = 8
-    epochs: int = 100
-    clip_norm: float = 5.0
+    n_nodes: int = _setting(MISSING, "sensors in the graph", 1)
+    channels: int = _setting(1, "signal channels", 1)
+    gamma: int = _setting(288, "steps per day", 1)
 
     def validate(self) -> None:
-        if self.n_nodes < 1:
-            raise ContractError("need at least one node")
-        for name in ("t_in", "t_out", "channels", "dim", "n_blocks", "n_heads", "n_subsets", "gamma"):
-            if getattr(self, name) < 1:
-                raise ContractError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.dim % self.n_heads != 0:
-            raise ContractError(f"dim {self.dim} not divisible by {self.n_heads} heads")
-        if not 1 <= self.spe_modes < self.n_nodes:
-            raise ContractError(
-                f"spe_modes must be in [1, {self.n_nodes}), got {self.spe_modes}"
-            )
-        if self.n_subsets > self.n_nodes:
-            raise ContractError(
-                f"n_subsets {self.n_subsets} cannot exceed {self.n_nodes} nodes"
-            )
-        if self.batch_size < 1:
-            raise ContractError("batch_size must be positive")
-        if self.learning_rate <= 0:
-            raise ContractError("learning_rate must be positive")
-        if self.epochs < 0:
-            raise ContractError("epochs must be nonnegative")
-        if self.clip_norm < 0:
-            raise ContractError("clip_norm must be nonnegative (0 disables clipping)")
+        self.check()
+        self.check_nodes(self.n_nodes)
 
 
 @dataclass
@@ -406,14 +419,11 @@ class TraceRow:
     val_rmse: float
 
     def to_csv(self) -> str:
-        return (
-            f"{self.epoch},{self.train_loss!r},{self.val_mae!r},"
-            f"{self.val_mape!r},{self.val_rmse!r}"
-        )
+        return ",".join(repr(getattr(self, f.name)) for f in fields(self))
 
     @staticmethod
     def csv_header() -> str:
-        return "epoch,train_loss,val_mae,val_mape,val_rmse"
+        return ",".join(f.name for f in fields(TraceRow))
 
 
 @dataclass

@@ -1,21 +1,30 @@
 """End-to-end tests of the command line pipeline."""
 
 import contextlib
+import io
+from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowcast import cli
 from flowcast.cli import RunConfig, build_parser, main, read_config_file, render_effective_config
 from flowcast.data import prepare_dataset, ring_edge_lines, synthetic_series
 from flowcast.errors import InputError
-from flowcast.model import evaluate, predict_windows
+from flowcast.model import ModelConfig, ModelSettings, evaluate, predict_windows
 
 from writers import write_edge_list, write_signal_csv
 
 
 @pytest.fixture
 def workspace(tmp_path):
+    return _write_workspace(tmp_path)
+
+
+def _write_workspace(tmp_path):
     """A ring graph, an hourly signal, and a shared config file."""
     graph_path = tmp_path / "edges.txt"
     signal_path = tmp_path / "signal.csv"
@@ -232,7 +241,7 @@ def test_evaluate_predicts_once_and_matches_model_evaluate(workspace, capsys, mo
     assert capsys.readouterr().out.splitlines() == want
 
 
-def test_evaluate_empty_split_is_contract_error(workspace, capsys):
+def test_evaluate_empty_split_is_input_error(workspace, capsys):
     tmp, config, out = workspace
     assert main(["train", "--config", str(config)]) == 0
     code = main(
@@ -248,8 +257,8 @@ def test_evaluate_empty_split_is_contract_error(workspace, capsys):
             "8:0:2",
         ]
     )
-    assert code == 3
-    assert "error[contract]:" in capsys.readouterr().err
+    assert code == 2
+    assert "error[input]: val split has no windows" in capsys.readouterr().err
 
 
 def test_evaluate_reports_an_all_zero_horizon_and_goes_on(workspace, capsys):
@@ -578,8 +587,87 @@ def test_empty_graph_flag_means_unset(capsys):
         ("--clip-norm", "nan", "clip_norm must be finite"),
         ("--split", "7:inf:2", "split must be finite"),
         ("--symmetrize", "maybe", "symmetrize must be true or false"),
+        ("--dim", "0", "dim must be at least 1, got 0"),
+        ("--epochs", "-1", "epochs must be at least 0, got -1"),
+        ("--learning-rate", "0", "learning_rate must be above 0.0, got 0.0"),
+        ("--n-heads", "3", "dim 16 not divisible by 3 heads"),
     ],
 )
 def test_bad_flag_value_is_an_input_error(capsys, flag, value, message):
     assert main(["build-graph", flag, value]) == 2
     assert capsys.readouterr().err.startswith(f"error[input]: {message}")
+
+
+def test_run_config_declares_no_model_setting_itself():
+    # it inherits them, with their defaults, help and ranges
+    own = vars(RunConfig).get("__annotations__", {})
+    assert not set(own) & {f.name for f in fields(ModelConfig)}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--t-in", "400"],
+        ["train", "--split", "0:1:1"],
+        ["train", "--split-days", "0:1:1"],
+        ["baseline-ha", "--on", "val", "--split", "8:0:2"],
+    ],
+    ids=["window-longer-than-train", "empty-train-ratio", "empty-train-days", "baseline-empty-val"],
+)
+def test_a_split_without_data_exits_2_and_writes_nothing(workspace, capsys, argv):
+    tmp, config, out = workspace
+    assert main([*argv, "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("error[input]: ")
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """The workspace with a checkpoint trained for one epoch."""
+    tmp, config, out = _write_workspace(tmp_path_factory.mktemp("trained"))
+    assert main(["train", "--config", str(config), "--epochs", "1"]) == 0
+    return tmp, config, out / "checkpoint.bin"
+
+
+def _out_of_range(name: str):
+    """Values of one model setting below its declared range."""
+    meta = next(f.metadata for f in fields(ModelSettings) if f.name == name)
+    least = meta["least"]
+    if get_type_hints(ModelSettings)[name] is float:
+        values = st.floats(-1e6, least, allow_nan=False)
+        return values if meta["strict"] else values.filter(lambda v: v < least)
+    return st.integers(least - 10**6, least - 1)
+
+
+_MODEL_COMMANDS = {
+    "train": [],
+    "evaluate": ["--checkpoint", "{checkpoint}"],
+    "predict": ["--checkpoint", "{checkpoint}"],
+    "export-attention": ["--checkpoint", "{checkpoint}", "--node", "0", "--time", "0"],
+}
+# each setting below its range, then the values the workspace's 4-node ring
+# and width of 8 rule out
+_BAD_VALUES = {f.name: _out_of_range(f.name) for f in fields(ModelSettings)} | {
+    "spe_modes@nodes": st.integers(4, 1000),
+    "n_subsets@nodes": st.integers(5, 1000),
+    "n_heads@dim": st.integers(1, 64).filter(lambda h: 8 % h),
+}
+
+
+@pytest.mark.parametrize("setting", sorted(_BAD_VALUES))
+@pytest.mark.parametrize("command", sorted(_MODEL_COMMANDS))
+@settings(max_examples=4)
+@given(data=st.data())
+def test_out_of_range_setting_exits_2_before_any_output(trained, command, setting, data):
+    tmp, config, checkpoint = trained
+    name = setting.split("@")[0]
+    value = data.draw(_BAD_VALUES[setting], label=name)
+    argv = [command, "--config", str(config), "--out-dir", str(tmp / "refused")]
+    argv += [a.format(checkpoint=checkpoint) for a in _MODEL_COMMANDS[command]]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([*argv, f"--{name.replace('_', '-')}={value}"])
+    err = stderr.getvalue().splitlines()
+    assert code == 2 and len(err) == 1 and err[0].startswith("error[input]: "), err
+    assert (name if setting != "n_heads@dim" else "divisible") in err[0]
+    assert not (tmp / "refused").exists()
