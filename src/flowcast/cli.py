@@ -184,15 +184,19 @@ def render_effective_config(cfg: RunConfig) -> str:
 
 
 
-def merge_config(args: argparse.Namespace) -> RunConfig:
-    """File values first, then any flag given on the command line."""
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        cfg = replace(cfg, **read_config_file(args.config))
+def _given(args: argparse.Namespace) -> dict[str, object]:
+    """The values set by config file or flag; a flag wins over the file."""
+    given = read_config_file(args.config) if getattr(args, "config", None) else {}
     for key in _FIELD_TYPES:
         flag = getattr(args, key, None)
         if flag is not None:
-            setattr(cfg, key, _parse_value(key, flag))
+            given[key] = _parse_value(key, flag)
+    return given
+
+
+def merge_config(args: argparse.Namespace) -> RunConfig:
+    """File values first, then any flag given on the command line."""
+    cfg = replace(RunConfig(), **_given(args))
     cfg.check(InputError)
     return cfg
 
@@ -215,11 +219,18 @@ def _require(cfg: RunConfig, *names: str) -> None:
             raise InputError(f"{name} is required for this command")
 
 
-def _load_graph(cfg: RunConfig):
-    """The sensor graph; model settings its node count rules out are refused."""
+def _load_graph(cfg: RunConfig, checkpoint_args: argparse.Namespace | None = None):
+    """The sensor graph; model settings its node count rules out are refused.
+
+    A command that loads a checkpoint passes its arguments: the checkpoint's
+    settings replace the rest, so only those given by file or flag are checked.
+    """
     _require(cfg, "graph")
     spatial = load_spatial_graph(cfg.graph, symmetrize=cfg.symmetrize)
-    cfg.check_nodes(spatial.n_nodes, InputError)
+    if checkpoint_args is None:
+        cfg.check_nodes(spatial.n_nodes, InputError)
+    else:
+        cfg.check_nodes(spatial.n_nodes, InputError, _given(checkpoint_args))
     return spatial
 
 
@@ -305,7 +316,7 @@ def _write_trace(path: Path, rows: list[TraceRow], append: bool) -> None:
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
-    spatial = _load_graph(cfg)
+    spatial = _load_graph(cfg, args if args.resume else None)
 
     start_epoch = 0
     if args.resume:
@@ -355,7 +366,7 @@ def _stats_for(model, dataset: Dataset):
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
-    spatial = _load_graph(cfg)
+    spatial = _load_graph(cfg, args)
     cfg, model, _ = _load_model(cfg, args.checkpoint, spatial)
     dataset = _load_dataset(cfg, spatial)
     samples = _windows(dataset, args.on)
@@ -393,7 +404,7 @@ def _tail_window(series, stats, t_in: int, start: int | None) -> WindowSample:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
-    spatial = _load_graph(cfg)
+    spatial = _load_graph(cfg, args)
     cfg, model, _ = _load_model(cfg, args.checkpoint, spatial)
     _require(cfg, "signal")
     series = load_series(list(cfg.signal), cfg.interval_min, spatial)
@@ -419,7 +430,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_export_attention(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
-    spatial = _load_graph(cfg)
+    spatial = _load_graph(cfg, args)
     cfg, model, _ = _load_model(cfg, args.checkpoint, spatial)
     if model.norm_stats is None:
         raise ContractError("checkpoint has no normalization statistics; train first")

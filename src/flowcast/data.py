@@ -235,7 +235,10 @@ def split_series(
 
 @dataclass
 class WindowSample:
-    """One training example: an input window and its forecast target."""
+    """One training example: an input window and its forecast target.
+
+    build_windows makes the arrays read-only views into the series.
+    """
 
     values_norm: np.ndarray  # (n_nodes, t_in, channels)
     day: np.ndarray  # (t_in,)
@@ -252,7 +255,15 @@ def build_windows(
     t_in: int,
     t_out: int,
 ) -> list[WindowSample]:
-    """Stride-1 sliding windows fully contained in the segment."""
+    """Stride-1 sliding windows fully contained in the segment.
+
+    A window copies nothing: its arrays are read-only views into
+    normalized, the raw series and its calendar arrays.
+    """
+    normalized, raw, day, step = (
+        _read_only(a)
+        for a in (normalized, series.values, series.day_of_week, series.step_in_day)
+    )
     samples: list[WindowSample] = []
     last_start = segment.stop - (t_in + t_out)
     for start in range(segment.start, last_start + 1):
@@ -260,15 +271,21 @@ def build_windows(
         end = mid + t_out
         samples.append(
             WindowSample(
-                values_norm=np.ascontiguousarray(normalized[start:mid].transpose(1, 0, 2)),
-                day=series.day_of_week[start:mid].copy(),
-                step=series.step_in_day[start:mid].copy(),
-                target_norm=np.ascontiguousarray(normalized[mid:end].transpose(1, 0, 2)),
-                target_raw=np.ascontiguousarray(series.values[mid:end].transpose(1, 0, 2)),
+                values_norm=normalized[start:mid].transpose(1, 0, 2),
+                day=day[start:mid],
+                step=step[start:mid],
+                target_norm=normalized[mid:end].transpose(1, 0, 2),
+                target_raw=raw[mid:end].transpose(1, 0, 2),
                 start=start,
             )
         )
     return samples
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass
@@ -303,14 +320,16 @@ def prepare_dataset(
 
 
 def batch_arrays(samples: list[WindowSample]):
-    """Stack samples into batched arrays for the model."""
+    """Stack samples into batched C-contiguous arrays for the model."""
     if not samples:
         raise ContractError("cannot batch an empty sample list")
-    values = np.stack([s.values_norm for s in samples], axis=0)
-    day = np.stack([s.day for s in samples], axis=0)
-    step = np.stack([s.step for s in samples], axis=0)
-    target_norm = np.stack([s.target_norm for s in samples], axis=0)
-    target_raw = np.stack([s.target_raw for s in samples], axis=0)
+    # np.array lays the batch out in C order; np.stack would keep the
+    # windows' transposed strides
+    values = np.array([s.values_norm for s in samples])
+    day = np.array([s.day for s in samples])
+    step = np.array([s.step for s in samples])
+    target_norm = np.array([s.target_norm for s in samples])
+    target_raw = np.array([s.target_raw for s in samples])
     return values, day, step, target_norm, target_raw
 
 

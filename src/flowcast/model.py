@@ -10,7 +10,7 @@ value is stored as zero are treated as missing everywhere.
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Iterable
+from typing import Collection, Iterable
 
 import numpy as np
 
@@ -99,11 +99,16 @@ class ModelSettings:
         if self.dim % self.n_heads != 0:
             raise error(f"dim {self.dim} not divisible by {self.n_heads} heads")
 
-    def check_nodes(self, n_nodes: int, error: type[FlowcastError] = ContractError) -> None:
-        """Raise error for a setting that a graph of n_nodes rules out."""
-        if self.spe_modes >= n_nodes:
+    def check_nodes(
+        self,
+        n_nodes: int,
+        error: type[FlowcastError] = ContractError,
+        names: Collection[str] = ("spe_modes", "n_subsets"),
+    ) -> None:
+        """Raise error for a setting among names that a graph of n_nodes rules out."""
+        if "spe_modes" in names and self.spe_modes >= n_nodes:
             raise error(f"spe_modes must be below the {n_nodes} nodes, got {self.spe_modes}")
-        if self.n_subsets > n_nodes:
+        if "n_subsets" in names and self.n_subsets > n_nodes:
             raise error(f"n_subsets {self.n_subsets} cannot exceed {n_nodes} nodes")
 
 
@@ -478,7 +483,7 @@ def train(
             chosen = order[lo : lo + config.batch_size]
             batch = [train_windows[int(i)] for i in chosen]
             values, day, step, target_norm, _ = batch_arrays(batch)
-            mask = np.stack([masks[int(i)] for i in chosen], axis=0)
+            mask = np.array([masks[int(i)] for i in chosen])
             pred = forward_arrays(model, values, day, step)
             loss = masked_mae_loss(pred, target_norm, mask)
             loss_value = loss.item()

@@ -53,16 +53,20 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 300, tol: floa
 
     labels = np.zeros(n, dtype=np.int64)
     for _ in range(max_iter):
-        sq = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        labels = sq.argmin(axis=1)
-        moved = 0.0
-        for j in range(k):
-            members = points[labels == j]
-            if len(members) == 0:
-                continue
-            new = members.mean(axis=0)
-            moved = max(moved, float(np.linalg.norm(new - centroids[j])))
-            centroids[j] = new
+        sq = points[:, None, :] - centroids[None, :, :]
+        labels = np.square(sq, out=sq).sum(axis=2).argmin(axis=1)
+        # each cluster's members are one contiguous run of rows, in point order
+        grouped = points[np.argsort(labels, kind="stable")]
+        sizes = np.bincount(labels, minlength=k)
+        new = centroids.copy()
+        start = 0
+        for j, stop in enumerate(np.cumsum(sizes).tolist()):
+            if stop > start:
+                np.add.reduce(grouped[start:stop], axis=0, out=new[j])
+            start = stop
+        new /= np.maximum(sizes, 1)[:, None]  # an empty cluster keeps its centroid
+        moved = float(np.linalg.norm(new - centroids, axis=1).max())
+        centroids = new
         if moved < tol:
             break
     return centroids, labels
@@ -82,15 +86,13 @@ def select_base_nodes(spe_coords: np.ndarray, n_subsets: int, seed: int) -> list
         raise ContractError(f"subset count must be in [1, {n}], got {n_subsets}")
     centroids, _ = kmeans(coords, n_subsets, seed)
 
+    dist = np.linalg.norm(coords[None, :, :] - centroids[:, None, :], axis=2)
     chosen: list[int] = []
     used: set[int] = set()
-    for j in range(n_subsets):
-        dist = np.linalg.norm(coords - centroids[j], axis=1)
-        for node in np.argsort(dist, kind="stable").tolist():
-            if node not in used:
-                chosen.append(node)
-                used.add(node)
-                break
+    for ranked in np.argsort(dist, axis=1, kind="stable"):
+        node = next(node for node in map(int, ranked) if node not in used)
+        chosen.append(node)
+        used.add(node)
     return chosen
 
 
@@ -207,19 +209,26 @@ def _assign(
 
     nearest = stack == best
     assignment = nearest.argmax(axis=0)
-    tied = np.flatnonzero(nearest.sum(axis=0) > 1)
-    # untied_before[p, e]: untied elements before e assigned to subset p
-    untied_before = np.zeros(stack.shape, dtype=np.int64)
-    untied_before[assignment, np.arange(graph.n_elements)] = 1
-    untied_before[:, tied] = 0
-    np.cumsum(untied_before, axis=1, out=untied_before)
-    tied_before = np.zeros(len(base_flats), dtype=np.int64)
-    for e in tied:
-        candidates = np.flatnonzero(nearest[:, e])
-        sizes = untied_before[candidates, e] + tied_before[candidates]
-        p = candidates[np.argmin(sizes)]
-        assignment[e] = p
-        tied_before[p] += 1
+    n_nearest = nearest.sum(axis=0)
+    is_tied = n_nearest > 1
+    tied = np.flatnonzero(is_tied)
+    if tied.size:
+        l = len(base_flats)
+        # before[k, p]: untied elements ahead of the k-th tied one that went to p
+        untied = ~is_tied
+        groups = np.cumsum(is_tied)[untied] * l + assignment[untied]
+        before = np.bincount(groups, minlength=(tied.size + 1) * l).reshape(-1, l).cumsum(axis=0)
+        # each tied element's candidate subsets, ascending, one run per element
+        k, p = np.nonzero(nearest[:, tied].T)
+        subsets, counts = p.tolist(), before[k, p].tolist()
+        tied_before = [0] * l
+        picks, start = [], 0
+        for stop in np.cumsum(n_nearest[tied]).tolist():
+            j = min(range(start, stop), key=lambda j: counts[j] + tied_before[subsets[j]])
+            picks.append(subsets[j])
+            tied_before[subsets[j]] += 1
+            start = stop
+        assignment[tied] = picks
 
     return PartitionScheme(
         label=label,
@@ -304,14 +313,14 @@ def shift_bases(graph: UnifiedGraph, flats: list[int], tau: int) -> list[int]:
     hops_to_base = spatial_hops(spatial.adjacency.T, nodes)
     hops_budget = tau // 2
 
-    nearest: list[tuple[int, int] | None] = []
-    for p, b in enumerate(nodes):
-        peers = [
-            (int(dist[b]), qi)
-            for qi, dist in enumerate(hops_to_base)
-            if qi != p and dist[b] >= 0
-        ]
-        nearest.append(min(peers) if peers else None)
+    # peer_hops[q, p]: hops from base p to base q, n where none (hops are < n)
+    peer_hops = hops_to_base[:, nodes]
+    peer_hops[peer_hops < 0] = n
+    np.fill_diagonal(peer_hops, n)
+    nearest = [
+        None if d == n else (d, q)
+        for d, q in zip(peer_hops.min(axis=0).tolist(), peer_hops.argmin(axis=0).tolist())
+    ]
 
     later = _two_colour([None if peer is None else peer[1] for peer in nearest])
     half = graph.t_steps // 2
@@ -329,8 +338,8 @@ def shift_bases(graph: UnifiedGraph, flats: list[int], tau: int) -> list[int]:
             cur = b
             for _ in range(min(hops_budget, d_near // 2)):
                 steps = [
-                    int(v)
-                    for v in neighbor_lists[cur]
+                    v
+                    for v in neighbor_lists[cur].tolist()
                     if toward[v] == toward[cur] - 1 and home[v] >= 0
                 ]
                 if not steps:

@@ -51,10 +51,9 @@ class SpatialGraph:
 
     def neighbor_lists(self) -> list[np.ndarray]:
         """Sorted neighbor ids per node over the nonzero support."""
-        out = []
-        for i in range(self.n_nodes):
-            out.append(np.flatnonzero(self.adjacency[i]).astype(np.int64))
-        return out
+        indptr, indices = out_edges(self.adjacency)
+        bounds = indptr.tolist()
+        return [indices[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def _iter_lines(source) -> Iterator[str]:
@@ -150,20 +149,48 @@ def load_spatial_graph(source, symmetrize: bool = True) -> SpatialGraph:
     return SpatialGraph(n_nodes=n, adjacency=adjacency, labels=labels)
 
 
+def out_edges(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Out-edge lists of the nonzero support as (indptr, indices), int64.
+
+    Node i's targets, ascending, are indices[indptr[i]:indptr[i + 1]].
+    """
+    n = len(adjacency)
+    entries = np.flatnonzero(adjacency != 0.0)  # i * n + j, ascending
+    indptr = np.searchsorted(entries, np.arange(n + 1) * n)
+    return indptr.astype(np.int64, copy=False), entries % n
+
+
 def spatial_hops(adjacency: np.ndarray, sources) -> np.ndarray:
     """Hops along edges i -> j (entry [i, j] nonzero) from each source node.
 
-    Returns (len(sources), N) with -1 for unreachable. Each BFS level is
-    one frontier-by-support product, whose 0/1 sums are exact in float64.
+    Returns (len(sources), N) int64 with -1 for unreachable. One BFS runs
+    from all sources at once over out-edge lists: each level expands only
+    the frontier's (source row, node) pairs, so each pair's out-edges are
+    read once and a table costs O(len(sources) * nnz).
     """
-    support = (adjacency != 0.0).astype(np.float64)
-    dist = np.full((len(sources), len(support)), -1, dtype=np.int64)
-    dist[np.arange(len(sources)), sources] = 0
-    frontier, level = dist == 0, 0
-    while frontier.any():
+    indptr, indices = out_edges(adjacency)
+    n, degree = len(indptr) - 1, np.diff(indptr)
+    dist = np.full((len(sources), n), -1, dtype=np.int64)
+    flat_dist = dist.reshape(-1)
+    # frontier entries are flat positions row * n + node in dist
+    frontier = np.arange(len(sources), dtype=np.int64) * n + np.asarray(sources, dtype=np.int64)
+    flat_dist[frontier] = 0
+    # winner[f] names one occurrence of position f among a level's candidates
+    winner = np.empty(dist.size, dtype=np.int64)
+    level = 0
+    while frontier.size:
         level += 1
-        frontier = (frontier @ support > 0.0) & (dist < 0)
-        dist[frontier] = level
+        nodes = frontier % n
+        counts = degree[nodes]
+        ends = counts.cumsum()
+        # edge k of frontier pair i sits at indices[indptr[nodes[i]] + k]
+        edges = (indptr[nodes] - ends + counts).repeat(counts) + np.arange(ends[-1])
+        candidates = (frontier - nodes).repeat(counts) + indices[edges]
+        candidates = candidates[flat_dist[candidates] < 0]
+        order = np.arange(len(candidates))
+        winner[candidates] = order
+        frontier = candidates[winner[candidates] == order]
+        flat_dist[frontier] = level
     return dist
 
 

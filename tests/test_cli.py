@@ -671,3 +671,24 @@ def test_out_of_range_setting_exits_2_before_any_output(trained, command, settin
     assert code == 2 and len(err) == 1 and err[0].startswith("error[input]: "), err
     assert (name if setting != "n_heads@dim" else "divisible") in err[0]
     assert not (tmp / "refused").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate", "--horizons", "1,2"],
+        ["predict"],
+        ["export-attention", "--node", "0", "--time", "0"],
+        ["train", "--epochs", "2", "--resume"],
+    ],
+    ids=["evaluate", "predict", "export-attention", "train-resume"],
+)
+def test_checkpoint_command_checks_only_the_settings_it_is_given(trained, capsys, argv):
+    # the defaults spe_modes=16 and n_subsets=40 do not fit the 4-node ring,
+    # but the checkpoint's own settings replace them
+    tmp, config, checkpoint = trained
+    files = ["--graph", str(tmp / "edges.txt"), "--signal", str(tmp / "signal.csv")]
+    files += ["--interval-min", "60", "--out-dir", str(tmp / "defaults")]
+    if argv[0] != "train":
+        argv = [*argv, "--checkpoint"]
+    assert main([*argv, str(checkpoint), *files]) == 0, capsys.readouterr().err

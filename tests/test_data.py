@@ -1,6 +1,7 @@
 """Tests for signal loading, normalization, splits, windows, and fixtures."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -287,6 +288,16 @@ def test_build_windows_counts_and_contents():
     np.testing.assert_array_equal(s.target_raw, series.values[7:9].transpose(1, 0, 2))
     assert s.values_norm.shape == (3, 3, 1)
     assert s.target_raw.shape == (3, 2, 1)
+    # views, not copies, and read-only ones; the series stays writeable
+    views = {
+        "values_norm": normalized, "target_norm": normalized, "target_raw": series.values,
+        "day": series.day_of_week, "step": series.step_in_day,
+    }
+    for name, base in views.items():
+        assert np.shares_memory(getattr(s, name), base), name
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(s, name)[...] = 0
+        assert base.flags.writeable
 
 
 def test_build_windows_segment_too_short():
@@ -331,6 +342,12 @@ def test_batch_arrays_shapes():
     assert target_norm.shape == (5, 3, 2, 1)
     assert target_raw.shape == (5, 3, 2, 1)
     np.testing.assert_array_equal(values[2], samples[2].values_norm)
+    # the same bytes as from windows that hold contiguous copies
+    names = ("values_norm", "day", "step", "target_norm", "target_raw")
+    copies = [replace(w, **{n: np.ascontiguousarray(getattr(w, n)) for n in names}) for w in samples]
+    for got, want in zip(batch_arrays(samples), batch_arrays(copies)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
 
 
 def test_batch_arrays_empty():

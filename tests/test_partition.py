@@ -577,7 +577,8 @@ def _star(n: int) -> list[str]:
 
 
 # name -> (edge lines, symmetrize, T, l, coordinate width). The METR-sized
-# case is the benchmark's 14 x 15 grid with a 12-step window and 40 subsets.
+# case is the benchmark's 14 x 15 grid with a 12-step window and 40 subsets;
+# the 1000-node grid sends thousands of tied elements through the tie rule.
 _PINNED_CASES = {
     "ring8": (ring(8), True, 12, 2, 4),
     "metr": (_grid(14, 15), True, 12, 40, 16),
@@ -585,6 +586,7 @@ _PINNED_CASES = {
     "path": (path(12), True, 3, 3, 4),
     "star": (_star(9), True, 4, 3, 4),
     "random": (None, True, 5, 4, 4),
+    "grid1000": (_grid(25, 40), True, 12, 40, 16),
 }
 
 # name -> ((tau, base_flats, SHA-256 of the assignment) for P1 and P2, warnings)
@@ -638,6 +640,31 @@ _PINNED = {
         (4, [42, 33, 37, 38], "2ced616075d9217e9d181c720fa5285fe250a7f0aa7bf880d0542a1bffbe856f"),
         (4, [12, 3, 67, 68], "09e59220efcd5f5de3bae627ebb949a6594be623c27505125f20cac776ea04cf"),
         [],
+    ),
+    "grid1000": (
+        (
+            16,
+            [6811, 6479, 6461, 6583, 6977, 6639, 6404, 6831, 6565, 6150, 6118, 6142, 6216, 6594,
+             6833, 6356, 6283, 6100, 6196, 6291, 6001, 6898, 6497, 6316, 6494, 6211, 6475, 6709,
+             6031, 6354, 6005, 6385, 6806, 6726, 6000, 6272, 6300, 6678, 6037, 6221],
+            "4a5167c8317a17e87f9f071262bf3eef3d154df5e2cd6c69075bb9d5bad41f39",
+        ),
+        (
+            17,
+            [809, 559, 463, 11503, 937, 11638, 324, 832, 11485, 70, 78, 102, 214, 514, 11833, 356,
+             11284, 11101, 236, 251, 1, 11897, 496, 11316, 11495, 11211, 11477, 11711, 11030,
+             11355, 11003, 11382, 11766, 726, 11000, 274, 260, 678, 11038, 11181],
+            "f35841795977f4d96fd49c150bcada774354d5ccab5ba0f4c8716171d41ae64a",
+        ),
+        [
+            "shifted base for subset 14 collided; backed off to node 833",
+            "shifted base for subset 16 collided; backed off to node 284",
+            "shifted base for subset 25 collided; backed off to node 211",
+            "shifted base for subset 28 collided; backed off to node 30",
+            "shifted base for subset 33 collided; backed off to node 726",
+            "shifted base for subset 37 collided; backed off to node 678",
+            "shifted cover needs tau=17, recalibrated up from 16",
+        ],
     ),
 }
 

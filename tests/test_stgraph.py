@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from flowcast.errors import ContractError, InputError
 from flowcast.stgraph import (
+    SpatialGraph,
     STCoord,
     ball,
     build_unified,
     coord_from_flat,
     load_spatial_graph,
+    spatial_hops,
     st_distance,
 )
 
@@ -245,7 +247,7 @@ def test_distances_match_matrix_power_oracle():
         n = int(rng.integers(2, 6))
         t = int(rng.integers(1, 5))
         adj = random_connected_graph(rng, n)
-        inputs.append((_graph_from_matrix(adj), adj, t))
+        inputs.append(("undirected", _graph_from_matrix(adj), adj, t))
     # directed: keep the reverse of about half the edges, never the first,
     # so some nodes reach others only one way and some not at all
     for _ in range(6):
@@ -255,13 +257,27 @@ def test_distances_match_matrix_power_oracle():
         keep_reverse = rng.random(adj.shape) < 0.5
         keep_reverse[np.nonzero(adj)[0][0], np.nonzero(adj)[1][0]] = False
         adj = adj + np.where(keep_reverse, adj, 0.0).T
-        inputs.append((_directed_from_matrix(adj), adj, t))
-    for spatial, adj, t in inputs:
+        inputs.append(("directed", _directed_from_matrix(adj), adj, t))
+        # the reversed graph, whose hop table shift_bases takes
+        inputs.append(("transposed", SpatialGraph(n, adj.T), adj.T, t))
+    connected = random_connected_graph(rng, 5)
+    edge_cases = {
+        "self-loops": connected + np.diag([1.0, 0.0, 2.0, 0.0, 1.0]),
+        "isolated-nodes": np.pad(connected, ((1, 2), (1, 2))),
+        "no-edges": np.zeros((4, 4)),
+    }
+    for name, adj in edge_cases.items():
+        inputs.append((name, SpatialGraph(len(adj), adj), adj, 3))
+    for name, spatial, adj, t in inputs:
         g = build_unified(spatial, t)
         expect = hop_distances(unified_dense(adj, t))
         for u in range(g.n_elements):
             got = g.distances_from(u)
-            assert np.array_equal(got, expect[u])
+            assert np.array_equal(got, expect[u]), name
+        # every node twice as a source, shuffled
+        sources = rng.permutation(np.repeat(np.arange(len(adj)), 2))
+        hops = spatial_hops(adj, sources)
+        assert hops.dtype == np.int64 and np.array_equal(hops, hop_distances(adj)[sources]), name
 
 
 def test_distance_decomposes_into_spatial_plus_temporal():
