@@ -8,6 +8,7 @@ from .partition import (
     build_p1,
     build_p2,
     calibrate_tau,
+    min_distances,
     partition_report,
     select_base_nodes,
     shift_bases,

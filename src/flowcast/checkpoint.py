@@ -9,11 +9,15 @@ Layout, all little-endian:
   tensors:     each tensor's float64 data, in header order
   assignments: each scheme's n_elements subset ids as u32, in header order
 
-The tensors are every learnable parameter and, when known, the
-normalization statistics under the reserved "norm_stats." prefix. A load
-checks "graph_sha256" against its graph. A save writes "<path>.partial"
-and renames it over the target, so an interrupted save leaves the
-previous checkpoint intact; a save that raises removes "<path>.partial".
+The tensors are every learnable parameter, then the model's
+(n_nodes, spe_modes) spectral coordinates under the reserved name
+"spe_coords", then, when known, the normalization statistics under the
+reserved "norm_stats." prefix. A load takes the coordinates as stored, so
+it runs no eigendecomposition and does not depend on how the host's
+LAPACK picks a basis of a repeated eigenvalue's eigenspace. A load checks
+"graph_sha256" against its graph. A save writes "<path>.partial" and
+renames it over the target, so an interrupted save leaves the previous
+checkpoint intact; a save that raises removes "<path>.partial".
 """
 
 from __future__ import annotations
@@ -35,19 +39,20 @@ from .partition import PartitionScheme
 from .stgraph import SpatialGraph
 
 MAGIC = b"FCST"
-VERSION = 3
+VERSION = 4
 _PREFIX = struct.Struct("<4sII")
+SPE_KEY = "spe_coords"
 NORM_PREFIX = "norm_stats."
 GRAPH_KEY = "graph_sha256"
 _FIELD_TYPES = get_type_hints(ModelConfig)
 
 
 def _graph_digest(spatial: SpatialGraph) -> str:
-    """SHA-256 over the node labels and the (symmetrized) adjacency."""
-    digest = hashlib.sha256(struct.pack("<I", spatial.n_nodes))
-    for label in spatial.labels:
-        raw = label.encode("utf-8")
-        digest.update(struct.pack("<H", len(raw)) + raw)
+    """SHA-256 over the node count, each node label as a u16 byte length
+    and its UTF-8 bytes, and the (symmetrized) adjacency."""
+    raws = [label.encode("utf-8") for label in spatial.labels]
+    labels = b"".join(struct.pack("<H", len(raw)) + raw for raw in raws)
+    digest = hashlib.sha256(struct.pack("<I", spatial.n_nodes) + labels)
     digest.update(np.ascontiguousarray(spatial.adjacency, dtype="<f8").tobytes())
     return digest.hexdigest()
 
@@ -71,8 +76,10 @@ def _json_scalar(value):
 
 
 def save_checkpoint(model: ForecastModel, path, epochs_completed: int = 0) -> None:
-    """Serialize config, parameters, norm stats, and both partitions."""
+    """Serialize config, parameters, spectral coordinates, norm stats, and
+    both partitions."""
     tensors = [(p.name, p.data) for p in model.params()]
+    tensors.append((SPE_KEY, model.spe))
     if model.norm_stats is not None:
         tensors.append((NORM_PREFIX + "mean", model.norm_stats.mean))
         tensors.append((NORM_PREFIX + "std", model.norm_stats.std))
@@ -100,9 +107,11 @@ def load_checkpoint(path, spatial: SpatialGraph) -> tuple[ForecastModel, int]:
     """Rebuild a model from a checkpoint and the spatial graph it used.
 
     A graph whose labels or adjacency differ from the saved one is
-    rejected with InputError. The stored partitions are reused as-is;
-    spectral and calendar encodings are recomputed deterministically from
-    the graph and config. Returns the model and the completed epoch counter.
+    rejected with InputError, as is a file without (n_nodes, spe_modes)
+    spectral coordinates. The stored partitions and coordinates are
+    reused as-is, so no eigendecomposition runs; the calendar encoding's
+    sizes come from the config. Returns the model and the completed epoch
+    counter.
     """
     path = require_file(path, "checkpoint")
     blob = path.read_bytes()
@@ -127,6 +136,8 @@ def load_checkpoint(path, spatial: SpatialGraph) -> tuple[ForecastModel, int]:
         stored = header["config"]
         config = ModelConfig(**{k: _typed(k, stored[k], hint) for k, hint in _FIELD_TYPES.items()})
         epochs_completed = _typed("epochs_completed", header["epochs_completed"], int)
+        if epochs_completed < 0:
+            raise InputError(f"{path}: epochs_completed must be at least 0, got {epochs_completed}")
         shapes = [(name, tuple(shape)) for name, shape in header["tensors"]]
         metas = header["schemes"]
         if len(metas) != 2 or any(type(d) is not int or d < 0 for _, s in shapes for d in s):
@@ -154,7 +165,13 @@ def load_checkpoint(path, spatial: SpatialGraph) -> tuple[ForecastModel, int]:
     except ContractError as exc:
         raise InputError(f"{path}: {exc}") from None
 
-    model = build_model(config, spatial, schemes=tuple(schemes))
+    coords = arrays.pop(SPE_KEY, None)
+    if coords is None:
+        raise InputError(f"{path}: checkpoint stores no spectral coordinates ({SPE_KEY})")
+    try:
+        model = build_model(config, spatial, schemes=tuple(schemes), spe=coords.copy())
+    except ContractError as exc:
+        raise InputError(f"{path}: {exc}") from None
     mean = arrays.pop(NORM_PREFIX + "mean", None)
     std = arrays.pop(NORM_PREFIX + "std", None)
     if mean is not None and std is not None:

@@ -129,7 +129,7 @@ def embed(
     values: np.ndarray,
     day: np.ndarray,
     step: np.ndarray,
-    spe: SpePack,
+    spe: np.ndarray,
     tpe: TpePack,
     params: EmbeddingParams,
 ) -> Tensor:
@@ -137,7 +137,8 @@ def embed(
 
     Returns the model's rows, (T·N, D) or (B, T·N, D): row time · N + node
     holds that element, the unified graph's flat id. day and step, (T,) or
-    (B, T), give each step's day of week and step within the day; the
+    (B, T), give each step's day of week and step within the day, and spe
+    holds each node's (N, K) spectral coordinates, SpePack.selected; the
     calendar rows are w_tpe[day] + w_tpe[7 + step] + b_tpe, looked up
     rather than multiplied out of one-hot codes. One tape node,
     tensor.embed_rows, computes the whole embedding.
@@ -145,7 +146,7 @@ def embed(
     values = np.asarray(values, dtype=np.float64)
     if values.ndim not in (3, 4):
         raise ContractError(f"expected (N, T, C) or (B, N, T, C), got {values.shape}")
-    n_nodes = spe.selected.shape[0]
+    n_nodes = spe.shape[0]
     if values.shape[-3] != n_nodes:
         raise ContractError(
             f"window has {values.shape[-3]} nodes but the graph has {n_nodes}"
@@ -170,6 +171,6 @@ def embed(
 
     p = params
     return embed_rows(
-        values, spe.selected, day, DAYS_PER_WEEK + step, p.w_in, p.b_in, p.w_spe, p.b_spe,
+        values, spe, day, DAYS_PER_WEEK + step, p.w_in, p.b_in, p.w_spe, p.b_spe,
         p.w_tpe, p.b_tpe, p.w_mix, p.b_mix, p.norm_gain, p.norm_bias,
     )

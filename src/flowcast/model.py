@@ -24,7 +24,6 @@ from .attention import (
 from .data import Dataset, NormStats, WindowSample, batch_arrays
 from .embedding import (
     EmbeddingParams,
-    SpePack,
     TpePack,
     compute_spe,
     embed,
@@ -46,6 +45,7 @@ from .partition import (
     build_p2,
     calibrate_tau,
     make_base_set,
+    min_distances,
     shift_bases,
 )
 from .stgraph import SpatialGraph, UnifiedGraph, build_unified
@@ -138,12 +138,13 @@ class AdapterParams(ParamGroup):
 @dataclass
 class ForecastModel(ParamGroup):
     """params() walks the fields: the embedding's, each block's, then the
-    adapter's parameters; the other fields hold none."""
+    adapter's parameters; the other fields hold none. spe holds the
+    (N, spe_modes) spectral coordinates that the embedding reads."""
 
     config: ModelConfig
     spatial: SpatialGraph
     unified: UnifiedGraph
-    spe: SpePack
+    spe: np.ndarray
     tpe: TpePack
     embedding: EmbeddingParams
     blocks: list[BlockParams]
@@ -166,11 +167,13 @@ def build_partitions(
 ) -> tuple[PartitionScheme, PartitionScheme]:
     """P1 around base nodes chosen on the SPE coordinates, with tau
     calibrated for them, and P2 around the same bases shifted. The bases'
-    distance stack is built once for both calibration and P1."""
+    distance stack and its column minima are taken once for both
+    calibration and P1."""
     flats = make_base_set(unified, spe_coords, n_subsets, seed)
     stack = unified.distance_rows(flats)
-    tau = calibrate_tau(unified, stack)
-    p1 = build_p1(unified, flats, stack, tau)
+    best = min_distances(stack)
+    tau = calibrate_tau(unified, best)
+    p1 = build_p1(unified, flats, stack, best, tau)
     return p1, build_p2(unified, shift_bases(unified, flats, tau), tau)
 
 
@@ -178,9 +181,13 @@ def build_model(
     config: ModelConfig,
     spatial: SpatialGraph,
     schemes: tuple[PartitionScheme, PartitionScheme] | None = None,
+    spe: np.ndarray | None = None,
 ) -> ForecastModel:
-    """Build partitions (unless given) and initialize all parameters.
+    """Build partitions and spectral coordinates (unless given) and
+    initialize all parameters.
 
+    spe, when given, is the (n_nodes, spe_modes) coordinates that
+    compute_spe selected for the model, as a checkpoint stores them.
     Initialization order is fixed: embedding, blocks in order, adapter,
     all drawn from one generator seeded by config.seed.
     """
@@ -190,11 +197,17 @@ def build_model(
             f"config says {config.n_nodes} nodes but the graph has {spatial.n_nodes}"
         )
     unified = build_unified(spatial, config.t_in)
-    spe = compute_spe(spatial, config.spe_modes)
+    if spe is None:
+        spe = compute_spe(spatial, config.spe_modes).selected
+    elif spe.shape != (config.n_nodes, config.spe_modes):
+        raise ContractError(
+            f"spectral coordinates have shape {spe.shape}, expected "
+            f"{(config.n_nodes, config.spe_modes)}"
+        )
     tpe = TpePack(gamma=config.gamma)
 
     if schemes is None:
-        p1, p2 = build_partitions(unified, spe.selected, config.n_subsets, config.seed)
+        p1, p2 = build_partitions(unified, spe, config.n_subsets, config.seed)
     else:
         p1, p2 = schemes
         for scheme in (p1, p2):

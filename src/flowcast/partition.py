@@ -52,8 +52,13 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 300, tol: floa
         closest = np.minimum(closest, ((points - centroids[j]) ** 2).sum(axis=1))
 
     labels = np.zeros(n, dtype=np.int64)
+    # Each point is tiled once per centroid, so a distance step subtracts
+    # the (k, dim) centroids over contiguous rows instead of broadcasting
+    # the points' dim-long rows.
+    tiled = np.repeat(points[:, None, :], k, axis=1)
+    sq = np.empty_like(tiled)
     for _ in range(max_iter):
-        sq = points[:, None, :] - centroids[None, :, :]
+        np.subtract(tiled, centroids, out=sq)
         labels = np.square(sq, out=sq).sum(axis=2).argmin(axis=1)
         # each cluster's members are one contiguous run of rows, in point order
         grouped = points[np.argsort(labels, kind="stable")]
@@ -102,26 +107,29 @@ def make_base_set(graph: UnifiedGraph, spe_coords: np.ndarray, n_subsets: int, s
     return [offset + node for node in select_base_nodes(spe_coords, n_subsets, seed)]
 
 
-def calibrate_tau(graph: UnifiedGraph, stack: np.ndarray) -> int:
-    """Smallest radius covering every element from some base.
+def min_distances(stack: np.ndarray) -> np.ndarray:
+    """Columnwise min of an (l, N * T) distance stack; -1 when no row reaches.
 
-    stack is the bases' distance_rows, which build_p1 then reuses. The
-    radius is never below floor(T / 2) so a base can reach both ends of
-    its own time column. Raises when some element is unreachable from
-    every base.
+    Each scheme takes it once: calibrate_tau or build_p2 reads it for the
+    radius, and the assignment for each element's nearest bases.
     """
-    return max(_cover_radius(graph, stack, "", "base"), graph.t_steps // 2)
-
-
-def _min_distances(stack: np.ndarray) -> np.ndarray:
-    """Columnwise min of an (l, N * T) distance stack; -1 when no row reaches."""
     best = np.where(stack < 0, np.iinfo(np.int64).max, stack).min(axis=0)
     return np.where(best == np.iinfo(np.int64).max, -1, best)
 
 
-def _cover_radius(graph: UnifiedGraph, stack: np.ndarray, prefix: str, kind: str) -> int:
+def calibrate_tau(graph: UnifiedGraph, best: np.ndarray) -> int:
+    """Smallest radius covering every element from some base.
+
+    best is min_distances of the bases' distance_rows, which build_p1
+    then reuses. The radius is never below floor(T / 2) so a base can
+    reach both ends of its own time column. Raises when some element is
+    unreachable from every base.
+    """
+    return max(_cover_radius(graph, best, "", "base"), graph.t_steps // 2)
+
+
+def _cover_radius(graph: UnifiedGraph, best: np.ndarray, prefix: str, kind: str) -> int:
     """Largest nearest-base distance; raises when some element has no base."""
-    best = _min_distances(stack)
     unreachable = np.flatnonzero(best < 0)
     if unreachable.size:
         coord = graph.flat_to_coord(int(unreachable[0]))
@@ -190,15 +198,20 @@ class PartitionScheme:
 
 
 def _assign(
-    graph: UnifiedGraph, stack: np.ndarray, base_flats: list[int], tau: int, label: str
+    graph: UnifiedGraph,
+    stack: np.ndarray,
+    best: np.ndarray,
+    base_flats: list[int],
+    tau: int,
+    label: str,
 ) -> PartitionScheme:
-    """Nearest-base assignment over an (l, N * T) distance stack.
+    """Nearest-base assignment over an (l, N * T) distance stack and its
+    min_distances best.
 
     A distance tie goes to the subset with fewer elements assigned so far
     in flat order, then to the lower base index. Untied elements take
     their nearest base at once; only tied elements are visited in order.
     """
-    best = _min_distances(stack)
     bad = np.flatnonzero((best < 0) | (best > tau))
     if bad.size:
         coord = graph.flat_to_coord(int(bad[0]))
@@ -239,13 +252,15 @@ def _assign(
     )
 
 
-def build_p1(graph: UnifiedGraph, flats: list[int], stack: np.ndarray, tau: int) -> PartitionScheme:
+def build_p1(
+    graph: UnifiedGraph, flats: list[int], stack: np.ndarray, best: np.ndarray, tau: int
+) -> PartitionScheme:
     """Assign every element to its nearest base within radius tau.
 
-    flats are the base elements and stack their distance_rows, as
-    calibrate_tau took it.
+    flats are the base elements, stack their distance_rows and best its
+    min_distances, as calibrate_tau took it.
     """
-    return _assign(graph, stack, flats, tau, "P1")
+    return _assign(graph, stack, best, flats, tau, "P1")
 
 
 def _two_colour(nearest_peer: list[int | None]) -> list[bool]:
@@ -373,11 +388,12 @@ def build_p2(graph: UnifiedGraph, flats: list[int], tau: int) -> PartitionScheme
     upward for this scheme only, with a warning.
     """
     stack = graph.distance_rows(flats)
-    needed = _cover_radius(graph, stack, "P2: ", "shifted base")
+    best = min_distances(stack)
+    needed = _cover_radius(graph, best, "P2: ", "shifted base")
     if needed > tau:
         warnings.warn(f"shifted cover needs tau={needed}, recalibrated up from {tau}")
         tau = needed
-    return _assign(graph, stack, flats, tau, "P2")
+    return _assign(graph, stack, best, flats, tau, "P2")
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
 """Tests for binary checkpoint serialization."""
 
+import hashlib
 import json
+import math
+import struct
 import warnings
 
 import numpy as np
 import pytest
 
-from flowcast import files
-from flowcast.checkpoint import load_checkpoint, save_checkpoint
+from flowcast import files, model as model_module
+from flowcast.checkpoint import SPE_KEY, _graph_digest, load_checkpoint, save_checkpoint
 from flowcast.data import prepare_dataset, ring_edge_lines, synthetic_series
+from flowcast.embedding import SpePack
 from flowcast.errors import InputError
 from flowcast.model import ModelConfig, build_model, forward_arrays, train
 from flowcast.stgraph import load_spatial_graph
@@ -46,6 +50,27 @@ def _with_header(blob, raw):
     return blob[:8] + len(raw).to_bytes(4, "little") + raw + blob[_header_end(blob) :]
 
 
+def _without_tensor(blob, name):
+    """blob with the named tensor dropped from the header and the payload."""
+    header = json.loads(blob[12 : _header_end(blob)])
+    offset, kept, payload = _header_end(blob), [], []
+    for entry in header["tensors"]:
+        size = 8 * math.prod(entry[1])
+        if entry[0] != name:
+            kept.append(entry)
+            payload.append(blob[offset : offset + size])
+        offset += size
+    header["tensors"] = kept
+    rest = blob[: _header_end(blob)] + b"".join(payload) + blob[offset:]
+    return _with_header(rest, json.dumps(header).encode())
+
+
+def _probe(model):
+    rng = np.random.default_rng(0)
+    values = rng.normal(size=(4, 4, 1))
+    return forward_arrays(model, values, np.zeros(4, dtype=np.int64), np.arange(4)).data
+
+
 def test_round_trip_bit_exact(tmp_path):
     graph, model = _fixture()
     series = synthetic_series(4, 60, interval_min=60, seed=2, noise=1.0)
@@ -63,6 +88,8 @@ def test_round_trip_bit_exact(tmp_path):
         np.testing.assert_array_equal(pa.data, pb.data)
     np.testing.assert_array_equal(loaded.norm_stats.mean, model.norm_stats.mean)
     np.testing.assert_array_equal(loaded.norm_stats.std, model.norm_stats.std)
+    assert loaded.spe.dtype == model.spe.dtype
+    assert loaded.spe.tobytes() == model.spe.tobytes()
 
     for label, a, b in (("p1", model.p1, loaded.p1), ("p2", model.p2, loaded.p2)):
         assert b.label == a.label
@@ -125,13 +152,84 @@ def test_unsupported_version(tmp_path):
     save_checkpoint(model, path)
     blob = bytearray(path.read_bytes())
     # 1 is the per-head layout with key biases, 2 the per-field binary
-    # layout before the JSON header; 99 is from the future
-    for version in (1, 2, 99):
+    # layout before the JSON header, 3 the layout without the spectral
+    # coordinates; 99 is from the future
+    for version in (1, 2, 3, 99):
         blob[4] = version
         bad = tmp_path / f"v{version}.bin"
         bad.write_bytes(bytes(blob))
         with pytest.raises(InputError, match=f"unsupported checkpoint version {version}"):
             load_checkpoint(bad, graph)
+
+
+def test_load_runs_no_eigendecomposition(tmp_path, monkeypatch):
+    graph, model = _fixture()
+    path = tmp_path / "model.bin"
+    save_checkpoint(model, path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_checkpoint ran an eigendecomposition")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    loaded, _ = load_checkpoint(path, graph)
+    np.testing.assert_array_equal(_probe(loaded), _probe(model))
+
+
+def test_load_keeps_the_saved_coordinates_when_the_basis_would_differ(tmp_path, monkeypatch):
+    # A host whose LAPACK returned another sign for one eigenvector must
+    # still reproduce the saved model's predictions.
+    graph, model = _fixture()
+    path = tmp_path / "model.bin"
+    save_checkpoint(model, path)
+    original = model_module.compute_spe
+
+    def flipped(spatial, n_modes):
+        pack = original(spatial, n_modes)
+        selected = pack.selected.copy()
+        selected[:, 0] *= -1.0
+        return SpePack(eigvals=pack.eigvals, eigvecs=pack.eigvecs, selected=selected)
+
+    monkeypatch.setattr(model_module, "compute_spe", flipped)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rebuilt = build_model(model.config, graph)
+    # same seed and weights, so the flipped column alone changes a fresh build
+    assert not np.array_equal(_probe(rebuilt), _probe(model))
+    loaded, _ = load_checkpoint(path, graph)
+    np.testing.assert_array_equal(_probe(loaded), _probe(model))
+
+
+def test_missing_or_misshapen_coordinates_are_input_error(tmp_path):
+    graph, model = _fixture()
+    path = tmp_path / "model.bin"
+    save_checkpoint(model, path)
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(_without_tensor(path.read_bytes(), SPE_KEY))
+    with pytest.raises(InputError, match="bad.bin: checkpoint stores no spectral coordinates"):
+        load_checkpoint(bad, graph)
+
+    saved = model.spe
+    for coords in (saved[:, :1], saved[:3], np.zeros((4, 2, 1))):
+        model.spe = coords.copy()
+        save_checkpoint(model, bad)
+        with pytest.raises(InputError, match=r"bad.bin: spectral coordinates have shape .*expected \(4, 2\)"):
+            load_checkpoint(bad, graph)
+
+
+def test_graph_digest_matches_per_label_formula():
+    # the digest hashes the labels as one buffer; it must equal the
+    # label-by-label updates that earlier checkpoints were written with
+    graphs = [
+        load_spatial_graph(ring_edge_lines(4), symmetrize=True),
+        load_spatial_graph(["a b 1.0", "b c 2.5", "été a 0.5", "node-with-a-long-label c"]),
+    ]
+    for spatial in graphs:
+        digest = hashlib.sha256(struct.pack("<I", spatial.n_nodes))
+        for label in spatial.labels:
+            raw = label.encode("utf-8")
+            digest.update(struct.pack("<H", len(raw)) + raw)
+        digest.update(np.ascontiguousarray(spatial.adjacency, dtype="<f8").tobytes())
+        assert _graph_digest(spatial) == digest.hexdigest()
 
 
 def test_rewired_graph_of_same_size_is_rejected(tmp_path):
@@ -198,6 +296,7 @@ def test_malformed_config_value_is_input_error(tmp_path):
     cases = [
         (("config", "dim"), 8.0, "dim must be int, got 8.0"),
         (("epochs_completed",), "one", "epochs_completed must be int, got 'one'"),
+        (("epochs_completed",), -3, "edited.bin: epochs_completed must be at least 0, got -3"),
         (("config", "learning_rate"), "fast", "learning_rate must be float, got 'fast'"),
     ]
     for keys, value, message in cases:

@@ -198,7 +198,7 @@ def test_embed_rejects_a_calendar_map_of_the_wrong_width():
 def _setup(n=4, t=3, c=2, d=8, modes=2, gamma=24, seed=34):
     lines = [f"{i} {(i + 1) % n}" for i in range(n)]
     spatial = load_spatial_graph(lines)
-    spe = compute_spe(spatial, modes)
+    spe = compute_spe(spatial, modes).selected
     tpe = TpePack(gamma=gamma)
     rng = np.random.default_rng(seed)
     params = init_embedding_params(rng, c, d, modes, tpe.width)
@@ -284,10 +284,7 @@ def test_embed_node_permutation_equivariance():
     out = embed(values, day, step, spe, tpe, params)
 
     perm = np.array([2, 0, 3, 1])
-    spe_perm = type(spe)(
-        eigvals=spe.eigvals, eigvecs=spe.eigvecs, selected=spe.selected[perm]
-    )
-    out_perm = embed(values[perm], day, step, spe_perm, tpe, params)
+    out_perm = embed(values[perm], day, step, spe[perm], tpe, params)
     rows = (4 * np.arange(3)[:, None] + perm).ravel()  # node perm[i] at every step
     assert np.allclose(out_perm.data, out.data[rows], atol=1e-12)
 

@@ -141,9 +141,10 @@ def test_build_runs_three_spatial_bfs_tables(monkeypatch):
     assert calls == [3, 3, 3]
 
     # the shared table assigns exactly what a table per stage does
-    flats = partition.make_base_set(model.unified, model.spe.selected, 3, model.config.seed)
-    tau = partition.calibrate_tau(model.unified, model.unified.distance_rows(flats))
-    p1 = partition.build_p1(model.unified, flats, model.unified.distance_rows(flats), tau)
+    flats = partition.make_base_set(model.unified, model.spe, 3, model.config.seed)
+    best = partition.min_distances(model.unified.distance_rows(flats))
+    tau = partition.calibrate_tau(model.unified, best)
+    p1 = partition.build_p1(model.unified, flats, model.unified.distance_rows(flats), best, tau)
     assert (p1.tau, p1.base_flats) == (model.p1.tau, model.p1.base_flats)
     np.testing.assert_array_equal(p1.assignment, model.p1.assignment)
 

@@ -27,6 +27,7 @@ from flowcast.partition import (
     calibrate_tau,
     kmeans,
     make_base_set,
+    min_distances,
     partition_report,
     select_base_nodes,
     shift_bases,
@@ -63,11 +64,17 @@ def _graph_from_matrix(adj: np.ndarray):
     return load_spatial_graph(lines)
 
 
+def _tau(graph, flats):
+    """Calibrated tau for the base elements flats."""
+    return calibrate_tau(graph, min_distances(graph.distance_rows(flats)))
+
+
 def _primary(graph, flats):
     """Calibrated tau and P1 for the base elements flats."""
     stack = graph.distance_rows(flats)
-    tau = calibrate_tau(graph, stack)
-    return tau, build_p1(graph, flats, stack, tau)
+    best = min_distances(stack)
+    tau = calibrate_tau(graph, best)
+    return tau, build_p1(graph, flats, stack, best, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -162,32 +169,32 @@ def test_make_base_set_centers_time():
 
 def test_calibrate_tau_single_node_chain():
     graph = build_unified(load_spatial_graph(["nodes 1"]), 12)
-    assert calibrate_tau(graph, graph.distance_rows([6])) == 6
+    assert _tau(graph, [6]) == 6
 
 
 def test_calibrate_tau_path_center_base():
     graph = build_unified(load_spatial_graph(path(5)), 3)
     # base node 2 at step 1; farthest element: an end node at an end step,
     # 2 spatial + 1 temporal
-    assert calibrate_tau(graph, graph.distance_rows([1 * 5 + 2])) == 3
+    assert _tau(graph, [1 * 5 + 2]) == 3
 
 
 def test_calibrate_tau_all_bases_one_step():
     graph = build_unified(load_spatial_graph(path(4)), 1)
-    assert calibrate_tau(graph, graph.distance_rows([0, 1, 2, 3])) == 0
+    assert _tau(graph, [0, 1, 2, 3]) == 0
 
 
 def test_calibrate_tau_complete_graph_single_base():
     lines = [f"{i} {j}" for i in range(4) for j in range(i + 1, 4)]
     graph = build_unified(load_spatial_graph(lines), 1)
-    assert calibrate_tau(graph, graph.distance_rows([0])) == 1
+    assert _tau(graph, [0]) == 1
 
 
 def test_calibrate_tau_unreachable_element_raises():
     spatial = load_spatial_graph(["nodes 3", "0 1 1.0"])
     graph = build_unified(spatial, 2)
     with pytest.raises(ContractError, match="unreachable"):
-        calibrate_tau(graph, graph.distance_rows([0]))
+        _tau(graph, [0])
 
 
 def test_calibrate_tau_matches_oracle_distances():
@@ -202,7 +209,7 @@ def test_calibrate_tau_matches_oracle_distances():
         flats = [(t // 2) * n + int(b) for b in nodes]
         dist = hop_distances(unified_dense(adj, t))
         needed = max(min(int(dist[e, f]) for f in flats) for e in range(n * t))
-        assert calibrate_tau(graph, graph.distance_rows(flats)) == max(needed, t // 2)
+        assert _tau(graph, flats) == max(needed, t // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +240,9 @@ def test_build_p1_tie_goes_to_smaller_subset():
 
 def test_build_p1_coverage_violation_names_element():
     graph = build_unified(load_spatial_graph(path(6)), 1)
+    stack = graph.distance_rows([0])
     with pytest.raises(ContractError, match="node=3"):
-        build_p1(graph, [0], graph.distance_rows([0]), 2)
+        build_p1(graph, [0], stack, min_distances(stack), 2)
 
 
 def test_build_p1_matches_transcribed_oracle():
@@ -313,7 +321,7 @@ def test_shift_moves_peers_to_opposite_ends_of_the_window():
     # lower index) moves to time 2 - 2 = 0 and base 1 to time 2 + 2 = 4
     graph = build_unified(load_spatial_graph(path(7)), 5)
     bases = [2 * 7 + 0, 2 * 7 + 6]
-    tau = calibrate_tau(graph, graph.distance_rows(bases))
+    tau = _tau(graph, bases)
     assert tau == 5  # node 3 at an end step: 3 spatial + 2 temporal
     shifted = shift_bases(graph, bases, tau)
     assert [divmod(f, 7) for f in shifted] == [(0, 2), (4, 4)]  # (time, node)
@@ -326,7 +334,7 @@ def test_shift_time_direction_alternates_along_peer_links():
     # 6 earlier, each a half window (1 step) from t_center 1
     graph = build_unified(load_spatial_graph(path(10)), 3)
     bases = [10 + 0, 10 + 5, 10 + 6]
-    tau = calibrate_tau(graph, graph.distance_rows(bases))
+    tau = _tau(graph, bases)
     assert tau == 4  # node 9 at an end step: 3 spatial + 1 temporal
     shifted = shift_bases(graph, bases, tau)
     # 0 walks min(2, 5 // 2) = 2 hops; the adjacent pair stays at the midpoint cap
@@ -347,7 +355,7 @@ def test_shift_on_directed_path_walks_along_out_edges():
     # linked pair moves to opposite ends of the window.
     ring_graph = build_unified(load_spatial_graph(ring(6), symmetrize=False), 3)
     bases = [6 + 0, 6 + 3]
-    tau = calibrate_tau(ring_graph, ring_graph.distance_rows(bases))
+    tau = _tau(ring_graph, bases)
     assert tau == 3  # node 2 at an end step: 2 spatial + 1 temporal
     shifted = shift_bases(ring_graph, bases, tau)
     assert [divmod(f, 6) for f in shifted] == [(0, 1), (2, 4)]
@@ -359,7 +367,7 @@ def test_shift_on_directed_path_walks_along_out_edges():
     spatial = load_spatial_graph(path(4), symmetrize=False)
     graph = build_unified(spatial, 3)
     bases = [4 + 0, 4 + 3]
-    tau = calibrate_tau(graph, graph.distance_rows(bases))
+    tau = _tau(graph, bases)
     assert tau == 3  # node 2 at an end step: 2 spatial + 1 temporal
     with pytest.warns(UserWarning, match="cannot reach"):
         shifted = shift_bases(graph, bases, tau)
@@ -392,7 +400,7 @@ def test_build_p2_ring_shift_pulls_bases_together_and_widens():
     # far side of the ring now needs a bigger radius
     graph = build_unified(load_spatial_graph(ring(8)), 3)
     bases = [8 + 0, 8 + 4]
-    tau = calibrate_tau(graph, graph.distance_rows(bases))
+    tau = _tau(graph, bases)
     assert tau == 3
     shifted = shift_bases(graph, bases, tau)
     assert [f % 8 for f in shifted] == [1, 3]  # one hop toward the peer, lowest id
@@ -419,7 +427,7 @@ def test_build_p2_matches_transcribed_oracle():
         graph = build_unified(_graph_from_matrix(adj), t)
         nodes = sorted(rng.choice(n, size=2, replace=False).tolist())
         bases = [(t // 2) * n + int(b) for b in nodes]
-        tau = calibrate_tau(graph, graph.distance_rows(bases))
+        tau = _tau(graph, bases)
         with quiet_warnings():
             shifted = shift_bases(graph, bases, tau)
             p2 = build_p2(graph, shifted, tau)
