@@ -13,7 +13,7 @@ from .partition import (
     select_base_nodes,
     shift_bases,
 )
-from .embedding import SpePack, TpePack, compute_spe, embed
+from .embedding import SpePack, compute_spe, embed
 from .attention import apply_block, apply_module, subset_attention
 from .model import (
     ForecastModel,
@@ -21,13 +21,12 @@ from .model import (
     ModelConfig,
     build_model,
     evaluate,
-    forward,
     ha_baseline,
     masked_mae_loss,
     metrics_from_arrays,
     train,
 )
-from .data import Dataset, NormStats, TrafficSeries, load_series, prepare_dataset, zscore_fit_apply
+from .data import Dataset, NormStats, TrafficSeries, load_series, prepare_dataset
 from .checkpoint import load_checkpoint, save_checkpoint
 
 __version__ = "0.1.0"

@@ -10,7 +10,11 @@ module, with its own parameters, on the shifted partition.
 A module records two tape nodes: tensor.ranged_self_attention for its
 attention half, with the subset gathers, the projections and the range
 loop inside the op, and tensor.add_norm_ffn for the position-wise half.
-The probe, attention_weights, reads one subset's weights through
+Each op takes the module's parameter group as it is: the attention half
+its AttentionParams, the position-wise half the whole ModuleParams. Both
+groups are declared in tensor, beside the ops that read them; this module
+nests them into BlockParams and draws their initial values. The probe,
+attention_weights, reads one subset's weights through
 tensor.attention_weights, which builds the op's operands and runs its
 range loop.
 """
@@ -25,33 +29,17 @@ from .errors import ContractError
 from .optim import glorot_uniform, ones_param, zeros_param
 from .partition import PartitionScheme
 from . import tensor
-from .tensor import Param, ParamGroup, Tensor, add_norm_ffn, constant, ranged_self_attention
+from .tensor import (
+    AttentionParams,
+    ModuleParams,
+    ParamGroup,
+    Tensor,
+    add_norm_ffn,
+    constant,
+    ranged_self_attention,
+)
 
 FFN_EXPANSION = 4
-
-
-@dataclass
-class AttentionParams(ParamGroup):
-    """Maps stacked over heads: (H, D, d_h), query bias (H, 1, d_h)."""
-
-    w_value: Param
-    w_query: Param
-    b_query: Param
-    w_key: Param
-    w_out: Param
-
-
-@dataclass
-class ModuleParams(ParamGroup):
-    attention: AttentionParams
-    w_ffn1: Param
-    b_ffn1: Param
-    w_ffn2: Param
-    b_ffn2: Param
-    norm1_gain: Param
-    norm1_bias: Param
-    norm2_gain: Param
-    norm2_bias: Param
 
 
 @dataclass
@@ -116,19 +104,13 @@ def subset_attention(x: Tensor, params: AttentionParams, scheme: PartitionScheme
     the scheme's subset-major order makes every subset a consecutive row
     range, one GEMM of the packed [W_q | W_k | W_v]^T gives the maps
     feature-major, one range loop attends inside every subset, and the
-    output GEMM is followed by one gather by the inverse permutation.
+    output GEMM is followed by one gather by the inverse permutation. The
+    op refuses rows that are not (..., n_elements, D), since the subsets'
+    ranges must tile them.
     """
-    if x.ndim < 2:
-        raise ContractError(f"subset needs shape (..., m, D), got {x.shape}")
-    if x.shape[-2] != scheme.n_elements:
-        raise ContractError(
-            f"partition covers {scheme.n_elements} elements but input has shape {x.shape}"
-        )
     ends = np.cumsum(scheme.sizes).tolist()
-    return ranged_self_attention(
-        x, params.w_query, params.b_query, params.w_key, params.w_value, params.w_out,
-        list(zip([0] + ends[:-1], ends)), scheme.order, scheme.inverse,
-    )
+    bounds = list(zip([0] + ends[:-1], ends))
+    return ranged_self_attention(x, params, bounds, scheme.order, scheme.inverse)
 
 
 def attention_weights(elements: Tensor, params: AttentionParams) -> Tensor:
@@ -138,10 +120,7 @@ def attention_weights(elements: Tensor, params: AttentionParams) -> Tensor:
     subset_attention's op builds, the same packed GEMM and query bias, with
     the same range loop, so they are the weights that op attends with.
     """
-    return constant(tensor.attention_weights(
-        elements.data, params.w_query.data, params.b_query.data, params.w_key.data,
-        params.w_value.data,
-    ))
+    return constant(tensor.attention_weights(elements.data, params))
 
 
 def apply_module(x: Tensor, scheme: PartitionScheme, params: ModuleParams) -> Tensor:
@@ -153,11 +132,7 @@ def apply_module(x: Tensor, scheme: PartitionScheme, params: ModuleParams) -> Te
     norm, as one tensor.add_norm_ffn node over cache-sized row tiles. A
     module records these two tape nodes.
     """
-    return add_norm_ffn(
-        subset_attention(x, params.attention, scheme), x,
-        params.w_ffn1, params.b_ffn1, params.w_ffn2, params.b_ffn2,
-        params.norm1_gain, params.norm1_bias, params.norm2_gain, params.norm2_bias,
-    )
+    return add_norm_ffn(subset_attention(x, params.attention, scheme), x, params)
 
 
 def apply_block(

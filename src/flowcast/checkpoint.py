@@ -53,7 +53,7 @@ def _graph_digest(spatial: SpatialGraph) -> str:
     raws = [label.encode("utf-8") for label in spatial.labels]
     labels = b"".join(struct.pack("<H", len(raw)) + raw for raw in raws)
     digest = hashlib.sha256(struct.pack("<I", spatial.n_nodes) + labels)
-    digest.update(np.ascontiguousarray(spatial.adjacency, dtype="<f8").tobytes())
+    digest.update(np.ascontiguousarray(spatial.adjacency, dtype="<f8"))
     return digest.hexdigest()
 
 

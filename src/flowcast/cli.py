@@ -19,6 +19,7 @@ from .attention import apply_block
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
     Dataset,
+    TrafficSeries,
     WindowSample,
     build_windows,
     load_series,
@@ -261,6 +262,23 @@ def _load_model(cfg: RunConfig, path, spatial):
     return replace(cfg, **_shared(model.config)), model, epochs_completed
 
 
+def _check_series_fits(model, series: TrafficSeries) -> None:
+    """Refuse a series whose steps per day or channel count differ from
+    what the checkpoint was trained on: its calendar rows would tag the
+    wrong time of day, or its signal map would not fit the channels."""
+    trained = model.config
+    if series.gamma != trained.gamma:
+        raise InputError(
+            f"the signal has {series.gamma} steps per day ({series.interval_min}-minute "
+            f"interval) but the checkpoint was trained on {trained.gamma}"
+        )
+    if series.n_channels != trained.channels:
+        raise InputError(
+            f"the signal has {series.n_channels} channels but the checkpoint was "
+            f"trained on {trained.channels}"
+        )
+
+
 def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -284,7 +302,7 @@ def cmd_build_graph(args: argparse.Namespace) -> int:
     print(f"unified elements: {unified.n_elements}")
     print(f"unified nonzero entries: {unified.edge_entry_count}")
     if args.export_unified:
-        with open(args.export_unified, "w") as fh:
+        with atomic_write(args.export_unified) as fh:
             for u, v, w in unified.iter_edges():
                 fh.write(f"{u} {v} {w!r}\n")
         print(f"unified edge list written to {args.export_unified}")
@@ -330,7 +348,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     effective_config = render_effective_config(cfg)
     dataset = _load_dataset(cfg, spatial)
     _windows(dataset, "train")
-    if not args.resume:
+    if args.resume:
+        _check_series_fits(model, dataset.series)
+    else:
         series = dataset.series
         geometry = dict(n_nodes=spatial.n_nodes, channels=series.n_channels, gamma=series.gamma)
         model = build_model(ModelConfig(**geometry, **_shared(cfg)), spatial)
@@ -369,6 +389,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     spatial = _load_graph(cfg, args)
     cfg, model, _ = _load_model(cfg, args.checkpoint, spatial)
     dataset = _load_dataset(cfg, spatial)
+    _check_series_fits(model, dataset.series)
     samples = _windows(dataset, args.on)
     t_out = model.config.t_out
     for horizon in cfg.horizons:
@@ -408,6 +429,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     cfg, model, _ = _load_model(cfg, args.checkpoint, spatial)
     _require(cfg, "signal")
     series = load_series(list(cfg.signal), cfg.interval_min, spatial)
+    _check_series_fits(model, series)
     if model.norm_stats is None:
         raise ContractError("checkpoint has no normalization statistics; train first")
     stats = model.norm_stats
@@ -418,7 +440,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     values = stats.invert(pred.data)  # (N, t_out, C)
     out = _out_dir(cfg)
     path = out / "predictions.csv"
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("node,step,channel,value\n")
         for n in range(series.n_nodes):
             for t in range(model.config.t_out):
@@ -436,6 +458,7 @@ def cmd_export_attention(args: argparse.Namespace) -> int:
         raise ContractError("checkpoint has no normalization statistics; train first")
     _require(cfg, "signal")
     series = load_series(list(cfg.signal), cfg.interval_min, spatial)
+    _check_series_fits(model, series)
     window = _tail_window(series, model.norm_stats, model.config.t_in, args.window_start)
 
     if not 0 <= args.block < model.config.n_blocks:
@@ -460,7 +483,7 @@ def cmd_export_attention(args: argparse.Namespace) -> int:
 
     out = _out_dir(cfg)
     path = out / "attention.csv"
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("node,time,alpha\n")
         for member, alpha in zip(members, row):
             coord = model.unified.flat_to_coord(int(member))
@@ -534,7 +557,7 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
     probe = constant(rng.normal(size=(16, 8)) * 1e-4)
 
     def embed_loss() -> Tensor:
-        out = embed(values, day, step, model.spe, model.tpe, model.embedding)
+        out = embed(values, day, step, model.spe, model.embedding)
         return tensor_sum(mul(out, probe))
 
     results["embedding"] = finite_diff_check(

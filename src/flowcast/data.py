@@ -182,15 +182,6 @@ def zscore_fit(values: np.ndarray) -> NormStats:
     return NormStats(mean=mean, std=std)
 
 
-def zscore_fit_apply(
-    values: np.ndarray, stats: NormStats | None = None
-) -> tuple[np.ndarray, NormStats]:
-    """Normalize, fitting stats first when none are given."""
-    if stats is None:
-        stats = zscore_fit(values)
-    return stats.apply(values), stats
-
-
 # ---------------------------------------------------------------------------
 # splits and windows
 # ---------------------------------------------------------------------------

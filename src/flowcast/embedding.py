@@ -1,12 +1,13 @@
 """Input embedding: signal projection plus spatial and temporal encodings.
 
 The spatial encoding comes from eigenvectors of the symmetric normalized
-graph Laplacian; the temporal encoding tags each step with one learned
-row for its day of week and one for its step within the day, the product
-of the calendar's one-hot code with a linear map. Both are projected to
-the model width, broadcast over the axes they do not index, summed with
-the projected signal, mixed by a second linear layer, and layer
-normalized, all in one tape node, tensor.embed_rows.
+graph Laplacian, projected to the model width. The temporal encoding tags
+each step with two learned rows of the calendar map w_tpe: row day for its
+day of week and row 7 + step for its step within the day, so w_tpe has
+7 + steps-per-day rows. Both broadcast over the axes they do not index and
+are summed with the projected signal, mixed by a second linear layer, and
+layer normalized, all in one tape node, tensor.embed_rows, which reads
+the layer's EmbeddingParams.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import ContractError
 from .optim import glorot_uniform, ones_param, zeros_param
 from .stgraph import SpatialGraph
-from .tensor import Param, ParamGroup, Tensor, embed_rows
+from .tensor import EmbeddingParams, Tensor, embed_rows
 
 DAYS_PER_WEEK = 7
 TRIVIAL_EIGENVALUE_CUTOFF = 1e-8
@@ -79,35 +80,6 @@ def compute_spe(spatial: SpatialGraph, n_modes: int) -> SpePack:
     return SpePack(eigvals=eigvals, eigvecs=eigvecs, selected=selected)
 
 
-@dataclass
-class TpePack:
-    """Sizes for the calendar code: 7 days and gamma steps per day. Row
-    day of the calendar map w_tpe tags a day of week and row 7 + step a
-    step within the day."""
-
-    gamma: int
-
-    @property
-    def width(self) -> int:
-        return DAYS_PER_WEEK + self.gamma
-
-
-@dataclass
-class EmbeddingParams(ParamGroup):
-    """Learnable pieces of the input embedding."""
-
-    w_in: Param
-    b_in: Param
-    w_spe: Param
-    b_spe: Param
-    w_tpe: Param
-    b_tpe: Param
-    w_mix: Param
-    b_mix: Param
-    norm_gain: Param
-    norm_bias: Param
-
-
 def init_embedding_params(
     rng: np.random.Generator, channels: int, dim: int, n_modes: int, tpe_width: int
 ) -> EmbeddingParams:
@@ -130,7 +102,6 @@ def embed(
     day: np.ndarray,
     step: np.ndarray,
     spe: np.ndarray,
-    tpe: TpePack,
     params: EmbeddingParams,
 ) -> Tensor:
     """Embed a signal window (N, T, C) or a batch of them (B, N, T, C).
@@ -138,39 +109,18 @@ def embed(
     Returns the model's rows, (T·N, D) or (B, T·N, D): row time · N + node
     holds that element, the unified graph's flat id. day and step, (T,) or
     (B, T), give each step's day of week and step within the day, and spe
-    holds each node's (N, K) spectral coordinates, SpePack.selected; the
-    calendar rows are w_tpe[day] + w_tpe[7 + step] + b_tpe, looked up
-    rather than multiplied out of one-hot codes. One tape node,
-    tensor.embed_rows, computes the whole embedding.
+    holds each node's (N, K) spectral coordinates, ForecastModel.spe. The
+    steps per day are w_tpe's rows past the first 7. Here only the calendar
+    indices are checked; tensor.embed_rows, one tape node, checks every
+    shape and computes the whole embedding, looking up the calendar rows
+    w_tpe[day] + w_tpe[7 + step] + b_tpe.
     """
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim not in (3, 4):
-        raise ContractError(f"expected (N, T, C) or (B, N, T, C), got {values.shape}")
-    n_nodes = spe.shape[0]
-    if values.shape[-3] != n_nodes:
-        raise ContractError(
-            f"window has {values.shape[-3]} nodes but the graph has {n_nodes}"
-        )
-    t_steps = values.shape[-2]
     day = np.asarray(day, dtype=np.int64)
-    if day.shape[-1] != t_steps:
-        raise ContractError(f"calendar length {day.shape[-1]} != window length {t_steps}")
-    if not (day.ndim == 1 or (day.ndim == 2 and values.ndim == 4 and day.shape[0] == values.shape[0])):
-        raise ContractError(
-            f"calendar shape {day.shape} does not fit window shape {values.shape}"
-        )
     step = np.asarray(step, dtype=np.int64)
-    if day.shape != step.shape:
-        raise ContractError(f"day shape {day.shape} != step shape {step.shape}")
+    steps_per_day = params.w_tpe.shape[0] - DAYS_PER_WEEK
     if day.size and (day.min() < 0 or day.max() >= DAYS_PER_WEEK):
         raise ContractError("day of week outside [0, 7)")
-    if step.size and (step.min() < 0 or step.max() >= tpe.gamma):
-        raise ContractError(f"step in day outside [0, {tpe.gamma})")
-    if params.w_tpe.shape[0] != tpe.width:
-        raise ContractError(f"calendar map has {params.w_tpe.shape[0]} rows, expected {tpe.width}")
-
-    p = params
-    return embed_rows(
-        values, spe, day, DAYS_PER_WEEK + step, p.w_in, p.b_in, p.w_spe, p.b_spe,
-        p.w_tpe, p.b_tpe, p.w_mix, p.b_mix, p.norm_gain, p.norm_bias,
-    )
+    if step.size and (step.min() < 0 or step.max() >= steps_per_day):
+        raise ContractError(f"step in day outside [0, {steps_per_day})")
+    values = np.asarray(values, dtype=np.float64)
+    return embed_rows(values, spe, day, DAYS_PER_WEEK + step, params)

@@ -22,13 +22,7 @@ from .attention import (
     init_block_params,
 )
 from .data import Dataset, NormStats, WindowSample, batch_arrays
-from .embedding import (
-    EmbeddingParams,
-    TpePack,
-    compute_spe,
-    embed,
-    init_embedding_params,
-)
+from .embedding import DAYS_PER_WEEK, compute_spe, embed, init_embedding_params
 from .errors import ContractError, FlowcastError, NumericError
 from .optim import (
     AdamState,
@@ -50,6 +44,8 @@ from .partition import (
 )
 from .stgraph import SpatialGraph, UnifiedGraph, build_unified
 from .tensor import (
+    AdapterParams,
+    EmbeddingParams,
     Param,
     ParamGroup,
     Tensor,
@@ -126,16 +122,6 @@ class ModelConfig(ModelSettings):
 
 
 @dataclass
-class AdapterParams(ParamGroup):
-    """Per-node temporal remap T -> T' and channel projection D -> C."""
-
-    w_time: Param
-    b_time: Param
-    w_out: Param
-    b_out: Param
-
-
-@dataclass
 class ForecastModel(ParamGroup):
     """params() walks the fields: the embedding's, each block's, then the
     adapter's parameters; the other fields hold none. spe holds the
@@ -145,7 +131,6 @@ class ForecastModel(ParamGroup):
     spatial: SpatialGraph
     unified: UnifiedGraph
     spe: np.ndarray
-    tpe: TpePack
     embedding: EmbeddingParams
     blocks: list[BlockParams]
     adapter: AdapterParams
@@ -204,7 +189,6 @@ def build_model(
             f"spectral coordinates have shape {spe.shape}, expected "
             f"{(config.n_nodes, config.spe_modes)}"
         )
-    tpe = TpePack(gamma=config.gamma)
 
     if schemes is None:
         p1, p2 = build_partitions(unified, spe, config.n_subsets, config.seed)
@@ -219,7 +203,7 @@ def build_model(
 
     rng = np.random.default_rng(config.seed)
     embedding = init_embedding_params(
-        rng, config.channels, config.dim, config.spe_modes, TpePack(config.gamma).width
+        rng, config.channels, config.dim, config.spe_modes, DAYS_PER_WEEK + config.gamma
     )
     blocks = [
         init_block_params(rng, config.dim, config.n_heads, f"block{b}")
@@ -236,7 +220,6 @@ def build_model(
         spatial=spatial,
         unified=unified,
         spe=spe,
-        tpe=tpe,
         embedding=embedding,
         blocks=blocks,
         adapter=adapter,
@@ -255,11 +238,10 @@ def forward_arrays(
     tape node, views them as (..., T, N·D), remaps T to t_out for every
     node in one product, projects D to C, and returns (..., N, t_out, C).
     """
-    x = embed(values, day, step, model.spe, model.tpe, model.embedding)
+    x = embed(values, day, step, model.spe, model.embedding)
     for block in model.blocks:
         x = apply_block(x, model.p1, model.p2, block)
-    adapter = model.adapter
-    return output_adapter(x, adapter.w_time, adapter.b_time, adapter.w_out, adapter.b_out)
+    return output_adapter(x, model.adapter)
 
 
 def subset_weights(
@@ -281,7 +263,7 @@ def subset_weights(
     scheme = model.p1 if module == 1 else model.p2
     if not 0 <= subset_id < scheme.n_subsets:
         raise ContractError(f"no subset {subset_id} among the {scheme.n_subsets} of module {module}")
-    x = embed(values, day, step, model.spe, model.tpe, model.embedding)
+    x = embed(values, day, step, model.spe, model.embedding)
     for params in model.blocks[:block]:
         x = apply_block(x, model.p1, model.p2, params)
     params = model.blocks[block].module_one
@@ -290,11 +272,6 @@ def subset_weights(
         params = model.blocks[block].module_two
     rows = constant(x.data[..., scheme.subsets[subset_id], :])
     return attention_weights(rows, params.attention).data
-
-
-def forward(model: ForecastModel, window: WindowSample) -> Tensor:
-    """Predict one window; output shape (N, t_out, channels), normalized."""
-    return forward_arrays(model, window.values_norm, window.day, window.step)
 
 
 def masked_mae_loss(
@@ -446,7 +423,6 @@ class TraceRow:
 
 @dataclass
 class TrainResult:
-    model: ForecastModel
     trace: list[TraceRow]
     best_val_mae: float
     best_params: dict[str, np.ndarray]
@@ -529,7 +505,6 @@ def train(
             log(row)
 
     return TrainResult(
-        model=model,
         trace=trace,
         best_val_mae=best_val,
         best_params=best_params,

@@ -185,7 +185,8 @@ class PartitionScheme:
                     f"{self.label}: subset {p} does not contain its own base element"
                 )
         self.order = np.argsort(ids, kind="stable")
-        self.inverse = np.argsort(self.order)
+        self.inverse = np.empty_like(self.order)
+        self.inverse[self.order] = np.arange(self.n_elements)
         self.sizes = sizes.tolist()
         self.subsets = np.split(self.order, np.cumsum(sizes)[:-1])
 
@@ -440,10 +441,9 @@ def partition_report(p1: PartitionScheme, p2: PartitionScheme) -> PartitionRepor
         raise ContractError("partition pair does not describe the same element set")
     sizes_p1 = [len(s) for s in p1.subsets]
     sizes_p2 = [len(s) for s in p2.subsets]
-    overlap = []
-    for p in range(p1.n_subsets):
-        a, b = set(p1.subsets[p].tolist()), set(p2.subsets[p].tolist())
-        overlap.append(len(a & b) / len(a))
+    # subset p's overlap counts the elements that both schemes put in p
+    shared = p1.assignment[p1.assignment == p2.assignment]
+    overlap = (np.bincount(shared, minlength=p1.n_subsets) / sizes_p1).tolist()
 
     notes: list[str] = []
     ratio1, ratio2 = _size_ratio(sizes_p1), _size_ratio(sizes_p2)

@@ -11,6 +11,13 @@ each intermediate array is freed once the next operation has used it.
 All arrays are C-contiguous float64 and every computation is single
 threaded and deterministic.
 
+Each layer of the model is one op here, with a hand-written backward:
+embed_rows, ranged_self_attention and add_norm_ffn, output_adapter and
+masked_mae. An op that has parameters takes its layer's group, a
+ParamGroup dataclass declared beside it (EmbeddingParams, AttentionParams,
+ModuleParams, AdapterParams); the group's own tensors, in field order, are
+the op's parents.
+
 On import the process heap is told to keep freed memory (glibc's mallopt;
 a no-op where it is missing): every step's graph has the same shapes, so
 the next step reuses the pages of the last one instead of faulting fresh
@@ -21,7 +28,7 @@ from __future__ import annotations
 
 import ctypes
 from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -138,6 +145,13 @@ class ParamGroup:
 
     def params(self) -> list[Param]:
         return _params_in([getattr(self, f.name) for f in fields(self)])
+
+    def tensors(self) -> tuple[Tensor, ...]:
+        """The group's own tensor fields in field order, nested groups left
+        out: what the op that reads the group takes as its parents. The
+        dataclass __init__ sets the fields in order, so the instance dict
+        holds them in order, and reading it skips fields()' per-call cost."""
+        return tuple([v for v in vars(self).values() if isinstance(v, Tensor)])
 
 
 def _params_in(items: list) -> list[Param]:
@@ -345,25 +359,37 @@ def _check_ranges(bounds: list[tuple[int, int]], n_rows: int) -> None:
         raise ContractError(f"ranges {bounds} do not tile rows [0, {n_rows}) in order")
 
 
-def _check_maps(op: str, rows_shape: tuple[int, ...], w_query, b_query, w_key, w_value, w_out=None) -> None:
+@dataclass
+class AttentionParams(ParamGroup):
+    """The maps of one multi-head attention, stacked over heads: value,
+    query and key (H, D, d_h), a query bias (H, 1, d_h) and the output map
+    (D, D); ranged_self_attention and attention_weights read them."""
+
+    w_value: Param
+    w_query: Param
+    b_query: Param
+    w_key: Param
+    w_out: Param
+
+
+def _check_maps(op: str, rows_shape: tuple[int, ...], params: AttentionParams) -> None:
     """Raise ContractError naming every map's shape unless the maps, stacked
-    over heads as (H, D, d_h) with H * d_h = D, a query bias (H, 1, d_h) and,
-    when given, an output map (D, D) fit rows (..., M, D)."""
-    heads, dim, head_dim = w_query.shape if len(w_query.shape) == 3 else (0, 0, 0)
+    over heads as (H, D, d_h) with H * d_h = D, the query bias (H, 1, d_h)
+    and the output map (D, D) fit rows (..., M, D)."""
+    p = params
+    heads, dim, head_dim = p.w_query.shape if p.w_query.ndim == 3 else (0, 0, 0)
     if (
         len(rows_shape) < 2
         or rows_shape[-1] != dim
         or heads * head_dim != dim
-        or w_key.shape != w_query.shape
-        or w_value.shape != w_query.shape
-        or b_query.shape != (heads, 1, head_dim)
-        or (w_out is not None and w_out.shape != (dim, dim))
+        or p.w_key.shape != p.w_query.shape
+        or p.w_value.shape != p.w_query.shape
+        or p.b_query.shape != (heads, 1, head_dim)
+        or p.w_out.shape != (dim, dim)
     ):
-        named = [f"maps {w_query.shape}/{w_key.shape}/{w_value.shape}", f"query bias {b_query.shape}"]
-        if w_out is not None:
-            named.append(f"output {w_out.shape}")
         raise ContractError(
-            f"{op} {', '.join(named[:-1])} and {named[-1]} do not fit rows {tuple(rows_shape)}"
+            f"{op} maps {p.w_query.shape}/{p.w_key.shape}/{p.w_value.shape}, query bias "
+            f"{p.b_query.shape} and output {p.w_out.shape} do not fit rows {tuple(rows_shape)}"
         )
 
 
@@ -451,30 +477,30 @@ def _attend_grad(
     dq_t *= factor
 
 
-def _packed_maps(w_query: np.ndarray, w_key: np.ndarray, w_value: np.ndarray) -> np.ndarray:
-    """[W_q | W_k | W_v]^T, (3D, D), from maps stacked over heads, (H, D, d_h)
-    each: row h * d_h + j of each block is head h's column j."""
-    return np.concatenate(
-        [np.swapaxes(w, -1, -2).reshape(-1, w.shape[-2]) for w in (w_query, w_key, w_value)]
-    )
+def _packed_maps(params: AttentionParams) -> np.ndarray:
+    """[W_q | W_k | W_v]^T, (3D, D), from the maps stacked over heads,
+    (H, D, d_h) each: row h * d_h + j of each block is head h's column j."""
+    return np.concatenate([
+        np.swapaxes(w.data, -1, -2).reshape(-1, w.shape[-2])
+        for w in (params.w_query, params.w_key, params.w_value)
+    ])
 
 
 def _attention_operands(
-    rows: np.ndarray, w_query: np.ndarray, b_query: np.ndarray, w_key: np.ndarray, w_value: np.ndarray
+    rows: np.ndarray, params: AttentionParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, bool]:
-    """_attend's operands for rows (..., M, D), maps stacked over heads,
-    (H, D, d_h), and a query bias (H, 1, d_h), from one GEMM of the packed
+    """_attend's operands for rows (..., M, D), from one GEMM of the packed
     [W_q | W_k | W_v]^T with the rows transposed: [q / sqrt(d_h) | .]^T,
     (..., H, d_h + 1, M), its last row left to _attend; the key rows,
     (..., H, M, d_h); [v | 1]^T; 1 / sqrt(d_h); and _needs_shift's answer.
     """
-    heads, _, head_dim = w_query.shape
+    heads, _, head_dim = params.w_query.shape
     n_rows = rows.shape[-2]
-    packed = _packed_maps(w_query, w_key, w_value) @ np.swapaxes(rows, -1, -2)
+    packed = _packed_maps(params) @ np.swapaxes(rows, -1, -2)
     qkv = packed.reshape(packed.shape[:-2] + (3, heads, head_dim, n_rows))
     q_norm_t = np.empty(packed.shape[:-2] + (heads, head_dim + 1, n_rows))
     q_t = q_norm_t[..., :-1, :]
-    np.add(qkv[..., 0, :, :, :], np.swapaxes(b_query, -1, -2), out=q_t)
+    np.add(qkv[..., 0, :, :, :], np.swapaxes(params.b_query.data, -1, -2), out=q_t)
     k = np.ascontiguousarray(np.swapaxes(qkv[..., 1, :, :, :], -1, -2))
     v_one_t = np.empty(q_norm_t.shape)
     v_one_t[..., :-1, :] = qkv[..., 2, :, :, :]
@@ -485,18 +511,16 @@ def _attention_operands(
     return q_norm_t, k, v_one_t, factor, shifted
 
 
-def attention_weights(
-    rows: np.ndarray, w_query: np.ndarray, b_query: np.ndarray, w_key: np.ndarray, w_value: np.ndarray
-) -> np.ndarray:
+def attention_weights(rows: np.ndarray, params: AttentionParams) -> np.ndarray:
     """Softmax weights of rows (..., m, D) attending to one another,
     (..., H, m, m), query-major; forward only. The operands are
     ranged_self_attention's, and _attend runs over the one range [0, m)
     with [I | 1]^T as values, so each output row is one query's weights.
     """
-    _check_maps("attention_weights", rows.shape, w_query, b_query, w_key, w_value)
+    _check_maps("attention_weights", rows.shape, params)
     m = rows.shape[-2]
     _check_ranges([(0, m)], m)
-    q_norm_t, k, _, _, shifted = _attention_operands(rows, w_query, b_query, w_key, w_value)
+    q_norm_t, k, _, _, shifted = _attention_operands(rows, params)
     identity_one_t = np.empty(q_norm_t.shape[:-2] + (m + 1, m))
     identity_one_t[..., :m, :] = np.eye(m)
     identity_one_t[..., m, :] = 1.0
@@ -507,11 +531,7 @@ def attention_weights(
 
 def ranged_self_attention(
     x: Tensor,
-    w_query: Tensor,
-    b_query: Tensor,
-    w_key: Tensor,
-    w_value: Tensor,
-    w_out: Tensor,
+    params: AttentionParams,
     bounds: list[tuple[int, int]],
     order: np.ndarray,
     inverse: np.ndarray,
@@ -521,10 +541,10 @@ def ranged_self_attention(
     x is (..., M, D). The rows x[..., order, :] are attended range by
     range: a row attends only to rows of its own range, so no value or
     gradient crosses a range. The result goes back through the inverse
-    permutation, so the output is (..., M, D) in x's row order. The query,
-    key and value maps are stacked over heads, (H, D, d_h), with a query
-    bias (H, 1, d_h); keys carry no bias, as the softmax would cancel it.
-    Head outputs laid side by side go through w_out, (D, D).
+    permutation, so the output is (..., M, D) in x's row order. params
+    holds the query, key and value maps stacked over heads, (H, D, d_h),
+    with a query bias (H, 1, d_h); keys carry no bias, as the softmax would
+    cancel it. Head outputs laid side by side go through w_out, (D, D).
 
     Once per call, the bound d_h * max|q / sqrt(d_h)| * max|k| caps every
     |score| at O(M d_h) cost. When it is at most _UNSHIFTED_SCORE_LIMIT,
@@ -542,16 +562,15 @@ def ranged_self_attention(
     and takes each packed weight gradient and the input gradient as one
     GEMM each.
     """
-    _check_maps("ranged_self_attention", x.shape, w_query, b_query, w_key, w_value, w_out)
-    heads, dim, head_dim = w_query.shape
+    _check_maps("ranged_self_attention", x.shape, params)
+    heads, dim, head_dim = params.w_query.shape
     lead, n_rows = x.shape[:-2], x.shape[-2]
     _check_ranges(bounds, n_rows)
     if not _inverse_permutations(order, inverse, n_rows):
         raise ContractError(f"order and inverse are not inverse permutations of {n_rows} rows")
-    parents = (x, w_query, b_query, w_key, w_value, w_out)
-    q_norm_t, k, v_one_t, factor, shifted = _attention_operands(
-        np.take(x.data, order, axis=-2), w_query.data, b_query.data, w_key.data, w_value.data
-    )
+    parents = (x, *params.tensors())
+    w_out = params.w_out
+    q_norm_t, k, v_one_t, factor, shifted = _attention_operands(np.take(x.data, order, axis=-2), params)
     per_head = lead + (heads, head_dim, n_rows)
     heads_t = np.empty(lead + (dim, n_rows))
     _attend(q_norm_t, k, v_one_t, bounds, shifted, heads_t.reshape(per_head))
@@ -571,12 +590,12 @@ def ranged_self_attention(
         )
         dqkv = dqkv.reshape(lead + (3 * dim, n_rows))
         d_bias = dqkv[..., :dim, :].sum(axis=-1).reshape(-1, heads, 1, head_dim).sum(axis=0)
-        _accumulate(b_query, d_bias)
+        _accumulate(params.b_query, d_bias)
         d_maps = _lead_sum(dqkv @ np.take(x.data, order, axis=-2)).reshape(3, heads, head_dim, dim)
-        for param, grad in zip((w_query, w_key, w_value), d_maps):
+        for param, grad in zip((params.w_query, params.w_key, params.w_value), d_maps):
             _accumulate(param, np.swapaxes(grad, -1, -2))
         if x.requires_grad:
-            packed = _packed_maps(w_query.data, w_key.data, w_value.data)
+            packed = _packed_maps(params)
             _accumulate(x, np.take(np.swapaxes(dqkv, -1, -2) @ packed, inverse, axis=-2))
 
     return Tensor(out, parents, bwd)
@@ -660,24 +679,31 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 _TILE_ROWS = 512
 
 
-def add_norm_ffn(
-    attended: Tensor,
-    x: Tensor,
-    w1: Tensor,
-    b1: Tensor,
-    w2: Tensor,
-    b2: Tensor,
-    g1: Tensor,
-    beta1: Tensor,
-    g2: Tensor,
-    beta2: Tensor,
-) -> Tensor:
+@dataclass
+class ModuleParams(ParamGroup):
+    """One attention module: its attention's maps, which
+    ranged_self_attention reads, then the feed-forward weights and both
+    layer norms' affines, in the order add_norm_ffn unpacks them."""
+
+    attention: AttentionParams
+    w_ffn1: Param
+    b_ffn1: Param
+    w_ffn2: Param
+    b_ffn2: Param
+    norm1_gain: Param
+    norm1_bias: Param
+    norm2_gain: Param
+    norm2_bias: Param
+
+
+def add_norm_ffn(attended: Tensor, x: Tensor, params: ModuleParams) -> Tensor:
     """LN2(relu(y W1 + b1) W2 + b2 + y), where y = LN1(attended + x); one tape node.
 
-    attended and x are (..., D), w1 (D, H), w2 (H, D), b1 (H,), and b2 and
-    each layer norm's gain and bias (D,). The same ops taped one by one
-    would stream every (rows, D) and (rows, H) intermediate through
-    memory nine times; here the rows run in tiles of _TILE_ROWS, so each
+    attended and x are (..., D). The op reads the module's own fields, not
+    its attention's maps: W1 = w_ffn1 is (D, H), W2 = w_ffn2 (H, D), b1
+    (H,), and b2 and each layer norm's gain and bias (D,). The same ops
+    taped one by one would stream every (rows, D) and (rows, H)
+    intermediate through memory nine times; here the rows run in tiles of _TILE_ROWS, so each
     tile's intermediates stay in cache from the residual to the output.
 
     Only when the output records a graph does the forward keep, per tile,
@@ -689,6 +715,8 @@ def add_norm_ffn(
     """
     if attended.shape != x.shape or x.ndim < 1:
         raise ContractError(f"add_norm_ffn needs equal input shapes, got {attended.shape} and {x.shape}")
+    weights = params.tensors()
+    w1, b1, w2, b2, g1, beta1, g2, beta2 = weights
     width = x.shape[-1]
     hidden = w1.shape[-1] if w1.ndim == 2 else -1
     affine = (b2, g1, beta1, g2, beta2)
@@ -702,7 +730,7 @@ def add_norm_ffn(
             f"add_norm_ffn weights {w1.shape}/{b1.shape}/{w2.shape}/{b2.shape} and norm "
             f"affines {'/'.join(str(p.shape) for p in affine[1:])} do not fit width {width}"
         )
-    parents = (attended, x, w1, b1, w2, b2, g1, beta1, g2, beta2)
+    parents = (attended, x, *weights)
     keep = _recording and any(p.requires_grad for p in parents)
     a_rows = attended.data.reshape(-1, width)
     x_rows = x.data.reshape(-1, width)
@@ -760,10 +788,7 @@ def add_norm_ffn(
         d_in = d_rows.reshape(x.data.shape)
         _accumulate(attended, d_in)
         _accumulate(x, d_in)
-        for param, grad in zip(
-            (w1, b1, w2, b2, g1, beta1, g2, beta2),
-            (d_w1, d_b1, d_w2, d_b2, d_g1, d_beta1, d_g2, d_beta2),
-        ):
+        for param, grad in zip(weights, (d_w1, d_b1, d_w2, d_b2, d_g1, d_beta1, d_g2, d_beta2)):
             _accumulate(param, grad.reshape(param.data.shape))
 
     return Tensor(out, parents, bwd)
@@ -791,30 +816,39 @@ def _calendar_rows(
     return rows
 
 
+@dataclass
+class EmbeddingParams(ParamGroup):
+    """The input embedding's maps and biases, then the mix and the layer
+    norm's affine, in the order embed_rows unpacks them."""
+
+    w_in: Param
+    b_in: Param
+    w_spe: Param
+    b_spe: Param
+    w_tpe: Param
+    b_tpe: Param
+    w_mix: Param
+    b_mix: Param
+    norm_gain: Param
+    norm_bias: Param
+
+
 def embed_rows(
     values: np.ndarray,
     coords: np.ndarray,
     day_rows: np.ndarray,
     step_rows: np.ndarray,
-    w_in: Tensor,
-    b_in: Tensor,
-    w_spe: Tensor,
-    b_spe: Tensor,
-    w_tpe: Tensor,
-    b_tpe: Tensor,
-    w_mix: Tensor,
-    b_mix: Tensor,
-    gain: Tensor,
-    bias: Tensor,
+    params: EmbeddingParams,
 ) -> Tensor:
     """LN((v W_in + b_in + c W_spe + b_spe + t + b_tpe) W_mix + b_mix) as rows; one tape node.
 
     values is a signal window (..., N, T, C), coords the nodes' spatial
-    coordinates (N, K), and day_rows and step_rows, (..., T), the rows of
-    w_tpe that tag each step; t = w_tpe[day_rows] + w_tpe[step_rows]. The
-    spatial terms broadcast over time and the calendar terms over nodes,
-    and LN is a layer norm with the affine gain and bias. The output is
-    (..., T·N, D): row time · N + node holds that element.
+    coordinates (N, K), and day_rows and step_rows the rows of w_tpe that
+    tag each step, (..., T) or one (T,) calendar for every window;
+    t = w_tpe[day_rows] + w_tpe[step_rows]. The spatial terms broadcast
+    over time and the calendar terms over nodes, and LN is a layer norm
+    with the affine norm_gain and norm_bias. The output is (..., T·N, D):
+    row time · N + node holds that element.
 
     The sum before the mix is built in one buffer, the projections are one
     GEMM each over (rows, width) views, and the norm runs in place on the
@@ -825,26 +859,29 @@ def embed_rows(
     and the calendar rows' gradient goes into w_tpe's through one GEMM with
     the transposed two-hot code.
     """
-    params = (w_in, b_in, w_spe, b_spe, w_tpe, b_tpe, w_mix, b_mix, gain, bias)
+    parents = params.tensors()
+    w_in, b_in, w_spe, b_spe, w_tpe, b_tpe, w_mix, b_mix, gain, bias = parents
     dim = w_mix.shape[-1] if w_mix.ndim == 2 else -1
+    t_steps = values.shape[-2] if values.ndim >= 3 else -1
     inputs_fit = (
-        values.ndim >= 3
+        t_steps >= 0
         and coords.ndim == 2
         and w_tpe.ndim == 2
         and coords.shape[0] == values.shape[-3]
         and day_rows.shape == step_rows.shape
-        and day_rows.shape[-1:] == values.shape[-2:-1]
+        and day_rows.shape in {(t_steps,), values.shape[:-3] + (t_steps,)}
     )
     wanted = (
         (values.shape[-1], dim), (dim,), (coords.shape[-1], dim), (dim,), (w_tpe.shape[0], dim),
         (dim,), (dim, dim), (dim,), (dim,), (dim,),
     ) if inputs_fit else ()
-    if not inputs_fit or any(p.shape != shape for p, shape in zip(params, wanted)):
+    if not inputs_fit or any(p.shape != shape for p, shape in zip(parents, wanted)):
         raise ContractError(
-            f"embed_rows parameters {'/'.join(str(p.shape) for p in params)} do not fit "
-            f"values {values.shape}, coordinates {coords.shape} and calendar {day_rows.shape}"
+            f"embed_rows parameters {'/'.join(str(p.shape) for p in parents)} do not fit "
+            f"values {values.shape}, coordinates {coords.shape} and calendar "
+            f"{day_rows.shape}/{step_rows.shape}"
         )
-    keep = _recording and any(p.requires_grad for p in params)
+    keep = _recording and any(p.requires_grad for p in parents)
     signal = np.ascontiguousarray(np.swapaxes(values, -3, -2))  # (..., T, N, C)
     grid = signal.shape[:-1] + (dim,)
     x = (_rows(signal) @ w_in.data).reshape(grid)
@@ -894,10 +931,21 @@ def embed_rows(
                 two_hot[np.broadcast_to(index, grid[:-2]).ravel(), steps] += 1.0
             _accumulate(w_tpe, two_hot @ d_calendar)
 
-    return Tensor(flat, params, bwd)
+    return Tensor(flat, parents, bwd)
 
 
-def output_adapter(x: Tensor, w_time: Tensor, b_time: Tensor, w_out: Tensor, b_out: Tensor) -> Tensor:
+@dataclass
+class AdapterParams(ParamGroup):
+    """Per-node temporal remap T -> T' and channel projection D -> C, in
+    the order output_adapter unpacks them."""
+
+    w_time: Param
+    b_time: Param
+    w_out: Param
+    b_out: Param
+
+
+def output_adapter(x: Tensor, params: AdapterParams) -> Tensor:
     """(w_time @ x viewed as (..., T, N·D) + b_time) @ w_out + b_out per node; one tape node.
 
     x is rows (..., T·N, D) in flat element order, time · N + node; w_time
@@ -908,6 +956,8 @@ def output_adapter(x: Tensor, w_time: Tensor, b_time: Tensor, w_out: Tensor, b_o
     added; the backward takes the channel map's gradients over (rows,
     width) views.
     """
+    parents = (x, *params.tensors())
+    _, w_time, b_time, w_out, b_out = parents
     t_out, t_in = w_time.shape if w_time.ndim == 2 else (0, 0)
     dim = x.shape[-1] if x.ndim >= 2 else -1
     channels = w_out.shape[-1] if w_out.ndim == 2 else -1
@@ -923,7 +973,6 @@ def output_adapter(x: Tensor, w_time: Tensor, b_time: Tensor, w_out: Tensor, b_o
             f"output_adapter maps {w_time.shape}/{b_time.shape}/{w_out.shape}/{b_out.shape} "
             f"do not fit rows {x.shape}"
         )
-    parents = (x, w_time, b_time, w_out, b_out)
     lead, n_nodes = x.shape[:-2], x.shape[-2] // t_in
     x_time = x.data.reshape(lead + (t_in, n_nodes * dim))
     hidden = (w_time.data @ x_time).reshape(lead + (t_out, n_nodes, dim))

@@ -277,10 +277,7 @@ def test_module_merges_interleaved_subsets_exactly():
     for indices in scheme.subsets:
         alone = _single_subset_scheme(len(indices))
         att[:, indices, :] = subset_attention(Tensor(x[:, indices, :]), params.attention, alone).data
-    want = add_norm_ffn(
-        Tensor(att), Tensor(x), params.w_ffn1, params.b_ffn1, params.w_ffn2, params.b_ffn2,
-        params.norm1_gain, params.norm1_bias, params.norm2_gain, params.norm2_bias,
-    )
+    want = add_norm_ffn(Tensor(att), Tensor(x), params)
     assert np.array_equal(got.data, want.data)
 
 
@@ -563,13 +560,6 @@ def _scheme_args(scheme):
     return list(zip([0] + ends[:-1], ends)), scheme.order, scheme.inverse
 
 
-def _op(x, params, bounds, order, inverse):
-    return ranged_self_attention(
-        x, params.w_query, params.b_query, params.w_key, params.w_value, params.w_out,
-        bounds, order, inverse,
-    )
-
-
 @pytest.mark.parametrize("limit", [0.0, np.inf])
 def test_ranged_self_attention_matches_the_taped_chain(monkeypatch, limit):
     # output and every gradient against the per-subset, per-head loop
@@ -579,7 +569,7 @@ def test_ranged_self_attention_matches_the_taped_chain(monkeypatch, limit):
     scheme = _ragged_scheme()
     rng = np.random.default_rng(98)
     x, params = _attention_leaves(rng, 3, 15, 8, 2)
-    out = _op(x, params, *_scheme_args(scheme))
+    out = ranged_self_attention(x, params, *_scheme_args(scheme))
     probe = rng.normal(size=out.shape)
     backward(tensor_sum(mul(out, Tensor(probe))))
     want_out, want = subset_attention_grad_oracle(
@@ -604,13 +594,13 @@ def test_ranged_self_attention_gradients_match_central_differences(monkeypatch, 
     x, params = _attention_leaves(rng, 3, 15, 4, 2)
     assert np.all(params.b_query.data != 0.0)
     probe = Tensor(rng.normal(size=x.shape))
-    node = _op(x, params, *_scheme_args(scheme))
+    node = ranged_self_attention(x, params, *_scheme_args(scheme))
     fn = node.backward_fn
     state = dict(zip(fn.__code__.co_freevars, (c.cell_contents for c in fn.__closure__)))
     assert state["shifted"] is shifted
 
     def loss_fn():
-        return tensor_sum(mul(_op(x, params, *_scheme_args(scheme)), probe))
+        return tensor_sum(mul(ranged_self_attention(x, params, *_scheme_args(scheme)), probe))
 
     # every coordinate of the input and the five attention parameters
     worst = finite_diff_check(loss_fn, [x] + params.params(), samples=10**6)
@@ -626,14 +616,14 @@ def test_ranged_self_attention_routes_each_row_back_through_the_inverse():
     bounds, order, inverse = _scheme_args(scheme)
     x, params = _attention_leaves(rng, 2, 15, 8, 4)
     probe = rng.normal(size=x.shape)
-    out = _op(x, params, bounds, order, inverse)
+    out = ranged_self_attention(x, params, bounds, order, inverse)
     backward(tensor_sum(mul(out, Tensor(probe))))
     grads = [p.grad.copy() for p in params.params()]
     for p in params.params():
         p.grad[:] = 0.0
 
     gathered = Param(x.data[:, order], "gathered")
-    plain = _op(gathered, params, bounds, np.arange(15), np.arange(15))
+    plain = ranged_self_attention(gathered, params, bounds, np.arange(15), np.arange(15))
     backward(tensor_sum(mul(plain, Tensor(probe[:, order]))))
     assert np.array_equal(out.data, plain.data[:, inverse])
     assert np.array_equal(x.grad, gathered.grad[:, inverse])
@@ -646,8 +636,8 @@ def test_ranged_self_attention_rejects_orders_that_are_not_inverse_permutations(
     x, params = _attention_leaves(rng, 1, 3, 4, 2)
     for idx in ([1, 1, 1], [0, 1], [2, 0, 1, 0], [0, 1, 3], [-1, 0, 1]):
         with pytest.raises(ContractError, match="inverse permutations"):
-            _op(x, params, [(0, 3)], np.array(idx), np.argsort(idx))
+            ranged_self_attention(x, params, [(0, 3)], np.array(idx), np.argsort(idx))
     with pytest.raises(ContractError, match="inverse permutations"):
-        _op(x, params, [(0, 3)], np.array([2, 0, 1]), None)
+        ranged_self_attention(x, params, [(0, 3)], np.array([2, 0, 1]), None)
     with pytest.raises(ContractError, match="inverse permutations"):
-        _op(x, params, [(0, 3)], np.array([2, 0, 1]), np.array([2, 0, 1]))
+        ranged_self_attention(x, params, [(0, 3)], np.array([2, 0, 1]), np.array([2, 0, 1]))

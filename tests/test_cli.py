@@ -692,3 +692,88 @@ def test_checkpoint_command_checks_only_the_settings_it_is_given(trained, capsys
     if argv[0] != "train":
         argv = [*argv, "--checkpoint"]
     assert main([*argv, str(checkpoint), *files]) == 0, capsys.readouterr().err
+
+
+def _series_that_does_not_fit(mismatch: str, signal, scratch) -> tuple[list[str], tuple[str, str]]:
+    """Flags that give the hourly one-channel workspace, whose signal is at
+    signal, a half-hourly or a two-channel signal, and the two numbers the
+    refusal names."""
+    if mismatch == "channels":
+        return ["--signal", f"{signal},{signal}"], ("2 channels", "trained on 1")
+    half_hourly = scratch / "half_hourly.csv"
+    write_signal_csv(synthetic_series(4, 120, interval_min=30, seed=3, noise=1.0), half_hourly)
+    return ["--signal", str(half_hourly), "--interval-min", "30"], ("48 steps per day", "24")
+
+
+@pytest.mark.parametrize("mismatch", ["steps-per-day", "channels"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate", "--checkpoint"],
+        ["predict", "--checkpoint"],
+        ["export-attention", "--node", "0", "--time", "0", "--checkpoint"],
+        ["train", "--epochs", "3", "--resume"],
+    ],
+    ids=["evaluate", "predict", "export-attention", "train-resume"],
+)
+def test_checkpoint_command_refuses_a_series_that_does_not_fit(trained, tmp_path, capsys, argv, mismatch):
+    # an hourly one-channel checkpoint against half-hourly or two-channel
+    # data: calendar rows for the wrong time of day, or a signal map that
+    # does not fit, refused before any output exists
+    tmp, config, checkpoint = trained
+    flags, named = _series_that_does_not_fit(mismatch, tmp / "signal.csv", tmp_path)
+    refused = tmp_path / "refused"
+    argv = [*argv, str(checkpoint), "--config", str(config), "--out-dir", str(refused), *flags]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error[input]: the signal has "), err
+    assert all(number in err[0] for number in named), err
+    assert not refused.exists()
+
+
+class _WriteFails:
+    """A file whose third write raises, as a full disk would."""
+
+    def __init__(self, fh):
+        self._fh, self._writes = fh, 0
+
+    def write(self, text: str) -> int:
+        self._writes += 1
+        if self._writes == 3:
+            raise OSError("no space left on device")
+        return self._fh.write(text)
+
+
+@pytest.mark.parametrize(
+    "argv, written",
+    [
+        (["predict", "--checkpoint", "{checkpoint}"], "out/predictions.csv"),
+        (
+            ["export-attention", "--checkpoint", "{checkpoint}", "--node", "1", "--time", "2"],
+            "out/attention.csv",
+        ),
+        (["build-graph", "--export-unified", "{tmp}/unified.txt"], "unified.txt"),
+    ],
+    ids=["predict", "export-attention", "build-graph"],
+)
+def test_a_failed_output_write_leaves_the_previous_file_intact(workspace, monkeypatch, argv, written):
+    tmp, config, out = workspace
+    assert main(["train", "--config", str(config)]) == 0
+    argv = [a.format(checkpoint=out / "checkpoint.bin", tmp=tmp) for a in argv]
+    argv += ["--config", str(config)]
+    assert main(argv) == 0
+    before = (tmp / written).read_text()
+    assert len(before.splitlines()) > 3
+
+    atomic_write = cli.atomic_write
+
+    @contextlib.contextmanager
+    def failing(path, mode="w"):
+        with atomic_write(path, mode) as fh:
+            yield _WriteFails(fh)
+
+    monkeypatch.setattr(cli, "atomic_write", failing)
+    with pytest.raises(OSError, match="no space left"):
+        main(argv)
+    assert (tmp / written).read_text() == before
+    assert not list(tmp.rglob("*.partial"))

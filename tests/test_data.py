@@ -16,7 +16,6 @@ from flowcast.data import (
     split_series,
     synthetic_series,
     zscore_fit,
-    zscore_fit_apply,
 )
 from flowcast.errors import ContractError, InputError
 from flowcast.stgraph import load_spatial_graph
@@ -191,7 +190,8 @@ def test_zscore_known_values():
 def test_zscore_round_trip():
     rng = np.random.default_rng(5)
     values = rng.normal(50.0, 7.0, size=(20, 4, 2))
-    normalized, stats = zscore_fit_apply(values)
+    stats = zscore_fit(values)
+    normalized = stats.apply(values)
     np.testing.assert_allclose(normalized.mean(axis=(0, 1)), 0.0, atol=1e-12)
     np.testing.assert_allclose(normalized.std(axis=(0, 1)), 1.0, atol=1e-12)
     np.testing.assert_allclose(stats.invert(normalized), values, atol=1e-10)
@@ -222,8 +222,7 @@ def test_zscore_shape_errors():
 
 def test_zscore_apply_existing_stats():
     stats = NormStats(mean=np.array([2.0]), std=np.array([4.0]))
-    normalized, got = zscore_fit_apply(np.full((1, 1, 1), 10.0), stats)
-    assert got is stats
+    normalized = stats.apply(np.full((1, 1, 1), 10.0))
     np.testing.assert_allclose(normalized, [[[2.0]]])
 
 
@@ -275,7 +274,7 @@ def test_split_bad_ratios():
 
 def test_build_windows_counts_and_contents():
     series = synthetic_series(3, 10, interval_min=60, seed=2, noise=0.5)
-    normalized, _ = zscore_fit_apply(series.values)
+    normalized = zscore_fit(series.values).apply(series.values)
     samples = build_windows(series, normalized, range(0, 10), t_in=3, t_out=2)
     assert len(samples) == 6
     assert [s.start for s in samples] == [0, 1, 2, 3, 4, 5]
@@ -302,13 +301,13 @@ def test_build_windows_counts_and_contents():
 
 def test_build_windows_segment_too_short():
     series = synthetic_series(2, 10, interval_min=60)
-    normalized, _ = zscore_fit_apply(series.values)
+    normalized = zscore_fit(series.values).apply(series.values)
     assert build_windows(series, normalized, range(4, 8), 3, 2) == []
 
 
 def test_windows_stay_inside_segment():
     series = synthetic_series(2, 30, interval_min=60)
-    normalized, _ = zscore_fit_apply(series.values)
+    normalized = zscore_fit(series.values).apply(series.values)
     samples = build_windows(series, normalized, range(10, 20), t_in=4, t_out=2)
     assert [s.start for s in samples] == [10, 11, 12, 13, 14]
 

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from flowcast.embedding import (
-    TpePack,
-    compute_spe,
-    embed,
-    init_embedding_params,
-)
+from flowcast.embedding import compute_spe, embed, init_embedding_params
 from flowcast.errors import ContractError
 from flowcast.stgraph import load_spatial_graph
 from flowcast.tensor import _calendar_rows
@@ -131,7 +126,7 @@ def test_tpe_one_hot_layout():
     # the one-hot oracle that the calendar rows are checked against: day d
     # sets column d and step s column 7 + s
     row = calendar_one_hot(np.array([0]), np.array([1]), 288)[0]
-    assert row.shape == (295,) == (TpePack(gamma=288).width,)
+    assert row.shape == (7 + 288,)
     assert row[0] == 1.0 and row[7 + 1] == 1.0
     assert row.sum() == 2.0
 
@@ -152,7 +147,7 @@ def test_tpe_equal_slots_give_equal_rows():
 
 
 def test_tpe_range_validation():
-    spatial, spe, tpe, params = _setup()
+    spatial, spe, params = _setup()
     values = np.zeros((4, 3, 2))
     for day, step, message in (
         ([7, 0, 0], [0, 0, 0], r"day of week outside \[0, 7\)"),
@@ -161,21 +156,20 @@ def test_tpe_range_validation():
         ([0, 0, 0], [-1, 0, 0], r"step in day outside \[0, 24\)"),
     ):
         with pytest.raises(ContractError, match=message):
-            embed(values, np.array(day), np.array(step), spe, tpe, params)
+            embed(values, np.array(day), np.array(step), spe, params)
 
 
 def test_tpe_shape_mismatch():
-    spatial, spe, tpe, params = _setup()
-    with pytest.raises(ContractError, match="step shape"):
-        embed(np.zeros((4, 3, 2)), np.array([0, 1, 2]), np.array([0, 1]), spe, tpe, params)
+    spatial, spe, params = _setup()
+    with pytest.raises(ContractError, match=r"calendar \(3,\)/\(2,\)"):
+        embed(np.zeros((4, 3, 2)), np.array([0, 1, 2]), np.array([0, 1]), spe, params)
 
 
 def test_compute_tpe_projects_to_width():
     # the calendar rows, looked up, equal the one-hot code times w_tpe plus
     # b_tpe bit for bit: the GEMM's other terms are exact zeros
     rng = np.random.default_rng(33)
-    pack = TpePack(gamma=24)
-    params = init_embedding_params(rng, channels=1, dim=8, n_modes=2, tpe_width=pack.width)
+    params = init_embedding_params(rng, channels=1, dim=8, n_modes=2, tpe_width=7 + 24)
     w_tpe, b_tpe = params.w_tpe.data, params.b_tpe.data
     day = rng.integers(0, 7, size=(4, 6))
     step = rng.integers(0, 24, size=(4, 6))
@@ -184,10 +178,15 @@ def test_compute_tpe_projects_to_width():
     assert np.array_equal(out, calendar_one_hot(day, step, 24) @ w_tpe + b_tpe)
 
 
-def test_embed_rejects_a_calendar_map_of_the_wrong_width():
-    spatial, spe, _, params = _setup(gamma=24)
-    with pytest.raises(ContractError, match="calendar map has 31 rows, expected 19"):
-        embed(np.zeros((4, 3, 2)), np.zeros(3, np.int64), np.arange(3), spe, TpePack(gamma=12), params)
+def test_embed_reads_the_steps_per_day_from_the_calendar_map():
+    # a calendar map of 7 + 12 rows has steps 0..11: step 11 reads its last
+    # row, and step 12 would read past it
+    spatial, spe, params = _setup(gamma=12)
+    assert params.w_tpe.shape[0] == 7 + 12
+    values, day = np.zeros((4, 3, 2)), np.zeros(3, np.int64)
+    assert embed(values, day, np.array([0, 5, 11]), spe, params).shape == (3 * 4, 8)
+    with pytest.raises(ContractError, match=r"step in day outside \[0, 12\)"):
+        embed(values, day, np.array([0, 5, 12]), spe, params)
 
 
 # ---------------------------------------------------------------------------
@@ -199,117 +198,123 @@ def _setup(n=4, t=3, c=2, d=8, modes=2, gamma=24, seed=34):
     lines = [f"{i} {(i + 1) % n}" for i in range(n)]
     spatial = load_spatial_graph(lines)
     spe = compute_spe(spatial, modes).selected
-    tpe = TpePack(gamma=gamma)
     rng = np.random.default_rng(seed)
-    params = init_embedding_params(rng, c, d, modes, tpe.width)
-    return spatial, spe, tpe, params
+    params = init_embedding_params(rng, c, d, modes, 7 + gamma)
+    return spatial, spe, params
 
 
 def test_embed_shapes_single_and_batch():
-    spatial, spe, tpe, params = _setup()
+    spatial, spe, params = _setup()
     rng = np.random.default_rng(35)
     day = np.array([0, 0, 1])
     step = np.array([22, 23, 0])
     # one row per element, in flat order time * N + node
-    single = embed(rng.normal(size=(4, 3, 2)), day, step, spe, tpe, params)
+    single = embed(rng.normal(size=(4, 3, 2)), day, step, spe, params)
     assert single.shape == (3 * 4, 8)
-    batch = embed(rng.normal(size=(5, 4, 3, 2)), day, step, spe, tpe, params)
+    batch = embed(rng.normal(size=(5, 4, 3, 2)), day, step, spe, params)
     assert batch.shape == (5, 3 * 4, 8)
 
 
 def test_embed_batch_matches_per_window_calls():
-    spatial, spe, tpe, params = _setup()
+    spatial, spe, params = _setup()
     rng = np.random.default_rng(36)
     values = rng.normal(size=(3, 4, 3, 2))
     day = np.array([2, 2, 2])
     step = np.array([0, 1, 2])
-    batched = embed(values, day, step, spe, tpe, params)
+    batched = embed(values, day, step, spe, params)
     for b in range(3):
-        one = embed(values[b], day, step, spe, tpe, params)
+        one = embed(values[b], day, step, spe, params)
         assert np.allclose(batched.data[b], one.data, atol=1e-12)
 
 
 def test_embed_batch_calendar_rows():
-    spatial, spe, tpe, params = _setup()
+    spatial, spe, params = _setup()
     rng = np.random.default_rng(37)
     values = rng.normal(size=(2, 4, 3, 2))
     day = np.array([[0, 0, 0], [3, 3, 3]])
     step = np.array([[0, 1, 2], [10, 11, 12]])
-    batched = embed(values, day, step, spe, tpe, params)
+    batched = embed(values, day, step, spe, params)
     for b in range(2):
-        one = embed(values[b], day[b], step[b], spe, tpe, params)
+        one = embed(values[b], day[b], step[b], spe, params)
         assert np.allclose(batched.data[b], one.data, atol=1e-12)
 
 
 def test_embed_zero_collapse():
     # zero signal, zeroed projections, zero affine bias: the output is 0
-    spatial, spe, tpe, params = _setup()
+    spatial, spe, params = _setup()
     for p in (params.w_in, params.w_spe, params.w_tpe):
         p.data[...] = 0.0
     params.w_mix.data[...] = np.eye(8)
     values = np.zeros((4, 3, 2))
-    out = embed(values, np.zeros(3, np.int64), np.arange(3), spe, tpe, params)
+    out = embed(values, np.zeros(3, np.int64), np.arange(3), spe, params)
     assert np.array_equal(out.data, np.zeros((3 * 4, 8)))
 
 
 def test_embed_spe_broadcasts_over_time():
     # with the signal and calendar contributions silenced, rows differ only
     # by node, never by time step
-    spatial, spe, tpe, params = _setup()
+    spatial, spe, params = _setup()
     params.w_in.data[...] = 0.0
     params.w_tpe.data[...] = 0.0
     rng = np.random.default_rng(38)
-    out = embed(rng.normal(size=(4, 3, 2)), np.zeros(3, np.int64), np.arange(3), spe, tpe, params)
+    out = embed(rng.normal(size=(4, 3, 2)), np.zeros(3, np.int64), np.arange(3), spe, params)
     for node in range(4):
         for t in (1, 2):
             assert np.allclose(out.data[t * 4 + node], out.data[node], atol=1e-12)
 
 
 def test_embed_tpe_broadcasts_over_nodes():
-    spatial, spe, tpe, params = _setup()
+    spatial, spe, params = _setup()
     params.w_in.data[...] = 0.0
     params.w_spe.data[...] = 0.0
     rng = np.random.default_rng(39)
-    out = embed(rng.normal(size=(4, 3, 2)), np.array([0, 1, 2]), np.array([3, 4, 5]), spe, tpe, params)
+    out = embed(rng.normal(size=(4, 3, 2)), np.array([0, 1, 2]), np.array([3, 4, 5]), spe, params)
     for node in (1, 2, 3):
         assert np.allclose(out.data[node::4], out.data[0::4], atol=1e-12)
 
 
 def test_embed_node_permutation_equivariance():
-    spatial, spe, tpe, params = _setup()
+    spatial, spe, params = _setup()
     rng = np.random.default_rng(40)
     values = rng.normal(size=(4, 3, 2))
     day = np.array([1, 1, 1])
     step = np.array([7, 8, 9])
-    out = embed(values, day, step, spe, tpe, params)
+    out = embed(values, day, step, spe, params)
 
     perm = np.array([2, 0, 3, 1])
-    out_perm = embed(values[perm], day, step, spe[perm], tpe, params)
+    out_perm = embed(values[perm], day, step, spe[perm], params)
     rows = (4 * np.arange(3)[:, None] + perm).ravel()  # node perm[i] at every step
     assert np.allclose(out_perm.data, out.data[rows], atol=1e-12)
 
 
+# embed checks only the calendar's index ranges; every shape is checked
+# once, by tensor.embed_rows
+
+
 def test_embed_rejects_wrong_node_count():
-    spatial, spe, tpe, params = _setup()
-    with pytest.raises(ContractError):
-        embed(np.zeros((5, 3, 2)), np.zeros(3, np.int64), np.zeros(3, np.int64), spe, tpe, params)
+    spatial, spe, params = _setup()
+    with pytest.raises(ContractError, match="do not fit values"):
+        embed(np.zeros((5, 3, 2)), np.zeros(3, np.int64), np.zeros(3, np.int64), spe, params)
 
 
 def test_embed_rejects_wrong_calendar_length():
-    spatial, spe, tpe, params = _setup()
-    with pytest.raises(ContractError):
-        embed(np.zeros((4, 3, 2)), np.zeros(2, np.int64), np.zeros(2, np.int64), spe, tpe, params)
+    spatial, spe, params = _setup()
+    with pytest.raises(ContractError, match="do not fit values"):
+        embed(np.zeros((4, 3, 2)), np.zeros(2, np.int64), np.zeros(2, np.int64), spe, params)
 
 
 def test_embed_rejects_bad_rank():
-    spatial, spe, tpe, params = _setup()
-    with pytest.raises(ContractError):
-        embed(np.zeros((4, 3)), np.zeros(3, np.int64), np.zeros(3, np.int64), spe, tpe, params)
+    spatial, spe, params = _setup()
+    with pytest.raises(ContractError, match="do not fit values"):
+        embed(np.zeros((4, 3)), np.zeros(3, np.int64), np.zeros(3, np.int64), spe, params)
 
 
 def test_embed_rejects_mismatched_batch_calendar():
-    spatial, spe, tpe, params = _setup()
-    values = np.zeros((2, 4, 3, 2))
-    day = np.zeros((3, 3), np.int64)  # 3 calendar rows for 2 windows
-    with pytest.raises(ContractError):
-        embed(values, day, day.copy(), spe, tpe, params)
+    spatial, spe, params = _setup()
+    # 3 calendar rows for 2 windows, and 2 calendar rows for one window
+    for values, day in (
+        (np.zeros((2, 4, 3, 2)), np.zeros((3, 3), np.int64)),
+        (np.zeros((4, 3, 2)), np.zeros((2, 3), np.int64)),
+    ):
+        with pytest.raises(ContractError, match="do not fit values"):
+            embed(values, day, day.copy(), spe, params)

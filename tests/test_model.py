@@ -15,7 +15,6 @@ from flowcast.model import (
     ModelConfig,
     build_model,
     evaluate,
-    forward,
     forward_arrays,
     ha_baseline,
     load_params,
@@ -209,9 +208,11 @@ def test_forward_window_sample():
     model = _build()
     ds = _dataset()
     sample = ds.splits["train"][0]
-    a = forward(model, sample)
-    b = forward_arrays(model, sample.values_norm, sample.day, sample.step)
-    np.testing.assert_array_equal(a.data, b.data)
+    one = forward_arrays(model, sample.values_norm, sample.day, sample.step)
+    values, day, step, _, _ = batch_arrays([sample])
+    batch = forward_arrays(model, values, day, step)
+    assert one.shape == (4, 2, 1) and batch.shape == (1, 4, 2, 1)
+    np.testing.assert_allclose(batch.data[0], one.data, rtol=0, atol=1e-12)
 
 
 def test_forward_captures_attention():
@@ -386,7 +387,8 @@ def test_predict_windows_denormalizes():
     samples = ds.splits["val"]
     preds = predict_windows(model, samples, ds.stats)
     assert preds.shape == (len(samples), 4, 2, 1)
-    one = forward(model, samples[0]).data
+    sample = samples[0]
+    one = forward_arrays(model, sample.values_norm, sample.day, sample.step).data
     np.testing.assert_allclose(preds[0], ds.stats.invert(one), atol=1e-12)
 
 

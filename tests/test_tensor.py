@@ -15,6 +15,10 @@ from flowcast.model import ModelConfig, build_model, train
 from flowcast.optim import finite_diff_check, zero_gradients
 from flowcast.stgraph import load_spatial_graph
 from flowcast.tensor import (
+    AdapterParams,
+    AttentionParams,
+    EmbeddingParams,
+    ModuleParams,
     Param,
     Tensor,
     add,
@@ -94,7 +98,11 @@ def _softmax(x) -> np.ndarray:
     keys = np.zeros((1, m, m))
     keys[0, :, :r] = rows.T
     zeros = np.zeros((1, m, m))
-    out = tensor.attention_weights(np.eye(m), np.sqrt(m) * np.eye(m)[None], zeros[:, :1], keys, zeros)
+    params = AttentionParams(
+        w_value=constant(zeros), w_query=constant(np.sqrt(m) * np.eye(m)[None]),
+        b_query=constant(zeros[:, :1]), w_key=constant(keys), w_out=constant(np.eye(m)),
+    )
+    out = tensor.attention_weights(np.eye(m), params)
     return out[0, :r]
 
 
@@ -300,14 +308,15 @@ def _every_op(x: Param, w: Param, g: Param) -> list:
         add(x, x), mul(x, x), scale(x, 2.0), matmul(x, w), relu(x),
         tensor_sum(x), reshape(x, (3, 4)), layer_norm(x, g, g),
         ranged_self_attention(
-            x, maps, reshape(g, (1, 1, 3)), maps, maps, w, bounds, order, np.argsort(order)
+            x, AttentionParams(maps, maps, reshape(g, (1, 1, 3)), maps, w), bounds, order,
+            np.argsort(order),
         ),
-        add_norm_ffn(x, x, w, g, w, g, g, g, g, g),
+        add_norm_ffn(x, x, ModuleParams(None, w, g, w, g, g, g, g, g)),
         embed_rows(
-            np.ones((2, 2, 1)), np.ones((2, 1)), calendar, calendar[::-1], row, g, row, g, x, g,
-            w, g, g, g,
+            np.ones((2, 2, 1)), np.ones((2, 1)), calendar, calendar[::-1],
+            EmbeddingParams(row, g, row, g, x, g, w, g, g, g),
         ),
-        output_adapter(x, reshape(x, (6, 2)), g, w, g),
+        output_adapter(x, AdapterParams(reshape(x, (6, 2)), g, w, g)),
         masked_mae(x, np.zeros((4, 3)), np.ones((4, 3), dtype=bool)),
     ]
 
@@ -466,7 +475,7 @@ def test_grad_structural_pipeline_against_central_differences():
     def make_loss():
         h = relu(matmul(x, widen))           # (6, 6)
         rows = reshape(h, (12, 3))           # 2 steps x 6 nodes
-        out = output_adapter(rows, time_map, bias, channel_map, bias)  # (6, 3, 3)
+        out = output_adapter(rows, AdapterParams(time_map, bias, channel_map, bias))  # (6, 3, 3)
         return tensor_sum(mul(reshape(out, (6, 9)), probe))
 
     err = finite_diff_check(make_loss, [x, time_map, channel_map, bias], samples=36, seed=0)
@@ -512,7 +521,8 @@ def _self_attention(x, w_query, w_key, w_value, bounds, b_query=None, w_out=None
     b_query = constant(np.zeros((heads, 1, head_dim))) if b_query is None else b_query
     w_out = constant(np.eye(dim)) if w_out is None else w_out
     order = np.arange(x.shape[-2])
-    return ranged_self_attention(x, w_query, b_query, w_key, w_value, w_out, bounds, order, order)
+    params = AttentionParams(w_value=w_value, w_query=w_query, b_query=b_query, w_key=w_key, w_out=w_out)
+    return ranged_self_attention(x, params, bounds, order, order)
 
 
 def test_ranged_self_attention_closure_keeps_only_its_operands_and_head_outputs():
@@ -525,10 +535,11 @@ def test_ranged_self_attention_closure_keeps_only_its_operands_and_head_outputs(
     x = Param(rng.normal(size=(batch, n_rows, dim)), "x")
     w_query, w_key, w_value = (Param(rng.normal(size=(heads, dim, 2)), n) for n in "qkv")
     order = rng.permutation(n_rows)
-    node = ranged_self_attention(
-        x, w_query, Param(np.zeros((heads, 1, 2)), "b"), w_key, w_value,
-        Param(rng.normal(size=(dim, dim)), "o"), [(0, 3), (3, 4), (4, 7)], order, np.argsort(order),
+    params = AttentionParams(
+        w_value=w_value, w_query=w_query, b_query=Param(np.zeros((heads, 1, 2)), "b"), w_key=w_key,
+        w_out=Param(rng.normal(size=(dim, dim)), "o"),
     )
+    node = ranged_self_attention(x, params, [(0, 3), (3, 4), (4, 7)], order, np.argsort(order))
     kept = {}
     for value in _closure(node).values():
         if isinstance(value, np.ndarray) and value.dtype == np.float64:
@@ -560,9 +571,11 @@ def test_ranged_self_attention_rejects_maps_that_do_not_fit_the_rows(position, s
     # with one of them replaced; a map without its head axis is refused too
     leaves = [constant(np.ones(s)) for s in ((2, 5, 4), (2, 4, 2), (2, 1, 2), (2, 4, 2), (2, 4, 2), (4, 4))]
     leaves[position] = constant(np.ones(shape))
+    x, w_query, b_query, w_key, w_value, w_out = leaves
+    params = AttentionParams(w_value=w_value, w_query=w_query, b_query=b_query, w_key=w_key, w_out=w_out)
     order = np.arange(5)
     with pytest.raises(ContractError, match="do not fit"):
-        ranged_self_attention(*leaves, [(0, 5)], order, order)
+        ranged_self_attention(x, params, [(0, 5)], order, order)
 
 
 def test_ranged_self_attention_attends_inside_each_range_only():
@@ -703,6 +716,12 @@ def _post_attention_leaves(shape, seed):
     return [Param(a, name) for a, name in zip(arrays, names)]
 
 
+def _post_attention_op(attended, x, *weights):
+    """add_norm_ffn with the eight weights as a module's group; the module
+    has no attention maps here."""
+    return add_norm_ffn(attended, x, ModuleParams(None, *weights))
+
+
 def _taped_post_attention(attended, x, w1, b1, w2, b2, g1, beta1, g2, beta2):
     y = layer_norm(add(attended, x), g1, beta1)
     hidden = relu(add(matmul(y, w1), b1))
@@ -718,14 +737,14 @@ def _post_attention_run(op, shape, seed):
 
 def test_add_norm_ffn_in_one_tile_is_the_taped_chain_bit_for_bit():
     rows = tensor._TILE_ROWS - 12
-    got = add_norm_ffn(*_post_attention_leaves((rows, 8), 50))
+    got = _post_attention_op(*_post_attention_leaves((rows, 8), 50))
     want = _taped_post_attention(*_post_attention_leaves((rows, 8), 50))
     assert np.array_equal(got.data, want.data)
 
 
 def test_add_norm_ffn_over_a_ragged_last_tile_matches_the_taped_chain():
     shape = (2 * tensor._TILE_ROWS + 37, 8)
-    got_out, got_grads = _post_attention_run(add_norm_ffn, shape, 51)
+    got_out, got_grads = _post_attention_run(_post_attention_op, shape, 51)
     want_out, want_grads = _post_attention_run(_taped_post_attention, shape, 51)
     assert len(got_grads) == 10
     for got, want in zip([got_out] + got_grads, [want_out] + want_grads):
@@ -739,7 +758,7 @@ def test_grad_add_norm_ffn_over_tiles_against_central_differences(monkeypatch):
     probe = _probe((2, 15, 4), 53)
 
     def make_loss():
-        return tensor_sum(mul(add_norm_ffn(*leaves), probe))
+        return tensor_sum(mul(_post_attention_op(*leaves), probe))
 
     assert finite_diff_check(make_loss, leaves, samples=10**6) < 1e-6
 
@@ -752,17 +771,19 @@ def test_add_norm_ffn_rejects_mismatched_shapes(position, shape):
     leaves = _post_attention_leaves((6, 4), 54)
     leaves[position] = Param(np.zeros(shape), "bad")
     with pytest.raises(ContractError):
-        add_norm_ffn(*leaves)
+        _post_attention_op(*leaves)
 
 
 def test_attention_weights_rejects_maps_that_do_not_fit_the_rows():
     # maps for width 4 against rows of width 6 are refused before the
     # packed GEMM, with every map's shape named
-    maps = np.ones((2, 4, 2))
+    maps = constant(np.ones((2, 4, 2)))
+    params = AttentionParams(maps, maps, constant(np.zeros((2, 1, 2))), maps, constant(np.eye(4)))
     with pytest.raises(ContractError, match=r"\(2, 4, 2\)/\(2, 4, 2\)/\(2, 4, 2\).*\(2, 1, 2\).*\(3, 6\)"):
-        tensor.attention_weights(np.ones((3, 6)), maps, np.zeros((2, 1, 2)), maps, maps)
-    with pytest.raises(ContractError, match=r"query bias \(1, 1, 2\) do not fit"):
-        tensor.attention_weights(np.ones((3, 4)), maps, np.zeros((1, 1, 2)), maps, maps)
+        tensor.attention_weights(np.ones((3, 6)), params)
+    params.b_query = constant(np.zeros((1, 1, 2)))
+    with pytest.raises(ContractError, match=r"query bias \(1, 1, 2\) and output \(4, 4\) do not fit"):
+        tensor.attention_weights(np.ones((3, 4)), params)
 
 
 # ---------------------------------------------------------------------------
@@ -798,7 +819,7 @@ def _taped_embedding(values, coords, day, step, w_in, b_in, w_spe, b_spe, w_tpe,
 
 
 def _embedding_op(values, coords, day, step, *params):
-    return embed_rows(values, coords, day, 7 + step, *params)
+    return embed_rows(values, coords, day, 7 + step, EmbeddingParams(*params))
 
 
 def _taped_adapter(x, w_time, b_time, w_out, b_out, n_nodes):
@@ -897,7 +918,7 @@ def test_output_adapter_is_the_taped_chain(lead):
         return [Param(a, name) for a, name in zip(arrays, ["x", "w_time", "b_time", "w_out", "b_out"])]
 
     got_leaves, want_leaves = leaves(), leaves()
-    got = output_adapter(*got_leaves)
+    got = output_adapter(got_leaves[0], AdapterParams(*got_leaves[1:]))
     want = _taped_adapter(*want_leaves, n_nodes)
     assert got.shape == lead + (n_nodes, 3, 2)
     assert np.array_equal(got.data, np.swapaxes(want.data, -3, -2))
@@ -914,7 +935,7 @@ def test_output_adapter_rejects_maps_that_do_not_fit(position, shape):
     leaves = [Param(np.zeros(s), "leaf") for s in ((20, 6), (3, 4), (6,), (6, 2), (2,))]
     leaves[position] = Param(np.zeros(shape), "bad")
     with pytest.raises(ContractError, match="do not fit"):
-        output_adapter(*leaves)
+        output_adapter(leaves[0], AdapterParams(*leaves[1:]))
 
 
 def test_masked_mae_is_the_taped_chain():
