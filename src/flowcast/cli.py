@@ -11,7 +11,7 @@ import argparse
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import Collection, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -195,9 +195,9 @@ def _given(args: argparse.Namespace) -> dict[str, object]:
     return given
 
 
-def merge_config(args: argparse.Namespace) -> RunConfig:
-    """File values first, then any flag given on the command line."""
-    cfg = replace(RunConfig(), **_given(args))
+def merge_config(given: dict[str, object]) -> RunConfig:
+    """The values given by file or flag (see _given) over the defaults."""
+    cfg = replace(RunConfig(), **given)
     cfg.check(InputError)
     return cfg
 
@@ -220,52 +220,43 @@ def _require(cfg: RunConfig, *names: str) -> None:
             raise InputError(f"{name} is required for this command")
 
 
-def _load_graph(cfg: RunConfig, checkpoint_args: argparse.Namespace | None = None):
-    """The sensor graph; model settings its node count rules out are refused.
-
-    A command that loads a checkpoint passes its arguments: the checkpoint's
-    settings replace the rest, so only those given by file or flag are checked.
-    """
+def _load_graph(cfg: RunConfig, checked: Collection[str] = ("spe_modes", "n_subsets")):
+    """The sensor graph; of the model settings its node count rules out,
+    those named in checked are refused."""
     _require(cfg, "graph")
     spatial = load_spatial_graph(cfg.graph, symmetrize=cfg.symmetrize)
-    if checkpoint_args is None:
-        cfg.check_nodes(spatial.n_nodes, InputError)
-    else:
-        cfg.check_nodes(spatial.n_nodes, InputError, _given(checkpoint_args))
+    cfg.check_nodes(spatial.n_nodes, InputError, checked)
     return spatial
 
 
-def _load_dataset(cfg: RunConfig, spatial) -> Dataset:
-    """The split dataset; a split the data cannot fill is an InputError."""
+def _open_checkpoint(args: argparse.Namespace, path, resume: bool = False):
+    """The graph and the checkpoint at path, with the run config that takes
+    the checkpoint's model settings; returns (cfg, spatial, model, epochs_completed).
+
+    Since those settings replace the rest, only node-bound ones given by
+    file or flag are checked against the graph. A resume keeps the given
+    epochs and refits the statistics; any other use needs the checkpoint's.
+    """
+    given = _given(args)
+    cfg = merge_config(given)
+    spatial = _load_graph(cfg, given)
+    model, epochs_completed = load_checkpoint(path, spatial)
+    settings = _shared(model.config)
+    if resume:
+        settings["epochs"] = model.config.epochs = cfg.epochs
+    elif model.norm_stats is None:
+        raise InputError(f"checkpoint {path} has no normalization statistics; train it first")
+    return replace(cfg, **settings), spatial, model, epochs_completed
+
+
+def _load_series(cfg: RunConfig, spatial, model=None) -> TrafficSeries:
+    """The signal. Given a checkpoint's model, one whose steps per day or
+    channel count differ from the model's is refused: its calendar rows
+    would tag the wrong time of day, or its signal map would not fit."""
     _require(cfg, "signal")
     series = load_series(list(cfg.signal), cfg.interval_min, spatial)
-    ratios = None if cfg.split_days else cfg.split
-    try:
-        return prepare_dataset(series, cfg.t_in, cfg.t_out, ratios=ratios, days=cfg.split_days)
-    except ContractError as exc:
-        raise InputError(str(exc)) from None
-
-
-def _windows(dataset: Dataset, split: str) -> list[WindowSample]:
-    samples = dataset.splits[split]
-    if not samples:
-        raise InputError(f"{split} split has no windows")
-    return samples
-
-
-def _load_model(cfg: RunConfig, path, spatial):
-    """Load a checkpoint; its config replaces the shared RunConfig fields.
-
-    Returns the updated RunConfig, the model and the completed epochs.
-    """
-    model, epochs_completed = load_checkpoint(path, spatial)
-    return replace(cfg, **_shared(model.config)), model, epochs_completed
-
-
-def _check_series_fits(model, series: TrafficSeries) -> None:
-    """Refuse a series whose steps per day or channel count differ from
-    what the checkpoint was trained on: its calendar rows would tag the
-    wrong time of day, or its signal map would not fit the channels."""
+    if model is None:
+        return series
     trained = model.config
     if series.gamma != trained.gamma:
         raise InputError(
@@ -277,6 +268,23 @@ def _check_series_fits(model, series: TrafficSeries) -> None:
             f"the signal has {series.n_channels} channels but the checkpoint was "
             f"trained on {trained.channels}"
         )
+    return series
+
+
+def _load_dataset(cfg: RunConfig, spatial, model=None) -> Dataset:
+    """The split dataset; a split the data cannot fill is an InputError."""
+    series = _load_series(cfg, spatial, model)
+    try:
+        return prepare_dataset(series, cfg.t_in, cfg.t_out, ratios=cfg.split, days=cfg.split_days)
+    except ContractError as exc:
+        raise InputError(str(exc)) from None
+
+
+def _windows(dataset: Dataset, split: str) -> list[WindowSample]:
+    samples = dataset.splits[split]
+    if not samples:
+        raise InputError(f"{split} split has no windows")
+    return samples
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -291,9 +299,8 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 
 def cmd_build_graph(args: argparse.Namespace) -> int:
-    cfg = merge_config(args)
-    _require(cfg, "graph")
-    spatial = load_spatial_graph(cfg.graph, symmetrize=cfg.symmetrize)
+    cfg = merge_config(_given(args))
+    spatial = _load_graph(cfg, checked=())
     unified = build_unified(spatial, cfg.t_in)
     nnz = int(np.count_nonzero(spatial.adjacency))
     print(f"nodes: {spatial.n_nodes}")
@@ -310,7 +317,7 @@ def cmd_build_graph(args: argparse.Namespace) -> int:
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
-    cfg = merge_config(args)
+    cfg = merge_config(_given(args))
     spatial = _load_graph(cfg)
     unified = build_unified(spatial, cfg.t_in)
     spe = compute_spe(spatial, cfg.spe_modes)
@@ -333,24 +340,20 @@ def _write_trace(path: Path, rows: list[TraceRow], append: bool) -> None:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = merge_config(args)
-    spatial = _load_graph(cfg, args if args.resume else None)
-
-    start_epoch = 0
+    model, start_epoch = None, 0
     if args.resume:
-        epochs = cfg.epochs  # the one model setting a resume may change
-        cfg, model, start_epoch = _load_model(cfg, args.resume, spatial)
-        cfg.epochs = model.config.epochs = epochs
+        cfg, spatial, model, start_epoch = _open_checkpoint(args, args.resume, resume=True)
         if start_epoch >= cfg.epochs:
             print(f"checkpoint already at epoch {start_epoch}; nothing to train")
             return 0
+    else:
+        cfg = merge_config(_given(args))
+        spatial = _load_graph(cfg)
     # checked before out_dir is created, so a refused run leaves nothing behind
     effective_config = render_effective_config(cfg)
-    dataset = _load_dataset(cfg, spatial)
+    dataset = _load_dataset(cfg, spatial, model)
     _windows(dataset, "train")
-    if args.resume:
-        _check_series_fits(model, dataset.series)
-    else:
+    if model is None:
         series = dataset.series
         geometry = dict(n_nodes=spatial.n_nodes, channels=series.n_channels, gamma=series.gamma)
         model = build_model(ModelConfig(**geometry, **_shared(cfg)), spatial)
@@ -378,25 +381,15 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _stats_for(model, dataset: Dataset):
-    if model.norm_stats is not None:
-        return model.norm_stats
-    return dataset.stats
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = merge_config(args)
-    spatial = _load_graph(cfg, args)
-    cfg, model, _ = _load_model(cfg, args.checkpoint, spatial)
-    dataset = _load_dataset(cfg, spatial)
-    _check_series_fits(model, dataset.series)
-    samples = _windows(dataset, args.on)
+    cfg, spatial, model, _ = _open_checkpoint(args, args.checkpoint)
+    samples = _windows(_load_dataset(cfg, spatial, model), args.on)
     t_out = model.config.t_out
     for horizon in cfg.horizons:
         if not 1 <= horizon <= t_out:
             raise InputError(f"horizon {horizon} outside the model's forecast steps [1, {t_out}]")
 
-    preds = predict_windows(model, samples, _stats_for(model, dataset))
+    preds = predict_windows(model, samples, model.norm_stats)
     truth = np.stack([s.target_raw for s in samples], axis=0)
     for horizon in cfg.horizons:
         minutes = horizon * cfg.interval_min
@@ -414,30 +407,27 @@ def _metrics_text(pred: np.ndarray, truth: np.ndarray) -> str:
     return metrics_from_arrays(pred, truth).to_text()
 
 
-def _tail_window(series, stats, t_in: int, start: int | None) -> WindowSample:
+def _open_window(args: argparse.Namespace):
+    """The checkpoint and the input window that predict and export-attention
+    read: t_in signal steps from --window-start, by default the last ones.
+    Returns (cfg, model, series, window)."""
+    cfg, spatial, model, _ = _open_checkpoint(args, args.checkpoint)
+    series = _load_series(cfg, spatial, model)
+    t_in = model.config.t_in
     last_valid = series.n_steps - t_in
-    if start is None:
-        start = last_valid
+    start = last_valid if args.window_start is None else args.window_start
     if not 0 <= start <= last_valid:
         raise InputError(f"window start {start} outside [0, {last_valid}]")
-    return build_windows(series, stats.apply(series.values), range(start, start + t_in), t_in, 0)[0]
+    normalized = model.norm_stats.apply(series.values)
+    window = build_windows(series, normalized, range(start, start + t_in), t_in, 0)[0]
+    return cfg, model, series, window
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    cfg = merge_config(args)
-    spatial = _load_graph(cfg, args)
-    cfg, model, _ = _load_model(cfg, args.checkpoint, spatial)
-    _require(cfg, "signal")
-    series = load_series(list(cfg.signal), cfg.interval_min, spatial)
-    _check_series_fits(model, series)
-    if model.norm_stats is None:
-        raise ContractError("checkpoint has no normalization statistics; train first")
-    stats = model.norm_stats
-    window = _tail_window(series, stats, model.config.t_in, args.window_start)
-
+    cfg, model, series, window = _open_window(args)
     with no_grad():
         pred = forward_arrays(model, window.values_norm, window.day, window.step)
-    values = stats.invert(pred.data)  # (N, t_out, C)
+    values = model.norm_stats.invert(pred.data)  # (N, t_out, C)
     out = _out_dir(cfg)
     path = out / "predictions.csv"
     with atomic_write(path) as fh:
@@ -451,16 +441,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_export_attention(args: argparse.Namespace) -> int:
-    cfg = merge_config(args)
-    spatial = _load_graph(cfg, args)
-    cfg, model, _ = _load_model(cfg, args.checkpoint, spatial)
-    if model.norm_stats is None:
-        raise ContractError("checkpoint has no normalization statistics; train first")
-    _require(cfg, "signal")
-    series = load_series(list(cfg.signal), cfg.interval_min, spatial)
-    _check_series_fits(model, series)
-    window = _tail_window(series, model.norm_stats, model.config.t_in, args.window_start)
-
+    cfg, model, _, window = _open_window(args)
     if not 0 <= args.block < model.config.n_blocks:
         raise InputError(f"block must be in [0, {model.config.n_blocks})")
     if args.module not in (1, 2):
@@ -497,11 +478,9 @@ def cmd_export_attention(args: argparse.Namespace) -> int:
 
 
 def cmd_baseline_ha(args: argparse.Namespace) -> int:
-    cfg = merge_config(args)
-    _require(cfg, "signal")
-    series = load_series(list(cfg.signal), cfg.interval_min, None)
-    ratios = None if cfg.split_days else cfg.split
-    segments = split_series(series, ratios=ratios, days=cfg.split_days)
+    cfg = merge_config(_given(args))
+    series = _load_series(cfg, None)
+    segments = split_series(series, ratios=cfg.split, days=cfg.split_days)
     segment = segments[args.on]
     if len(segment) == 0:
         raise InputError(f"{args.on} split has no steps")
@@ -582,7 +561,7 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    cfg = merge_config(args)
+    cfg = merge_config(_given(args))
     results = gradcheck_suite(cfg.seed)
     failed = []
     for name, err in results.items():

@@ -86,6 +86,15 @@ def _read_signal_csv(path: Path) -> tuple[list[datetime], list[str], np.ndarray]
     return timestamps, labels, np.asarray(rows, dtype=np.float64)
 
 
+def _calendar(timestamps: list[datetime], interval_min: int) -> tuple[np.ndarray, np.ndarray]:
+    """The day of week and the step in day of each timestamp."""
+    day = np.array([ts.weekday() for ts in timestamps], dtype=np.int64)
+    step = np.array(
+        [(ts.hour * 60 + ts.minute) // interval_min for ts in timestamps], dtype=np.int64
+    )
+    return day, step
+
+
 def load_series(
     signal_paths: list[str], interval_min: int, graph: SpatialGraph | None = None
 ) -> TrafficSeries:
@@ -124,10 +133,7 @@ def load_series(
         if (ts.hour * 60 + ts.minute) % interval_min != 0 or ts.second or ts.microsecond:
             raise InputError(f"timestamps must sit on the {interval_min}-minute grid")
 
-    day = np.array([ts.weekday() for ts in timestamps], dtype=np.int64)
-    step = np.array(
-        [(ts.hour * 60 + ts.minute) // interval_min for ts in timestamps], dtype=np.int64
-    )
+    day, step = _calendar(timestamps, interval_min)
 
     if graph is not None:
         if len(labels) != graph.n_nodes:
@@ -351,10 +357,7 @@ def synthetic_series(
     rng = np.random.default_rng(seed)
     first = datetime.fromisoformat(start)
     timestamps = [first + timedelta(minutes=interval_min * k) for k in range(n_steps)]
-    day = np.array([ts.weekday() for ts in timestamps], dtype=np.int64)
-    step = np.array(
-        [(ts.hour * 60 + ts.minute) // interval_min for ts in timestamps], dtype=np.int64
-    )
+    day, step = _calendar(timestamps, interval_min)
 
     t_axis = np.arange(n_steps, dtype=np.float64)
     node_phase = 2.0 * np.pi * np.arange(n_nodes, dtype=np.float64) / n_nodes

@@ -439,14 +439,12 @@ def partition_report(p1: PartitionScheme, p2: PartitionScheme) -> PartitionRepor
     """Size balance and overlap diagnostics for a partition pair."""
     if p1.n_elements != p2.n_elements or p1.n_subsets != p2.n_subsets:
         raise ContractError("partition pair does not describe the same element set")
-    sizes_p1 = [len(s) for s in p1.subsets]
-    sizes_p2 = [len(s) for s in p2.subsets]
     # subset p's overlap counts the elements that both schemes put in p
     shared = p1.assignment[p1.assignment == p2.assignment]
-    overlap = (np.bincount(shared, minlength=p1.n_subsets) / sizes_p1).tolist()
+    overlap = (np.bincount(shared, minlength=p1.n_subsets) / p1.sizes).tolist()
 
     notes: list[str] = []
-    ratio1, ratio2 = _size_ratio(sizes_p1), _size_ratio(sizes_p2)
+    ratio1, ratio2 = _size_ratio(p1.sizes), _size_ratio(p2.sizes)
     if ratio1 > SIZE_RATIO_WARN:
         notes.append(f"primary size ratio {ratio1:.2f} exceeds {SIZE_RATIO_WARN}")
     if ratio2 > SIZE_RATIO_WARN:
@@ -459,8 +457,8 @@ def partition_report(p1: PartitionScheme, p2: PartitionScheme) -> PartitionRepor
         notes.append(f"shifted tau {p2.tau} is above primary tau {p1.tau}")
 
     return PartitionReport(
-        sizes_p1=sizes_p1,
-        sizes_p2=sizes_p2,
+        sizes_p1=p1.sizes,
+        sizes_p2=p2.sizes,
         size_ratio_p1=ratio1,
         size_ratio_p2=ratio2,
         overlap=overlap,

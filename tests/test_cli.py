@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from flowcast import cli
 from flowcast.cli import RunConfig, build_parser, main, read_config_file, render_effective_config
 from flowcast.data import prepare_dataset, ring_edge_lines, synthetic_series
+from flowcast.checkpoint import load_checkpoint, save_checkpoint
 from flowcast.errors import InputError
-from flowcast.model import ModelConfig, ModelSettings, evaluate, predict_windows
+from flowcast.model import ModelConfig, ModelSettings, build_model, evaluate, predict_windows
+from flowcast.stgraph import load_spatial_graph
 
 from writers import write_edge_list, write_signal_csv
 
@@ -639,12 +641,24 @@ def _out_of_range(name: str):
     return st.integers(least - 10**6, least - 1)
 
 
-_MODEL_COMMANDS = {
-    "train": [],
-    "evaluate": ["--checkpoint", "{checkpoint}"],
-    "predict": ["--checkpoint", "{checkpoint}"],
-    "export-attention": ["--checkpoint", "{checkpoint}", "--node", "0", "--time", "0"],
+# the argv of each command that reads a checkpoint, which is at {checkpoint}
+_CHECKPOINT_COMMANDS = {
+    "evaluate": ["evaluate", "--checkpoint", "{checkpoint}", "--horizons", "1,2"],
+    "predict": ["predict", "--checkpoint", "{checkpoint}"],
+    "export-attention": [
+        "export-attention", "--checkpoint", "{checkpoint}", "--node", "0", "--time", "0"
+    ],
+    "train-resume": ["train", "--resume", "{checkpoint}", "--epochs", "2"],
 }
+_INFERENCE_COMMANDS = ["evaluate", "predict", "export-attention"]
+# the commands that read model settings: a fresh train and the inference ones
+_MODEL_COMMANDS = {"train": ["train"]} | {
+    name: _CHECKPOINT_COMMANDS[name] for name in _INFERENCE_COMMANDS
+}
+
+
+def _argv(template: list[str], checkpoint) -> list[str]:
+    return [a.format(checkpoint=checkpoint) for a in template]
 # each setting below its range, then the values the workspace's 4-node ring
 # and width of 8 rule out
 _BAD_VALUES = {f.name: _out_of_range(f.name) for f in fields(ModelSettings)} | {
@@ -662,8 +676,8 @@ def test_out_of_range_setting_exits_2_before_any_output(trained, command, settin
     tmp, config, checkpoint = trained
     name = setting.split("@")[0]
     value = data.draw(_BAD_VALUES[setting], label=name)
-    argv = [command, "--config", str(config), "--out-dir", str(tmp / "refused")]
-    argv += [a.format(checkpoint=checkpoint) for a in _MODEL_COMMANDS[command]]
+    argv = _argv(_MODEL_COMMANDS[command], checkpoint)
+    argv += ["--config", str(config), "--out-dir", str(tmp / "refused")]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main([*argv, f"--{name.replace('_', '-')}={value}"])
@@ -673,25 +687,15 @@ def test_out_of_range_setting_exits_2_before_any_output(trained, command, settin
     assert not (tmp / "refused").exists()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["evaluate", "--horizons", "1,2"],
-        ["predict"],
-        ["export-attention", "--node", "0", "--time", "0"],
-        ["train", "--epochs", "2", "--resume"],
-    ],
-    ids=["evaluate", "predict", "export-attention", "train-resume"],
-)
-def test_checkpoint_command_checks_only_the_settings_it_is_given(trained, capsys, argv):
+@pytest.mark.parametrize("command", _CHECKPOINT_COMMANDS)
+def test_checkpoint_command_checks_only_the_settings_it_is_given(trained, capsys, command):
     # the defaults spe_modes=16 and n_subsets=40 do not fit the 4-node ring,
     # but the checkpoint's own settings replace them
     tmp, config, checkpoint = trained
     files = ["--graph", str(tmp / "edges.txt"), "--signal", str(tmp / "signal.csv")]
     files += ["--interval-min", "60", "--out-dir", str(tmp / "defaults")]
-    if argv[0] != "train":
-        argv = [*argv, "--checkpoint"]
-    assert main([*argv, str(checkpoint), *files]) == 0, capsys.readouterr().err
+    argv = _argv(_CHECKPOINT_COMMANDS[command], checkpoint)
+    assert main([*argv, *files]) == 0, capsys.readouterr().err
 
 
 def _series_that_does_not_fit(mismatch: str, signal, scratch) -> tuple[list[str], tuple[str, str]]:
@@ -706,29 +710,76 @@ def _series_that_does_not_fit(mismatch: str, signal, scratch) -> tuple[list[str]
 
 
 @pytest.mark.parametrize("mismatch", ["steps-per-day", "channels"])
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["evaluate", "--checkpoint"],
-        ["predict", "--checkpoint"],
-        ["export-attention", "--node", "0", "--time", "0", "--checkpoint"],
-        ["train", "--epochs", "3", "--resume"],
-    ],
-    ids=["evaluate", "predict", "export-attention", "train-resume"],
-)
-def test_checkpoint_command_refuses_a_series_that_does_not_fit(trained, tmp_path, capsys, argv, mismatch):
+@pytest.mark.parametrize("command", _CHECKPOINT_COMMANDS)
+def test_checkpoint_command_refuses_a_series_that_does_not_fit(
+    trained, tmp_path, capsys, command, mismatch
+):
     # an hourly one-channel checkpoint against half-hourly or two-channel
     # data: calendar rows for the wrong time of day, or a signal map that
     # does not fit, refused before any output exists
     tmp, config, checkpoint = trained
     flags, named = _series_that_does_not_fit(mismatch, tmp / "signal.csv", tmp_path)
     refused = tmp_path / "refused"
-    argv = [*argv, str(checkpoint), "--config", str(config), "--out-dir", str(refused), *flags]
+    argv = _argv(_CHECKPOINT_COMMANDS[command], checkpoint)
+    argv += ["--config", str(config), "--out-dir", str(refused), *flags]
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error[input]: the signal has "), err
     assert all(number in err[0] for number in named), err
     assert not refused.exists()
+
+
+def _untrained_checkpoint(tmp, path):
+    """A checkpoint without normalization statistics, as library code saves
+    an untrained model, for the workspace at tmp."""
+    spatial = load_spatial_graph(tmp / "edges.txt", symmetrize=True)
+    config = ModelConfig(
+        n_nodes=4, gamma=24, t_in=4, t_out=2, dim=8, spe_modes=2, n_blocks=1, n_heads=2,
+        n_subsets=2, seed=3,
+    )
+    model = build_model(config, spatial)
+    assert model.norm_stats is None
+    save_checkpoint(model, path)
+    return path
+
+
+@pytest.mark.parametrize("command", _INFERENCE_COMMANDS)
+def test_inference_refuses_a_checkpoint_without_statistics(trained, tmp_path, capsys, command):
+    tmp, config, _ = trained
+    checkpoint = _untrained_checkpoint(tmp, tmp_path / "untrained.bin")
+    refused = tmp_path / "refused"
+    argv = _argv(_CHECKPOINT_COMMANDS[command], checkpoint)
+    assert main([*argv, "--config", str(config), "--out-dir", str(refused)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error[input]: "), err
+    assert str(checkpoint) in err[0] and "normalization statistics" in err[0]
+    assert not refused.exists()
+
+
+def test_resume_refits_the_statistics_a_checkpoint_lacks(trained, tmp_path, capsys):
+    tmp, config, _ = trained
+    checkpoint = _untrained_checkpoint(tmp, tmp_path / "untrained.bin")
+    argv = _argv(_CHECKPOINT_COMMANDS["train-resume"], checkpoint)
+    assert main([*argv, "--config", str(config), "--out-dir", str(tmp_path / "resumed")]) == 0
+    assert "epoch 2:" in capsys.readouterr().out
+    spatial = load_spatial_graph(tmp / "edges.txt", symmetrize=True)
+    resumed, _ = load_checkpoint(tmp_path / "resumed" / "checkpoint.bin", spatial)
+    assert resumed.norm_stats is not None
+
+
+@pytest.mark.parametrize("command", _CHECKPOINT_COMMANDS)
+def test_checkpoint_command_reads_its_config_file_once(trained, tmp_path, monkeypatch, command):
+    tmp, config, checkpoint = trained
+    reads = []
+
+    def counted(path):
+        reads.append(path)
+        return read_config_file(path)
+
+    monkeypatch.setattr(cli, "read_config_file", counted)
+    argv = _argv(_CHECKPOINT_COMMANDS[command], checkpoint)
+    assert main([*argv, "--config", str(config), "--out-dir", str(tmp_path)]) == 0
+    assert reads == [str(config)]
 
 
 class _WriteFails:
