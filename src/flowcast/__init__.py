@@ -2,7 +2,7 @@
 
 from .errors import ContractError, FlowcastError, InputError, NumericError
 from .tensor import Param, Tensor, backward
-from .stgraph import STCoord, SpatialGraph, UnifiedGraph, ball, build_unified, load_spatial_graph, st_distance
+from .stgraph import STCoord, SpatialGraph, UnifiedGraph, build_unified, load_spatial_graph, st_distance
 from .partition import (
     PartitionScheme,
     build_p1,

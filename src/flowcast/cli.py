@@ -485,6 +485,8 @@ def cmd_baseline_ha(args: argparse.Namespace) -> int:
     if len(segment) == 0:
         raise InputError(f"{args.on} split has no steps")
     steps_per_week = 7 * series.gamma
+    if segment[0] < steps_per_week:
+        raise InputError(f"target step {segment[0]} has no full prior week (period {steps_per_week})")
     targets = list(segment)
     preds = ha_baseline(series.values, steps_per_week, targets)
     truth = series.values[targets]

@@ -463,7 +463,6 @@ def train(
     best_params = {p.name: p.data.copy() for p in params}
     best_epoch = start_epoch
 
-    masks = [s.target_raw != 0.0 for s in train_windows]
     for epoch in range(start_epoch + 1, config.epochs + 1):
         rng = np.random.default_rng((config.seed, epoch))
         order = rng.permutation(len(train_windows))
@@ -471,10 +470,9 @@ def train(
         for lo in range(0, len(order), config.batch_size):
             chosen = order[lo : lo + config.batch_size]
             batch = [train_windows[int(i)] for i in chosen]
-            values, day, step, target_norm, _ = batch_arrays(batch)
-            mask = np.array([masks[int(i)] for i in chosen])
+            values, day, step, target_norm, target_raw = batch_arrays(batch)
             pred = forward_arrays(model, values, day, step)
-            loss = masked_mae_loss(pred, target_norm, mask)
+            loss = masked_mae_loss(pred, target_norm, target_raw != 0.0)
             loss_value = loss.item()
             if not np.isfinite(loss_value):
                 raise NumericError(

@@ -27,7 +27,11 @@ from .stgraph import UnifiedGraph, spatial_hops
 # ---------------------------------------------------------------------------
 
 
-def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 300, tol: float = 1e-8):
+# Lloyd iteration stops after _KMEANS_MAX_ITER steps, or once no centroid moves by _KMEANS_TOL.
+_KMEANS_MAX_ITER, _KMEANS_TOL = 300, 1e-8
+
+
+def kmeans(points: np.ndarray, k: int, seed: int):
     """Plain Lloyd iteration with k-means++ seeding.
 
     Deterministic for a fixed seed. Returns (centroids (k, dim), labels (n,)).
@@ -57,7 +61,7 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 300, tol: floa
     # the points' dim-long rows.
     tiled = np.repeat(points[:, None, :], k, axis=1)
     sq = np.empty_like(tiled)
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         np.subtract(tiled, centroids, out=sq)
         labels = np.square(sq, out=sq).sum(axis=2).argmin(axis=1)
         # each cluster's members are one contiguous run of rows, in point order
@@ -72,7 +76,7 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 300, tol: floa
         new /= np.maximum(sizes, 1)[:, None]  # an empty cluster keeps its centroid
         moved = float(np.linalg.norm(new - centroids, axis=1).max())
         centroids = new
-        if moved < tol:
+        if moved < _KMEANS_TOL:
             break
     return centroids, labels
 

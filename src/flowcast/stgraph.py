@@ -266,12 +266,3 @@ def st_distance(graph: UnifiedGraph, a: STCoord, b: STCoord) -> int | None:
     d = int(dist[graph.coord_to_flat(b)])
     return None if d < 0 else d
 
-
-def ball(graph: UnifiedGraph, center: STCoord, radius: int) -> set[STCoord]:
-    """All elements within the given hop radius of the center, inclusive."""
-    if radius < 0:
-        raise ContractError(f"ball radius must be nonnegative, got {radius}")
-    start = graph.coord_to_flat(center)
-    dist = graph.distances_from(start)
-    hits = np.flatnonzero((dist >= 0) & (dist <= radius))
-    return {graph.flat_to_coord(int(f)) for f in hits}

@@ -171,25 +171,14 @@ def constant(value) -> Tensor:
     return Tensor(value)
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient back down to the parent's shape."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
-
-
 def _accumulate(parent: Tensor, grad: np.ndarray) -> None:
+    """Add grad, which must have the parent's exact shape, to its gradient."""
+    if grad.shape != parent.data.shape:
+        raise ContractError(f"gradient of shape {grad.shape} for a parent of shape {parent.shape}")
     if not parent.requires_grad:
         return
-    grad = _unbroadcast(grad, parent.data.shape)
     if parent.grad is None:
-        # a copy, never the array itself: add hands one g to both parents
+        # a copy, never the array: add_norm_ffn and embed_rows hand one to several parents
         parent.grad = np.array(grad, dtype=np.float64, order="C")
     else:
         parent.grad += grad
@@ -251,16 +240,10 @@ def backward(loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    def bwd(g: np.ndarray) -> None:
-        _accumulate(a, g)
-        _accumulate(b, g)
-
-    return Tensor(a.data + b.data, (a, b), bwd)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product with numpy broadcasting."""
+    """Elementwise product of two tensors of one shape."""
+    if a.shape != b.shape:
+        raise ContractError(f"mul needs equal shapes, got {a.shape} and {b.shape}")
     def bwd(g: np.ndarray) -> None:
         _accumulate(a, g * b.data)
         _accumulate(b, g * a.data)
@@ -275,48 +258,12 @@ def scale(a: Tensor, factor: float) -> Tensor:
     return Tensor(a.data * factor, (a,), bwd)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the trailing two axes, broadcasting the rest."""
-    if a.ndim < 2 or b.ndim < 2:
-        raise ContractError(
-            f"matmul needs rank >= 2 operands, got shapes {a.shape} and {b.shape}"
-        )
-    if a.shape[-1] != b.shape[-2]:
-        raise ContractError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    try:
-        data = a.data @ b.data
-    except ValueError as exc:
-        raise ContractError(f"matmul shape mismatch: {a.shape} @ {b.shape}") from exc
-    def bwd(g: np.ndarray) -> None:
-        # an operand that needs no grad gets no product
-        if a.requires_grad:
-            _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
-        if b.requires_grad:
-            _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
-
-    return Tensor(data, (a, b), bwd)
-
-
-def relu(a: Tensor) -> Tensor:
-    def bwd(g: np.ndarray) -> None:
-        _accumulate(a, g * (a.data > 0.0))
-
-    return Tensor(np.maximum(a.data, 0.0), (a,), bwd)
-
-
 def tensor_sum(a: Tensor) -> Tensor:
     """Sum of all elements, returned as a scalar tensor."""
     def bwd(g: np.ndarray) -> None:
         _accumulate(a, np.broadcast_to(g, a.data.shape))
 
     return Tensor(a.data.sum(), (a,), bwd)
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    def bwd(g: np.ndarray) -> None:
-        _accumulate(a, g.reshape(a.data.shape))
-
-    return Tensor(a.data.reshape(shape), (a,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -652,25 +599,6 @@ def _norm_rows_grad(
     return np.multiply(term, inv, out=out)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean and unit variance, then apply
-    the learnable elementwise affine. Variance is the population variance."""
-    width = a.data.shape[-1]
-    if gain.data.shape != (width,) or bias.data.shape != (width,):
-        raise ContractError(
-            f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match width {width}"
-        )
-    row_mean = np.full((width, 1), 1.0 / width)
-    xhat = a.data.copy()
-    inv = _norm_rows(xhat, row_mean)
-    def bwd(g: np.ndarray) -> None:
-        _accumulate(bias, g)
-        _accumulate(gain, g * xhat)
-        _accumulate(a, _norm_rows_grad(g * gain.data, xhat, inv, row_mean))
-
-    return Tensor(xhat * gain.data + bias.data, (a, gain, bias), bwd)
-
-
 # Rows per tile of add_norm_ffn. A 512-row tile's (512, 4D) hidden and its
 # (512, D) rows stay in a 2 MiB L2 at D = 16. At 20,160 rows and D = 16, on
 # one core of a 2-vCPU VM with one OpenBLAS thread, tiles of 128, 256, 512,
@@ -894,9 +822,8 @@ def embed_rows(
     norm += b_mix.data
     if not keep:
         x = None
-    # on the (..., T, N, D) grid numpy runs the norm's row means as one
-    # GEMV per (N, D) slice, which rounds as layer_norm does on that grid;
-    # one GEMV over all rows would sum in another order
+    # on the (..., T, N, D) grid numpy runs the norm's row means as one GEMV
+    # per (N, D) slice; one GEMV over all rows would sum in another order
     row_mean = np.full((dim, 1), 1.0 / dim)
     inv = _norm_rows(norm, row_mean)
     out = norm * gain.data if keep else np.multiply(norm, gain.data, out=norm)
@@ -907,14 +834,15 @@ def embed_rows(
 
     def bwd(g: np.ndarray) -> None:
         g_rows, norm_rows = _rows(g), _rows(norm)
+        # row 0 of a ones-row GEMV's (1, D) product is a bias or gain gradient
         ones = np.ones((1, g_rows.shape[0]))
-        _accumulate(bias, ones @ g_rows)
-        _accumulate(gain, ones @ (g_rows * norm_rows))
+        _accumulate(bias, (ones @ g_rows)[0])
+        _accumulate(gain, (ones @ (g_rows * norm_rows))[0])
         d_mix = _norm_rows_grad(g_rows * gain.data, norm_rows, _rows(inv), row_mean)
-        _accumulate(b_mix, ones @ d_mix)
+        _accumulate(b_mix, (ones @ d_mix)[0])
         _accumulate(w_mix, _rows(x).T @ d_mix)
         d_x = d_mix @ w_mix.data.T
-        d_shared = ones @ d_x
+        d_shared = (ones @ d_x)[0]
         for shared in (b_in, b_spe, b_tpe):
             _accumulate(shared, d_shared)
         _accumulate(w_in, _rows(signal).T @ d_x)
@@ -987,12 +915,12 @@ def output_adapter(x: Tensor, params: AdapterParams) -> Tensor:
         g_rows = _rows(np.ascontiguousarray(np.swapaxes(g, -3, -2)))
         hidden_rows = _rows(hidden)
         ones = np.ones((1, g_rows.shape[0]))
-        _accumulate(b_out, ones @ g_rows)
+        _accumulate(b_out, (ones @ g_rows)[0])
         _accumulate(w_out, hidden_rows.T @ g_rows)
         d_hidden = g_rows @ w_out.data.T
-        _accumulate(b_time, ones @ d_hidden)
+        _accumulate(b_time, (ones @ d_hidden)[0])
         d_time = d_hidden.reshape(lead + (t_out, n_nodes * dim))
-        _accumulate(w_time, d_time @ np.swapaxes(x_time, -1, -2))
+        _accumulate(w_time, _lead_sum(d_time @ np.swapaxes(x_time, -1, -2)))
         if x.requires_grad:
             _accumulate(x, (w_time.data.T @ d_time).reshape(x.data.shape))
 

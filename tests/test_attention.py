@@ -18,18 +18,15 @@ from flowcast import tensor
 from flowcast.tensor import (
     Param,
     Tensor,
-    add,
     add_norm_ffn,
     backward,
-    layer_norm,
-    matmul,
     mul,
     ranged_self_attention,
-    relu,
     tensor_sum,
 )
 
 from oracles import attention_oracle, subset_attention_grad_oracle
+from taped_ops import add, layer_norm, matmul, relu
 
 
 def _heads_as_arrays(params, rng):

@@ -623,6 +623,16 @@ def test_a_split_without_data_exits_2_and_writes_nothing(workspace, capsys, argv
     assert not out.exists()
 
 
+def test_baseline_ha_on_a_split_without_a_prior_week_exits_2(workspace, capsys):
+    # the 60-hour series is shorter than the 168-step week, so no step of a
+    # split has a prior week to average
+    tmp, config, out = workspace
+    assert main(["baseline-ha", "--split-days", "1:0:1", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error[input]: target step 24 has no full prior week (period 168)"
+    )
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """The workspace with a checkpoint trained for one epoch."""

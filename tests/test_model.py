@@ -25,7 +25,7 @@ from flowcast.model import (
     train,
 )
 from flowcast.stgraph import load_spatial_graph
-from flowcast.tensor import Param, Tensor, backward, matmul
+from flowcast.tensor import Param, Tensor, backward
 
 from oracles import metrics_oracle
 

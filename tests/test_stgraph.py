@@ -9,7 +9,6 @@ from flowcast.errors import ContractError, InputError
 from flowcast.stgraph import (
     SpatialGraph,
     STCoord,
-    ball,
     build_unified,
     coord_from_flat,
     load_spatial_graph,
@@ -18,6 +17,7 @@ from flowcast.stgraph import (
 )
 
 from oracles import hop_distances, random_connected_graph, unified_dense
+from taped_ops import ball
 
 
 # ---------------------------------------------------------------------------

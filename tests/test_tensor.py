@@ -21,25 +21,21 @@ from flowcast.tensor import (
     ModuleParams,
     Param,
     Tensor,
-    add,
     add_norm_ffn,
     backward,
     constant,
     embed_rows,
-    layer_norm,
     masked_mae,
-    matmul,
     mul,
     no_grad,
     output_adapter,
     ranged_self_attention,
-    relu,
-    reshape,
     scale,
     tensor_sum,
 )
 
 from oracles import calendar_one_hot, layer_norm_naive, matmul_oracle, softmax_naive
+from taped_ops import add, layer_norm, matmul, relu, reshape
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +240,27 @@ def test_grad_broadcast_bias_sums_over_rows():
     assert np.array_equal(b.grad, np.full(3, 5.0))
 
 
-def test_grad_scalar_times_matrix_broadcast():
+def test_mul_refuses_unequal_shapes():
     s = Param(np.array(2.0), "s")
     y = constant(np.arange(4.0).reshape(2, 2))
-    backward(tensor_sum(mul(s, y)))
-    assert s.grad.shape == ()
-    assert float(s.grad) == 6.0
+    with pytest.raises(ContractError, match=r"\(\) and \(2, 2\)"):
+        mul(s, y)
+    with pytest.raises(ContractError, match=r"\(2, 2\) and \(1, 2\)"):
+        mul(y, constant(np.ones((1, 2))))
+
+
+def test_accumulate_refuses_a_gradient_not_shaped_as_its_parent():
+    # an op that hands a (D,) bias the (1, D) product of a ones-row GEMV
+    # is refused, not summed down to the bias's shape
+    b = Param(np.zeros(3), "b")
+
+    def bwd(g: np.ndarray) -> None:
+        tensor._accumulate(b, np.ones((1, 4)) @ g)
+
+    out = Tensor(np.ones((4, 3)) + b.data, (b,), bwd)
+    with pytest.raises(ContractError, match=r"\(1, 3\).*\(3,\)"):
+        backward(tensor_sum(out))
+    assert np.array_equal(b.grad, np.zeros(3))
 
 
 def test_grad_matmul_closed_form():
@@ -616,7 +627,7 @@ def test_grad_ranged_self_attention_at_scores_near_500_with_a_one_row_range():
     fixed_q, fixed_k = np.zeros((heads, rows + 1, width)), np.zeros((heads, rows + 1, width))
     fixed_q[:, :rows, 0] = 500.0 * np.sqrt(width) * sign
     fixed_k[:, :rows, 0] = 1.0
-    free = constant(np.array([0.0, 1.0, 1.0]))
+    free = constant(np.broadcast_to([0.0, 1.0, 1.0], (heads, rows + 1, width)))
     q, k = (
         Param(np.pad(rng.normal(scale=0.5, size=(heads, rows, width)), ((0, 0), (0, 1), (0, 0))), name)
         for name in "qk"
