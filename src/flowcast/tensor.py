@@ -27,6 +27,7 @@ ones in from the kernel.
 from __future__ import annotations
 
 import ctypes
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import Callable, Iterator, Sequence
@@ -340,6 +341,45 @@ def _check_maps(op: str, rows_shape: tuple[int, ...], params: AttentionParams) -
         )
 
 
+# Bytes of one piece's (..., m, m) weight block in _attend and _attend_grad,
+# which split each range's weights along the first leading axis so that a
+# piece stays in a 2 MiB L2 while its GEMMs and exp pass over it. P2's
+# forward range loop at B = 8, H = 4 over a 210-node, 12-step grid's 40
+# subsets (m = 33-92), on one core of a 2-vCPU VM with one OpenBLAS
+# thread, took a median 14.8 ms with a fresh array per range. In reused
+# scratch it took 13.3 ms as one piece per range, and 13.1, 12.7, 12.5 and
+# 13.3 ms in pieces of 256 KiB, 512 KiB, 1 MiB and 2 MiB (145 interleaved
+# calls each; quartiles about 3 ms apart, so 512 KiB and 1 MiB tie).
+_BLOCK_BYTES = 512 * 1024
+
+
+def _pieces(
+    lead: tuple[int, ...], bounds: list[tuple[int, int]], itemsize: int
+) -> tuple[list[tuple[slice, int, int]], int]:
+    """The range loop's pieces for operands with leading axes lead, the
+    axes before a range's (m, m) weight block, and items of itemsize bytes.
+
+    Each range [lo, hi) is split along lead[0] into pieces of as many rows
+    as keep a piece's block, rows * prod(lead[1:]) * m * m items, within
+    _BLOCK_BYTES; a row whose block alone is larger is a piece of its own.
+    Returns (rows, lo, hi) per piece, range by range and in row order, and
+    the item count of the largest block, which one scratch buffer holds.
+    """
+    n_lead, per_row = lead[0], math.prod(lead[1:])
+    pieces, largest = [], 0
+    for lo, hi in bounds:
+        row_items = per_row * (hi - lo) ** 2
+        step = max(1, _BLOCK_BYTES // max(1, row_items * itemsize))
+        pieces += [(slice(at, min(at + step, n_lead)), lo, hi) for at in range(0, n_lead, step)]
+        largest = max(largest, min(step, n_lead) * row_items)
+    return pieces, largest
+
+
+def _block(scratch: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A C-contiguous view of shape over the front of the flat scratch."""
+    return scratch[: math.prod(shape)].reshape(shape)
+
+
 def _attend(
     q_norm_t: np.ndarray,
     k: np.ndarray,
@@ -360,21 +400,32 @@ def _attend(
     to out_t, (..., H, d_v, M), and each query's negated log normalizer,
     -(shift + log(total)), to the last row of q_norm_t, which makes it the
     [q | -log_norm]^T that _attend_grad reads.
+
+    A range's weights are computed in _pieces along the first leading
+    axis, each written by its score GEMM into one scratch buffer that the
+    call allocates once, so the block the exp and the value GEMM read
+    stays within _BLOCK_BYTES. Every (batch, head) GEMM and every
+    elementwise op sees the operands an unsplit range would, so the
+    results do not depend on _BLOCK_BYTES.
     """
     d_v = v_one_t.shape[-2] - 1
     q_t = q_norm_t[..., :-1, :]
     mixed = np.empty(v_one_t.shape)
     if shifted:
         peaks = np.empty(q_norm_t.shape[:-2] + (1, q_norm_t.shape[-1]))
-    for lo, hi in bounds:
-        weights = k[..., lo:hi, :] @ q_t[..., lo:hi]
+    pieces, largest = _pieces(k.shape[:-2], bounds, k.itemsize)
+    scratch = np.empty(largest, dtype=k.dtype)
+    for rows, lo, hi in pieces:
+        keys = k[rows, ..., lo:hi, :]
+        weights = _block(scratch, keys.shape[:-1] + (hi - lo,))
+        np.matmul(keys, q_t[rows, ..., lo:hi], out=weights)
         if shifted:
-            peak = peaks[..., lo:hi]
+            peak = peaks[rows, ..., lo:hi]
             np.max(weights, axis=-2, keepdims=True, out=peak)
             weights -= peak
             np.maximum(weights, _EXP_FLOOR, out=weights)
         np.exp(weights, out=weights)
-        np.matmul(v_one_t[..., lo:hi], weights, out=mixed[..., lo:hi])
+        np.matmul(v_one_t[rows, ..., lo:hi], weights, out=mixed[rows, ..., lo:hi])
     totals = mixed[..., d_v:, :]
     np.divide(mixed[..., :d_v, :], totals, out=out_t)
     log_norm = q_norm_t[..., -1:, :]
@@ -400,6 +451,10 @@ def _attend_grad(
     writes the query, key and value gradients feature-major into grads_t,
     (..., H, d, M) each. As in FlashAttention, each range's weights are
     recomputed as exp([k | 1] @ [q | -log_norm]^T), one GEMM and one exp.
+    The loop runs over _attend's pieces, with two scratch buffers allocated
+    once per call, one for the weights and one for their gradient; grads_t
+    may be strided views of one buffer, since each piece writes through
+    slices of them.
     """
     dq_t, dk_t, dv_t = grads_t
     d_v = g_t.shape[-2]
@@ -411,16 +466,27 @@ def _attend_grad(
     np.negative((g_t * out_t).sum(axis=-2, keepdims=True), out=g_inner_t[..., d_v:, :])
     k_t = np.swapaxes(k_one[..., :-1], -1, -2)
     v_one = np.swapaxes(v_one_t, -1, -2)
-    for lo, hi in bounds:
-        weights = k_one[..., lo:hi, :] @ q_norm_t[..., lo:hi]
+    pieces, largest = _pieces(k_one.shape[:-2], bounds, k_one.itemsize)
+    scratch = np.empty((2, largest), dtype=k_one.dtype)
+    for rows, lo, hi in pieces:
+        keys = k_one[rows, ..., lo:hi, :]
+        shape = keys.shape[:-1] + (hi - lo,)
+        weights, d_scores = _block(scratch[0], shape), _block(scratch[1], shape)
+        np.matmul(keys, q_norm_t[rows, ..., lo:hi], out=weights)
         if shifted:
             np.maximum(weights, _EXP_FLOOR, out=weights)
         np.exp(weights, out=weights)
-        np.matmul(g_inner_t[..., :d_v, lo:hi], np.swapaxes(weights, -1, -2), out=dv_t[..., lo:hi])
-        d_scores = v_one[..., lo:hi, :] @ g_inner_t[..., lo:hi]
+        np.matmul(
+            g_inner_t[rows, ..., :d_v, lo:hi], np.swapaxes(weights, -1, -2),
+            out=dv_t[rows, ..., lo:hi],
+        )
+        np.matmul(v_one[rows, ..., lo:hi, :], g_inner_t[rows, ..., lo:hi], out=d_scores)
         d_scores *= weights
-        np.matmul(k_t[..., lo:hi], d_scores, out=dq_t[..., lo:hi])
-        np.matmul(q_norm_t[..., :-1, lo:hi], np.swapaxes(d_scores, -1, -2), out=dk_t[..., lo:hi])
+        np.matmul(k_t[rows, ..., lo:hi], d_scores, out=dq_t[rows, ..., lo:hi])
+        np.matmul(
+            q_norm_t[rows, ..., :-1, lo:hi], np.swapaxes(d_scores, -1, -2),
+            out=dk_t[rows, ..., lo:hi],
+        )
     dq_t *= factor
 
 
@@ -507,7 +573,10 @@ def ranged_self_attention(
     head outputs; the backward recomputes the weights range by range,
     writes the query, key and value gradients into one (..., 3D, M) buffer,
     and takes each packed weight gradient and the input gradient as one
-    GEMM each.
+    GEMM each. Both range loops split a range's (..., H, m, m) weights
+    along the batch into pieces of at most _BLOCK_BYTES, or of one batch
+    row where that is larger, computed in scratch allocated once per call,
+    so no call holds the weights of all B * H pairs of a range at once.
     """
     _check_maps("ranged_self_attention", x.shape, params)
     heads, dim, head_dim = params.w_query.shape
