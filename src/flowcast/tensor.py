@@ -293,10 +293,10 @@ _EXP_FLOOR = -700.0
 def _needs_shift(q: np.ndarray, k: np.ndarray, factor: float) -> bool:
     """False when d_h * max|q * factor| * max|k|, a bound on every |score|,
     is at most _UNSHIFTED_SCORE_LIMIT; a NaN bound, from a non-finite
-    input, fails the test too. k holds key rows, (..., M, d_h), and q the
-    feature-major queries, (..., d_h, M)."""
+    input, fails the test too. q and k are the feature-major queries and
+    keys, (..., d_h, M) each."""
     q_peak, k_peak = (max(a.max(initial=0.0), -a.min(initial=0.0)) for a in (q, k))
-    bound = k.shape[-1] * factor * q_peak * k_peak
+    bound = k.shape[-2] * factor * q_peak * k_peak
     return not bound <= _UNSHIFTED_SCORE_LIMIT
 
 
@@ -382,24 +382,24 @@ def _block(scratch: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def _attend(
     q_norm_t: np.ndarray,
-    k: np.ndarray,
+    k_t: np.ndarray,
     v_one_t: np.ndarray,
     bounds: list[tuple[int, int]],
     shifted: bool,
     out_t: np.ndarray,
-) -> None:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """The forward range loop over feature-major operands.
 
     q_norm_t is (..., H, d_h + 1, M) with q / sqrt(d_h) in its first d_h
-    rows, k holds key rows (..., H, M, d_h), and v_one_t is [v | 1]^T,
-    (..., H, d_v + 1, M). Each range's scores are key-major, k @ q^T, and
-    its weights exp(scores), shifted by each query's max and floored at
-    _EXP_FLOOR first when shifted is set. The weights are never
-    normalized: one GEMM of [v | 1]^T with them gives the outputs and, in
-    the last row, each query's total. The outputs divided by the totals go
-    to out_t, (..., H, d_v, M), and each query's negated log normalizer,
-    -(shift + log(total)), to the last row of q_norm_t, which makes it the
-    [q | -log_norm]^T that _attend_grad reads.
+    rows, k_t the keys (..., H, d_h, M), and v_one_t [v | 1]^T,
+    (..., H, d_v + 1, M). Each range's scores are key-major, k @ q^T with
+    k a transposed view of k_t, and its weights exp(scores), shifted by
+    each query's max and floored at _EXP_FLOOR first when shifted is set.
+    The weights are never normalized: one GEMM of [v | 1]^T with them
+    gives the outputs and, in the last row, each query's total. The
+    outputs divided by the totals go to out_t, (..., H, d_v, M). Returns
+    the totals and the shifts, (..., H, 1, M) each, or None for unshifted:
+    a query's log normalizer is shift + log(total).
 
     A range's weights are computed in _pieces along the first leading
     axis, each written by its score GEMM into one scratch buffer that the
@@ -411,12 +411,11 @@ def _attend(
     d_v = v_one_t.shape[-2] - 1
     q_t = q_norm_t[..., :-1, :]
     mixed = np.empty(v_one_t.shape)
-    if shifted:
-        peaks = np.empty(q_norm_t.shape[:-2] + (1, q_norm_t.shape[-1]))
-    pieces, largest = _pieces(k.shape[:-2], bounds, k.itemsize)
-    scratch = np.empty(largest, dtype=k.dtype)
+    peaks = np.empty(v_one_t.shape[:-2] + (1, v_one_t.shape[-1])) if shifted else None
+    pieces, largest = _pieces(k_t.shape[:-2], bounds, k_t.itemsize)
+    scratch = np.empty(largest, dtype=k_t.dtype)
     for rows, lo, hi in pieces:
-        keys = k[rows, ..., lo:hi, :]
+        keys = np.swapaxes(k_t[rows, ..., lo:hi], -1, -2)
         weights = _block(scratch, keys.shape[:-1] + (hi - lo,))
         np.matmul(keys, q_t[rows, ..., lo:hi], out=weights)
         if shifted:
@@ -428,11 +427,7 @@ def _attend(
         np.matmul(v_one_t[rows, ..., lo:hi], weights, out=mixed[rows, ..., lo:hi])
     totals = mixed[..., d_v:, :]
     np.divide(mixed[..., :d_v, :], totals, out=out_t)
-    log_norm = q_norm_t[..., -1:, :]
-    np.log(totals, out=log_norm)
-    if shifted:
-        log_norm += peaks
-    np.negative(log_norm, out=log_norm)
+    return totals, peaks
 
 
 def _attend_grad(
@@ -446,11 +441,12 @@ def _attend_grad(
     factor: float,
     grads_t: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> None:
-    """The backward range loop: from _attend's [q | -log_norm]^T, [k | 1],
-    [v | 1]^T and out_t, and the output gradient g_t, (..., H, d_v, M),
-    writes the query, key and value gradients feature-major into grads_t,
-    (..., H, d, M) each. As in FlashAttention, each range's weights are
-    recomputed as exp([k | 1] @ [q | -log_norm]^T), one GEMM and one exp.
+    """The backward range loop: from [q | -log_norm]^T, the key rows
+    [k | 1], _attend's [v | 1]^T and out_t, and the output gradient g_t,
+    (..., H, d_v, M), writes the query, key and value gradients
+    feature-major into grads_t, (..., H, d, M) each. As in FlashAttention,
+    each range's weights are recomputed as exp([k | 1] @ [q | -log_norm]^T),
+    one GEMM and one exp.
     The loop runs over _attend's pieces, with two scratch buffers allocated
     once per call, one for the weights and one for their gradient; grads_t
     may be strided views of one buffer, since each piece writes through
@@ -502,26 +498,35 @@ def _packed_maps(params: AttentionParams) -> np.ndarray:
 def _attention_operands(
     rows: np.ndarray, params: AttentionParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, bool]:
-    """_attend's operands for rows (..., M, D), from one GEMM of the packed
-    [W_q | W_k | W_v]^T with the rows transposed: [q / sqrt(d_h) | .]^T,
-    (..., H, d_h + 1, M), its last row left to _attend; the key rows,
-    (..., H, M, d_h); [v | 1]^T; 1 / sqrt(d_h); and _needs_shift's answer.
+    """_attend's operands for rows (..., M, D), views of one GEMM of the
+    rows transposed with _packed_maps' rows plus a zero row after each
+    head's query and value maps, (3D + 2H, D): [q / sqrt(d_h) | 0]^T,
+    (..., H, d_h + 1, M), its last row left to the log normalizers; the
+    keys, (..., H, d_h, M); [v | 1]^T; then 1 / sqrt(d_h) and _needs_shift's
+    answer. The bias, the scale and the ones row are written in place.
     """
-    heads, _, head_dim = params.w_query.shape
-    n_rows = rows.shape[-2]
-    packed = _packed_maps(params) @ np.swapaxes(rows, -1, -2)
-    qkv = packed.reshape(packed.shape[:-2] + (3, heads, head_dim, n_rows))
-    q_norm_t = np.empty(packed.shape[:-2] + (heads, head_dim + 1, n_rows))
-    q_t = q_norm_t[..., :-1, :]
-    np.add(qkv[..., 0, :, :, :], np.swapaxes(params.b_query.data, -1, -2), out=q_t)
-    k = np.ascontiguousarray(np.swapaxes(qkv[..., 1, :, :, :], -1, -2))
-    v_one_t = np.empty(q_norm_t.shape)
-    v_one_t[..., :-1, :] = qkv[..., 2, :, :, :]
+    heads, dim, head_dim = params.w_query.shape
+    q_end = heads * (head_dim + 1)
+    maps = np.zeros((3 * dim + 2 * heads, dim))
+    for block, w in ((maps[:q_end], params.w_query), (maps[q_end + dim :], params.w_value)):
+        block.reshape(heads, head_dim + 1, dim)[:, :-1] = np.swapaxes(w.data, -1, -2)
+    maps[q_end : q_end + dim] = np.swapaxes(params.w_key.data, -1, -2).reshape(dim, dim)
+    qkv = maps @ np.swapaxes(rows, -1, -2)
+    per_head = qkv.shape[:-2] + (heads, -1, rows.shape[-2])
+    # bias and scale run over the whole query block, zero rows too: numpy copies a
+    # view strided at both the batch and the head axis before updating it in place
+    q_block = qkv[..., :q_end, :]
+    bias = np.zeros((heads, head_dim + 1, 1))
+    bias[:, :-1] = np.swapaxes(params.b_query.data, -1, -2)
+    q_block += bias.reshape(q_end, 1)
+    q_norm_t = q_block.reshape(per_head)
+    k_t = qkv[..., q_end : q_end + dim, :].reshape(per_head)
+    v_one_t = qkv[..., q_end + dim :, :].reshape(per_head)
     v_one_t[..., -1, :] = 1.0
     factor = 1.0 / np.sqrt(float(head_dim))
-    shifted = _needs_shift(q_t, k, factor)
-    q_t *= factor
-    return q_norm_t, k, v_one_t, factor, shifted
+    shifted = _needs_shift(q_norm_t[..., :-1, :], k_t, factor)
+    q_block *= factor
+    return q_norm_t, k_t, v_one_t, factor, shifted
 
 
 def attention_weights(rows: np.ndarray, params: AttentionParams) -> np.ndarray:
@@ -533,12 +538,12 @@ def attention_weights(rows: np.ndarray, params: AttentionParams) -> np.ndarray:
     _check_maps("attention_weights", rows.shape, params)
     m = rows.shape[-2]
     _check_ranges([(0, m)], m)
-    q_norm_t, k, _, _, shifted = _attention_operands(rows, params)
+    q_norm_t, k_t, _, _, shifted = _attention_operands(rows, params)
     identity_one_t = np.empty(q_norm_t.shape[:-2] + (m + 1, m))
     identity_one_t[..., :m, :] = np.eye(m)
     identity_one_t[..., m, :] = 1.0
-    weights = np.empty(k.shape[:-1] + (m,))
-    _attend(q_norm_t, k, identity_one_t, [(0, m)], shifted, np.swapaxes(weights, -1, -2))
+    weights = np.empty(k_t.shape[:-2] + (m, m))
+    _attend(q_norm_t, k_t, identity_one_t, [(0, m)], shifted, np.swapaxes(weights, -1, -2))
     return weights
 
 
@@ -565,18 +570,21 @@ def ranged_self_attention(
     an input is not finite, each query's scores are shifted by their exact
     max and floored at _EXP_FLOOR first.
 
-    The forward is one np.take by order, _attention_operands' packed GEMM,
-    the range loop of _attend over q^T / sqrt(d_h), the key rows and
-    [v | 1]^T, which writes the head outputs as (..., H, d_h, M) =
-    (..., D, M), one output GEMM and one np.take by inverse. Only when the
-    output records a graph does the op keep those three operands and the
-    head outputs; the backward recomputes the weights range by range,
-    writes the query, key and value gradients into one (..., 3D, M) buffer,
-    and takes each packed weight gradient and the input gradient as one
-    GEMM each. Both range loops split a range's (..., H, m, m) weights
-    along the batch into pieces of at most _BLOCK_BYTES, or of one batch
-    row where that is larger, computed in scratch allocated once per call,
-    so no call holds the weights of all B * H pairs of a range at once.
+    The forward is one np.take by order, _attention_operands' GEMM into
+    one (..., 3D + 2H, M) buffer, the range loop of _attend over its views
+    q^T / sqrt(d_h), k^T and [v | 1]^T, which writes the head outputs as
+    (..., H, d_h, M) = (..., D, M), one output GEMM and one np.take by
+    inverse. Only when the output records a graph does the op write the
+    negated log normalizers into the buffer's spare query rows and keep
+    the buffer and the head outputs; under no_grad the buffer is freed
+    before the output GEMM. The backward lays out [k | 1] from the keys,
+    recomputes the weights range by range, writes the query, key and
+    value gradients into one (..., 3D, M) buffer, and takes each packed
+    weight gradient and the input gradient as one GEMM each. Both range
+    loops split a range's (..., H, m, m) weights along the batch into
+    pieces of at most _BLOCK_BYTES, or of one batch row where that is
+    larger, computed in scratch allocated once per call, so no call holds
+    the weights of all B * H pairs of a range at once.
     """
     _check_maps("ranged_self_attention", x.shape, params)
     heads, dim, head_dim = params.w_query.shape
@@ -586,12 +594,18 @@ def ranged_self_attention(
         raise ContractError(f"order and inverse are not inverse permutations of {n_rows} rows")
     parents = (x, *params.tensors())
     w_out = params.w_out
-    q_norm_t, k, v_one_t, factor, shifted = _attention_operands(np.take(x.data, order, axis=-2), params)
+    q_norm_t, k_t, v_one_t, factor, shifted = _attention_operands(np.take(x.data, order, axis=-2), params)
     per_head = lead + (heads, head_dim, n_rows)
     heads_t = np.empty(lead + (dim, n_rows))
-    _attend(q_norm_t, k, v_one_t, bounds, shifted, heads_t.reshape(per_head))
+    totals, peaks = _attend(q_norm_t, k_t, v_one_t, bounds, shifted, heads_t.reshape(per_head))
+    keep = _recording and any(p.requires_grad for p in parents)
+    if keep:
+        np.negative(np.log(totals) + peaks if shifted else np.log(totals), out=q_norm_t[..., -1:, :])
+    else:
+        del q_norm_t, k_t, v_one_t
+    del totals, peaks  # _attend's sums, and under no_grad the operands, go before the output GEMM
     out = np.take(np.swapaxes(heads_t, -1, -2) @ w_out.data, inverse, axis=-2)
-    if not (_recording and any(p.requires_grad for p in parents)):
+    if not keep:
         return Tensor(out)
 
     def bwd(g: np.ndarray) -> None:
@@ -600,7 +614,7 @@ def ranged_self_attention(
         g_t = w_out.data @ np.swapaxes(g_rows, -1, -2)
         dqkv = np.empty(lead + (3, heads, head_dim, n_rows))
         _attend_grad(
-            q_norm_t, _with_column(k, 1.0), v_one_t, g_t.reshape(per_head),
+            q_norm_t, _with_column(np.swapaxes(k_t, -1, -2), 1.0), v_one_t, g_t.reshape(per_head),
             heads_t.reshape(per_head), bounds, shifted, factor,
             (dqkv[..., 0, :, :, :], dqkv[..., 1, :, :, :], dqkv[..., 2, :, :, :]),
         )
@@ -640,6 +654,13 @@ def _lead_sum(a: np.ndarray) -> np.ndarray:
 
 # Added to each row's variance before its inverse square root.
 _NORM_EPS = 1e-5
+
+
+def _row_tiles(rows: int, *vectors: Tensor) -> np.ndarray:
+    """Vectors of one width, each repeated down rows rows: (len(vectors), rows,
+    width). An op with a tile runs one contiguous loop where a broadcast
+    vector runs one loop per row."""
+    return np.repeat(np.array([v.data for v in vectors])[:, None, :], rows, axis=1)
 
 
 def _norm_rows(a: np.ndarray, row_mean: np.ndarray) -> np.ndarray:
@@ -703,12 +724,14 @@ def add_norm_ffn(attended: Tensor, x: Tensor, params: ModuleParams) -> Tensor:
     intermediate through memory nine times; here the rows run in tiles of _TILE_ROWS, so each
     tile's intermediates stay in cache from the residual to the output.
 
-    Only when the output records a graph does the forward keep, per tile,
-    both normalized rows, their inverse stds and the post-relu hidden;
-    under no_grad it keeps nothing. The backward walks the same tiles from
-    what was kept, recomputing only y from the first normalized rows. Each
-    weight gradient is one GEMM per tile and each bias or gain gradient a
-    ones-row GEMV per tile, summed over the tiles.
+    Each bias and gain is laid out once per call in a tile's shape, and
+    the backward does not keep those. Only when the output records a graph
+    does the forward keep, per tile, both normalized rows, their inverse
+    stds and the post-relu hidden; under no_grad it keeps nothing. The
+    backward walks the same tiles from what was kept, recomputing only y
+    from the first normalized rows. Each weight gradient is one GEMM per
+    tile and each bias or gain gradient a ones-row GEMV per tile, summed
+    over the tiles.
     """
     if attended.shape != x.shape or x.ndim < 1:
         raise ContractError(f"add_norm_ffn needs equal input shapes, got {attended.shape} and {x.shape}")
@@ -736,21 +759,25 @@ def add_norm_ffn(attended: Tensor, x: Tensor, params: ModuleParams) -> Tensor:
     row_mean = np.full((width, 1), 1.0 / width)
     out = np.empty(x.data.shape)
     out_rows = out.reshape(-1, width)
+    tile_rows = min(n_rows, _TILE_ROWS)
+    g1_tile, beta1_tile, b2_tile, g2_tile, beta2_tile = _row_tiles(tile_rows, g1, beta1, b2, g2, beta2)
+    (b1_tile,) = _row_tiles(tile_rows, b1)
     kept: list[tuple[np.ndarray, ...]] = []
     for lo, hi in tiles:
+        n = hi - lo
         norm1 = a_rows[lo:hi] + x_rows[lo:hi]
         inv1 = _norm_rows(norm1, row_mean)
-        y = norm1 * g1.data
-        y += beta1.data
+        y = norm1 * g1_tile[:n]
+        y += beta1_tile[:n]
         h = y @ w1.data
-        h += b1.data
+        h += b1_tile[:n]
         np.maximum(h, 0.0, out=h)
         f = h @ w2.data
-        f += b2.data
+        f += b2_tile[:n]
         f += y
         inv2 = _norm_rows(f, row_mean)
-        np.multiply(f, g2.data, out=out_rows[lo:hi])
-        out_rows[lo:hi] += beta2.data
+        np.multiply(f, g2_tile[:n], out=out_rows[lo:hi])
+        out_rows[lo:hi] += beta2_tile[:n]
         if keep:
             kept.append((norm1, inv1, h, f, inv2))
 
@@ -849,9 +876,10 @@ def embed_rows(
 
     The sum before the mix is built in one buffer, the projections are one
     GEMM each over (rows, width) views, and the norm runs in place on the
-    mix output. Only when the output records a graph does the op keep that
-    sum, the normalized rows and their inverse stds; under no_grad the sum
-    is freed before the norm. The backward runs on (rows, D) views: the
+    mix output, with b_in, b_mix and the norm's affine laid out as (N, D)
+    tiles. Only when the output records a graph does the op keep that sum,
+    the normalized rows and their inverse stds; under no_grad the sum is
+    freed before the norm. The backward runs on (rows, D) views: the
     three biases b_in, b_spe and b_tpe share one gradient, a ones-row GEMV,
     and the calendar rows' gradient goes into w_tpe's through one GEMM with
     the transposed two-hot code.
@@ -881,22 +909,23 @@ def embed_rows(
     keep = _recording and any(p.requires_grad for p in parents)
     signal = np.ascontiguousarray(np.swapaxes(values, -3, -2))  # (..., T, N, C)
     grid = signal.shape[:-1] + (dim,)
+    b_in_nodes, b_mix_nodes, gain_nodes, bias_nodes = _row_tiles(grid[-2], b_in, b_mix, gain, bias)
     x = (_rows(signal) @ w_in.data).reshape(grid)
-    x += b_in.data
+    x += b_in_nodes
     spatial = coords @ w_spe.data
     spatial += b_spe.data
     x += spatial
     x += _calendar_rows(w_tpe.data, b_tpe.data, day_rows, step_rows)[..., None, :]
     norm = (_rows(x) @ w_mix.data).reshape(grid)
-    norm += b_mix.data
+    norm += b_mix_nodes
     if not keep:
         x = None
     # on the (..., T, N, D) grid numpy runs the norm's row means as one GEMV
     # per (N, D) slice; one GEMV over all rows would sum in another order
     row_mean = np.full((dim, 1), 1.0 / dim)
     inv = _norm_rows(norm, row_mean)
-    out = norm * gain.data if keep else np.multiply(norm, gain.data, out=norm)
-    out += bias.data
+    out = norm * gain_nodes if keep else np.multiply(norm, gain_nodes, out=norm)
+    out += bias_nodes
     flat = out.reshape(grid[:-3] + (-1, dim))
     if not keep:
         return Tensor(flat)

@@ -539,10 +539,10 @@ def _self_attention(x, w_query, w_key, w_value, bounds, b_query=None, w_out=None
 
 
 def test_ranged_self_attention_closure_keeps_only_its_operands_and_head_outputs():
-    # [q | -log_norm]^T, the keys, [v | 1]^T and the head outputs, 4D + 2H
-    # floats per row and batch: the gathered rows, the packed QKV and the
-    # augmented [k | 1] and [g | -inner] arrays are transients the tape
-    # does not hold between forward and backward
+    # one (3D + 2H, M) operand buffer, [q | -log_norm]^T, the feature-major
+    # keys and [v | 1]^T, and the head outputs, 4D + 2H floats per row and
+    # batch: the gathered rows and the augmented [k | 1] and [g | -inner]
+    # arrays are transients the tape does not hold between forward and backward
     rng = np.random.default_rng(9)
     batch, n_rows, dim, heads = 2, 7, 4, 2
     x = Param(rng.normal(size=(batch, n_rows, dim)), "x")
@@ -559,10 +559,85 @@ def test_ranged_self_attention_closure_keeps_only_its_operands_and_head_outputs(
             owner = value if value.base is None else value.base
             kept[id(owner)] = owner
     assert sorted(a.shape for a in kept.values()) == sorted(
-        [(batch, heads, 3, n_rows), (batch, heads, 3, n_rows), (batch, heads, n_rows, 2),
-         (batch, dim, n_rows)]
+        [(batch, 3 * dim + 2 * heads, n_rows), (batch, dim, n_rows)]
     )
     assert sum(a.nbytes for a in kept.values()) == (4 * dim + 2 * heads) * batch * n_rows * 8
+
+
+def _packed_operands(rows, params):
+    """q / sqrt(d_h) with its bias, k and v, feature-major per head, from one
+    GEMM of the packed (3D, D) maps with the rows transposed, the query
+    bias and scale applied after it."""
+    heads, dim, head_dim = params.w_query.shape
+    packed = tensor._packed_maps(params) @ np.swapaxes(rows, -1, -2)
+    q, k, v = np.moveaxis(packed.reshape(rows.shape[:-2] + (3, heads, head_dim, rows.shape[-2])), -4, 0)
+    q = q + np.swapaxes(params.b_query.data, -1, -2)
+    q *= 1.0 / np.sqrt(float(head_dim))
+    return q, k, v
+
+
+@pytest.mark.parametrize("lead, n_rows, heads", [((8,), 96, 2), ((4,), 2520, 4), ((8,), 2520, 4), ((), 9, 4)])
+def test_attention_operands_are_the_packed_projection_bit_for_bit(lead, n_rows, heads):
+    # the benchmark geometries (8-node ring, 210-node grid) and a short
+    # range: q, k and v are bit for bit the packed projection's rows, v's
+    # extra row is exactly 1, and all three are views of one
+    # (..., 3D + 2H, M) buffer
+    rng = np.random.default_rng(n_rows + heads)
+    dim = 16
+    params = _attention_params(rng, heads, dim)
+    rows = rng.normal(size=lead + (n_rows, dim))
+    q_norm_t, k_t, v_one_t, factor, _ = tensor._attention_operands(rows, params)
+    q, k, v = _packed_operands(rows, params)
+    assert factor == 1.0 / np.sqrt(float(dim // heads))
+    assert np.array_equal(q_norm_t[..., :-1, :], q)
+    assert np.array_equal(k_t, k)
+    assert np.array_equal(v_one_t[..., :-1, :], v)
+    assert np.all(v_one_t[..., -1, :] == 1.0)
+    assert len({id(a.base) for a in (q_norm_t, k_t, v_one_t)}) == 1
+    assert q_norm_t.base.shape == lead + (3 * dim + 2 * heads, n_rows)
+
+
+@pytest.mark.parametrize("n_rows", [301, 1001, 2484, 3900])
+def test_attention_operands_round_the_packed_projection_within_an_ulp_at_other_row_counts(n_rows):
+    # OpenBLAS's edge kernels may round the last few columns of a GEMM by
+    # where a row sits in the map stack: at these row counts the zero rows
+    # of the (3D + 2H, D) stack move some entries by one ulp of the largest
+    # value against the packed (3D, D) stack's product, never more
+    rng = np.random.default_rng(n_rows)
+    params = _attention_params(rng, 4, 16)
+    rows = rng.normal(size=(2, n_rows, 16))
+    q_norm_t, k_t, v_one_t, _, _ = tensor._attention_operands(rows, params)
+    for got, want in zip((q_norm_t[..., :-1, :], k_t, v_one_t[..., :-1, :]), _packed_operands(rows, params)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=np.spacing(np.abs(want).max()))
+
+
+@pytest.mark.parametrize("scale, shifted", [(0.25, False), (4.0, True)])
+def test_ranged_self_attention_under_no_grad_is_the_recorded_output_bit_for_bit(monkeypatch, scale, shifted):
+    # the recording path adds only the log normalizers, which the forward
+    # output does not read; maps of scale 4 push the score bound past the
+    # unshifted limit
+    decisions = []
+    needs_shift = tensor._needs_shift
+
+    def spy(q, k, factor):
+        decisions.append(needs_shift(q, k, factor))
+        return decisions[-1]
+
+    monkeypatch.setattr(tensor, "_needs_shift", spy)
+    rng = np.random.default_rng(17)
+    batch, n_rows, heads, dim = 3, 40, 4, 16
+    params = _attention_params(rng, heads, dim)
+    for p in (params.w_query, params.w_key):
+        p.data *= scale / 0.25
+    x = Param(rng.normal(size=(batch, n_rows, dim)), "x")
+    order = rng.permutation(n_rows)
+    bounds = [(0, 13), (13, 14), (14, 40)]
+    recorded = ranged_self_attention(x, params, bounds, order, np.argsort(order))
+    with no_grad():
+        plain = ranged_self_attention(x, params, bounds, order, np.argsort(order))
+    assert decisions == [shifted, shifted]
+    assert recorded.backward_fn is not None and plain.backward_fn is None
+    assert np.array_equal(plain.data, recorded.data)
 
 
 @pytest.mark.parametrize(
@@ -770,11 +845,11 @@ def test_pieces_take_the_item_size_of_the_operand(monkeypatch):
     monkeypatch.setattr(tensor, "_pieces", spy)
     rng = np.random.default_rng(12)
     q_norm_t = rng.normal(size=(2, 3, 5, 10)).astype(np.float32)
-    k = rng.normal(size=(2, 3, 10, 4)).astype(np.float32)
+    k_t = rng.normal(size=(2, 3, 4, 10)).astype(np.float32)
     v_one_t = rng.normal(size=(2, 3, 5, 10)).astype(np.float32)
     v_one_t[..., -1, :] = 1.0
     out_t = np.empty((2, 3, 4, 10))
-    tensor._attend(q_norm_t, k, v_one_t, [(0, 6), (6, 10)], False, out_t)
+    tensor._attend(q_norm_t, k_t, v_one_t, [(0, 6), (6, 10)], False, out_t)
     assert seen == [4]
     assert np.all(np.isfinite(out_t))
 
@@ -859,6 +934,20 @@ def test_add_norm_ffn_over_a_ragged_last_tile_matches_the_taped_chain():
     assert len(got_grads) == 10
     for got, want in zip([got_out] + got_grads, [want_out] + want_grads):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("rows", [700, 2 * tensor._TILE_ROWS + 37, 3 * tensor._TILE_ROWS])
+@pytest.mark.parametrize("grad", [False, True])
+def test_add_norm_ffn_over_many_tiles_is_the_taped_chain_bit_for_bit(rows, grad):
+    # every tile, the ragged last one too, rounds as the untiled chain does
+    leaves = _post_attention_leaves((rows, 16), 55)
+    if grad:
+        got = _post_attention_op(*leaves)
+    else:
+        with no_grad():
+            got = _post_attention_op(*leaves)
+    assert (got.backward_fn is not None) is grad
+    assert np.array_equal(got.data, _taped_post_attention(*leaves).data)
 
 
 def test_grad_add_norm_ffn_over_tiles_against_central_differences(monkeypatch):
