@@ -2,12 +2,14 @@
 
 import dataclasses
 import platform
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from flowcast import attention, partition, stgraph
+from flowcast import attention, partition, stgraph, tensor
+from flowcast import model as fmodel
 from flowcast.attention import attention_weights
 from flowcast.data import batch_arrays, prepare_dataset, ring_edge_lines, synthetic_series
 from flowcast.errors import ContractError, NumericError
@@ -25,7 +27,7 @@ from flowcast.model import (
     train,
 )
 from flowcast.stgraph import load_spatial_graph
-from flowcast.tensor import Param, Tensor, backward
+from flowcast.tensor import Param, Tensor, backward, no_grad
 
 from oracles import metrics_oracle
 
@@ -392,13 +394,105 @@ def test_predict_windows_denormalizes():
     np.testing.assert_allclose(preds[0], ds.stats.invert(one), atol=1e-12)
 
 
-def test_predict_windows_chunking_consistent():
-    model = _build()
+def _inverted_forward(model, samples, stats):
+    values, day, step, _, _ = batch_arrays(samples)
+    with no_grad():
+        return stats.invert(forward_arrays(model, values, day, step).data)
+
+
+def test_predict_windows_chunking_consistent(monkeypatch):
+    # at most _FORWARD_ROWS rows and batch_size windows go into one forward,
+    # 3 windows leaving a ragged last chunk of 7; every window's prediction
+    # is the bits of one forward over all seven
     ds = _dataset()
     samples = ds.splits["train"][:7]
-    a = predict_windows(model, samples, ds.stats, batch_size=2)
-    b = predict_windows(model, samples, ds.stats, batch_size=32)
-    np.testing.assert_allclose(a, b, atol=1e-12)
+    sizes = []
+
+    def counted(model, values, day, step):
+        sizes.append(values.shape[0])
+        return forward_arrays(model, values, day, step)
+
+    monkeypatch.setattr(fmodel, "forward_arrays", counted)
+    for n_blocks in (1, 2):
+        model = _build(n_blocks=n_blocks)
+        whole = _inverted_forward(model, samples, ds.stats)
+        for budget in (1, 2, 3):
+            monkeypatch.setattr(fmodel, "_FORWARD_ROWS", budget * model.unified.n_elements)
+            for batch_size in (1, 3, 7, 32):
+                sizes.clear()
+                preds = predict_windows(model, samples, ds.stats, batch_size=batch_size)
+                size = min(budget, batch_size)
+                assert sizes == [size] * (7 // size) + [7 % size] * (7 % size > 0)
+                assert np.array_equal(preds, whole), (n_blocks, budget, batch_size)
+
+
+def test_predict_windows_shifts_each_chunk_on_its_own(monkeypatch):
+    # The shifted softmax is chosen once per forward. A layer norm ends the
+    # embedding, so scaling a window's signal leaves its scores bounded;
+    # instead the limit drops between the largest and the next largest
+    # score bound of one-window forwards, and only that window needs it.
+    model = _build(n_blocks=2)
+    ds = _dataset()
+    samples = ds.splits["train"][:7]
+    shift = tensor._needs_shift
+    bounds, decisions = [], []
+
+    def spy(q, k, factor):
+        peaks = [max(a.max(initial=0.0), -a.min(initial=0.0)) for a in (q, k)]
+        bounds.append(k.shape[-2] * factor * peaks[0] * peaks[1])
+        decisions.append(shift(q, k, factor))
+        return decisions[-1]
+
+    monkeypatch.setattr(tensor, "_needs_shift", spy)
+    own = []
+    for sample in samples:
+        bounds.clear()
+        _inverted_forward(model, [sample], ds.stats)
+        own.append(max(bounds))
+    second, first = sorted(own)[-2:]
+    assert second < first
+    monkeypatch.setattr(tensor, "_UNSHIFTED_SCORE_LIMIT", (first + second) / 2)
+    alone = []
+    for sample, bound in zip(samples, own):
+        decisions.clear()
+        alone.append(_inverted_forward(model, [sample], ds.stats)[0])
+        assert any(decisions) == (bound == first)
+
+    monkeypatch.setattr(fmodel, "_FORWARD_ROWS", 3 * model.unified.n_elements)
+    decisions.clear()
+    preds = predict_windows(model, samples, ds.stats)
+    assert any(decisions)
+    for lo in range(0, 7, 3):
+        chunk = _inverted_forward(model, samples[lo : lo + 3], ds.stats)
+        assert np.array_equal(preds[lo : lo + 3], chunk)
+    for pred, one in zip(preds, alone):
+        np.testing.assert_allclose(pred, one, rtol=1e-12, atol=0.0)
+
+
+def test_predict_windows_peak_memory_is_that_of_its_row_budget(monkeypatch):
+    # a 30-node ring over 12 steps, 360 rows per window, with a budget of
+    # 2 windows: 32 windows at batch_size 32 peak as 32 at batch_size 2 do
+    graph = load_spatial_graph(ring_edge_lines(30), symmetrize=True)
+    config = _config(n_nodes=30, t_in=12, t_out=3, dim=16, spe_modes=4, n_subsets=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = build_model(config, graph)
+    series = synthetic_series(30, 46, interval_min=60, seed=3, noise=1.0)
+    ds = prepare_dataset(series, t_in=12, t_out=3, ratios=(1.0, 0.0, 0.0))
+    samples = ds.splits["train"]
+    assert len(samples) == 32
+    monkeypatch.setattr(fmodel, "_FORWARD_ROWS", 2 * model.unified.n_elements)
+
+    def peak(batch_size):
+        predict_windows(model, samples, ds.stats, batch_size=batch_size)
+        tracemalloc.start()
+        try:
+            predict_windows(model, samples, ds.stats, batch_size=batch_size)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(32) <= 1.5 * peak(2)
 
 
 @pytest.mark.parametrize("batch_size", [3, 5])
@@ -427,6 +521,17 @@ def test_predict_windows_empty():
     ds = _dataset()
     with pytest.raises(ContractError):
         predict_windows(model, [], ds.stats)
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_predict_windows_and_evaluate_reject_a_batch_size_below_one(batch_size):
+    model = _build()
+    ds = _dataset()
+    samples = ds.splits["val"]
+    with pytest.raises(ContractError, match="batch_size"):
+        predict_windows(model, samples, ds.stats, batch_size=batch_size)
+    with pytest.raises(ContractError, match="batch_size"):
+        evaluate(model, samples, ds.stats, batch_size=batch_size)
 
 
 def test_evaluate_horizon_slicing():
