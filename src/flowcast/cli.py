@@ -393,18 +393,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     truth = np.stack([s.target_raw for s in samples], axis=0)
     for horizon in cfg.horizons:
         minutes = horizon * cfg.interval_min
-        report = _metrics_text(preds[:, :, horizon - 1], truth[:, :, horizon - 1])
-        print(f"horizon {horizon} ({minutes} min): {report}")
-    print(f"all steps: {_metrics_text(preds, truth)}")
+        report = metrics_from_arrays(preds[:, :, horizon - 1], truth[:, :, horizon - 1])
+        print(f"horizon {horizon} ({minutes} min): {report.to_text()}")
+    print(f"all steps: {metrics_from_arrays(preds, truth).to_text()}")
     return 0
-
-
-def _metrics_text(pred: np.ndarray, truth: np.ndarray) -> str:
-    """One report line; a slice whose truth is all zero (a sensor outage,
-    say) has nothing to score, which is not an error."""
-    if not truth.any():
-        return "no nonzero truth points"
-    return metrics_from_arrays(pred, truth).to_text()
 
 
 def _open_window(args: argparse.Namespace):
@@ -425,9 +417,7 @@ def _open_window(args: argparse.Namespace):
 
 def cmd_predict(args: argparse.Namespace) -> int:
     cfg, model, series, window = _open_window(args)
-    with no_grad():
-        pred = forward_arrays(model, window.values_norm, window.day, window.step)
-    values = model.norm_stats.invert(pred.data)  # (N, t_out, C)
+    values = predict_windows(model, [window], model.norm_stats)[0]  # (N, t_out, C)
     out = _out_dir(cfg)
     path = out / "predictions.csv"
     with atomic_write(path) as fh:

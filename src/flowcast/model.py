@@ -298,6 +298,8 @@ class MetricsReport:
     excluded_zeros: int
 
     def to_text(self) -> str:
+        if self.evaluated_points == 0:
+            return "no nonzero truth points"
         return (
             f"mae {self.mae:.6f}  mape {self.mape_percent:.4f}%  rmse {self.rmse:.6f}  "
             f"points {self.evaluated_points} (excluded zeros {self.excluded_zeros})"
@@ -307,7 +309,9 @@ class MetricsReport:
 def metrics_from_arrays(pred: np.ndarray, truth: np.ndarray) -> MetricsReport:
     """MAE, MAPE (percent), RMSE with zero-truth points excluded from all.
 
-    Inputs are in raw units and must have identical shape.
+    Inputs are in raw units and must have identical shape. Truth with no
+    nonzero point, as in a sensor outage, has nothing to score: the report
+    then counts no points and its metrics are NaN.
     """
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
@@ -316,7 +320,8 @@ def metrics_from_arrays(pred: np.ndarray, truth: np.ndarray) -> MetricsReport:
     mask = truth != 0.0
     kept = int(mask.sum())
     if kept == 0:
-        raise ContractError("no nonzero truth points to evaluate")
+        nan = float("nan")
+        return MetricsReport(nan, nan, nan, evaluated_points=0, excluded_zeros=truth.size)
     diff = pred[mask] - truth[mask]
     mae = float(np.abs(diff).mean())
     mape = float(np.abs(diff / truth[mask]).mean() * 100.0)
@@ -377,30 +382,21 @@ def evaluate(
     model: ForecastModel,
     samples: list[WindowSample],
     stats: NormStats,
-    horizon: int | None = None,
     batch_size: int = 32,
 ) -> MetricsReport:
-    """Metrics over a split, optionally sliced at one horizon step.
+    """metrics_from_arrays over a split's windows, all t_out steps.
 
-    horizon is 1-based; horizon k compares predictions and truth at
-    forecast step k only. Without it, all t_out steps count. The
-    predictions come from predict_windows: batch_size, at least 1, is an
-    upper bound on the windows per forward, and _FORWARD_ROWS, 7,560 rows,
-    bounds it further, which took the working set over 35 windows of a
-    210-node grid from 78.1 to 8.5 MiB at the same MAE. A shifted softmax
-    is chosen per forward, as predict_windows says.
+    The predictions come from predict_windows: batch_size, at least 1, is
+    an upper bound on the windows per forward, and _FORWARD_ROWS, 7,560
+    rows, bounds it further, which took the working set over 35 windows of
+    a 210-node grid from 78.1 to 8.5 MiB at the same MAE. A shifted softmax
+    is chosen per forward, as predict_windows says. Per-horizon metrics are
+    metrics_from_arrays on slices of predict_windows' output.
     """
     if not samples:
         raise ContractError("cannot evaluate an empty split")
-    if horizon is not None and not 1 <= horizon <= model.config.t_out:
-        raise ContractError(
-            f"horizon {horizon} outside [1, {model.config.t_out}]"
-        )
     preds = predict_windows(model, samples, stats, batch_size)
     truth = np.stack([s.target_raw for s in samples], axis=0)
-    if horizon is not None:
-        preds = preds[:, :, horizon - 1, :]
-        truth = truth[:, :, horizon - 1, :]
     return metrics_from_arrays(preds, truth)
 
 
@@ -469,15 +465,14 @@ def train(
     seeded by (seed, e), so the window order never depends on where a
     run started. Resuming rebuilds optimizer moments from zero, since
     checkpoints carry parameters only. The best validation MAE snapshot
-    is retained; with an empty validation split, or one whose truth is all
-    zero (nothing to score), the final parameters are the snapshot and
-    validation columns record NaN.
+    is retained. An epoch whose validation report scores no point, because
+    the split is empty or its truth is all zero, records NaN validation
+    columns and takes its parameters as the snapshot, so the final
+    parameters are the snapshot and best_val_mae is NaN.
     """
     config = model.config
     train_windows = dataset.splits["train"]
     val_windows = dataset.splits.get("val", [])
-    if not any(np.any(s.target_raw != 0.0) for s in val_windows):
-        val_windows = []
     if not train_windows:
         raise ContractError("train split has no windows")
     model.norm_stats = dataset.stats
@@ -516,13 +511,11 @@ def train(
         train_loss = total_loss / len(train_windows)
         if val_windows:
             report = evaluate(model, val_windows, dataset.stats)
-            row = TraceRow(epoch, train_loss, report.mae, report.mape_percent, report.rmse)
-            if report.mae < best_val:
-                best_val = report.mae
-                best_params = {p.name: p.data.copy() for p in params}
-                best_epoch = epoch
         else:
-            row = TraceRow(epoch, train_loss, float("nan"), float("nan"), float("nan"))
+            report = metrics_from_arrays(np.empty(0), np.empty(0))
+        row = TraceRow(epoch, train_loss, report.mae, report.mape_percent, report.rmse)
+        if report.evaluated_points == 0 or report.mae < best_val:
+            best_val = report.mae
             best_params = {p.name: p.data.copy() for p in params}
             best_epoch = epoch
         trace.append(row)

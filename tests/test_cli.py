@@ -11,11 +11,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowcast import cli
+from flowcast import model as fmodel
 from flowcast.cli import RunConfig, build_parser, main, read_config_file, render_effective_config
-from flowcast.data import prepare_dataset, ring_edge_lines, synthetic_series
+from flowcast.data import (
+    build_windows,
+    load_series,
+    prepare_dataset,
+    ring_edge_lines,
+    synthetic_series,
+)
 from flowcast.checkpoint import load_checkpoint, save_checkpoint
 from flowcast.errors import InputError
-from flowcast.model import ModelConfig, ModelSettings, build_model, evaluate, predict_windows
+from flowcast.model import (
+    ModelConfig,
+    ModelSettings,
+    build_model,
+    evaluate,
+    metrics_from_arrays,
+    predict_windows,
+)
 from flowcast.stgraph import load_spatial_graph
 
 from writers import write_edge_list, write_signal_csv
@@ -234,10 +248,14 @@ def test_evaluate_predicts_once_and_matches_model_evaluate(workspace, capsys, mo
     assert main([*argv, "--horizons", "1,2"]) == 0
     assert len(calls) == 1
 
-    # every printed report equals the library's evaluate() on the same split
+    # each horizon's report is metrics_from_arrays on its slice of one
+    # predict_windows call, and the full report is the library's evaluate()
     model, samples, stats = calls[0][:3]
+    preds = predict_windows(model, samples, stats)
+    truth = np.stack([s.target_raw for s in samples], axis=0)
     want = [
-        f"horizon {h} ({60 * h} min): {evaluate(model, samples, stats, horizon=h).to_text()}"
+        f"horizon {h} ({60 * h} min): "
+        + metrics_from_arrays(preds[:, :, h - 1], truth[:, :, h - 1]).to_text()
         for h in (1, 2)
     ] + [f"all steps: {evaluate(model, samples, stats).to_text()}"]
     assert capsys.readouterr().out.splitlines() == want
@@ -381,6 +399,7 @@ def test_inference_output_is_unchanged_by_no_grad(workspace, monkeypatch, argv, 
     assert main([*argv, "--out-dir", str(tmp / "bare")]) == 0
     # the same command with every op recorded, as before no_grad existed
     monkeypatch.setattr(cli, "no_grad", contextlib.nullcontext)
+    monkeypatch.setattr(fmodel, "no_grad", contextlib.nullcontext)
     assert main([*argv, "--out-dir", str(tmp / "recorded")]) == 0
     bare = (tmp / "bare" / written).read_text()
     assert bare == (tmp / "recorded" / written).read_text()
@@ -418,6 +437,18 @@ def test_baseline_ha_is_exact_on_periodic_signal(tmp_path, capsys):
     )
     assert code == 0
     assert "mae 0.000000" in capsys.readouterr().out
+
+
+def test_baseline_ha_on_an_all_zero_split_has_nothing_to_score(tmp_path, capsys):
+    # ten days of an hourly signal whose last two, the test split under
+    # 7:1:2 days, read zero, as in a sensor outage: that is not an error
+    series = synthetic_series(4, 10 * 24, interval_min=60, seed=3, noise=1.0)
+    series.values[8 * 24 :] = 0.0
+    signal = tmp_path / "signal.csv"
+    write_signal_csv(series, signal)
+    argv = ["baseline-ha", "--signal", str(signal), "--interval-min", "60", "--split-days", "7:1:2"]
+    assert main([*argv, "--on", "test"]) == 0
+    assert capsys.readouterr().out == "historical average on test: no nonzero truth points\n"
 
 
 def test_gradcheck_passes(workspace, capsys):
@@ -775,6 +806,22 @@ def test_resume_refits_the_statistics_a_checkpoint_lacks(trained, tmp_path, caps
     spatial = load_spatial_graph(tmp / "edges.txt", symmetrize=True)
     resumed, _ = load_checkpoint(tmp_path / "resumed" / "checkpoint.bin", spatial)
     assert resumed.norm_stats is not None
+
+
+def test_predict_writes_the_values_of_predict_windows(trained, tmp_path):
+    # predict runs the forward evaluate runs: its rows are predict_windows'
+    # values for the one window, bit for bit through repr
+    tmp, config, checkpoint = trained
+    argv = ["predict", "--config", str(config), "--checkpoint", str(checkpoint)]
+    assert main([*argv, "--window-start", "3", "--out-dir", str(tmp_path)]) == 0
+    spatial = load_spatial_graph(tmp / "edges.txt", symmetrize=True)
+    model, _ = load_checkpoint(checkpoint, spatial)
+    series = load_series([str(tmp / "signal.csv")], 60, spatial)
+    normalized = model.norm_stats.apply(series.values)
+    window = build_windows(series, normalized, range(3, 7), 4, 0)[0]
+    want = predict_windows(model, [window], model.norm_stats)[0]
+    rows = (tmp_path / "predictions.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == [repr(float(v)) for v in want.ravel()]
 
 
 @pytest.mark.parametrize("command", _CHECKPOINT_COMMANDS)

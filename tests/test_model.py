@@ -372,8 +372,12 @@ def test_metrics_zero_exclusion_value():
 
 
 def test_metrics_all_zero_truth():
-    with pytest.raises(ContractError, match="nonzero"):
-        metrics_from_arrays(np.ones(3), np.zeros(3))
+    # nothing to score is an empty report, not an error
+    report = metrics_from_arrays(np.ones((2, 3)), np.zeros((2, 3)))
+    assert report.evaluated_points == 0 and report.excluded_zeros == 6
+    assert np.isnan(report.mae) and np.isnan(report.mape_percent) and np.isnan(report.rmse)
+    assert report.to_text() == "no nonzero truth points"
+    assert metrics_from_arrays(np.empty(0), np.empty(0)).excluded_zeros == 0
     with pytest.raises(ContractError, match="shape"):
         metrics_from_arrays(np.ones(3), np.ones(4))
 
@@ -542,22 +546,19 @@ def test_evaluate_horizon_slicing():
     truth = np.stack([s.target_raw for s in samples], axis=0)
 
     full = evaluate(model, samples, ds.stats)
-    want = metrics_from_arrays(preds, truth)
-    assert full.mae == pytest.approx(want.mae, abs=1e-12)
+    assert full == metrics_from_arrays(preds, truth)
 
-    step2 = evaluate(model, samples, ds.stats, horizon=2)
-    want2 = metrics_from_arrays(preds[:, :, 1, :], truth[:, :, 1, :])
-    assert step2.mae == pytest.approx(want2.mae, abs=1e-12)
-    assert step2.rmse == pytest.approx(want2.rmse, abs=1e-12)
+    # a horizon is a slice of the same predictions, and the slices' scored
+    # points partition the full report's
+    steps = [metrics_from_arrays(preds[:, :, h], truth[:, :, h]) for h in range(2)]
+    assert sum(r.evaluated_points for r in steps) == full.evaluated_points
+    weighted = sum(r.mae * r.evaluated_points for r in steps) / full.evaluated_points
+    assert weighted == pytest.approx(full.mae, abs=1e-12)
 
 
 def test_evaluate_errors():
     model = _build()
     ds = _dataset()
-    with pytest.raises(ContractError, match="horizon"):
-        evaluate(model, ds.splits["val"], ds.stats, horizon=3)
-    with pytest.raises(ContractError, match="horizon"):
-        evaluate(model, ds.splits["val"], ds.stats, horizon=0)
     with pytest.raises(ContractError, match="empty"):
         evaluate(model, [], ds.stats)
 
@@ -661,7 +662,7 @@ def test_train_all_zero_validation_split_counts_as_empty():
     assert [row.epoch for row in result.trace] == [1, 2, 3]
     for row in result.trace:
         assert np.isnan(row.val_mae) and np.isnan(row.val_mape) and np.isnan(row.val_rmse)
-    assert result.best_epoch == 3
+    assert result.best_epoch == 3 and np.isnan(result.best_val_mae)
     for p in model.params():
         np.testing.assert_array_equal(result.best_params[p.name], p.data)
 
