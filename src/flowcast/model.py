@@ -357,9 +357,11 @@ def predict_windows(
     is an upper bound on that. The working set is that of a few windows
     however large batch_size is: evaluate over 35 windows of a 210-node
     grid at batch_size 32 peaks at 8.5 MiB under tracemalloc, against
-    78.1 MiB for 32-window forwards. Every window's output is computed on
-    its own, so the predictions are the same bits at any chunk size, with
-    one exception: the shifted softmax (tensor._needs_shift) is chosen
+    78.1 MiB for 32-window forwards. Each chunk's predictions are written
+    into one (W, N, t_out, C) array allocated at the first chunk, so the
+    output is held once. Every window's output is computed on its own, so
+    the predictions are the same bits at any chunk size, with one
+    exception: the shifted softmax (tensor._needs_shift) is chosen
     once per forward, for all of its windows, so a window whose scores
     pass the unshifted limit shifts the windows it shares a forward with,
     which moves their outputs by rounding.
@@ -369,13 +371,15 @@ def predict_windows(
     if batch_size < 1:
         raise ContractError(f"batch_size must be at least 1, got {batch_size}")
     size = min(batch_size, max(1, _FORWARD_ROWS // model.unified.n_elements))
-    chunks = []
+    preds = None
     for lo in range(0, len(samples), size):
         values, day, step, _, _ = batch_arrays(samples[lo : lo + size])
         with no_grad():
-            pred = forward_arrays(model, values, day, step)
-        chunks.append(stats.invert(pred.data))
-    return np.concatenate(chunks, axis=0)
+            pred = forward_arrays(model, values, day, step).data
+        if preds is None:
+            preds = np.empty((len(samples),) + pred.shape[1:])
+        preds[lo : lo + len(pred)] = stats.invert(pred)
+    return preds
 
 
 def evaluate(

@@ -18,6 +18,15 @@ ParamGroup dataclass declared beside it (EmbeddingParams, AttentionParams,
 ModuleParams, AdapterParams); the group's own tensors, in field order, are
 the op's parents.
 
+The two ops of an attention module keep only what is costly to
+recompute and rebuild the rest in their backward from the same operands
+with the same expressions, so the gradients are the same bits as if it
+had been kept: ranged_self_attention keeps its head outputs and log
+normalizers, D + H floats per row, and add_norm_ffn its second norm's
+rows and inverse stds, D + 1. A backward that recomputes reads the
+parameters as they are when it runs, so they must not change between
+the forward and the backward; train() updates them only after backward.
+
 On import the process heap is told to keep freed memory (glibc's mallopt;
 a no-op where it is missing): every step's graph has the same shapes, so
 the next step reuses the pages of the last one instead of faulting fresh
@@ -352,6 +361,16 @@ def _check_maps(op: str, rows_shape: tuple[int, ...], params: AttentionParams) -
 # calls each; quartiles about 3 ms apart, so 512 KiB and 1 MiB tie).
 _BLOCK_BYTES = 512 * 1024
 
+# Rows, windows times elements, that one chunk of ranged_self_attention's
+# backward rebuilds and differentiates at once; a window larger than this
+# is a chunk of its own. 2,520 is one window of a 210-node, 12-step grid.
+# On the metr-train benchmark (4 such windows per step; 2-vCPU VM, one
+# BLAS thread, medians of 4 runs of 10 s), chunks of 1, 2 and 4 windows
+# peaked at 72.0, 76.4 and 82.6 MiB RSS against 92.5 MiB when the forward
+# kept the operands, at 36.8, 38.4 and 37.9 windows/s against 40.6: each
+# chunk runs its own range loop, so smaller chunks pay more per-piece calls.
+_BACKWARD_ROWS = 2_520
+
 
 def _pieces(
     lead: tuple[int, ...], bounds: list[tuple[int, int]], itemsize: int
@@ -495,36 +514,53 @@ def _packed_maps(params: AttentionParams) -> np.ndarray:
     ])
 
 
-def _attention_operands(
-    rows: np.ndarray, params: AttentionParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, bool]:
-    """_attend's operands for rows (..., M, D), views of one GEMM of the
-    rows transposed with _packed_maps' rows plus a zero row after each
-    head's query and value maps, (3D + 2H, D): [q / sqrt(d_h) | 0]^T,
-    (..., H, d_h + 1, M), its last row left to the log normalizers; the
-    keys, (..., H, d_h, M); [v | 1]^T; then 1 / sqrt(d_h) and _needs_shift's
-    answer. The bias, the scale and the ones row are written in place.
-    """
+def _operand_maps(params: AttentionParams) -> tuple[np.ndarray, np.ndarray]:
+    """_attention_operands' map stack and query bias: _packed_maps' rows
+    plus a zero row after each head's query and value maps, (3D + 2H, D),
+    and the query bias as a column over the stack's first H * (d_h + 1)
+    rows, zero in each head's spare row."""
     heads, dim, head_dim = params.w_query.shape
     q_end = heads * (head_dim + 1)
     maps = np.zeros((3 * dim + 2 * heads, dim))
     for block, w in ((maps[:q_end], params.w_query), (maps[q_end + dim :], params.w_value)):
         block.reshape(heads, head_dim + 1, dim)[:, :-1] = np.swapaxes(w.data, -1, -2)
     maps[q_end : q_end + dim] = np.swapaxes(params.w_key.data, -1, -2).reshape(dim, dim)
+    bias = np.zeros((heads, head_dim + 1, 1))
+    bias[:, :-1] = np.swapaxes(params.b_query.data, -1, -2)
+    return maps, bias.reshape(q_end, 1)
+
+
+def _attention_operands(
+    rows: np.ndarray,
+    params: AttentionParams,
+    stack: tuple[np.ndarray, np.ndarray] | None = None,
+    shifted: bool | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, bool]:
+    """_attend's operands for rows (..., M, D), views of one GEMM of the
+    rows transposed with _operand_maps' stack, (3D + 2H, D):
+    [q / sqrt(d_h) | 0]^T, (..., H, d_h + 1, M), its last row left to the
+    log normalizers; the keys, (..., H, d_h, M); [v | 1]^T; then
+    1 / sqrt(d_h) and _needs_shift's answer. The bias, the scale and the
+    ones row are written in place. stack is _operand_maps(params), built
+    here when None; a shifted given is returned as the answer, and
+    _needs_shift is not asked.
+    """
+    heads, dim, head_dim = params.w_query.shape
+    q_end = heads * (head_dim + 1)
+    maps, bias = _operand_maps(params) if stack is None else stack
     qkv = maps @ np.swapaxes(rows, -1, -2)
     per_head = qkv.shape[:-2] + (heads, -1, rows.shape[-2])
     # bias and scale run over the whole query block, zero rows too: numpy copies a
     # view strided at both the batch and the head axis before updating it in place
     q_block = qkv[..., :q_end, :]
-    bias = np.zeros((heads, head_dim + 1, 1))
-    bias[:, :-1] = np.swapaxes(params.b_query.data, -1, -2)
-    q_block += bias.reshape(q_end, 1)
+    q_block += bias
     q_norm_t = q_block.reshape(per_head)
     k_t = qkv[..., q_end : q_end + dim, :].reshape(per_head)
     v_one_t = qkv[..., q_end + dim :, :].reshape(per_head)
     v_one_t[..., -1, :] = 1.0
     factor = 1.0 / np.sqrt(float(head_dim))
-    shifted = _needs_shift(q_norm_t[..., :-1, :], k_t, factor)
+    if shifted is None:
+        shifted = _needs_shift(q_norm_t[..., :-1, :], k_t, factor)
     q_block *= factor
     return q_norm_t, k_t, v_one_t, factor, shifted
 
@@ -574,17 +610,28 @@ def ranged_self_attention(
     one (..., 3D + 2H, M) buffer, the range loop of _attend over its views
     q^T / sqrt(d_h), k^T and [v | 1]^T, which writes the head outputs as
     (..., H, d_h, M) = (..., D, M), one output GEMM and one np.take by
-    inverse. Only when the output records a graph does the op write the
-    negated log normalizers into the buffer's spare query rows and keep
-    the buffer and the head outputs; under no_grad the buffer is freed
-    before the output GEMM. The backward lays out [k | 1] from the keys,
-    recomputes the weights range by range, writes the query, key and
-    value gradients into one (..., 3D, M) buffer, and takes each packed
-    weight gradient and the input gradient as one GEMM each. Both range
-    loops split a range's (..., H, m, m) weights along the batch into
-    pieces of at most _BLOCK_BYTES, or of one batch row where that is
-    larger, computed in scratch allocated once per call, so no call holds
-    the weights of all B * H pairs of a range at once.
+    inverse; the buffer is freed before the output GEMM. Only when the
+    output records a graph does the op keep the head outputs, each
+    query's negated log normalizer, (..., H, 1, M), and the shift
+    decision: D + H floats per row.
+
+    The backward recomputes the rest, _BACKWARD_ROWS rows at a time, in
+    chunks of whole entries of the first leading axis (windows): per
+    chunk it gathers x by order, rebuilds the operands with the forward's
+    shift decision, writes the kept log normalizers into the spare query
+    rows, recomputes the weights range by range in _attend_grad, and
+    writes the query, key and value gradients into one (..., 3D, M)
+    buffer. Each window's terms of the w_out, query bias and packed map
+    gradients go into buffers over the first leading axis, summed in
+    window order after the loop as an unchunked backward sums them, and
+    its input gradient into one array shaped as x; a call of one chunk
+    computes them directly. So every gradient is the same bits at any
+    _BACKWARD_ROWS. The backward reads the parameters as they are when it
+    runs, so they must not change between the forward and the backward.
+    Both range loops split a range's (..., H, m, m) weights along the
+    batch into pieces of at most _BLOCK_BYTES, or of one batch row where
+    that is larger, computed in scratch allocated once per call, so no
+    call holds the weights of all B * H pairs of a range at once.
     """
     _check_maps("ranged_self_attention", x.shape, params)
     heads, dim, head_dim = params.w_query.shape
@@ -598,35 +645,65 @@ def ranged_self_attention(
     per_head = lead + (heads, head_dim, n_rows)
     heads_t = np.empty(lead + (dim, n_rows))
     totals, peaks = _attend(q_norm_t, k_t, v_one_t, bounds, shifted, heads_t.reshape(per_head))
+    del q_norm_t, k_t, v_one_t
     keep = _recording and any(p.requires_grad for p in parents)
     if keep:
-        np.negative(np.log(totals) + peaks if shifted else np.log(totals), out=q_norm_t[..., -1:, :])
-    else:
-        del q_norm_t, k_t, v_one_t
-    del totals, peaks  # _attend's sums, and under no_grad the operands, go before the output GEMM
+        neg_log_norm = np.log(totals)
+        if shifted:
+            neg_log_norm += peaks
+        np.negative(neg_log_norm, out=neg_log_norm)
+    del totals, peaks  # _attend's sums, and with them the operands, go before the output GEMM
     out = np.take(np.swapaxes(heads_t, -1, -2) @ w_out.data, inverse, axis=-2)
     if not keep:
         return Tensor(out)
 
     def bwd(g: np.ndarray) -> None:
-        g_rows = np.take(g, order, axis=-2)
-        _accumulate(w_out, _lead_sum(heads_t @ g_rows))
-        g_t = w_out.data @ np.swapaxes(g_rows, -1, -2)
-        dqkv = np.empty(lead + (3, heads, head_dim, n_rows))
-        _attend_grad(
-            q_norm_t, _with_column(np.swapaxes(k_t, -1, -2), 1.0), v_one_t, g_t.reshape(per_head),
-            heads_t.reshape(per_head), bounds, shifted, factor,
-            (dqkv[..., 0, :, :, :], dqkv[..., 1, :, :, :], dqkv[..., 2, :, :, :]),
-        )
-        dqkv = dqkv.reshape(lead + (3 * dim, n_rows))
-        d_bias = dqkv[..., :dim, :].sum(axis=-1).reshape(-1, heads, 1, head_dim).sum(axis=0)
-        _accumulate(params.b_query, d_bias)
-        d_maps = _lead_sum(dqkv @ np.take(x.data, order, axis=-2)).reshape(3, heads, head_dim, dim)
+        stack = _operand_maps(params)
+        packed = _packed_maps(params) if x.requires_grad else None
+
+        def chunk_grads(at, out_w=None, out_bias=None, out_maps=None, out_x=None):
+            # the gradient terms of the windows at, a slice of the first leading
+            # axis or ... for all of them, written into the outs when given
+            rows = np.take(x.data[at], order, axis=-2)
+            g_rows = np.take(g[at], order, axis=-2)
+            d_w = np.matmul(heads_t[at], g_rows, out=out_w)
+            g_t = w_out.data @ np.swapaxes(g_rows, -1, -2)
+            del g_rows
+            q_norm_t, k_t, v_one_t, _, _ = _attention_operands(rows, params, stack, shifted)
+            q_norm_t[..., -1:, :] = neg_log_norm[at]
+            chunk_heads = k_t.shape
+            dqkv = np.empty(rows.shape[:-2] + (3, heads, head_dim, n_rows))
+            _attend_grad(
+                q_norm_t, _with_column(np.swapaxes(k_t, -1, -2), 1.0), v_one_t, g_t.reshape(chunk_heads),
+                heads_t[at].reshape(chunk_heads), bounds, shifted, factor,
+                (dqkv[..., 0, :, :, :], dqkv[..., 1, :, :, :], dqkv[..., 2, :, :, :]),
+            )
+            del q_norm_t, k_t, v_one_t, g_t
+            dqkv = dqkv.reshape(rows.shape[:-2] + (3 * dim, n_rows))
+            d_bias = np.sum(dqkv[..., :dim, :], axis=-1, out=out_bias)
+            d_maps = np.matmul(dqkv, rows, out=out_maps)
+            d_x = None
+            if packed is not None:
+                # mode="clip" writes straight into out_x; inverse is a checked permutation
+                d_x = np.take(np.swapaxes(dqkv, -1, -2) @ packed, inverse, axis=-2, out=out_x, mode="clip")
+            return d_w, d_bias, d_maps, d_x
+
+        size = max(1, _BACKWARD_ROWS // math.prod(x.shape[1:-1])) if lead else 1
+        if not lead or size >= lead[0]:
+            d_w, d_bias, d_maps, d_x = chunk_grads(...)
+        else:
+            d_w, d_bias, d_maps = (np.empty(lead + shape) for shape in ((dim, dim), (dim,), (3 * dim, dim)))
+            d_x = np.empty(x.shape) if packed is not None else None
+            for lo in range(0, lead[0], size):
+                at = slice(lo, lo + size)
+                chunk_grads(at, d_w[at], d_bias[at], d_maps[at], None if d_x is None else d_x[at])
+        _accumulate(w_out, _lead_sum(d_w))
+        _accumulate(params.b_query, d_bias.reshape(-1, heads, 1, head_dim).sum(axis=0))
+        d_maps = _lead_sum(d_maps).reshape(3, heads, head_dim, dim)
         for param, grad in zip((params.w_query, params.w_key, params.w_value), d_maps):
             _accumulate(param, np.swapaxes(grad, -1, -2))
-        if x.requires_grad:
-            packed = _packed_maps(params)
-            _accumulate(x, np.take(np.swapaxes(dqkv, -1, -2) @ packed, inverse, axis=-2))
+        if d_x is not None:
+            _accumulate(x, d_x)
 
     return Tensor(out, parents, bwd)
 
@@ -697,6 +774,30 @@ def _norm_rows_grad(
 _TILE_ROWS = 512
 
 
+def _ffn_first_half(
+    a: np.ndarray,
+    x: np.ndarray,
+    row_mean: np.ndarray,
+    g1: np.ndarray,
+    beta1: np.ndarray,
+    w1: np.ndarray,
+    b1: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One tile of add_norm_ffn up to its hidden rows: the normalized rows of
+    a + x and their inverse stds, y = norm1 * g1 + beta1 and
+    h = relu(y w1 + b1), with g1, beta1 and b1 in the tile's shape. The
+    forward and the backward, which recomputes it, both call this, so both
+    get the same bits."""
+    norm1 = a + x
+    inv1 = _norm_rows(norm1, row_mean)
+    y = norm1 * g1
+    y += beta1
+    h = y @ w1
+    h += b1
+    np.maximum(h, 0.0, out=h)
+    return norm1, inv1, y, h
+
+
 @dataclass
 class ModuleParams(ParamGroup):
     """One attention module: its attention's maps, which
@@ -726,12 +827,16 @@ def add_norm_ffn(attended: Tensor, x: Tensor, params: ModuleParams) -> Tensor:
 
     Each bias and gain is laid out once per call in a tile's shape, and
     the backward does not keep those. Only when the output records a graph
-    does the forward keep, per tile, both normalized rows, their inverse
-    stds and the post-relu hidden; under no_grad it keeps nothing. The
-    backward walks the same tiles from what was kept, recomputing only y
-    from the first normalized rows. Each weight gradient is one GEMM per
-    tile and each bias or gain gradient a ones-row GEMV per tile, summed
-    over the tiles.
+    does the forward keep, per tile, the second norm's normalized rows and
+    their inverse stds, D + 1 floats per row; under no_grad it keeps
+    nothing. The backward walks the same tiles and rebuilds the rest from
+    attended and x, whose arrays the tape holds anyway, with the forward's
+    own expressions on the same tile operands, so with the same bits: the
+    first norm's rows and inverse stds, y, and the post-relu hidden
+    relu(y W1 + b1). It reads the weights as they are when it runs, so
+    they must not change between the forward and the backward. Each weight
+    gradient is one GEMM per tile and each bias or gain gradient a
+    ones-row GEMV per tile, summed over the tiles.
     """
     if attended.shape != x.shape or x.ndim < 1:
         raise ContractError(f"add_norm_ffn needs equal input shapes, got {attended.shape} and {x.shape}")
@@ -765,13 +870,9 @@ def add_norm_ffn(attended: Tensor, x: Tensor, params: ModuleParams) -> Tensor:
     kept: list[tuple[np.ndarray, ...]] = []
     for lo, hi in tiles:
         n = hi - lo
-        norm1 = a_rows[lo:hi] + x_rows[lo:hi]
-        inv1 = _norm_rows(norm1, row_mean)
-        y = norm1 * g1_tile[:n]
-        y += beta1_tile[:n]
-        h = y @ w1.data
-        h += b1_tile[:n]
-        np.maximum(h, 0.0, out=h)
+        _, _, y, h = _ffn_first_half(
+            a_rows[lo:hi], x_rows[lo:hi], row_mean, g1_tile[:n], beta1_tile[:n], w1.data, b1_tile[:n]
+        )
         f = h @ w2.data
         f += b2_tile[:n]
         f += y
@@ -779,7 +880,7 @@ def add_norm_ffn(attended: Tensor, x: Tensor, params: ModuleParams) -> Tensor:
         np.multiply(f, g2_tile[:n], out=out_rows[lo:hi])
         out_rows[lo:hi] += beta2_tile[:n]
         if keep:
-            kept.append((norm1, inv1, h, f, inv2))
+            kept.append((f, inv2))
 
     def bwd(g: np.ndarray) -> None:
         g_rows = g.reshape(-1, width)
@@ -790,9 +891,15 @@ def add_norm_ffn(attended: Tensor, x: Tensor, params: ModuleParams) -> Tensor:
         ones = np.ones((1, _TILE_ROWS))
         # BLAS reads a contiguous transpose faster than a transposed view
         w1_t, w2_t = np.ascontiguousarray(w1.data.T), np.ascontiguousarray(w2.data.T)
-        for (lo, hi), (norm1, inv1, h, norm2, inv2) in zip(tiles, kept):
+        g1_tile, beta1_tile = _row_tiles(tile_rows, g1, beta1)
+        (b1_tile,) = _row_tiles(tile_rows, b1)
+        for (lo, hi), (norm2, inv2) in zip(tiles, kept):
+            n = hi - lo
+            norm1, inv1, y, h = _ffn_first_half(
+                a_rows[lo:hi], x_rows[lo:hi], row_mean, g1_tile[:n], beta1_tile[:n], w1.data, b1_tile[:n]
+            )
             g_tile = g_rows[lo:hi]
-            ones_tile = ones[:, : hi - lo]
+            ones_tile = ones[:, :n]
             d_beta2 += ones_tile @ g_tile
             d_g2 += ones_tile @ (g_tile * norm2)
             d_f = _norm_rows_grad(g_tile * g2.data, norm2, inv2, row_mean)
@@ -801,8 +908,6 @@ def add_norm_ffn(attended: Tensor, x: Tensor, params: ModuleParams) -> Tensor:
             d_h = d_f @ w2_t
             d_h *= h > 0.0
             d_b1 += ones_tile @ d_h
-            y = norm1 * g1.data
-            y += beta1.data
             d_w1 += y.T @ d_h
             d_y = d_h @ w1_t
             d_y += d_f

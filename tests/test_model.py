@@ -499,6 +499,34 @@ def test_predict_windows_peak_memory_is_that_of_its_row_budget(monkeypatch):
     assert peak(32) <= 1.5 * peak(2)
 
 
+def test_predict_windows_holds_its_output_once(monkeypatch):
+    # an 8-node ring mapping 2 steps to 24, one window per forward: the
+    # output outgrows a forward's working set, and 4W windows peak above W
+    # windows by the growth of the output alone; a list of chunk outputs
+    # and their concatenation held both, about twice that
+    graph = load_spatial_graph(ring_edge_lines(8), symmetrize=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = build_model(_config(n_nodes=8, t_in=2, t_out=24), graph)
+    series = synthetic_series(8, 64 + 25, interval_min=60, seed=3, noise=1.0)
+    ds = prepare_dataset(series, t_in=2, t_out=24, ratios=(1.0, 0.0, 0.0))
+    samples = ds.splits["train"]
+    assert len(samples) == 64
+    monkeypatch.setattr(fmodel, "_FORWARD_ROWS", model.unified.n_elements)
+
+    def peak_and_size(windows):
+        predict_windows(model, samples[:windows], ds.stats)
+        tracemalloc.start()
+        try:
+            preds = predict_windows(model, samples[:windows], ds.stats)
+            return tracemalloc.get_traced_memory()[1], preds.nbytes
+        finally:
+            tracemalloc.stop()
+
+    (peak_one, size_one), (peak_four, size_four) = peak_and_size(16), peak_and_size(64)
+    assert (peak_four - peak_one) / (size_four - size_one) <= 1.2
+
+
 @pytest.mark.parametrize("batch_size", [3, 5])
 def test_predict_windows_matches_a_recorded_forward_bit_for_bit(batch_size):
     # predict_windows runs under no_grad; a forward that records its graph

@@ -11,9 +11,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flowcast import tensor
-from flowcast.data import prepare_dataset, ring_edge_lines, synthetic_series
+from flowcast.data import batch_arrays, prepare_dataset, ring_edge_lines, synthetic_series
 from flowcast.errors import ContractError
-from flowcast.model import ModelConfig, build_model, train
+from flowcast.model import ModelConfig, build_model, forward_arrays, masked_mae_loss, train
 from flowcast.optim import finite_diff_check, zero_gradients
 from flowcast.stgraph import load_spatial_graph
 from flowcast.tensor import (
@@ -539,10 +539,10 @@ def _self_attention(x, w_query, w_key, w_value, bounds, b_query=None, w_out=None
 
 
 def test_ranged_self_attention_closure_keeps_only_its_operands_and_head_outputs():
-    # one (3D + 2H, M) operand buffer, [q | -log_norm]^T, the feature-major
-    # keys and [v | 1]^T, and the head outputs, 4D + 2H floats per row and
-    # batch: the gathered rows and the augmented [k | 1] and [g | -inner]
-    # arrays are transients the tape does not hold between forward and backward
+    # the head outputs, (B, D, M), and each query's negated log normalizer,
+    # (B, H, 1, M): D + H floats per row and batch. The operand buffer, the
+    # gathered rows and the augmented [k | 1] and [g | -inner] arrays are
+    # rebuilt by the backward, so the tape does not hold them
     rng = np.random.default_rng(9)
     batch, n_rows, dim, heads = 2, 7, 4, 2
     x = Param(rng.normal(size=(batch, n_rows, dim)), "x")
@@ -559,9 +559,9 @@ def test_ranged_self_attention_closure_keeps_only_its_operands_and_head_outputs(
             owner = value if value.base is None else value.base
             kept[id(owner)] = owner
     assert sorted(a.shape for a in kept.values()) == sorted(
-        [(batch, 3 * dim + 2 * heads, n_rows), (batch, dim, n_rows)]
+        [(batch, heads, 1, n_rows), (batch, dim, n_rows)]
     )
-    assert sum(a.nbytes for a in kept.values()) == (4 * dim + 2 * heads) * batch * n_rows * 8
+    assert sum(a.nbytes for a in kept.values()) == (dim + heads) * batch * n_rows * 8
 
 
 def _packed_operands(rows, params):
@@ -747,7 +747,7 @@ def test_ranged_self_attention_shifted_and_unshifted_branches_agree(monkeypatch,
         node = _self_attention(x, w_query, w_key, w_value, [(0, 5), (5, 6), (6, 12)], b_query, w_out)
         state = _closure(node)
         assert state["shifted"] is shifted
-        log_norm = -state["q_norm_t"][..., -1, :]
+        log_norm = -state["neg_log_norm"][..., 0, :]
         backward(tensor_sum(mul(node, probe)))
         results[shifted] = [node.data, log_norm] + [
             p.grad for p in (x, w_query, w_key, w_value, b_query, w_out)
@@ -755,6 +755,51 @@ def test_ranged_self_attention_shifted_and_unshifted_branches_agree(monkeypatch,
     for exact, unshifted in zip(results[True], results[False]):
         scale = np.abs(exact).max()
         np.testing.assert_allclose(unshifted, exact, rtol=0, atol=1e-14 * scale)
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (3, 2)])
+@pytest.mark.parametrize("limit", [0.0, np.inf])
+def test_ranged_self_attention_gradients_are_the_same_bits_at_every_row_budget(monkeypatch, lead, limit):
+    # the backward rebuilds the operands a chunk of whole windows (entries of
+    # the first leading axis) at a time, with the forward's shift decision:
+    # a budget of one window and one of the whole batch give the same bits
+    # in every gradient over ragged ranges, with the shift forced (limit 0)
+    # or ruled out; unbatched rows are one chunk
+    monkeypatch.setattr(tensor, "_UNSHIFTED_SCORE_LIMIT", limit)
+    n_rows, heads, dim = 12, 3, 12
+    bounds = [(0, 5), (5, 6), (6, 12)]
+    chunks, decisions = [], []
+    operands, needs_shift = tensor._attention_operands, tensor._needs_shift
+
+    def operands_spy(rows, *args):
+        chunks.append(rows.shape[:-2])
+        return operands(rows, *args)
+
+    def needs_shift_spy(*args):
+        decisions.append(needs_shift(*args))
+        return decisions[-1]
+
+    monkeypatch.setattr(tensor, "_attention_operands", operands_spy)
+    monkeypatch.setattr(tensor, "_needs_shift", needs_shift_spy)
+    window = n_rows * math.prod(lead[1:])
+    results = []
+    for budget in (window, 1 << 62):
+        monkeypatch.setattr(tensor, "_BACKWARD_ROWS", budget)
+        rng = np.random.default_rng(31)
+        params = _attention_params(rng, heads, dim)
+        x = Param(rng.normal(size=lead + (n_rows, dim)), "x")
+        order = rng.permutation(n_rows)
+        node = ranged_self_attention(x, params, bounds, order, np.argsort(order))
+        assert _closure(node)["shifted"] is (limit == 0.0)
+        chunks.clear()
+        backward(tensor_sum(mul(node, Tensor(rng.normal(size=x.shape)))))
+        results.append((chunks[:], [x.grad] + [p.grad for p in params.params()]))
+    (one_chunks, one_grads), (all_chunks, all_grads) = results
+    assert one_chunks == ([(1,) + lead[1:]] * lead[0] if lead else [()])
+    assert all_chunks == [lead]
+    assert decisions == [limit == 0.0] * 2
+    for got, want in zip(one_grads, all_grads):
+        assert np.array_equal(got, want)
 
 
 def _attention_params(rng, heads, dim):
@@ -960,6 +1005,59 @@ def test_grad_add_norm_ffn_over_tiles_against_central_differences(monkeypatch):
         return tensor_sum(mul(_post_attention_op(*leaves), probe))
 
     assert finite_diff_check(make_loss, leaves, samples=10**6) < 1e-6
+
+
+def test_add_norm_ffn_keeps_only_the_second_norm_per_tile(monkeypatch):
+    # per tile the tape holds the normalized output rows and their inverse
+    # stds, D + 1 floats per row; the first norm and the hidden rows are
+    # rebuilt from the inputs' own data, which the closure only views
+    monkeypatch.setattr(tensor, "_TILE_ROWS", 4)
+    leaves = _post_attention_leaves((2, 5, 6), 56)
+    node = _post_attention_op(*leaves)
+    state = _closure(node)
+    assert [tuple(a.shape for a in tile) for tile in state["kept"]] == [
+        ((4, 6), (4, 1)), ((4, 6), (4, 1)), ((2, 6), (2, 1))
+    ]
+    inputs = (leaves[0].data, leaves[1].data)
+    for name, value in state.items():
+        if name != "kept" and isinstance(value, np.ndarray) and value.dtype == np.float64:
+            assert value.size <= 6 or any(np.shares_memory(value, a) for a in inputs), name
+
+
+def test_recorded_forward_keeps_at_most_110_floats_per_row_and_module():
+    # a 4 x 5 grid over 12 steps (240 rows per window), 4 windows, D = 16,
+    # H = 4 and one block of two modules. Per module the tape holds the
+    # attention's output, head outputs and log normalizers, 16 + 16 + 4
+    # floats per row, and add_norm_ffn's output and second norm, 16 + 17;
+    # the embedding and the adapter bring the forward to about 104 floats
+    # per row and module. Keeping the attention operands and the first norm
+    # and hidden rows of add_norm_ffn came to about 237.
+    rows, cols = 4, 5
+    lines = [f"nodes {rows * cols}"] + [
+        f"{node} {neighbour} 1.0"
+        for node in range(rows * cols)
+        for neighbour in ([node + 1] if (node + 1) % cols else []) + ([node + cols] if node + cols < rows * cols else [])
+    ]
+    config = ModelConfig(
+        n_nodes=rows * cols, t_in=12, t_out=12, channels=1, dim=16, spe_modes=4, gamma=24,
+        n_blocks=1, n_heads=4, n_subsets=4, seed=1, learning_rate=0.001, batch_size=4, epochs=1,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = build_model(config, load_spatial_graph(lines))
+    series = synthetic_series(rows * cols, 40, interval_min=60, seed=2, noise=1.0)
+    ds = prepare_dataset(series, t_in=12, t_out=12, ratios=(1.0, 0.0, 0.0))
+    values, day, step, target_norm, target_raw = batch_arrays(ds.splits["train"][:4])
+    tracemalloc.start()
+    try:
+        loss = masked_mae_loss(forward_arrays(model, values, day, step), target_norm, target_raw != 0.0)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    floats_per_row = kept / 8 / (4 * model.unified.n_elements * 2)
+    assert floats_per_row <= 110, floats_per_row
+    backward(loss)
+    assert all(np.all(np.isfinite(p.grad)) for p in model.params())
 
 
 @pytest.mark.parametrize("position, shape", [
