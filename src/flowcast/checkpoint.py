@@ -3,18 +3,21 @@
 Layout, all little-endian:
   magic "FCST", version u32, header length u32,
   header:      UTF-8 JSON object with "config" (every ModelConfig field),
-               "epochs_completed", "graph_sha256", "tensors" as
-               [name, shape] pairs in payload order, and "schemes", one
-               {"label", "tau", "base_flats", "n_elements"} per partition
+               "state" (TrainState's int and float fields; best_val_mae may
+               be Infinity or NaN), "graph_sha256", "tensors" as [name,
+               shape] pairs in payload order, and "schemes", one {"label",
+               "tau", "base_flats", "n_elements"} per partition
   tensors:     each tensor's float64 data, in header order
   assignments: each scheme's n_elements subset ids as u32, in header order
 
 The tensors are every learnable parameter, then the model's
 (n_nodes, spe_modes) spectral coordinates under the reserved name
 "spe_coords", then, when known, the normalization statistics under the
-reserved "norm_stats." prefix. A load takes the coordinates as stored, so
-it runs no eigendecomposition and does not depend on how the host's
-LAPACK picks a basis of a repeated eigenvalue's eigenspace. A load checks
+reserved "norm_stats." prefix, then, once train() has run, the (2, P) Adam
+moments under "adam_moments" and the best-epoch parameters under the
+"best_params." prefix. A load takes the coordinates as stored, so it runs
+no eigendecomposition and does not depend on how the host's LAPACK picks
+a basis of a repeated eigenvalue's eigenspace. A load checks
 "graph_sha256" against its graph. A save writes "<path>.partial" and
 renames it over the target, so an interrupted save leaves the previous
 checkpoint intact; a save that raises removes "<path>.partial".
@@ -34,17 +37,20 @@ import numpy as np
 from .data import NormStats
 from .errors import ContractError, InputError, require_file
 from .files import atomic_write
-from .model import ForecastModel, ModelConfig, build_model, load_params
+from .model import ForecastModel, ModelConfig, TrainState, build_model, check_params, load_params
 from .partition import PartitionScheme
 from .stgraph import SpatialGraph
 
 MAGIC = b"FCST"
-VERSION = 4
+VERSION = 5
 _PREFIX = struct.Struct("<4sII")
 SPE_KEY = "spe_coords"
 NORM_PREFIX = "norm_stats."
+MOMENTS_KEY = "adam_moments"
+BEST_PREFIX = "best_params."
 GRAPH_KEY = "graph_sha256"
 _FIELD_TYPES = get_type_hints(ModelConfig)
+_STATE_TYPES = {k: t for k, t in get_type_hints(TrainState).items() if t in (int, float)}
 
 
 def _graph_digest(spatial: SpatialGraph) -> str:
@@ -63,7 +69,7 @@ def _typed(name: str, value, hint):
     if type(value) is int and float in kinds:
         return float(value)
     if type(value) not in kinds:
-        raise InputError(f"checkpoint config {name} must be {kinds[0].__name__}, got {value!r}")
+        raise ContractError(f"checkpoint {name} must be {kinds[0].__name__}, got {value!r}")
     return value
 
 
@@ -75,18 +81,22 @@ def _json_scalar(value):
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def save_checkpoint(model: ForecastModel, path, epochs_completed: int = 0) -> None:
-    """Serialize config, parameters, spectral coordinates, norm stats, and
-    both partitions."""
+def save_checkpoint(model: ForecastModel, path, state: TrainState | None = None) -> None:
+    """Serialize config, training state (a fresh one when None), parameters,
+    spectral coordinates, norm stats, and both partitions."""
+    state = TrainState() if state is None else state
     tensors = [(p.name, p.data) for p in model.params()]
     tensors.append((SPE_KEY, model.spe))
     if model.norm_stats is not None:
         tensors.append((NORM_PREFIX + "mean", model.norm_stats.mean))
         tensors.append((NORM_PREFIX + "std", model.norm_stats.std))
+    if state.moments is not None:
+        tensors.append((MOMENTS_KEY, state.moments))
+    tensors += [(BEST_PREFIX + name, array) for name, array in state.best_params.items()]
     schemes = (model.p1, model.p2)
     header = json.dumps({
         "config": asdict(model.config),
-        "epochs_completed": epochs_completed,
+        "state": {k: getattr(state, k) for k in _STATE_TYPES},
         GRAPH_KEY: _graph_digest(model.spatial),
         "tensors": [[name, list(array.shape)] for name, array in tensors],
         "schemes": [
@@ -103,15 +113,15 @@ def save_checkpoint(model: ForecastModel, path, epochs_completed: int = 0) -> No
             fh.write(scheme.assignment.astype("<u4"))
 
 
-def load_checkpoint(path, spatial: SpatialGraph) -> tuple[ForecastModel, int]:
+def load_checkpoint(path, spatial: SpatialGraph) -> tuple[ForecastModel, TrainState]:
     """Rebuild a model from a checkpoint and the spatial graph it used.
 
     A graph whose labels or adjacency differ from the saved one is
     rejected with InputError, as is a file without (n_nodes, spe_modes)
     spectral coordinates. The stored partitions and coordinates are
     reused as-is, so no eigendecomposition runs; the calendar encoding's
-    sizes come from the config. Returns the model and the completed epoch
-    counter.
+    sizes come from the config. Returns the model and the training state,
+    whose moments and snapshot must fit the model's parameters.
     """
     path = require_file(path, "checkpoint")
     blob = path.read_bytes()
@@ -134,10 +144,12 @@ def load_checkpoint(path, spatial: SpatialGraph) -> tuple[ForecastModel, int]:
                 "(node labels, edges or --symmetrize differ)"
             )
         stored = header["config"]
-        config = ModelConfig(**{k: _typed(k, stored[k], hint) for k, hint in _FIELD_TYPES.items()})
-        epochs_completed = _typed("epochs_completed", header["epochs_completed"], int)
-        if epochs_completed < 0:
-            raise InputError(f"{path}: epochs_completed must be at least 0, got {epochs_completed}")
+        config = ModelConfig(**{k: _typed(f"config {k}", stored[k], h) for k, h in _FIELD_TYPES.items()})
+        counters = header["state"]
+        state = TrainState(**{k: _typed(f"state {k}", counters[k], h) for k, h in _STATE_TYPES.items()})
+        for k, h in _STATE_TYPES.items():
+            if h is int and getattr(state, k) < 0:
+                raise ContractError(f"state {k} must be at least 0, got {getattr(state, k)}")
         shapes = [(name, tuple(shape)) for name, shape in header["tensors"]]
         metas = header["schemes"]
         if len(metas) != 2 or any(type(d) is not int or d < 0 for _, s in shapes for d in s):
@@ -176,8 +188,16 @@ def load_checkpoint(path, spatial: SpatialGraph) -> tuple[ForecastModel, int]:
     std = arrays.pop(NORM_PREFIX + "std", None)
     if mean is not None and std is not None:
         model.norm_stats = NormStats(mean=mean.copy(), std=std.copy())
+    moments = arrays.pop(MOMENTS_KEY, None)
+    best = {k: arrays.pop(k) for k in list(arrays) if k.startswith(BEST_PREFIX)}
     try:
         load_params(model, arrays)
+        if best:
+            check_params(model, best, BEST_PREFIX)
+        if moments is not None and moments.shape != (2, sum(p.data.size for p in model.params())):
+            raise ContractError(f"adam moments of shape {moments.shape} do not fit the parameters")
     except ContractError as exc:
         raise InputError(f"{path}: tensor block does not match the model: {exc}") from None
-    return model, epochs_completed
+    state.best_params = {k[len(BEST_PREFIX) :]: a.copy() for k, a in best.items()}
+    state.moments = None if moments is None else moments.copy()
+    return model, state

@@ -231,7 +231,7 @@ def _load_graph(cfg: RunConfig, checked: Collection[str] = ("spe_modes", "n_subs
 
 def _open_checkpoint(args: argparse.Namespace, path, resume: bool = False):
     """The graph and the checkpoint at path, with the run config that takes
-    the checkpoint's model settings; returns (cfg, spatial, model, epochs_completed).
+    the checkpoint's model settings; returns (cfg, spatial, model, state).
 
     Since those settings replace the rest, only node-bound ones given by
     file or flag are checked against the graph. A resume keeps the given
@@ -240,13 +240,13 @@ def _open_checkpoint(args: argparse.Namespace, path, resume: bool = False):
     given = _given(args)
     cfg = merge_config(given)
     spatial = _load_graph(cfg, given)
-    model, epochs_completed = load_checkpoint(path, spatial)
+    model, state = load_checkpoint(path, spatial)
     settings = _shared(model.config)
     if resume:
         settings["epochs"] = model.config.epochs = cfg.epochs
     elif model.norm_stats is None:
         raise InputError(f"checkpoint {path} has no normalization statistics; train it first")
-    return replace(cfg, **settings), spatial, model, epochs_completed
+    return replace(cfg, **settings), spatial, model, state
 
 
 def _load_series(cfg: RunConfig, spatial, model=None) -> TrafficSeries:
@@ -340,11 +340,11 @@ def _write_trace(path: Path, rows: list[TraceRow], append: bool) -> None:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    model, start_epoch = None, 0
+    model, state = None, None
     if args.resume:
-        cfg, spatial, model, start_epoch = _open_checkpoint(args, args.resume, resume=True)
-        if start_epoch >= cfg.epochs:
-            print(f"checkpoint already at epoch {start_epoch}; nothing to train")
+        cfg, spatial, model, state = _open_checkpoint(args, args.resume, resume=True)
+        if state.epoch >= cfg.epochs:
+            print(f"checkpoint already at epoch {state.epoch}; nothing to train")
             return 0
     else:
         cfg = merge_config(_given(args))
@@ -370,13 +370,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     def log(row: TraceRow) -> None:
         print(f"epoch {row.epoch}: train_loss {row.train_loss:.6f} val_mae {row.val_mae:.6f}")
 
-    result = train(model, dataset, start_epoch=start_epoch, log=log)
-    _write_trace(trace_path, result.trace, append)
+    state = train(model, dataset, state, log=log)
+    _write_trace(trace_path, state.trace, append)
 
-    save_checkpoint(model, out / "checkpoint.bin", epochs_completed=result.epochs_completed)
-    load_params(model, result.best_params)
-    save_checkpoint(model, out / "best.bin", epochs_completed=result.epochs_completed)
-    print(f"best val mae {result.best_val_mae:.6f} at epoch {result.best_epoch}")
+    save_checkpoint(model, out / "checkpoint.bin", state)
+    load_params(model, state.best_params)
+    save_checkpoint(model, out / "best.bin", state)
+    print(f"best val mae {state.best_val_mae:.6f} at epoch {state.best_epoch}")
     print(f"checkpoints written to {out}")
     return 0
 

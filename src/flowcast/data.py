@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -292,7 +292,6 @@ class Dataset:
     series: TrafficSeries
     stats: NormStats
     splits: dict[str, list[WindowSample]]
-    segments: dict[str, range] = field(default_factory=dict)
 
 
 def prepare_dataset(
@@ -313,7 +312,7 @@ def prepare_dataset(
         name: build_windows(series, normalized, seg, t_in, t_out)
         for name, seg in segments.items()
     }
-    return Dataset(series=series, stats=stats, splits=splits, segments=segments)
+    return Dataset(series=series, stats=stats, splits=splits)
 
 
 def batch_arrays(samples: list[WindowSample]):

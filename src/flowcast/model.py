@@ -25,7 +25,6 @@ from .data import Dataset, NormStats, WindowSample, batch_arrays
 from .embedding import DAYS_PER_WEEK, compute_spe, embed, init_embedding_params
 from .errors import ContractError, FlowcastError, NumericError
 from .optim import (
-    AdamState,
     adam_step,
     clip_global_norm,
     flatten_params,
@@ -449,30 +448,44 @@ class TraceRow:
 
 
 @dataclass
-class TrainResult:
-    trace: list[TraceRow]
-    best_val_mae: float
-    best_params: dict[str, np.ndarray]
-    best_epoch: int
-    epochs_completed: int
+class TrainState:
+    """Everything a run carries from one epoch to the next.
+
+    epoch is the last completed epoch. moments stacks Adam's first and
+    second moments over the flat parameter buffer in params() order,
+    shaped (2, P), and is None before the first step. best_params is the
+    snapshot of the best validation epoch, empty before the first epoch.
+    A checkpoint saves every field but trace, the rows of the epochs that
+    the last train() call ran.
+    """
+
+    epoch: int = 0
+    step_count: int = 0
+    moments: np.ndarray | None = None
+    best_val_mae: float = float("inf")
+    best_epoch: int = 0
+    best_params: dict[str, np.ndarray] = field(default_factory=dict)
+    trace: list[TraceRow] = field(default_factory=list)
 
 
 def train(
     model: ForecastModel,
     dataset: Dataset,
-    start_epoch: int = 0,
+    state: TrainState | None = None,
     log=None,
-) -> TrainResult:
+) -> TrainState:
     """Mini-batch Adam on masked MAE with per-epoch validation.
 
-    Deterministic for a fixed seed: epoch e shuffles with a generator
-    seeded by (seed, e), so the window order never depends on where a
-    run started. Resuming rebuilds optimizer moments from zero, since
-    checkpoints carry parameters only. The best validation MAE snapshot
-    is retained. An epoch whose validation report scores no point, because
-    the split is empty or its truth is all zero, records NaN validation
-    columns and takes its parameters as the snapshot, so the final
-    parameters are the snapshot and best_val_mae is NaN.
+    Runs epochs state.epoch + 1 through config.epochs, updating state in
+    place (a fresh one when None) and returning it. Deterministic for a
+    fixed seed: epoch e shuffles with a generator seeded by (seed, e), so
+    the window order never depends on where a run started, and a run
+    continued from a saved state matches one that never stopped, bit for
+    bit. The best validation MAE snapshot is retained. An epoch whose
+    validation report scores no point, because the split is empty or its
+    truth is all zero, records NaN validation columns and takes its
+    parameters as the snapshot, so the final parameters are the snapshot
+    and best_val_mae is NaN.
     """
     config = model.config
     train_windows = dataset.splits["train"]
@@ -483,13 +496,14 @@ def train(
 
     params = model.params()
     data, grad = flatten_params(params)
-    state = AdamState(learning_rate=config.learning_rate)
-    trace: list[TraceRow] = []
-    best_val = float("inf")
-    best_params = {p.name: p.data.copy() for p in params}
-    best_epoch = start_epoch
+    state = TrainState() if state is None else state
+    state.trace = []
+    if state.moments is None:
+        state.moments = np.zeros((2, data.size))
+    if not state.best_params:
+        state.best_params = {p.name: p.data.copy() for p in params}
 
-    for epoch in range(start_epoch + 1, config.epochs + 1):
+    for epoch in range(state.epoch + 1, config.epochs + 1):
         rng = np.random.default_rng((config.seed, epoch))
         order = rng.permutation(len(train_windows))
         total_loss = 0.0
@@ -509,7 +523,8 @@ def train(
             backward(loss)
             if config.clip_norm > 0.0:
                 clip_global_norm(grad, config.clip_norm)
-            adam_step(state, data, grad)
+            adam_step(state.moments, state.step_count + 1, data, grad, config.learning_rate)
+            state.step_count += 1
             total_loss += loss_value * len(batch)
 
         train_loss = total_loss / len(train_windows)
@@ -518,30 +533,22 @@ def train(
         else:
             report = metrics_from_arrays(np.empty(0), np.empty(0))
         row = TraceRow(epoch, train_loss, report.mae, report.mape_percent, report.rmse)
-        if report.evaluated_points == 0 or report.mae < best_val:
-            best_val = report.mae
-            best_params = {p.name: p.data.copy() for p in params}
-            best_epoch = epoch
-        trace.append(row)
+        if report.evaluated_points == 0 or report.mae < state.best_val_mae:
+            state.best_val_mae = report.mae
+            state.best_params = {p.name: p.data.copy() for p in params}
+            state.best_epoch = epoch
+        state.epoch = epoch
+        state.trace.append(row)
         if log is not None:
             log(row)
 
-    return TrainResult(
-        trace=trace,
-        best_val_mae=best_val,
-        best_params=best_params,
-        best_epoch=best_epoch,
-        epochs_completed=config.epochs,
-    )
+    return state
 
 
-def load_params(model: ForecastModel, table: dict[str, np.ndarray]) -> None:
-    """Copy arrays into the model's parameters by name.
-
-    The table must name every parameter, each once with its shape; nothing
-    is copied unless it does.
-    """
-    own = model.param_dict()
+def check_params(model: ForecastModel, table: dict[str, np.ndarray], prefix: str = "") -> dict[str, Param]:
+    """The model's parameters by prefix + name, once table names every one
+    of them, each once with its shape; ContractError otherwise."""
+    own = {prefix + name: p for name, p in model.param_dict().items()}
     for name, array in table.items():
         if name not in own:
             raise ContractError(f"unknown parameter {name}")
@@ -552,5 +559,12 @@ def load_params(model: ForecastModel, table: dict[str, np.ndarray]) -> None:
     missing = [name for name in own if name not in table]
     if missing:
         raise ContractError("missing parameters: " + ", ".join(missing))
+    return own
+
+
+def load_params(model: ForecastModel, table: dict[str, np.ndarray]) -> None:
+    """Copy arrays into the model's parameters by name; nothing is copied
+    unless check_params accepts the table."""
+    own = check_params(model, table)
     for name, array in table.items():
         own[name].data[...] = array

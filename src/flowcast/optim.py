@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -14,16 +13,6 @@ from .tensor import Param, Tensor, backward
 BETA1 = 0.9
 BETA2 = 0.999
 EPSILON = 1e-8
-
-
-@dataclass
-class AdamState:
-    """Adam moments over one flat parameter buffer, allocated on first use."""
-
-    learning_rate: float
-    step_count: int = 0
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
 
 
 def flatten_params(params: Sequence[Param]) -> tuple[np.ndarray, np.ndarray]:
@@ -57,20 +46,18 @@ def clip_global_norm(grad: np.ndarray, max_norm: float) -> float:
     return norm
 
 
-def adam_step(state: AdamState, data: np.ndarray, grad: np.ndarray) -> None:
-    """One Adam update with bias correction over a whole parameter buffer."""
-    if state.m is None:
-        state.m, state.v = np.zeros_like(data), np.zeros_like(data)
-    if state.m.shape != data.shape:
-        raise ContractError(f"adam moments of shape {state.m.shape} do not match buffer {data.shape}")
-    state.step_count += 1
-    t = state.step_count
-    m, v = state.m, state.v
+def adam_step(moments: np.ndarray, step: int, data: np.ndarray, grad: np.ndarray, lr: float) -> None:
+    """Adam update number step (from 1), with bias correction, over a whole
+    parameter buffer; moments stacks its first and second moments, shaped
+    (2, data.size), and is updated in place."""
+    if moments.shape != (2,) + data.shape:
+        raise ContractError(f"adam moments of shape {moments.shape} do not match buffer {data.shape}")
+    m, v = moments
     m[...] = BETA1 * m + (1.0 - BETA1) * grad
     v[...] = BETA2 * v + (1.0 - BETA2) * (grad * grad)
-    m_hat = m / (1.0 - BETA1**t)
-    v_hat = v / (1.0 - BETA2**t)
-    data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
+    m_hat = m / (1.0 - BETA1**step)
+    v_hat = v / (1.0 - BETA2**step)
+    data -= lr * m_hat / (np.sqrt(v_hat) + EPSILON)
 
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], name: str) -> Param:

@@ -39,10 +39,10 @@ def test_tracer_covers_every_binding(tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             built = model.build_model(config, spatial)
-            model.train(built, dataset)
+            state = model.train(built, dataset)
             model.evaluate(built, dataset.splits["test"], dataset.stats)
             path = tmp_path / "model.bin"
-            checkpoint.save_checkpoint(built, path, epochs_completed=1)
+            checkpoint.save_checkpoint(built, path, state)
             checkpoint.load_checkpoint(path, spatial)
         tracer.check_coverage()
     finally:

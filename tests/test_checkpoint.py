@@ -14,7 +14,7 @@ from flowcast.checkpoint import SPE_KEY, _graph_digest, load_checkpoint, save_ch
 from flowcast.data import prepare_dataset, ring_edge_lines, synthetic_series
 from flowcast.embedding import SpePack
 from flowcast.errors import InputError
-from flowcast.model import ModelConfig, build_model, forward_arrays, train
+from flowcast.model import ModelConfig, TrainState, build_model, forward_arrays, train
 from flowcast.stgraph import load_spatial_graph
 
 
@@ -75,13 +75,13 @@ def test_round_trip_bit_exact(tmp_path):
     graph, model = _fixture()
     series = synthetic_series(4, 60, interval_min=60, seed=2, noise=1.0)
     ds = prepare_dataset(series, 4, 2)
-    train(model, ds)
+    state = train(model, ds)
 
     path = tmp_path / "model.bin"
-    save_checkpoint(model, path, epochs_completed=1)
-    loaded, epochs_completed = load_checkpoint(path, graph)
+    save_checkpoint(model, path, state)
+    loaded, loaded_state = load_checkpoint(path, graph)
 
-    assert epochs_completed == 1
+    assert loaded_state.epoch == 1
     assert loaded.config == model.config
     for pa, pb in zip(model.params(), loaded.params()):
         assert pa.name == pb.name
@@ -112,8 +112,8 @@ def test_round_trip_without_norm_stats(tmp_path):
     assert model.norm_stats is None
     path = tmp_path / "fresh.bin"
     save_checkpoint(model, path)
-    loaded, epochs_completed = load_checkpoint(path, graph)
-    assert epochs_completed == 0
+    loaded, state = load_checkpoint(path, graph)
+    assert state.epoch == 0
     assert loaded.norm_stats is None
 
 
@@ -154,7 +154,7 @@ def test_unsupported_version(tmp_path):
     # 1 is the per-head layout with key biases, 2 the per-field binary
     # layout before the JSON header, 3 the layout without the spectral
     # coordinates; 99 is from the future
-    for version in (1, 2, 3, 99):
+    for version in (1, 2, 3, 4, 99):
         blob[4] = version
         bad = tmp_path / f"v{version}.bin"
         bad.write_bytes(bytes(blob))
@@ -288,27 +288,97 @@ def test_misshapen_tensor_is_input_error(tmp_path):
         load_checkpoint(path, graph)
 
 
-def test_malformed_config_value_is_input_error(tmp_path):
-    graph, model = _fixture()
-    path = tmp_path / "model.bin"
-    save_checkpoint(model, path)
-    blob = path.read_bytes()
-    cases = [
-        (("config", "dim"), 8.0, "dim must be int, got 8.0"),
-        (("epochs_completed",), "one", "epochs_completed must be int, got 'one'"),
-        (("epochs_completed",), -3, "edited.bin: epochs_completed must be at least 0, got -3"),
-        (("config", "learning_rate"), "fast", "learning_rate must be float, got 'fast'"),
-    ]
-    for keys, value, message in cases:
+def _header_edit(keys, value):
+    """An edit of a checkpoint blob that sets the header entry at keys."""
+
+    def edit(blob):
         header = json.loads(blob[12 : _header_end(blob)])
         target = header
         for key in keys[:-1]:
             target = target[key]
         target[keys[-1]] = value
+        return _with_header(blob, json.dumps(header).encode())
+
+    return edit
+
+
+def test_malformed_config_value_is_input_error(tmp_path):
+    graph, model = _fixture()
+    series = synthetic_series(4, 60, interval_min=60, seed=2, noise=1.0)
+    path = tmp_path / "model.bin"
+    save_checkpoint(model, path, train(model, prepare_dataset(series, 4, 2)))
+    blob = path.read_bytes()
+    names = [name for name, _ in json.loads(blob[12 : _header_end(blob)])["tensors"]]
+    moments, first = names.index("adam_moments"), model.params()[0]
+    snapshot = names.index("best_params." + first.name)
+    size = sum(p.data.size for p in model.params())
+    cases = [
+        (_header_edit(("config", "dim"), 8.0), "edited.bin: checkpoint config dim must be int, got 8.0"),
+        (_header_edit(("config", "learning_rate"), "fast"), "learning_rate must be float, got 'fast'"),
+        (_header_edit(("state", "epoch"), "one"), "edited.bin: checkpoint state epoch must be int, got 'one'"),
+        (_header_edit(("state", "best_val_mae"), [1.0]), "edited.bin: .*best_val_mae must be float"),
+        (_header_edit(("state", "epoch"), -3), "edited.bin: state epoch must be at least 0, got -3$"),
+        (_header_edit(("state", "step_count"), -1), "edited.bin: state step_count must be at least 0"),
+        (_header_edit(("state", "best_epoch"), -2), "edited.bin: state best_epoch must be at least 0"),
+        (
+            _header_edit(("tensors", moments, 1), [1, 2 * size]),
+            rf"edited.bin: .*adam moments of shape \(1, {2 * size}\) do not fit the parameters$",
+        ),
+        (
+            _header_edit(("tensors", snapshot, 1), [first.data.size]),
+            f"edited.bin: .*parameter best_params.{first.name} has shape",
+        ),
+        (
+            lambda blob: _without_tensor(blob, "best_params." + first.name),
+            f"edited.bin: .*missing parameters: best_params.{first.name}$",
+        ),
+    ]
+    for edit, message in cases:
         edited = tmp_path / "edited.bin"
-        edited.write_bytes(_with_header(blob, json.dumps(header).encode()))
+        edited.write_bytes(edit(blob))
         with pytest.raises(InputError, match=message):
             load_checkpoint(edited, graph)
+
+
+def _same_state(a: TrainState, b: TrainState):
+    assert (a.epoch, a.step_count, a.best_epoch) == (b.epoch, b.step_count, b.best_epoch)
+    assert struct.pack("<d", a.best_val_mae) == struct.pack("<d", b.best_val_mae)
+    assert (a.moments is None) == (b.moments is None)
+    if a.moments is not None:
+        assert (a.moments.shape, a.moments.tobytes()) == (b.moments.shape, b.moments.tobytes())
+    assert list(a.best_params) == list(b.best_params)
+    for name, array in a.best_params.items():
+        assert (array.shape, array.tobytes()) == (b.best_params[name].shape, b.best_params[name].tobytes())
+
+
+@pytest.mark.parametrize(
+    "epochs, ratios, best",
+    [(1, (7.0, 1.0, 2.0), math.isfinite), (0, (7.0, 1.0, 2.0), math.isinf), (2, (8.0, 0.0, 2.0), math.isnan)],
+    ids=["trained", "inf-before-any-step", "nan-empty-validation"],
+)
+def test_train_state_round_trips_bit_exact(tmp_path, epochs, ratios, best):
+    graph, model = _fixture(epochs=epochs)
+    series = synthetic_series(4, 60, interval_min=60, seed=2, noise=1.0)
+    state = train(model, prepare_dataset(series, 4, 2, ratios=ratios))
+    assert best(state.best_val_mae) and (state.step_count == 0) == (epochs == 0)
+    path = tmp_path / "model.bin"
+    save_checkpoint(model, path, state)
+    loaded, loaded_state = load_checkpoint(path, graph)
+    _same_state(state, loaded_state)
+    assert loaded_state.trace == []
+    save_checkpoint(loaded, tmp_path / "again.bin", loaded_state)
+    assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+
+def test_save_without_a_state_stores_a_fresh_one_and_no_state_tensors(tmp_path):
+    graph, model = _fixture()
+    path = tmp_path / "model.bin"
+    save_checkpoint(model, path)
+    blob = path.read_bytes()
+    names = [name for name, _ in json.loads(blob[12 : _header_end(blob)])["tensors"]]
+    assert names == [p.name for p in model.params()] + [SPE_KEY]
+    _, state = load_checkpoint(path, graph)
+    _same_state(state, TrainState())
 
 
 def test_header_that_is_not_json_is_input_error(tmp_path):
@@ -374,18 +444,18 @@ class _FailingFile:
 def test_failed_write_leaves_previous_checkpoint_intact(tmp_path, monkeypatch):
     graph, model = _fixture()
     path = tmp_path / "checkpoint.bin"
-    save_checkpoint(model, path, epochs_completed=1)
+    save_checkpoint(model, path, TrainState(epoch=1))
     before = path.read_bytes()
     saved = model.params()[0].data.copy()
 
     model.params()[0].data += 1.0
     monkeypatch.setattr(files, "open", _FailingFile, raising=False)
     with pytest.raises(OSError, match="No space left"):
-        save_checkpoint(model, path, epochs_completed=2)
+        save_checkpoint(model, path, TrainState(epoch=2))
     monkeypatch.undo()
 
     assert path.read_bytes() == before
     assert not (tmp_path / "checkpoint.bin.partial").exists()
-    loaded, epochs_completed = load_checkpoint(path, graph)
-    assert epochs_completed == 1
+    loaded, state = load_checkpoint(path, graph)
+    assert state.epoch == 1
     np.testing.assert_array_equal(loaded.params()[0].data, saved)

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 from dataclasses import fields
 from typing import get_type_hints
 
@@ -160,6 +161,48 @@ def test_train_resume_appends_trace(workspace, capsys):
     )
     assert code == 0
     assert "nothing to train" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("ignore:shifted cover needs tau:UserWarning")
+def test_resume_continues_the_run_bit_for_bit(tmp_path):
+    # at this learning rate the best validation epoch is 2, before the
+    # resume point, so best.bin must keep that epoch across the resume
+    write_edge_list(ring_edge_lines(6), tmp_path / "edges.txt")
+    write_signal_csv(synthetic_series(6, 240, interval_min=60, seed=3, noise=1.0), tmp_path / "signal.csv")
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        f"graph={tmp_path / 'edges.txt'}\nsignal={tmp_path / 'signal.csv'}\ninterval_min=60\n"
+        "t_in=4\nt_out=2\ndim=8\nspe_modes=2\nn_blocks=2\nn_heads=2\nn_subsets=2\nseed=3\n"
+        "learning_rate=0.2\nbatch_size=8\nepochs=4\n"
+    )
+    whole, split = tmp_path / "whole", tmp_path / "split"
+    argv = ["train", "--config", str(config), "--out-dir"]
+    assert main([*argv, str(whole)]) == 0
+    assert main([*argv, str(split), "--epochs", "2"]) == 0
+    assert main([*argv, str(split), "--resume", str(split / "checkpoint.bin")]) == 0
+    for name in ("trace.csv", "checkpoint.bin", "best.bin"):
+        assert (split / name).read_bytes() == (whole / name).read_bytes(), name
+    spatial = load_spatial_graph(tmp_path / "edges.txt", symmetrize=True)
+    _, state = load_checkpoint(whole / "best.bin", spatial)
+    assert (state.epoch, state.best_epoch) == (4, 2)
+
+
+def test_resume_refuses_a_negative_epoch_counter(workspace, capsys):
+    tmp, config, out = workspace
+    assert main(["train", "--config", str(config), "--epochs", "1"]) == 0
+    blob = (out / "checkpoint.bin").read_bytes()
+    end = 12 + int.from_bytes(blob[8:12], "little")
+    header = json.loads(blob[12:end])
+    header["state"]["epoch"] = -1
+    raw = json.dumps(header).encode()
+    bad = tmp / "bad.bin"
+    bad.write_bytes(blob[:8] + len(raw).to_bytes(4, "little") + raw + blob[end:])
+    capsys.readouterr()
+    argv = ["train", "--config", str(config), "--resume", str(bad), "--out-dir", str(tmp / "refused")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[input]: {bad}: state epoch must be at least 0, got -1"), err
+    assert not (tmp / "refused").exists()
 
 
 def test_failed_trace_append_leaves_the_previous_trace_intact(workspace, monkeypatch):

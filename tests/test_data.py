@@ -321,7 +321,7 @@ def test_prepare_dataset_fits_stats_on_train_only():
     assert len(ds.splits["train"]) == 70 - 6 + 1
     assert len(ds.splits["val"]) == 10 - 6 + 1
     assert len(ds.splits["test"]) == 20 - 6 + 1
-    assert ds.segments["train"] == range(0, 70)
+    assert split_series(series)["train"] == range(0, 70)
 
 
 def test_prepare_dataset_empty_train():

@@ -634,7 +634,7 @@ def test_train_two_epochs_and_trace():
     ds = _dataset()
     result = train(model, ds)
     assert [row.epoch for row in result.trace] == [1, 2]
-    assert result.epochs_completed == 2
+    assert result.epoch == 2
     assert model.norm_stats is ds.stats
     for row in result.trace:
         assert np.isfinite(row.train_loss)
@@ -733,7 +733,7 @@ def test_train_zero_epochs_keeps_initial_params():
     initial = {p.name: p.data.copy() for p in model.params()}
     result = train(model, _dataset())
     assert result.trace == []
-    assert result.epochs_completed == 0
+    assert result.epoch == 0
     for p in model.params():
         np.testing.assert_array_equal(p.data, initial[p.name])
 
@@ -760,8 +760,29 @@ def test_train_resume_continues_epoch_numbers():
     first = train(model, ds)
     assert [row.epoch for row in first.trace] == [1, 2]
     model.config.epochs = 4
-    second = train(model, ds, start_epoch=2)
+    second = train(model, ds, first)
     assert [row.epoch for row in second.trace] == [3, 4]
+
+
+def test_train_continued_from_a_state_matches_an_uninterrupted_run():
+    # the state carries the moments, step count and best snapshot, so two
+    # epochs and then two more are four epochs, bit for bit
+    ds = _dataset(80)
+    uninterrupted = _build(epochs=4, learning_rate=0.05)
+    whole = train(uninterrupted, ds)
+    resumed = _build(epochs=2, learning_rate=0.05)
+    halfway = train(resumed, ds)
+    assert (halfway.epoch, 2 * halfway.step_count) == (2, whole.step_count)
+    resumed.config.epochs = 4
+    rest = train(resumed, ds, halfway)
+    assert rest is halfway and [row.epoch for row in rest.trace] == [3, 4]
+    assert [r.to_csv() for r in rest.trace] == [r.to_csv() for r in whole.trace[2:]]
+    assert (rest.epoch, rest.step_count) == (whole.epoch, whole.step_count)
+    assert rest.moments.tobytes() == whole.moments.tobytes()
+    assert (rest.best_epoch, repr(rest.best_val_mae)) == (whole.best_epoch, repr(whole.best_val_mae))
+    for p, q in zip(resumed.params(), uninterrupted.params()):
+        assert p.data.tobytes() == q.data.tobytes()
+        assert rest.best_params[p.name].tobytes() == whole.best_params[q.name].tobytes()
 
 
 def test_train_decreases_loss_on_easy_series():

@@ -5,7 +5,6 @@ import pytest
 
 from flowcast.errors import ContractError
 from flowcast.optim import (
-    AdamState,
     adam_step,
     clip_global_norm,
     finite_diff_check,
@@ -41,15 +40,13 @@ def test_first_adam_step_moves_by_learning_rate():
     # With bias correction the very first update is lr * g / (|g| + eps).
     p = Param(np.array([10.0]), "p")
     p.grad[...] = 3.0
-    state = AdamState(learning_rate=0.01)
-    adam_step(state, p.data, p.grad)
+    adam_step(np.zeros((2, 1)), 1, p.data, p.grad, 0.01)
     assert abs((10.0 - float(p.data[0])) - 0.01) < 1e-9
 
 
 def test_adam_zero_grad_leaves_param_unchanged():
     p = Param(np.array([1.0, 2.0]), "p")
-    state = AdamState(learning_rate=0.5)
-    adam_step(state, p.data, p.grad)
+    adam_step(np.zeros((2, 2)), 1, p.data, p.grad, 0.5)
     assert np.array_equal(p.data, [1.0, 2.0])
 
 
@@ -62,13 +59,13 @@ def test_adam_matches_scalar_reference_over_fifty_steps():
     for params in (alone, shared):
         data, grad = flatten_params(params)
         start = data.copy()
-        state = AdamState(learning_rate=0.1)
+        moments = np.zeros((2, data.size))
         seen = []
-        for _ in range(50):
+        for step in range(1, 51):
             zero_gradients(grad)
             for p in params:
                 backward(tensor_sum(mul(p, p)))
-            adam_step(state, data, grad)
+            adam_step(moments, step, data, grad, 0.1)
             seen.append(data.copy())
         for k, x0 in enumerate(start):
             expected = adam_reference(lambda x: 2.0 * x, float(x0), 0.1, 50)
@@ -76,25 +73,22 @@ def test_adam_matches_scalar_reference_over_fifty_steps():
 
 
 def test_adam_state_persists_per_name():
-    # the moments live in the state, one entry per buffer coordinate
+    # the moments live in the (2, P) array, one column per buffer coordinate
     p = Param(np.array([0.0, 0.0]), "p")
-    state = AdamState(learning_rate=0.1)
+    moments = np.zeros((2, 2))
     p.grad[...] = [1.0, -2.0]
-    adam_step(state, p.data, p.grad)
-    assert state.step_count == 1
-    assert np.allclose(state.m, [0.1, -0.2], rtol=0, atol=1e-15)
-    assert np.allclose(state.v, [0.001, 0.004], rtol=0, atol=1e-15)
-    m = state.m
-    adam_step(state, p.data, p.grad)
-    assert state.step_count == 2 and state.m is m
-    assert np.allclose(state.m, [0.19, -0.38], rtol=0, atol=1e-15)
+    adam_step(moments, 1, p.data, p.grad, 0.1)
+    assert np.allclose(moments[0], [0.1, -0.2], rtol=0, atol=1e-15)
+    assert np.allclose(moments[1], [0.001, 0.004], rtol=0, atol=1e-15)
+    adam_step(moments, 2, p.data, p.grad, 0.1)
+    assert np.allclose(moments[0], [0.19, -0.38], rtol=0, atol=1e-15)
 
 
 def test_adam_slot_shape_mismatch_raises():
-    state = AdamState(learning_rate=0.1, m=np.zeros(2), v=np.zeros(2))
+    moments, data = np.zeros((2, 2)), np.zeros(3)
     with pytest.raises(ContractError):
-        adam_step(state, np.zeros(3), np.zeros(3))
-    assert state.step_count == 0
+        adam_step(moments, 1, data, np.ones(3), 0.1)
+    assert not moments.any() and not data.any()
 
 
 def _two_params_with_grads(ga, gb):
