@@ -108,9 +108,7 @@ def subset_attention(x: Tensor, params: AttentionParams, scheme: PartitionScheme
     op refuses rows that are not (..., n_elements, D), since the subsets'
     ranges must tile them.
     """
-    ends = np.cumsum(scheme.sizes).tolist()
-    bounds = list(zip([0] + ends[:-1], ends))
-    return ranged_self_attention(x, params, bounds, scheme.order, scheme.inverse)
+    return ranged_self_attention(x, params, scheme.bounds, scheme.order, scheme.inverse)
 
 
 def attention_weights(elements: Tensor, params: AttentionParams) -> Tensor:

@@ -166,11 +166,8 @@ def load_checkpoint(path, spatial: SpatialGraph) -> tuple[ForecastModel, TrainSt
             assignment = np.frombuffer(blob, "<u4", meta["n_elements"], offset).astype(np.int64)
             offset += 4 * assignment.size
             schemes.append(PartitionScheme(
-                label=meta["label"],
-                n_elements=meta["n_elements"],
-                tau=meta["tau"],
-                base_flats=meta["base_flats"],
-                assignment=assignment,
+                label=meta["label"], n_elements=meta["n_elements"], tau=meta["tau"],
+                base_flats=meta["base_flats"], assignment=assignment,
             ))
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise InputError(f"{path}: malformed checkpoint header ({exc!r})") from None

@@ -375,7 +375,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     save_checkpoint(model, out / "checkpoint.bin", state)
     load_params(model, state.best_params)
-    save_checkpoint(model, out / "best.bin", state)
+    save_checkpoint(model, out / "best.bin")
     print(f"best val mae {state.best_val_mae:.6f} at epoch {state.best_epoch}")
     print(f"checkpoints written to {out}")
     return 0

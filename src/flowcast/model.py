@@ -150,15 +150,16 @@ def build_partitions(
     unified: UnifiedGraph, spe_coords: np.ndarray, n_subsets: int, seed: int
 ) -> tuple[PartitionScheme, PartitionScheme]:
     """P1 around base nodes chosen on the SPE coordinates, with tau
-    calibrated for them, and P2 around the same bases shifted. The bases'
-    distance stack and its column minima are taken once for both
-    calibration and P1."""
+    calibrated for them, and P2 around the same bases shifted, carrying
+    shift_bases' notes. The bases' distance stack and its column minima
+    are taken once for both calibration and P1."""
     flats = make_base_set(unified, spe_coords, n_subsets, seed)
     stack = unified.distance_rows(flats)
     best = min_distances(stack)
     tau = calibrate_tau(unified, best)
     p1 = build_p1(unified, flats, stack, best, tau)
-    return p1, build_p2(unified, shift_bases(unified, flats, tau), tau)
+    shifted, notes = shift_bases(unified, flats, tau)
+    return p1, build_p2(unified, shifted, tau, notes)
 
 
 def build_model(

@@ -12,7 +12,6 @@ so information can cross the primary boundaries on the next pass.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,8 +156,11 @@ class PartitionScheme:
     [0, l), no subset is empty, and each subset holds its own base
     element. It also lays the cover out subset-major once: order lists
     the elements subset by subset, each subset in ascending flat order;
-    inverse is its inverse permutation; sizes counts each subset; and
-    subsets splits order into the l member lists.
+    inverse is its inverse permutation; sizes counts each subset; bounds
+    holds each subset's [start, stop) range of order; and subsets splits
+    order into the l member lists. notes are shift_bases' notes on how a
+    shifted scheme's bases were placed, which partition_report reads; a
+    checkpoint does not store them, so a loaded scheme has none.
     """
 
     label: str
@@ -166,9 +168,11 @@ class PartitionScheme:
     tau: int
     base_flats: list[int]
     assignment: np.ndarray
+    notes: tuple[str, ...] = ()
     order: np.ndarray = field(init=False, repr=False)
     inverse: np.ndarray = field(init=False, repr=False)
     sizes: list[int] = field(init=False)
+    bounds: list[tuple[int, int]] = field(init=False, repr=False)
     subsets: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -192,7 +196,9 @@ class PartitionScheme:
         self.inverse = np.empty_like(self.order)
         self.inverse[self.order] = np.arange(self.n_elements)
         self.sizes = sizes.tolist()
-        self.subsets = np.split(self.order, np.cumsum(sizes)[:-1])
+        ends = np.cumsum(sizes).tolist()
+        self.bounds = list(zip([0] + ends[:-1], ends))
+        self.subsets = [self.order[start:stop] for start, stop in self.bounds]
 
     @property
     def n_subsets(self) -> int:
@@ -209,6 +215,7 @@ def _assign(
     base_flats: list[int],
     tau: int,
     label: str,
+    notes: tuple[str, ...] = (),
 ) -> PartitionScheme:
     """Nearest-base assignment over an (l, N * T) distance stack and its
     min_distances best.
@@ -249,11 +256,8 @@ def _assign(
         assignment[tied] = picks
 
     return PartitionScheme(
-        label=label,
-        n_elements=graph.n_elements,
-        tau=tau,
-        base_flats=base_flats,
-        assignment=assignment,
+        label=label, n_elements=graph.n_elements, tau=tau, base_flats=base_flats,
+        assignment=assignment, notes=notes,
     )
 
 
@@ -292,11 +296,12 @@ def _two_colour(nearest_peer: list[int | None]) -> list[bool]:
     return flag
 
 
-def shift_bases(graph: UnifiedGraph, flats: list[int], tau: int) -> list[int]:
+def shift_bases(graph: UnifiedGraph, flats: list[int], tau: int) -> tuple[list[int], tuple[str, ...]]:
     """Displace each base element in space toward its nearest peer and in time.
 
-    Takes and returns flat ids, one per base, in base order; the input list
-    is left as it was.
+    Takes flat ids, one per base, and returns (shifted, notes): the shifted
+    flat ids in base order, and in base order a note for each base that
+    could not move or that collided. The input list is left as it was.
 
     Space: each base walks min(floor(tau / 2), floor(d / 2)) hops, where d
     is the spatial hop count from the base to its nearest other base, along
@@ -320,10 +325,10 @@ def shift_bases(graph: UnifiedGraph, flats: list[int], tau: int) -> list[int]:
     With a single base, or for a base that cannot reach any other, the
     base stays put in space and time. A shifted base whose node another
     shifted base already took backs off along its walked path, so the
-    shifted nodes stay distinct.
+    shifted nodes stay distinct; its note names the node it took.
     """
     if len(flats) == 1:
-        return list(flats)
+        return list(flats), ()
 
     spatial = graph.spatial
     n = graph.n_nodes
@@ -345,11 +350,12 @@ def shift_bases(graph: UnifiedGraph, flats: list[int], tau: int) -> list[int]:
     later = _two_colour([None if peer is None else peer[1] for peer in nearest])
     half = graph.t_steps // 2
     shifted: list[int] = []
+    notes: list[str] = []
     used: set[int] = set()
     for p, b in enumerate(nodes):
         time = flats[p] // n
         if nearest[p] is None:
-            warnings.warn(f"base {b} cannot reach any other base; left unshifted")
+            notes.append(f"base {b} cannot reach any other base; left unshifted")
             target_path = [b]
         else:
             d_near, qi = nearest[p]
@@ -377,28 +383,25 @@ def shift_bases(graph: UnifiedGraph, flats: list[int], tau: int) -> list[int]:
             )
             if landing is None:
                 landing = next(i for i in range(spatial.n_nodes) if i not in used)
-            warnings.warn(
-                f"shifted base for subset {p} collided; backed off to node {landing}"
-            )
+            notes.append(f"shifted base for subset {p} collided; backed off to node {landing}")
         used.add(landing)
         shifted.append(time * n + landing)
-    return shifted
+    return shifted, tuple(notes)
 
 
-def build_p2(graph: UnifiedGraph, flats: list[int], tau: int) -> PartitionScheme:
-    """Partition around the shifted base elements flats.
+def build_p2(graph: UnifiedGraph, flats: list[int], tau: int, notes: tuple[str, ...] = ()) -> PartitionScheme:
+    """Partition around the shifted base elements flats, carrying
+    shift_bases' notes on how they were placed.
 
     The primary radius tau is kept as a floor; if the shifted bases fail
     to cover every element at that radius, the radius is recalibrated
-    upward for this scheme only, with a warning.
+    upward for this scheme only. The scheme's tau records it, and
+    partition_report notes a shifted radius above the primary one.
     """
     stack = graph.distance_rows(flats)
     best = min_distances(stack)
-    needed = _cover_radius(graph, best, "P2: ", "shifted base")
-    if needed > tau:
-        warnings.warn(f"shifted cover needs tau={needed}, recalibrated up from {tau}")
-        tau = needed
-    return _assign(graph, stack, best, flats, tau, "P2")
+    tau = max(_cover_radius(graph, best, "P2: ", "shifted base"), tau)
+    return _assign(graph, stack, best, flats, tau, "P2", notes)
 
 
 # ---------------------------------------------------------------------------
@@ -440,14 +443,16 @@ def _size_ratio(sizes: list[int]) -> float:
 
 
 def partition_report(p1: PartitionScheme, p2: PartitionScheme) -> PartitionReport:
-    """Size balance and overlap diagnostics for a partition pair."""
+    """Size balance and overlap diagnostics for a partition pair. Its
+    warnings are p2's notes, then size ratios above SIZE_RATIO_WARN,
+    overlaps outside OVERLAP_BAND and a shifted radius above the primary."""
     if p1.n_elements != p2.n_elements or p1.n_subsets != p2.n_subsets:
         raise ContractError("partition pair does not describe the same element set")
     # subset p's overlap counts the elements that both schemes put in p
     shared = p1.assignment[p1.assignment == p2.assignment]
     overlap = (np.bincount(shared, minlength=p1.n_subsets) / p1.sizes).tolist()
 
-    notes: list[str] = []
+    notes = list(p2.notes)
     ratio1, ratio2 = _size_ratio(p1.sizes), _size_ratio(p2.sizes)
     if ratio1 > SIZE_RATIO_WARN:
         notes.append(f"primary size ratio {ratio1:.2f} exceeds {SIZE_RATIO_WARN}")

@@ -624,8 +624,8 @@ def ranged_self_attention(
     buffer. Each window's terms of the w_out, query bias and packed map
     gradients go into buffers over the first leading axis, summed in
     window order after the loop as an unchunked backward sums them, and
-    its input gradient into one array shaped as x; a call of one chunk
-    computes them directly. So every gradient is the same bits at any
+    its input gradient into one array shaped as x; unbatched input is one
+    chunk, all of it. So every gradient is the same bits at any
     _BACKWARD_ROWS. The backward reads the parameters as they are when it
     runs, so they must not change between the forward and the backward.
     Both range loops split a range's (..., H, m, m) weights along the
@@ -661,12 +661,12 @@ def ranged_self_attention(
         stack = _operand_maps(params)
         packed = _packed_maps(params) if x.requires_grad else None
 
-        def chunk_grads(at, out_w=None, out_bias=None, out_maps=None, out_x=None):
+        def chunk_grads(at, out_w, out_bias, out_maps, out_x):
             # the gradient terms of the windows at, a slice of the first leading
-            # axis or ... for all of them, written into the outs when given
+            # axis or ... for all of them, written into the outs
             rows = np.take(x.data[at], order, axis=-2)
             g_rows = np.take(g[at], order, axis=-2)
-            d_w = np.matmul(heads_t[at], g_rows, out=out_w)
+            np.matmul(heads_t[at], g_rows, out=out_w)
             g_t = w_out.data @ np.swapaxes(g_rows, -1, -2)
             del g_rows
             q_norm_t, k_t, v_one_t, _, _ = _attention_operands(rows, params, stack, shifted)
@@ -680,23 +680,18 @@ def ranged_self_attention(
             )
             del q_norm_t, k_t, v_one_t, g_t
             dqkv = dqkv.reshape(rows.shape[:-2] + (3 * dim, n_rows))
-            d_bias = np.sum(dqkv[..., :dim, :], axis=-1, out=out_bias)
-            d_maps = np.matmul(dqkv, rows, out=out_maps)
-            d_x = None
-            if packed is not None:
+            np.sum(dqkv[..., :dim, :], axis=-1, out=out_bias)
+            np.matmul(dqkv, rows, out=out_maps)
+            if out_x is not None:
                 # mode="clip" writes straight into out_x; inverse is a checked permutation
-                d_x = np.take(np.swapaxes(dqkv, -1, -2) @ packed, inverse, axis=-2, out=out_x, mode="clip")
-            return d_w, d_bias, d_maps, d_x
+                np.take(np.swapaxes(dqkv, -1, -2) @ packed, inverse, axis=-2, out=out_x, mode="clip")
 
         size = max(1, _BACKWARD_ROWS // math.prod(x.shape[1:-1])) if lead else 1
-        if not lead or size >= lead[0]:
-            d_w, d_bias, d_maps, d_x = chunk_grads(...)
-        else:
-            d_w, d_bias, d_maps = (np.empty(lead + shape) for shape in ((dim, dim), (dim,), (3 * dim, dim)))
-            d_x = np.empty(x.shape) if packed is not None else None
-            for lo in range(0, lead[0], size):
-                at = slice(lo, lo + size)
-                chunk_grads(at, d_w[at], d_bias[at], d_maps[at], None if d_x is None else d_x[at])
+        chunks = [slice(lo, lo + size) for lo in range(0, lead[0], size)] if lead else [...]
+        d_w, d_bias, d_maps = (np.empty(lead + shape) for shape in ((dim, dim), (dim,), (3 * dim, dim)))
+        d_x = np.empty(x.shape) if packed is not None else None
+        for at in chunks:
+            chunk_grads(at, d_w[at], d_bias[at], d_maps[at], None if d_x is None else d_x[at])
         _accumulate(w_out, _lead_sum(d_w))
         _accumulate(params.b_query, d_bias.reshape(-1, heads, 1, head_dim).sum(axis=0))
         d_maps = _lead_sum(d_maps).reshape(3, heads, head_dim, dim)

@@ -10,7 +10,6 @@ purpose; loosening them is not an option when a check goes red.
 from __future__ import annotations
 
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -201,10 +200,8 @@ def test_criterion_03_partition_cover_locality_and_overlap_band(capsys):
         spatial = load_spatial_graph(lines, symmetrize=True)
         unified = build_unified(spatial, t)
         spe = compute_spe(spatial, min(4, n - 1))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            p1, p2 = build_partitions(unified, spe.selected, l, seed=idx)
-            rep = partition_report(p1, p2)
+        p1, p2 = build_partitions(unified, spe.selected, l, seed=idx)
+        rep = partition_report(p1, p2)
 
         for scheme in (p1, p2):
             sizes = [len(s) for s in scheme.subsets]
@@ -319,9 +316,7 @@ def _routing_fixture(kind: str, n: int, t: int, l: int, seed: int):
     spatial = load_spatial_graph(lines, symmetrize=True)
     unified = build_unified(spatial, t)
     spe = compute_spe(spatial, min(4, n - 1))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        p1, p2 = build_partitions(unified, spe.selected, l, seed=seed)
+    p1, p2 = build_partitions(unified, spe.selected, l, seed=seed)
     return p1, p2
 
 
@@ -400,9 +395,7 @@ def _overfit_run():
         learning_rate=0.005, batch_size=8, epochs=500,
     )
     spatial = load_spatial_graph(ring_edge_lines(8), symmetrize=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        model = build_model(config, spatial)
+    model = build_model(config, spatial)
     result = train(model, ds)
     mae = evaluate(model, ds.splits["train"], ds.stats).mae
     trace = "\n".join(row.to_csv() for row in result.trace)
@@ -533,9 +526,7 @@ def test_criterion_11_desk_scale_training_stays_finite(capsys):
         gamma=48, n_blocks=1, n_heads=2, n_subsets=4, seed=0,
         learning_rate=0.005, batch_size=16, epochs=3,
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        model = build_model(config, spatial)
+    model = build_model(config, spatial)
     result = train(model, ds)
 
     finite = all(np.isfinite(p.data).all() for p in model.params())

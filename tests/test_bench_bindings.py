@@ -9,7 +9,6 @@ windows between whole forwards and not within one.
 """
 
 import sys
-import warnings
 from pathlib import Path
 
 from flowcast import checkpoint, model
@@ -36,14 +35,12 @@ def test_tracer_covers_every_binding(tmp_path):
     tracer = Tracer()
     tracer.install()
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            built = model.build_model(config, spatial)
-            state = model.train(built, dataset)
-            model.evaluate(built, dataset.splits["test"], dataset.stats)
-            path = tmp_path / "model.bin"
-            checkpoint.save_checkpoint(built, path, state)
-            checkpoint.load_checkpoint(path, spatial)
+        built = model.build_model(config, spatial)
+        state = model.train(built, dataset)
+        model.evaluate(built, dataset.splits["test"], dataset.stats)
+        path = tmp_path / "model.bin"
+        checkpoint.save_checkpoint(built, path, state)
+        checkpoint.load_checkpoint(path, spatial)
         tracer.check_coverage()
     finally:
         tracer.uninstall()
@@ -51,9 +48,7 @@ def test_tracer_covers_every_binding(tmp_path):
 
 def test_tracer_counts_every_module_in_each_chunked_forward(monkeypatch):
     spatial, dataset, config = _fixture(n_blocks=2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        built = model.build_model(config, spatial)
+    built = model.build_model(config, spatial)
     windows = dataset.splits["train"][:5]
     monkeypatch.setattr(model, "_FORWARD_ROWS", 2 * built.unified.n_elements)
     tracer = Tracer()

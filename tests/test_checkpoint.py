@@ -4,7 +4,6 @@ import hashlib
 import json
 import math
 import struct
-import warnings
 
 import numpy as np
 import pytest
@@ -36,9 +35,7 @@ def _fixture(epochs=1, learning_rate=0.01, seed=5):
         batch_size=8,
         learning_rate=learning_rate,
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        model = build_model(config, graph)
+    model = build_model(config, graph)
     return graph, model
 
 
@@ -190,9 +187,7 @@ def test_load_keeps_the_saved_coordinates_when_the_basis_would_differ(tmp_path, 
         return SpePack(eigvals=pack.eigvals, eigvecs=pack.eigvecs, selected=selected)
 
     monkeypatch.setattr(model_module, "compute_spe", flipped)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rebuilt = build_model(model.config, graph)
+    rebuilt = build_model(model.config, graph)
     # same seed and weights, so the flipped column alone changes a fresh build
     assert not np.array_equal(_probe(rebuilt), _probe(model))
     loaded, _ = load_checkpoint(path, graph)

@@ -31,7 +31,8 @@ from flowcast.model import (
     metrics_from_arrays,
     predict_windows,
 )
-from flowcast.stgraph import load_spatial_graph
+from flowcast.embedding import compute_spe
+from flowcast.stgraph import build_unified, load_spatial_graph
 
 from writers import write_edge_list, write_signal_csv
 
@@ -163,10 +164,10 @@ def test_train_resume_appends_trace(workspace, capsys):
     assert "nothing to train" in capsys.readouterr().out
 
 
-@pytest.mark.filterwarnings("ignore:shifted cover needs tau:UserWarning")
 def test_resume_continues_the_run_bit_for_bit(tmp_path):
     # at this learning rate the best validation epoch is 2, before the
-    # resume point, so best.bin must keep that epoch across the resume
+    # resume point, so the state must keep that epoch's snapshot across the
+    # resume; best.bin holds the snapshot with a fresh state
     write_edge_list(ring_edge_lines(6), tmp_path / "edges.txt")
     write_signal_csv(synthetic_series(6, 240, interval_min=60, seed=3, noise=1.0), tmp_path / "signal.csv")
     config = tmp_path / "run.cfg"
@@ -183,8 +184,14 @@ def test_resume_continues_the_run_bit_for_bit(tmp_path):
     for name in ("trace.csv", "checkpoint.bin", "best.bin"):
         assert (split / name).read_bytes() == (whole / name).read_bytes(), name
     spatial = load_spatial_graph(tmp_path / "edges.txt", symmetrize=True)
-    _, state = load_checkpoint(whole / "best.bin", spatial)
+    _, state = load_checkpoint(whole / "checkpoint.bin", spatial)
     assert (state.epoch, state.best_epoch) == (4, 2)
+    best, fresh = load_checkpoint(whole / "best.bin", spatial)
+    assert {p.name: p.data.tolist() for p in best.params()} == {
+        name: array.tolist() for name, array in state.best_params.items()
+    }
+    assert (fresh.epoch, fresh.step_count, fresh.best_epoch, fresh.best_val_mae) == (0, 0, 0, float("inf"))
+    assert fresh.moments is None and fresh.best_params == {}
 
 
 def test_resume_refuses_a_negative_epoch_counter(workspace, capsys):
@@ -539,20 +546,52 @@ def test_partition_on_directed_graph_writes_both_schemes(tmp_path, capsys):
     # would have no cover
     graph = tmp_path / "edges.txt"
     write_edge_list(["0 1", "1 2", "2 3"], graph)
-    with pytest.warns(UserWarning):
+    # the spectral coordinates of a directed graph come from max(A, A^T)
+    with pytest.warns(UserWarning, match="adjacency not symmetric"):
         code = main([
             "partition", "--graph", str(graph), "--symmetrize", "false",
             "--t-in", "3", "--n-subsets", "2", "--spe-modes", "2",
             "--out-dir", str(tmp_path / "out"),
         ])
     assert code == 0
-    assert "partitions written" in capsys.readouterr().out
+    out = capsys.readouterr().out.splitlines()
+    assert "warning: base 3 cannot reach any other base; left unshifted" in out
+    assert out[-1].startswith("partitions written")
     for name in ("partition_p1.txt", "partition_p2.txt"):
         rows = [
             line for line in (tmp_path / "out" / name).read_text().splitlines()
             if not line.startswith("#")
         ]
         assert len(rows) == 12  # every element of 4 nodes x 3 steps
+
+
+def test_partition_notes_are_printed_by_partition_and_not_by_train(tmp_path, capsys):
+    # on the 5-node path with 3 subsets, one shifted base lands on another's
+    # node and backs off: partition reports it, train runs silently
+    lines = [f"{i} {i + 1}" for i in range(4)]
+    write_edge_list(lines, tmp_path / "edges.txt")
+    write_signal_csv(synthetic_series(5, 60, interval_min=60, seed=3, noise=1.0), tmp_path / "signal.csv")
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        f"graph={tmp_path / 'edges.txt'}\nsignal={tmp_path / 'signal.csv'}\ninterval_min=60\n"
+        "t_in=4\nt_out=2\ndim=8\nspe_modes=2\nn_blocks=1\nn_heads=2\nn_subsets=3\nseed=3\n"
+        "batch_size=8\nepochs=1\n"
+    )
+    spatial = load_spatial_graph(lines, symmetrize=True)
+    spe = compute_spe(spatial, 2).selected
+    _, p2 = fmodel.build_partitions(build_unified(spatial, 4), spe, 3, seed=3)
+    notes = p2.notes
+    assert any("collided" in note for note in notes)
+
+    assert main(["partition", "--config", str(config), "--out-dir", str(tmp_path / "p")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    printed = [line for line in out if line.startswith("warning: ")]
+    assert printed[: len(notes)] == [f"warning: {note}" for note in notes]
+
+    assert main(["train", "--config", str(config), "--out-dir", str(tmp_path / "t")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "warning" not in captured.out
 
 
 SHARED_FLAGS = {

@@ -1,6 +1,5 @@
 """Tests for signal loading, normalization, splits, windows, and fixtures."""
 
-import warnings
 from dataclasses import replace
 
 import numpy as np

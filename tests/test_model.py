@@ -3,7 +3,6 @@
 import dataclasses
 import platform
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -55,9 +54,7 @@ def _config(**overrides):
 
 def _build(**overrides):
     graph = load_spatial_graph(ring_edge_lines(4), symmetrize=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return build_model(_config(**overrides), graph)
+    return build_model(_config(**overrides), graph)
 
 
 def _dataset(n_steps=60, **kwargs):
@@ -106,9 +103,7 @@ def test_build_leaves_its_config_as_given():
     config = _config()
     before = dataclasses.asdict(config)
     graph = load_spatial_graph(ring_edge_lines(4), symmetrize=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        model = build_model(config, graph)
+    model = build_model(config, graph)
     assert model.config is config
     assert dataclasses.asdict(config) == before
 
@@ -181,9 +176,7 @@ def test_build_with_explicit_schemes_checks_size():
     graph = load_spatial_graph(ring_edge_lines(4), symmetrize=True)
     bad = _config(t_in=5)
     with pytest.raises(ContractError, match="elements"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            build_model(bad, graph, schemes=(model.p1, model.p2))
+        build_model(bad, graph, schemes=(model.p1, model.p2))
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +471,7 @@ def test_predict_windows_peak_memory_is_that_of_its_row_budget(monkeypatch):
     # 2 windows: 32 windows at batch_size 32 peak as 32 at batch_size 2 do
     graph = load_spatial_graph(ring_edge_lines(30), symmetrize=True)
     config = _config(n_nodes=30, t_in=12, t_out=3, dim=16, spe_modes=4, n_subsets=4)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        model = build_model(config, graph)
+    model = build_model(config, graph)
     series = synthetic_series(30, 46, interval_min=60, seed=3, noise=1.0)
     ds = prepare_dataset(series, t_in=12, t_out=3, ratios=(1.0, 0.0, 0.0))
     samples = ds.splits["train"]
@@ -505,9 +496,7 @@ def test_predict_windows_holds_its_output_once(monkeypatch):
     # windows by the growth of the output alone; a list of chunk outputs
     # and their concatenation held both, about twice that
     graph = load_spatial_graph(ring_edge_lines(8), symmetrize=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        model = build_model(_config(n_nodes=8, t_in=2, t_out=24), graph)
+    model = build_model(_config(n_nodes=8, t_in=2, t_out=24), graph)
     series = synthetic_series(8, 64 + 25, interval_min=60, seed=3, noise=1.0)
     ds = prepare_dataset(series, t_in=2, t_out=24, ratios=(1.0, 0.0, 0.0))
     samples = ds.splits["train"]
@@ -717,9 +706,7 @@ def test_warm_train_call_takes_no_page_faults():
         n_blocks=1, n_heads=2, n_subsets=2, seed=1, learning_rate=0.005,
         batch_size=8, epochs=2,
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        model = build_model(config, load_spatial_graph(ring_edge_lines(8)))
+    model = build_model(config, load_spatial_graph(ring_edge_lines(8)))
     for _ in range(2):
         train(model, ds)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

@@ -4,18 +4,9 @@ assignment with pinned tie rules, base shifting, and serialization.
 Bases are flat element ids, time * N + node."""
 
 import hashlib
-import warnings as warnings_module
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
-
-
-@contextmanager
-def quiet_warnings():
-    with warnings_module.catch_warnings():
-        warnings_module.simplefilter("ignore")
-        yield
 
 from flowcast.embedding import compute_spe
 from flowcast.errors import ContractError
@@ -291,28 +282,28 @@ def test_build_p1_invariants_on_random_graphs():
 def test_shift_single_base_is_identity():
     graph = build_unified(load_spatial_graph(ring(5)), 3)
     flats = [1 * 5 + 2]
-    shifted = shift_bases(graph, flats, 4)
-    assert shifted == [1 * 5 + 2]
+    shifted, notes = shift_bases(graph, flats, 4)
+    assert (shifted, notes) == ([1 * 5 + 2], ())
     assert shifted is not flats
 
 
 def test_shift_on_path_moves_half_radius_inward():
     graph = build_unified(load_spatial_graph(path(7)), 1)
-    assert shift_bases(graph, [0, 6], 4) == [2, 4]
+    assert shift_bases(graph, [0, 6], 4) == ([2, 4], ())
 
 
 def test_shift_collision_backs_off_along_path():
     graph = build_unified(load_spatial_graph(ring(8)), 1)
-    with pytest.warns(UserWarning, match="collided"):
-        shifted = shift_bases(graph, [0, 4], 4)
+    shifted, notes = shift_bases(graph, [0, 4], 4)
     assert shifted == [2, 3]
+    assert notes == ("shifted base for subset 1 collided; backed off to node 3",)
 
 
 def test_shift_walk_capped_at_peer():
     # the walk stops at the midpoint to the nearest peer: adjacent bases
     # have floor(1 / 2) = 0 hops to walk, so they cannot swap places
     graph = build_unified(load_spatial_graph(["0 1"]), 1)
-    assert shift_bases(graph, [0, 1], 6) == [0, 1]
+    assert shift_bases(graph, [0, 1], 6) == ([0, 1], ())
 
 
 def test_shift_moves_peers_to_opposite_ends_of_the_window():
@@ -323,8 +314,9 @@ def test_shift_moves_peers_to_opposite_ends_of_the_window():
     bases = [2 * 7 + 0, 2 * 7 + 6]
     tau = _tau(graph, bases)
     assert tau == 5  # node 3 at an end step: 3 spatial + 2 temporal
-    shifted = shift_bases(graph, bases, tau)
+    shifted, notes = shift_bases(graph, bases, tau)
     assert [divmod(f, 7) for f in shifted] == [(0, 2), (4, 4)]  # (time, node)
+    assert notes == ()
     assert bases == [2 * 7 + 0, 2 * 7 + 6]  # the primary bases are left as they were
 
 
@@ -336,7 +328,7 @@ def test_shift_time_direction_alternates_along_peer_links():
     bases = [10 + 0, 10 + 5, 10 + 6]
     tau = _tau(graph, bases)
     assert tau == 4  # node 9 at an end step: 3 spatial + 1 temporal
-    shifted = shift_bases(graph, bases, tau)
+    shifted, _ = shift_bases(graph, bases, tau)
     # 0 walks min(2, 5 // 2) = 2 hops; the adjacent pair stays at the midpoint cap
     assert [divmod(f, 10) for f in shifted] == [(0, 2), (2, 5), (0, 6)]
 
@@ -344,9 +336,10 @@ def test_shift_time_direction_alternates_along_peer_links():
 def test_shift_unreachable_peer_stays_put():
     spatial = load_spatial_graph(clique_pair())
     graph = build_unified(spatial, 1)
-    with pytest.warns(UserWarning, match="cannot reach"):
-        shifted = shift_bases(graph, [1, 5], 2)
-    assert shifted == [1, 5]
+    assert shift_bases(graph, [1, 5], 2) == ([1, 5], (
+        "base 1 cannot reach any other base; left unshifted",
+        "base 5 cannot reach any other base; left unshifted",
+    ))
 
 
 def test_shift_on_directed_path_walks_along_out_edges():
@@ -357,7 +350,7 @@ def test_shift_on_directed_path_walks_along_out_edges():
     bases = [6 + 0, 6 + 3]
     tau = _tau(ring_graph, bases)
     assert tau == 3  # node 2 at an end step: 2 spatial + 1 temporal
-    shifted = shift_bases(ring_graph, bases, tau)
+    shifted, _ = shift_bases(ring_graph, bases, tau)
     assert [divmod(f, 6) for f in shifted] == [(0, 1), (2, 4)]
 
     # edges 0 -> 1 -> 2 -> 3 only. Base 0 reaches base 3 in 3 hops, but
@@ -369,12 +362,11 @@ def test_shift_on_directed_path_walks_along_out_edges():
     bases = [4 + 0, 4 + 3]
     tau = _tau(graph, bases)
     assert tau == 3  # node 2 at an end step: 2 spatial + 1 temporal
-    with pytest.warns(UserWarning, match="cannot reach"):
-        shifted = shift_bases(graph, bases, tau)
+    shifted, notes = shift_bases(graph, bases, tau)
     assert [divmod(f, 4) for f in shifted] == [(0, 0), (1, 3)]
+    assert notes == ("base 3 cannot reach any other base; left unshifted",)
     # covers every element P1 covers, at a wider radius
-    with pytest.warns(UserWarning, match="recalibrated"):
-        build_p2(graph, shifted, tau)
+    assert build_p2(graph, shifted, tau).tau == 4
 
 
 def test_shift_prefers_lowest_next_node_id():
@@ -382,9 +374,9 @@ def test_shift_prefers_lowest_next_node_id():
     # so the second base collides and backs off to where it started
     lines = ["nodes 4", "0 1", "1 3", "0 2", "2 3"]
     graph = build_unified(load_spatial_graph(lines), 1)
-    with pytest.warns(UserWarning, match="collided"):
-        shifted = shift_bases(graph, [0, 3], 2)
-    assert shifted == [1, 3]
+    assert shift_bases(graph, [0, 3], 2) == (
+        [1, 3], ("shifted base for subset 1 collided; backed off to node 3",)
+    )
 
 
 def test_build_p2_keeps_primary_radius_when_it_covers():
@@ -402,17 +394,14 @@ def test_build_p2_ring_shift_pulls_bases_together_and_widens():
     bases = [8 + 0, 8 + 4]
     tau = _tau(graph, bases)
     assert tau == 3
-    shifted = shift_bases(graph, bases, tau)
+    shifted, _ = shift_bases(graph, bases, tau)
     assert [f % 8 for f in shifted] == [1, 3]  # one hop toward the peer, lowest id
-    with pytest.warns(UserWarning, match="recalibrated"):
-        p2 = build_p2(graph, shifted, tau)
-    assert p2.tau == 4
+    assert build_p2(graph, shifted, tau).tau == 4
 
 
-def test_build_p2_recalibrates_radius_upward_with_warning():
+def test_build_p2_recalibrates_radius_upward():
     graph = build_unified(load_spatial_graph(path(10)), 1)
-    with pytest.warns(UserWarning, match="recalibrated"):
-        p2 = build_p2(graph, [0, 1], 5)
+    p2 = build_p2(graph, [0, 1], 5)
     assert p2.tau == 8
     seen = np.concatenate(p2.subsets)
     assert sorted(seen.tolist()) == list(range(10))
@@ -428,9 +417,8 @@ def test_build_p2_matches_transcribed_oracle():
         nodes = sorted(rng.choice(n, size=2, replace=False).tolist())
         bases = [(t // 2) * n + int(b) for b in nodes]
         tau = _tau(graph, bases)
-        with quiet_warnings():
-            shifted = shift_bases(graph, bases, tau)
-            p2 = build_p2(graph, shifted, tau)
+        shifted, _ = shift_bases(graph, bases, tau)
+        p2 = build_p2(graph, shifted, tau)
         dist = hop_distances(unified_dense(adj, t))
         expect = assign_oracle(dist, shifted, p2.tau)
         assert np.array_equal(p2.assignment, expect)
@@ -445,9 +433,8 @@ def _ring_pair(n=8, t=3):
     graph = build_unified(load_spatial_graph(ring(n)), t)
     bases = [(t // 2) * n, (t // 2) * n + n // 2]
     tau, p1 = _primary(graph, bases)
-    with quiet_warnings():
-        p2 = build_p2(graph, shift_bases(graph, bases, tau), tau)
-    return graph, p1, p2
+    shifted, notes = shift_bases(graph, bases, tau)
+    return graph, p1, build_p2(graph, shifted, tau, notes)
 
 
 def test_partition_report_identical_schemes_flag_full_overlap():
@@ -467,6 +454,21 @@ def test_partition_report_on_shifted_pair():
     assert sum(report.sizes_p1) == sum(report.sizes_p2) == graph.n_elements
     text = report.to_text()
     assert "overlap" in text and "tau" in text
+
+
+def test_partition_report_leads_with_the_shifted_scheme_notes():
+    # on the 8-ring at T=1 and radius 4 the second shifted base walks onto
+    # the first's node and backs off
+    graph = build_unified(load_spatial_graph(ring(8)), 1)
+    stack = graph.distance_rows([0, 4])
+    tau = 4
+    p1 = build_p1(graph, [0, 4], stack, min_distances(stack), tau)
+    shifted, notes = shift_bases(graph, [0, 4], tau)
+    assert notes == ("shifted base for subset 1 collided; backed off to node 3",)
+    report = partition_report(p1, build_p2(graph, shifted, tau, notes))
+    assert report.warnings[0] == notes[0]
+    assert "warning: " + notes[0] in report.to_text().splitlines()
+    assert partition_report(p1, build_p2(graph, shifted, tau)).warnings == report.warnings[1:]
 
 
 def test_partition_report_rejects_mismatched_pair():
@@ -499,6 +501,10 @@ def test_scheme_lays_out_subsets_once_in_subset_major_order():
     _, p1, p2 = _ring_pair()
     for scheme in (p1, p2):
         assert np.array_equal(scheme.order, np.concatenate(scheme.subsets))
+        assert [b - a for a, b in scheme.bounds] == scheme.sizes
+        assert [a for a, _ in scheme.bounds] == [0] + [b for _, b in scheme.bounds[:-1]]
+        for (a, b), members in zip(scheme.bounds, scheme.subsets):
+            assert np.array_equal(scheme.order[a:b], members)
         assert np.array_equal(scheme.order[scheme.inverse], np.arange(scheme.n_elements))
         assert scheme.sizes == [len(s) for s in scheme.subsets]
         for p, members in enumerate(scheme.subsets):
@@ -560,8 +566,7 @@ def test_pipeline_is_deterministic_for_fixed_seed():
     for _ in range(2):
         bases = make_base_set(graph, spe.selected, 3, seed=11)
         tau, p1 = _primary(graph, bases)
-        with quiet_warnings():
-            p2 = build_p2(graph, shift_bases(graph, bases, tau), tau)
+        p2 = build_p2(graph, shift_bases(graph, bases, tau)[0], tau)
         runs.append((bases, p1.assignment.copy(), p2.assignment.copy()))
     assert runs[0][0] == runs[1][0]
     assert np.array_equal(runs[0][1], runs[1][1])
@@ -597,12 +602,12 @@ _PINNED_CASES = {
     "grid1000": (_grid(25, 40), True, 12, 40, 16),
 }
 
-# name -> ((tau, base_flats, SHA-256 of the assignment) for P1 and P2, warnings)
+# name -> ((tau, base_flats, SHA-256 of the assignment) for P1 and P2, P2's notes)
 _PINNED = {
     "ring8": (
         (8, [55, 50], "c3ae5cd27e48aacf3df297474366e7283e51856749f8572894a1d7b490e07038"),
         (9, [0, 89], "a4cde5f4844b1e370129f7b420a0444d3a18ba525a763f85874d43208ade9315"),
-        ["shifted cover needs tau=9, recalibrated up from 8"],
+        [],
     ),
     "metr": (
         (
@@ -623,18 +628,17 @@ _PINNED = {
             "shifted base for subset 9 collided; backed off to node 120",
             "shifted base for subset 26 collided; backed off to node 100",
             "shifted base for subset 37 collided; backed off to node 158",
-            "shifted cover needs tau=13, recalibrated up from 12",
         ],
     ),
     "directed-ring": (
         (6, [28, 23, 27], "f0542afc12d672c58c1ca8fb5e822ba491893617c10c888bd5168676c2a75ec9"),
         (7, [0, 35, 37], "abe5abc3893aa3cc04794e9606994c78f0ff3daf1014bb3e50f555501aeccf71"),
-        ["shifted cover needs tau=7, recalibrated up from 6"],
+        [],
     ),
     "path": (
         (4, [19, 15, 20], "4c5aed195ef66799fcdf1c612a7a6fb29784a5422aed3b55c416868716ddd21b"),
         (7, [7, 29, 32], "1c7a2f0500a15dcfcd40b3b4e0bf2d28414bf103a14fa9c9037e843ab18381e8"),
-        ["shifted cover needs tau=7, recalibrated up from 4"],
+        [],
     ),
     "star": (
         (4, [25, 21, 26], "d80fd760291f19a7a935d3c7e8a80b2aefbc7e999c9482e6f1a84dbc04208703"),
@@ -671,7 +675,6 @@ _PINNED = {
             "shifted base for subset 28 collided; backed off to node 30",
             "shifted base for subset 33 collided; backed off to node 726",
             "shifted base for subset 37 collided; backed off to node 678",
-            "shifted cover needs tau=17, recalibrated up from 16",
         ],
     ),
 }
@@ -686,11 +689,10 @@ def test_build_partitions_output_is_pinned():
         else:
             spatial = load_spatial_graph(lines, symmetrize=symmetrize)
         coords = np.random.default_rng(7).standard_normal((spatial.n_nodes, width))
-        with warnings_module.catch_warnings(record=True) as caught:
-            warnings_module.simplefilter("always")
-            p1, p2 = build_partitions(build_unified(spatial, t), coords, l, seed=3)
+        p1, p2 = build_partitions(build_unified(spatial, t), coords, l, seed=3)
         got = tuple(
             (s.tau, s.base_flats, hashlib.sha256(s.assignment.astype("<i8").tobytes()).hexdigest())
             for s in (p1, p2)
         )
-        assert got + ([str(w.message) for w in caught],) == _PINNED[name], name
+        assert got + (list(p2.notes),) == _PINNED[name], name
+        assert p1.notes == (), name

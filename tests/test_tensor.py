@@ -3,7 +3,6 @@ closed forms and central differences."""
 
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -918,9 +917,7 @@ def test_benchmark_model_scores_take_the_unshifted_branch(monkeypatch):
         n_blocks=1, n_heads=2, n_subsets=2, seed=1, learning_rate=0.005,
         batch_size=8, epochs=4,
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        model = build_model(config, load_spatial_graph(ring_edge_lines(8)))
+    model = build_model(config, load_spatial_graph(ring_edge_lines(8)))
     train(model, dataset)
     assert len(decisions) >= 2 * 32
     assert not any(decisions)
@@ -1042,9 +1039,7 @@ def test_recorded_forward_keeps_at_most_110_floats_per_row_and_module():
         n_nodes=rows * cols, t_in=12, t_out=12, channels=1, dim=16, spe_modes=4, gamma=24,
         n_blocks=1, n_heads=4, n_subsets=4, seed=1, learning_rate=0.001, batch_size=4, epochs=1,
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        model = build_model(config, load_spatial_graph(lines))
+    model = build_model(config, load_spatial_graph(lines))
     series = synthetic_series(rows * cols, 40, interval_min=60, seed=2, noise=1.0)
     ds = prepare_dataset(series, t_in=12, t_out=12, ratios=(1.0, 0.0, 0.0))
     values, day, step, target_norm, target_raw = batch_arrays(ds.splits["train"][:4])
