@@ -13,10 +13,7 @@ loop inside the op, and tensor.add_norm_ffn for the position-wise half.
 Each op takes the module's parameter group as it is: the attention half
 its AttentionParams, the position-wise half the whole ModuleParams. Both
 groups are declared in tensor, beside the ops that read them; this module
-nests them into BlockParams and draws their initial values. The probe,
-attention_weights, reads one subset's weights through
-tensor.attention_weights, which builds the op's operands and runs its
-range loop.
+nests them into BlockParams and draws their initial values.
 """
 
 from __future__ import annotations
@@ -28,14 +25,12 @@ import numpy as np
 from .errors import ContractError
 from .optim import glorot_uniform, ones_param, zeros_param
 from .partition import PartitionScheme
-from . import tensor
 from .tensor import (
     AttentionParams,
     ModuleParams,
     ParamGroup,
     Tensor,
     add_norm_ffn,
-    constant,
     ranged_self_attention,
 )
 
@@ -109,16 +104,6 @@ def subset_attention(x: Tensor, params: AttentionParams, scheme: PartitionScheme
     ranges must tile them.
     """
     return ranged_self_attention(x, params, scheme.bounds, scheme.order, scheme.inverse)
-
-
-def attention_weights(elements: Tensor, params: AttentionParams) -> Tensor:
-    """Softmax weights of one subset's m rows, (..., H, m, m), query-major.
-
-    tensor.attention_weights computes them from the operands
-    subset_attention's op builds, the same packed GEMM and query bias, with
-    the same range loop, so they are the weights that op attends with.
-    """
-    return constant(tensor.attention_weights(elements.data, params))
 
 
 def apply_module(x: Tensor, scheme: PartitionScheme, params: ModuleParams) -> Tensor:

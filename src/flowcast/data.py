@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -25,7 +24,10 @@ MINUTES_PER_DAY = 1440
 
 @dataclass
 class TrafficSeries:
-    """A aligned multi-channel sensor series with calendar features."""
+    """A multi-channel sensor series with calendar features.
+
+    Loaded against a graph, column k holds graph node k.
+    """
 
     values: np.ndarray  # (steps, n_nodes, channels), raw units
     timestamps: list[datetime]
@@ -98,7 +100,15 @@ def _calendar(timestamps: list[datetime], interval_min: int) -> tuple[np.ndarray
 def load_series(
     signal_paths: list[str], interval_min: int, graph: SpatialGraph | None = None
 ) -> TrafficSeries:
-    """Load one file per channel and derive the calendar features."""
+    """Load one file per channel and derive the calendar features.
+
+    Given a graph, the columns bind to its nodes by one rule. When the
+    column labels are the graph's labels, the columns are put in graph
+    order. Otherwise, when the graph's labels are "0" ... "N-1", as a
+    'nodes N' directive or ids first seen in order give them, column k
+    binds to node k and keeps its label. Any other signal is an
+    InputError naming the first column the graph lacks.
+    """
     if interval_min <= 0 or MINUTES_PER_DAY % interval_min != 0:
         raise InputError(
             f"interval must be a positive divisor of {MINUTES_PER_DAY} minutes, "
@@ -140,12 +150,19 @@ def load_series(
             raise InputError(
                 f"signal has {len(labels)} node columns but the graph has {graph.n_nodes}"
             )
-        if set(labels) == set(graph.labels) and labels != graph.labels:
-            order = [labels.index(lab) for lab in graph.labels]
-            values = values[:, order, :]
-            labels = list(graph.labels)
-        elif set(labels) != set(graph.labels):
-            warnings.warn("signal column labels do not match graph labels; matched by position")
+        known = set(graph.labels)
+        if set(labels) == known:
+            if labels != graph.labels:
+                values = values[:, [labels.index(lab) for lab in graph.labels], :]
+                labels = list(graph.labels)
+        elif graph.labels != [str(i) for i in range(graph.n_nodes)]:
+            lacked = [lab for lab in labels if lab not in known]
+            what = f"column {lacked[0]!r} is not a graph node" if lacked else "a column repeats"
+            raise InputError(
+                f"{signal_paths[0]}: signal {what}; label the columns with the graph's "
+                f"node ids, or start the edge list with 'nodes {graph.n_nodes}' to bind "
+                f"columns by position"
+            )
 
     return TrafficSeries(
         values=values,

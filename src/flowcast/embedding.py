@@ -12,7 +12,6 @@ the layer's EmbeddingParams.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,21 +42,19 @@ class SpePack:
 def compute_spe(spatial: SpatialGraph, n_modes: int) -> SpePack:
     """Eigendecompose L = I - D^(-1/2) A D^(-1/2) and select coordinates.
 
-    Eigenpairs come back in ascending eigenvalue order. One trivial mode
-    per connected component (eigenvalue below 1e-8) is skipped, then the
-    next n_modes eigenvectors become the per-node coordinates. Each kept
-    column is sign fixed so its largest-magnitude entry is positive, the
-    first such entry deciding ties. Isolated nodes get a tiny degree so
-    the scaling stays finite.
+    A is always max(A, A^T) of the graph's adjacency: the adjacency itself
+    when the graph is symmetric, and the undirected support of a directed
+    graph kept as given under --symmetrize false. Eigenpairs come back in
+    ascending eigenvalue order. One trivial mode per connected component
+    (eigenvalue below 1e-8) is skipped, then the next n_modes eigenvectors
+    become the per-node coordinates. Each kept column is sign fixed so its
+    largest-magnitude entry is positive, the first such entry deciding
+    ties. Isolated nodes get a tiny degree so the scaling stays finite.
     """
     n = spatial.n_nodes
     if not 1 <= n_modes < n:
         raise ContractError(f"mode count must be in [1, {n}), got {n_modes}")
-    adjacency = spatial.adjacency
-    if not np.array_equal(adjacency, adjacency.T):
-        warnings.warn("adjacency not symmetric; symmetrized as max(A, A^T)")
-        adjacency = np.maximum(adjacency, adjacency.T)
-
+    adjacency = np.maximum(spatial.adjacency, spatial.adjacency.T)
     degree = adjacency.sum(axis=1)
     degree = np.where(degree > 0.0, degree, ISOLATED_DEGREE_EPSILON)
     inv_sqrt = 1.0 / np.sqrt(degree)

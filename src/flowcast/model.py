@@ -18,7 +18,6 @@ from .attention import (
     BlockParams,
     apply_block,
     apply_module,
-    attention_weights,
     init_block_params,
 )
 from .data import Dataset, NormStats, WindowSample, batch_arrays
@@ -48,8 +47,8 @@ from .tensor import (
     Param,
     ParamGroup,
     Tensor,
+    attention_weights,
     backward,
-    constant,
     masked_mae,
     no_grad,
     output_adapter,
@@ -253,9 +252,10 @@ def subset_weights(
     module is 1 (primary partition) or 2 (shifted). The forward runs only
     up to that module's input: the embedding, the blocks before block, and
     the block's primary module when module is 2. The subset's rows, in
-    ascending flat order, then go through attention.attention_weights,
-    which builds the Q and K maps as the module's ranged_self_attention
-    does, so row and column i stand for the subset's i-th element.
+    ascending flat order, then go through tensor.attention_weights, which
+    builds the Q and K maps as the module's ranged_self_attention does,
+    with the same range loop, so they are the weights that module attends
+    with, and row and column i stand for the subset's i-th element.
     subset_id must lie in [0, l).
     """
     if not 0 <= block < len(model.blocks) or module not in (1, 2):
@@ -270,8 +270,7 @@ def subset_weights(
     if module == 2:
         x = apply_module(x, model.p1, params)
         params = model.blocks[block].module_two
-    rows = constant(x.data[..., scheme.subsets[subset_id], :])
-    return attention_weights(rows, params.attention).data
+    return attention_weights(x.data[..., scheme.subsets[subset_id], :], params.attention)
 
 
 def masked_mae_loss(
@@ -358,9 +357,9 @@ def predict_windows(
     however large batch_size is: evaluate over 35 windows of a 210-node
     grid at batch_size 32 peaks at 8.5 MiB under tracemalloc, against
     78.1 MiB for 32-window forwards. Each chunk's predictions are written
-    into one (W, N, t_out, C) array allocated at the first chunk, so the
-    output is held once. Every window's output is computed on its own, so
-    the predictions are the same bits at any chunk size, with one
+    into one (W, N, t_out, C) array allocated before the first chunk, so
+    the output is held once. Every window's output is computed on its own,
+    so the predictions are the same bits at any chunk size, with one
     exception: the shifted softmax (tensor._needs_shift) is chosen
     once per forward, for all of its windows, so a window whose scores
     pass the unshifted limit shifts the windows it shares a forward with,
@@ -371,13 +370,12 @@ def predict_windows(
     if batch_size < 1:
         raise ContractError(f"batch_size must be at least 1, got {batch_size}")
     size = min(batch_size, max(1, _FORWARD_ROWS // model.unified.n_elements))
-    preds = None
+    config = model.config
+    preds = np.empty((len(samples), config.n_nodes, config.t_out, config.channels))
     for lo in range(0, len(samples), size):
         values, day, step, _, _ = batch_arrays(samples[lo : lo + size])
         with no_grad():
             pred = forward_arrays(model, values, day, step).data
-        if preds is None:
-            preds = np.empty((len(samples),) + pred.shape[1:])
         preds[lo : lo + len(pred)] = stats.invert(pred)
     return preds
 

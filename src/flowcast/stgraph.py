@@ -12,7 +12,6 @@ hop count from i to j plus |t - s|; it is computed in that closed form.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -39,7 +38,11 @@ def coord_from_flat(flat: int, n_nodes: int) -> STCoord:
 
 @dataclass
 class SpatialGraph:
-    """A weighted undirected sensor graph."""
+    """A weighted sensor graph: adjacency[i, j] is the weight of edge i -> j.
+
+    The adjacency is symmetric unless the graph was loaded with
+    symmetrize=False, and a diagonal entry is a self loop.
+    """
 
     n_nodes: int
     adjacency: np.ndarray
@@ -72,8 +75,10 @@ def load_spatial_graph(source, symmetrize: bool = True) -> SpatialGraph:
     directive "nodes <N>" declares the node count up front, in which case
     ids must be integers in [0, N); isolated nodes are then allowed.
     Without the directive, ids are compacted to [0, N) in first-appearance
-    order. Negative weights are rejected; self loops are kept with a
-    warning. By default the matrix is symmetrized as max(A, A^T).
+    order. Negative weights are rejected. A self loop "i i w" is kept as
+    given, as diagonal entry w, as in a Gaussian-kernel adjacency, whose
+    diagonal is exp(0) = 1. By default the matrix is symmetrized as
+    max(A, A^T).
     """
     declared: int | None = None
     raw_edges: list[tuple[str, str, float]] = []
@@ -138,10 +143,7 @@ def load_spatial_graph(source, symmetrize: bool = True) -> SpatialGraph:
 
     adjacency = np.zeros((n, n), dtype=np.float64)
     for src, dst, weight in raw_edges:
-        i, j = index[src], index[dst]
-        if i == j:
-            warnings.warn(f"self loop on node {src} kept as given", stacklevel=2)
-        adjacency[i, j] = weight
+        adjacency[index[src], index[dst]] = weight
 
     if symmetrize:
         adjacency = np.maximum(adjacency, adjacency.T)

@@ -659,7 +659,7 @@ def ranged_self_attention(
 
     def bwd(g: np.ndarray) -> None:
         stack = _operand_maps(params)
-        packed = _packed_maps(params) if x.requires_grad else None
+        packed = _packed_maps(params)
 
         def chunk_grads(at, out_w, out_bias, out_maps, out_x):
             # the gradient terms of the windows at, a slice of the first leading
@@ -682,23 +682,21 @@ def ranged_self_attention(
             dqkv = dqkv.reshape(rows.shape[:-2] + (3 * dim, n_rows))
             np.sum(dqkv[..., :dim, :], axis=-1, out=out_bias)
             np.matmul(dqkv, rows, out=out_maps)
-            if out_x is not None:
-                # mode="clip" writes straight into out_x; inverse is a checked permutation
-                np.take(np.swapaxes(dqkv, -1, -2) @ packed, inverse, axis=-2, out=out_x, mode="clip")
+            # mode="clip" writes straight into out_x; inverse is a checked permutation
+            np.take(np.swapaxes(dqkv, -1, -2) @ packed, inverse, axis=-2, out=out_x, mode="clip")
 
         size = max(1, _BACKWARD_ROWS // math.prod(x.shape[1:-1])) if lead else 1
         chunks = [slice(lo, lo + size) for lo in range(0, lead[0], size)] if lead else [...]
         d_w, d_bias, d_maps = (np.empty(lead + shape) for shape in ((dim, dim), (dim,), (3 * dim, dim)))
-        d_x = np.empty(x.shape) if packed is not None else None
+        d_x = np.empty(x.shape)
         for at in chunks:
-            chunk_grads(at, d_w[at], d_bias[at], d_maps[at], None if d_x is None else d_x[at])
+            chunk_grads(at, d_w[at], d_bias[at], d_maps[at], d_x[at])
         _accumulate(w_out, _lead_sum(d_w))
         _accumulate(params.b_query, d_bias.reshape(-1, heads, 1, head_dim).sum(axis=0))
         d_maps = _lead_sum(d_maps).reshape(3, heads, head_dim, dim)
         for param, grad in zip((params.w_query, params.w_key, params.w_value), d_maps):
             _accumulate(param, np.swapaxes(grad, -1, -2))
-        if d_x is not None:
-            _accumulate(x, d_x)
+        _accumulate(x, d_x)
 
     return Tensor(out, parents, bwd)
 
@@ -1048,14 +1046,13 @@ def embed_rows(
         per_step = d_x.reshape(-1, n_nodes * dim)  # (steps, N·D)
         d_spatial = (ones[:, : per_step.shape[0]] @ per_step).reshape(n_nodes, dim)
         _accumulate(w_spe, coords.T @ d_spatial)
-        if w_tpe.requires_grad:
-            # each step's gradient goes to its day row and its step row
-            d_calendar = np.einsum("snd->sd", per_step.reshape(-1, n_nodes, dim))
-            steps = np.arange(per_step.shape[0])
-            two_hot = np.zeros((w_tpe.shape[0], steps.size))
-            for index in (day_rows, step_rows):
-                two_hot[np.broadcast_to(index, grid[:-2]).ravel(), steps] += 1.0
-            _accumulate(w_tpe, two_hot @ d_calendar)
+        # each step's gradient goes to its day row and its step row
+        d_calendar = np.einsum("snd->sd", per_step.reshape(-1, n_nodes, dim))
+        steps = np.arange(per_step.shape[0])
+        two_hot = np.zeros((w_tpe.shape[0], steps.size))
+        for index in (day_rows, step_rows):
+            two_hot[np.broadcast_to(index, grid[:-2]).ravel(), steps] += 1.0
+        _accumulate(w_tpe, two_hot @ d_calendar)
 
     return Tensor(flat, parents, bwd)
 
@@ -1119,8 +1116,7 @@ def output_adapter(x: Tensor, params: AdapterParams) -> Tensor:
         _accumulate(b_time, (ones @ d_hidden)[0])
         d_time = d_hidden.reshape(lead + (t_out, n_nodes * dim))
         _accumulate(w_time, _lead_sum(d_time @ np.swapaxes(x_time, -1, -2)))
-        if x.requires_grad:
-            _accumulate(x, (w_time.data.T @ d_time).reshape(x.data.shape))
+        _accumulate(x, (w_time.data.T @ d_time).reshape(x.data.shape))
 
     return Tensor(out, parents, bwd)
 

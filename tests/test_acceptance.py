@@ -17,7 +17,6 @@ import pytest
 from flowcast.attention import (
     apply_block,
     apply_module,
-    attention_weights,
     init_attention_params,
     init_block_params,
     subset_attention,
@@ -36,7 +35,7 @@ from flowcast.model import (
 )
 from flowcast.partition import PartitionScheme, partition_report
 from flowcast.stgraph import build_unified, load_spatial_graph, st_distance
-from flowcast.tensor import Param, backward, constant, mul, tensor_sum
+from flowcast.tensor import Param, attention_weights, backward, constant, mul, tensor_sum
 
 from oracles import (
     attention_oracle,
@@ -262,7 +261,7 @@ def test_criterion_04_subset_attention_matches_loop_oracle(capsys):
             label="p1", n_elements=m, tau=m, base_flats=[0], assignment=np.zeros(m, dtype=np.int64)
         )
         out = subset_attention(constant(x), params, one_subset)
-        weights = attention_weights(constant(x), params).data
+        weights = attention_weights(x, params)
         # the oracle gets each head's slices plus a random key bias that the
         # model does not carry: the row softmax cancels it exactly
         heads = [

@@ -6,7 +6,6 @@ import pytest
 from flowcast.attention import (
     apply_block,
     apply_module,
-    attention_weights,
     init_attention_params,
     init_block_params,
     init_module_params,
@@ -75,7 +74,7 @@ def test_attention_matches_loop_oracle():
         x = rng.normal(size=(m, dim))
 
         got = subset_attention(Tensor(x), params, _single_subset_scheme(m))
-        alphas = attention_weights(Tensor(x), params).data
+        alphas = tensor.attention_weights(x, params)
         want, want_alphas = attention_oracle(x, _heads_as_arrays(params, rng), params.w_out.data)
 
         assert np.max(np.abs(got.data - want)) < 1e-10
@@ -87,7 +86,7 @@ def test_attention_matches_loop_oracle():
 def test_attention_rows_are_stochastic():
     rng = np.random.default_rng(72)
     params = _random_attention(rng, 8, 2)
-    for alpha in attention_weights(Tensor(rng.normal(size=(6, 8))), params).data:
+    for alpha in tensor.attention_weights(rng.normal(size=(6, 8)), params):
         assert np.all(alpha >= 0.0)
         np.testing.assert_allclose(alpha.sum(axis=-1), 1.0, atol=1e-9)
 
@@ -102,7 +101,7 @@ def test_single_element_subset_is_value_map():
 
     values = np.concatenate([x @ w for w in params.w_value.data], axis=-1)
     np.testing.assert_allclose(got.data, values @ params.w_out.data, atol=1e-12)
-    for alpha in attention_weights(Tensor(x), params).data:
+    for alpha in tensor.attention_weights(x, params):
         np.testing.assert_allclose(alpha, [[1.0]], atol=1e-15)
 
 
@@ -110,7 +109,7 @@ def test_identical_rows_attend_uniformly():
     rng = np.random.default_rng(74)
     params = _random_attention(rng, 8, 2)
     row = rng.normal(size=8)
-    for alpha in attention_weights(Tensor(np.tile(row, (4, 1))), params).data:
+    for alpha in tensor.attention_weights(np.tile(row, (4, 1)), params):
         np.testing.assert_allclose(alpha, 0.25, atol=1e-12)
 
 
@@ -143,7 +142,7 @@ def test_attention_shape_errors():
         with pytest.raises(ContractError):
             subset_attention(Tensor(np.zeros(shape)), params, _single_subset_scheme(4))
         with pytest.raises(ContractError):
-            attention_weights(Tensor(np.zeros(shape)), params)
+            tensor.attention_weights(np.zeros(shape), params)
 
 
 def test_init_rejects_indivisible_width():
@@ -239,7 +238,7 @@ def test_module_records_alphas_per_subset():
     x = rng.normal(size=(12, 8))
     assert scheme.n_subsets == 2
     for indices in scheme.subsets:
-        for alpha in attention_weights(Tensor(x[indices]), params.attention).data:
+        for alpha in tensor.attention_weights(x[indices], params.attention):
             assert alpha.shape == (len(indices), len(indices))
             np.testing.assert_allclose(alpha.sum(axis=-1), 1.0, atol=1e-9)
 
@@ -394,7 +393,7 @@ def test_block_shape_and_captures():
     for rows, scheme, module in ((x.data, p1, params.module_one), (mid, p2, params.module_two)):
         assert scheme.n_subsets == 2
         for indices in scheme.subsets:
-            alphas = attention_weights(Tensor(rows[indices]), module.attention).data
+            alphas = tensor.attention_weights(rows[indices], module.attention)
             assert alphas.shape == (2, len(indices), len(indices))
 
 
@@ -506,7 +505,7 @@ def test_weights_times_values_give_the_fused_module_attention():
 
     for indices in scheme.subsets:
         m = len(indices)
-        alphas = attention_weights(Tensor(x[:, indices, :]), att).data
+        alphas = tensor.attention_weights(x[:, indices, :], att)
         assert alphas.shape == (batch, 4, m, m)
         values = x[:, None, indices, :] @ att.w_value.data  # (batch, H, m, d_h)
         heads = alphas @ values
@@ -628,7 +627,7 @@ def test_ranged_self_attention_is_bit_identical_at_every_block_budget(monkeypatc
         out = ranged_self_attention(x, params, bounds, order, inverse)
         backward(tensor_sum(mul(out, Tensor(probe))))
         weights = [
-            attention_weights(Tensor(x.data[:, indices]), params).data for indices in scheme.subsets
+            tensor.attention_weights(x.data[:, indices], params) for indices in scheme.subsets
         ]
         results.append([out.data, x.grad] + [p.grad for p in params.params()] + weights)
     for got in results[1:]:

@@ -546,15 +546,15 @@ def test_partition_on_directed_graph_writes_both_schemes(tmp_path, capsys):
     # would have no cover
     graph = tmp_path / "edges.txt"
     write_edge_list(["0 1", "1 2", "2 3"], graph)
-    # the spectral coordinates of a directed graph come from max(A, A^T)
-    with pytest.warns(UserWarning, match="adjacency not symmetric"):
-        code = main([
-            "partition", "--graph", str(graph), "--symmetrize", "false",
-            "--t-in", "3", "--n-subsets", "2", "--spe-modes", "2",
-            "--out-dir", str(tmp_path / "out"),
-        ])
+    code = main([
+        "partition", "--graph", str(graph), "--symmetrize", "false",
+        "--t-in", "3", "--n-subsets", "2", "--spe-modes", "2",
+        "--out-dir", str(tmp_path / "out"),
+    ])
     assert code == 0
-    out = capsys.readouterr().out.splitlines()
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    out = captured.out.splitlines()
     assert "warning: base 3 cannot reach any other base; left unshifted" in out
     assert out[-1].startswith("partitions written")
     for name in ("partition_p1.txt", "partition_p2.txt"):
@@ -733,6 +733,20 @@ def test_a_split_without_data_exits_2_and_writes_nothing(workspace, capsys, argv
     tmp, config, out = workspace
     assert main([*argv, "--config", str(config)]) == 2
     assert capsys.readouterr().err.startswith("error[input]: ")
+    assert not out.exists()
+
+
+def test_a_signal_column_the_named_graph_lacks_exits_2_and_writes_nothing(workspace, capsys):
+    # the signal's columns are 0..3, the graph's nodes a..d: nothing binds them
+    tmp, config, out = workspace
+    named = tmp / "named.txt"
+    write_edge_list(["a b", "b c", "c d", "d a"], named)
+    assert main(["train", "--config", str(config), "--graph", str(named)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error[input]: "), captured.err
+    assert "column '0' is not a graph node" in captured.err
+    assert "'nodes 4'" in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 

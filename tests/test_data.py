@@ -164,12 +164,40 @@ def test_graph_alignment_node_count(tmp_path):
         load_series([str(sig)], 5, graph=load_spatial_graph(edges))
 
 
-def test_graph_alignment_warns_on_label_mismatch(tmp_path):
+def test_graph_alignment_refuses_a_column_the_graph_lacks(tmp_path):
     sig = tmp_path / "sig.csv"
     edges = tmp_path / "edges.txt"
     _write_csv(sig, ["timestamp,x,y", "2024-01-01T00:00:00,1.0,2.0"])
     write_edge_list(["a b 1.0"], edges)
-    with pytest.warns(UserWarning, match="matched by position"):
+    with pytest.raises(InputError, match="column 'x' is not a graph node.*'nodes 2'"):
+        load_series([str(sig)], 5, graph=load_spatial_graph(edges))
+
+
+def test_graph_alignment_refuses_repeated_columns(tmp_path):
+    sig = tmp_path / "sig.csv"
+    edges = tmp_path / "edges.txt"
+    _write_csv(sig, ["timestamp,a,a", "2024-01-01T00:00:00,1.0,2.0"])
+    write_edge_list(["a b 1.0"], edges)
+    with pytest.raises(InputError, match="repeat"):
+        load_series([str(sig)], 5, graph=load_spatial_graph(edges))
+
+
+def test_graph_alignment_binds_by_position_under_a_nodes_directive(tmp_path):
+    sig = tmp_path / "sig.csv"
+    edges = tmp_path / "edges.txt"
+    _write_csv(sig, ["timestamp,400001,400017,400030", "2024-01-01T00:00:00,1.0,2.0,3.0"])
+    write_edge_list(["nodes 3", "2 1 1.0", "1 0 1.0"], edges)
+    series = load_series([str(sig)], 5, graph=load_spatial_graph(edges))
+    assert series.labels == ["400001", "400017", "400030"]
+    np.testing.assert_array_equal(series.values[0, :, 0], [1.0, 2.0, 3.0])
+
+
+def test_graph_alignment_refuses_sensor_ids_against_ids_out_of_order(tmp_path):
+    sig = tmp_path / "sig.csv"
+    edges = tmp_path / "edges.txt"
+    _write_csv(sig, ["timestamp,s0,s1,s2", "2024-01-01T00:00:00,1.0,2.0,3.0"])
+    write_edge_list(["0 2", "2 1"], edges)
+    with pytest.raises(InputError, match="column 's0'.*'nodes 3'"):
         load_series([str(sig)], 5, graph=load_spatial_graph(edges))
 
 

@@ -9,7 +9,6 @@ import pytest
 
 from flowcast import attention, partition, stgraph, tensor
 from flowcast import model as fmodel
-from flowcast.attention import attention_weights
 from flowcast.data import batch_arrays, prepare_dataset, ring_edge_lines, synthetic_series
 from flowcast.errors import ContractError, NumericError
 from flowcast.model import (
@@ -258,7 +257,7 @@ def test_subset_weights_read_the_rows_the_forward_attends(monkeypatch):
         for module, scheme, params in modules:
             rows = fed[2 * b + module - 1]
             for subset_id, members in enumerate(scheme.subsets):
-                want = attention_weights(Tensor(rows[:, members]), params.attention).data
+                want = tensor.attention_weights(rows[:, members], params.attention)
                 got = subset_weights(model, *window, b, module, subset_id)
                 assert np.array_equal(got, want)
 

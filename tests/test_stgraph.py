@@ -78,10 +78,19 @@ def test_load_rejects_empty_graph():
         load_spatial_graph(["# nothing"])
 
 
-def test_load_warns_on_self_loop():
-    with pytest.warns(UserWarning, match="self loop"):
-        g = load_spatial_graph(["0 0 1.5", "0 1 1.0"])
+def test_load_keeps_self_loop_as_given():
+    g = load_spatial_graph(["0 0 1.5", "0 1 1.0"])
     assert g.adjacency[0, 0] == 1.5
+    assert g.adjacency[1, 1] == 0.0
+
+
+def test_load_keeps_a_self_loop_on_every_node():
+    # a Gaussian-kernel adjacency carries exp(0) = 1 on its diagonal
+    n = 207
+    ring = [f"{i} {(i + 1) % n} 0.5" for i in range(n)]
+    g = load_spatial_graph([f"{i} {i} 1.0" for i in range(n)] + ring)
+    np.testing.assert_array_equal(np.diag(g.adjacency), np.ones(n))
+    assert np.count_nonzero(g.adjacency) == 3 * n
 
 
 def test_load_symmetrizes_with_max():
@@ -199,8 +208,7 @@ def test_iter_edges_weights_spatial_vs_temporal():
 
 
 def test_self_loop_appears_in_each_time_copy():
-    with pytest.warns(UserWarning):
-        spatial = load_spatial_graph(["0 0 0.3", "0 1 1.0"])
+    spatial = load_spatial_graph(["0 0 0.3", "0 1 1.0"])
     g = build_unified(spatial, 2)
     weights = {(u, v): w for u, v, w in g.iter_edges()}
     assert weights[(0, 0)] == 0.3
