@@ -73,9 +73,15 @@ def _read_signal_csv(path: Path) -> tuple[list[datetime], list[str], np.ndarray]
                     f"{path}:{line_no}: expected {len(header)} columns, got {len(row)}"
                 )
             try:
-                timestamps.append(datetime.fromisoformat(row[0].strip()))
+                stamp = datetime.fromisoformat(row[0].strip())
             except ValueError:
                 raise InputError(f"{path}:{line_no}: bad ISO-8601 timestamp {row[0]!r}")
+            if timestamps and (stamp.tzinfo is None) != (timestamps[0].tzinfo is None):
+                first, this = ("offset-aware", "naive") if stamp.tzinfo is None else ("naive", "offset-aware")
+                raise InputError(
+                    f"{path}:{line_no}: timestamp {row[0]!r} is {this}, but the first data row's is {first}"
+                )
+            timestamps.append(stamp)
             try:
                 values = [float(v) for v in row[1:]]
             except ValueError:

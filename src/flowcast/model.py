@@ -28,6 +28,7 @@ from .optim import (
     clip_global_norm,
     flatten_params,
     glorot_uniform,
+    window_blocks,
     zero_gradients,
     zeros_param,
 )
@@ -52,6 +53,7 @@ from .tensor import (
     masked_mae,
     no_grad,
     output_adapter,
+    window_gradients,
 )
 
 
@@ -199,6 +201,10 @@ def build_model(
                     f"{scheme.label} covers {scheme.n_elements} elements, expected "
                     f"{unified.n_elements}"
                 )
+            if scheme.n_subsets != config.n_subsets:
+                raise ContractError(
+                    f"{scheme.label} has {scheme.n_subsets} subsets, but n_subsets is {config.n_subsets}"
+                )
 
     rng = np.random.default_rng(config.seed)
     embedding = init_embedding_params(
@@ -274,18 +280,24 @@ def subset_weights(
 
 
 def masked_mae_loss(
-    pred: Tensor, truth: np.ndarray, mask: np.ndarray | None = None
+    pred: Tensor,
+    truth: np.ndarray,
+    mask: np.ndarray | None = None,
+    *,
+    kept: int | None = None,
+    terms: np.ndarray | None = None,
 ) -> Tensor:
     """Mean absolute error over unmasked points, as a scalar tensor.
 
     By default points where truth == 0 are masked out; an explicit mask
     (True = keep) overrides that, which lets callers train on normalized
     targets while masking on raw zeros. All-masked input gives loss 0. The
-    loss is one tape node, tensor.masked_mae.
+    loss is one tape node, tensor.masked_mae, which takes kept, the count
+    to normalize by, and terms, an array for the per-point terms.
     """
     truth = np.asarray(truth, dtype=np.float64)
     mask = truth != 0.0 if mask is None else np.asarray(mask)
-    return masked_mae(pred, truth, mask)
+    return masked_mae(pred, truth, mask, kept, terms)
 
 
 @dataclass
@@ -359,11 +371,8 @@ def predict_windows(
     78.1 MiB for 32-window forwards. Each chunk's predictions are written
     into one (W, N, t_out, C) array allocated before the first chunk, so
     the output is held once. Every window's output is computed on its own,
-    so the predictions are the same bits at any chunk size, with one
-    exception: the shifted softmax (tensor._needs_shift) is chosen
-    once per forward, for all of its windows, so a window whose scores
-    pass the unshifted limit shifts the windows it shares a forward with,
-    which moves their outputs by rounding.
+    its shifted softmax chosen for it alone, so the predictions are the
+    same bits at any chunk size.
     """
     if not samples:
         raise ContractError("cannot predict an empty window list")
@@ -391,9 +400,8 @@ def evaluate(
     The predictions come from predict_windows: batch_size, at least 1, is
     an upper bound on the windows per forward, and _FORWARD_ROWS, 7,560
     rows, bounds it further, which took the working set over 35 windows of
-    a 210-node grid from 78.1 to 8.5 MiB at the same MAE. A shifted softmax
-    is chosen per forward, as predict_windows says. Per-horizon metrics are
-    metrics_from_arrays on slices of predict_windows' output.
+    a 210-node grid from 78.1 to 8.5 MiB at the same MAE. Per-horizon
+    metrics are metrics_from_arrays on slices of predict_windows' output.
     """
     if not samples:
         raise ContractError("cannot evaluate an empty split")
@@ -446,6 +454,43 @@ class TraceRow:
         return ",".join(f.name for f in fields(TraceRow))
 
 
+# Rows, windows times unified elements, that one chunk of a training step
+# runs through its forward, loss and backward at most; a window larger than
+# this is a chunk of its own. 2,520 is one window of a 210-node, 12-step grid.
+# On the metr-train benchmark (4 such windows per step; 2-vCPU VM, one BLAS
+# thread, medians of 10 alternating pairs of 20 s runs) one-window chunks
+# peaked at 67.9 MiB RSS against 77.1 MiB for a step whose graph held the
+# whole batch, at 38.6 against 40.7 windows/s.
+_STEP_ROWS = 2_520
+
+
+def _batch_gradient(
+    model: ForecastModel,
+    params: list[Param],
+    batch: list[WindowSample],
+    buffer: np.ndarray,
+    blocks: list[np.ndarray],
+) -> float:
+    """One batch's masked MAE, with its gradient left in each param's grad;
+    buffer and blocks are optim.window_blocks(params, windows) for at
+    least the batch's windows. train's docstring says how it runs."""
+    values, day, step, target_norm, target_raw = batch_arrays(batch)
+    mask = target_raw != 0.0
+    kept = int(mask.sum())
+    points = np.empty(target_norm.shape)
+    zero_gradients(buffer)
+    size = max(1, _STEP_ROWS // model.unified.n_elements)
+    for lo in range(0, len(batch), size):
+        at = slice(lo, min(lo + size, len(batch)))
+        with window_gradients(params, [block[at] for block in blocks]):
+            pred = forward_arrays(model, values[at], day[at], step[at])
+            backward(masked_mae_loss(pred, target_norm[at], mask[at], kept=kept, terms=points[at]))
+    for p, block in zip(params, blocks):
+        np.add.reduce(block[: len(batch)], axis=0, out=p.grad)
+    # masked_mae's value, summed once over the whole batch
+    return float(points.sum() * (1.0 / max(kept, 1)))
+
+
 @dataclass
 class TrainState:
     """Everything a run carries from one epoch to the next.
@@ -485,6 +530,21 @@ def train(
     truth is all zero, records NaN validation columns and takes its
     parameters as the snapshot, so the final parameters are the snapshot
     and best_val_mae is NaN.
+
+    Each batch runs in chunks of whole windows, at most _STEP_ROWS rows
+    each, windows times unified elements; a larger window is a chunk of
+    its own. A chunk's forward, masked loss and backward run, and its graph
+    is freed, before the next chunk starts, so a step holds the graph of
+    one chunk at any batch size. Each chunk's loss is normalized by the
+    whole batch's kept count, taken from the batch's mask before the
+    first chunk. Every op with parameters adds one gradient term per
+    window into the parameter's (windows, *shape) block of one buffer
+    (optim.window_blocks, bound by tensor.window_gradients); after the
+    last chunk one sum over each block's window axis gives the gradient,
+    and one sum over the batch's per-point terms the loss. No op mixes two
+    windows' rows in a GEMV or a shift decision, so the loss, the gradient
+    and the step are the same bits at any _STEP_ROWS. A non-finite loss
+    raises NumericError before any parameter changes.
     """
     config = model.config
     train_windows = dataset.splits["train"]
@@ -495,6 +555,7 @@ def train(
 
     params = model.params()
     data, grad = flatten_params(params)
+    buffer, blocks = window_blocks(params, config.batch_size)
     state = TrainState() if state is None else state
     state.trace = []
     if state.moments is None:
@@ -509,17 +570,12 @@ def train(
         for lo in range(0, len(order), config.batch_size):
             chosen = order[lo : lo + config.batch_size]
             batch = [train_windows[int(i)] for i in chosen]
-            values, day, step, target_norm, target_raw = batch_arrays(batch)
-            pred = forward_arrays(model, values, day, step)
-            loss = masked_mae_loss(pred, target_norm, target_raw != 0.0)
-            loss_value = loss.item()
+            loss_value = _batch_gradient(model, params, batch, buffer, blocks)
             if not np.isfinite(loss_value):
                 raise NumericError(
                     f"non-finite loss {loss_value} at epoch {epoch}, "
                     f"batch starting at {lo} (step {state.step_count + 1})"
                 )
-            zero_gradients(grad)
-            backward(loss)
             if config.clip_norm > 0.0:
                 clip_global_norm(grad, config.clip_norm)
             adam_step(state.moments, state.step_count + 1, data, grad, config.learning_rate)

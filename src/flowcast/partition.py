@@ -152,10 +152,11 @@ def _cover_radius(graph: UnifiedGraph, best: np.ndarray, prefix: str, kind: str)
 class PartitionScheme:
     """A disjoint cover of all unified-graph elements by local subsets.
 
-    Construction checks the cover: every element has a subset id in
-    [0, l), no subset is empty, and each subset holds its own base
-    element. It also lays the cover out subset-major once: order lists
-    the elements subset by subset, each subset in ascending flat order;
+    Construction checks the label, a string, tau, a non-negative integer,
+    and the cover: every element has a subset id in [0, l), no subset is
+    empty, and each subset holds its own base element. It also lays the
+    cover out subset-major once: order lists the elements subset by
+    subset, each subset in ascending flat order;
     inverse is its inverse permutation; sizes counts each subset; bounds
     holds each subset's [start, stop) range of order; and subsets splits
     order into the l member lists. notes are shift_bases' notes on how a
@@ -176,6 +177,10 @@ class PartitionScheme:
     subsets: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.label, str):
+            raise ContractError(f"a scheme label must be a string, got {self.label!r}")
+        if isinstance(self.tau, bool) or not isinstance(self.tau, (int, np.integer)) or self.tau < 0:
+            raise ContractError(f"{self.label}: tau must be a non-negative integer, got {self.tau!r}")
         ids, l = self.assignment, len(self.base_flats)
         if ids.shape != (self.n_elements,):
             raise ContractError(

@@ -36,6 +36,7 @@ ones in from the kernel.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -136,14 +137,20 @@ class Tensor:
 
 
 class Param(Tensor):
-    """A named leaf tensor whose gradient persists between backward calls."""
+    """A named leaf tensor whose gradient persists between backward calls.
 
-    __slots__ = ("name",)
+    While window_gradients binds its window_grad, (windows, *shape), the
+    ops that read it add their gradient there, one term per window of
+    their input, and leave grad alone.
+    """
+
+    __slots__ = ("name", "window_grad")
 
     def __init__(self, value, name: str):
         super().__init__(value, requires_grad=True)
         self.name = name
         self.grad = np.zeros_like(self.data)
+        self.window_grad: np.ndarray | None = None
 
     def __repr__(self) -> str:
         return f"Param({self.name!r}, shape={self.shape})"
@@ -176,6 +183,19 @@ def _params_in(items: list) -> list[Param]:
     return out
 
 
+@contextmanager
+def window_gradients(params: Sequence[Param], blocks: Sequence[np.ndarray]) -> Iterator[None]:
+    """Inside the block, each param's window_grad is its block of
+    gradient terms, (windows, *shape)."""
+    for p, block in zip(params, blocks):
+        p.window_grad = block
+    try:
+        yield
+    finally:
+        for p in params:
+            p.window_grad = None
+
+
 def constant(value) -> Tensor:
     """Wrap an array as a non-differentiable leaf."""
     return Tensor(value)
@@ -192,6 +212,19 @@ def _accumulate(parent: Tensor, grad: np.ndarray) -> None:
         parent.grad = np.array(grad, dtype=np.float64, order="C")
     else:
         parent.grad += grad
+
+
+def _accumulate_windows(parent: Tensor, terms: np.ndarray) -> None:
+    """Add a parameter's gradient terms, one per window, (windows, *shape)
+    or a reshape of it: into its window_grad while one is bound, else
+    summed over the windows into its gradient."""
+    window_grad = getattr(parent, "window_grad", None)
+    if window_grad is None:
+        _accumulate(parent, terms.reshape((-1,) + parent.data.shape).sum(axis=0))
+    elif window_grad.size != terms.size:
+        raise ContractError(f"{terms.size} window terms for {window_grad.size} bound entries")
+    else:
+        window_grad += terms.reshape(window_grad.shape)
 
 
 def _consumed(g: np.ndarray) -> None:
@@ -299,14 +332,18 @@ _UNSHIFTED_SCORE_LIMIT = 200.0
 _EXP_FLOOR = -700.0
 
 
-def _needs_shift(q: np.ndarray, k: np.ndarray, factor: float) -> bool:
-    """False when d_h * max|q * factor| * max|k|, a bound on every |score|,
-    is at most _UNSHIFTED_SCORE_LIMIT; a NaN bound, from a non-finite
-    input, fails the test too. q and k are the feature-major queries and
-    keys, (..., d_h, M) each."""
-    q_peak, k_peak = (max(a.max(initial=0.0), -a.min(initial=0.0)) for a in (q, k))
+def _needs_shift(q: np.ndarray, k: np.ndarray, factor: float) -> np.ndarray:
+    """One decision per window: False where d_h * max|q * factor| * max|k|
+    over the window, a bound on each of its |scores|, is at most
+    _UNSHIFTED_SCORE_LIMIT; a NaN bound, from a non-finite input, fails
+    the test too. q and k are the feature-major queries and keys,
+    (..., H, d_h, M) each; the decisions are shaped as their leading axes."""
+    axes = (-3, -2, -1)
+    q_peak, k_peak = (
+        np.maximum(a.max(axis=axes, initial=0.0), -a.min(axis=axes, initial=0.0)) for a in (q, k)
+    )
     bound = k.shape[-2] * factor * q_peak * k_peak
-    return not bound <= _UNSHIFTED_SCORE_LIMIT
+    return ~(bound <= _UNSHIFTED_SCORE_LIMIT)
 
 
 def _check_ranges(bounds: list[tuple[int, int]], n_rows: int) -> None:
@@ -361,20 +398,10 @@ def _check_maps(op: str, rows_shape: tuple[int, ...], params: AttentionParams) -
 # calls each; quartiles about 3 ms apart, so 512 KiB and 1 MiB tie).
 _BLOCK_BYTES = 512 * 1024
 
-# Rows, windows times elements, that one chunk of ranged_self_attention's
-# backward rebuilds and differentiates at once; a window larger than this
-# is a chunk of its own. 2,520 is one window of a 210-node, 12-step grid.
-# On the metr-train benchmark (4 such windows per step; 2-vCPU VM, one
-# BLAS thread, medians of 4 runs of 10 s), chunks of 1, 2 and 4 windows
-# peaked at 72.0, 76.4 and 82.6 MiB RSS against 92.5 MiB when the forward
-# kept the operands, at 36.8, 38.4 and 37.9 windows/s against 40.6: each
-# chunk runs its own range loop, so smaller chunks pay more per-piece calls.
-_BACKWARD_ROWS = 2_520
-
 
 def _pieces(
     lead: tuple[int, ...], bounds: list[tuple[int, int]], itemsize: int
-) -> tuple[list[tuple[slice, int, int]], int]:
+) -> tuple[tuple[tuple[slice, int, int], ...], int]:
     """The range loop's pieces for operands with leading axes lead, the
     axes before a range's (m, m) weight block, and items of itemsize bytes.
 
@@ -383,15 +410,40 @@ def _pieces(
     _BLOCK_BYTES; a row whose block alone is larger is a piece of its own.
     Returns (rows, lo, hi) per piece, range by range and in row order, and
     the item count of the largest block, which one scratch buffer holds.
+    The answer is memoized: a forward or backward asks for the same few
+    geometries on every call.
     """
+    return _piece_table(tuple(lead), tuple(bounds), itemsize, _BLOCK_BYTES)
+
+
+@functools.lru_cache(maxsize=64)
+def _piece_table(
+    lead: tuple[int, ...], bounds: tuple[tuple[int, int], ...], itemsize: int, block_bytes: int
+) -> tuple[tuple[tuple[slice, int, int], ...], int]:
     n_lead, per_row = lead[0], math.prod(lead[1:])
     pieces, largest = [], 0
     for lo, hi in bounds:
         row_items = per_row * (hi - lo) ** 2
-        step = max(1, _BLOCK_BYTES // max(1, row_items * itemsize))
+        step = max(1, block_bytes // max(1, row_items * itemsize))
         pieces += [(slice(at, min(at + step, n_lead)), lo, hi) for at in range(0, n_lead, step)]
         largest = max(largest, min(step, n_lead) * row_items)
-    return pieces, largest
+    return tuple(pieces), largest
+
+
+def _flagged_pieces(
+    k: np.ndarray, bounds: list[tuple[int, int]], shifted
+) -> tuple[Sequence[tuple[slice, int, int]], int, list[bool]]:
+    """_pieces for the range loops' key operand k, and the shift
+    decisions, one per row of k's first axis, from shifted, which holds
+    one per row or one for all. Where the rows disagree, which is rare,
+    each piece is cut into rows of its own, so a piece's rows share one."""
+    flags = shifted.tolist() if np.ndim(shifted) else [bool(shifted)] * len(k)
+    pieces, largest = _pieces(k.shape[:-2], bounds, k.itemsize)
+    if any(flags) and not all(flags):
+        pieces = [
+            (slice(at, at + 1), lo, hi) for rows, lo, hi in pieces for at in range(rows.start, rows.stop)
+        ]
+    return pieces, largest, flags
 
 
 def _block(scratch: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -404,21 +456,23 @@ def _attend(
     k_t: np.ndarray,
     v_one_t: np.ndarray,
     bounds: list[tuple[int, int]],
-    shifted: bool,
+    shifted,
     out_t: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The forward range loop over feature-major operands.
 
     q_norm_t is (..., H, d_h + 1, M) with q / sqrt(d_h) in its first d_h
     rows, k_t the keys (..., H, d_h, M), and v_one_t [v | 1]^T,
-    (..., H, d_v + 1, M). Each range's scores are key-major, k @ q^T with
-    k a transposed view of k_t, and its weights exp(scores), shifted by
-    each query's max and floored at _EXP_FLOOR first when shifted is set.
-    The weights are never normalized: one GEMM of [v | 1]^T with them
-    gives the outputs and, in the last row, each query's total. The
-    outputs divided by the totals go to out_t, (..., H, d_v, M). Returns
-    the totals and the shifts, (..., H, 1, M) each, or None for unshifted:
-    a query's log normalizer is shift + log(total).
+    (..., H, d_v + 1, M). shifted holds one decision per row of the first
+    axis, a window, or one for all rows. Each range's scores are
+    key-major, k @ q^T with k a transposed view of k_t, and its weights
+    exp(scores), shifted by each query's max and floored at _EXP_FLOOR
+    first in the windows whose decision is set. The weights are never
+    normalized: one GEMM of [v | 1]^T with them gives the outputs and, in
+    the last row, each query's total. The outputs divided by the totals go
+    to out_t, (..., H, d_v, M). Returns the totals and the shifts,
+    (..., H, 1, M) each, the shifts 0.0 in unshifted windows, or None when
+    no window shifts: a query's log normalizer is shift + log(total).
 
     A range's weights are computed in _pieces along the first leading
     axis, each written by its score GEMM into one scratch buffer that the
@@ -430,14 +484,14 @@ def _attend(
     d_v = v_one_t.shape[-2] - 1
     q_t = q_norm_t[..., :-1, :]
     mixed = np.empty(v_one_t.shape)
-    peaks = np.empty(v_one_t.shape[:-2] + (1, v_one_t.shape[-1])) if shifted else None
-    pieces, largest = _pieces(k_t.shape[:-2], bounds, k_t.itemsize)
+    pieces, largest, flags = _flagged_pieces(k_t, bounds, shifted)
+    peaks = np.zeros(v_one_t.shape[:-2] + (1, v_one_t.shape[-1])) if any(flags) else None
     scratch = np.empty(largest, dtype=k_t.dtype)
     for rows, lo, hi in pieces:
         keys = np.swapaxes(k_t[rows, ..., lo:hi], -1, -2)
         weights = _block(scratch, keys.shape[:-1] + (hi - lo,))
         np.matmul(keys, q_t[rows, ..., lo:hi], out=weights)
-        if shifted:
+        if flags[rows.start]:
             peak = peaks[rows, ..., lo:hi]
             np.max(weights, axis=-2, keepdims=True, out=peak)
             weights -= peak
@@ -456,7 +510,7 @@ def _attend_grad(
     g_t: np.ndarray,
     out_t: np.ndarray,
     bounds: list[tuple[int, int]],
-    shifted: bool,
+    shifted,
     factor: float,
     grads_t: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> None:
@@ -465,7 +519,8 @@ def _attend_grad(
     (..., H, d_v, M), writes the query, key and value gradients
     feature-major into grads_t, (..., H, d, M) each. As in FlashAttention,
     each range's weights are recomputed as exp([k | 1] @ [q | -log_norm]^T),
-    one GEMM and one exp.
+    one GEMM and one exp, floored at _EXP_FLOOR first in the windows that
+    _attend shifted; in the others every exponent is at least -400 - log m.
     The loop runs over _attend's pieces, with two scratch buffers allocated
     once per call, one for the weights and one for their gradient; grads_t
     may be strided views of one buffer, since each piece writes through
@@ -481,14 +536,14 @@ def _attend_grad(
     np.negative((g_t * out_t).sum(axis=-2, keepdims=True), out=g_inner_t[..., d_v:, :])
     k_t = np.swapaxes(k_one[..., :-1], -1, -2)
     v_one = np.swapaxes(v_one_t, -1, -2)
-    pieces, largest = _pieces(k_one.shape[:-2], bounds, k_one.itemsize)
+    pieces, largest, flags = _flagged_pieces(k_one, bounds, shifted)
     scratch = np.empty((2, largest), dtype=k_one.dtype)
     for rows, lo, hi in pieces:
         keys = k_one[rows, ..., lo:hi, :]
         shape = keys.shape[:-1] + (hi - lo,)
         weights, d_scores = _block(scratch[0], shape), _block(scratch[1], shape)
         np.matmul(keys, q_norm_t[rows, ..., lo:hi], out=weights)
-        if shifted:
+        if flags[rows.start]:
             np.maximum(weights, _EXP_FLOOR, out=weights)
         np.exp(weights, out=weights)
         np.matmul(
@@ -533,21 +588,19 @@ def _operand_maps(params: AttentionParams) -> tuple[np.ndarray, np.ndarray]:
 def _attention_operands(
     rows: np.ndarray,
     params: AttentionParams,
-    stack: tuple[np.ndarray, np.ndarray] | None = None,
-    shifted: bool | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, bool]:
+    shifted: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray]:
     """_attend's operands for rows (..., M, D), views of one GEMM of the
     rows transposed with _operand_maps' stack, (3D + 2H, D):
     [q / sqrt(d_h) | 0]^T, (..., H, d_h + 1, M), its last row left to the
     log normalizers; the keys, (..., H, d_h, M); [v | 1]^T; then
-    1 / sqrt(d_h) and _needs_shift's answer. The bias, the scale and the
-    ones row are written in place. stack is _operand_maps(params), built
-    here when None; a shifted given is returned as the answer, and
-    _needs_shift is not asked.
+    1 / sqrt(d_h) and _needs_shift's answer, one per window. The bias, the
+    scale and the ones row are written in place. A shifted given is
+    returned as the answer, and _needs_shift is not asked.
     """
     heads, dim, head_dim = params.w_query.shape
     q_end = heads * (head_dim + 1)
-    maps, bias = _operand_maps(params) if stack is None else stack
+    maps, bias = _operand_maps(params)
     qkv = maps @ np.swapaxes(rows, -1, -2)
     per_head = qkv.shape[:-2] + (heads, -1, rows.shape[-2])
     # bias and scale run over the whole query block, zero rows too: numpy copies a
@@ -568,19 +621,20 @@ def _attention_operands(
 def attention_weights(rows: np.ndarray, params: AttentionParams) -> np.ndarray:
     """Softmax weights of rows (..., m, D) attending to one another,
     (..., H, m, m), query-major; forward only. The operands are
-    ranged_self_attention's, and _attend runs over the one range [0, m)
-    with [I | 1]^T as values, so each output row is one query's weights.
+    ranged_self_attention's, over the leading axes laid out as one window
+    axis, and _attend runs over the one range [0, m) with [I | 1]^T as
+    values, so each output row is one query's weights.
     """
     _check_maps("attention_weights", rows.shape, params)
     m = rows.shape[-2]
     _check_ranges([(0, m)], m)
-    q_norm_t, k_t, _, _, shifted = _attention_operands(rows, params)
+    q_norm_t, k_t, _, _, shifted = _attention_operands(rows.reshape((-1,) + rows.shape[-2:]), params)
     identity_one_t = np.empty(q_norm_t.shape[:-2] + (m + 1, m))
     identity_one_t[..., :m, :] = np.eye(m)
     identity_one_t[..., m, :] = 1.0
     weights = np.empty(k_t.shape[:-2] + (m, m))
     _attend(q_norm_t, k_t, identity_one_t, [(0, m)], shifted, np.swapaxes(weights, -1, -2))
-    return weights
+    return weights.reshape(rows.shape[:-2] + weights.shape[1:])
 
 
 def ranged_self_attention(
@@ -600,103 +654,84 @@ def ranged_self_attention(
     with a query bias (H, 1, d_h); keys carry no bias, as the softmax would
     cancel it. Head outputs laid side by side go through w_out, (D, D).
 
-    Once per call, the bound d_h * max|q / sqrt(d_h)| * max|k| caps every
-    |score| at O(M d_h) cost. When it is at most _UNSHIFTED_SCORE_LIMIT,
-    each range's weights are exp(scores) with no shift; otherwise, or when
-    an input is not finite, each query's scores are shifted by their exact
-    max and floored at _EXP_FLOOR first.
+    The leading axes of x are laid out as one axis of windows; unbatched
+    rows are one window. Once per window, the bound
+    d_h * max|q / sqrt(d_h)| * max|k| over the window caps every |score| at
+    O(M d_h) cost. When it is at most _UNSHIFTED_SCORE_LIMIT, each range's
+    weights are exp(scores) with no shift; otherwise, or when an input is
+    not finite, each query's scores are shifted by their exact max and
+    floored at _EXP_FLOOR first. So no window's output depends on the
+    windows it is batched with.
 
     The forward is one np.take by order, _attention_operands' GEMM into
-    one (..., 3D + 2H, M) buffer, the range loop of _attend over its views
+    one (W, 3D + 2H, M) buffer, the range loop of _attend over its views
     q^T / sqrt(d_h), k^T and [v | 1]^T, which writes the head outputs as
-    (..., H, d_h, M) = (..., D, M), one output GEMM and one np.take by
+    (W, H, d_h, M) = (W, D, M), one output GEMM and one np.take by
     inverse; the buffer is freed before the output GEMM. Only when the
     output records a graph does the op keep the head outputs, each
-    query's negated log normalizer, (..., H, 1, M), and the shift
-    decision: D + H floats per row.
+    query's negated log normalizer, (W, H, 1, M), and the shift
+    decisions: D + H floats per row.
 
-    The backward recomputes the rest, _BACKWARD_ROWS rows at a time, in
-    chunks of whole entries of the first leading axis (windows): per
-    chunk it gathers x by order, rebuilds the operands with the forward's
-    shift decision, writes the kept log normalizers into the spare query
-    rows, recomputes the weights range by range in _attend_grad, and
-    writes the query, key and value gradients into one (..., 3D, M)
-    buffer. Each window's terms of the w_out, query bias and packed map
-    gradients go into buffers over the first leading axis, summed in
-    window order after the loop as an unchunked backward sums them, and
-    its input gradient into one array shaped as x; unbatched input is one
-    chunk, all of it. So every gradient is the same bits at any
-    _BACKWARD_ROWS. The backward reads the parameters as they are when it
-    runs, so they must not change between the forward and the backward.
-    Both range loops split a range's (..., H, m, m) weights along the
-    batch into pieces of at most _BLOCK_BYTES, or of one batch row where
-    that is larger, computed in scratch allocated once per call, so no
-    call holds the weights of all B * H pairs of a range at once.
+    The backward recomputes the rest: it gathers x by order, rebuilds the
+    operands with the forward's shift decisions, writes the kept log
+    normalizers into the spare query rows, recomputes the weights range
+    by range in _attend_grad, and writes the query, key and value
+    gradients into one (W, 3D, M) buffer. The w_out, query bias and map
+    gradients are one term per window (_accumulate_windows). The backward
+    reads the parameters as they are when it runs, so they must not change
+    between the forward and the backward. Both range loops split a range's
+    (W, H, m, m) weights along the windows into pieces of at most
+    _BLOCK_BYTES, or of one window where that is larger, computed in
+    scratch allocated once per call, so no call holds the weights of all
+    W * H pairs of a range at once.
     """
     _check_maps("ranged_self_attention", x.shape, params)
-    heads, dim, head_dim = params.w_query.shape
-    lead, n_rows = x.shape[:-2], x.shape[-2]
+    n_rows, dim = x.shape[-2:]
     _check_ranges(bounds, n_rows)
     if not _inverse_permutations(order, inverse, n_rows):
         raise ContractError(f"order and inverse are not inverse permutations of {n_rows} rows")
     parents = (x, *params.tensors())
     w_out = params.w_out
-    q_norm_t, k_t, v_one_t, factor, shifted = _attention_operands(np.take(x.data, order, axis=-2), params)
-    per_head = lead + (heads, head_dim, n_rows)
-    heads_t = np.empty(lead + (dim, n_rows))
+    windows = (-1, n_rows, dim)
+    q_norm_t, k_t, v_one_t, factor, shifted = _attention_operands(
+        np.take(x.data.reshape(windows), order, axis=1), params
+    )
+    per_head = k_t.shape
+    heads_t = np.empty(per_head[:1] + (dim, n_rows))
     totals, peaks = _attend(q_norm_t, k_t, v_one_t, bounds, shifted, heads_t.reshape(per_head))
     del q_norm_t, k_t, v_one_t
     keep = _recording and any(p.requires_grad for p in parents)
     if keep:
         neg_log_norm = np.log(totals)
-        if shifted:
+        if peaks is not None:
             neg_log_norm += peaks
         np.negative(neg_log_norm, out=neg_log_norm)
     del totals, peaks  # _attend's sums, and with them the operands, go before the output GEMM
-    out = np.take(np.swapaxes(heads_t, -1, -2) @ w_out.data, inverse, axis=-2)
+    out = np.take(np.swapaxes(heads_t, -1, -2) @ w_out.data, inverse, axis=1).reshape(x.shape)
     if not keep:
         return Tensor(out)
 
     def bwd(g: np.ndarray) -> None:
-        stack = _operand_maps(params)
-        packed = _packed_maps(params)
-
-        def chunk_grads(at, out_w, out_bias, out_maps, out_x):
-            # the gradient terms of the windows at, a slice of the first leading
-            # axis or ... for all of them, written into the outs
-            rows = np.take(x.data[at], order, axis=-2)
-            g_rows = np.take(g[at], order, axis=-2)
-            np.matmul(heads_t[at], g_rows, out=out_w)
-            g_t = w_out.data @ np.swapaxes(g_rows, -1, -2)
-            del g_rows
-            q_norm_t, k_t, v_one_t, _, _ = _attention_operands(rows, params, stack, shifted)
-            q_norm_t[..., -1:, :] = neg_log_norm[at]
-            chunk_heads = k_t.shape
-            dqkv = np.empty(rows.shape[:-2] + (3, heads, head_dim, n_rows))
-            _attend_grad(
-                q_norm_t, _with_column(np.swapaxes(k_t, -1, -2), 1.0), v_one_t, g_t.reshape(chunk_heads),
-                heads_t[at].reshape(chunk_heads), bounds, shifted, factor,
-                (dqkv[..., 0, :, :, :], dqkv[..., 1, :, :, :], dqkv[..., 2, :, :, :]),
-            )
-            del q_norm_t, k_t, v_one_t, g_t
-            dqkv = dqkv.reshape(rows.shape[:-2] + (3 * dim, n_rows))
-            np.sum(dqkv[..., :dim, :], axis=-1, out=out_bias)
-            np.matmul(dqkv, rows, out=out_maps)
-            # mode="clip" writes straight into out_x; inverse is a checked permutation
-            np.take(np.swapaxes(dqkv, -1, -2) @ packed, inverse, axis=-2, out=out_x, mode="clip")
-
-        size = max(1, _BACKWARD_ROWS // math.prod(x.shape[1:-1])) if lead else 1
-        chunks = [slice(lo, lo + size) for lo in range(0, lead[0], size)] if lead else [...]
-        d_w, d_bias, d_maps = (np.empty(lead + shape) for shape in ((dim, dim), (dim,), (3 * dim, dim)))
-        d_x = np.empty(x.shape)
-        for at in chunks:
-            chunk_grads(at, d_w[at], d_bias[at], d_maps[at], d_x[at])
-        _accumulate(w_out, _lead_sum(d_w))
-        _accumulate(params.b_query, d_bias.reshape(-1, heads, 1, head_dim).sum(axis=0))
-        d_maps = _lead_sum(d_maps).reshape(3, heads, head_dim, dim)
-        for param, grad in zip((params.w_query, params.w_key, params.w_value), d_maps):
-            _accumulate(param, np.swapaxes(grad, -1, -2))
-        _accumulate(x, d_x)
+        rows = np.take(x.data.reshape(windows), order, axis=1)
+        g_rows = np.take(g.reshape(windows), order, axis=1)
+        _accumulate_windows(w_out, np.matmul(heads_t, g_rows))
+        g_t = w_out.data @ np.swapaxes(g_rows, -1, -2)
+        del g_rows
+        q_norm_t, k_t, v_one_t, _, _ = _attention_operands(rows, params, shifted)
+        q_norm_t[..., -1:, :] = neg_log_norm
+        dqkv = np.empty(per_head[:1] + (3,) + per_head[1:])
+        _attend_grad(
+            q_norm_t, _with_column(np.swapaxes(k_t, -1, -2), 1.0), v_one_t, g_t.reshape(per_head),
+            heads_t.reshape(per_head), bounds, shifted, factor, (dqkv[:, 0], dqkv[:, 1], dqkv[:, 2]),
+        )
+        del q_norm_t, k_t, v_one_t, g_t
+        dqkv = dqkv.reshape(per_head[:1] + (3 * dim, n_rows))
+        _accumulate_windows(params.b_query, dqkv[:, :dim].sum(axis=-1))
+        d_maps = np.matmul(dqkv, rows).reshape(per_head[:1] + (3,) + per_head[1:-1] + (dim,))
+        for i, param in enumerate((params.w_query, params.w_key, params.w_value)):
+            _accumulate_windows(param, np.swapaxes(d_maps[:, i], -1, -2))
+        d_x = np.take(np.swapaxes(dqkv, -1, -2) @ _packed_maps(params), inverse, axis=1)
+        _accumulate(x, d_x.reshape(x.shape))
 
     return Tensor(out, parents, bwd)
 
@@ -710,11 +745,6 @@ def _inverse_permutations(order, inverse, n_rows: int) -> bool:
         return np.array_equal(np.take(inverse, order), np.arange(n_rows))
     except (IndexError, TypeError):
         return False
-
-
-def _lead_sum(a: np.ndarray) -> np.ndarray:
-    """Sum of a (..., r, c) array over its leading axes: (r, c)."""
-    return a.reshape((-1,) + a.shape[-2:]).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -737,7 +767,9 @@ def _norm_rows(a: np.ndarray, row_mean: np.ndarray) -> np.ndarray:
     """Bring each row of a to zero mean and unit population variance in
     place, and return each row's inverse std, (..., 1). row_mean is a
     (width, 1) column of 1/width: BLAS runs the row means as GEMVs faster
-    than numpy reduces over the last axis."""
+    than numpy reduces over the last axis. A GEMV rounds a row by where it
+    sits among the GEMV's rows, so callers hand a window's rows as one
+    (rows, width) slice of a: then each window rounds alone."""
     a -= a @ row_mean
     inv = (a * a) @ row_mean
     inv += _NORM_EPS
@@ -767,22 +799,46 @@ def _norm_rows_grad(
 _TILE_ROWS = 512
 
 
+def _window_tiles(n_windows: int, rows: int) -> list[tuple[int, int, int]]:
+    """add_norm_ffn's tiles over n_windows windows of rows rows each, as
+    (lo, hi, windows) in row order. A tile never spans a window boundary:
+    it is a run of as many whole windows as fit in _TILE_ROWS rows, or,
+    where one window is larger, a piece of _TILE_ROWS rows or fewer of one
+    window. windows counts the tile's whole windows, 1 for a piece."""
+    if rows <= _TILE_ROWS:
+        per = _TILE_ROWS // max(rows, 1)
+        starts = range(0, n_windows, per)
+        return [(w * rows, min(w + per, n_windows) * rows, min(per, n_windows - w)) for w in starts]
+    return [
+        (w * rows + lo, w * rows + min(lo + _TILE_ROWS, rows), 1)
+        for w in range(n_windows)
+        for lo in range(0, rows, _TILE_ROWS)
+    ]
+
+
+def _by_window(a: np.ndarray, windows: int) -> np.ndarray:
+    """A tile's (rows, width) array as (windows, rows / windows, width),
+    or as it is for one window."""
+    return a if windows == 1 else a.reshape(windows, -1, a.shape[-1])
+
+
 def _ffn_first_half(
     a: np.ndarray,
     x: np.ndarray,
     row_mean: np.ndarray,
+    windows: int,
     g1: np.ndarray,
     beta1: np.ndarray,
     w1: np.ndarray,
     b1: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One tile of add_norm_ffn up to its hidden rows: the normalized rows of
-    a + x and their inverse stds, y = norm1 * g1 + beta1 and
-    h = relu(y w1 + b1), with g1, beta1 and b1 in the tile's shape. The
-    forward and the backward, which recomputes it, both call this, so both
-    get the same bits."""
+    """One tile of add_norm_ffn, of windows windows, up to its hidden rows:
+    the normalized rows of a + x and their inverse stds,
+    y = norm1 * g1 + beta1 and h = relu(y w1 + b1), with g1, beta1 and b1
+    in the tile's shape. The forward and the backward, which recomputes
+    it, both call this, so both get the same bits."""
     norm1 = a + x
-    inv1 = _norm_rows(norm1, row_mean)
+    inv1 = _norm_rows(_by_window(norm1, windows), row_mean).reshape(-1, 1)
     y = norm1 * g1
     y += beta1
     h = y @ w1
@@ -818,18 +874,21 @@ def add_norm_ffn(attended: Tensor, x: Tensor, params: ModuleParams) -> Tensor:
     intermediate through memory nine times; here the rows run in tiles of _TILE_ROWS, so each
     tile's intermediates stay in cache from the residual to the output.
 
-    Each bias and gain is laid out once per call in a tile's shape, and
-    the backward does not keep those. Only when the output records a graph
-    does the forward keep, per tile, the second norm's normalized rows and
-    their inverse stds, D + 1 floats per row; under no_grad it keeps
-    nothing. The backward walks the same tiles and rebuilds the rest from
-    attended and x, whose arrays the tape holds anyway, with the forward's
-    own expressions on the same tile operands, so with the same bits: the
-    first norm's rows and inverse stds, y, and the post-relu hidden
-    relu(y W1 + b1). It reads the weights as they are when it runs, so
-    they must not change between the forward and the backward. Each weight
-    gradient is one GEMM per tile and each bias or gain gradient a
-    ones-row GEMV per tile, summed over the tiles.
+    The rows (..., M, D) are windows of M rows each, and no tile spans
+    two windows (_window_tiles), so each window's rows round alike in any
+    batch. Each bias and gain is laid out once per call in a tile's shape,
+    and the backward does not keep those. Only when the output records a
+    graph does the forward keep, per tile, the second norm's normalized
+    rows and their inverse stds, D + 1 floats per row; under no_grad it
+    keeps nothing. The backward walks the same tiles and rebuilds the rest
+    from attended and x, whose arrays the tape holds anyway, with the
+    forward's own expressions on the same tile operands, so with the same
+    bits: the first norm's rows and inverse stds, y, and the post-relu
+    hidden relu(y W1 + b1). It reads the weights as they are when it runs,
+    so they must not change between the forward and the backward. Each
+    weight gradient is one GEMM per window of a tile and each bias or gain
+    gradient a ones-row GEMV per window, summed over a window's tiles into
+    one term per window (_accumulate_windows).
     """
     if attended.shape != x.shape or x.ndim < 1:
         raise ContractError(f"add_norm_ffn needs equal input shapes, got {attended.shape} and {x.shape}")
@@ -853,23 +912,25 @@ def add_norm_ffn(attended: Tensor, x: Tensor, params: ModuleParams) -> Tensor:
     a_rows = attended.data.reshape(-1, width)
     x_rows = x.data.reshape(-1, width)
     n_rows = x_rows.shape[0]
-    tiles = [(lo, min(lo + _TILE_ROWS, n_rows)) for lo in range(0, n_rows, _TILE_ROWS)]
+    window = x.shape[-2] if x.ndim > 1 else 1
+    n_windows = n_rows // max(window, 1)
+    tiles = _window_tiles(n_windows, window)
     row_mean = np.full((width, 1), 1.0 / width)
     out = np.empty(x.data.shape)
     out_rows = out.reshape(-1, width)
-    tile_rows = min(n_rows, _TILE_ROWS)
+    tile_rows = max((hi - lo for lo, hi, _ in tiles), default=0)
     g1_tile, beta1_tile, b2_tile, g2_tile, beta2_tile = _row_tiles(tile_rows, g1, beta1, b2, g2, beta2)
     (b1_tile,) = _row_tiles(tile_rows, b1)
     kept: list[tuple[np.ndarray, ...]] = []
-    for lo, hi in tiles:
+    for lo, hi, k in tiles:
         n = hi - lo
         _, _, y, h = _ffn_first_half(
-            a_rows[lo:hi], x_rows[lo:hi], row_mean, g1_tile[:n], beta1_tile[:n], w1.data, b1_tile[:n]
+            a_rows[lo:hi], x_rows[lo:hi], row_mean, k, g1_tile[:n], beta1_tile[:n], w1.data, b1_tile[:n]
         )
         f = h @ w2.data
         f += b2_tile[:n]
         f += y
-        inv2 = _norm_rows(f, row_mean)
+        inv2 = _norm_rows(_by_window(f, k), row_mean).reshape(-1, 1)
         np.multiply(f, g2_tile[:n], out=out_rows[lo:hi])
         out_rows[lo:hi] += beta2_tile[:n]
         if keep:
@@ -877,41 +938,46 @@ def add_norm_ffn(attended: Tensor, x: Tensor, params: ModuleParams) -> Tensor:
 
     def bwd(g: np.ndarray) -> None:
         g_rows = g.reshape(-1, width)
-        d_rows = np.empty((n_rows, width))
-        d_w1, d_w2 = np.zeros(w1.shape), np.zeros(w2.shape)
-        d_b1 = np.zeros((1, hidden))
-        d_b2, d_g1, d_beta1, d_g2, d_beta2 = (np.zeros((1, width)) for _ in range(5))
-        ones = np.ones((1, _TILE_ROWS))
+        d_rows = np.empty(x_rows.shape)
+        # each weight's gradient terms per window, a bias or gain's as rows
+        terms = [np.zeros((n_windows,) + (1,) * (p.ndim == 1) + p.shape) for p in weights]
+        ones = np.ones((1, tile_rows))
         # BLAS reads a contiguous transpose faster than a transposed view
         w1_t, w2_t = np.ascontiguousarray(w1.data.T), np.ascontiguousarray(w2.data.T)
         g1_tile, beta1_tile = _row_tiles(tile_rows, g1, beta1)
         (b1_tile,) = _row_tiles(tile_rows, b1)
-        for (lo, hi), (norm2, inv2) in zip(tiles, kept):
+        for (lo, hi, k), (norm2, inv2) in zip(tiles, kept):
             n = hi - lo
             norm1, inv1, y, h = _ffn_first_half(
-                a_rows[lo:hi], x_rows[lo:hi], row_mean, g1_tile[:n], beta1_tile[:n], w1.data, b1_tile[:n]
+                a_rows[lo:hi], x_rows[lo:hi], row_mean, k, g1_tile[:n], beta1_tile[:n], w1.data, b1_tile[:n]
             )
-            g_tile = g_rows[lo:hi]
-            ones_tile = ones[:, :n]
+            at = slice(lo // window, lo // window + k)  # the tile's windows
+            d_w1, d_b1, d_w2, d_b2, d_g1, d_beta1, d_g2, d_beta2 = (t[at] for t in terms)
+            g_tile = _by_window(g_rows[lo:hi], k)
+            ones_tile = ones[:, : n // k]
+            norm2, inv2 = _by_window(norm2, k), _by_window(inv2, k)
             d_beta2 += ones_tile @ g_tile
             d_g2 += ones_tile @ (g_tile * norm2)
             d_f = _norm_rows_grad(g_tile * g2.data, norm2, inv2, row_mean)
             d_b2 += ones_tile @ d_f
-            d_w2 += h.T @ d_f
-            d_h = d_f @ w2_t
+            d_w2 += np.swapaxes(_by_window(h, k), -1, -2) @ d_f
+            d_h = d_f.reshape(n, width) @ w2_t
             d_h *= h > 0.0
-            d_b1 += ones_tile @ d_h
-            d_w1 += y.T @ d_h
-            d_y = d_h @ w1_t
+            d_b1 += ones_tile @ _by_window(d_h, k)
+            d_w1 += np.swapaxes(_by_window(y, k), -1, -2) @ _by_window(d_h, k)
+            d_y = _by_window(d_h @ w1_t, k)
             d_y += d_f
+            norm1 = _by_window(norm1, k)
             d_beta1 += ones_tile @ d_y
             d_g1 += ones_tile @ (d_y * norm1)
-            _norm_rows_grad(d_y * g1.data, norm1, inv1, row_mean, out=d_rows[lo:hi])
+            _norm_rows_grad(
+                d_y * g1.data, norm1, _by_window(inv1, k), row_mean, out=_by_window(d_rows[lo:hi], k)
+            )
         d_in = d_rows.reshape(x.data.shape)
         _accumulate(attended, d_in)
         _accumulate(x, d_in)
-        for param, grad in zip(weights, (d_w1, d_b1, d_w2, d_b2, d_g1, d_beta1, d_g2, d_beta2)):
-            _accumulate(param, grad.reshape(param.data.shape))
+        for param, grad in zip(weights, terms):
+            _accumulate_windows(param, grad)
 
     return Tensor(out, parents, bwd)
 
@@ -977,10 +1043,11 @@ def embed_rows(
     mix output, with b_in, b_mix and the norm's affine laid out as (N, D)
     tiles. Only when the output records a graph does the op keep that sum,
     the normalized rows and their inverse stds; under no_grad the sum is
-    freed before the norm. The backward runs on (rows, D) views: the
-    three biases b_in, b_spe and b_tpe share one gradient, a ones-row GEMV,
-    and the calendar rows' gradient goes into w_tpe's through one GEMM with
-    the transposed two-hot code.
+    freed before the norm. The backward takes every parameter's gradient
+    as one term per window (_accumulate_windows), on (windows, T·N, D)
+    views: the three biases b_in, b_spe and b_tpe share one gradient, a
+    ones-row GEMV, and the calendar rows' gradient goes into w_tpe's
+    through one GEMM with each window's transposed two-hot code.
     """
     parents = params.tensors()
     w_in, b_in, w_spe, b_spe, w_tpe, b_tpe, w_mix, b_mix, gain, bias = parents
@@ -1029,30 +1096,31 @@ def embed_rows(
         return Tensor(flat)
 
     def bwd(g: np.ndarray) -> None:
-        g_rows, norm_rows = _rows(g), _rows(norm)
-        # row 0 of a ones-row GEMV's (1, D) product is a bias or gain gradient
-        ones = np.ones((1, g_rows.shape[0]))
-        _accumulate(bias, (ones @ g_rows)[0])
-        _accumulate(gain, (ones @ (g_rows * norm_rows))[0])
-        d_mix = _norm_rows_grad(g_rows * gain.data, norm_rows, _rows(inv), row_mean)
-        _accumulate(b_mix, (ones @ d_mix)[0])
-        _accumulate(w_mix, _rows(x).T @ d_mix)
+        n_steps, n_nodes, dim = grid[-3:]
+        windows = (-1, n_steps * n_nodes, dim)
+        g_rows, norm_rows = g.reshape(windows), norm.reshape(windows)
+        # a ones-row GEMV's (1, D) product per window is a bias or gain term
+        ones = np.ones((1, g_rows.shape[1]))
+        _accumulate_windows(bias, ones @ g_rows)
+        _accumulate_windows(gain, ones @ (g_rows * norm_rows))
+        d_mix = _norm_rows_grad((g_rows * gain.data).reshape(grid), norm, inv, row_mean).reshape(windows)
+        _accumulate_windows(b_mix, ones @ d_mix)
+        _accumulate_windows(w_mix, np.swapaxes(x.reshape(windows), -1, -2) @ d_mix)
         d_x = d_mix @ w_mix.data.T
-        d_shared = (ones @ d_x)[0]
+        d_shared = ones @ d_x
         for shared in (b_in, b_spe, b_tpe):
-            _accumulate(shared, d_shared)
-        _accumulate(w_in, _rows(signal).T @ d_x)
-        n_nodes = grid[-2]
-        per_step = d_x.reshape(-1, n_nodes * dim)  # (steps, N·D)
-        d_spatial = (ones[:, : per_step.shape[0]] @ per_step).reshape(n_nodes, dim)
-        _accumulate(w_spe, coords.T @ d_spatial)
+            _accumulate_windows(shared, d_shared)
+        _accumulate_windows(w_in, np.swapaxes(signal.reshape(windows[:2] + signal.shape[-1:]), -1, -2) @ d_x)
+        per_step = d_x.reshape(-1, n_steps, n_nodes * dim)  # (windows, steps, N·D)
+        d_spatial = (ones[:, :n_steps] @ per_step).reshape(-1, n_nodes, dim)
+        _accumulate_windows(w_spe, coords.T @ d_spatial)
         # each step's gradient goes to its day row and its step row
-        d_calendar = np.einsum("snd->sd", per_step.reshape(-1, n_nodes, dim))
-        steps = np.arange(per_step.shape[0])
-        two_hot = np.zeros((w_tpe.shape[0], steps.size))
+        d_calendar = np.einsum("snd->sd", d_x.reshape(-1, n_nodes, dim)).reshape(-1, n_steps, dim)
+        two_hot = np.zeros((len(d_calendar), w_tpe.shape[0], n_steps))
+        at = (np.arange(len(two_hot))[:, None], np.arange(n_steps))
         for index in (day_rows, step_rows):
-            two_hot[np.broadcast_to(index, grid[:-2]).ravel(), steps] += 1.0
-        _accumulate(w_tpe, two_hot @ d_calendar)
+            two_hot[at[0], np.broadcast_to(index, grid[:-2]).reshape(-1, n_steps), at[1]] += 1.0
+        _accumulate_windows(w_tpe, two_hot @ d_calendar)
 
     return Tensor(flat, parents, bwd)
 
@@ -1076,7 +1144,8 @@ def output_adapter(x: Tensor, params: AdapterParams) -> Tensor:
     remaps T to t_out for every node in one product and the channel map
     projects D to C; the output is (..., N, t_out, C). Only when the output
     records a graph does the op keep the time map's output, with b_time
-    added; the backward takes the channel map's gradients over (rows,
+    added; the backward takes every parameter's gradient as one term per
+    window (_accumulate_windows), the channel map's over (windows, rows,
     width) views.
     """
     parents = (x, *params.tensors())
@@ -1107,25 +1176,35 @@ def output_adapter(x: Tensor, params: AdapterParams) -> Tensor:
         return Tensor(out)
 
     def bwd(g: np.ndarray) -> None:
-        g_rows = _rows(np.ascontiguousarray(np.swapaxes(g, -3, -2)))
-        hidden_rows = _rows(hidden)
-        ones = np.ones((1, g_rows.shape[0]))
-        _accumulate(b_out, (ones @ g_rows)[0])
-        _accumulate(w_out, hidden_rows.T @ g_rows)
+        per_window = (-1, t_out * n_nodes)
+        g_rows = np.ascontiguousarray(np.swapaxes(g, -3, -2)).reshape(per_window + (channels,))
+        hidden_rows = hidden.reshape(per_window + (dim,))
+        ones = np.ones((1, g_rows.shape[1]))
+        _accumulate_windows(b_out, ones @ g_rows)
+        _accumulate_windows(w_out, np.swapaxes(hidden_rows, -1, -2) @ g_rows)
         d_hidden = g_rows @ w_out.data.T
-        _accumulate(b_time, (ones @ d_hidden)[0])
+        _accumulate_windows(b_time, ones @ d_hidden)
         d_time = d_hidden.reshape(lead + (t_out, n_nodes * dim))
-        _accumulate(w_time, _lead_sum(d_time @ np.swapaxes(x_time, -1, -2)))
+        _accumulate_windows(w_time, d_time @ np.swapaxes(x_time, -1, -2))
         _accumulate(x, (w_time.data.T @ d_time).reshape(x.data.shape))
 
     return Tensor(out, parents, bwd)
 
 
-def masked_mae(pred: Tensor, truth: np.ndarray, mask: np.ndarray) -> Tensor:
-    """Σ |pred − truth| · mask / max(Σ mask, 1), a scalar; one tape node.
+def masked_mae(
+    pred: Tensor,
+    truth: np.ndarray,
+    mask: np.ndarray,
+    kept: int | None = None,
+    terms: np.ndarray | None = None,
+) -> Tensor:
+    """Σ |pred − truth| · mask / max(kept, 1), a scalar; one tape node.
 
-    truth and mask have pred's shape. The gradient is
-    sign(pred − truth) · mask / max(Σ mask, 1), zero where pred equals
+    truth and mask have pred's shape, and kept is Σ mask unless given: a
+    training step that runs its batch in chunks gives the whole batch's
+    count. The per-point terms |pred − truth| · mask are written into
+    terms, an array of pred's shape, when it is given. The gradient is
+    sign(pred − truth) · mask / max(kept, 1), zero where pred equals
     truth; only when the output records a graph does the op keep
     sign(pred − truth) · mask for it.
     """
@@ -1134,8 +1213,8 @@ def masked_mae(pred: Tensor, truth: np.ndarray, mask: np.ndarray) -> Tensor:
             f"masked_mae needs truth {truth.shape} and mask {mask.shape} shaped as pred {pred.shape}"
         )
     weights = mask.astype(np.float64)
-    factor = 1.0 / max(int(mask.sum()), 1)
-    error = pred.data - truth
+    factor = 1.0 / max(int(mask.sum()) if kept is None else kept, 1)
+    error = np.subtract(pred.data, truth, out=terms)
     keep = _recording and pred.requires_grad
     if keep:
         slope = np.sign(error)

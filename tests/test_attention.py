@@ -593,7 +593,7 @@ def test_ranged_self_attention_gradients_match_central_differences(monkeypatch, 
     node = ranged_self_attention(x, params, *_scheme_args(scheme))
     fn = node.backward_fn
     state = dict(zip(fn.__code__.co_freevars, (c.cell_contents for c in fn.__closure__)))
-    assert state["shifted"] is shifted
+    assert state["shifted"].tolist() == [shifted] * 3
 
     def loss_fn():
         return tensor_sum(mul(ranged_self_attention(x, params, *_scheme_args(scheme)), probe))

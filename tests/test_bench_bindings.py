@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from flowcast import checkpoint, model
-from flowcast.data import prepare_dataset, ring_edge_lines, synthetic_series
+from flowcast.data import Dataset, prepare_dataset, ring_edge_lines, synthetic_series
 from flowcast.stgraph import load_spatial_graph
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -59,3 +59,26 @@ def test_tracer_counts_every_module_in_each_chunked_forward(monkeypatch):
         tracer.uninstall()
     counts = tracer.per_call_counts("attention.subset_attention", "model.forward_arrays")
     assert counts == [2 * config.n_blocks] * 3  # chunks of 2, 2 and 1 windows
+
+
+def test_tracer_counts_every_module_in_each_chunk_of_a_training_step(monkeypatch):
+    # a training step runs its batch of 5 windows in chunks of 2, 2 and 1,
+    # each through model's own forward_arrays, masked_mae_loss and
+    # backward bindings, which the tracer wraps by name
+    spatial, dataset, config = _fixture(n_blocks=2)
+    config.batch_size = 5
+    built = model.build_model(config, spatial)
+    monkeypatch.setattr(model, "_STEP_ROWS", 2 * built.unified.n_elements)
+    windows = Dataset(dataset.series, dataset.stats, {"train": dataset.splits["train"][:5]})
+    tracer = Tracer()
+    tracer.install()
+    try:
+        model.train(built, windows)
+    finally:
+        tracer.uninstall()
+    names = [row[0] for row in tracer.spans]
+    assert names.count("optim.adam_step") == 1
+    for name in ("model.forward_arrays", "model.masked_mae_loss", "tensor.backward"):
+        assert names.count(name) == 3
+    counts = tracer.per_call_counts("attention.subset_attention", "model.forward_arrays")
+    assert counts == [2 * config.n_blocks] * 3

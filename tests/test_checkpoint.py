@@ -335,6 +335,25 @@ def test_malformed_config_value_is_input_error(tmp_path):
             load_checkpoint(edited, graph)
 
 
+@pytest.mark.parametrize(
+    "keys, value, message",
+    [
+        (("schemes", 0, "tau"), -3, "edited.bin: P1: tau must be a non-negative integer, got -3$"),
+        (("schemes", 1, "label"), 7, "edited.bin: a scheme label must be a string, got 7$"),
+        (("config", "n_subsets"), 3, "edited.bin: P1 has 2 subsets, but n_subsets is 3$"),
+    ],
+    ids=["negative-tau", "label-not-a-string", "n_subsets-not-stored"],
+)
+def test_scheme_header_edits_are_input_errors(tmp_path, keys, value, message):
+    graph, model = _fixture()
+    path = tmp_path / "model.bin"
+    save_checkpoint(model, path)
+    edited = tmp_path / "edited.bin"
+    edited.write_bytes(_header_edit(keys, value)(path.read_bytes()))
+    with pytest.raises(InputError, match=message):
+        load_checkpoint(edited, graph)
+
+
 def _same_state(a: TrainState, b: TrainState):
     assert (a.epoch, a.step_count, a.best_epoch) == (b.epoch, b.step_count, b.best_epoch)
     assert struct.pack("<d", a.best_val_mae) == struct.pack("<d", b.best_val_mae)

@@ -1,5 +1,6 @@
 """Tests for signal loading, normalization, splits, windows, and fixtures."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -92,6 +93,23 @@ def test_no_signal_paths():
 def test_missing_file():
     with pytest.raises(InputError, match="not found"):
         load_series(["/nonexistent/sig.csv"], 5)
+
+
+@pytest.mark.parametrize(
+    "stamps, line, kinds",
+    [
+        (("2024-01-01T00:00:00+00:00", "2024-01-01T00:05:00", "2024-01-01T00:10:00"), 3, ("naive", "offset-aware")),
+        (("2024-01-01T00:00:00", "2024-01-01T00:05:00", "2024-01-01T00:10:00+01:00"), 4, ("offset-aware", "naive")),
+    ],
+)
+def test_timestamps_that_mix_offsets_are_refused_at_the_first_odd_row(tmp_path, stamps, line, kinds):
+    # a naive and an offset-aware time cannot be subtracted; the file is
+    # refused naming the first row whose kind differs from the first row's
+    path = tmp_path / "sig.csv"
+    _write_csv(path, ["timestamp,0,1"] + [f"{stamp},1.0,2.0" for stamp in stamps])
+    message = rf"sig\.csv:{line}: timestamp '{re.escape(stamps[line - 2])}' is {kinds[0]}, but the first data row's is {kinds[1]}"
+    with pytest.raises(InputError, match=message):
+        load_series([str(path)], 5)
 
 
 def test_malformed_rows(tmp_path):

@@ -13,7 +13,7 @@ from flowcast import tensor
 from flowcast.data import batch_arrays, prepare_dataset, ring_edge_lines, synthetic_series
 from flowcast.errors import ContractError
 from flowcast.model import ModelConfig, build_model, forward_arrays, masked_mae_loss, train
-from flowcast.optim import finite_diff_check, zero_gradients
+from flowcast.optim import finite_diff_check, window_blocks, zero_gradients
 from flowcast.stgraph import load_spatial_graph
 from flowcast.tensor import (
     AdapterParams,
@@ -33,6 +33,7 @@ from flowcast.tensor import (
     ranged_self_attention,
     scale,
     tensor_sum,
+    window_gradients,
 )
 
 from oracles import calendar_one_hot, layer_norm_naive, matmul_oracle, softmax_naive
@@ -634,7 +635,7 @@ def test_ranged_self_attention_under_no_grad_is_the_recorded_output_bit_for_bit(
     recorded = ranged_self_attention(x, params, bounds, order, np.argsort(order))
     with no_grad():
         plain = ranged_self_attention(x, params, bounds, order, np.argsort(order))
-    assert decisions == [shifted, shifted]
+    assert [d.tolist() for d in decisions] == [[shifted] * batch] * 2
     assert recorded.backward_fn is not None and plain.backward_fn is None
     assert np.array_equal(plain.data, recorded.data)
 
@@ -745,7 +746,7 @@ def test_ranged_self_attention_shifted_and_unshifted_branches_agree(monkeypatch,
         )
         node = _self_attention(x, w_query, w_key, w_value, [(0, 5), (5, 6), (6, 12)], b_query, w_out)
         state = _closure(node)
-        assert state["shifted"] is shifted
+        assert state["shifted"].tolist() == [shifted] * 2
         log_norm = -state["neg_log_norm"][..., 0, :]
         backward(tensor_sum(mul(node, probe)))
         results[shifted] = [node.data, log_norm] + [
@@ -756,49 +757,77 @@ def test_ranged_self_attention_shifted_and_unshifted_branches_agree(monkeypatch,
         np.testing.assert_allclose(unshifted, exact, rtol=0, atol=1e-14 * scale)
 
 
+def _windowed_attention_run(params, bounds, order, data, probe):
+    """ranged_self_attention over data, its parameter gradients bound as
+    one term per window: the output and the input gradient, the windows on
+    one leading axis, the (windows, P) terms and the shift decisions."""
+    n_rows, dim = data.shape[-2:]
+    x = Param(data, "x")
+    _, blocks = window_blocks(params.params(), math.prod(data.shape[:-2]))
+    with window_gradients(params.params(), blocks):
+        node = ranged_self_attention(x, params, bounds, order, np.argsort(order))
+        shifted = _closure(node)["shifted"]
+        backward(tensor_sum(mul(node, Tensor(probe))))
+    assert not any(p.grad.any() for p in params.params())
+    terms = np.concatenate([block.reshape(len(block), -1) for block in blocks], axis=1)
+    return node.data.reshape(-1, n_rows, dim), x.grad.reshape(-1, n_rows, dim), terms, shifted
+
+
 @pytest.mark.parametrize("lead", [(), (3,), (3, 2)])
 @pytest.mark.parametrize("limit", [0.0, np.inf])
 def test_ranged_self_attention_gradients_are_the_same_bits_at_every_row_budget(monkeypatch, lead, limit):
-    # the backward rebuilds the operands a chunk of whole windows (entries of
-    # the first leading axis) at a time, with the forward's shift decision:
-    # a budget of one window and one of the whole batch give the same bits
-    # in every gradient over ragged ranges, with the shift forced (limit 0)
-    # or ruled out; unbatched rows are one chunk
+    # a training step runs its batch in chunks of whole windows, the
+    # entries of the leading axes, so a window run alone gives the bits it
+    # gives in the whole batch: its output, its input gradient and its own
+    # term of every parameter gradient, over ragged ranges with the shift
+    # forced (limit 0) or ruled out; unbatched rows are one window. With
+    # no terms bound, each parameter's gradient is its terms' sum
     monkeypatch.setattr(tensor, "_UNSHIFTED_SCORE_LIMIT", limit)
     n_rows, heads, dim = 12, 3, 12
     bounds = [(0, 5), (5, 6), (6, 12)]
-    chunks, decisions = [], []
-    operands, needs_shift = tensor._attention_operands, tensor._needs_shift
+    rng = np.random.default_rng(31)
+    params = _attention_params(rng, heads, dim)
+    order = rng.permutation(n_rows)
+    data, probe = (rng.normal(size=lead + (n_rows, dim)) for _ in range(2))
+    whole = _windowed_attention_run(params, bounds, order, data, probe)
+    assert whole[3].tolist() == [limit == 0.0] * math.prod(lead)
+    for w in range(math.prod(lead)):
+        rows, window_probe = (a.reshape(-1, n_rows, dim)[w : w + 1] for a in (data, probe))
+        alone = _windowed_attention_run(params, bounds, order, rows, window_probe)
+        assert alone[3].tolist() == [limit == 0.0]
+        for got, want in zip(alone[:3], whole[:3]):
+            assert np.array_equal(got[0], want[w])
 
-    def operands_spy(rows, *args):
-        chunks.append(rows.shape[:-2])
-        return operands(rows, *args)
+    node = ranged_self_attention(Param(data, "x"), params, bounds, order, np.argsort(order))
+    backward(tensor_sum(mul(node, Tensor(probe))))
+    lo = 0
+    for p in params.params():
+        assert np.array_equal(p.grad.ravel(), whole[2][:, lo : lo + p.data.size].sum(axis=0))
+        lo += p.data.size
 
-    def needs_shift_spy(*args):
-        decisions.append(needs_shift(*args))
-        return decisions[-1]
 
-    monkeypatch.setattr(tensor, "_attention_operands", operands_spy)
-    monkeypatch.setattr(tensor, "_needs_shift", needs_shift_spy)
-    window = n_rows * math.prod(lead[1:])
-    results = []
-    for budget in (window, 1 << 62):
-        monkeypatch.setattr(tensor, "_BACKWARD_ROWS", budget)
-        rng = np.random.default_rng(31)
-        params = _attention_params(rng, heads, dim)
-        x = Param(rng.normal(size=lead + (n_rows, dim)), "x")
-        order = rng.permutation(n_rows)
-        node = ranged_self_attention(x, params, bounds, order, np.argsort(order))
-        assert _closure(node)["shifted"] is (limit == 0.0)
-        chunks.clear()
-        backward(tensor_sum(mul(node, Tensor(rng.normal(size=x.shape)))))
-        results.append((chunks[:], [x.grad] + [p.grad for p in params.params()]))
-    (one_chunks, one_grads), (all_chunks, all_grads) = results
-    assert one_chunks == ([(1,) + lead[1:]] * lead[0] if lead else [()])
-    assert all_chunks == [lead]
-    assert decisions == [limit == 0.0] * 2
-    for got, want in zip(one_grads, all_grads):
-        assert np.array_equal(got, want)
+def test_ranged_self_attention_shifts_each_window_on_its_own():
+    # one window's rows scaled 100-fold take its score bound past the
+    # unshifted limit, and only that window shifts: the others keep the
+    # bits they have when no window shifts, and it has the bits it has
+    # alone, in the output, the input gradient and the gradient terms
+    rng = np.random.default_rng(32)
+    n_rows, heads, dim = 12, 3, 12
+    bounds = [(0, 5), (5, 6), (6, 12)]
+    params = _attention_params(rng, heads, dim)
+    order = rng.permutation(n_rows)
+    data, probe = (rng.normal(size=(4, n_rows, dim)) for _ in range(2))
+    calm = _windowed_attention_run(params, bounds, order, data, probe)
+    data[2] *= 100.0
+    mixed = _windowed_attention_run(params, bounds, order, data, probe)
+    alone = _windowed_attention_run(params, bounds, order, data[2:3], probe[2:3])
+    assert calm[3].tolist() == [False] * 4
+    assert mixed[3].tolist() == [False, False, True, False]
+    others = [0, 1, 3]
+    for got, want, one in zip(mixed[:3], calm[:3], alone[:3]):
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got[others], want[others])
+        assert np.array_equal(got[2], one[0])
 
 
 def _attention_params(rng, heads, dim):
@@ -920,7 +949,7 @@ def test_benchmark_model_scores_take_the_unshifted_branch(monkeypatch):
     model = build_model(config, load_spatial_graph(ring_edge_lines(8)))
     train(model, dataset)
     assert len(decisions) >= 2 * 32
-    assert not any(decisions)
+    assert not any(d.any() for d in decisions)
 
 
 # ---------------------------------------------------------------------------
@@ -1007,14 +1036,16 @@ def test_grad_add_norm_ffn_over_tiles_against_central_differences(monkeypatch):
 def test_add_norm_ffn_keeps_only_the_second_norm_per_tile(monkeypatch):
     # per tile the tape holds the normalized output rows and their inverse
     # stds, D + 1 floats per row; the first norm and the hidden rows are
-    # rebuilt from the inputs' own data, which the closure only views
+    # rebuilt from the inputs' own data, which the closure only views. No
+    # tile spans two windows, so each 5-row window is a tile of 4 rows and
+    # one of 1
     monkeypatch.setattr(tensor, "_TILE_ROWS", 4)
     leaves = _post_attention_leaves((2, 5, 6), 56)
     node = _post_attention_op(*leaves)
     state = _closure(node)
     assert [tuple(a.shape for a in tile) for tile in state["kept"]] == [
-        ((4, 6), (4, 1)), ((4, 6), (4, 1)), ((2, 6), (2, 1))
-    ]
+        ((4, 6), (4, 1)), ((1, 6), (1, 1))
+    ] * 2
     inputs = (leaves[0].data, leaves[1].data)
     for name, value in state.items():
         if name != "kept" and isinstance(value, np.ndarray) and value.dtype == np.float64:
