@@ -28,7 +28,6 @@ from .optim import (
     clip_global_norm,
     flatten_params,
     glorot_uniform,
-    window_blocks,
     zero_gradients,
     zeros_param,
 )
@@ -53,7 +52,6 @@ from .tensor import (
     masked_mae,
     no_grad,
     output_adapter,
-    window_gradients,
 )
 
 
@@ -459,34 +457,24 @@ class TraceRow:
 # this is a chunk of its own. 2,520 is one window of a 210-node, 12-step grid.
 # On the metr-train benchmark (4 such windows per step; 2-vCPU VM, one BLAS
 # thread, medians of 10 alternating pairs of 20 s runs) one-window chunks
-# peaked at 67.9 MiB RSS against 77.1 MiB for a step whose graph held the
-# whole batch, at 38.6 against 40.7 windows/s.
+# peaked at 66.3 MiB RSS against 76.6 MiB for a step whose graph held the
+# whole batch, at 37.6 against 39.7 windows/s.
 _STEP_ROWS = 2_520
 
 
-def _batch_gradient(
-    model: ForecastModel,
-    params: list[Param],
-    batch: list[WindowSample],
-    buffer: np.ndarray,
-    blocks: list[np.ndarray],
-) -> float:
-    """One batch's masked MAE, with its gradient left in each param's grad;
-    buffer and blocks are optim.window_blocks(params, windows) for at
-    least the batch's windows. train's docstring says how it runs."""
+def _batch_gradient(model: ForecastModel, batch: list[WindowSample], grad: np.ndarray) -> float:
+    """One batch's masked MAE, with its gradient left in grad, the flat
+    gradient buffer of flatten_params. train's docstring says how it runs."""
     values, day, step, target_norm, target_raw = batch_arrays(batch)
     mask = target_raw != 0.0
     kept = int(mask.sum())
     points = np.empty(target_norm.shape)
-    zero_gradients(buffer)
+    zero_gradients(grad)
     size = max(1, _STEP_ROWS // model.unified.n_elements)
     for lo in range(0, len(batch), size):
         at = slice(lo, min(lo + size, len(batch)))
-        with window_gradients(params, [block[at] for block in blocks]):
-            pred = forward_arrays(model, values[at], day[at], step[at])
-            backward(masked_mae_loss(pred, target_norm[at], mask[at], kept=kept, terms=points[at]))
-    for p, block in zip(params, blocks):
-        np.add.reduce(block[: len(batch)], axis=0, out=p.grad)
+        pred = forward_arrays(model, values[at], day[at], step[at])
+        backward(masked_mae_loss(pred, target_norm[at], mask[at], kept=kept, terms=points[at]))
     # masked_mae's value, summed once over the whole batch
     return float(points.sum() * (1.0 / max(kept, 1)))
 
@@ -537,14 +525,14 @@ def train(
     is freed, before the next chunk starts, so a step holds the graph of
     one chunk at any batch size. Each chunk's loss is normalized by the
     whole batch's kept count, taken from the batch's mask before the
-    first chunk. Every op with parameters adds one gradient term per
-    window into the parameter's (windows, *shape) block of one buffer
-    (optim.window_blocks, bound by tensor.window_gradients); after the
-    last chunk one sum over each block's window axis gives the gradient,
-    and one sum over the batch's per-point terms the loss. No op mixes two
-    windows' rows in a GEMV or a shift decision, so the loss, the gradient
-    and the step are the same bits at any _STEP_ROWS. A non-finite loss
-    raises NumericError before any parameter changes.
+    first chunk. Every op with parameters adds each parameter's gradient
+    one window at a time, in window order (tensor._accumulate_windows),
+    and no parameter is read by two ops, so each gradient entry is one sum
+    in batch order, and one sum over the batch's per-point terms gives the
+    loss. No op mixes two windows' rows in a GEMV or a shift decision, so
+    the loss, the gradient and the step are the same bits at any
+    _STEP_ROWS. A non-finite loss raises NumericError before any parameter
+    changes.
     """
     config = model.config
     train_windows = dataset.splits["train"]
@@ -555,7 +543,6 @@ def train(
 
     params = model.params()
     data, grad = flatten_params(params)
-    buffer, blocks = window_blocks(params, config.batch_size)
     state = TrainState() if state is None else state
     state.trace = []
     if state.moments is None:
@@ -570,7 +557,7 @@ def train(
         for lo in range(0, len(order), config.batch_size):
             chosen = order[lo : lo + config.batch_size]
             batch = [train_windows[int(i)] for i in chosen]
-            loss_value = _batch_gradient(model, params, batch, buffer, blocks)
+            loss_value = _batch_gradient(model, batch, grad)
             if not np.isfinite(loss_value):
                 raise NumericError(
                     f"non-finite loss {loss_value} at epoch {epoch}, "

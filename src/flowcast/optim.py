@@ -32,19 +32,6 @@ def flatten_params(params: Sequence[Param]) -> tuple[np.ndarray, np.ndarray]:
     return data, grad
 
 
-def window_blocks(params: Sequence[Param], windows: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """A flat zeroed buffer for windows gradient terms of every param, and
-    each param's contiguous (windows, *shape) block of it, in list order:
-    what tensor.window_gradients binds."""
-    buffer = np.zeros(windows * sum(p.data.size for p in params))
-    blocks, lo = [], 0
-    for p in params:
-        hi = lo + windows * p.data.size
-        blocks.append(buffer[lo:hi].reshape((windows,) + p.data.shape))
-        lo = hi
-    return buffer, blocks
-
-
 def zero_gradients(grad: np.ndarray) -> None:
     grad.fill(0.0)
 

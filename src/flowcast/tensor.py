@@ -137,20 +137,14 @@ class Tensor:
 
 
 class Param(Tensor):
-    """A named leaf tensor whose gradient persists between backward calls.
+    """A named leaf tensor whose gradient persists between backward calls."""
 
-    While window_gradients binds its window_grad, (windows, *shape), the
-    ops that read it add their gradient there, one term per window of
-    their input, and leave grad alone.
-    """
-
-    __slots__ = ("name", "window_grad")
+    __slots__ = ("name",)
 
     def __init__(self, value, name: str):
         super().__init__(value, requires_grad=True)
         self.name = name
         self.grad = np.zeros_like(self.data)
-        self.window_grad: np.ndarray | None = None
 
     def __repr__(self) -> str:
         return f"Param({self.name!r}, shape={self.shape})"
@@ -183,19 +177,6 @@ def _params_in(items: list) -> list[Param]:
     return out
 
 
-@contextmanager
-def window_gradients(params: Sequence[Param], blocks: Sequence[np.ndarray]) -> Iterator[None]:
-    """Inside the block, each param's window_grad is its block of
-    gradient terms, (windows, *shape)."""
-    for p, block in zip(params, blocks):
-        p.window_grad = block
-    try:
-        yield
-    finally:
-        for p in params:
-            p.window_grad = None
-
-
 def constant(value) -> Tensor:
     """Wrap an array as a non-differentiable leaf."""
     return Tensor(value)
@@ -216,15 +197,14 @@ def _accumulate(parent: Tensor, grad: np.ndarray) -> None:
 
 def _accumulate_windows(parent: Tensor, terms: np.ndarray) -> None:
     """Add a parameter's gradient terms, one per window, (windows, *shape)
-    or a reshape of it: into its window_grad while one is bound, else
-    summed over the windows into its gradient."""
-    window_grad = getattr(parent, "window_grad", None)
-    if window_grad is None:
-        _accumulate(parent, terms.reshape((-1,) + parent.data.shape).sum(axis=0))
-    elif window_grad.size != terms.size:
-        raise ContractError(f"{terms.size} window terms for {window_grad.size} bound entries")
-    else:
-        window_grad += terms.reshape(window_grad.shape)
+    or a reshape of it, to its gradient one window at a time in window
+    order: split into calls of whole windows, taken in order, the windows
+    of a batch give the same sum, bit for bit, however they were split."""
+    terms = terms.reshape((-1,) + parent.data.shape)
+    _accumulate(parent, terms[0])
+    if parent.requires_grad:
+        for term in terms[1:]:
+            parent.grad += term
 
 
 def _consumed(g: np.ndarray) -> None:
@@ -431,13 +411,13 @@ def _piece_table(
 
 
 def _flagged_pieces(
-    k: np.ndarray, bounds: list[tuple[int, int]], shifted
+    k: np.ndarray, bounds: list[tuple[int, int]], shifted: np.ndarray
 ) -> tuple[Sequence[tuple[slice, int, int]], int, list[bool]]:
     """_pieces for the range loops' key operand k, and the shift
-    decisions, one per row of k's first axis, from shifted, which holds
-    one per row or one for all. Where the rows disagree, which is rare,
-    each piece is cut into rows of its own, so a piece's rows share one."""
-    flags = shifted.tolist() if np.ndim(shifted) else [bool(shifted)] * len(k)
+    decisions, shifted, one per row of k's first axis, as a list. Where
+    the rows disagree, which is rare, each piece is cut into rows of its
+    own, so a piece's rows share one."""
+    flags = shifted.tolist()
     pieces, largest = _pieces(k.shape[:-2], bounds, k.itemsize)
     if any(flags) and not all(flags):
         pieces = [
@@ -456,7 +436,7 @@ def _attend(
     k_t: np.ndarray,
     v_one_t: np.ndarray,
     bounds: list[tuple[int, int]],
-    shifted,
+    shifted: np.ndarray,
     out_t: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The forward range loop over feature-major operands.
@@ -464,15 +444,15 @@ def _attend(
     q_norm_t is (..., H, d_h + 1, M) with q / sqrt(d_h) in its first d_h
     rows, k_t the keys (..., H, d_h, M), and v_one_t [v | 1]^T,
     (..., H, d_v + 1, M). shifted holds one decision per row of the first
-    axis, a window, or one for all rows. Each range's scores are
-    key-major, k @ q^T with k a transposed view of k_t, and its weights
-    exp(scores), shifted by each query's max and floored at _EXP_FLOOR
-    first in the windows whose decision is set. The weights are never
-    normalized: one GEMM of [v | 1]^T with them gives the outputs and, in
-    the last row, each query's total. The outputs divided by the totals go
-    to out_t, (..., H, d_v, M). Returns the totals and the shifts,
-    (..., H, 1, M) each, the shifts 0.0 in unshifted windows, or None when
-    no window shifts: a query's log normalizer is shift + log(total).
+    axis, a window. Each range's scores are key-major, k @ q^T with k a
+    transposed view of k_t, and its weights exp(scores), shifted by each
+    query's max and floored at _EXP_FLOOR first in the windows whose
+    decision is set. The weights are never normalized: one GEMM of
+    [v | 1]^T with them gives the outputs and, in the last row, each
+    query's total. The outputs divided by the totals go to out_t,
+    (..., H, d_v, M). Returns the totals and the shifts, (..., H, 1, M)
+    each, the shifts 0.0 in unshifted windows, or None when no window
+    shifts: a query's log normalizer is shift + log(total).
 
     A range's weights are computed in _pieces along the first leading
     axis, each written by its score GEMM into one scratch buffer that the
@@ -510,7 +490,7 @@ def _attend_grad(
     g_t: np.ndarray,
     out_t: np.ndarray,
     bounds: list[tuple[int, int]],
-    shifted,
+    shifted: np.ndarray,
     factor: float,
     grads_t: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> None:

@@ -13,7 +13,7 @@ from flowcast import tensor
 from flowcast.data import batch_arrays, prepare_dataset, ring_edge_lines, synthetic_series
 from flowcast.errors import ContractError
 from flowcast.model import ModelConfig, build_model, forward_arrays, masked_mae_loss, train
-from flowcast.optim import finite_diff_check, window_blocks, zero_gradients
+from flowcast.optim import finite_diff_check, zero_gradients
 from flowcast.stgraph import load_spatial_graph
 from flowcast.tensor import (
     AdapterParams,
@@ -33,7 +33,6 @@ from flowcast.tensor import (
     ranged_self_attention,
     scale,
     tensor_sum,
-    window_gradients,
 )
 
 from oracles import calendar_one_hot, layer_norm_naive, matmul_oracle, softmax_naive
@@ -757,20 +756,42 @@ def test_ranged_self_attention_shifted_and_unshifted_branches_agree(monkeypatch,
         np.testing.assert_allclose(unshifted, exact, rtol=0, atol=1e-14 * scale)
 
 
-def _windowed_attention_run(params, bounds, order, data, probe):
-    """ranged_self_attention over data, its parameter gradients bound as
-    one term per window: the output and the input gradient, the windows on
-    one leading axis, the (windows, P) terms and the shift decisions."""
+def _windowed_attention_run(monkeypatch, params, bounds, order, data, probe):
+    """ranged_self_attention over data, forward and backward from zeroed
+    parameter gradients: the output and the input gradient, the windows on
+    one leading axis, the (windows, P) parameter gradient terms and the
+    shift decisions. Each parameter's gradient must be its terms summed in
+    window order, and _needs_shift must be asked once, by the forward: the
+    backward reuses its decisions."""
     n_rows, dim = data.shape[-2:]
+    terms, decisions = {}, []
+    accumulate_windows, needs_shift = tensor._accumulate_windows, tensor._needs_shift
+
+    def terms_spy(param, grad):
+        assert param.name not in terms
+        terms[param.name] = grad.reshape(-1, param.data.size)
+        accumulate_windows(param, grad)
+
+    def needs_shift_spy(*args):
+        decisions.append(needs_shift(*args))
+        return decisions[-1]
+
+    for p in params.params():
+        zero_gradients(p.grad)
     x = Param(data, "x")
-    _, blocks = window_blocks(params.params(), math.prod(data.shape[:-2]))
-    with window_gradients(params.params(), blocks):
+    with monkeypatch.context() as patch:
+        patch.setattr(tensor, "_accumulate_windows", terms_spy)
+        patch.setattr(tensor, "_needs_shift", needs_shift_spy)
         node = ranged_self_attention(x, params, bounds, order, np.argsort(order))
-        shifted = _closure(node)["shifted"]
         backward(tensor_sum(mul(node, Tensor(probe))))
-    assert not any(p.grad.any() for p in params.params())
-    terms = np.concatenate([block.reshape(len(block), -1) for block in blocks], axis=1)
-    return node.data.reshape(-1, n_rows, dim), x.grad.reshape(-1, n_rows, dim), terms, shifted
+    assert len(decisions) == 1
+    for p in params.params():
+        in_order = np.zeros(p.data.size)
+        for term in terms[p.name]:
+            in_order += term
+        assert np.array_equal(p.grad.ravel(), in_order)
+    flat = np.concatenate([terms[p.name] for p in params.params()], axis=1)
+    return node.data.reshape(-1, n_rows, dim), x.grad.reshape(-1, n_rows, dim), flat, decisions[0]
 
 
 @pytest.mark.parametrize("lead", [(), (3,), (3, 2)])
@@ -780,8 +801,9 @@ def test_ranged_self_attention_gradients_are_the_same_bits_at_every_row_budget(m
     # entries of the leading axes, so a window run alone gives the bits it
     # gives in the whole batch: its output, its input gradient and its own
     # term of every parameter gradient, over ragged ranges with the shift
-    # forced (limit 0) or ruled out; unbatched rows are one window. With
-    # no terms bound, each parameter's gradient is its terms' sum
+    # forced (limit 0) or ruled out; unbatched rows are one window. Each
+    # parameter's gradient is its terms added in window order, so a batch
+    # split into chunks of whole windows sums them in the same order
     monkeypatch.setattr(tensor, "_UNSHIFTED_SCORE_LIMIT", limit)
     n_rows, heads, dim = 12, 3, 12
     bounds = [(0, 5), (5, 6), (6, 12)]
@@ -789,24 +811,18 @@ def test_ranged_self_attention_gradients_are_the_same_bits_at_every_row_budget(m
     params = _attention_params(rng, heads, dim)
     order = rng.permutation(n_rows)
     data, probe = (rng.normal(size=lead + (n_rows, dim)) for _ in range(2))
-    whole = _windowed_attention_run(params, bounds, order, data, probe)
+    whole = _windowed_attention_run(monkeypatch, params, bounds, order, data, probe)
     assert whole[3].tolist() == [limit == 0.0] * math.prod(lead)
     for w in range(math.prod(lead)):
         rows, window_probe = (a.reshape(-1, n_rows, dim)[w : w + 1] for a in (data, probe))
-        alone = _windowed_attention_run(params, bounds, order, rows, window_probe)
+        alone = _windowed_attention_run(monkeypatch, params, bounds, order, rows, window_probe)
         assert alone[3].tolist() == [limit == 0.0]
         for got, want in zip(alone[:3], whole[:3]):
             assert np.array_equal(got[0], want[w])
 
-    node = ranged_self_attention(Param(data, "x"), params, bounds, order, np.argsort(order))
-    backward(tensor_sum(mul(node, Tensor(probe))))
-    lo = 0
-    for p in params.params():
-        assert np.array_equal(p.grad.ravel(), whole[2][:, lo : lo + p.data.size].sum(axis=0))
-        lo += p.data.size
 
 
-def test_ranged_self_attention_shifts_each_window_on_its_own():
+def test_ranged_self_attention_shifts_each_window_on_its_own(monkeypatch):
     # one window's rows scaled 100-fold take its score bound past the
     # unshifted limit, and only that window shifts: the others keep the
     # bits they have when no window shifts, and it has the bits it has
@@ -817,10 +833,10 @@ def test_ranged_self_attention_shifts_each_window_on_its_own():
     params = _attention_params(rng, heads, dim)
     order = rng.permutation(n_rows)
     data, probe = (rng.normal(size=(4, n_rows, dim)) for _ in range(2))
-    calm = _windowed_attention_run(params, bounds, order, data, probe)
+    calm = _windowed_attention_run(monkeypatch, params, bounds, order, data, probe)
     data[2] *= 100.0
-    mixed = _windowed_attention_run(params, bounds, order, data, probe)
-    alone = _windowed_attention_run(params, bounds, order, data[2:3], probe[2:3])
+    mixed = _windowed_attention_run(monkeypatch, params, bounds, order, data, probe)
+    alone = _windowed_attention_run(monkeypatch, params, bounds, order, data[2:3], probe[2:3])
     assert calm[3].tolist() == [False] * 4
     assert mixed[3].tolist() == [False, False, True, False]
     others = [0, 1, 3]
@@ -922,7 +938,7 @@ def test_pieces_take_the_item_size_of_the_operand(monkeypatch):
     v_one_t = rng.normal(size=(2, 3, 5, 10)).astype(np.float32)
     v_one_t[..., -1, :] = 1.0
     out_t = np.empty((2, 3, 4, 10))
-    tensor._attend(q_norm_t, k_t, v_one_t, [(0, 6), (6, 10)], False, out_t)
+    tensor._attend(q_norm_t, k_t, v_one_t, [(0, 6), (6, 10)], np.zeros(len(k_t), bool), out_t)
     assert seen == [4]
     assert np.all(np.isfinite(out_t))
 
