@@ -5,8 +5,9 @@ Layout, all little-endian:
   header:      UTF-8 JSON object with "config" (every ModelConfig field),
                "state" (TrainState's int and float fields; best_val_mae may
                be Infinity or NaN), "graph_sha256", "tensors" as [name,
-               shape] pairs in payload order, and "schemes", one {"label",
-               "tau", "base_flats", "n_elements"} per partition
+               shape] pairs in payload order, "schemes", one {"label",
+               "tau", "base_flats", "n_elements"} per partition, and
+               "payload_sha256", over every byte after the header
   tensors:     each tensor's float64 data, in header order
   assignments: each scheme's n_elements subset ids as u32, in header order
 
@@ -18,9 +19,10 @@ moments under "adam_moments" and the best-epoch parameters under the
 "best_params." prefix. A load takes the coordinates as stored, so it runs
 no eigendecomposition and does not depend on how the host's LAPACK picks
 a basis of a repeated eigenvalue's eigenspace. A load checks
-"graph_sha256" against its graph. A save writes "<path>.partial" and
-renames it over the target, so an interrupted save leaves the previous
-checkpoint intact; a save that raises removes "<path>.partial".
+"graph_sha256" against its graph, and "payload_sha256" before it reads
+any tensor. A save writes "<path>.partial" and renames it over the
+target, so an interrupted save leaves the previous checkpoint intact; a
+save that raises removes "<path>.partial".
 """
 
 from __future__ import annotations
@@ -42,13 +44,14 @@ from .partition import PartitionScheme
 from .stgraph import SpatialGraph
 
 MAGIC = b"FCST"
-VERSION = 5
+VERSION = 6
 _PREFIX = struct.Struct("<4sII")
 SPE_KEY = "spe_coords"
 NORM_PREFIX = "norm_stats."
 MOMENTS_KEY = "adam_moments"
 BEST_PREFIX = "best_params."
 GRAPH_KEY = "graph_sha256"
+PAYLOAD_KEY = "payload_sha256"
 _FIELD_TYPES = get_type_hints(ModelConfig)
 _STATE_TYPES = {k: t for k, t in get_type_hints(TrainState).items() if t in (int, float)}
 
@@ -94,6 +97,10 @@ def save_checkpoint(model: ForecastModel, path, state: TrainState | None = None)
         tensors.append((MOMENTS_KEY, state.moments))
     tensors += [(BEST_PREFIX + name, array) for name, array in state.best_params.items()]
     schemes = (model.p1, model.p2)
+    payload = b"".join(
+        [np.ascontiguousarray(array, dtype="<f8") for _, array in tensors]
+        + [scheme.assignment.astype("<u4") for scheme in schemes]
+    )
     header = json.dumps({
         "config": asdict(model.config),
         "state": {k: getattr(state, k) for k in _STATE_TYPES},
@@ -103,14 +110,12 @@ def save_checkpoint(model: ForecastModel, path, state: TrainState | None = None)
             {"label": s.label, "tau": s.tau, "base_flats": s.base_flats, "n_elements": s.n_elements}
             for s in schemes
         ],
+        PAYLOAD_KEY: hashlib.sha256(payload).hexdigest(),
     }, default=_json_scalar).encode("utf-8")
 
     with atomic_write(path, "wb") as fh:
         fh.write(_PREFIX.pack(MAGIC, VERSION, len(header)) + header)
-        for _, array in tensors:
-            fh.write(np.ascontiguousarray(array, dtype="<f8"))
-        for scheme in schemes:
-            fh.write(scheme.assignment.astype("<u4"))
+        fh.write(payload)
 
 
 def load_checkpoint(path, spatial: SpatialGraph) -> tuple[ForecastModel, TrainState]:
@@ -154,9 +159,8 @@ def load_checkpoint(path, spatial: SpatialGraph) -> tuple[ForecastModel, TrainSt
         metas = header["schemes"]
         if len(metas) != 2 or any(type(d) is not int or d < 0 for _, s in shapes for d in s):
             raise ValueError("expected 2 schemes and non-negative integer tensor shapes")
-        size = sum(8 * math.prod(s) for _, s in shapes) + sum(4 * m["n_elements"] for m in metas)
-        if len(blob) < offset + size:
-            raise InputError(f"{path}: truncated checkpoint")
+        if hashlib.sha256(memoryview(blob)[offset:]).hexdigest() != header[PAYLOAD_KEY]:
+            raise InputError(f"{path}: truncated or corrupt checkpoint: the payload fails its {PAYLOAD_KEY}")
         arrays: dict[str, np.ndarray] = {}
         for name, shape in shapes:
             arrays[name] = np.frombuffer(blob, "<f8", math.prod(shape), offset).reshape(shape)

@@ -73,7 +73,6 @@ class RunConfig(ModelSettings):
 
     graph: str | None = _help(None, "edge list path")
     signal: tuple[str, ...] = _help((), "comma-separated signal CSVs, one per channel")
-    interval_min: int = 5
     split: tuple[float, float, float] = _help((7.0, 1.0, 2.0), "train:val:test ratios, e.g. 7:1:2")
     split_days: tuple[int, int, int] | None = _help(None, "day counts, e.g. 62:9:21")
     out_dir: str = "out"
@@ -254,7 +253,7 @@ def _load_series(cfg: RunConfig, spatial, model=None) -> TrafficSeries:
     channel count differ from the model's is refused: its calendar rows
     would tag the wrong time of day, or its signal map would not fit."""
     _require(cfg, "signal")
-    series = load_series(list(cfg.signal), cfg.interval_min, spatial)
+    series = load_series(list(cfg.signal), spatial)
     if model is None:
         return series
     trained = model.config
@@ -383,7 +382,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg, spatial, model, _ = _open_checkpoint(args, args.checkpoint)
-    samples = _windows(_load_dataset(cfg, spatial, model), args.on)
+    dataset = _load_dataset(cfg, spatial, model)
+    samples = _windows(dataset, args.on)
     t_out = model.config.t_out
     for horizon in cfg.horizons:
         if not 1 <= horizon <= t_out:
@@ -392,7 +392,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     preds = predict_windows(model, samples, model.norm_stats)
     truth = np.stack([s.target_raw for s in samples], axis=0)
     for horizon in cfg.horizons:
-        minutes = horizon * cfg.interval_min
+        minutes = horizon * dataset.series.interval_min
         report = metrics_from_arrays(preds[:, :, horizon - 1], truth[:, :, horizon - 1])
         print(f"horizon {horizon} ({minutes} min): {report.to_text()}")
     print(f"all steps: {metrics_from_arrays(preds, truth).to_text()}")

@@ -2,8 +2,8 @@
 
 A signal file is a CSV with an ISO-8601 timestamp column followed by one
 column per sensor. Multi-channel datasets use one file per channel with
-identical timestamps and column order. Timestamps must advance by a fixed
-whole-minute interval that divides the day evenly.
+identical timestamps and column order. The first two timestamps set the
+interval, which every later one must advance by.
 """
 
 from __future__ import annotations
@@ -89,8 +89,8 @@ def _read_signal_csv(path: Path) -> tuple[list[datetime], list[str], np.ndarray]
             if not all(map(math.isfinite, values)):
                 raise InputError(f"{path}:{line_no}: non-finite value (nan or inf) in data row")
             rows.append(values)
-    if not rows:
-        raise InputError(f"{path}: no data rows")
+    if len(rows) < 2:
+        raise InputError(f"{path}: {len(rows)} data rows; the interval needs at least two")
     return timestamps, labels, np.asarray(rows, dtype=np.float64)
 
 
@@ -103,10 +103,15 @@ def _calendar(timestamps: list[datetime], interval_min: int) -> tuple[np.ndarray
     return day, step
 
 
-def load_series(
-    signal_paths: list[str], interval_min: int, graph: SpatialGraph | None = None
-) -> TrafficSeries:
+def load_series(signal_paths: list[str], graph: SpatialGraph | None = None) -> TrafficSeries:
     """Load one file per channel and derive the calendar features.
+
+    The first two timestamps' gap is the interval, a whole number of
+    minutes that divides the day; every later gap must equal it, and the
+    first timestamp must sit on its grid. Offset-aware timestamps subtract
+    as instants, so a file with UTC offsets reads across a daylight-saving
+    change, and the step in day follows each row's wall clock, as traffic
+    does: it jumps an hour in spring and repeats an hour in fall.
 
     Given a graph, the columns bind to its nodes by one rule. When the
     column labels are the graph's labels, the columns are put in graph
@@ -115,11 +120,6 @@ def load_series(
     binds to node k and keeps its label. Any other signal is an
     InputError naming the first column the graph lacks.
     """
-    if interval_min <= 0 or MINUTES_PER_DAY % interval_min != 0:
-        raise InputError(
-            f"interval must be a positive divisor of {MINUTES_PER_DAY} minutes, "
-            f"got {interval_min}"
-        )
     if not signal_paths:
         raise InputError("at least one signal file is required")
 
@@ -138,16 +138,22 @@ def load_series(
         channels.append(vals)
     values = np.stack(channels, axis=-1)  # (steps, nodes, channels)
 
-    delta = timedelta(minutes=interval_min)
-    for i in range(1, len(timestamps)):
+    delta = timestamps[1] - timestamps[0]
+    interval_min, rest = divmod(delta, timedelta(minutes=1))
+    if rest or interval_min <= 0 or MINUTES_PER_DAY % interval_min:
+        raise InputError(
+            f"{signal_paths[0]}: the first two timestamps are {delta} apart; the "
+            f"interval must be a whole number of minutes that divides {MINUTES_PER_DAY}"
+        )
+    for i in range(2, len(timestamps)):
         if timestamps[i] - timestamps[i - 1] != delta:
             raise InputError(
-                f"timestamps must advance by {interval_min} minutes; row {i + 1} "
-                f"jumps from {timestamps[i - 1]} to {timestamps[i]}"
+                f"{signal_paths[0]}: timestamps must advance by the first gap, {interval_min} "
+                f"minutes; data row {i + 1} jumps from {timestamps[i - 1]} to {timestamps[i]}"
             )
-    for ts in timestamps[:1]:
-        if (ts.hour * 60 + ts.minute) % interval_min != 0 or ts.second or ts.microsecond:
-            raise InputError(f"timestamps must sit on the {interval_min}-minute grid")
+    first = timestamps[0]
+    if (first.hour * 60 + first.minute) % interval_min or first.second or first.microsecond:
+        raise InputError(f"{signal_paths[0]}: timestamps must sit on the {interval_min}-minute grid")
 
     day, step = _calendar(timestamps, interval_min)
 

@@ -410,22 +410,6 @@ def _piece_table(
     return tuple(pieces), largest
 
 
-def _flagged_pieces(
-    k: np.ndarray, bounds: list[tuple[int, int]], shifted: np.ndarray
-) -> tuple[Sequence[tuple[slice, int, int]], int, list[bool]]:
-    """_pieces for the range loops' key operand k, and the shift
-    decisions, shifted, one per row of k's first axis, as a list. Where
-    the rows disagree, which is rare, each piece is cut into rows of its
-    own, so a piece's rows share one."""
-    flags = shifted.tolist()
-    pieces, largest = _pieces(k.shape[:-2], bounds, k.itemsize)
-    if any(flags) and not all(flags):
-        pieces = [
-            (slice(at, at + 1), lo, hi) for rows, lo, hi in pieces for at in range(rows.start, rows.stop)
-        ]
-    return pieces, largest, flags
-
-
 def _block(scratch: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """A C-contiguous view of shape over the front of the flat scratch."""
     return scratch[: math.prod(shape)].reshape(shape)
@@ -447,12 +431,14 @@ def _attend(
     axis, a window. Each range's scores are key-major, k @ q^T with k a
     transposed view of k_t, and its weights exp(scores), shifted by each
     query's max and floored at _EXP_FLOOR first in the windows whose
-    decision is set. The weights are never normalized: one GEMM of
-    [v | 1]^T with them gives the outputs and, in the last row, each
-    query's total. The outputs divided by the totals go to out_t,
-    (..., H, d_v, M). Returns the totals and the shifts, (..., H, 1, M)
-    each, the shifts 0.0 in unshifted windows, or None when no window
-    shifts: a query's log normalizer is shift + log(total).
+    decision is set; a piece that holds such a window shifts its others by
+    0.0, which with the floor leaves their bounded scores exact. The
+    weights are never normalized: one GEMM of [v | 1]^T with them gives
+    the outputs and, in the last row, each query's total. The outputs
+    divided by the totals go to out_t, (..., H, d_v, M). Returns the
+    totals and the shifts, (..., H, 1, M) each, the shifts 0.0 in
+    unshifted windows, or None when no window shifts: a query's log
+    normalizer is shift + log(total).
 
     A range's weights are computed in _pieces along the first leading
     axis, each written by its score GEMM into one scratch buffer that the
@@ -464,16 +450,18 @@ def _attend(
     d_v = v_one_t.shape[-2] - 1
     q_t = q_norm_t[..., :-1, :]
     mixed = np.empty(v_one_t.shape)
-    pieces, largest, flags = _flagged_pieces(k_t, bounds, shifted)
+    flags = shifted.tolist()
+    pieces, largest = _pieces(k_t.shape[:-2], bounds, k_t.itemsize)
     peaks = np.zeros(v_one_t.shape[:-2] + (1, v_one_t.shape[-1])) if any(flags) else None
     scratch = np.empty(largest, dtype=k_t.dtype)
     for rows, lo, hi in pieces:
         keys = np.swapaxes(k_t[rows, ..., lo:hi], -1, -2)
         weights = _block(scratch, keys.shape[:-1] + (hi - lo,))
         np.matmul(keys, q_t[rows, ..., lo:hi], out=weights)
-        if flags[rows.start]:
+        if any(flags[rows]):
             peak = peaks[rows, ..., lo:hi]
             np.max(weights, axis=-2, keepdims=True, out=peak)
+            peak[~shifted[rows]] = 0.0
             weights -= peak
             np.maximum(weights, _EXP_FLOOR, out=weights)
         np.exp(weights, out=weights)
@@ -499,8 +487,9 @@ def _attend_grad(
     (..., H, d_v, M), writes the query, key and value gradients
     feature-major into grads_t, (..., H, d, M) each. As in FlashAttention,
     each range's weights are recomputed as exp([k | 1] @ [q | -log_norm]^T),
-    one GEMM and one exp, floored at _EXP_FLOOR first in the windows that
-    _attend shifted; in the others every exponent is at least -400 - log m.
+    one GEMM and one exp, floored at _EXP_FLOOR first in the pieces that
+    hold a window _attend shifted; their other windows' exponents are at
+    least -400 - log m, so the floor leaves them exact.
     The loop runs over _attend's pieces, with two scratch buffers allocated
     once per call, one for the weights and one for their gradient; grads_t
     may be strided views of one buffer, since each piece writes through
@@ -516,14 +505,15 @@ def _attend_grad(
     np.negative((g_t * out_t).sum(axis=-2, keepdims=True), out=g_inner_t[..., d_v:, :])
     k_t = np.swapaxes(k_one[..., :-1], -1, -2)
     v_one = np.swapaxes(v_one_t, -1, -2)
-    pieces, largest, flags = _flagged_pieces(k_one, bounds, shifted)
+    flags = shifted.tolist()
+    pieces, largest = _pieces(k_one.shape[:-2], bounds, k_one.itemsize)
     scratch = np.empty((2, largest), dtype=k_one.dtype)
     for rows, lo, hi in pieces:
         keys = k_one[rows, ..., lo:hi, :]
         shape = keys.shape[:-1] + (hi - lo,)
         weights, d_scores = _block(scratch[0], shape), _block(scratch[1], shape)
         np.matmul(keys, q_norm_t[rows, ..., lo:hi], out=weights)
-        if flags[rows.start]:
+        if any(flags[rows]):
             np.maximum(weights, _EXP_FLOOR, out=weights)
         np.exp(weights, out=weights)
         np.matmul(

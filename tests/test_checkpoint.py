@@ -7,6 +7,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowcast import files, model as model_module
 from flowcast.checkpoint import SPE_KEY, _graph_digest, load_checkpoint, save_checkpoint
@@ -47,6 +49,13 @@ def _with_header(blob, raw):
     return blob[:8] + len(raw).to_bytes(4, "little") + raw + blob[_header_end(blob) :]
 
 
+def _with_payload(blob, payload):
+    """blob with payload after its header, and the header's hash of it."""
+    header = json.loads(blob[12 : _header_end(blob)])
+    header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+    return _with_header(blob[: _header_end(blob)], json.dumps(header).encode()) + payload
+
+
 def _without_tensor(blob, name):
     """blob with the named tensor dropped from the header and the payload."""
     header = json.loads(blob[12 : _header_end(blob)])
@@ -58,8 +67,8 @@ def _without_tensor(blob, name):
             payload.append(blob[offset : offset + size])
         offset += size
     header["tensors"] = kept
-    rest = blob[: _header_end(blob)] + b"".join(payload) + blob[offset:]
-    return _with_header(rest, json.dumps(header).encode())
+    edited = _with_header(blob, json.dumps(header).encode())
+    return _with_payload(edited, b"".join(payload) + blob[offset:])
 
 
 def _probe(model):
@@ -150,13 +159,49 @@ def test_unsupported_version(tmp_path):
     blob = bytearray(path.read_bytes())
     # 1 is the per-head layout with key biases, 2 the per-field binary
     # layout before the JSON header, 3 the layout without the spectral
-    # coordinates; 99 is from the future
-    for version in (1, 2, 3, 4, 99):
+    # coordinates, 4 the layout without the optimizer state, 5 the one
+    # without a payload hash; 99 is from the future
+    for version in (1, 2, 3, 4, 5, 99):
         blob[4] = version
         bad = tmp_path / f"v{version}.bin"
         bad.write_bytes(bytes(blob))
         with pytest.raises(InputError, match=f"unsupported checkpoint version {version}"):
             load_checkpoint(bad, graph)
+
+
+@pytest.fixture(scope="module")
+def saved_blob(tmp_path_factory):
+    """The bytes of a small trained checkpoint and the end of its header."""
+    graph, model = _fixture()
+    path = tmp_path_factory.mktemp("saved") / "model.bin"
+    series = synthetic_series(4, 60, interval_min=60, seed=2, noise=1.0)
+    save_checkpoint(model, path, train(model, prepare_dataset(series, 4, 2)))
+    blob = path.read_bytes()
+    return graph, blob, _header_end(blob)
+
+
+@settings(max_examples=50, derandomize=True)
+@given(data=st.data())
+def test_flipped_payload_bits_are_input_errors(saved_blob, tmp_path_factory, data):
+    # any one to three bits flipped after the header, in a tensor or a
+    # subset id, fail the payload hash before a tensor is read
+    graph, blob, header_end = saved_blob
+    bits = data.draw(st.sets(st.integers(8 * header_end, 8 * len(blob) - 1), min_size=1, max_size=3))
+    flipped = bytearray(blob)
+    for bit in bits:
+        flipped[bit // 8] ^= 1 << (bit % 8)
+    path = tmp_path_factory.mktemp("flipped") / "flipped.bin"
+    path.write_bytes(bytes(flipped))
+    with pytest.raises(InputError, match="flipped.bin: truncated or corrupt checkpoint: the payload fails its payload_sha256$"):
+        load_checkpoint(path, graph)
+
+
+def test_bytes_after_the_payload_are_input_errors(saved_blob, tmp_path):
+    graph, blob, _ = saved_blob
+    path = tmp_path / "longer.bin"
+    path.write_bytes(blob + b"\x00")
+    with pytest.raises(InputError, match="longer.bin: truncated or corrupt checkpoint"):
+        load_checkpoint(path, graph)
 
 
 def test_load_runs_no_eigendecomposition(tmp_path, monkeypatch):
@@ -284,14 +329,18 @@ def test_misshapen_tensor_is_input_error(tmp_path):
 
 
 def _header_edit(keys, value):
-    """An edit of a checkpoint blob that sets the header entry at keys."""
+    """An edit of a checkpoint blob that sets the header entry at keys, or
+    deletes it when value is None."""
 
     def edit(blob):
         header = json.loads(blob[12 : _header_end(blob)])
         target = header
         for key in keys[:-1]:
             target = target[key]
-        target[keys[-1]] = value
+        if value is None:
+            del target[keys[-1]]
+        else:
+            target[keys[-1]] = value
         return _with_header(blob, json.dumps(header).encode())
 
     return edit
@@ -341,8 +390,14 @@ def test_malformed_config_value_is_input_error(tmp_path):
         (("schemes", 0, "tau"), -3, "edited.bin: P1: tau must be a non-negative integer, got -3$"),
         (("schemes", 1, "label"), 7, "edited.bin: a scheme label must be a string, got 7$"),
         (("config", "n_subsets"), 3, "edited.bin: P1 has 2 subsets, but n_subsets is 3$"),
+        (("schemes", 1), None, "edited.bin: malformed checkpoint header .*expected 2 schemes"),
+        (("tensors", 0, 1, 0), -1, "edited.bin: malformed checkpoint header .*non-negative integer"),
+        (("payload_sha256",), "0" * 64, "edited.bin: truncated or corrupt checkpoint: the payload fails"),
     ],
-    ids=["negative-tau", "label-not-a-string", "n_subsets-not-stored"],
+    ids=[
+        "negative-tau", "label-not-a-string", "n_subsets-not-stored", "one-scheme",
+        "negative-dimension", "other-payload-hash",
+    ],
 )
 def test_scheme_header_edits_are_input_errors(tmp_path, keys, value, message):
     graph, model = _fixture()
@@ -412,7 +467,7 @@ def test_subset_id_out_of_range_is_input_error(tmp_path):
     blob = path.read_bytes()
     # the file ends with P2's subset ids; l = 2, so 7 names no subset
     bad = tmp_path / "bad.bin"
-    bad.write_bytes(blob[:-4] + (7).to_bytes(4, "little"))
+    bad.write_bytes(_with_payload(blob, blob[_header_end(blob) : -4] + (7).to_bytes(4, "little")))
     with pytest.raises(InputError, match="bad.bin: P2: subset id 7 out of range for l=2"):
         load_checkpoint(bad, graph)
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 from dataclasses import fields
 from typing import get_type_hints
 
@@ -56,7 +57,6 @@ def _write_workspace(tmp_path):
             [
                 f"graph={graph_path}",
                 f"signal={signal_path}",
-                "interval_min=60",
                 "t_in=4",
                 "t_out=2  # forecast steps",
                 "dim=8",
@@ -172,7 +172,7 @@ def test_resume_continues_the_run_bit_for_bit(tmp_path):
     write_signal_csv(synthetic_series(6, 240, interval_min=60, seed=3, noise=1.0), tmp_path / "signal.csv")
     config = tmp_path / "run.cfg"
     config.write_text(
-        f"graph={tmp_path / 'edges.txt'}\nsignal={tmp_path / 'signal.csv'}\ninterval_min=60\n"
+        f"graph={tmp_path / 'edges.txt'}\nsignal={tmp_path / 'signal.csv'}\n"
         "t_in=4\nt_out=2\ndim=8\nspe_modes=2\nn_blocks=2\nn_heads=2\nn_subsets=2\nseed=3\n"
         "learning_rate=0.2\nbatch_size=8\nepochs=4\n"
     )
@@ -479,8 +479,6 @@ def test_baseline_ha_is_exact_on_periodic_signal(tmp_path, capsys):
             "baseline-ha",
             "--signal",
             str(signal),
-            "--interval-min",
-            "60",
             "--on",
             "test",
         ]
@@ -496,7 +494,7 @@ def test_baseline_ha_on_an_all_zero_split_has_nothing_to_score(tmp_path, capsys)
     series.values[8 * 24 :] = 0.0
     signal = tmp_path / "signal.csv"
     write_signal_csv(series, signal)
-    argv = ["baseline-ha", "--signal", str(signal), "--interval-min", "60", "--split-days", "7:1:2"]
+    argv = ["baseline-ha", "--signal", str(signal), "--split-days", "7:1:2"]
     assert main([*argv, "--on", "test"]) == 0
     assert capsys.readouterr().out == "historical average on test: no nonzero truth points\n"
 
@@ -573,7 +571,7 @@ def test_partition_notes_are_printed_by_partition_and_not_by_train(tmp_path, cap
     write_signal_csv(synthetic_series(5, 60, interval_min=60, seed=3, noise=1.0), tmp_path / "signal.csv")
     config = tmp_path / "run.cfg"
     config.write_text(
-        f"graph={tmp_path / 'edges.txt'}\nsignal={tmp_path / 'signal.csv'}\ninterval_min=60\n"
+        f"graph={tmp_path / 'edges.txt'}\nsignal={tmp_path / 'signal.csv'}\n"
         "t_in=4\nt_out=2\ndim=8\nspe_modes=2\nn_blocks=1\nn_heads=2\nn_subsets=3\nseed=3\n"
         "batch_size=8\nepochs=1\n"
     )
@@ -595,7 +593,7 @@ def test_partition_notes_are_printed_by_partition_and_not_by_train(tmp_path, cap
 
 
 SHARED_FLAGS = {
-    "-h", "--help", "--config", "--graph", "--signal", "--interval-min", "--t-in", "--t-out",
+    "-h", "--help", "--config", "--graph", "--signal", "--t-in", "--t-out",
     "--dim", "--spe-modes", "--n-blocks", "--n-heads", "--n-subsets", "--seed",
     "--learning-rate", "--batch-size", "--epochs", "--clip-norm", "--split",
     "--split-days", "--out-dir", "--horizons", "--symmetrize",
@@ -625,7 +623,7 @@ def test_each_command_has_one_flag_per_config_field():
 
 def _every_field_changed() -> RunConfig:
     return RunConfig(
-        graph="g.txt", signal=("a.csv", "b.csv"), interval_min=15, t_in=6, t_out=3,
+        graph="g.txt", signal=("a.csv", "b.csv"), t_in=6, t_out=3,
         dim=12, spe_modes=5, n_blocks=2, n_heads=3, n_subsets=7, seed=9,
         learning_rate=0.0025, batch_size=5, epochs=11, clip_norm=0.0,
         split=(6.0, 2.5, 1.5), split_days=(62, 9, 21), out_dir="runs/x",
@@ -830,7 +828,7 @@ def test_checkpoint_command_checks_only_the_settings_it_is_given(trained, capsys
     # but the checkpoint's own settings replace them
     tmp, config, checkpoint = trained
     files = ["--graph", str(tmp / "edges.txt"), "--signal", str(tmp / "signal.csv")]
-    files += ["--interval-min", "60", "--out-dir", str(tmp / "defaults")]
+    files += ["--out-dir", str(tmp / "defaults")]
     argv = _argv(_CHECKPOINT_COMMANDS[command], checkpoint)
     assert main([*argv, *files]) == 0, capsys.readouterr().err
 
@@ -843,7 +841,7 @@ def _series_that_does_not_fit(mismatch: str, signal, scratch) -> tuple[list[str]
         return ["--signal", f"{signal},{signal}"], ("2 channels", "trained on 1")
     half_hourly = scratch / "half_hourly.csv"
     write_signal_csv(synthetic_series(4, 120, interval_min=30, seed=3, noise=1.0), half_hourly)
-    return ["--signal", str(half_hourly), "--interval-min", "30"], ("48 steps per day", "24")
+    return ["--signal", str(half_hourly)], ("48 steps per day", "24")
 
 
 @pytest.mark.parametrize("mismatch", ["steps-per-day", "channels"])
@@ -864,6 +862,73 @@ def test_checkpoint_command_refuses_a_series_that_does_not_fit(
     assert len(err) == 1 and err[0].startswith("error[input]: the signal has "), err
     assert all(number in err[0] for number in named), err
     assert not refused.exists()
+
+
+@pytest.mark.parametrize("given", ["flag", "config"])
+def test_the_removed_interval_setting_exits_2_before_any_output(workspace, capsys, given):
+    # the signal file's own timestamps set the interval, so no setting does
+    tmp, config, out = workspace
+    argv = ["train", "--config", str(config)]
+    if given == "flag":
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--interval-min", "60"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --interval-min 60" in capsys.readouterr().err
+    else:
+        config.write_text(config.read_text() + "interval_min=60\n")
+        assert main(argv) == 2
+        assert "unknown config key 'interval_min'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_BAD_SIGNALS = {
+    "one-row": (["2024-01-01T00:00:00"], r": 1 data rows; .* at least two"),
+    "first-gap": (
+        ["2024-01-01T00:00:00", "2024-01-01T00:07:00", "2024-01-01T00:14:00"],
+        r": the first two timestamps are 0:07:00 apart",
+    ),
+    "later-gap": (
+        ["2024-01-01T00:00:00", "2024-01-01T01:00:00", "2024-01-01T01:30:00"],
+        r": timestamps must advance by the first gap, 60 minutes; data row 3 jumps",
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_SIGNALS))
+@pytest.mark.parametrize("command", ["train", "baseline-ha", *_INFERENCE_COMMANDS])
+def test_a_signal_without_one_interval_exits_2_before_any_output(trained, tmp_path, capsys, command, bad):
+    tmp, config, checkpoint = trained
+    stamps, message = _BAD_SIGNALS[bad]
+    signal = tmp_path / "bad.csv"
+    signal.write_text("timestamp,0,1,2,3\n" + "".join(f"{t},1,2,3,4\n" for t in stamps))
+    argv = _argv(_MODEL_COMMANDS.get(command, [command]), checkpoint)
+    refused = tmp_path / "refused"
+    argv += ["--config", str(config), "--signal", str(signal), "--out-dir", str(refused)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.match(r"error\[input\]: " + re.escape(str(signal)) + message, captured.err), captured.err
+    assert not refused.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--block", "1", r"block must be in \[0, 1\)"),
+        ("--block", "-1", r"block must be in \[0, 1\)"),
+        ("--node", "4", r"node must be in \[0, 4\)"),
+        ("--node", "-1", r"node must be in \[0, 4\)"),
+        ("--time", "4", r"time must be in \[0, 4\)"),
+        ("--time", "-1", r"time must be in \[0, 4\)"),
+    ],
+)
+def test_export_attention_refuses_an_element_outside_the_model(trained, tmp_path, capsys, flag, value, message):
+    tmp, config, checkpoint = trained
+    argv = ["export-attention", "--config", str(config), "--checkpoint", str(checkpoint)]
+    argv += ["--node", "1", "--time", "2", "--out-dir", str(tmp_path), f"{flag}={value}"]
+    assert main(argv) == 2
+    assert re.match(r"error\[input\]: " + message + "$", capsys.readouterr().err)
+    assert not (tmp_path / "attention.csv").exists()
 
 
 def _untrained_checkpoint(tmp, path):
@@ -912,7 +977,7 @@ def test_predict_writes_the_values_of_predict_windows(trained, tmp_path):
     assert main([*argv, "--window-start", "3", "--out-dir", str(tmp_path)]) == 0
     spatial = load_spatial_graph(tmp / "edges.txt", symmetrize=True)
     model, _ = load_checkpoint(checkpoint, spatial)
-    series = load_series([str(tmp / "signal.csv")], 60, spatial)
+    series = load_series([str(tmp / "signal.csv")], spatial)
     normalized = model.norm_stats.apply(series.values)
     window = build_windows(series, normalized, range(3, 7), 4, 0)[0]
     want = predict_windows(model, [window], model.norm_stats)[0]

@@ -2,6 +2,7 @@
 
 import re
 from dataclasses import replace
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -27,6 +28,12 @@ def _write_csv(path, lines):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _write_two_rows(path, header, values):
+    """A signal file of two rows 5 minutes apart that both read values."""
+    stamps = ("2024-01-01T00:00:00", "2024-01-01T00:05:00")
+    _write_csv(path, [header] + [f"{stamp},{values}" for stamp in stamps])
+
+
 # ---------------------------------------------------------------------------
 # loading
 # ---------------------------------------------------------------------------
@@ -36,7 +43,7 @@ def test_signal_round_trip(tmp_path):
     series = synthetic_series(3, 48, interval_min=60, seed=4, noise=1.0)
     path = tmp_path / "sig.csv"
     write_signal_csv(series, path)
-    loaded = load_series([str(path)], 60)
+    loaded = load_series([str(path)])
 
     assert loaded.values.shape == (48, 3, 1)
     np.testing.assert_array_equal(loaded.values, series.values)
@@ -44,7 +51,7 @@ def test_signal_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.day_of_week, series.day_of_week)
     np.testing.assert_array_equal(loaded.step_in_day, series.step_in_day)
     assert loaded.labels == ["0", "1", "2"]
-    assert loaded.gamma == 24
+    assert (loaded.interval_min, loaded.gamma) == (60, 24)
 
 
 def test_calendar_features(tmp_path):
@@ -61,8 +68,9 @@ def test_load_multi_channel(tmp_path):
     b = tmp_path / "speed.csv"
     _write_csv(a, ["timestamp,0,1", "2024-01-01T00:00:00,1.0,2.0", "2024-01-01T00:05:00,3.0,4.0"])
     _write_csv(b, ["timestamp,0,1", "2024-01-01T00:00:00,9.0,8.0", "2024-01-01T00:05:00,7.0,6.0"])
-    series = load_series([str(a), str(b)], 5)
+    series = load_series([str(a), str(b)])
     assert series.values.shape == (2, 2, 2)
+    assert series.interval_min == 5
     np.testing.assert_array_equal(series.values[:, :, 0], [[1.0, 2.0], [3.0, 4.0]])
     np.testing.assert_array_equal(series.values[:, :, 1], [[9.0, 8.0], [7.0, 6.0]])
 
@@ -70,29 +78,78 @@ def test_load_multi_channel(tmp_path):
 def test_load_channel_mismatches(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    _write_csv(a, ["timestamp,0,1", "2024-01-01T00:00:00,1.0,2.0"])
-    _write_csv(b, ["timestamp,0,1", "2024-01-01T00:05:00,1.0,2.0"])
+    _write_two_rows(a, "timestamp,0,1", "1.0,2.0")
+    _write_csv(b, ["timestamp,0,1", "2024-01-01T00:05:00,1.0,2.0", "2024-01-01T00:10:00,1.0,2.0"])
     with pytest.raises(InputError, match="timestamps"):
-        load_series([str(a), str(b)], 5)
-    _write_csv(b, ["timestamp,0,9", "2024-01-01T00:00:00,1.0,2.0"])
+        load_series([str(a), str(b)])
+    _write_two_rows(b, "timestamp,0,9", "1.0,2.0")
     with pytest.raises(InputError, match="columns"):
-        load_series([str(a), str(b)], 5)
+        load_series([str(a), str(b)])
 
 
-@pytest.mark.parametrize("interval", [0, -5, 7, 1441])
+@pytest.mark.parametrize("interval", [0, -5, 7, 1441, 0.5])
 def test_bad_interval(tmp_path, interval):
-    with pytest.raises(InputError, match="interval"):
-        load_series(["unused.csv"], interval)
+    # the first two timestamps, interval minutes apart, set the interval:
+    # a repeated or backward step, or one that is not a whole number of
+    # minutes dividing the day, is refused naming the file, whatever the
+    # later gaps are
+    path = tmp_path / "sig.csv"
+    first = datetime(2024, 1, 1)
+    stamps = [first, first + timedelta(minutes=interval), first + timedelta(minutes=2 * interval)]
+    _write_csv(path, ["timestamp,0"] + [f"{stamp.isoformat()},1.0" for stamp in stamps])
+    with pytest.raises(InputError, match=r"sig\.csv: the first two timestamps are .* apart; the interval"):
+        load_series([str(path)])
+
+
+@pytest.mark.parametrize("interval", [1, 15, 60, 1440])
+def test_the_first_gap_sets_the_interval(tmp_path, interval):
+    path = tmp_path / "sig.csv"
+    first = datetime(2024, 1, 1)
+    stamps = [first + timedelta(minutes=interval * k) for k in range(3)]
+    _write_csv(path, ["timestamp,0"] + [f"{stamp.isoformat()},1.0" for stamp in stamps])
+    series = load_series([str(path)])
+    assert (series.interval_min, series.gamma) == (interval, 1440 // interval)
+    assert series.step_in_day.tolist() == [k % (1440 // interval) for k in range(3)]
+
+
+def _wall_clock(instant):
+    """instant, a UTC time, on US Pacific clocks of 2024: UTC-7 from 10:00
+    UTC on 10 March to 09:00 UTC on 3 November, UTC-8 otherwise."""
+    summer = datetime(2024, 3, 10, 10, tzinfo=timezone.utc) <= instant < datetime(
+        2024, 11, 3, 9, tzinfo=timezone.utc
+    )
+    return instant.astimezone(timezone(timedelta(hours=-7 if summer else -8)))
+
+
+@pytest.mark.parametrize(
+    "change, before, after",
+    [
+        (datetime(2024, 3, 10, 10, tzinfo=timezone.utc), list(range(12, 24)), list(range(36, 48))),
+        (datetime(2024, 11, 3, 9, tzinfo=timezone.utc), list(range(12, 24)), list(range(12, 24))),
+    ],
+    ids=["spring", "fall"],
+)
+def test_offset_aware_timestamps_read_across_a_clock_change(tmp_path, change, before, after):
+    # the rows are 5 minutes apart as instants while the wall clock jumps
+    # an hour ahead in spring and repeats an hour in fall; the interval is
+    # still 5 minutes, and each row's step in day follows its own clock
+    instants = [change + timedelta(minutes=5 * k) for k in range(-12, 12)]
+    path = tmp_path / "sig.csv"
+    _write_csv(path, ["timestamp,0"] + [f"{_wall_clock(t).isoformat()},1.0" for t in instants])
+    series = load_series([str(path)])
+    assert (series.interval_min, series.gamma) == (5, 288)
+    assert series.step_in_day.tolist() == before + after
+    assert series.day_of_week.tolist() == [6] * 24
 
 
 def test_no_signal_paths():
     with pytest.raises(InputError):
-        load_series([], 5)
+        load_series([])
 
 
 def test_missing_file():
     with pytest.raises(InputError, match="not found"):
-        load_series(["/nonexistent/sig.csv"], 5)
+        load_series(["/nonexistent/sig.csv"])
 
 
 @pytest.mark.parametrize(
@@ -109,34 +166,37 @@ def test_timestamps_that_mix_offsets_are_refused_at_the_first_odd_row(tmp_path, 
     _write_csv(path, ["timestamp,0,1"] + [f"{stamp},1.0,2.0" for stamp in stamps])
     message = rf"sig\.csv:{line}: timestamp '{re.escape(stamps[line - 2])}' is {kinds[0]}, but the first data row's is {kinds[1]}"
     with pytest.raises(InputError, match=message):
-        load_series([str(path)], 5)
+        load_series([str(path)])
 
 
 def test_malformed_rows(tmp_path):
     path = tmp_path / "sig.csv"
     _write_csv(path, ["timestamp,0", "not-a-time,1.0"])
     with pytest.raises(InputError, match="ISO-8601"):
-        load_series([str(path)], 5)
+        load_series([str(path)])
     _write_csv(path, ["timestamp,0", "2024-01-01T00:00:00,abc"])
     with pytest.raises(InputError, match="non-numeric"):
-        load_series([str(path)], 5)
+        load_series([str(path)])
     for bad in ("nan", "inf", "-inf", "NaN", "-Infinity"):
         rows = ["2024-01-01T00:00:00,1.0,2.0", f"2024-01-01T00:05:00,3.0,{bad}"]
         _write_csv(path, ["timestamp,0,1"] + rows)
         with pytest.raises(InputError, match=r"sig\.csv:3: non-finite"):
-            load_series([str(path)], 5)
+            load_series([str(path)])
     _write_csv(path, ["timestamp,0", "2024-01-01T00:00:00,1.0,2.0"])
     with pytest.raises(InputError, match="columns"):
-        load_series([str(path)], 5)
+        load_series([str(path)])
     _write_csv(path, ["timestamp,0"])
-    with pytest.raises(InputError, match="no data rows"):
-        load_series([str(path)], 5)
+    with pytest.raises(InputError, match=r"sig\.csv: 0 data rows; .* at least two"):
+        load_series([str(path)])
+    _write_csv(path, ["timestamp,0", "2024-01-01T00:00:00,1.0"])
+    with pytest.raises(InputError, match=r"sig\.csv: 1 data rows; .* at least two"):
+        load_series([str(path)])
     _write_csv(path, ["timestamp"])
     with pytest.raises(InputError, match="node columns"):
-        load_series([str(path)], 5)
+        load_series([str(path)])
     path.write_text("")
     with pytest.raises(InputError, match="empty"):
-        load_series([str(path)], 5)
+        load_series([str(path)])
 
 
 def test_irregular_timestamps(tmp_path):
@@ -150,25 +210,25 @@ def test_irregular_timestamps(tmp_path):
             "2024-01-01T00:15:00,3.0",
         ],
     )
-    with pytest.raises(InputError, match="advance"):
-        load_series([str(path)], 5)
+    with pytest.raises(InputError, match=r"sig\.csv: .* by the first gap, 5 minutes; data row 3 jumps"):
+        load_series([str(path)])
 
 
 def test_off_grid_start(tmp_path):
     path = tmp_path / "sig.csv"
     _write_csv(path, ["timestamp,0", "2024-01-01T00:07:00,1.0", "2024-01-01T00:12:00,2.0"])
-    with pytest.raises(InputError, match="grid"):
-        load_series([str(path)], 5)
+    with pytest.raises(InputError, match=r"sig\.csv: .* the 5-minute grid"):
+        load_series([str(path)])
 
 
 def test_graph_alignment_reorders_columns(tmp_path):
     sig = tmp_path / "sig.csv"
     edges = tmp_path / "edges.txt"
-    _write_csv(sig, ["timestamp,b,a", "2024-01-01T00:00:00,1.0,2.0"])
+    _write_two_rows(sig, "timestamp,b,a", "1.0,2.0")
     write_edge_list(["a b 1.0"], edges)
     graph = load_spatial_graph(edges)
     assert graph.labels == ["a", "b"]
-    series = load_series([str(sig)], 5, graph=graph)
+    series = load_series([str(sig)], graph=graph)
     assert series.labels == ["a", "b"]
     np.testing.assert_array_equal(series.values[0, :, 0], [2.0, 1.0])
 
@@ -176,36 +236,36 @@ def test_graph_alignment_reorders_columns(tmp_path):
 def test_graph_alignment_node_count(tmp_path):
     sig = tmp_path / "sig.csv"
     edges = tmp_path / "edges.txt"
-    _write_csv(sig, ["timestamp,0,1,2", "2024-01-01T00:00:00,1.0,2.0,3.0"])
+    _write_two_rows(sig, "timestamp,0,1,2", "1.0,2.0,3.0")
     write_edge_list(["0 1 1.0"], edges)
     with pytest.raises(InputError, match="node columns"):
-        load_series([str(sig)], 5, graph=load_spatial_graph(edges))
+        load_series([str(sig)], graph=load_spatial_graph(edges))
 
 
 def test_graph_alignment_refuses_a_column_the_graph_lacks(tmp_path):
     sig = tmp_path / "sig.csv"
     edges = tmp_path / "edges.txt"
-    _write_csv(sig, ["timestamp,x,y", "2024-01-01T00:00:00,1.0,2.0"])
+    _write_two_rows(sig, "timestamp,x,y", "1.0,2.0")
     write_edge_list(["a b 1.0"], edges)
     with pytest.raises(InputError, match="column 'x' is not a graph node.*'nodes 2'"):
-        load_series([str(sig)], 5, graph=load_spatial_graph(edges))
+        load_series([str(sig)], graph=load_spatial_graph(edges))
 
 
 def test_graph_alignment_refuses_repeated_columns(tmp_path):
     sig = tmp_path / "sig.csv"
     edges = tmp_path / "edges.txt"
-    _write_csv(sig, ["timestamp,a,a", "2024-01-01T00:00:00,1.0,2.0"])
+    _write_two_rows(sig, "timestamp,a,a", "1.0,2.0")
     write_edge_list(["a b 1.0"], edges)
     with pytest.raises(InputError, match="repeat"):
-        load_series([str(sig)], 5, graph=load_spatial_graph(edges))
+        load_series([str(sig)], graph=load_spatial_graph(edges))
 
 
 def test_graph_alignment_binds_by_position_under_a_nodes_directive(tmp_path):
     sig = tmp_path / "sig.csv"
     edges = tmp_path / "edges.txt"
-    _write_csv(sig, ["timestamp,400001,400017,400030", "2024-01-01T00:00:00,1.0,2.0,3.0"])
+    _write_two_rows(sig, "timestamp,400001,400017,400030", "1.0,2.0,3.0")
     write_edge_list(["nodes 3", "2 1 1.0", "1 0 1.0"], edges)
-    series = load_series([str(sig)], 5, graph=load_spatial_graph(edges))
+    series = load_series([str(sig)], graph=load_spatial_graph(edges))
     assert series.labels == ["400001", "400017", "400030"]
     np.testing.assert_array_equal(series.values[0, :, 0], [1.0, 2.0, 3.0])
 
@@ -213,10 +273,10 @@ def test_graph_alignment_binds_by_position_under_a_nodes_directive(tmp_path):
 def test_graph_alignment_refuses_sensor_ids_against_ids_out_of_order(tmp_path):
     sig = tmp_path / "sig.csv"
     edges = tmp_path / "edges.txt"
-    _write_csv(sig, ["timestamp,s0,s1,s2", "2024-01-01T00:00:00,1.0,2.0,3.0"])
+    _write_two_rows(sig, "timestamp,s0,s1,s2", "1.0,2.0,3.0")
     write_edge_list(["0 2", "2 1"], edges)
     with pytest.raises(InputError, match="column 's0'.*'nodes 3'"):
-        load_series([str(sig)], 5, graph=load_spatial_graph(edges))
+        load_series([str(sig)], graph=load_spatial_graph(edges))
 
 
 # ---------------------------------------------------------------------------

@@ -846,6 +846,36 @@ def test_ranged_self_attention_shifts_each_window_on_its_own(monkeypatch):
         assert np.array_equal(got[2], one[0])
 
 
+def test_a_window_past_the_shift_limit_keeps_the_piece_layout(monkeypatch):
+    # one window of three scaled 100-fold shifts alone, yet the forward and
+    # backward range loops cut the same pieces as when no window shifts:
+    # the shifted branch runs on whole pieces, with a shift of 0.0 in the
+    # windows that need none
+    rng = np.random.default_rng(33)
+    n_rows, heads, dim = 12, 3, 12
+    bounds = [(0, 5), (5, 6), (6, 12)]
+    params = _attention_params(rng, heads, dim)
+    order = rng.permutation(n_rows)
+    data, probe = (rng.normal(size=(3, n_rows, dim)) for _ in range(2))
+    block, calls = tensor._block, []
+
+    def counted(scratch, shape):
+        calls.append(shape)
+        return block(scratch, shape)
+
+    monkeypatch.setattr(tensor, "_block", counted)
+    runs = {}
+    for name, scale in (("calm", 1.0), ("mixed", 100.0)):
+        data[1] *= scale
+        calls.clear()
+        runs[name] = _windowed_attention_run(monkeypatch, params, bounds, order, data, probe)
+        runs[name] += (list(calls),)
+    assert runs["calm"][3].tolist() == [False] * 3
+    assert runs["mixed"][3].tolist() == [False, True, False]
+    assert runs["mixed"][4] == runs["calm"][4]
+    assert len(runs["calm"][4]) == 3 * len(bounds)
+
+
 def _attention_params(rng, heads, dim):
     head_dim = dim // heads
     shapes = {
