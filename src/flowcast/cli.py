@@ -28,7 +28,7 @@ from .data import (
     split_series,
 )
 from .embedding import compute_spe, embed
-from .errors import ContractError, FlowcastError, InputError, NumericError, require_file
+from .errors import ContractError, FlowcastError, InputError, NumericError, open_text
 from .files import atomic_write
 from .model import (
     ModelConfig,
@@ -149,9 +149,10 @@ def _parse_value(key: str, raw: str):
 
 def read_config_file(path) -> dict[str, object]:
     """Parse a flat key=value file; '#' starts a comment anywhere."""
-    path = require_file(path, "config file")
+    with open_text(path, "config file") as fh:
+        text = fh.read()
     out: dict[str, object] = {}
-    for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

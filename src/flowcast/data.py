@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, InputError, require_file
+from .errors import ContractError, InputError, open_text
 from .stgraph import SpatialGraph
 
 MINUTES_PER_DAY = 1440
@@ -54,7 +54,7 @@ class TrafficSeries:
 
 
 def _read_signal_csv(path: Path) -> tuple[list[datetime], list[str], np.ndarray]:
-    with open(require_file(path, "signal file"), newline="") as fh:
+    with open_text(path, "signal file", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

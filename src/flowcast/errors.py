@@ -4,7 +4,9 @@ Each class maps to a process exit code so scripted callers can branch on
 the failure kind without parsing messages.
 """
 
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator, TextIO
 
 
 class FlowcastError(Exception):
@@ -39,3 +41,15 @@ def require_file(path, what: str) -> Path:
     if not path.is_file():
         raise InputError(f"{what} is not a regular file: {path}")
     return path
+
+
+@contextmanager
+def open_text(path, what: str, newline: str | None = None) -> Iterator[TextIO]:
+    """require_file's path opened as UTF-8 text, a leading BOM skipped; a
+    byte sequence that is not UTF-8 is an InputError naming the file."""
+    path = require_file(path, what)
+    try:
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {what} is not UTF-8 text ({exc.reason})") from None

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ContractError, InputError, require_file
+from .errors import ContractError, InputError, open_text
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class SpatialGraph:
 
 def _iter_lines(source) -> Iterator[str]:
     if isinstance(source, (str, Path)):
-        with open(require_file(source, "graph file")) as fh:
+        with open_text(source, "graph file") as fh:
             yield from fh
     else:
         yield from source
@@ -73,7 +73,8 @@ def load_spatial_graph(source, symmetrize: bool = True) -> SpatialGraph:
     Each payload line is "src dst [weight]" with weight defaulting to 1.0.
     Lines starting with '#' and blank lines are skipped. An optional
     directive "nodes <N>" declares the node count up front, in which case
-    ids must be integers in [0, N); isolated nodes are then allowed.
+    ids must be integers in [0, N), read as int() reads them ("01" is node
+    1); isolated nodes are then allowed.
     Without the directive, ids are compacted to [0, N) in first-appearance
     order. Negative weights are rejected. A self loop "i i w" is kept as
     given, as diagonal entry w, as in a Gaussian-kernel adjacency, whose
@@ -81,7 +82,7 @@ def load_spatial_graph(source, symmetrize: bool = True) -> SpatialGraph:
     max(A, A^T).
     """
     declared: int | None = None
-    raw_edges: list[tuple[str, str, float]] = []
+    raw_edges: list[tuple[int, int, float]] = []
     order: dict[str, int] = {}
 
     for line_no, raw in enumerate(_iter_lines(source), start=1):
@@ -115,35 +116,32 @@ def load_spatial_graph(source, symmetrize: bool = True) -> SpatialGraph:
         if weight < 0.0:
             raise InputError(f"line {line_no}: negative weight {weight} is not allowed")
         if declared is not None:
+            ids = []
             for token in (src, dst):
                 try:
-                    idx = int(token)
+                    ids.append(int(token))
                 except ValueError:
                     raise InputError(
                         f"line {line_no}: with a nodes directive ids must be integers, got {token!r}"
                     )
-                if not 0 <= idx < declared:
-                    raise InputError(f"line {line_no}: node id {idx} outside [0, {declared})")
+                if not 0 <= ids[-1] < declared:
+                    raise InputError(f"line {line_no}: node id {ids[-1]} outside [0, {declared})")
         else:
-            for token in (src, dst):
-                if token not in order:
-                    order[token] = len(order)
-        raw_edges.append((src, dst, weight))
+            ids = [order.setdefault(token, len(order)) for token in (src, dst)]
+        raw_edges.append((ids[0], ids[1], weight))
 
     if declared is not None:
         n = declared
         labels = [str(i) for i in range(n)]
-        index = {str(i): i for i in range(n)}
     else:
         n = len(order)
         if n == 0:
             raise InputError("graph has no nodes: give edges or a 'nodes <N>' directive")
         labels = list(order)
-        index = order
 
     adjacency = np.zeros((n, n), dtype=np.float64)
     for src, dst, weight in raw_edges:
-        adjacency[index[src], index[dst]] = weight
+        adjacency[src, dst] = weight
 
     if symmetrize:
         adjacency = np.maximum(adjacency, adjacency.T)

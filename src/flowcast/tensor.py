@@ -36,7 +36,6 @@ ones in from the kernel.
 from __future__ import annotations
 
 import ctypes
-import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -367,47 +366,10 @@ def _check_maps(op: str, rows_shape: tuple[int, ...], params: AttentionParams) -
         )
 
 
-# Bytes of one piece's (..., m, m) weight block in _attend and _attend_grad,
-# which split each range's weights along the first leading axis so that a
-# piece stays in a 2 MiB L2 while its GEMMs and exp pass over it. P2's
-# forward range loop at B = 8, H = 4 over a 210-node, 12-step grid's 40
-# subsets (m = 33-92), on one core of a 2-vCPU VM with one OpenBLAS
-# thread, took a median 14.8 ms with a fresh array per range. In reused
-# scratch it took 13.3 ms as one piece per range, and 13.1, 12.7, 12.5 and
-# 13.3 ms in pieces of 256 KiB, 512 KiB, 1 MiB and 2 MiB (145 interleaved
-# calls each; quartiles about 3 ms apart, so 512 KiB and 1 MiB tie).
-_BLOCK_BYTES = 512 * 1024
-
-
-def _pieces(
-    lead: tuple[int, ...], bounds: list[tuple[int, int]], itemsize: int
-) -> tuple[tuple[tuple[slice, int, int], ...], int]:
-    """The range loop's pieces for operands with leading axes lead, the
-    axes before a range's (m, m) weight block, and items of itemsize bytes.
-
-    Each range [lo, hi) is split along lead[0] into pieces of as many rows
-    as keep a piece's block, rows * prod(lead[1:]) * m * m items, within
-    _BLOCK_BYTES; a row whose block alone is larger is a piece of its own.
-    Returns (rows, lo, hi) per piece, range by range and in row order, and
-    the item count of the largest block, which one scratch buffer holds.
-    The answer is memoized: a forward or backward asks for the same few
-    geometries on every call.
-    """
-    return _piece_table(tuple(lead), tuple(bounds), itemsize, _BLOCK_BYTES)
-
-
-@functools.lru_cache(maxsize=64)
-def _piece_table(
-    lead: tuple[int, ...], bounds: tuple[tuple[int, int], ...], itemsize: int, block_bytes: int
-) -> tuple[tuple[tuple[slice, int, int], ...], int]:
-    n_lead, per_row = lead[0], math.prod(lead[1:])
-    pieces, largest = [], 0
-    for lo, hi in bounds:
-        row_items = per_row * (hi - lo) ** 2
-        step = max(1, block_bytes // max(1, row_items * itemsize))
-        pieces += [(slice(at, min(at + step, n_lead)), lo, hi) for at in range(0, n_lead, step)]
-        largest = max(largest, min(step, n_lead) * row_items)
-    return tuple(pieces), largest
+def _block_items(shape: tuple[int, ...], bounds: list[tuple[int, int]]) -> int:
+    """Items of the largest range's (..., m, m) weight block for operands
+    of shape (..., d, M), which one flat scratch buffer holds."""
+    return math.prod(shape[:-2]) * max((hi - lo for lo, hi in bounds), default=0) ** 2
 
 
 def _block(scratch: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -431,8 +393,8 @@ def _attend(
     axis, a window. Each range's scores are key-major, k @ q^T with k a
     transposed view of k_t, and its weights exp(scores), shifted by each
     query's max and floored at _EXP_FLOOR first in the windows whose
-    decision is set; a piece that holds such a window shifts its others by
-    0.0, which with the floor leaves their bounded scores exact. The
+    decision is set; when any window's is, the others are shifted by 0.0,
+    which with the floor leaves their bounded scores exact. The
     weights are never normalized: one GEMM of [v | 1]^T with them gives
     the outputs and, in the last row, each query's total. The outputs
     divided by the totals go to out_t, (..., H, d_v, M). Returns the
@@ -440,32 +402,29 @@ def _attend(
     unshifted windows, or None when no window shifts: a query's log
     normalizer is shift + log(total).
 
-    A range's weights are computed in _pieces along the first leading
-    axis, each written by its score GEMM into one scratch buffer that the
-    call allocates once, so the block the exp and the value GEMM read
-    stays within _BLOCK_BYTES. Every (batch, head) GEMM and every
-    elementwise op sees the operands an unsplit range would, so the
-    results do not depend on _BLOCK_BYTES.
+    Each range's (..., m, m) weights are one block over all of the call's
+    windows, written by its score GEMM into one scratch buffer, sized for
+    the largest range and allocated once per call. The callers' row
+    budgets bound the windows a call holds, and with them the block.
     """
     d_v = v_one_t.shape[-2] - 1
     q_t = q_norm_t[..., :-1, :]
     mixed = np.empty(v_one_t.shape)
-    flags = shifted.tolist()
-    pieces, largest = _pieces(k_t.shape[:-2], bounds, k_t.itemsize)
-    peaks = np.zeros(v_one_t.shape[:-2] + (1, v_one_t.shape[-1])) if any(flags) else None
-    scratch = np.empty(largest, dtype=k_t.dtype)
-    for rows, lo, hi in pieces:
-        keys = np.swapaxes(k_t[rows, ..., lo:hi], -1, -2)
+    shift = bool(shifted.any())
+    peaks = np.zeros(v_one_t.shape[:-2] + (1, v_one_t.shape[-1])) if shift else None
+    scratch = np.empty(_block_items(k_t.shape, bounds), dtype=k_t.dtype)
+    for lo, hi in bounds:
+        keys = np.swapaxes(k_t[..., lo:hi], -1, -2)
         weights = _block(scratch, keys.shape[:-1] + (hi - lo,))
-        np.matmul(keys, q_t[rows, ..., lo:hi], out=weights)
-        if any(flags[rows]):
-            peak = peaks[rows, ..., lo:hi]
+        np.matmul(keys, q_t[..., lo:hi], out=weights)
+        if shift:
+            peak = peaks[..., lo:hi]
             np.max(weights, axis=-2, keepdims=True, out=peak)
-            peak[~shifted[rows]] = 0.0
+            peak[~shifted] = 0.0
             weights -= peak
             np.maximum(weights, _EXP_FLOOR, out=weights)
         np.exp(weights, out=weights)
-        np.matmul(v_one_t[rows, ..., lo:hi], weights, out=mixed[rows, ..., lo:hi])
+        np.matmul(v_one_t[..., lo:hi], weights, out=mixed[..., lo:hi])
     totals = mixed[..., d_v:, :]
     np.divide(mixed[..., :d_v, :], totals, out=out_t)
     return totals, peaks
@@ -487,12 +446,11 @@ def _attend_grad(
     (..., H, d_v, M), writes the query, key and value gradients
     feature-major into grads_t, (..., H, d, M) each. As in FlashAttention,
     each range's weights are recomputed as exp([k | 1] @ [q | -log_norm]^T),
-    one GEMM and one exp, floored at _EXP_FLOOR first in the pieces that
-    hold a window _attend shifted; their other windows' exponents are at
-    least -400 - log m, so the floor leaves them exact.
-    The loop runs over _attend's pieces, with two scratch buffers allocated
-    once per call, one for the weights and one for their gradient; grads_t
-    may be strided views of one buffer, since each piece writes through
+    one GEMM and one exp, floored at _EXP_FLOOR first when _attend shifted
+    any window; the other windows' exponents are at least -400 - log m, so
+    the floor leaves them exact. Two scratch buffers allocated once per
+    call hold a range's weights and their gradient, as in _attend; grads_t
+    may be strided views of one buffer, since each range writes through
     slices of them.
     """
     dq_t, dk_t, dv_t = grads_t
@@ -505,28 +463,21 @@ def _attend_grad(
     np.negative((g_t * out_t).sum(axis=-2, keepdims=True), out=g_inner_t[..., d_v:, :])
     k_t = np.swapaxes(k_one[..., :-1], -1, -2)
     v_one = np.swapaxes(v_one_t, -1, -2)
-    flags = shifted.tolist()
-    pieces, largest = _pieces(k_one.shape[:-2], bounds, k_one.itemsize)
-    scratch = np.empty((2, largest), dtype=k_one.dtype)
-    for rows, lo, hi in pieces:
-        keys = k_one[rows, ..., lo:hi, :]
+    shift = bool(shifted.any())
+    scratch = np.empty((2, _block_items(k_one.shape, bounds)), dtype=k_one.dtype)
+    for lo, hi in bounds:
+        keys = k_one[..., lo:hi, :]
         shape = keys.shape[:-1] + (hi - lo,)
         weights, d_scores = _block(scratch[0], shape), _block(scratch[1], shape)
-        np.matmul(keys, q_norm_t[rows, ..., lo:hi], out=weights)
-        if any(flags[rows]):
+        np.matmul(keys, q_norm_t[..., lo:hi], out=weights)
+        if shift:
             np.maximum(weights, _EXP_FLOOR, out=weights)
         np.exp(weights, out=weights)
-        np.matmul(
-            g_inner_t[rows, ..., :d_v, lo:hi], np.swapaxes(weights, -1, -2),
-            out=dv_t[rows, ..., lo:hi],
-        )
-        np.matmul(v_one[rows, ..., lo:hi, :], g_inner_t[rows, ..., lo:hi], out=d_scores)
+        np.matmul(g_inner_t[..., :d_v, lo:hi], np.swapaxes(weights, -1, -2), out=dv_t[..., lo:hi])
+        np.matmul(v_one[..., lo:hi, :], g_inner_t[..., lo:hi], out=d_scores)
         d_scores *= weights
-        np.matmul(k_t[rows, ..., lo:hi], d_scores, out=dq_t[rows, ..., lo:hi])
-        np.matmul(
-            q_norm_t[rows, ..., :-1, lo:hi], np.swapaxes(d_scores, -1, -2),
-            out=dk_t[rows, ..., lo:hi],
-        )
+        np.matmul(k_t[..., lo:hi], d_scores, out=dq_t[..., lo:hi])
+        np.matmul(q_norm_t[..., :-1, lo:hi], np.swapaxes(d_scores, -1, -2), out=dk_t[..., lo:hi])
     dq_t *= factor
 
 
@@ -649,11 +600,9 @@ def ranged_self_attention(
     gradients into one (W, 3D, M) buffer. The w_out, query bias and map
     gradients are one term per window (_accumulate_windows). The backward
     reads the parameters as they are when it runs, so they must not change
-    between the forward and the backward. Both range loops split a range's
-    (W, H, m, m) weights along the windows into pieces of at most
-    _BLOCK_BYTES, or of one window where that is larger, computed in
-    scratch allocated once per call, so no call holds the weights of all
-    W * H pairs of a range at once.
+    between the forward and the backward. Both range loops compute a
+    range's (W, H, m, m) weights as one block in scratch allocated once per
+    call; the model's row budgets cap W, and with it the block.
     """
     _check_maps("ranged_self_attention", x.shape, params)
     n_rows, dim = x.shape[-2:]

@@ -603,39 +603,6 @@ def test_ranged_self_attention_gradients_match_central_differences(monkeypatch, 
     assert worst < 1e-6
 
 
-@pytest.mark.parametrize("limit", [0.0, np.inf])
-def test_ranged_self_attention_is_bit_identical_at_every_block_budget(monkeypatch, limit):
-    # budget 1 makes every leading row a piece, the middle one splits the
-    # batch of 3 into 2 + 1 rows on the 7-row range (2 rows x 2 heads x
-    # 7 x 7 float64 scores) and 1 << 62 leaves each range one piece; the
-    # output, all six gradients and each subset's weights agree bit for
-    # bit, with the exact per-query max forced (limit 0) and ruled out
-    monkeypatch.setattr(tensor, "_UNSHIFTED_SCORE_LIMIT", limit)
-    scheme = _ragged_scheme()
-    bounds, order, inverse = _scheme_args(scheme)
-    two_rows = 2 * 2 * 7 * 7 * 8
-    results = []
-    for budget in (1, two_rows, 1 << 62):
-        monkeypatch.setattr(tensor, "_BLOCK_BYTES", budget)
-        if budget == two_rows:
-            pieces, _ = tensor._pieces((3, 2), bounds[:1], 8)
-            assert bounds[0] == (0, 7)
-            assert [rows for rows, _, _ in pieces] == [slice(0, 2), slice(2, 3)]
-        rng = np.random.default_rng(102)
-        x, params = _attention_leaves(rng, 3, 15, 4, 2)
-        probe = rng.normal(size=x.shape)
-        out = ranged_self_attention(x, params, bounds, order, inverse)
-        backward(tensor_sum(mul(out, Tensor(probe))))
-        weights = [
-            tensor.attention_weights(x.data[:, indices], params) for indices in scheme.subsets
-        ]
-        results.append([out.data, x.grad] + [p.grad for p in params.params()] + weights)
-    for got in results[1:]:
-        assert len(got) == len(results[0]) == 11
-        for a, b in zip(got, results[0]):
-            assert np.array_equal(a, b)
-
-
 def test_ranged_self_attention_routes_each_row_back_through_the_inverse():
     # gathering by order inside the op is the same as handing it the
     # gathered rows in their own order, then putting each output row and

@@ -3,8 +3,12 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
@@ -454,6 +458,56 @@ def test_inference_output_is_unchanged_by_no_grad(workspace, monkeypatch, argv, 
     bare = (tmp / "bare" / written).read_text()
     assert bare == (tmp / "recorded" / written).read_text()
     assert len(bare.splitlines()) > 2
+
+
+@pytest.mark.parametrize("name", ["edges.txt", "signal.csv", "run.cfg"])
+def test_a_file_that_is_not_utf8_exits_2_before_any_output(workspace, capsys, name):
+    # one 0xff byte, on a comment line where the format has comments
+    tmp, config, out = workspace
+    path = tmp / name
+    path.write_bytes(path.read_bytes().replace(b"\n", b" # \xff\n", 1))
+    assert main(["train", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error[input]: {path}: "), captured.err
+    assert "is not UTF-8 text" in captured.err
+    assert not out.exists()
+
+
+def test_a_bom_before_the_graph_and_the_config_is_skipped(workspace, capsys):
+    tmp, config, out = workspace
+    bom = b"\xef\xbb\xbf"
+    (tmp / "edges.txt").write_bytes(bom + b"nodes 3\n0 1\n1 2\n")
+    config.write_bytes(bom + config.read_bytes())
+    assert main(["build-graph", "--config", str(config)]) == 0
+    stdout = capsys.readouterr().out
+    assert "nodes: 3\nspatial nonzero entries: 4\n" in stdout
+
+
+_PIPELINE = """
+import sys
+from flowcast.cli import main
+config, checkpoint = sys.argv[1:]
+for argv in (["build-graph"], ["train", "--epochs", "1"], ["predict", "--checkpoint", checkpoint]):
+    code = main([*argv, "--config", config])
+    if code:
+        sys.exit(code)
+"""
+
+
+def test_the_pipeline_names_the_encoding_of_every_text_file(workspace):
+    # -X warn_default_encoding warns at each open() that leaves the encoding
+    # to the locale, here as an error; every module is filtered, since a
+    # call through pathlib is attributed to pathlib, not to flowcast
+    tmp, config, out = workspace
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+    argv += ["-c", _PIPELINE, str(config), str(out / "checkpoint.bin")]
+    done = subprocess.run(argv, cwd=tmp, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert (out / "predictions.csv").is_file()
 
 
 @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resume"])

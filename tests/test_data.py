@@ -152,6 +152,16 @@ def test_missing_file():
         load_series(["/nonexistent/sig.csv"])
 
 
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+def test_a_signal_file_is_utf8_with_or_without_a_bom(tmp_path, bom):
+    path = tmp_path / "sig.csv"
+    rows = ["horodatage,Zürich,Genève", "2024-01-01T00:00:00,1.0,2.0", "2024-01-01T00:05:00,3.0,4.0"]
+    path.write_bytes(bom + "\n".join(rows).encode() + b"\n")
+    loaded = load_series([str(path)])
+    assert loaded.labels == ["Zürich", "Genève"]
+    assert loaded.values[:, :, 0].tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
 @pytest.mark.parametrize(
     "stamps, line, kinds",
     [

@@ -53,6 +53,14 @@ def test_load_nodes_directive_checks_range():
         load_spatial_graph(["nodes 2", "0 2 1.0"])
 
 
+@pytest.mark.parametrize("token, node", [("01", 1), ("+2", 2), ("-0", 0), ("1_0", 10)])
+def test_load_nodes_directive_reads_each_id_as_the_integer_it_spells(token, node):
+    # int() reads these spellings, and under the directive each names that node
+    g = load_spatial_graph(["nodes 11", f"{token} 3"])
+    assert g.labels == [str(i) for i in range(11)]
+    assert np.flatnonzero(g.adjacency[:, 3]).tolist() == [node]
+
+
 def test_load_nodes_directive_must_come_first():
     with pytest.raises(InputError):
         load_spatial_graph(["0 1", "nodes 4"])
@@ -110,6 +118,17 @@ def test_load_compacts_string_labels_in_order():
     assert g.labels == ["s7", "s3", "s9"]
     assert g.adjacency[0, 1] == 1.0 and g.adjacency[1, 2] == 1.0
     assert g.adjacency[0, 2] == 0.0
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+def test_load_reads_utf8_with_or_without_a_bom(tmp_path, bom):
+    path = tmp_path / "graph.txt"
+    path.write_bytes(bom + "nodes 3\n0 1  # capteur à l'est\n1 2\n".encode())
+    g = load_spatial_graph(path)
+    assert g.labels == ["0", "1", "2"]
+    assert g.adjacency[0, 1] == g.adjacency[1, 2] == 1.0
+    path.write_bytes(bom + "Zürich Genève 2.0\n".encode())
+    assert load_spatial_graph(path).labels == ["Zürich", "Genève"]
 
 
 def test_load_missing_file():

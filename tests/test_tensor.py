@@ -846,11 +846,11 @@ def test_ranged_self_attention_shifts_each_window_on_its_own(monkeypatch):
         assert np.array_equal(got[2], one[0])
 
 
-def test_a_window_past_the_shift_limit_keeps_the_piece_layout(monkeypatch):
+def test_a_window_past_the_shift_limit_leaves_one_block_per_range(monkeypatch):
     # one window of three scaled 100-fold shifts alone, yet the forward and
-    # backward range loops cut the same pieces as when no window shifts:
-    # the shifted branch runs on whole pieces, with a shift of 0.0 in the
-    # windows that need none
+    # backward range loops carve the same blocks as when no window shifts:
+    # the shifted branch runs on all windows of a range at once, with a
+    # shift of 0.0 in the windows that need none
     rng = np.random.default_rng(33)
     n_rows, heads, dim = 12, 3, 12
     bounds = [(0, 5), (5, 6), (6, 12)]
@@ -885,83 +885,15 @@ def _attention_params(rng, heads, dim):
     return AttentionParams(**{n: Param(rng.normal(scale=0.25, size=s), n) for n, s in shapes.items()})
 
 
-@pytest.mark.parametrize("grad", [False, True])
-def test_ranged_self_attention_peak_stays_below_one_full_weight_block(grad):
-    # B = 8, H = 4 and one range of 123 rows: all B * H weight blocks at
-    # once would take 3.69 MiB, but each piece holds one batch row's
-    # (H, m, m) block, 484 KiB; the traced peak covers the no_grad
-    # forward, or the recording forward and its backward
-    rng = np.random.default_rng(11)
-    batch, heads, dim, m = 8, 4, 16, 123
-    x = Param(rng.normal(size=(batch, m, dim)), "x")
-    params = _attention_params(rng, heads, dim)
-    order = np.arange(m)
-    probe = Tensor(rng.normal(size=x.shape))
-    full_block = batch * heads * m * m * 8
-    tracemalloc.start()
-    try:
-        if grad:
-            backward(tensor_sum(mul(ranged_self_attention(x, params, [(0, m)], order, order), probe)))
-        else:
-            with no_grad():
-                ranged_self_attention(x, params, [(0, m)], order, order)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < full_block, (peak, full_block)
-    if grad:
-        assert x.grad.shape == x.shape and np.all(np.isfinite(x.grad))
+def test_attend_keeps_the_dtype_of_its_operands(monkeypatch):
+    # float32 operands get float32 scratch and a finite output
+    block, dtypes = tensor._block, []
 
+    def spy(scratch, shape):
+        dtypes.append(scratch.dtype)
+        return block(scratch, shape)
 
-@pytest.mark.parametrize(
-    "lead, bounds, itemsize, budget",
-    [
-        ((8, 4), [(0, 35), (35, 158), (158, 200)], 8, 512 * 1024),
-        ((8, 4), [(0, 35), (35, 158), (158, 200)], 4, 512 * 1024),
-        ((3, 2), [(0, 7), (7, 8), (8, 12), (12, 15)], 8, 1),
-        ((3, 2), [(0, 7), (7, 8), (8, 12), (12, 15)], 8, 2 * 2 * 7 * 7 * 8),
-        ((5, 2, 3), [(0, 4), (4, 9)], 8, 1 << 62),
-        ((0, 4), [(0, 3)], 8, 1024),
-    ],
-)
-def test_pieces_tile_each_range_once_within_the_block_budget(monkeypatch, lead, bounds, itemsize, budget):
-    monkeypatch.setattr(tensor, "_BLOCK_BYTES", budget)
-    pieces, largest = tensor._pieces(lead, bounds, itemsize)
-    per_row = math.prod(lead[1:])
-    covered = {}
-    for rows, lo, hi in pieces:
-        covered.setdefault((lo, hi), []).append(rows)
-        n_rows = rows.stop - rows.start
-        assert rows.step is None and n_rows >= 1
-        assert n_rows == 1 or n_rows * per_row * (hi - lo) ** 2 * itemsize <= budget
-    # ranges in order, each range's pieces consecutive and in row order
-    assert [(lo, hi) for _, lo, hi in pieces] == [
-        bound for bound in bounds for _ in covered.get(bound, [])
-    ]
-    for bound in bounds:
-        edges = [0] + [rows.stop for rows in covered.get(bound, [])]
-        assert [rows.start for rows in covered.get(bound, [])] == edges[:-1]
-        assert edges[-1] == lead[0]
-    sizes = [(rows.stop - rows.start) * per_row * (hi - lo) ** 2 for rows, lo, hi in pieces]
-    assert largest == max(sizes, default=0)
-
-
-def test_pieces_take_the_item_size_of_the_operand(monkeypatch):
-    # half the bytes per score fit twice the rows in a piece, and _attend
-    # sizes its pieces and its scratch by the operands it is handed
-    monkeypatch.setattr(tensor, "_BLOCK_BYTES", 2 * 4 * 10 * 10 * 8)
-    wide, _ = tensor._pieces((8, 4), [(0, 10)], 8)
-    narrow, _ = tensor._pieces((8, 4), [(0, 10)], 4)
-    assert [rows.stop - rows.start for rows, _, _ in wide] == [2] * 4
-    assert [rows.stop - rows.start for rows, _, _ in narrow] == [4] * 2
-    seen = []
-    pieces = tensor._pieces
-
-    def spy(lead, bounds, itemsize):
-        seen.append(itemsize)
-        return pieces(lead, bounds, itemsize)
-
-    monkeypatch.setattr(tensor, "_pieces", spy)
+    monkeypatch.setattr(tensor, "_block", spy)
     rng = np.random.default_rng(12)
     q_norm_t = rng.normal(size=(2, 3, 5, 10)).astype(np.float32)
     k_t = rng.normal(size=(2, 3, 4, 10)).astype(np.float32)
@@ -969,7 +901,7 @@ def test_pieces_take_the_item_size_of_the_operand(monkeypatch):
     v_one_t[..., -1, :] = 1.0
     out_t = np.empty((2, 3, 4, 10))
     tensor._attend(q_norm_t, k_t, v_one_t, [(0, 6), (6, 10)], np.zeros(len(k_t), bool), out_t)
-    assert seen == [4]
+    assert dtypes == [np.float32] * 2
     assert np.all(np.isfinite(out_t))
 
 
