@@ -36,6 +36,7 @@ from .model import (
     TraceRow,
     build_model,
     build_partitions,
+    check_range,
     forward_arrays,
     ha_baseline,
     load_params,
@@ -139,16 +140,21 @@ def _render_as(kind, value) -> str:
 
 
 _FIELD_TYPES = get_type_hints(RunConfig)
+_FIELDS = {f.name: f for f in fields(RunConfig)}
 
 
 def _parse_value(key: str, raw: str):
-    if key not in _FIELD_TYPES:
+    """A file's or a flag's raw value for key, parsed and in its range."""
+    if key not in _FIELDS:
         raise InputError(f"unknown config key {key!r}")
-    return _parse_as(_FIELD_TYPES[key], raw.strip(), key)
+    value = _parse_as(_FIELD_TYPES[key], raw.strip(), key)
+    check_range(_FIELDS[key], value, InputError)
+    return value
 
 
 def read_config_file(path) -> dict[str, object]:
-    """Parse a flat key=value file; '#' starts a comment anywhere."""
+    """Parse a flat key=value file; '#' starts a comment anywhere. An
+    InputError names the file and line, "<path>:<n>: ..."."""
     with open_text(path, "config file") as fh:
         text = fh.read()
     out: dict[str, object] = {}
@@ -158,11 +164,11 @@ def read_config_file(path) -> dict[str, object]:
             continue
         if "=" not in line:
             raise InputError(f"{path}:{line_no}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        if key not in _FIELD_TYPES:
-            raise InputError(f"{path}:{line_no}: unknown config key {key!r}")
-        out[key] = _parse_value(key, value)
+        key, value = (part.strip() for part in line.split("=", 1))
+        try:
+            out[key] = _parse_value(key, value)
+        except InputError as exc:
+            raise InputError(f"{path}:{line_no}: {exc}") from None
     return out
 
 

@@ -160,7 +160,8 @@ def load_series(signal_paths: list[str], graph: SpatialGraph | None = None) -> T
     if graph is not None:
         if len(labels) != graph.n_nodes:
             raise InputError(
-                f"signal has {len(labels)} node columns but the graph has {graph.n_nodes}"
+                f"{signal_paths[0]}: signal has {len(labels)} node columns but the graph "
+                f"has {graph.n_nodes}"
             )
         known = set(graph.labels)
         if set(labels) == known:

@@ -68,12 +68,9 @@ def compute_spe(spatial: SpatialGraph, n_modes: int) -> SpePack:
             f"only {len(nontrivial)} nontrivial modes available "
             f"({n - len(nontrivial)} components in a {n}-node graph), need {n_modes}"
         )
-    selected = eigvecs[:, nontrivial[:n_modes]].copy()
-    for col in range(selected.shape[1]):
-        column = selected[:, col]
-        peak = int(np.argmax(np.abs(column)))
-        if column[peak] < 0.0:
-            selected[:, col] = -column
+    selected = eigvecs[:, nontrivial[:n_modes]].copy()  # C order, whatever eigh returns
+    peaks = np.abs(selected).argmax(axis=0)
+    selected *= np.where(selected[peaks, np.arange(n_modes)] < 0.0, -1.0, 1.0)
     return SpePack(eigvals=eigvals, eigvecs=eigvecs, selected=selected)
 
 

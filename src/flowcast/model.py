@@ -9,7 +9,7 @@ value is stored as zero are treated as missing everywhere.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, Field, dataclass, field, fields
 from typing import Collection, Iterable
 
 import numpy as np
@@ -61,6 +61,17 @@ def _setting(default, help: str, least, strict: bool = False):
     return field(default=default, metadata={"help": help, "least": least, "strict": strict})
 
 
+def check_range(setting: Field, value, error: type[FlowcastError] = ContractError) -> None:
+    """Raise error for a value outside the range _setting declared for
+    setting; a field declared without one takes any value."""
+    if "least" not in setting.metadata:
+        return
+    least, strict = setting.metadata["least"], setting.metadata["strict"]
+    if value < least or (strict and value == least):
+        bound = "above" if strict else "at least"
+        raise error(f"{setting.name} must be {bound} {least}, got {value}")
+
+
 @dataclass(kw_only=True)
 class ModelSettings:
     """The model settings a run may choose, each declared once with its
@@ -81,15 +92,10 @@ class ModelSettings:
     clip_norm: float = _setting(5.0, "global gradient norm cap; 0 disables clipping", 0.0)
 
     def check(self, error: type[FlowcastError] = ContractError) -> None:
-        """Raise error for a field outside its range, or for a width that
-        the heads do not divide."""
+        """Raise error for a field outside its range (check_range), or for
+        a width that the heads do not divide."""
         for f in fields(self):
-            if "least" not in f.metadata:
-                continue
-            value, least = getattr(self, f.name), f.metadata["least"]
-            if value < least or (f.metadata["strict"] and value == least):
-                bound = "above" if f.metadata["strict"] else "at least"
-                raise error(f"{f.name} must be {bound} {least}, got {value}")
+            check_range(f, getattr(self, f.name), error)
         if self.dim % self.n_heads != 0:
             raise error(f"dim {self.dim} not divisible by {self.n_heads} heads")
 

@@ -47,32 +47,17 @@ def kmeans(points: np.ndarray, k: int, seed: int):
     closest = ((points - centroids[0]) ** 2).sum(axis=1)
     for j in range(1, k):
         total = closest.sum()
-        if total > 0.0:
-            pick = rng.choice(n, p=closest / total)
-        else:
-            pick = rng.integers(n)
+        pick = rng.choice(n, p=closest / total) if total > 0.0 else rng.integers(n)
         centroids[j] = points[pick]
         closest = np.minimum(closest, ((points - centroids[j]) ** 2).sum(axis=1))
 
-    labels = np.zeros(n, dtype=np.int64)
-    # Each point is tiled once per centroid, so a distance step subtracts
-    # the (k, dim) centroids over contiguous rows instead of broadcasting
-    # the points' dim-long rows.
-    tiled = np.repeat(points[:, None, :], k, axis=1)
-    sq = np.empty_like(tiled)
     for _ in range(_KMEANS_MAX_ITER):
-        np.subtract(tiled, centroids, out=sq)
-        labels = np.square(sq, out=sq).sum(axis=2).argmin(axis=1)
-        # each cluster's members are one contiguous run of rows, in point order
-        grouped = points[np.argsort(labels, kind="stable")]
-        sizes = np.bincount(labels, minlength=k)
-        new = centroids.copy()
-        start = 0
-        for j, stop in enumerate(np.cumsum(sizes).tolist()):
-            if stop > start:
-                np.add.reduce(grouped[start:stop], axis=0, out=new[j])
-            start = stop
-        new /= np.maximum(sizes, 1)[:, None]  # an empty cluster keeps its centroid
+        diff = points[:, None, :] - centroids
+        labels = np.square(diff, out=diff).sum(axis=2).argmin(axis=1)
+        sizes = np.bincount(labels, minlength=k)[:, None]
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, labels, points)  # each cluster's points, added in point order
+        new = np.where(sizes > 0, sums / np.maximum(sizes, 1), centroids)
         moved = float(np.linalg.norm(new - centroids, axis=1).max())
         centroids = new
         if moved < _KMEANS_TOL:

@@ -59,12 +59,13 @@ class SpatialGraph:
         return [indices[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _iter_lines(source) -> Iterator[str]:
+def _located_lines(source) -> Iterator[tuple[str, str]]:
+    """Each line with where it is: "<path>:<n>" in a file, "line <n>" in an iterable."""
     if isinstance(source, (str, Path)):
         with open_text(source, "graph file") as fh:
-            yield from fh
+            yield from ((f"{source}:{n}", raw) for n, raw in enumerate(fh, start=1))
     else:
-        yield from source
+        yield from ((f"line {n}", raw) for n, raw in enumerate(source, start=1))
 
 
 def load_spatial_graph(source, symmetrize: bool = True) -> SpatialGraph:
@@ -79,42 +80,43 @@ def load_spatial_graph(source, symmetrize: bool = True) -> SpatialGraph:
     order. Negative weights are rejected. A self loop "i i w" is kept as
     given, as diagonal entry w, as in a Gaussian-kernel adjacency, whose
     diagonal is exp(0) = 1. By default the matrix is symmetrized as
-    max(A, A^T).
+    max(A, A^T). An InputError names where it arose: "<path>:<n>: ..." or
+    "<path>: ..." for a file, "line <n>: ..." for an iterable of lines.
     """
     declared: int | None = None
     raw_edges: list[tuple[int, int, float]] = []
     order: dict[str, int] = {}
 
-    for line_no, raw in enumerate(_iter_lines(source), start=1):
+    for at, raw in _located_lines(source):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         if parts[0] == "nodes":
             if len(parts) != 2:
-                raise InputError(f"line {line_no}: malformed nodes directive: {line!r}")
+                raise InputError(f"{at}: malformed nodes directive: {line!r}")
             if raw_edges or order:
-                raise InputError(f"line {line_no}: nodes directive must come before edges")
+                raise InputError(f"{at}: nodes directive must come before edges")
             try:
                 declared = int(parts[1])
             except ValueError:
-                raise InputError(f"line {line_no}: node count must be an integer")
+                raise InputError(f"{at}: node count must be an integer")
             if declared <= 0:
-                raise InputError(f"line {line_no}: node count must be positive")
+                raise InputError(f"{at}: node count must be positive")
             continue
         if len(parts) not in (2, 3):
-            raise InputError(f"line {line_no}: expected 'src dst [weight]', got {line!r}")
+            raise InputError(f"{at}: expected 'src dst [weight]', got {line!r}")
         src, dst = parts[0], parts[1]
         weight = 1.0
         if len(parts) == 3:
             try:
                 weight = float(parts[2])
             except ValueError:
-                raise InputError(f"line {line_no}: bad weight {parts[2]!r}")
+                raise InputError(f"{at}: bad weight {parts[2]!r}")
         if not np.isfinite(weight):
-            raise InputError(f"line {line_no}: weight must be finite")
+            raise InputError(f"{at}: weight must be finite")
         if weight < 0.0:
-            raise InputError(f"line {line_no}: negative weight {weight} is not allowed")
+            raise InputError(f"{at}: negative weight {weight} is not allowed")
         if declared is not None:
             ids = []
             for token in (src, dst):
@@ -122,10 +124,10 @@ def load_spatial_graph(source, symmetrize: bool = True) -> SpatialGraph:
                     ids.append(int(token))
                 except ValueError:
                     raise InputError(
-                        f"line {line_no}: with a nodes directive ids must be integers, got {token!r}"
+                        f"{at}: with a nodes directive ids must be integers, got {token!r}"
                     )
                 if not 0 <= ids[-1] < declared:
-                    raise InputError(f"line {line_no}: node id {ids[-1]} outside [0, {declared})")
+                    raise InputError(f"{at}: node id {ids[-1]} outside [0, {declared})")
         else:
             ids = [order.setdefault(token, len(order)) for token in (src, dst)]
         raw_edges.append((ids[0], ids[1], weight))
@@ -136,7 +138,8 @@ def load_spatial_graph(source, symmetrize: bool = True) -> SpatialGraph:
     else:
         n = len(order)
         if n == 0:
-            raise InputError("graph has no nodes: give edges or a 'nodes <N>' directive")
+            whole = f"{source}: " if isinstance(source, (str, Path)) else ""
+            raise InputError(f"{whole}graph has no nodes: give edges or a 'nodes <N>' directive")
         labels = list(order)
 
     adjacency = np.zeros((n, n), dtype=np.float64)

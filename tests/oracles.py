@@ -128,6 +128,20 @@ def assign_oracle(dist: np.ndarray, base_flats: list[int],
     return out
 
 
+def cluster_means_oracle(points: np.ndarray, labels: np.ndarray) -> dict[int, np.ndarray]:
+    """Each non-empty cluster's mean, keyed by label: its points summed one
+    at a time in point order, coordinate by coordinate in Python floats,
+    then divided by the cluster's size."""
+    sums: dict[int, list[float]] = {}
+    sizes: dict[int, int] = {}
+    for point, label in zip(points.tolist(), labels.tolist()):
+        acc = sums.setdefault(label, [0.0] * len(point))
+        for j, value in enumerate(point):
+            acc[j] += value
+        sizes[label] = sizes.get(label, 0) + 1
+    return {label: np.array([v / sizes[label] for v in acc]) for label, acc in sums.items()}
+
+
 def attention_oracle(x: np.ndarray, heads, w_out: np.ndarray) -> tuple:
     """Loop transcription of single-subset multi-head attention.
 

@@ -918,6 +918,33 @@ def test_checkpoint_command_refuses_a_series_that_does_not_fit(
     assert not refused.exists()
 
 
+@pytest.mark.parametrize(
+    "case",
+    ["bad-weight", "empty-graph", "signal-columns", "bad-config-value", "config-value-out-of-range"],
+)
+def test_a_loader_error_names_its_file_and_writes_nothing(workspace, capsys, case):
+    tmp, config, out = workspace
+    graph = tmp / "edges.txt"
+    if case == "signal-columns":
+        write_edge_list(["nodes 5", *ring_edge_lines(5)], graph)
+        message = f"{tmp / 'signal.csv'}: signal has 4 node columns but the graph has 5"
+    elif case == "bad-weight":
+        graph.write_text("0 1\n1 2 !\n2 3\n3 0\n")
+        message = f"{graph}:2: bad weight '!'"
+    elif case == "empty-graph":
+        graph.write_text("# no edges yet\n")
+        message = f"{graph}: graph has no nodes"
+    else:
+        value = "abc" if case == "bad-config-value" else "0"
+        config.write_text(config.read_text() + f"dim={value}\n")
+        line = len(config.read_text().splitlines())
+        wrong = "an integer, got 'abc'" if value == "abc" else "at least 1, got 0"
+        message = f"{config}:{line}: dim must be {wrong}"
+    assert main(["train", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(f"error[input]: {message}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("given", ["flag", "config"])
 def test_the_removed_interval_setting_exits_2_before_any_output(workspace, capsys, given):
     # the signal file's own timestamps set the interval, so no setting does

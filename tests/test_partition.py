@@ -7,6 +7,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowcast.embedding import compute_spe
 from flowcast.errors import ContractError
@@ -26,7 +28,13 @@ from flowcast.partition import (
 )
 from flowcast.stgraph import build_unified, load_spatial_graph
 
-from oracles import assign_oracle, hop_distances, random_connected_graph, unified_dense
+from oracles import (
+    assign_oracle,
+    cluster_means_oracle,
+    hop_distances,
+    random_connected_graph,
+    unified_dense,
+)
 
 
 def ring(n: int) -> list[str]:
@@ -117,6 +125,28 @@ def test_kmeans_rejects_bad_k():
         kmeans(points, 0, seed=0)
     with pytest.raises(ContractError):
         kmeans(points, 4, seed=0)
+
+
+@st.composite
+def _kmeans_draws(draw):
+    """Points with one to five coordinates, some repeated (so some clusters
+    end empty), and a cluster count from 1 to the point count."""
+    n, dim = draw(st.integers(1, 40)), draw(st.integers(1, 5))
+    coordinate = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
+    distinct = draw(st.lists(st.lists(coordinate, min_size=dim, max_size=dim), min_size=1, max_size=n))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=n, max_size=n))
+    k = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    return np.array([distinct[i] for i in picks]), k, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(draw=_kmeans_draws())
+def test_kmeans_centroids_are_point_order_means_of_their_labels(draw):
+    points, k, seed = draw
+    centroids, labels = kmeans(points, k, seed)
+    assert centroids.shape == (k, points.shape[1]) and labels.shape == (len(points),)
+    for label, mean in cluster_means_oracle(points, labels).items():
+        assert centroids[label].tobytes() == mean.tobytes(), (label, centroids[label], mean)
 
 
 def test_select_base_nodes_single_cluster_centroid_nearest():

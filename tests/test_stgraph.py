@@ -131,6 +131,38 @@ def test_load_reads_utf8_with_or_without_a_bom(tmp_path, bom):
     assert load_spatial_graph(path).labels == ["Zürich", "Genève"]
 
 
+@pytest.mark.parametrize(
+    "lines, line_no",
+    [
+        (["nodes 4 5"], 1),
+        (["0 1", "nodes 4"], 2),
+        (["nodes four"], 1),
+        (["nodes 0"], 1),
+        (["# header", "0 1 2.0 extra"], 2),
+        (["0 1", "1 2 !"], 2),
+        (["0 1 inf"], 1),
+        (["0 1", "", "1 2 -2.0"], 3),
+        (["nodes 3", "0 b"], 2),
+        (["nodes 3", "0 3"], 2),
+        (["# nothing"], None),
+    ],
+)
+def test_load_errors_say_where(tmp_path, lines, line_no):
+    # a file's errors start with its path, an iterable's with the line
+    path = tmp_path / "graph.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InputError) as from_file:
+        load_spatial_graph(path)
+    with pytest.raises(InputError) as from_lines:
+        load_spatial_graph(lines)
+    file_message, lines_message = str(from_file.value), str(from_lines.value)
+    if line_no is None:
+        assert file_message == f"{path}: {lines_message}"
+    else:
+        assert lines_message.startswith(f"line {line_no}: ")
+        assert file_message == f"{path}:{line_no}: " + lines_message.removeprefix(f"line {line_no}: ")
+
+
 def test_load_missing_file():
     with pytest.raises(InputError):
         load_spatial_graph("/nonexistent/graph.txt")
